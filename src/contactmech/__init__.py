@@ -2,9 +2,9 @@
 
 from .model import (ContactState, ExtendedState, HamiltonianModel,
                     PartialDerivatives, ScalarFunction, as_scalar_fn,
-                    evaluate, make_caldirola_kanai, make_custom,
+                    make_caldirola_kanai, make_custom,
                     make_damped_parametric, make_linear_dissipation,
-                    make_state, partials, quadratic_potential)
+                    make_state, quadratic_potential)
 from .dynamics import (IntegratorOptions, Tangent, Trajectory, divergence,
                        flow_jacobian_determinant, integrate,
                        jacobian_determinant_series, measure_weight,
@@ -15,8 +15,7 @@ from .transforms import (ContactMap, TransformReport, compose,
                          map_identity, map_invariants,
                          pushforward_hamiltonian, verify, volume_factor)
 from .oscillator import (ErmakovSolution, RiccatiSolution, analytic_state,
-                         g_invariant, hj_principal_function,
-                         invariants_from_state, lewis_invariant,
+                         g_invariant, invariants_from_state, lewis_invariant,
                          quadratic_invariant_coefficients,
                          riccati_free_particle, riccati_sensitivity,
                          solve_ermakov, solve_riccati, trajectory_from_hj)
@@ -32,9 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContactState", "ExtendedState", "HamiltonianModel", "PartialDerivatives",
-    "ScalarFunction", "as_scalar_fn", "evaluate", "make_caldirola_kanai",
+    "ScalarFunction", "as_scalar_fn", "make_caldirola_kanai",
     "make_custom", "make_damped_parametric", "make_linear_dissipation",
-    "make_state", "partials", "quadratic_potential",
+    "make_state", "quadratic_potential",
     "IntegratorOptions", "Tangent", "Trajectory", "divergence",
     "flow_jacobian_determinant", "integrate", "jacobian_determinant_series",
     "measure_weight", "observable_rate", "predicted_hamiltonian",
@@ -43,7 +42,7 @@ __all__ = [
     "map_expanding", "map_identity", "map_invariants",
     "pushforward_hamiltonian", "verify", "volume_factor",
     "ErmakovSolution", "RiccatiSolution", "analytic_state", "g_invariant",
-    "hj_principal_function", "invariants_from_state", "lewis_invariant",
+    "invariants_from_state", "lewis_invariant",
     "quadratic_invariant_coefficients", "riccati_free_particle",
     "riccati_sensitivity", "solve_ermakov", "solve_riccati",
     "trajectory_from_hj",

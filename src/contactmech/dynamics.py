@@ -23,10 +23,9 @@ from scipy.integrate import RK45
 
 from .errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                      UnsupportedModelError)
-from .model import ContactState, ExtendedState, HamiltonianModel
+from .model import ContactState, ExtendedState, HamiltonianModel, central_difference
 
 MEASURE_EPS = 1e-12      # |H| below this is treated as the singular level set
-JACOBIAN_FD_STEP = 1e-6  # field-Jacobian finite-difference step (variational equations)
 
 
 # ---------------------------------------------------------------------------
@@ -43,23 +42,24 @@ class Tangent:
     dt: float = 1.0
 
 
+def _field_flat(model: HamiltonianModel, t: float, y: np.ndarray) -> np.ndarray:
+    """The (q, p, S) components of the field at flat y = [q, p, S]."""
+    n = model.n
+    h = model.value(t, y)
+    g = model.grad(t, y)
+    p, dH_dp = y[n:2 * n], g[n:2 * n]
+    out = np.concatenate([dH_dp, -g[:n] - p * g[2 * n],
+                          [float(np.dot(p, dH_dp)) - h]])
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError(f"non-finite vector field at t={t}, y={y}: {out}")
+    return out
+
+
 def vector_field(model: HamiltonianModel, x: ExtendedState) -> Tangent:
     """Evaluate the contact Hamiltonian vector field at x."""
-    h = model.evaluate(x)
-    d = model.partials(x)
-    dq = d.dH_dp
-    dp = -d.dH_dq - x.p * d.dH_dS
-    dS = float(np.dot(x.p, d.dH_dp)) - h
-    out = np.concatenate([dq, dp, [dS]])
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"non-finite vector field at {x!r}: {out}")
-    return Tangent(dq, dp, dS, 1.0)
-
-
-def _field_flat(model: HamiltonianModel, t: float, y: np.ndarray) -> np.ndarray:
-    x = ExtendedState.from_flat(y, model.n, t)
-    f = vector_field(model, x)
-    return np.concatenate([f.dq, f.dp, [f.dS]])
+    model.check_dimensions(x)
+    f = _field_flat(model, x.t, x.flat())
+    return Tangent(f[:x.n], f[x.n:2 * x.n], float(f[2 * x.n]))
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +80,9 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.method not in ("adaptive_rk45", "fixed_rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.step <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.step > 0 and self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("step and tolerances must be positive")
-        if self.max_steps <= 0 or self.sample_interval <= 0:
+        if not (self.max_steps > 0 and self.sample_interval > 0):
             raise ValueError("max_steps and sample_interval must be positive")
 
 
@@ -123,20 +123,24 @@ def sample_grid(t0: float, t_end: float, sample_interval: float) -> np.ndarray:
     return np.linspace(t0, t_end, m + 1)
 
 
+def _rk4(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of dy/dt = rhs(t, y)."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, y + h / 2 * k1)
+    k3 = rhs(t + h / 2, y + h / 2 * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def step_rk4(model: HamiltonianModel, x: ExtendedState, h: float) -> ExtendedState:
     """One classical 4th-order Runge-Kutta step of the contact field."""
     if h == 0:
         raise ValueError("step size must be nonzero")
-    n = model.n
-    t, y = x.t, x.flat()
-    k1 = _field_flat(model, t, y)
-    k2 = _field_flat(model, t + h / 2, y + h / 2 * k1)
-    k3 = _field_flat(model, t + h / 2, y + h / 2 * k2)
-    k4 = _field_flat(model, t + h, y + h * k3)
-    y1 = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    model.check_dimensions(x)
+    y1 = _rk4(lambda t, y: _field_flat(model, t, y), x.t, x.flat(), h)
     if not np.all(np.isfinite(y1)):
-        raise NonFiniteError(f"non-finite RK4 state after step from t={t}")
-    return ExtendedState.from_flat(y1, n, t + h)
+        raise NonFiniteError(f"non-finite RK4 state after step from t={x.t}")
+    return ExtendedState.from_flat(y1, model.n, x.t + h)
 
 
 def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
@@ -161,11 +165,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                 if nsteps > opts.max_steps:
                     raise IntegrationError(
                         f"max_steps={opts.max_steps} exceeded at t={t:.6g}", last_time=t)
-                k1 = rhs(t, y)
-                k2 = rhs(t + h / 2, y + h / 2 * k1)
-                k3 = rhs(t + h / 2, y + h / 2 * k2)
-                k4 = rhs(t + h, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                y = _rk4(rhs, t, y, h)
                 t += h
             t = grid[i]  # land exactly, avoiding accumulated rounding
             if not np.all(np.isfinite(y)):
@@ -208,12 +208,11 @@ def integrate(model: HamiltonianModel, init: ExtendedState, t_end: float,
     grid = sample_grid(init.t, t_end, opts.sample_interval)
     ys = _integrate_flat(lambda t, y: _field_flat(model, t, y),
                          init.flat(), init.t, t_end, opts, grid)
-    H = np.empty(len(grid))
-    dv = np.empty(len(grid))
-    for i, t in enumerate(grid):
-        x = ExtendedState.from_flat(ys[i], n, t)
-        H[i] = model.evaluate(x)
-        dv[i] = divergence(model, x)
+    H = np.array([model.value(t, y) for t, y in zip(grid, ys)], dtype=float)
+    dv = np.array([-(n + 1) * model.grad(t, y)[2 * n] for t, y in zip(grid, ys)],
+                  dtype=float)
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(dv))):
+        raise NonFiniteError("non-finite H or divergence at a sample point")
     return Trajectory(times=grid, q=ys[:, :n].copy(), p=ys[:, n:2 * n].copy(),
                       S=ys[:, 2 * n].copy(), H=H, div=dv)
 
@@ -285,19 +284,6 @@ def recover_S_linear(model: HamiltonianModel, q: float, p: float, t: float,
 # Variational equations / volume contraction
 # ---------------------------------------------------------------------------
 
-def _field_jacobian(model: HamiltonianModel, t: float, y: np.ndarray) -> np.ndarray:
-    """Jacobian of the (q, p, S) field by central differences of the field."""
-    d = len(y)
-    A = np.empty((d, d))
-    for j in range(d):
-        h = JACOBIAN_FD_STEP * max(1.0, abs(y[j]))
-        yp, ym = y.copy(), y.copy()
-        yp[j] += h
-        ym[j] -= h
-        A[:, j] = (_field_flat(model, t, yp) - _field_flat(model, t, ym)) / (2.0 * h)
-    return A
-
-
 def _det_series(model: HamiltonianModel, init: ExtendedState, t_end: float,
                 opts: IntegratorOptions, grid: np.ndarray) -> np.ndarray:
     """det of the fundamental matrix of the variational equations at grid times."""
@@ -307,7 +293,9 @@ def _det_series(model: HamiltonianModel, init: ExtendedState, t_end: float,
     def rhs(t, z):
         y = z[:d]
         J = z[d:].reshape(d, d)
-        A = _field_jacobian(model, t, y)
+        # finite differences of the field, not the closed-form dH/dS, so that
+        # det dPhi stays an independent check of exp(int div)
+        A = central_difference(lambda w: _field_flat(model, t, w), y)
         return np.concatenate([_field_flat(model, t, y), (A @ J).ravel()])
 
     z0 = np.concatenate([init.flat(), eye.ravel()])

@@ -15,11 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UnsupportedModelError
-from .model import ContactState, ExtendedState, HamiltonianModel
+from .model import ContactState, ExtendedState, HamiltonianModel, central_difference
 from .dynamics import Trajectory
 from .oscillator import RiccatiSolution, riccati_sensitivity, solve_riccati
-
-C_FD_STEP = 1e-6  # relative step for centered differences over the constants c
 
 
 @dataclass(frozen=True)
@@ -57,14 +55,7 @@ def characteristic_b(field: PrincipalFunctionField, c, q, t: float) -> np.ndarra
         return np.atleast_1d(np.asarray(field.dS_dc(q, c, t), dtype=float))
     if field.family is None:
         raise UnsupportedModelError("field has no parameter family")
-    b = np.empty(c.size)
-    for i in range(c.size):
-        h = C_FD_STEP * max(1.0, abs(c[i]))
-        cp, cm = c.copy(), c.copy()
-        cp[i] += h
-        cm[i] -= h
-        b[i] = (field.family(q, cp, t) - field.family(q, cm, t)) / (2.0 * h)
-    return b
+    return central_difference(lambda cc: field.family(q, cc, t), c)
 
 
 def verify_b_condition(model: HamiltonianModel, field: PrincipalFunctionField,

@@ -2,8 +2,8 @@
 
 The phase space is described in Darboux coordinates (q, p, S): generalized
 positions, conjugate momenta and an action-like contact variable.  A
-``HamiltonianModel`` wraps a scalar function H(q, p, S, t) together with its
-partial derivatives; the built-in factories cover linear dissipation, the
+``HamiltonianModel`` holds H(q, p, S, t) and its gradient as closures over the
+flat vector [q, p, S]; the built-in factories cover linear dissipation, the
 damped parametric oscillator and the Caldirola-Kanai effective model.
 """
 
@@ -18,6 +18,20 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError
 
 FD_STEP = 1e-6  # relative step for central finite differences
+
+
+def central_difference(f, z) -> np.ndarray:
+    """Gradient (scalar f) or Jacobian (array f, last axis over z) of f at z
+    by central differences with step FD_STEP * max(1, |z_j|)."""
+    z = np.asarray(z, dtype=float)
+    cols = []
+    for j in range(z.size):
+        h = FD_STEP * max(1.0, abs(z[j]))
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        cols.append((f(zp) - f(zm)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 def _readonly(a) -> np.ndarray:
@@ -148,8 +162,7 @@ class ScalarFunction:
             return 0.0
         if self.df is not None:
             return float(self.df(x))
-        h = FD_STEP * max(1.0, abs(x))
-        return (float(self.f(x + h)) - float(self.f(x - h))) / (2.0 * h)
+        return float(central_difference(lambda z: self(z[0]), [x])[0])
 
 
 def as_scalar_fn(obj, name: str = "function") -> ScalarFunction:
@@ -177,15 +190,15 @@ def quadratic_potential(k: float = 1.0) -> ScalarFunction:
 class HamiltonianModel:
     """Descriptor of a contact Hamiltonian H(q, p, S, t).
 
-    ``value`` maps an ExtendedState to a real number; ``partials_fn`` (when
-    supplied) returns closed-form first partials, otherwise central finite
-    differences of ``value`` are used.  ``h_prime``, when present, is h'(S)
-    for Hamiltonians that split as H = H_mec(q, p[, t]) + h(S).
+    ``value(t, y)`` is H and ``grad(t, y)`` is [dH/dq, dH/dp, dH/dS, dH/dt] at
+    y = [q, p, S], both unvalidated; ``evaluate`` and ``partials`` validate.
+    ``h_prime``, when present, is h'(S) for Hamiltonians that split as
+    H = H_mec(q, p[, t]) + h(S).
     """
 
     n: int
-    value: Callable[[ExtendedState], float]
-    partials_fn: Optional[Callable[[ExtendedState], PartialDerivatives]] = None
+    value: Callable[[float, np.ndarray], float]
+    grad: Callable[[float, np.ndarray], np.ndarray]
     depends_on_S: bool = True
     depends_on_t: bool = True
     name: str = "custom"
@@ -201,46 +214,17 @@ class HamiltonianModel:
     def evaluate(self, x: ExtendedState) -> float:
         """Value of the contact Hamiltonian at x; pure and side-effect free."""
         self.check_dimensions(x)
-        v = float(self.value(x))
+        v = float(self.value(x.t, x.flat()))
         if not math.isfinite(v):
             raise NonFiniteError(f"model '{self.name}' is non-finite at {x!r}")
         return v
 
     def partials(self, x: ExtendedState) -> PartialDerivatives:
-        """Closed-form partials when available, else central finite differences."""
+        """First partials of the contact Hamiltonian at x."""
         self.check_dimensions(x)
-        if self.partials_fn is not None:
-            d = self.partials_fn(x)
-            if d.dH_dq.size != self.n:
-                raise DimensionMismatchError("partials length does not match model n")
-            return d
-        return self._fd_partials(x)
-
-    def _fd_partials(self, x: ExtendedState) -> PartialDerivatives:
         n = self.n
-        y = np.concatenate([x.flat(), [x.t]])
-
-        def value_of(z):
-            return self.evaluate(ExtendedState.from_flat(z[: 2 * n + 1], n, z[2 * n + 1]))
-
-        grad = np.empty(2 * n + 2)
-        for i in range(2 * n + 2):
-            h = FD_STEP * max(1.0, abs(y[i]))
-            yp, ym = y.copy(), y.copy()
-            yp[i] += h
-            ym[i] -= h
-            grad[i] = (value_of(yp) - value_of(ym)) / (2.0 * h)
-        dS = 0.0 if not self.depends_on_S else grad[2 * n]
-        dt = 0.0 if not self.depends_on_t else grad[2 * n + 1]
-        return PartialDerivatives(grad[:n], grad[n:2 * n], dS, dt)
-
-
-def evaluate(model: HamiltonianModel, x: ExtendedState) -> float:
-    return model.evaluate(x)
-
-
-def partials(model: HamiltonianModel, x: ExtendedState) -> PartialDerivatives:
-    return model.partials(x)
+        g = self.grad(x.t, x.flat())
+        return PartialDerivatives(g[:n], g[n:2 * n], g[2 * n], g[2 * n + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +233,21 @@ def partials(model: HamiltonianModel, x: ExtendedState) -> PartialDerivatives:
 
 def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     """H = p^2/2m + V(q) + gamma*S, the one-dimensional linear-friction system."""
-    if m <= 0:
+    if not m > 0:
         raise ValueError(f"mass must be positive, got m={m}")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
     Vfn = as_scalar_fn(V, "V")
 
-    def value(x: ExtendedState) -> float:
-        q, p = x.q[0], x.p[0]
-        return p * p / (2.0 * m) + Vfn(q) + gamma * x.S
+    def value(t, y) -> float:
+        q, p = y[0], y[1]
+        return p * p / (2.0 * m) + Vfn(q) + gamma * y[2]
 
-    def parts(x: ExtendedState) -> PartialDerivatives:
-        q, p = x.q[0], x.p[0]
-        return PartialDerivatives([Vfn.derivative(q)], [p / m], gamma, 0.0)
+    def grad(t, y) -> np.ndarray:
+        return np.array([Vfn.derivative(y[0]), y[1] / m, gamma, 0.0])
 
     return HamiltonianModel(
-        n=1, value=value, partials_fn=parts,
+        n=1, value=value, grad=grad,
         depends_on_S=gamma > 0, depends_on_t=False,
         name="linear_dissipation",
         params={"m": m, "gamma": gamma, "V": Vfn},
@@ -279,25 +262,25 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
     and the model is flagged time-independent), zero (damped free particle) or
     a time-dependent ScalarFunction/callable.
     """
-    if m <= 0:
+    if not m > 0:
         raise ValueError(f"mass must be positive, got m={m}")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
     wfn = as_scalar_fn(omega, "omega")
 
-    def value(x: ExtendedState) -> float:
-        q, p = x.q[0], x.p[0]
-        w = wfn(x.t)
-        return p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * x.S
+    def value(t, y) -> float:
+        q, p = y[0], y[1]
+        w = wfn(t)
+        return p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * y[2]
 
-    def parts(x: ExtendedState) -> PartialDerivatives:
-        q, p = x.q[0], x.p[0]
-        w = wfn(x.t)
-        dt = m * w * wfn.derivative(x.t) * q * q
-        return PartialDerivatives([m * w * w * q], [p / m], gamma, dt)
+    def grad(t, y) -> np.ndarray:
+        q, p = y[0], y[1]
+        w = wfn(t)
+        dt = m * w * wfn.derivative(t) * q * q
+        return np.array([m * w * w * q, p / m, gamma, dt])
 
     return HamiltonianModel(
-        n=1, value=value, partials_fn=parts,
+        n=1, value=value, grad=grad,
         depends_on_S=gamma > 0, depends_on_t=not wfn.is_constant,
         name="damped_parametric",
         params={"m": m, "gamma": gamma, "omega": wfn},
@@ -312,24 +295,24 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
     contact equations its (q, p) flow is the standard symplectic one, and q(t)
     obeys the same damped Newton equation as the linear-dissipation model.
     """
-    if m <= 0:
+    if not m > 0:
         raise ValueError(f"mass must be positive, got m={m}")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
     Vfn = as_scalar_fn(V, "V")
 
-    def value(x: ExtendedState) -> float:
-        q, p = x.q[0], x.p[0]
-        return math.exp(-gamma * x.t) * p * p / (2.0 * m) + math.exp(gamma * x.t) * Vfn(q)
+    def value(t, y) -> float:
+        q, p = y[0], y[1]
+        return math.exp(-gamma * t) * p * p / (2.0 * m) + math.exp(gamma * t) * Vfn(q)
 
-    def parts(x: ExtendedState) -> PartialDerivatives:
-        q, p = x.q[0], x.p[0]
-        em, ep = math.exp(-gamma * x.t), math.exp(gamma * x.t)
+    def grad(t, y) -> np.ndarray:
+        q, p = y[0], y[1]
+        em, ep = math.exp(-gamma * t), math.exp(gamma * t)
         dt = -gamma * em * p * p / (2.0 * m) + gamma * ep * Vfn(q)
-        return PartialDerivatives([ep * Vfn.derivative(q)], [em * p / m], 0.0, dt)
+        return np.array([ep * Vfn.derivative(q), em * p / m, 0.0, dt])
 
     return HamiltonianModel(
-        n=1, value=value, partials_fn=parts,
+        n=1, value=value, grad=grad,
         depends_on_S=False, depends_on_t=gamma > 0,
         name="caldirola_kanai",
         params={"m": m, "gamma": gamma, "V": Vfn},
@@ -344,8 +327,32 @@ def make_custom(n: int, value, partials_fn=None, depends_on_S: bool = True,
     """Wrap arbitrary callables as a model; finite differences fill in partials."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    n = int(n)
+
+    def flat_value(t, y) -> float:
+        x = ExtendedState.from_flat(y, n, t)
+        v = float(value(x))
+        if not math.isfinite(v):
+            raise NonFiniteError(f"model '{name}' is non-finite at {x!r}")
+        return v
+
+    if partials_fn is not None:
+        def grad(t, y) -> np.ndarray:
+            d = partials_fn(ExtendedState.from_flat(y, n, t))
+            if d.dH_dq.size != n:
+                raise DimensionMismatchError("partials length does not match model n")
+            return np.concatenate([d.dH_dq, d.dH_dp, [d.dH_dS, d.dH_dt]])
+    else:
+        def grad(t, y) -> np.ndarray:
+            g = central_difference(lambda z: flat_value(z[-1], z), np.append(y, t))
+            if not depends_on_S:
+                g[2 * n] = 0.0
+            if not depends_on_t:
+                g[2 * n + 1] = 0.0
+            return g
+
     return HamiltonianModel(
-        n=int(n), value=value, partials_fn=partials_fn,
+        n=n, value=flat_value, grad=grad,
         depends_on_S=depends_on_S, depends_on_t=depends_on_t,
         name=name, params=dict(params or {}), h_prime=h_prime,
     )

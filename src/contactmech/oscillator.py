@@ -18,13 +18,12 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (BranchError, ErmakovCollapseError, IntegrationError,
                      RiccatiPoleError)
-from .model import ContactState, ExtendedState, ScalarFunction, as_scalar_fn
+from .model import FD_STEP, ContactState, ExtendedState, ScalarFunction, as_scalar_fn
 
 SOLVER_RTOL = 1e-10
 SOLVER_ATOL = 1e-12
 COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
 RICCATI_BLOWUP = 1e8     # |C| beyond this counts as a pole
-SENSITIVITY_STEP = 1e-6  # relative step for dC/dC0 by paired initial conditions
 
 
 def _internal_nodes(grid: np.ndarray) -> np.ndarray:
@@ -343,7 +342,7 @@ def riccati_sensitivity(omega, gamma: float, C0: float, grid,
     grid = _check_grid(grid)
     wfn = as_scalar_fn(omega, "omega")
     if delta is None:
-        delta = SENSITIVITY_STEP * max(1.0, abs(C0))
+        delta = FD_STEP * max(1.0, abs(C0))
 
     def rhs(t, y):
         w2 = wfn(t) ** 2
@@ -376,16 +375,6 @@ def riccati_sensitivity(omega, gamma: float, C0: float, grid,
 # ---------------------------------------------------------------------------
 # Hamilton-Jacobi route
 # ---------------------------------------------------------------------------
-
-def hj_principal_function(m: float, C: float, lam: float, lam_dot: float, q):
-    """The quadratic-ansatz solution of the contact Hamilton-Jacobi equation:
-
-        S(q, t) = (m/2) C (q - lambda)^2 + m lambda' (q - lambda) + (m/2) lambda lambda'.
-    """
-    q = np.asarray(q, dtype=float)
-    r = q - lam
-    return (0.5 * m * C * r * r + m * lam_dot * r + 0.5 * m * lam * lam_dot)[()]
-
 
 def trajectory_from_hj(m: float, gamma: float, b0: float, C0: float,
                        ric: RiccatiSolution, t):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -70,9 +71,12 @@ def _get_float(sec, section: str, key: str, default=None) -> float:
         return default
     raw = sec[key]
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         _err(f"{section}.{key}", f"not a number: {raw!r}")
+    if not math.isfinite(value):
+        _err(f"{section}.{key}", f"non-finite number: {raw!r}")
+    return value
 
 
 def _get_int(sec, section: str, key: str, default: int) -> int:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, SingularChartError,
                      UnsupportedModelError)
-from .model import ExtendedState, HamiltonianModel, make_custom, make_state
+from .model import (ExtendedState, HamiltonianModel, central_difference,
+                    make_custom, make_state)
 
-JAC_FD_STEP = 1e-6       # finite-difference step for map jacobians
 DEFAULT_VERIFY_TOL = 1e-8
 
 
@@ -72,19 +72,9 @@ def fd_jacobian(cmap: ContactMap, x: ExtendedState) -> Tuple[np.ndarray, np.ndar
     """Central finite differences of the forward map over (q, p, S) and t."""
     n = cmap.n
     d = 2 * n + 1
-    y = np.concatenate([x.flat(), [x.t]])
-
-    def image(z):
-        out = cmap.forward(ExtendedState.from_flat(z[:d], n, z[d]))
-        return out.flat()
-
-    J = np.empty((d, d + 1))
-    for j in range(d + 1):
-        h = JAC_FD_STEP * max(1.0, abs(y[j]))
-        zp, zm = y.copy(), y.copy()
-        zp[j] += h
-        zm[j] -= h
-        J[:, j] = (image(zp) - image(zm)) / (2.0 * h)
+    J = central_difference(
+        lambda z: cmap.forward(ExtendedState.from_flat(z, n, z[d])).flat(),
+        np.append(x.flat(), x.t))
     return J[:, :d], J[:, d]
 
 

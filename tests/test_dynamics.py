@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import contactmech as cm
+from contactmech.dynamics import _field_flat
+from contactmech.model import central_difference
 from contactmech.errors import (IntegrationError, SingularMeasureError,
                                 UnsupportedModelError)
 
@@ -101,6 +103,25 @@ def test_divergence_examples(linear_model, conservative_model):
     assert cm.divergence(conservative_model, x) == 0.0
     s2 = cm.make_custom(1, lambda z: z.S ** 2, depends_on_t=False)
     assert cm.divergence(s2, cm.make_state(0.0, 0.0, 1.0, 0.0)) == pytest.approx(-4.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: cm.make_linear_dissipation(1.3, 0.25, cm.quadratic_potential(2.0)),
+    lambda: cm.make_damped_parametric(
+        0.8, 0.15, cm.parse_expression("1 + 0.3*sin(0.7*t)", "t").as_scalar_function()),
+    lambda: cm.make_caldirola_kanai(1.0, 0.2, cm.quadratic_potential()),
+    lambda: cm.make_custom(1, lambda x: x.S ** 2),
+])
+def test_divergence_is_trace_of_fd_field_jacobian(factory):
+    """Pointwise identity tr(dX/dy) = -(n+1) dH/dS: the trace comes from finite
+    differences of the flat field, the divergence from the model's dH/dS."""
+    model = factory()
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        x = cm.make_state(rng.uniform(-2, 2), rng.uniform(-2, 2),
+                          rng.uniform(-2, 2), rng.uniform(0.0, 5.0))
+        A = central_difference(lambda y: _field_flat(model, x.t, y), x.flat())
+        assert_allclose(np.trace(A), cm.divergence(model, x), rtol=1e-6, atol=1e-8)
 
 
 def test_measure_weight_examples(linear_model):

@@ -48,6 +48,22 @@ def test_hj_residual_oscillator_grid():
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("m,C0,q,omega,gamma", [
+    (2.0, 0.7, 1.5, 1.0, 0.1),
+    (0.5, -0.4, -0.8, 0.0, 0.3),
+])
+def test_principal_field_from_riccati_at_initial_time(m, C0, q, omega, gamma):
+    """At t0, lambda = 1 and lambda' = C = C0, so the ansatz reduces to
+    S = (m/2) C0 (q-1)^2 + m C0 (q-1) + (m/2) C0 with dS/dq = m C0 q."""
+    t0 = 0.0
+    ric = cm.solve_riccati(omega, gamma, C0, np.linspace(t0, 2.0, 21))
+    field = cm.principal_field_from_riccati(m, ric)
+    r = q - 1.0
+    assert field.S(np.array([q]), t0) == pytest.approx(
+        0.5 * m * C0 * r * r + m * C0 * r + 0.5 * m * C0, rel=1e-12)
+    assert field.dS_dq(np.array([q]), t0)[0] == pytest.approx(m * C0 * q, rel=1e-12)
+
+
 def test_field_partials_match_finite_differences():
     """Honesty check on the closed-form dS/dq and dS/dt of the ansatz field."""
     gamma, m = 0.1, 1.0

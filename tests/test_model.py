@@ -79,7 +79,7 @@ def test_flag_contract_S_independent():
 def test_closed_form_partials_match_fd(factory):
     """Backbone oracle: ship analytic partials, check them against central FD."""
     model = factory()
-    fd_model = cm.make_custom(model.n, model.value,
+    fd_model = cm.make_custom(model.n, model.evaluate,
                               depends_on_S=model.depends_on_S,
                               depends_on_t=model.depends_on_t)
     rng = np.random.default_rng(11)
@@ -136,6 +136,14 @@ def test_constructor_preconditions():
         cm.make_caldirola_kanai(-2.0, 0.1, cm.quadratic_potential())
     with pytest.raises(ValueError):
         cm.make_custom(0, lambda x: 0.0)
+    with pytest.raises(ValueError, match="mass must be positive"):
+        cm.make_damped_parametric(math.nan, 0.1, 1.0)
+    with pytest.raises(ValueError, match="damping rate must be non-negative"):
+        cm.make_linear_dissipation(1.0, math.nan, cm.quadratic_potential())
+    with pytest.raises(ValueError, match="mass must be positive"):
+        cm.make_caldirola_kanai(math.nan, 0.1, cm.quadratic_potential())
+    with pytest.raises(ValueError, match="damping rate must be non-negative"):
+        cm.make_caldirola_kanai(1.0, math.nan, cm.quadratic_potential())
 
 
 def test_dimension_and_finiteness_errors(linear_model):

@@ -178,12 +178,6 @@ def test_riccati_free_particle_examples():
         cm.riccati_free_particle(0.0, 1.0, 1.0)
 
 
-def test_hj_principal_function_examples():
-    assert cm.hj_principal_function(2.0, 0.7, 1.5, -0.3, 1.5) == pytest.approx(
-        0.5 * 2.0 * 1.5 * (-0.3))
-    assert cm.hj_principal_function(1.0, 1.0, 0.0, 0.0, 2.0) == pytest.approx(2.0)
-
-
 def test_trajectory_from_hj_initial_point():
     grid = np.linspace(0.0, 10.0, 101)
     ric = cm.solve_riccati(0.0, 0.1, 0.2, grid)

@@ -1,5 +1,7 @@
 """Scenario format: strict parsing, validation paths, serialization round-trip."""
 
+import math
+
 import pytest
 
 import contactmech as cm
@@ -98,9 +100,20 @@ def test_check_names_validated():
 
 
 def test_bad_numbers_rejected_with_key_path():
-    with pytest.raises(ScenarioError) as err:
-        cm.parse_scenario(MINIMAL.replace("q = 1", "q = one"))
-    assert "initial.q" in str(err.value)
+    cases = [("initial", "q", "one")] + [
+        (section, key, raw)
+        for section, key in [("model", "m"), ("model", "gamma"), ("initial", "q"),
+                             ("initial", "p"), ("initial", "S"), ("initial", "t"),
+                             ("integration", "t_end"), ("integration", "step"),
+                             ("integration", "rel_tol"), ("integration", "abs_tol"),
+                             ("integration", "sample_interval")]
+        for raw in ("nan", "inf", "-inf")]
+    for section, key, raw in cases:
+        lines = [ln for ln in MINIMAL.splitlines() if not ln.startswith(f"{key} =")]
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {raw}")
+        with pytest.raises(ScenarioError) as err:
+            cm.parse_scenario("\n".join(lines) + "\n")
+        assert f"{section}.{key}" in str(err.value), (section, key, raw)
 
 
 def test_integration_options_validated():
@@ -110,6 +123,9 @@ def test_integration_options_validated():
     with pytest.raises(ScenarioError):
         cm.parse_scenario(MINIMAL.replace("[integration]\n",
                                           "[integration]\nsample_interval = 0\n"))
+    for key in ("step", "rel_tol", "abs_tol", "sample_interval"):
+        with pytest.raises(ValueError, match="must be positive"):
+            cm.IntegratorOptions(**{key: math.nan})
 
 
 def test_serialize_round_trip():

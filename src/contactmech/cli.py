@@ -36,6 +36,7 @@ EXIT_BAD_SCENARIO = 2
 EXIT_INTEGRATION = 3
 EXIT_SINGULARITY = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 6
 
 
 def _fmt(x: float) -> str:
@@ -107,13 +108,13 @@ def _classify(exc: Exception) -> int:
     if isinstance(exc, (SingularMeasureError, SingularChartError, BranchError,
                         ErmakovCollapseError, RiccatiPoleError)):
         return EXIT_SINGULARITY
-    if isinstance(exc, (IntegrationError, NonFiniteError)):
+    if isinstance(exc, (IntegrationError, NonFiniteError, OverflowError)):
         return EXIT_INTEGRATION
     if isinstance(exc, (ScenarioError, ExpressionError)):
         return EXIT_BAD_SCENARIO
     if isinstance(exc, OSError):
         return EXIT_IO
-    return EXIT_INTEGRATION if isinstance(exc, ContactMechError) else EXIT_BAD_SCENARIO
+    return EXIT_INTEGRATION if isinstance(exc, ContactMechError) else EXIT_INTERNAL
 
 
 def _cmd_run(args, with_trajectory: bool, with_plots: bool) -> int:
@@ -128,8 +129,10 @@ def _cmd_run(args, with_trajectory: bool, with_plots: bool) -> int:
         code = run_scenario(config, out_dir=args.out, seed=args.seed,
                             with_trajectory=with_trajectory, with_plots=with_plots)
     except Exception as exc:  # mapped to exit codes, message to stderr
-        print(f"error: {exc}", file=sys.stderr)
-        return _classify(exc)
+        code = _classify(exc)
+        prefix = f"internal error: {type(exc).__name__}: " if code == EXIT_INTERNAL else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
     status = "pass" if code == EXIT_PASS else "fail"
     print(f"{config.name}: {status}")
     return code

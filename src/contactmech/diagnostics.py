@@ -109,10 +109,7 @@ def check_hj_residual(config, model, traj: Trajectory) -> Dict:
     field = principal_field_from_riccati(config.m, ric)
     qs = np.linspace(-2.0, 2.0, 50)
     ts = np.linspace(config.t0, config.t_end, 50)
-    res = np.empty((len(ts), len(qs)))
-    for i, t in enumerate(ts):
-        for j, q in enumerate(qs):
-            res[i, j] = hj_residual(model, field, [q], float(t))
+    res = np.array([hj_residual(model, field, qs[None, :], float(t)) for t in ts])
     observed = float(np.max(np.abs(res)))
     return {"name": "hj_residual", "threshold": 1e-8,
             "observed": observed, "passed": observed < 1e-8,

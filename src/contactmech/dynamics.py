@@ -80,9 +80,9 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.method not in ("adaptive_rk45", "fixed_rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not (self.step > 0 and self.rel_tol > 0 and self.abs_tol > 0):
+        if not all(0 < v < math.inf for v in (self.step, self.rel_tol, self.abs_tol)):
             raise ValueError("step and tolerances must be positive")
-        if not (self.max_steps > 0 and self.sample_interval > 0):
+        if not all(0 < v < math.inf for v in (self.max_steps, self.sample_interval)):
             raise ValueError("max_steps and sample_interval must be positive")
 
 

@@ -10,8 +10,9 @@ Grammar (one free variable per context):
 
 Identifiers are the declared variable, the constants pi and e, and the
 functions sin, cos, exp, sqrt, log.  A symbolic-derivative pass produces the
-derivative tree; both trees evaluate to floats with explicit domain errors
-(sqrt of a negative, log of a non-positive, division by zero) carrying the
+derivative tree; both trees are compiled once, at parse time, into nested
+closures that evaluate to floats with explicit domain errors (sqrt of a
+negative, log of a non-positive, division by zero, invalid power) carrying the
 byte offset of the offending operator.
 """
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 from .errors import ExpressionError
 from .model import ScalarFunction
@@ -104,37 +105,53 @@ class Call:
 Node = Union[Num, Var, Const, Unary, Bin, Call]
 
 
-def _eval(node: Node, x: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
+def _compile(node: Node) -> Callable[[float], float]:
+    """A closure computing `node` at x: the float operations of a tree walk,
+    left operand first, with the domain errors and offsets of the tree."""
+    if isinstance(node, (Num, Const)):
+        c = node.value if isinstance(node, Num) else _CONSTANTS[node.name]
+        return lambda x: c
     if isinstance(node, Var):
-        return x
+        return lambda x: x
     if isinstance(node, Unary):
-        return -_eval(node.arg, x)
+        arg = _compile(node.arg)
+        return lambda x: -arg(x)
+    pos = node.pos
     if isinstance(node, Call):
-        v = _eval(node.arg, x)
-        if node.fn == "sqrt" and v < 0:
-            raise ExpressionError(f"sqrt of negative value {v!r}", position=node.pos)
-        if node.fn == "log" and v <= 0:
-            raise ExpressionError(f"log of non-positive value {v!r}", position=node.pos)
-        return _FUNCTIONS[node.fn](v)
-    a, b = _eval(node.left, x), _eval(node.right, x)
+        arg, fn, name = _compile(node.arg), _FUNCTIONS[node.fn], node.fn
+        if name not in ("sqrt", "log"):
+            return lambda x: fn(arg(x))
+
+        def call(x):
+            v = arg(x)
+            if name == "sqrt" and v < 0:
+                raise ExpressionError(f"sqrt of negative value {v!r}", position=pos)
+            if name == "log" and v <= 0:
+                raise ExpressionError(f"log of non-positive value {v!r}", position=pos)
+            return fn(v)
+        return call
+    left, right = _compile(node.left), _compile(node.right)
     if node.op == "+":
-        return a + b
+        return lambda x: left(x) + right(x)
     if node.op == "-":
-        return a - b
+        return lambda x: left(x) - right(x)
     if node.op == "*":
-        return a * b
+        return lambda x: left(x) * right(x)
     if node.op == "/":
-        if b == 0:
-            raise ExpressionError("division by zero", position=node.pos)
-        return a / b
-    try:
-        return math.pow(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise ExpressionError(f"invalid power {a!r}^{b!r}: {exc}", position=node.pos)
+        def div(x):
+            a, b = left(x), right(x)
+            if b == 0:
+                raise ExpressionError("division by zero", position=pos)
+            return a / b
+        return div
+
+    def power(x):
+        a, b = left(x), right(x)
+        try:
+            return math.pow(a, b)
+        except (ValueError, OverflowError) as exc:
+            raise ExpressionError(f"invalid power {a!r}^{b!r}: {exc}", position=pos)
+    return power
 
 
 # Smart constructors keep derivative trees small and avoid evaluating
@@ -336,21 +353,32 @@ class _Parser:
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression in one variable with its symbolic derivative."""
+    """A parsed expression in one variable with its symbolic derivative.
+
+    Both trees are compiled into closures once, on construction."""
 
     text: str
     variable: str
     ast: Node
     derivative_ast: Node
+    _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _slope: Callable[[float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_value", _compile(self.ast))
+        object.__setattr__(self, "_slope", _compile(self.derivative_ast))
 
     def __call__(self, x: float) -> float:
-        return float(_eval(self.ast, float(x)))
+        return float(self._value(float(x)))
 
     def derivative(self, x: float) -> float:
-        return float(_eval(self.derivative_ast, float(x)))
+        return float(self._slope(float(x)))
 
     def is_constant(self) -> bool:
         return not _contains_var(self.ast)
+
+    def __reduce__(self):  # closures do not pickle; the text re-parses to them
+        return parse_expression, (self.text, self.variable)
 
     def as_scalar_function(self) -> ScalarFunction:
         return ScalarFunction(f=self.__call__, df=self.derivative,

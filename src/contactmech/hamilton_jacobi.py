@@ -9,15 +9,19 @@ flow (the classical constancy of the b_i is the S-independent special case).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnsupportedModelError
+from .errors import DimensionMismatchError, NonFiniteError, UnsupportedModelError
 from .model import ContactState, ExtendedState, HamiltonianModel, central_difference
 from .dynamics import Trajectory
 from .oscillator import RiccatiSolution, riccati_sensitivity, solve_riccati
+
+FAMILY_CACHE_SIZE = 8  # per-c Riccati solves kept by quadratic_principal_family
 
 
 @dataclass(frozen=True)
@@ -32,13 +36,47 @@ class PrincipalFunctionField:
     dS_dc: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
 
 
-def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField,
-                q, t: float) -> float:
-    """H(q, dS/dq, S(q,t), t) + dS/dt; zero iff the field solves the equation at (q, t)."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(field.dS_dq(q, t), dtype=float))
-    x = ExtendedState(ContactState(q, p, float(field.S(q, t))), t)
-    return model.evaluate(x) + float(field.dS_dt(q, t))
+def _per_point(values, k: int, what: str) -> np.ndarray:
+    try:
+        return np.broadcast_to(np.asarray(values, dtype=float), (k,))
+    except ValueError:
+        raise DimensionMismatchError(
+            f"{what} has shape {np.shape(values)}, expected one value per point") from None
+
+
+def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t: float):
+    """H(q, dS/dq, S(q,t), t) + dS/dt; zero iff the field solves the equation at (q, t).
+
+    ``q`` is one point of shape (n,), giving a float, or a batch of k points of
+    shape (n, k), giving a (k,) array.  The field is called once on the whole
+    batch, so its closures must broadcast over the last axis of q.
+    """
+    q, t = np.atleast_1d(np.asarray(q, dtype=float)), float(t)
+    if q.ndim > 2 or len(q) < 1:
+        raise DimensionMismatchError(
+            f"q must have shape (n,) or (n, k) with n >= 1, got {q.shape}")
+    qs = q.reshape(len(q), -1)
+    n, k = qs.shape
+    p = np.asarray(field.dS_dq(qs, t), dtype=float)
+    if p.ndim < 2:
+        p = p.reshape(-1, 1)  # the same dS/dq at every point of the batch
+    S = _per_point(field.S(qs, t), k, "S")
+    if p.shape[0] != n or p.shape[1] not in (1, k):
+        raise DimensionMismatchError(
+            f"q and p must have equal length, got {qs.shape} and {p.shape}")
+    if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(p)) and np.all(np.isfinite(S))):
+        raise NonFiniteError(f"non-finite contact state: q={qs}, p={p}, S={S}")
+    if not math.isfinite(t):
+        raise NonFiniteError(f"non-finite time t={t}")
+    if n != model.n:
+        raise DimensionMismatchError(
+            f"model '{model.name}' has n={model.n} but state has n={n}")
+    ys = np.concatenate([qs, np.broadcast_to(p, (n, k)), S[None, :]])
+    H = np.array([model.value(t, y) for y in ys.T], dtype=float)
+    if not np.all(np.isfinite(H)):
+        raise NonFiniteError(f"model '{model.name}' is non-finite at q={qs}, t={t}")
+    res = H + _per_point(field.dS_dt(qs, t), k, "dS/dt")
+    return res if q.ndim == 2 else float(res[0])
 
 
 def extended_F(model: HamiltonianModel, q, p, S: float, t: float, E: float) -> float:
@@ -95,7 +133,7 @@ def principal_field_from_riccati(m: float, ric: RiccatiSolution) -> PrincipalFun
     def S(q, t):
         r = q[0] - ric.lam(t)
         ld = ric.lam_dot(t)
-        return float(0.5 * m * ric.C(t) * r * r + m * ld * r + 0.5 * m * ric.lam(t) * ld)
+        return 0.5 * m * ric.C(t) * r * r + m * ld * r + 0.5 * m * ric.lam(t) * ld
 
     def dS_dq(q, t):
         return np.array([m * ric.C(t) * (q[0] - ric.lam(t)) + m * ric.lam_dot(t)])
@@ -106,8 +144,8 @@ def principal_field_from_riccati(m: float, ric: RiccatiSolution) -> PrincipalFun
         ldd = -gamma * ld - w2 * lam
         Cd = -C * C - gamma * C - w2
         r = q[0] - lam
-        return float(0.5 * m * Cd * r * r - m * C * ld * r + m * ldd * r
-                     - 0.5 * m * ld * ld + 0.5 * m * lam * ldd)
+        return (0.5 * m * Cd * r * r - m * C * ld * r + m * ldd * r
+                - 0.5 * m * ld * ld + 0.5 * m * lam * ldd)
 
     return PrincipalFunctionField(n=1, S=S, dS_dq=dS_dq, dS_dt=dS_dt)
 
@@ -117,35 +155,34 @@ def quadratic_principal_family(m: float, omega, gamma: float, grid,
     """The one-parameter family S(q, c, t) = (m/2) C(t; c) q^2 over the
     Riccati initial value c, instantiated at c = C0.
 
-    dS/dc uses the paired-solve Riccati sensitivity; per-c solutions are
-    cached so family evaluations stay cheap along trajectories.
+    dS/dc uses the paired-solve Riccati sensitivity; the solutions of the
+    FAMILY_CACHE_SIZE most recent c values are kept, so family evaluations stay
+    cheap along trajectories without growing with the number of c probed.
     """
     base = solve_riccati(omega, gamma, C0, grid)
-    cache = {float(C0): base}
-    sens_cache = {}
 
+    @functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
     def _ric(c: float) -> RiccatiSolution:
-        if c not in cache:
-            cache[c] = solve_riccati(base.omega, gamma, c, grid)
-        return cache[c]
+        return base if c == float(C0) else solve_riccati(base.omega, gamma, c, grid)
+
+    @functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
+    def _sens(c: float):
+        return riccati_sensitivity(base.omega, gamma, c, grid)
 
     def S(q, t):
-        return float(0.5 * m * base.C(t) * q[0] * q[0])
+        return 0.5 * m * base.C(t) * q[0] * q[0]
 
     def dS_dq(q, t):
         return np.array([m * base.C(t) * q[0]])
 
     def dS_dt(q, t):
-        return float(0.5 * m * base.C_dot(t) * q[0] * q[0])
+        return 0.5 * m * base.C_dot(t) * q[0] * q[0]
 
     def family(q, c, t):
         return float(0.5 * m * _ric(float(c[0])).C(t) * q[0] * q[0])
 
     def dS_dc(q, c, t):
-        key = float(c[0])
-        if key not in sens_cache:
-            sens_cache[key] = riccati_sensitivity(base.omega, gamma, key, grid)
-        return np.array([0.5 * m * float(sens_cache[key](t)) * q[0] * q[0]])
+        return np.array([0.5 * m * float(_sens(float(c[0]))(t)) * q[0] * q[0]])
 
     return PrincipalFunctionField(n=1, S=S, dS_dq=dS_dq, dS_dt=dS_dt,
                                   family=family, dS_dc=dS_dc)

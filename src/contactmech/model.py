@@ -233,9 +233,9 @@ class HamiltonianModel:
 
 def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     """H = p^2/2m + V(q) + gamma*S, the one-dimensional linear-friction system."""
-    if not m > 0:
+    if not 0 < m < math.inf:
         raise ValueError(f"mass must be positive, got m={m}")
-    if not gamma >= 0:
+    if not 0 <= gamma < math.inf:
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
     Vfn = as_scalar_fn(V, "V")
 
@@ -262,9 +262,9 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
     and the model is flagged time-independent), zero (damped free particle) or
     a time-dependent ScalarFunction/callable.
     """
-    if not m > 0:
+    if not 0 < m < math.inf:
         raise ValueError(f"mass must be positive, got m={m}")
-    if not gamma >= 0:
+    if not 0 <= gamma < math.inf:
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
     wfn = as_scalar_fn(omega, "omega")
 
@@ -295,9 +295,9 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
     contact equations its (q, p) flow is the standard symplectic one, and q(t)
     obeys the same damped Newton equation as the linear-dissipation model.
     """
-    if not m > 0:
+    if not 0 < m < math.inf:
         raise ValueError(f"mass must be positive, got m={m}")
-    if not gamma >= 0:
+    if not 0 <= gamma < math.inf:
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
     Vfn = as_scalar_fn(V, "V")
 

@@ -105,6 +105,24 @@ def test_integration_failure_exit_code(tmp_path, capsys):
     assert "max_steps" in capsys.readouterr().err
 
 
+def test_float_overflow_exit_code(tmp_path, capsys):
+    # e^{gamma t} of the Caldirola-Kanai model overflows a float past gamma t = 709
+    text = GOOD.replace("kind = linear_dissipation", "kind = caldirola_kanai") \
+               .replace("gamma = 0.1", "gamma = 1").replace("t_end = 5", "t_end = 800")
+    path = tmp_path / "overflow.ini"
+    path.write_text(text)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "math range error" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(good_scenario, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    assert cli.main(["run", good_scenario, "--out", str(tmp_path / "o")]) == 6
+    assert "internal error: TypeError: unsupported operand" in capsys.readouterr().err
+
+
 def test_singularity_exit_code(tmp_path, capsys):
     # oscillator hj_residual rides the Riccati solution into its pole
     text = GOOD.replace("kind = linear_dissipation", "kind = damped_parametric") \

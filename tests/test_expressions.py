@@ -1,9 +1,10 @@
 """Expression grammar: parsing, precedence, evaluation, symbolic derivative."""
 
 import math
+import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contactmech as cm
@@ -105,14 +106,58 @@ def test_unknown_identifiers():
 
 
 def test_domain_errors():
-    with pytest.raises(ExpressionError):
+    with pytest.raises(ExpressionError) as err:
         cm.parse_expression("sqrt(q)", "q")(-1.0)
-    with pytest.raises(ExpressionError):
+    assert err.value.position == 0
+    with pytest.raises(ExpressionError) as err:
         cm.parse_expression("log(q)", "q")(0.0)
-    with pytest.raises(ExpressionError):
+    assert err.value.position == 0
+    with pytest.raises(ExpressionError) as err:
         cm.parse_expression("1/q", "q")(0.0)
-    with pytest.raises(ExpressionError):
+    assert err.value.position == 1
+    with pytest.raises(ExpressionError) as err:
         cm.parse_expression("q^0.5", "q")(-2.0)
+    assert err.value.position == 1
+
+
+_ORACLE_NAMES = {"pi": math.pi, "e": math.e, "sin": math.sin, "cos": math.cos,
+                 "exp": math.exp, "sqrt": math.sqrt, "log": math.log}
+
+_literals = st.floats(min_value=0.1, max_value=10.0).map(lambda v: repr(round(v, 3)))
+_leaves = st.one_of(st.sampled_from(["q", "pi", "e"]), _literals)
+
+
+def _grow(sub):
+    bare = st.tuples(sub, st.sampled_from("+-*/^"), sub).map("".join)
+    grouped = st.tuples(sub, st.sampled_from("+-*/^"), sub).map(
+        lambda t: f"({t[0]}){t[1]}({t[2]})")
+    calls = st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "log"]), sub).map(
+        lambda t: f"{t[0]}({t[1]})")
+    return st.one_of(bare, grouped, calls, sub.map(lambda a: "-" + a))
+
+
+@given(st.recursive(_leaves, _grow, max_leaves=12),
+       st.floats(min_value=-3.0, max_value=3.0))
+@settings(max_examples=300, deadline=None)
+def test_compiled_value_matches_python_eval(text, x):
+    """Literals are floats, so Python's float operators and math functions are
+    an independent oracle: `^` becomes `**`, which shares its associativity and
+    its precedence over unary minus."""
+    try:
+        want = eval(text.replace("^", "**"), {"__builtins__": {}},
+                    dict(_ORACLE_NAMES, q=x))
+    except (ArithmeticError, ValueError, TypeError):  # TypeError: a complex ** result
+        want = None
+    assume(isinstance(want, float))
+    got = cm.parse_expression(text, "q")(x)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_long_sums_compile():
+    """A flat 600-term sum parses and evaluates as value and derivative."""
+    e = cm.parse_expression("+".join(["q"] * 600), "q")
+    assert e(1.5) == 900.0
+    assert e.derivative(1.5) == 600.0
 
 
 def test_as_scalar_function_bridge():
@@ -121,3 +166,9 @@ def test_as_scalar_function_bridge():
     assert fn.derivative(3.0) == 3.0
     const = cm.parse_expression("2*pi", "t").as_scalar_function()
     assert const.is_constant
+
+
+def test_expressions_pickle_by_text():
+    e = cm.parse_expression("sqrt(q) + q^3/2", "q")
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and back(2.0) == e(2.0) and back.derivative(2.0) == e.derivative(2.0)

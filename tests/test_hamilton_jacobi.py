@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import contactmech as cm
-from contactmech.errors import UnsupportedModelError
+from contactmech.errors import DimensionMismatchError, NonFiniteError, UnsupportedModelError
 
 
 def free_particle_field():
@@ -36,16 +36,54 @@ def test_hj_residual_zero_solution_of_homogeneous_case():
 
 
 def test_hj_residual_oscillator_grid():
-    """The quadratic ansatz solves the damped-oscillator equation on a grid."""
+    """The quadratic ansatz and the quadratic family solve the damped-oscillator
+    equation on a grid, and a batch call equals the point calls bit for bit."""
     gamma, m = 0.1, 1.0
     model = cm.make_damped_parametric(m, gamma, 0.0)
     ric = cm.solve_riccati(0.0, gamma, 1.0, np.linspace(0.0, 5.0, 51))
     field = cm.principal_field_from_riccati(m, ric)
-    worst = 0.0
-    for q in np.linspace(-2, 2, 50):
+    family = cm.quadratic_principal_family(m, 0.0, gamma, np.linspace(0.0, 5.0, 51), 1.0)
+    qs = np.linspace(-2, 2, 50)
+    for f in (field, family):
+        worst = 0.0
         for t in np.linspace(0, 5, 50):
-            worst = max(worst, abs(cm.hj_residual(model, field, [q], float(t))))
-    assert worst < 1e-8
+            row = cm.hj_residual(model, f, qs[None, :], float(t))
+            points = [cm.hj_residual(model, f, [q], float(t)) for q in qs]
+            assert row.shape == (50,) and row.tolist() == points  # bit for bit
+            worst = max(worst, float(np.max(np.abs(row))))
+        assert worst < 1e-8
+
+
+@pytest.mark.parametrize("bad", ["S", "dS_dq"])
+def test_hj_residual_batch_rejects_one_nan(bad):
+    """One non-finite point fails the whole batch, as it fails a point call."""
+    def poisoned(value):
+        return lambda q, t: np.where(q[0] == 0.5, np.nan, value(q, t))
+    field = free_particle_field()
+    field = cm.PrincipalFunctionField(
+        n=1, S=poisoned(field.S) if bad == "S" else field.S,
+        dS_dq=poisoned(field.dS_dq) if bad == "dS_dq" else field.dS_dq,
+        dS_dt=field.dS_dt)
+    model = cm.make_damped_parametric(1.0, 0.1, 0.0)
+    assert cm.hj_residual(model, field, [[-0.5, 0.0]], 1.0).shape == (2,)
+    with pytest.raises(NonFiniteError):
+        cm.hj_residual(model, field, [[-0.5, 0.0, 0.5, 1.0]], 1.0)
+    with pytest.raises(NonFiniteError):
+        cm.hj_residual(model, field, [0.5], 1.0)
+
+
+def test_hj_residual_batch_dimensions():
+    model = cm.make_damped_parametric(1.0, 0.1, 0.0)
+    field = free_particle_field()
+    two_d = cm.PrincipalFunctionField(
+        n=2, S=lambda q, t: q[0] + q[1], dS_dq=lambda q, t: np.ones_like(q),
+        dS_dt=lambda q, t: 0.0 * q[0])
+    with pytest.raises(DimensionMismatchError):  # model n=1, state n=2
+        cm.hj_residual(model, two_d, [[0.1, 0.2], [0.3, 0.4]], 1.0)
+    short = cm.PrincipalFunctionField(
+        n=1, S=field.S, dS_dq=lambda q, t: q[:, :2], dS_dt=field.dS_dt)
+    with pytest.raises(DimensionMismatchError):  # two p for three points
+        cm.hj_residual(model, short, [[0.1, 0.2, 0.3]], 1.0)
 
 
 @pytest.mark.parametrize("m,C0,q,omega,gamma", [
@@ -188,6 +226,22 @@ def test_residual_linearity(linear_model):
     r12 = cm.hj_residual(combined, field, q, t)
     extra_dSdt = field.dS_dt(np.array(q), t)
     assert r12 == pytest.approx(r1 + r2 - extra_dSdt, rel=1e-12)
+
+
+def test_family_cache_is_bounded(monkeypatch):
+    """Per-c Riccati solves are kept for the most recent c values only."""
+    from contactmech import hamilton_jacobi as hj
+    solved = []
+    real = hj.solve_riccati
+    monkeypatch.setattr(hj, "solve_riccati", lambda *a: solved.append(a[2]) or real(*a))
+    fam = cm.quadratic_principal_family(1.0, 0.0, 0.1, np.linspace(0, 2, 21), 0.2)
+    size = hj.FAMILY_CACHE_SIZE
+    cs = [0.2 + 0.01 * i for i in range(1, 2 * size + 1)]
+    for c in cs + cs[-size:]:
+        fam.family([1.0], [c], 1.0)
+    assert len(solved) == 1 + len(cs)  # the last `size` values came from the cache
+    fam.family([1.0], [cs[0]], 1.0)
+    assert len(solved) == 2 + len(cs)  # the oldest was evicted and is solved again
 
 
 def test_family_mixed_derivative_nonsingular():

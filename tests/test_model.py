@@ -144,6 +144,14 @@ def test_constructor_preconditions():
         cm.make_caldirola_kanai(math.nan, 0.1, cm.quadratic_potential())
     with pytest.raises(ValueError, match="damping rate must be non-negative"):
         cm.make_caldirola_kanai(1.0, math.nan, cm.quadratic_potential())
+    with pytest.raises(ValueError, match="mass must be positive"):
+        cm.make_linear_dissipation(math.inf, 0.1, 1.0)
+    with pytest.raises(ValueError, match="damping rate must be non-negative"):
+        cm.make_damped_parametric(1.0, math.inf, 1.0)
+    with pytest.raises(ValueError, match="mass must be positive"):
+        cm.make_caldirola_kanai(math.inf, 0.1, cm.quadratic_potential())
+    with pytest.raises(ValueError, match="damping rate must be non-negative"):
+        cm.make_caldirola_kanai(1.0, math.inf, cm.quadratic_potential())
 
 
 def test_dimension_and_finiteness_errors(linear_model):

@@ -123,9 +123,10 @@ def test_integration_options_validated():
     with pytest.raises(ScenarioError):
         cm.parse_scenario(MINIMAL.replace("[integration]\n",
                                           "[integration]\nsample_interval = 0\n"))
-    for key in ("step", "rel_tol", "abs_tol", "sample_interval"):
-        with pytest.raises(ValueError, match="must be positive"):
-            cm.IntegratorOptions(**{key: math.nan})
+    for key in ("step", "rel_tol", "abs_tol", "max_steps", "sample_interval"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be positive"):
+                cm.IntegratorOptions(**{key: bad})
 
 
 def test_serialize_round_trip():

@@ -13,6 +13,7 @@ nonzero codes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -117,6 +118,14 @@ def _classify(exc: Exception) -> int:
     return EXIT_INTEGRATION if isinstance(exc, ContactMechError) else EXIT_INTERNAL
 
 
+def _fail(exc: Exception) -> int:
+    """Print the error to stderr and return its exit code."""
+    code = _classify(exc)
+    prefix = f"internal error: {type(exc).__name__}: " if code == EXIT_INTERNAL else ""
+    print(f"error: {prefix}{exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_run(args, with_trajectory: bool, with_plots: bool) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
@@ -129,10 +138,7 @@ def _cmd_run(args, with_trajectory: bool, with_plots: bool) -> int:
         code = run_scenario(config, out_dir=args.out, seed=args.seed,
                             with_trajectory=with_trajectory, with_plots=with_plots)
     except Exception as exc:  # mapped to exit codes, message to stderr
-        code = _classify(exc)
-        prefix = f"internal error: {type(exc).__name__}: " if code == EXIT_INTERNAL else ""
-        print(f"error: {prefix}{exc}", file=sys.stderr)
-        return code
+        return _fail(exc)
     status = "pass" if code == EXIT_PASS else "fail"
     print(f"{config.name}: {status}")
     return code
@@ -140,12 +146,13 @@ def _cmd_run(args, with_trajectory: bool, with_plots: bool) -> int:
 
 def _cmd_expr(args) -> int:
     try:
+        if not math.isfinite(args.at):
+            raise ScenarioError("--at: non-finite number")
         expr = parse_expression(args.expression, args.var)
         value = expr(args.at)
         deriv = expr.derivative(args.at)
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+    except Exception as exc:  # the same exit codes as `run`
+        return _fail(exc)
     print(f"value: {_fmt(value)}")
     print(f"derivative: {_fmt(deriv)}")
     return EXIT_PASS

@@ -20,12 +20,14 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import RK45
+from scipy.optimize import brentq
 
 from .errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                      UnsupportedModelError)
 from .model import ContactState, ExtendedState, HamiltonianModel, central_difference
 
 MEASURE_EPS = 1e-12      # |H| below this is treated as the singular level set
+_ROOT_TOL = 4 * np.finfo(float).eps  # brentq tolerances of scipy's event location
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +146,16 @@ def step_rk4(model: HamiltonianModel, x: ExtendedState, h: float) -> ExtendedSta
 
 
 def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
-                    opts: IntegratorOptions, grid: np.ndarray) -> np.ndarray:
+                    opts: IntegratorOptions, grid: np.ndarray,
+                    event=None, event_error=None) -> np.ndarray:
     """Integrate dy/dt = rhs(t, y) and return samples at grid points.
 
     `grid` must start at t0 and end at t_end.  Adaptive mode wraps scipy's
-    embedded RK45 pair and samples through its dense output; fixed mode takes
-    equal substeps of size <= opts.step between consecutive grid points.
+    embedded RK45 pair and samples each step's grid points with one call of
+    its dense output; fixed mode takes equal substeps of size <= opts.step
+    between consecutive grid points.  In adaptive mode only, a downward zero
+    crossing of event(t, y) over a step is located on that step's dense
+    output, and event_error(t) is raised at the crossing time.
     """
     out = np.empty((len(grid), len(y0)))
     out[0] = y0
@@ -174,7 +180,8 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         return out
 
     solver = RK45(rhs, t0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=opts.abs_tol)
-    next_i = 1
+    g = event(t0, y0) if event is not None else None
+    i = 1
     while solver.status == "running":
         nsteps += 1
         if nsteps > opts.max_steps:
@@ -185,11 +192,17 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         if solver.status == "failed":
             raise IntegrationError(f"adaptive step failed at t={solver.t:.6g}",
                                    last_time=solver.t)
-        dense = solver.dense_output()
-        while next_i < len(grid) and grid[next_i] <= solver.t + 1e-15:
-            out[next_i] = dense(min(grid[next_i], solver.t))
-            next_i += 1
-    if next_i < len(grid):
+        if event is not None:
+            g_old, g = g, event(solver.t, solver.y)
+            if g_old >= 0 >= g:  # scipy's rule for a terminal event of direction -1
+                dense = solver.dense_output()
+                raise event_error(brentq(lambda t: event(t, dense(t)), solver.t_old,
+                                         solver.t, xtol=_ROOT_TOL, rtol=_ROOT_TOL))
+        j = np.searchsorted(grid, solver.t, side="right")
+        if j > i:
+            out[i:j] = solver.dense_output()(grid[i:j]).T
+            i = j
+    if i < len(grid):
         raise IntegrationError(f"integration stopped at t={solver.t:.6g} before t_end",
                                last_time=solver.t)
     if not np.all(np.isfinite(out)):

@@ -11,9 +11,9 @@ Grammar (one free variable per context):
 Identifiers are the declared variable, the constants pi and e, and the
 functions sin, cos, exp, sqrt, log.  A symbolic-derivative pass produces the
 derivative tree; both trees are compiled once, at parse time, into nested
-closures that evaluate to floats with explicit domain errors (sqrt of a
-negative, log of a non-positive, division by zero, invalid power) carrying the
-byte offset of the offending operator.
+closures that evaluate to floats with explicit domain errors (sin or cos of an
+infinity, sqrt of a negative, log of a non-positive, division by zero, invalid
+power) carrying the byte offset of the offending operator.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .model import ScalarFunction
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
               "sqrt": math.sqrt, "log": math.log}
+# the arguments for which each function raises math's ValueError
+_DOMAIN_ERRORS = {"sin": "infinite", "cos": "infinite", "sqrt": "negative",
+                  "log": "non-positive"}
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+(\.\d*)?([eE][+-]?\d+)?)
@@ -119,16 +122,14 @@ def _compile(node: Node) -> Callable[[float], float]:
     pos = node.pos
     if isinstance(node, Call):
         arg, fn, name = _compile(node.arg), _FUNCTIONS[node.fn], node.fn
-        if name not in ("sqrt", "log"):
-            return lambda x: fn(arg(x))
 
         def call(x):
             v = arg(x)
-            if name == "sqrt" and v < 0:
-                raise ExpressionError(f"sqrt of negative value {v!r}", position=pos)
-            if name == "log" and v <= 0:
-                raise ExpressionError(f"log of non-positive value {v!r}", position=pos)
-            return fn(v)
+            try:
+                return fn(v)
+            except ValueError:  # math's domain error; exp overflow propagates
+                raise ExpressionError(f"{name} of {_DOMAIN_ERRORS[name]} value {v!r}",
+                                      position=pos) from None
         return call
     left, right = _compile(node.left), _compile(node.right)
     if node.op == "+":

@@ -13,15 +13,13 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from .errors import (BranchError, ErmakovCollapseError, IntegrationError,
-                     RiccatiPoleError)
+from .dynamics import IntegratorOptions, _integrate_flat
+from .errors import BranchError, ErmakovCollapseError, RiccatiPoleError
 from .model import FD_STEP, ContactState, ExtendedState, ScalarFunction, as_scalar_fn
 
-SOLVER_RTOL = 1e-10
-SOLVER_ATOL = 1e-12
+SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
 RICCATI_BLOWUP = 1e8     # |C| beyond this counts as a pole
 
@@ -33,6 +31,14 @@ def _internal_nodes(grid: np.ndarray) -> np.ndarray:
     m = max(64, int(math.ceil(span / 0.01)))
     fine = np.linspace(t0, t1, m + 1)
     return np.union1d(np.asarray(grid, dtype=float), fine)
+
+
+def _solve(rhs, y0, grid, event, event_error) -> tuple:
+    """(nodes, samples) of an adaptive solve over `_internal_nodes(grid)`."""
+    ts = _internal_nodes(grid)
+    ys = _integrate_flat(rhs, np.asarray(y0, dtype=float), float(ts[0]), float(ts[-1]),
+                         SOLVER_OPTIONS, ts, event=event, event_error=event_error)
+    return ts, ys.T
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -47,9 +53,17 @@ def _check_grid(grid) -> np.ndarray:
 class _Dense:
     """Bundle of cubic Hermite interpolants over a common node set."""
 
-    def __init__(self, ts: np.ndarray, t_range):
+    def __init__(self, ts: np.ndarray, gamma: float, omega: ScalarFunction, grid):
         self.ts = ts
-        self.t_range = t_range
+        self.t_range = (float(ts[0]), float(ts[-1]))
+        self.gamma = float(gamma)
+        self.omega = omega
+        self.grid = grid
+
+    def _omega(self, t):
+        """omega sampled at each time of t, in the shape of t."""
+        return (np.array([self.omega(float(x)) for x in np.atleast_1d(t)])
+                .reshape(np.shape(t)))
 
     def _check_t(self, t):
         t = np.asarray(t, dtype=float)
@@ -69,13 +83,10 @@ class ErmakovSolution(_Dense):
 
     def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega: ScalarFunction,
                  alpha0, alpha_dot0, grid):
-        super().__init__(ts, (float(ts[0]), float(ts[-1])))
-        self.gamma = float(gamma)
-        self.omega = omega
+        super().__init__(ts, gamma, omega, grid)
         self.alpha0 = float(alpha0)
         self.alpha_dot0 = float(alpha_dot0)
-        self.grid = grid
-        w = np.array([omega(float(t)) for t in ts])
+        w = self._omega(ts)
         add = -(w * w - 0.25 * gamma * gamma) * alpha + alpha ** -3.0
         self._alpha = CubicHermiteSpline(ts, alpha, alpha_dot)
         self._alpha_dot = CubicHermiteSpline(ts, alpha_dot, add)
@@ -91,8 +102,7 @@ class ErmakovSolution(_Dense):
         """Second derivative through the defining equation (exact given alpha)."""
         t = self._check_t(t)
         a = self._alpha(t)
-        w = (np.array([self.omega(float(x)) for x in np.atleast_1d(t)])
-             .reshape(np.shape(t)))
+        w = self._omega(t)
         return (-(w * w - 0.25 * self.gamma ** 2) * a + a ** -3.0)[()]
 
     def phase(self, t):
@@ -106,8 +116,7 @@ class ErmakovSolution(_Dense):
         h = 1e-4
         add = (self._alpha_dot(t + h) - self._alpha_dot(t - h)) / (2 * h)
         a = self._alpha(t)
-        w = (np.array([self.omega(float(x)) for x in np.atleast_1d(t)])
-             .reshape(np.shape(t)))
+        w = self._omega(t)
         return (add + (w * w - 0.25 * self.gamma ** 2) * a - a ** -3.0)[()]
 
 
@@ -129,25 +138,15 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
         w = wfn(t)
         return [ad, -(w * w - g2) * a + a ** -3.0, a ** -2.0]
 
-    def collapse(t, y):
-        return y[0] - COLLAPSE_EPS
-
-    collapse.terminal = True
-    collapse.direction = -1
-
-    ts = _internal_nodes(grid)
-    sol = solve_ivp(rhs, (ts[0], ts[-1]), [alpha0, alpha_dot0, 0.0],
-                    t_eval=ts, rtol=SOLVER_RTOL, atol=SOLVER_ATOL,
-                    events=collapse, method="RK45")
-    if sol.status == 1:
-        tc = float(sol.t_events[0][0])
-        raise ErmakovCollapseError(
+    def collapsed(tc):
+        return ErmakovCollapseError(
             f"Ermakov amplitude collapsed below {COLLAPSE_EPS:g} at t={tc:.6g}",
             last_time=tc)
-    if not sol.success:
-        raise IntegrationError(f"Ermakov solve failed: {sol.message}",
-                               last_time=float(sol.t[-1]) if len(sol.t) else None)
-    return ErmakovSolution(ts, sol.y[0], sol.y[1], sol.y[2], gamma, wfn,
+
+    ts, (alpha, alpha_dot, phase) = _solve(
+        rhs, [alpha0, alpha_dot0, 0.0], grid,
+        lambda t, y: y[0] - COLLAPSE_EPS, collapsed)
+    return ErmakovSolution(ts, alpha, alpha_dot, phase, gamma, wfn,
                            alpha0, alpha_dot0, grid)
 
 
@@ -247,12 +246,9 @@ class RiccatiSolution(_Dense):
     linked by C = lambda'/lambda wherever lambda != 0."""
 
     def __init__(self, ts, C, lam, lam_dot, gamma, omega: ScalarFunction, C0, grid):
-        super().__init__(ts, (float(ts[0]), float(ts[-1])))
-        self.gamma = float(gamma)
-        self.omega = omega
+        super().__init__(ts, gamma, omega, grid)
         self.C0 = float(C0)
-        self.grid = grid
-        w = np.array([omega(float(t)) for t in ts])
+        w = self._omega(ts)
         self._C = CubicHermiteSpline(ts, C, -C * C - gamma * C - w * w)
         self._lam = CubicHermiteSpline(ts, lam, lam_dot)
         self._lam_dot = CubicHermiteSpline(ts, lam_dot, -gamma * lam_dot - w * w * lam)
@@ -270,8 +266,7 @@ class RiccatiSolution(_Dense):
         """C' through the defining equation (exact given C)."""
         t = self._check_t(t)
         c = self._C(t)
-        w = (np.array([self.omega(float(x)) for x in np.atleast_1d(t)])
-             .reshape(np.shape(t)))
+        w = self._omega(t)
         return (-c * c - self.gamma * c - w * w)[()]
 
 
@@ -293,25 +288,14 @@ def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
     grid = _check_grid(grid)
     wfn = as_scalar_fn(omega, "omega")
 
-    def blowup(t, y):
-        return RICCATI_BLOWUP - abs(y[0])
-
-    blowup.terminal = True
-    blowup.direction = -1
-
-    ts = _internal_nodes(grid)
-    sol = solve_ivp(_riccati_rhs(wfn, gamma), (ts[0], ts[-1]), [C0, 1.0, C0],
-                    t_eval=ts, rtol=SOLVER_RTOL, atol=SOLVER_ATOL,
-                    events=blowup, method="RK45")
-    if sol.status == 1:
-        tp = float(sol.t_events[0][0])
-        raise RiccatiPoleError(
+    def pole(tp):
+        return RiccatiPoleError(
             f"Riccati solution blew up (|C| > {RICCATI_BLOWUP:g}) at t={tp:.6g}",
             last_time=tp)
-    if not sol.success:
-        raise IntegrationError(f"Riccati solve failed: {sol.message}",
-                               last_time=float(sol.t[-1]) if len(sol.t) else None)
-    return RiccatiSolution(ts, sol.y[0], sol.y[1], sol.y[2], gamma, wfn, C0, grid)
+
+    ts, (C, lam, lam_dot) = _solve(_riccati_rhs(wfn, gamma), [C0, 1.0, C0], grid,
+                                   lambda t, y: RICCATI_BLOWUP - abs(y[0]), pole)
+    return RiccatiSolution(ts, C, lam, lam_dot, gamma, wfn, C0, grid)
 
 
 def riccati_free_particle(gamma: float, C0: float, t):
@@ -348,27 +332,17 @@ def riccati_sensitivity(omega, gamma: float, C0: float, grid,
         w2 = wfn(t) ** 2
         return -y * y - gamma * y - w2
 
-    def blowup(t, y):
-        return RICCATI_BLOWUP - float(np.max(np.abs(y)))
-
-    blowup.terminal = True
-    blowup.direction = -1
-
-    ts = _internal_nodes(grid)
-    sol = solve_ivp(rhs, (ts[0], ts[-1]), np.array([C0 + delta, C0 - delta]),
-                    t_eval=ts, rtol=SOLVER_RTOL, atol=SOLVER_ATOL,
-                    events=blowup, method="RK45")
-    if sol.status == 1:
-        tp = float(sol.t_events[0][0])
-        raise RiccatiPoleError(
+    def pole(tp):
+        return RiccatiPoleError(
             f"Riccati pair blew up at t={tp:.6g} during sensitivity solve",
             last_time=tp)
-    if not sol.success:
-        raise IntegrationError(f"Riccati pair solve failed: {sol.message}")
-    sens = (sol.y[0] - sol.y[1]) / (2.0 * delta)
+
+    ts, (hi, lo) = _solve(rhs, [C0 + delta, C0 - delta], grid,
+                          lambda t, y: RICCATI_BLOWUP - float(np.max(np.abs(y))), pole)
+    sens = (hi - lo) / (2.0 * delta)
     w2 = np.array([wfn(float(t)) ** 2 for t in ts])
-    dsens = ((-sol.y[0] ** 2 - gamma * sol.y[0] - w2)
-             - (-sol.y[1] ** 2 - gamma * sol.y[1] - w2)) / (2.0 * delta)
+    dsens = ((-hi ** 2 - gamma * hi - w2)
+             - (-lo ** 2 - gamma * lo - w2)) / (2.0 * delta)
     return CubicHermiteSpline(ts, sens, dsens)
 
 

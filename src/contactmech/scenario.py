@@ -152,15 +152,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
     gsec = cp["integration"]
     method = gsec.get("method", "adaptive_rk45")
     t_end = _get_float(gsec, "integration", "t_end")
+    numbers = dict(  # read first, so that their key-path errors are not wrapped below
+        step=_get_float(gsec, "integration", "step", 1e-3),
+        rel_tol=_get_float(gsec, "integration", "rel_tol", 1e-9),
+        abs_tol=_get_float(gsec, "integration", "abs_tol", 1e-12),
+        max_steps=_get_int(gsec, "integration", "max_steps", 1_000_000),
+        sample_interval=_get_float(gsec, "integration", "sample_interval", 0.01),
+    )
     try:
-        options = IntegratorOptions(
-            method=method,
-            step=_get_float(gsec, "integration", "step", 1e-3),
-            rel_tol=_get_float(gsec, "integration", "rel_tol", 1e-9),
-            abs_tol=_get_float(gsec, "integration", "abs_tol", 1e-12),
-            max_steps=_get_int(gsec, "integration", "max_steps", 1_000_000),
-            sample_interval=_get_float(gsec, "integration", "sample_interval", 0.01),
-        )
+        options = IntegratorOptions(method=method, **numbers)
     except ValueError as exc:
         raise ScenarioError(f"integration: {exc}") from exc
     if t_end <= t0:

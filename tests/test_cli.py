@@ -106,9 +106,12 @@ def test_integration_failure_exit_code(tmp_path, capsys):
 
 
 def test_float_overflow_exit_code(tmp_path, capsys):
-    # e^{gamma t} of the Caldirola-Kanai model overflows a float past gamma t = 709
+    # e^{gamma t} of the Caldirola-Kanai model overflows a float past gamma t = 709;
+    # from gamma = 20 up, p overflows first and NonFiniteError fires instead
     text = GOOD.replace("kind = linear_dissipation", "kind = caldirola_kanai") \
-               .replace("gamma = 0.1", "gamma = 1").replace("t_end = 5", "t_end = 800")
+               .replace("gamma = 0.1", "gamma = 10").replace("t_end = 5", "t_end = 80") \
+               .replace("rel_tol = 1e-10", "rel_tol = 1e-6") \
+               .replace("abs_tol = 1e-13", "abs_tol = 1e-9")
     path = tmp_path / "overflow.ini"
     path.write_text(text)
     assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
@@ -133,7 +136,7 @@ def test_singularity_exit_code(tmp_path, capsys):
     path = tmp_path / "pole.ini"
     path.write_text(text)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 4
-    assert "pole" in capsys.readouterr().err.lower() or True
+    assert "blew up" in capsys.readouterr().err
 
 
 def test_expr_subcommand(capsys):
@@ -142,6 +145,20 @@ def test_expr_subcommand(capsys):
     assert "value: 2" in out
     assert "derivative: 2" in out
     assert cli.main(["expr", "q +* 2", "--var", "q", "--at", "1"]) == 2
+
+
+def test_expr_errors_map_to_exit_codes(capsys):
+    assert cli.main(["expr", "exp(q)", "--var", "q", "--at", "1000"]) == 3
+    assert "math range error" in capsys.readouterr().err
+    assert cli.main(["expr", "sin(q)", "--var", "q", "--at", "inf"]) == 2
+    assert "--at: non-finite number" in capsys.readouterr().err
+
+
+def test_trig_of_infinity_is_a_bad_scenario(tmp_path, capsys):
+    path = tmp_path / "trig.ini"
+    path.write_text(GOOD.replace("V = q^2/2", "V = cos(q*1e308*10)"))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "cos of infinite value inf (at offset 0)" in capsys.readouterr().err
 
 
 def test_seed_changes_verification_points(tmp_path):

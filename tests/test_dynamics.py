@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import contactmech as cm
-from contactmech.dynamics import _field_flat
+from contactmech.dynamics import _field_flat, _integrate_flat
 from contactmech.model import central_difference
 from contactmech.errors import (IntegrationError, SingularMeasureError,
                                 UnsupportedModelError)
@@ -256,6 +256,22 @@ def test_integration_errors(linear_model):
         cm.IntegratorOptions(step=-1.0)
     with pytest.raises(ValueError):
         cm.IntegratorOptions(sample_interval=0.0)
+
+
+def test_adaptive_driver_terminal_event():
+    """A downward zero of the event stops y' = -y at ln 2; an upward one does not."""
+    grid = np.linspace(0.0, 2.0, 21)
+    opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
+
+    def solve(event):
+        return _integrate_flat(lambda t, y: -y, np.array([1.0]), 0.0, 2.0, opts, grid,
+                               event=event,
+                               event_error=lambda t: IntegrationError("hit", last_time=t))
+
+    with pytest.raises(IntegrationError) as err:
+        solve(lambda t, y: y[0] - 0.5)
+    assert err.value.last_time == pytest.approx(math.log(2.0), rel=1e-8)
+    assert_allclose(solve(lambda t, y: 0.5 - y[0])[:, 0], np.exp(-grid), rtol=1e-8)
 
 
 def test_trajectory_invariants(linear_traj):

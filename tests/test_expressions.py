@@ -118,6 +118,9 @@ def test_domain_errors():
     with pytest.raises(ExpressionError) as err:
         cm.parse_expression("q^0.5", "q")(-2.0)
     assert err.value.position == 1
+    with pytest.raises(ExpressionError) as err:
+        cm.parse_expression("sin(q*1e308*10)", "q")(1.0)
+    assert err.value.position == 0
 
 
 _ORACLE_NAMES = {"pi": math.pi, "e": math.e, "sin": math.sin, "cos": math.cos,

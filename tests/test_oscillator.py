@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import contactmech as cm
-from contactmech.errors import RiccatiPoleError
+from contactmech.errors import ErmakovCollapseError, RiccatiPoleError
 
 
 GRID = np.linspace(0.0, 10.0, 101)
@@ -164,6 +164,23 @@ def test_riccati_pole_detection():
         cm.solve_riccati(1.0, 0.1, 0.0, GRID)
     # lambda(t) = e^{-gt/2}[cos wd t + ((g/2)/wd) sin wd t] vanishes near 1.62
     assert err.value.last_time == pytest.approx(1.62, abs=0.05)
+
+
+def test_riccati_sensitivity_pole_detection():
+    """The paired solves at C0 +/- delta hit the same pole as the base solve."""
+    with pytest.raises(RiccatiPoleError) as base:
+        cm.solve_riccati(1.0, 0.1, 0.0, GRID)
+    with pytest.raises(RiccatiPoleError) as err:
+        cm.riccati_sensitivity(1.0, 0.1, 0.0, GRID)
+    assert err.value.last_time == pytest.approx(base.value.last_time, abs=1e-5)
+
+
+def test_ermakov_collapse_detection():
+    """A steep inward start drives alpha below COLLAPSE_EPS = 1e-6 after about
+    1e-12 (2e-6 at speed 1e6, slowed a little by the 1/alpha^3 term)."""
+    with pytest.raises(ErmakovCollapseError) as err:
+        cm.solve_ermakov(1.0, 0.0, 2e-6, -1e6, np.linspace(0, 1, 11))
+    assert err.value.last_time == pytest.approx(1.2e-12, rel=0.01)
 
 
 def test_riccati_free_particle_examples():

@@ -85,8 +85,32 @@ def test_expression_fields_validated():
         cm.parse_scenario(MINIMAL.replace("V = q^2/2", "V = q +* 2"))
     assert "model.V" in str(err.value)
     # wrong expression slot for the kind
-    with pytest.raises(ScenarioError):
-        cm.parse_scenario(MINIMAL + "omega = 1\n")
+    with pytest.raises(ScenarioError) as err:
+        cm.parse_scenario(MINIMAL.replace("V = q^2/2", "V = q^2/2\nomega = 1"))
+    assert "model.omega" in str(err.value)
+
+
+PARAMETRIC = MINIMAL.replace("kind = linear_dissipation", "kind = damped_parametric") \
+                    .replace("V = q^2/2", "omega = 1")
+
+
+@pytest.mark.parametrize("text,message", [
+    (MINIMAL.replace("kind = linear_dissipation\n", ""), "model.kind: missing required key"),
+    (MINIMAL.replace("V = q^2/2\n", ""), "model.V: required for kind=linear_dissipation"),
+    (PARAMETRIC.replace("omega = 1", "omega = 1\nV = q^2/2"),
+     "model.V: not allowed for kind=damped_parametric"),
+    (PARAMETRIC.replace("omega = 1\n", ""), "model.omega: required for kind=damped_parametric"),
+    (MINIMAL.replace("V = q^2/2", "V = q^2/2\nomega = 1"),
+     "model.omega: not allowed for kind=linear_dissipation"),
+    (PARAMETRIC.replace("omega = 1", "omega = t +* 2"), "model.omega: "),
+    (MINIMAL + "max_steps = 1e6\n", "integration.max_steps: not an integer"),
+    (MINIMAL + "\n[diagnostics]\nchecks = , ,\n", "diagnostics.checks: empty check list"),
+], ids=["kind-missing", "V-required", "V-not-allowed", "omega-required",
+        "omega-not-allowed", "omega-unparsable", "max_steps-not-integer", "checks-empty"])
+def test_grammar_errors_name_their_key(text, message):
+    with pytest.raises(ScenarioError) as err:
+        cm.parse_scenario(text)
+    assert str(err.value).startswith(message)
 
 
 def test_check_names_validated():

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                      UnsupportedModelError)
-from .model import ContactState, ExtendedState, HamiltonianModel, central_difference
+from .model import ContactState, ExtendedState, HamiltonianModel
 
 MEASURE_EPS = 1e-12      # |H| below this is treated as the singular level set
 _ROOT_TOL = 4 * np.finfo(float).eps  # brentq tolerances of scipy's event location
@@ -44,14 +44,29 @@ class Tangent:
     dt: float = 1.0
 
 
+def _contact_field(n: int, y: np.ndarray, h: float, g: np.ndarray) -> np.ndarray:
+    """The (q, p, S) components of the field from H = h and its gradient g at y."""
+    p, dH_dp = y[n:2 * n], g[n:2 * n]
+    return np.concatenate([dH_dp, -g[:n] - p * g[2 * n],
+                           [float(np.dot(p, dH_dp)) - h]])
+
+
+def _field_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Jacobian A of the field in y, by the chain rule from the gradient g and
+    the Hessian K of H at y; tr A = -(n+1) dH/dS follows from K's symmetry."""
+    d, p = 2 * n + 1, y[n:2 * n]
+    A = np.empty((d, d))
+    A[:n] = K[n:2 * n]
+    A[n:2 * n] = -K[:n] - p[:, None] * K[2 * n]
+    A[2 * n] = p @ K[n:2 * n]
+    A[2 * n, :n] -= g[:n]
+    A.reshape(-1)[n * (d + 1)::d + 1] -= g[2 * n]  # the diagonal from p_1 to S
+    return A
+
+
 def _field_flat(model: HamiltonianModel, t: float, y: np.ndarray) -> np.ndarray:
     """The (q, p, S) components of the field at flat y = [q, p, S]."""
-    n = model.n
-    h = model.value(t, y)
-    g = model.grad(t, y)
-    p, dH_dp = y[n:2 * n], g[n:2 * n]
-    out = np.concatenate([dH_dp, -g[:n] - p * g[2 * n],
-                          [float(np.dot(p, dH_dp)) - h]])
+    out = _contact_field(model.n, y, model.value(t, y), model.grad(t, y))
     if not np.all(np.isfinite(out)):
         raise NonFiniteError(f"non-finite vector field at t={t}, y={y}: {out}")
     return out
@@ -299,17 +314,19 @@ def recover_S_linear(model: HamiltonianModel, q: float, p: float, t: float,
 
 def _det_series(model: HamiltonianModel, init: ExtendedState, t_end: float,
                 opts: IntegratorOptions, grid: np.ndarray) -> np.ndarray:
-    """det of the fundamental matrix of the variational equations at grid times."""
-    d = 2 * model.n + 1
+    """det of the fundamental matrix of dJ/dt = A J at grid times, A being the
+    closed-form field Jacobian (a test holds it to finite differences)."""
+    n, d = model.n, 2 * model.n + 1
     eye = np.eye(d)
 
     def rhs(t, z):
         y = z[:d]
-        J = z[d:].reshape(d, d)
-        # finite differences of the field, not the closed-form dH/dS, so that
-        # det dPhi stays an independent check of exp(int div)
-        A = central_difference(lambda w: _field_flat(model, t, w), y)
-        return np.concatenate([_field_flat(model, t, y), (A @ J).ravel()])
+        h, g = model.value(t, y), model.grad(t, y)
+        f = _contact_field(n, y, h, g)
+        A = _field_jacobian(n, y, g, model.hess(t, y))
+        if not (np.isfinite(f).all() and np.isfinite(A).all()):
+            raise NonFiniteError(f"non-finite vector field or Jacobian at t={t}, y={y}")
+        return np.concatenate([f, (A @ z[d:].reshape(d, d)).ravel()])
 
     z0 = np.concatenate([init.flat(), eye.ravel()])
     zs = _integrate_flat(rhs, z0, init.t, t_end, opts, grid)

@@ -13,7 +13,8 @@ functions sin, cos, exp, sqrt, log.  A symbolic-derivative pass produces the
 derivative tree; both trees are compiled once, at parse time, into nested
 closures that evaluate to floats with explicit domain errors (sin or cos of an
 infinity, sqrt of a negative, log of a non-positive, division by zero, invalid
-power) carrying the byte offset of the offending operator.
+power; an exp overflow stays an OverflowError) naming the offending operator's
+byte offset and, when given, the key the expression was read from.
 """
 
 from __future__ import annotations
@@ -108,30 +109,33 @@ class Call:
 Node = Union[Num, Var, Const, Unary, Bin, Call]
 
 
-def _compile(node: Node) -> Callable[[float], float]:
+def _compile(node: Node, where: str) -> Callable[[float], float]:
     """A closure computing `node` at x: the float operations of a tree walk,
-    left operand first, with the domain errors and offsets of the tree."""
+    left operand first, with the tree's domain errors and offsets after `where`."""
     if isinstance(node, (Num, Const)):
         c = node.value if isinstance(node, Num) else _CONSTANTS[node.name]
         return lambda x: c
     if isinstance(node, Var):
         return lambda x: x
     if isinstance(node, Unary):
-        arg = _compile(node.arg)
+        arg = _compile(node.arg, where)
         return lambda x: -arg(x)
     pos = node.pos
     if isinstance(node, Call):
-        arg, fn, name = _compile(node.arg), _FUNCTIONS[node.fn], node.fn
+        arg, fn, name = _compile(node.arg, where), _FUNCTIONS[node.fn], node.fn
 
         def call(x):
             v = arg(x)
             try:
                 return fn(v)
-            except ValueError:  # math's domain error; exp overflow propagates
-                raise ExpressionError(f"{name} of {_DOMAIN_ERRORS[name]} value {v!r}",
+            except ValueError:  # math's domain error
+                raise ExpressionError(f"{where}{name} of {_DOMAIN_ERRORS[name]} value {v!r}",
                                       position=pos) from None
+            except OverflowError as exc:  # exp only; stays a float overflow
+                raise OverflowError(f"{where}{name} of {v!r} overflows: {exc} "
+                                    f"(at offset {pos})") from None
         return call
-    left, right = _compile(node.left), _compile(node.right)
+    left, right = _compile(node.left, where), _compile(node.right, where)
     if node.op == "+":
         return lambda x: left(x) + right(x)
     if node.op == "-":
@@ -142,7 +146,7 @@ def _compile(node: Node) -> Callable[[float], float]:
         def div(x):
             a, b = left(x), right(x)
             if b == 0:
-                raise ExpressionError("division by zero", position=pos)
+                raise ExpressionError(f"{where}division by zero", position=pos)
             return a / b
         return div
 
@@ -151,7 +155,7 @@ def _compile(node: Node) -> Callable[[float], float]:
         try:
             return math.pow(a, b)
         except (ValueError, OverflowError) as exc:
-            raise ExpressionError(f"invalid power {a!r}^{b!r}: {exc}", position=pos)
+            raise ExpressionError(f"{where}invalid power {a!r}^{b!r}: {exc}", position=pos)
     return power
 
 
@@ -356,18 +360,21 @@ class _Parser:
 class Expression:
     """A parsed expression in one variable with its symbolic derivative.
 
-    Both trees are compiled into closures once, on construction."""
+    Both trees are compiled into closures once, on construction.  A `key` such
+    as ``model.V`` prefixes their errors and takes no part in equality."""
 
     text: str
     variable: str
     ast: Node
     derivative_ast: Node
+    key: str = field(default="", compare=False)
     _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _slope: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_value", _compile(self.ast))
-        object.__setattr__(self, "_slope", _compile(self.derivative_ast))
+        where = f"{self.key}: " if self.key else ""
+        object.__setattr__(self, "_value", _compile(self.ast, where))
+        object.__setattr__(self, "_slope", _compile(self.derivative_ast, where))
 
     def __call__(self, x: float) -> float:
         return float(self._value(float(x)))
@@ -379,7 +386,7 @@ class Expression:
         return not _contains_var(self.ast)
 
     def __reduce__(self):  # closures do not pickle; the text re-parses to them
-        return parse_expression, (self.text, self.variable)
+        return parse_expression, (self.text, self.variable, self.key)
 
     def as_scalar_function(self) -> ScalarFunction:
         return ScalarFunction(f=self.__call__, df=self.derivative,
@@ -393,10 +400,10 @@ class Expression:
         return hash((self.text, self.variable))
 
 
-def parse_expression(text: str, variable: str) -> Expression:
-    """Parse `text` with `variable` as the single free variable."""
+def parse_expression(text: str, variable: str, key: str = "") -> Expression:
+    """Parse `text` in the single free `variable`; `key` names it in evaluation errors."""
     if not text or not text.strip():
         raise ExpressionError("empty expression", position=0)
     ast = _Parser(_tokenize(text), variable).parse()
     return Expression(text=text, variable=variable, ast=ast,
-                      derivative_ast=_diff(ast))
+                      derivative_ast=_diff(ast), key=key)

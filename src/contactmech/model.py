@@ -144,15 +144,17 @@ class PartialDerivatives:
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar function of one variable carrying its own derivative.
+    """A scalar function of one variable carrying its own derivatives.
 
     Built-ins always supply an analytic derivative; passing ``df=None`` falls
-    back to central finite differences (documented fallback, not the default).
+    back to central finite differences (documented fallback, not the default),
+    and without ``d2f`` the second derivative is a difference of the first.
     """
 
     f: Callable[[float], float]
     df: Optional[Callable[[float], float]] = None
     is_constant: bool = False
+    d2f: Optional[Callable[[float], float]] = None
 
     def __call__(self, x: float) -> float:
         return float(self.f(x))
@@ -163,6 +165,14 @@ class ScalarFunction:
         if self.df is not None:
             return float(self.df(x))
         return float(central_difference(lambda z: self(z[0]), [x])[0])
+
+    def second_derivative(self, x: float) -> float:
+        if self.is_constant:
+            return 0.0
+        if self.d2f is not None:
+            return float(self.d2f(x))
+        h = FD_STEP * max(1.0, abs(x))
+        return (self.derivative(x + h) - self.derivative(x - h)) / (2.0 * h)
 
 
 def as_scalar_fn(obj, name: str = "function") -> ScalarFunction:
@@ -179,7 +189,7 @@ def as_scalar_fn(obj, name: str = "function") -> ScalarFunction:
 
 def quadratic_potential(k: float = 1.0) -> ScalarFunction:
     """V(q) = k q^2 / 2 with analytic derivative."""
-    return ScalarFunction(f=lambda q: 0.5 * k * q * q, df=lambda q: k * q)
+    return ScalarFunction(f=lambda q: 0.5 * k * q * q, df=lambda q: k * q, d2f=lambda q: k)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +200,10 @@ def quadratic_potential(k: float = 1.0) -> ScalarFunction:
 class HamiltonianModel:
     """Descriptor of a contact Hamiltonian H(q, p, S, t).
 
-    ``value(t, y)`` is H and ``grad(t, y)`` is [dH/dq, dH/dp, dH/dS, dH/dt] at
-    y = [q, p, S], both unvalidated; ``evaluate`` and ``partials`` validate.
+    At y = [q, p, S], ``value(t, y)`` is H, ``grad(t, y)`` is [dH/dq, dH/dp,
+    dH/dS, dH/dt] and ``hess(t, y)`` is the (2n+1) x (2n+1) Hessian of H in y,
+    from which `dynamics` builds the field's Jacobian; all three are
+    unvalidated, while ``evaluate`` and ``partials`` validate.
     ``h_prime``, when present, is h'(S) for Hamiltonians that split as
     H = H_mec(q, p[, t]) + h(S).
     """
@@ -199,6 +211,7 @@ class HamiltonianModel:
     n: int
     value: Callable[[float, np.ndarray], float]
     grad: Callable[[float, np.ndarray], np.ndarray]
+    hess: Callable[[float, np.ndarray], np.ndarray]
     depends_on_S: bool = True
     depends_on_t: bool = True
     name: str = "custom"
@@ -246,8 +259,11 @@ def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     def grad(t, y) -> np.ndarray:
         return np.array([Vfn.derivative(y[0]), y[1] / m, gamma, 0.0])
 
+    def hess(t, y) -> np.ndarray:
+        return np.diag([Vfn.second_derivative(y[0]), 1.0 / m, 0.0])
+
     return HamiltonianModel(
-        n=1, value=value, grad=grad,
+        n=1, value=value, grad=grad, hess=hess,
         depends_on_S=gamma > 0, depends_on_t=False,
         name="linear_dissipation",
         params={"m": m, "gamma": gamma, "V": Vfn},
@@ -279,8 +295,11 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
         dt = m * w * wfn.derivative(t) * q * q
         return np.array([m * w * w * q, p / m, gamma, dt])
 
+    def hess(t, y) -> np.ndarray:
+        return np.diag([m * wfn(t) ** 2, 1.0 / m, 0.0])
+
     return HamiltonianModel(
-        n=1, value=value, grad=grad,
+        n=1, value=value, grad=grad, hess=hess,
         depends_on_S=gamma > 0, depends_on_t=not wfn.is_constant,
         name="damped_parametric",
         params={"m": m, "gamma": gamma, "omega": wfn},
@@ -311,8 +330,12 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
         dt = -gamma * em * p * p / (2.0 * m) + gamma * ep * Vfn(q)
         return np.array([ep * Vfn.derivative(q), em * p / m, 0.0, dt])
 
+    def hess(t, y) -> np.ndarray:
+        em, ep = math.exp(-gamma * t), math.exp(gamma * t)
+        return np.diag([ep * Vfn.second_derivative(y[0]), em / m, 0.0])
+
     return HamiltonianModel(
-        n=1, value=value, grad=grad,
+        n=1, value=value, grad=grad, hess=hess,
         depends_on_S=False, depends_on_t=gamma > 0,
         name="caldirola_kanai",
         params={"m": m, "gamma": gamma, "V": Vfn},
@@ -324,7 +347,7 @@ def make_custom(n: int, value, partials_fn=None, depends_on_S: bool = True,
                 depends_on_t: bool = True, name: str = "custom",
                 params: Optional[Mapping[str, Any]] = None,
                 h_prime=None) -> HamiltonianModel:
-    """Wrap arbitrary callables as a model; finite differences fill in partials."""
+    """Wrap arbitrary callables as a model; finite differences fill in partials and Hessian."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     n = int(n)
@@ -351,8 +374,11 @@ def make_custom(n: int, value, partials_fn=None, depends_on_S: bool = True,
                 g[2 * n + 1] = 0.0
             return g
 
+    def hess(t, y) -> np.ndarray:
+        return central_difference(lambda z: grad(t, z)[:2 * n + 1], y)
+
     return HamiltonianModel(
-        n=n, value=flat_value, grad=grad,
+        n=n, value=flat_value, grad=grad, hess=hess,
         depends_on_S=depends_on_S, depends_on_t=depends_on_t,
         name=name, params=dict(params or {}), h_prime=h_prime,
     )

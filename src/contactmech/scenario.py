@@ -130,7 +130,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if "omega" in msec:
             _err("model.omega", f"not allowed for kind={kind}")
         try:
-            V = parse_expression(msec["V"], "q")
+            V = parse_expression(msec["V"], "q", "model.V")
         except Exception as exc:
             _err("model.V", str(exc))
     else:
@@ -139,7 +139,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if "V" in msec:
             _err("model.V", f"not allowed for kind={kind}")
         try:
-            omega = parse_expression(msec["omega"], "t")
+            omega = parse_expression(msec["omega"], "t", "model.omega")
         except Exception as exc:
             _err("model.omega", str(exc))
 

@@ -158,7 +158,26 @@ def test_trig_of_infinity_is_a_bad_scenario(tmp_path, capsys):
     path = tmp_path / "trig.ini"
     path.write_text(GOOD.replace("V = q^2/2", "V = cos(q*1e308*10)"))
     assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "cos of infinite value inf (at offset 0)" in capsys.readouterr().err
+    assert "error: model.V: cos of infinite value inf (at offset 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("replace, code, message", [
+    ({"V = q^2/2": "V = sqrt(q)", "q = 1": "q = -1"}, 2,
+     "error: model.V: sqrt of negative value -1.0 (at offset 0)"),
+    ({"V = q^2/2": "V = exp(q)", "q = 1": "q = 800"}, 3,
+     "error: model.V: exp of 800.0 overflows: math range error (at offset 0)"),
+    ({"kind = linear_dissipation": "kind = damped_parametric",
+      "V = q^2/2": "omega = 2 + sqrt(t - 5)"}, 2,
+     "error: model.omega: sqrt of negative value -5.0 (at offset 4)"),
+], ids=["sqrt", "exp", "omega"])
+def test_runtime_expression_errors_name_their_key(replace, code, message, tmp_path, capsys):
+    text = GOOD
+    for old, new in replace.items():
+        text = text.replace(old, new)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_seed_changes_verification_points(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import contactmech as cm
-from contactmech.dynamics import _field_flat, _integrate_flat
+from contactmech.dynamics import _field_flat, _field_jacobian, _integrate_flat
 from contactmech.model import central_difference
 from contactmech.errors import (IntegrationError, SingularMeasureError,
                                 UnsupportedModelError)
@@ -122,6 +122,42 @@ def test_divergence_is_trace_of_fd_field_jacobian(factory):
                           rng.uniform(-2, 2), rng.uniform(0.0, 5.0))
         A = central_difference(lambda y: _field_flat(model, x.t, y), x.flat())
         assert_allclose(np.trace(A), cm.divergence(model, x), rtol=1e-6, atol=1e-8)
+
+
+def _quartic_s_coupled(x):
+    return x.p[0] ** 2 / 2 + x.q[0] ** 4 / 4 + 0.3 * x.S * x.p[0] + 0.2 * x.S ** 2
+
+
+def _quartic_s_coupled_partials(x):
+    q, p, S = x.q[0], x.p[0], x.S
+    return cm.PartialDerivatives([q ** 3], [p + 0.3 * S], 0.3 * p + 0.4 * S, 0.0)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: cm.make_linear_dissipation(
+        1.3, 0.25, cm.parse_expression("1.7*q^2/2 + 0.08*q^4", "q").as_scalar_function()),
+    lambda: cm.make_caldirola_kanai(1.2, 0.3, cm.parse_expression(
+        "0.9*q^2/2 + 0.05*q^4", "q").as_scalar_function()),
+    lambda: cm.make_damped_parametric(
+        0.8, 0.15, cm.parse_expression("1 + 0.3*sin(0.5*t)", "t").as_scalar_function()),
+    lambda: cm.make_custom(1, _quartic_s_coupled, depends_on_t=False),
+    lambda: cm.make_custom(1, _quartic_s_coupled, _quartic_s_coupled_partials,
+                           depends_on_t=False),
+    lambda: cm.make_custom(2, lambda x: (x.p @ x.p / 2 + x.q[0] * x.q[1] ** 2
+                                         + x.S * (x.p[0] - 0.5 * x.q[1]) + 0.1 * x.S ** 2
+                                         + 0.2 * x.t * x.p[1] * x.q[0])),
+])
+def test_field_jacobian_matches_fd_oracle(factory):
+    """The closed-form Jacobian the det series integrates, against central
+    differences of the flat field."""
+    model = factory()
+    d = 2 * model.n + 1
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        t, y = rng.uniform(0.0, 5.0), rng.uniform(-2, 2, d)
+        A = _field_jacobian(model.n, y, model.grad(t, y), model.hess(t, y))
+        oracle = central_difference(lambda w: _field_flat(model, t, w), y)
+        assert_allclose(A, oracle, rtol=1e-6, atol=1e-8)
 
 
 def test_measure_weight_examples(linear_model):

@@ -175,3 +175,19 @@ def test_expressions_pickle_by_text():
     e = cm.parse_expression("sqrt(q) + q^3/2", "q")
     back = pickle.loads(pickle.dumps(e))
     assert back == e and back(2.0) == e(2.0) and back.derivative(2.0) == e.derivative(2.0)
+
+
+def test_key_names_evaluation_errors_only():
+    e = cm.parse_expression("1/(q - 2) + log(q)", "q", "model.V")
+    with pytest.raises(ExpressionError, match=r"^model\.V: division by zero \(at offset 1\)$"):
+        e(2.0)
+    with pytest.raises(ExpressionError, match=r"^model\.V: division by zero"):
+        e.derivative(2.0)
+    with pytest.raises(ExpressionError, match=r"^model\.V: log of non-positive value -1\.0"):
+        e(-1.0)
+    plain = cm.parse_expression(e.text, "q")
+    assert plain == e and hash(plain) == hash(e)
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and back.key == "model.V"
+    with pytest.raises(ExpressionError, match=r"^division by zero"):
+        plain(2.0)

@@ -147,14 +147,13 @@ class ScalarFunction:
     """A scalar function of one variable carrying its own derivatives.
 
     Built-ins always supply an analytic derivative; passing ``df=None`` falls
-    back to central finite differences (documented fallback, not the default),
-    and without ``d2f`` the second derivative is a difference of the first.
+    back to central finite differences (documented fallback, not the default).
+    The second derivative is always a central difference of the first.
     """
 
     f: Callable[[float], float]
     df: Optional[Callable[[float], float]] = None
     is_constant: bool = False
-    d2f: Optional[Callable[[float], float]] = None
 
     def __call__(self, x: float) -> float:
         return float(self.f(x))
@@ -167,10 +166,6 @@ class ScalarFunction:
         return float(central_difference(lambda z: self(z[0]), [x])[0])
 
     def second_derivative(self, x: float) -> float:
-        if self.is_constant:
-            return 0.0
-        if self.d2f is not None:
-            return float(self.d2f(x))
         h = FD_STEP * max(1.0, abs(x))
         return (self.derivative(x + h) - self.derivative(x - h)) / (2.0 * h)
 
@@ -189,7 +184,7 @@ def as_scalar_fn(obj, name: str = "function") -> ScalarFunction:
 
 def quadratic_potential(k: float = 1.0) -> ScalarFunction:
     """V(q) = k q^2 / 2 with analytic derivative."""
-    return ScalarFunction(f=lambda q: 0.5 * k * q * q, df=lambda q: k * q, d2f=lambda q: k)
+    return ScalarFunction(f=lambda q: 0.5 * k * q * q, df=lambda q: k * q)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,9 @@ def _quartic_s_coupled_partials(x):
 ])
 def test_field_jacobian_matches_fd_oracle(factory):
     """The closed-form Jacobian the det series integrates, against central
-    differences of the flat field."""
+    differences of the flat field.  For a make_custom model without partials
+    both sides difference the same FD gradient, so that case mostly checks how
+    A is assembled; test_custom_hessian_matches_exact checks its Hessian."""
     model = factory()
     d = 2 * model.n + 1
     rng = np.random.default_rng(29)
@@ -158,6 +160,19 @@ def test_field_jacobian_matches_fd_oracle(factory):
         A = _field_jacobian(model.n, y, model.grad(t, y), model.hess(t, y))
         oracle = central_difference(lambda w: _field_flat(model, t, w), y)
         assert_allclose(A, oracle, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("partials_fn, atol", [
+    (None, 1e-3),  # a difference of FD differences: measured error up to 3.5e-4
+    (_quartic_s_coupled_partials, 1e-8),
+])
+def test_custom_hessian_matches_exact(partials_fn, atol):
+    model = cm.make_custom(1, _quartic_s_coupled, partials_fn, depends_on_t=False)
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        t, (q, p, S) = rng.uniform(0.0, 5.0), rng.uniform(-2, 2, 3)
+        exact = np.array([[3 * q * q, 0.0, 0.0], [0.0, 1.0, 0.3], [0.0, 0.3, 0.4]])
+        assert_allclose(model.hess(t, np.array([q, p, S])), exact, rtol=1e-6, atol=atol)
 
 
 def test_measure_weight_examples(linear_model):

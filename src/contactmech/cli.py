@@ -1,13 +1,14 @@
 """Batch front end: run scenario files, verify diagnostics, debug expressions.
 
-    contactmech run <scenario-file> [--out DIR] [--seed N]
-    contactmech verify <scenario-file> [--out DIR] [--seed N]
-    contactmech expr "<expression>" --var q --at VALUE
+    contactmech run <scenario-file> [--out DIR] [--seed N] [--debug]
+    contactmech verify <scenario-file> [--out DIR] [--seed N] [--debug]
+    contactmech expr "<expression>" --var q --at VALUE [--debug]
 
 `run` writes the trajectory table, a machine-readable report and one SVG plot
 per requested diagnostic; `verify` writes the report only.  Exit status is 0
 iff every requested verification passed; failure classes map to distinct
-nonzero codes.
+nonzero codes.  With --debug an internal error (exit 6) also prints its
+traceback.
 """
 
 from __future__ import annotations
@@ -118,9 +119,13 @@ def _classify(exc: Exception) -> int:
     return EXIT_INTEGRATION if isinstance(exc, ContactMechError) else EXIT_INTERNAL
 
 
-def _fail(exc: Exception) -> int:
-    """Print the error to stderr and return its exit code."""
+def _fail(exc: Exception, debug: bool = False) -> int:
+    """Print the error to stderr, with the traceback of an internal error under
+    `debug`, and return its exit code."""
     code = _classify(exc)
+    if debug and code == EXIT_INTERNAL:
+        import traceback
+        traceback.print_exception(exc, file=sys.stderr)
     prefix = f"internal error: {type(exc).__name__}: " if code == EXIT_INTERNAL else ""
     print(f"error: {prefix}{exc}", file=sys.stderr)
     return code
@@ -138,7 +143,7 @@ def _cmd_run(args, with_trajectory: bool, with_plots: bool) -> int:
         code = run_scenario(config, out_dir=args.out, seed=args.seed,
                             with_trajectory=with_trajectory, with_plots=with_plots)
     except Exception as exc:  # mapped to exit codes, message to stderr
-        return _fail(exc)
+        return _fail(exc, args.debug)
     status = "pass" if code == EXIT_PASS else "fail"
     print(f"{config.name}: {status}")
     return code
@@ -152,7 +157,7 @@ def _cmd_expr(args) -> int:
         value = expr(args.at)
         deriv = expr.derivative(args.at)
     except Exception as exc:  # the same exit codes as `run`
-        return _fail(exc)
+        return _fail(exc, args.debug)
     print(f"value: {_fmt(value)}")
     print(f"derivative: {_fmt(deriv)}")
     return EXIT_PASS
@@ -180,6 +185,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_expr.add_argument("--var", required=True, help="name of the free variable")
     p_expr.add_argument("--at", type=float, required=True, help="evaluation point")
 
+    for p in (p_run, p_verify, p_expr):
+        p.add_argument("--debug", action="store_true",
+                       help="print the traceback of an internal error (exit 6)")
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args, with_trajectory=True, with_plots=True)

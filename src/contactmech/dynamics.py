@@ -19,15 +19,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import brentq
 
 from .errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                      UnsupportedModelError)
 from .model import ContactState, ExtendedState, HamiltonianModel
 
 MEASURE_EPS = 1e-12      # |H| below this is treated as the singular level set
-_ROOT_TOL = 4 * np.finfo(float).eps  # brentq tolerances of scipy's event location
+_EPS = np.finfo(float).eps
+_ROOT_TOL = 4 * _EPS     # x and relative tolerance of the event root
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +159,130 @@ def step_rk4(model: HamiltonianModel, x: ExtendedState, h: float) -> ExtendedSta
     return ExtendedState.from_flat(y1, model.n, x.t + h)
 
 
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+# Solving ODEs I, II.5): nodes C, stage rows A, 5th-order weights B, error
+# weights E (5th minus embedded 4th order, over all 7 stages) and Shampine's
+# (1986) dense-output matrix P, whose 4 columns multiply x, x^2, x^3, x^4.
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]
+_DP_A = [None, np.array([1 / 5]), np.array([3 / 40, 9 / 40]),
+         np.array([44 / 45, -56 / 15, 32 / 9]),
+         np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+         np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656])]
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+                  1 / 40])
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10  # step-size controller
+_ERR_EXPONENT = -1 / 5   # the error estimate is of order 4
+
+
+def _rms(x: np.ndarray) -> float:
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _powers(x):
+    """x, x^2, x^3, x^4 stacked along a new first axis, by repeated products."""
+    return np.multiply.accumulate([x] * 4)
+
+
+def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
+                  rtol: float, atol: float) -> float:
+    """First step size by the rule of Hairer, Norsett & Wanner (II.4), never
+    longer than the interval."""
+    span = abs(t_end - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span)
+
+
+def _brent(f, a: float, b: float, xtol: float = _ROOT_TOL, rtol: float = _ROOT_TOL,
+           maxiter: int = 100) -> float:
+    """A zero of f in [a, b], f(a) and f(b) of opposite sign, by Brent's method
+    (Brent 1973, ch. 4): inverse quadratic interpolation or secant steps while
+    they shrink the bracket fast enough, bisection otherwise."""
+    def fval(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = fval(xpre), fval(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best estimate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an infinite step, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fval(xcur)
+    raise RuntimeError(f"root finder failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
+
+
 def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                     opts: IntegratorOptions, grid: np.ndarray,
                     event=None, event_error=None) -> np.ndarray:
     """Integrate dy/dt = rhs(t, y) and return samples at grid points.
 
-    `grid` must start at t0 and end at t_end.  Adaptive mode wraps scipy's
-    embedded RK45 pair and samples each step's grid points with one call of
-    its dense output; fixed mode takes equal substeps of size <= opts.step
-    between consecutive grid points.  In adaptive mode only, a downward zero
-    crossing of event(t, y) over a step is located on that step's dense
-    output, and event_error(t) is raised at the crossing time.
+    `grid` must start at t0 and end at t_end, and rhs may return any float
+    sequence.  Adaptive mode is a Dormand-Prince 5(4) stepper of its own: an
+    RMS error norm on atol + max(|y|, |y_new|) rtol (rtol at least 100 eps),
+    safety factor 0.9, step factors within [0.2, 10] and no growth right
+    after a rejection; each step's grid points are sampled with one call of
+    its quartic dense output.  Fixed mode takes equal substeps of size
+    <= opts.step between consecutive grid points.  In adaptive mode only, a
+    downward zero crossing of event(t, y) over a step is located on that
+    step's dense output by Brent's method, and event_error(t) is raised at the
+    crossing time.
     """
     out = np.empty((len(grid), len(y0)))
     out[0] = y0
@@ -194,32 +306,59 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
             out[i] = y
         return out
 
-    solver = RK45(rhs, t0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=opts.abs_tol)
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("all components of the initial state must be finite")
+    rtol, atol = max(opts.rel_tol, 100 * _EPS), opts.abs_tol
+    K = np.empty((7, len(y0)))  # stages; row 6 is the field at the step's end
+    KT = [K[:s].T for s in range(8)]  # the first s stages, as columns
+    K[0] = rhs(t0, y0)
+    h_abs = _initial_step(rhs, t0, y0, K[0], t_end, rtol, atol)
+    t, y = t0, y0
     g = event(t0, y0) if event is not None else None
     i = 1
-    while solver.status == "running":
+    while t < t_end:
         nsteps += 1
         if nsteps > opts.max_steps:
-            raise IntegrationError(
-                f"max_steps={opts.max_steps} exceeded at t={solver.t:.6g}",
-                last_time=solver.t)
-        solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(f"adaptive step failed at t={solver.t:.6g}",
-                                   last_time=solver.t)
+            raise IntegrationError(f"max_steps={opts.max_steps} exceeded at t={t:.6g}",
+                                   last_time=t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"adaptive step failed at t={t:.6g}", last_time=t)
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            for s in range(1, 6):
+                K[s] = rhs(t + _DP_C[s] * h, y + np.dot(KT[s], _DP_A[s]) * h)
+            y_new = y + h * np.dot(KT[6], _DP_B)
+            K[6] = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(KT[7], _DP_E) * h / scale)
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0
+                          else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)
+            rejected = True
+        t_old, y_old, t, y = t, y, t_new, y_new
         if event is not None:
-            g_old, g = g, event(solver.t, solver.y)
-            if g_old >= 0 >= g:  # scipy's rule for a terminal event of direction -1
-                dense = solver.dense_output()
-                raise event_error(brentq(lambda t: event(t, dense(t)), solver.t_old,
-                                         solver.t, xtol=_ROOT_TOL, rtol=_ROOT_TOL))
-        j = np.searchsorted(grid, solver.t, side="right")
+            g_old, g = g, event(t, y)
+            if g_old >= 0 >= g:  # a terminal event of direction -1
+                Q = K.T.dot(_DP_P)
+                raise event_error(_brent(
+                    lambda s: event(s, h * np.dot(Q, _powers((s - t_old) / h)) + y_old),
+                    t_old, t))
+        j = np.searchsorted(grid, t, side="right")
         if j > i:
-            out[i:j] = solver.dense_output()(grid[i:j]).T
+            x = _powers((grid[i:j] - t_old) / h)
+            out[i:j] = (h * np.dot(K.T.dot(_DP_P), x) + y_old[:, None]).T
             i = j
+        K[0] = K[6]
     if i < len(grid):
-        raise IntegrationError(f"integration stopped at t={solver.t:.6g} before t_end",
-                               last_time=solver.t)
+        raise IntegrationError(f"integration stopped at t={t:.6g} before t_end",
+                               last_time=t)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("non-finite state produced during integration")
     return out

@@ -13,7 +13,7 @@ functions sin, cos, exp, sqrt, log.  A symbolic-derivative pass produces the
 derivative tree; both trees are compiled once, at parse time, into nested
 closures that evaluate to floats with explicit domain errors (sin or cos of an
 infinity, sqrt of a negative, log of a non-positive, division by zero, invalid
-power; an exp overflow stays an OverflowError) naming the offending operator's
+power; an exp or ^ overflow stays an OverflowError) naming the offending operator's
 byte offset and, when given, the key the expression was read from.
 """
 
@@ -154,8 +154,11 @@ def _compile(node: Node, where: str) -> Callable[[float], float]:
         a, b = left(x), right(x)
         try:
             return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:  # math's domain error
             raise ExpressionError(f"{where}invalid power {a!r}^{b!r}: {exc}", position=pos)
+        except OverflowError as exc:  # a float overflow, like exp's
+            raise OverflowError(f"{where}power {a!r}^{b!r} overflows: {exc} "
+                                f"(at offset {pos})") from None
     return power
 
 

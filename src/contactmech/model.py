@@ -315,18 +315,27 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
     Vfn = as_scalar_fn(V, "V")
 
+    def factors(t):
+        """(e^{-gamma t}, e^{gamma t}); an overflow names the model, key and time."""
+        try:
+            return math.exp(-gamma * t), math.exp(gamma * t)
+        except OverflowError as exc:
+            raise OverflowError(f"caldirola_kanai: e^(±gamma t) with model.gamma = {gamma!r} "
+                                f"overflows at t={t!r}: {exc}") from None
+
     def value(t, y) -> float:
         q, p = y[0], y[1]
-        return math.exp(-gamma * t) * p * p / (2.0 * m) + math.exp(gamma * t) * Vfn(q)
+        em, ep = factors(t)
+        return em * p * p / (2.0 * m) + ep * Vfn(q)
 
     def grad(t, y) -> np.ndarray:
         q, p = y[0], y[1]
-        em, ep = math.exp(-gamma * t), math.exp(gamma * t)
+        em, ep = factors(t)
         dt = -gamma * em * p * p / (2.0 * m) + gamma * ep * Vfn(q)
         return np.array([ep * Vfn.derivative(q), em * p / m, 0.0, dt])
 
     def hess(t, y) -> np.ndarray:
-        em, ep = math.exp(-gamma * t), math.exp(gamma * t)
+        em, ep = factors(t)
         return np.diag([ep * Vfn.second_derivative(y[0]), em / m, 0.0])
 
     return HamiltonianModel(

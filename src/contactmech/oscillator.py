@@ -13,7 +13,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .dynamics import IntegratorOptions, _integrate_flat
 from .errors import BranchError, ErmakovCollapseError, RiccatiPoleError
@@ -50,8 +49,36 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
+class CubicHermite:
+    """Piecewise cubic through values y and slopes dydx at increasing nodes x.
+
+    Interval i holds c0 s^3 + c1 s^2 + c2 s + c3 in s = t - x_i, evaluated
+    left to right as 0 + c3 + c2 s + c1 s^2 + c0 s^3; the end cubics
+    extrapolate.  Calling it on a float returns a float, on an array an array
+    of the same shape.
+    """
+
+    def __init__(self, x, y, dydx):
+        x, y, dydx = (np.asarray(v, dtype=float) for v in (x, y, dydx))
+        if not (np.isfinite(y).all() and np.isfinite(dydx).all()):
+            raise ValueError("interpolated values and slopes must be finite")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.x, self._inner = x, x[1:-1]
+        self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = self._inner.searchsorted(t, side="right")  # x[i] <= t < x[i+1] inside
+        s, c = t - self.x[i], self.c
+        s2 = s * s
+        return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * s2 + c[0, i] * (s2 * s)
+
+
 class _Dense:
-    """Bundle of cubic Hermite interpolants over a common node set."""
+    """Bundle of the package's own `CubicHermite` interpolants over a common
+    node set."""
 
     def __init__(self, ts: np.ndarray, gamma: float, omega: ScalarFunction, grid):
         self.ts = ts
@@ -88,9 +115,9 @@ class ErmakovSolution(_Dense):
         self.alpha_dot0 = float(alpha_dot0)
         w = self._omega(ts)
         add = -(w * w - 0.25 * gamma * gamma) * alpha + alpha ** -3.0
-        self._alpha = CubicHermiteSpline(ts, alpha, alpha_dot)
-        self._alpha_dot = CubicHermiteSpline(ts, alpha_dot, add)
-        self._phase = CubicHermiteSpline(ts, phase, alpha ** -2.0)
+        self._alpha = CubicHermite(ts, alpha, alpha_dot)
+        self._alpha_dot = CubicHermite(ts, alpha_dot, add)
+        self._phase = CubicHermite(ts, phase, alpha ** -2.0)
 
     def alpha(self, t):
         return self._alpha(self._check_t(t))[()]
@@ -249,9 +276,9 @@ class RiccatiSolution(_Dense):
         super().__init__(ts, gamma, omega, grid)
         self.C0 = float(C0)
         w = self._omega(ts)
-        self._C = CubicHermiteSpline(ts, C, -C * C - gamma * C - w * w)
-        self._lam = CubicHermiteSpline(ts, lam, lam_dot)
-        self._lam_dot = CubicHermiteSpline(ts, lam_dot, -gamma * lam_dot - w * w * lam)
+        self._C = CubicHermite(ts, C, -C * C - gamma * C - w * w)
+        self._lam = CubicHermite(ts, lam, lam_dot)
+        self._lam_dot = CubicHermite(ts, lam_dot, -gamma * lam_dot - w * w * lam)
 
     def C(self, t):
         return self._C(self._check_t(t))[()]
@@ -317,7 +344,7 @@ def riccati_free_particle(gamma: float, C0: float, t):
 
 def riccati_sensitivity(omega, gamma: float, C0: float, grid,
                         delta: Optional[float] = None):
-    """dC/dC0 as a dense callable, by paired solves at C0 +/- delta.
+    """dC/dC0 as a dense `CubicHermite` callable, by paired solves at C0 +/- delta.
 
     The two initial conditions are advanced as one stacked system so that they
     share the adaptive step sequence; the centered difference then cancels the
@@ -343,7 +370,7 @@ def riccati_sensitivity(omega, gamma: float, C0: float, grid,
     w2 = np.array([wfn(float(t)) ** 2 for t in ts])
     dsens = ((-hi ** 2 - gamma * hi - w2)
              - (-lo ** 2 - gamma * lo - w2)) / (2.0 * delta)
-    return CubicHermiteSpline(ts, sens, dsens)
+    return CubicHermite(ts, sens, dsens)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Front end: subcommands, artifacts on disk, exit-code contract, determinism."""
 
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from contactmech import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD = """\
 [scenario]
@@ -118,12 +124,46 @@ def test_float_overflow_exit_code(tmp_path, capsys):
     assert "math range error" in capsys.readouterr().err
 
 
+def test_caldirola_kanai_overflow_names_model_gamma_and_time(tmp_path, capsys):
+    text = (ROOT / "scenarios" / "caldirola_kanai.ini").read_text()
+    for old, new in (("gamma = 0.1", "gamma = 10"), ("t_end = 10", "t_end = 80"),
+                     ("rel_tol = 1e-10", "rel_tol = 1e-6"), ("abs_tol = 1e-13", "abs_tol = 1e-9")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "ck.ini"
+    path.write_text(text)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    match = re.search(r"^error: caldirola_kanai: e\^\(±gamma t\) with model\.gamma = 10\.0 "
+                      r"overflows at t=(\S+): math range error$", err, re.M)
+    assert match, err
+    assert 70.9 < float(match.group(1)) <= 80.0  # e^{10 t} overflows past t = 70.98
+
+
 def test_internal_error_exit_code(good_scenario, tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("unsupported operand")
     monkeypatch.setattr(cli, "run_scenario", broken)
     assert cli.main(["run", good_scenario, "--out", str(tmp_path / "o")]) == 6
     assert "internal error: TypeError: unsupported operand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "expr"])
+def test_debug_prints_the_traceback_of_an_internal_error(command, good_scenario, tmp_path,
+                                                         capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    monkeypatch.setattr(cli, "parse_expression", broken)
+    args = ([command, good_scenario, "--out", str(tmp_path / "o")] if command != "expr"
+            else ["expr", "q", "--var", "q", "--at", "1"])
+    line = "error: internal error: TypeError: unsupported operand\n"
+    assert cli.main(args) == 6
+    assert capsys.readouterr().err == line
+    assert cli.main(args + ["--debug"]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in broken" in err and err.endswith("TypeError: unsupported operand\n" + line)
 
 
 def test_singularity_exit_code(tmp_path, capsys):
@@ -152,6 +192,12 @@ def test_expr_errors_map_to_exit_codes(capsys):
     assert "math range error" in capsys.readouterr().err
     assert cli.main(["expr", "sin(q)", "--var", "q", "--at", "inf"]) == 2
     assert "--at: non-finite number" in capsys.readouterr().err
+    assert cli.main(["expr", "q^1000", "--var", "q", "--at", "800"]) == 3
+    assert ("error: power 800.0^1000.0 overflows: math range error (at offset 1)"
+            in capsys.readouterr().err)
+    assert cli.main(["expr", "q^0.5", "--var", "q", "--at", "-2"]) == 2
+    assert ("error: invalid power -2.0^0.5: math domain error (at offset 1)"
+            in capsys.readouterr().err)
 
 
 def test_trig_of_infinity_is_a_bad_scenario(tmp_path, capsys):
@@ -169,7 +215,9 @@ def test_trig_of_infinity_is_a_bad_scenario(tmp_path, capsys):
     ({"kind = linear_dissipation": "kind = damped_parametric",
       "V = q^2/2": "omega = 2 + sqrt(t - 5)"}, 2,
      "error: model.omega: sqrt of negative value -5.0 (at offset 4)"),
-], ids=["sqrt", "exp", "omega"])
+    ({"V = q^2/2": "V = q^1000", "q = 1": "q = 800"}, 3,
+     "error: model.V: power 800.0^1000.0 overflows: math range error (at offset 1)"),
+], ids=["sqrt", "exp", "omega", "power"])
 def test_runtime_expression_errors_name_their_key(replace, code, message, tmp_path, capsys):
     text = GOOD
     for old, new in replace.items():
@@ -193,3 +241,19 @@ def test_seed_changes_verification_points(tmp_path):
     # but the same seed is reproducible
     assert cli.main(["run", str(path), "--out", str(tmp_path / "s0b"), "--seed", "0"]) == 0
     assert r0 == open(tmp_path / "s0b" / "plots" / "transform_verify_ck.svg", "rb").read()
+
+
+def test_run_imports_no_scipy(tmp_path):
+    """A `run` in a fresh interpreter needs numpy only: scipy is a test dependency."""
+    code = ("import sys\n"
+            "from contactmech import cli\n"
+            "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(ROOT / "scenarios" / "damped_oscillator.ini"), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

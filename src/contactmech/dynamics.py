@@ -214,11 +214,11 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
     return min(100 * h0, h1, span)
 
 
-def _brent(f, a: float, b: float, xtol: float = _ROOT_TOL, rtol: float = _ROOT_TOL,
-           maxiter: int = 100) -> float:
-    """A zero of f in [a, b], f(a) and f(b) of opposite sign, by Brent's method
-    (Brent 1973, ch. 4): inverse quadratic interpolation or secant steps while
-    they shrink the bracket fast enough, bisection otherwise."""
+def _brent(f, a: float, b: float) -> float:
+    """A zero of f in [a, b], f(a) and f(b) of opposite sign, to within
+    _ROOT_TOL (1 + |x|), by Brent's method (Brent 1973, ch. 4): inverse
+    quadratic interpolation or secant steps while they shrink the bracket fast
+    enough, bisection otherwise."""
     def fval(x):
         fx = float(f(x))
         if math.isnan(fx):
@@ -234,14 +234,14 @@ def _brent(f, a: float, b: float, xtol: float = _ROOT_TOL, rtol: float = _ROOT_T
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):  # keep the best estimate in xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -264,7 +264,7 @@ def _brent(f, a: float, b: float, xtol: float = _ROOT_TOL, rtol: float = _ROOT_T
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = fval(xcur)
-    raise RuntimeError(f"root finder failed to converge after {maxiter} iterations, "
+    raise RuntimeError(f"root finder failed to converge after 100 iterations, "
                        f"value is {xcur}")
 
 

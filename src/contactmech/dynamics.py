@@ -43,13 +43,6 @@ class Tangent:
     dt: float = 1.0
 
 
-def _contact_field(n: int, y: np.ndarray, h: float, g: np.ndarray) -> np.ndarray:
-    """The (q, p, S) components of the field from H = h and its gradient g at y."""
-    p, dH_dp = y[n:2 * n], g[n:2 * n]
-    return np.concatenate([dH_dp, -g[:n] - p * g[2 * n],
-                           [float(np.dot(p, dH_dp)) - h]])
-
-
 def _field_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Jacobian A of the field in y, by the chain rule from the gradient g and
     the Hessian K of H at y; tr A = -(n+1) dH/dS follows from K's symmetry."""
@@ -63,18 +56,14 @@ def _field_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np.n
     return A
 
 
-def _field_flat(model: HamiltonianModel, t: float, y: np.ndarray) -> np.ndarray:
-    """The (q, p, S) components of the field at flat y = [q, p, S]."""
-    out = _contact_field(model.n, y, model.value(t, y), model.grad(t, y))
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"non-finite vector field at t={t}, y={y}: {out}")
-    return out
-
-
 def vector_field(model: HamiltonianModel, x: ExtendedState) -> Tangent:
-    """Evaluate the contact Hamiltonian vector field at x."""
+    """Evaluate the contact Hamiltonian vector field at x; a non-finite
+    component raises NonFiniteError."""
     model.check_dimensions(x)
-    f = _field_flat(model, x.t, x.flat())
+    y = x.flat()
+    f = np.asarray(model.field(x.t, y), dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise NonFiniteError(f"non-finite vector field at t={x.t}, y={y}: {f}")
     return Tangent(f[:x.n], f[x.n:2 * x.n], float(f[2 * x.n]))
 
 
@@ -140,11 +129,12 @@ def sample_grid(t0: float, t_end: float, sample_interval: float) -> np.ndarray:
 
 
 def _rk4(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of dy/dt = rhs(t, y)."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + h / 2, y + h / 2 * k1)
-    k3 = rhs(t + h / 2, y + h / 2 * k2)
-    k4 = rhs(t + h, y + h * k3)
+    """One classical 4th-order Runge-Kutta step of dy/dt = rhs(t, y), rhs
+    returning any float sequence."""
+    k1 = np.asarray(rhs(t, y))
+    k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1))
+    k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2))
+    k4 = np.asarray(rhs(t + h, y + h * k3))
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -153,7 +143,7 @@ def step_rk4(model: HamiltonianModel, x: ExtendedState, h: float) -> ExtendedSta
     if h == 0:
         raise ValueError("step size must be nonzero")
     model.check_dimensions(x)
-    y1 = _rk4(lambda t, y: _field_flat(model, t, y), x.t, x.flat(), h)
+    y1 = _rk4(model.field, x.t, x.flat(), h)
     if not np.all(np.isfinite(y1)):
         raise NonFiniteError(f"non-finite RK4 state after step from t={x.t}")
     return ExtendedState.from_flat(y1, model.n, x.t + h)
@@ -268,6 +258,7 @@ def _brent(f, a: float, b: float) -> float:
                        f"value is {xcur}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite stages are handled below
 def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                     opts: IntegratorOptions, grid: np.ndarray,
                     event=None, event_error=None) -> np.ndarray:
@@ -283,6 +274,14 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     downward zero crossing of event(t, y) over a step is located on that
     step's dense output by Brent's method, and event_error(t) is raised at the
     crossing time.
+
+    rhs is not checked for finite values stage by stage.  In adaptive mode a
+    non-finite stage makes the error estimate non-finite, so the step is
+    rejected and h shrinks by the minimum factor; if h falls below the
+    smallest step at t after such a rejection, NonFiniteError names t and y.
+    The field at the start is checked once, and fixed mode checks the state at
+    each grid point.  numpy's overflow and invalid-value warnings are silenced
+    here, since these checks report them.
     """
     out = np.empty((len(grid), len(y0)))
     out[0] = y0
@@ -302,7 +301,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                 t += h
             t = grid[i]  # land exactly, avoiding accumulated rounding
             if not np.all(np.isfinite(y)):
-                raise NonFiniteError(f"non-finite state at t={t:.6g}")
+                raise NonFiniteError(f"non-finite state at t={t:.6g}, y={y}")
             out[i] = y
         return out
 
@@ -312,6 +311,8 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     K = np.empty((7, len(y0)))  # stages; row 6 is the field at the step's end
     KT = [K[:s].T for s in range(8)]  # the first s stages, as columns
     K[0] = rhs(t0, y0)
+    if not np.all(np.isfinite(K[0])):
+        raise NonFiniteError(f"non-finite vector field at t={t0:.6g}, y={y0}")
     h_abs = _initial_step(rhs, t0, y0, K[0], t_end, rtol, atol)
     t, y = t0, y0
     g = event(t0, y0) if event is not None else None
@@ -326,7 +327,12 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                raise IntegrationError(f"adaptive step failed at t={t:.6g}", last_time=t)
+                if rejected and not math.isfinite(err):
+                    raise NonFiniteError(f"non-finite vector field: the steps from "
+                                         f"t={t:.6g}, y={y} down to h={min_step:.3g} "
+                                         f"all met a non-finite stage")
+                raise IntegrationError(f"adaptive step failed at t={t:.6g}, y={y}",
+                                       last_time=t)
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
             for s in range(1, 6):
@@ -340,7 +346,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                           else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
                 h_abs *= min(1, factor) if rejected else factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)  # 0.2 if err is NaN
             rejected = True
         t_old, y_old, t, y = t, y, t_new, y_new
         if event is not None:
@@ -373,8 +379,7 @@ def integrate(model: HamiltonianModel, init: ExtendedState, t_end: float,
         raise ValueError(f"t_end={t_end} must exceed the initial time {init.t}")
     n = model.n
     grid = sample_grid(init.t, t_end, opts.sample_interval)
-    ys = _integrate_flat(lambda t, y: _field_flat(model, t, y),
-                         init.flat(), init.t, t_end, opts, grid)
+    ys = _integrate_flat(model.field, init.flat(), init.t, t_end, opts, grid)
     H = np.array([model.value(t, y) for t, y in zip(grid, ys)], dtype=float)
     dv = np.array([-(n + 1) * model.grad(t, y)[2 * n] for t, y in zip(grid, ys)],
                   dtype=float)
@@ -460,11 +465,8 @@ def _det_series(model: HamiltonianModel, init: ExtendedState, t_end: float,
 
     def rhs(t, z):
         y = z[:d]
-        h, g = model.value(t, y), model.grad(t, y)
-        f = _contact_field(n, y, h, g)
-        A = _field_jacobian(n, y, g, model.hess(t, y))
-        if not (np.isfinite(f).all() and np.isfinite(A).all()):
-            raise NonFiniteError(f"non-finite vector field or Jacobian at t={t}, y={y}")
+        f = model.field(t, y)
+        A = _field_jacobian(n, y, model.grad(t, y), model.hess(t, y))
         return np.concatenate([f, (A @ z[d:].reshape(d, d)).ravel()])
 
     z0 = np.concatenate([init.flat(), eye.ravel()])

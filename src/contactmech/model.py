@@ -2,16 +2,17 @@
 
 The phase space is described in Darboux coordinates (q, p, S): generalized
 positions, conjugate momenta and an action-like contact variable.  A
-``HamiltonianModel`` holds H(q, p, S, t) and its gradient as closures over the
-flat vector [q, p, S]; the built-in factories cover linear dissipation, the
-damped parametric oscillator and the Caldirola-Kanai effective model.
+``HamiltonianModel`` holds H(q, p, S, t), its derivatives and its contact
+vector field as closures over the flat vector [q, p, S]; the built-in
+factories cover linear dissipation, the damped parametric oscillator and the
+Caldirola-Kanai effective model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from dataclasses import dataclass, field as dataclass_field
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -171,9 +172,13 @@ class ScalarFunction:
 
 
 def as_scalar_fn(obj, name: str = "function") -> ScalarFunction:
-    """Coerce numbers, callables or ScalarFunctions to a ScalarFunction."""
+    """Coerce numbers, callables or ScalarFunctions to a ScalarFunction; an
+    object with ``as_scalar_function`` (a parsed expression) converts itself,
+    so that it keeps its symbolic derivative."""
     if isinstance(obj, ScalarFunction):
         return obj
+    if hasattr(obj, "as_scalar_function"):
+        return obj.as_scalar_function()
     if isinstance(obj, (int, float)):
         c = float(obj)
         return ScalarFunction(f=lambda _x, c=c: c, df=lambda _x: 0.0, is_constant=True)
@@ -196,9 +201,13 @@ class HamiltonianModel:
     """Descriptor of a contact Hamiltonian H(q, p, S, t).
 
     At y = [q, p, S], ``value(t, y)`` is H, ``grad(t, y)`` is [dH/dq, dH/dp,
-    dH/dS, dH/dt] and ``hess(t, y)`` is the (2n+1) x (2n+1) Hessian of H in y,
-    from which `dynamics` builds the field's Jacobian; all three are
-    unvalidated, while ``evaluate`` and ``partials`` validate.
+    dH/dS, dH/dt], ``hess(t, y)`` is the (2n+1) x (2n+1) Hessian of H in y,
+    from which `dynamics` builds the field's Jacobian, and ``field(t, y)`` is
+    the (q, p, S) components of the contact vector field as a float sequence,
+    which is what the integrators call.  The built-ins give ``field`` in
+    closed form; `make_custom` builds it from ``value`` and ``grad``.  All four
+    are unvalidated: a non-finite field is left to the integrator, which
+    rejects the step.  ``evaluate`` and ``partials`` validate.
     ``h_prime``, when present, is h'(S) for Hamiltonians that split as
     H = H_mec(q, p[, t]) + h(S).
     """
@@ -207,10 +216,11 @@ class HamiltonianModel:
     value: Callable[[float, np.ndarray], float]
     grad: Callable[[float, np.ndarray], np.ndarray]
     hess: Callable[[float, np.ndarray], np.ndarray]
+    field: Callable[[float, np.ndarray], Sequence[float]]
     depends_on_S: bool = True
     depends_on_t: bool = True
     name: str = "custom"
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = dataclass_field(default_factory=dict)
     h_prime: Optional[Callable[[float], float]] = None
 
     def check_dimensions(self, x: ExtendedState):
@@ -235,9 +245,24 @@ class HamiltonianModel:
         return PartialDerivatives(g[:n], g[n:2 * n], g[2 * n], g[2 * n + 1])
 
 
+def _contact_field(n: int, y: np.ndarray, h: float, g: np.ndarray) -> np.ndarray:
+    """The (q, p, S) components of the contact field from H = h and its
+    gradient g at y: dq/dt = dH/dp, dp/dt = -dH/dq - p dH/dS and
+    dS/dt = p . dH/dp - H."""
+    p, dH_dp = y[n:2 * n], g[n:2 * n]
+    return np.concatenate([dH_dp, -g[:n] - p * g[2 * n],
+                           [float(np.dot(p, dH_dp)) - h]])
+
+
 # ---------------------------------------------------------------------------
 # Built-in systems
 # ---------------------------------------------------------------------------
+#
+# Each built-in's `field` is `_contact_field` written out for n = 1: the same
+# float operations in the same order, so it agrees bit for bit (a test holds
+# it to that), including the -p dH/dS term when dH/dS is 0, which can flip the
+# sign of a zero.  H's terms come before dH's, so the first domain error is
+# the one `value` would raise.  dH/dt is not needed and not evaluated.
 
 def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     """H = p^2/2m + V(q) + gamma*S, the one-dimensional linear-friction system."""
@@ -257,8 +282,14 @@ def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     def hess(t, y) -> np.ndarray:
         return np.diag([Vfn.second_derivative(y[0]), 1.0 / m, 0.0])
 
+    def field(t, y) -> list:
+        q, p, S = y.tolist()
+        h = p * p / (2.0 * m) + Vfn(q) + gamma * S
+        dH_dp = p / m
+        return [dH_dp, -Vfn.derivative(q) - p * gamma, p * dH_dp - h]
+
     return HamiltonianModel(
-        n=1, value=value, grad=grad, hess=hess,
+        n=1, value=value, grad=grad, hess=hess, field=field,
         depends_on_S=gamma > 0, depends_on_t=False,
         name="linear_dissipation",
         params={"m": m, "gamma": gamma, "V": Vfn},
@@ -293,8 +324,15 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
     def hess(t, y) -> np.ndarray:
         return np.diag([m * wfn(t) ** 2, 1.0 / m, 0.0])
 
+    def field(t, y) -> list:
+        q, p, S = y.tolist()
+        w = wfn(t)
+        h = p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * S
+        dH_dp = p / m
+        return [dH_dp, -(m * w * w * q) - p * gamma, p * dH_dp - h]
+
     return HamiltonianModel(
-        n=1, value=value, grad=grad, hess=hess,
+        n=1, value=value, grad=grad, hess=hess, field=field,
         depends_on_S=gamma > 0, depends_on_t=not wfn.is_constant,
         name="damped_parametric",
         params={"m": m, "gamma": gamma, "omega": wfn},
@@ -338,8 +376,15 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
         em, ep = factors(t)
         return np.diag([ep * Vfn.second_derivative(y[0]), em / m, 0.0])
 
+    def field(t, y) -> list:
+        q, p, S = y.tolist()
+        em, ep = factors(t)
+        h = em * p * p / (2.0 * m) + ep * Vfn(q)
+        dH_dp = em * p / m
+        return [dH_dp, -(ep * Vfn.derivative(q)) - p * 0.0, p * dH_dp - h]
+
     return HamiltonianModel(
-        n=1, value=value, grad=grad, hess=hess,
+        n=1, value=value, grad=grad, hess=hess, field=field,
         depends_on_S=False, depends_on_t=gamma > 0,
         name="caldirola_kanai",
         params={"m": m, "gamma": gamma, "V": Vfn},
@@ -351,7 +396,8 @@ def make_custom(n: int, value, partials_fn=None, depends_on_S: bool = True,
                 depends_on_t: bool = True, name: str = "custom",
                 params: Optional[Mapping[str, Any]] = None,
                 h_prime=None) -> HamiltonianModel:
-    """Wrap arbitrary callables as a model; finite differences fill in partials and Hessian."""
+    """Wrap arbitrary callables as a model; finite differences fill in partials
+    and Hessian, and the field is `_contact_field` of value and gradient."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     n = int(n)
@@ -381,8 +427,11 @@ def make_custom(n: int, value, partials_fn=None, depends_on_S: bool = True,
     def hess(t, y) -> np.ndarray:
         return central_difference(lambda z: grad(t, z)[:2 * n + 1], y)
 
+    def field(t, y) -> np.ndarray:
+        return _contact_field(n, y, flat_value(t, y), grad(t, y))
+
     return HamiltonianModel(
-        n=n, value=flat_value, grad=grad, hess=hess,
+        n=n, value=flat_value, grad=grad, hess=hess, field=field,
         depends_on_S=depends_on_S, depends_on_t=depends_on_t,
         name=name, params=dict(params or {}), h_prime=h_prime,
     )

@@ -25,6 +25,7 @@ MODEL_KINDS = ("linear_dissipation", "damped_parametric", "caldirola_kanai")
 SIMPLE_CHECKS = ("energy_conservation", "hamiltonian_decay", "divergence",
                  "measure", "invariants", "hj_residual")
 TRANSFORM_MAPS = ("identity", "ck", "expanding", "invariants")
+MAX_SAMPLES = 10 ** 7  # (t_end - t0) / sample_interval above this is refused
 
 _SCHEMA = {
     "scenario": {"name"},
@@ -165,6 +166,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError(f"integration: {exc}") from exc
     if t_end <= t0:
         _err("integration.t_end", f"must exceed initial.t={t0}, got {t_end}")
+    if (t_end - t0) / options.sample_interval > MAX_SAMPLES:
+        _err("integration.t_end", f"(t_end - t0) / sample_interval exceeds "
+                                  f"{MAX_SAMPLES} samples, got t_end={t_end}")
 
     checks: Tuple[str, ...] = ()
     if "diagnostics" in cp and "checks" in cp["diagnostics"]:

@@ -4,11 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from contactmech import cli
+from contactmech.errors import ScenarioError
+from contactmech.scenario import MAX_SAMPLES, parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,7 +116,7 @@ def test_integration_failure_exit_code(tmp_path, capsys):
 
 def test_float_overflow_exit_code(tmp_path, capsys):
     # e^{gamma t} of the Caldirola-Kanai model overflows a float past gamma t = 709;
-    # from gamma = 20 up, p overflows first and NonFiniteError fires instead
+    # at gamma = 40, p overflows first and NonFiniteError fires instead
     text = GOOD.replace("kind = linear_dissipation", "kind = caldirola_kanai") \
                .replace("gamma = 0.1", "gamma = 10").replace("t_end = 5", "t_end = 80") \
                .replace("rel_tol = 1e-10", "rel_tol = 1e-6") \
@@ -124,20 +127,57 @@ def test_float_overflow_exit_code(tmp_path, capsys):
     assert "math range error" in capsys.readouterr().err
 
 
-def test_caldirola_kanai_overflow_names_model_gamma_and_time(tmp_path, capsys):
+def _caldirola_kanai_overflow(tmp_path, gamma):
     text = (ROOT / "scenarios" / "caldirola_kanai.ini").read_text()
-    for old, new in (("gamma = 0.1", "gamma = 10"), ("t_end = 10", "t_end = 80"),
+    for old, new in (("gamma = 0.1", f"gamma = {gamma}"), ("t_end = 10", "t_end = 80"),
                      ("rel_tol = 1e-10", "rel_tol = 1e-6"), ("abs_tol = 1e-13", "abs_tol = 1e-9")):
         assert old in text
         text = text.replace(old, new)
     path = tmp_path / "ck.ini"
     path.write_text(text)
-    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["verify", str(path), "--out", str(tmp_path / "o")])
+    assert not caught, [str(w.message) for w in caught]
+    return code
+
+
+def test_caldirola_kanai_overflow_names_model_gamma_and_time(tmp_path, capsys):
+    assert _caldirola_kanai_overflow(tmp_path, 10) == 3
     err = capsys.readouterr().err
     match = re.search(r"^error: caldirola_kanai: e\^\(±gamma t\) with model\.gamma = 10\.0 "
                       r"overflows at t=(\S+): math range error$", err, re.M)
     assert match, err
     assert 70.9 < float(match.group(1)) <= 80.0  # e^{10 t} overflows past t = 70.98
+
+
+@pytest.mark.parametrize("gamma, pattern", [
+    (20, r"error: caldirola_kanai: e\^\(±gamma t\) with model\.gamma = 20\.0 overflows "
+         r"at t=\S+: math range error"),
+    (40, r"error: non-finite vector field: the steps from t=(\S+), y=\[.*\] down to "
+         r"h=\S+ all met a non-finite stage"),
+])
+def test_caldirola_kanai_overflow_is_one_error_line(gamma, pattern, tmp_path, capsys):
+    """The stepper rejects the overflowing stages itself, so no numpy warning
+    reaches stderr ahead of the error line."""
+    assert _caldirola_kanai_overflow(tmp_path, gamma) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(pattern + "\n", err), err
+
+
+def test_a_huge_span_is_a_bad_scenario(tmp_path, capsys, monkeypatch):
+    # refused before anything is allocated: 1e9 / 0.01 samples would take 745 GiB
+    monkeypatch.setattr(cli, "integrate", lambda *args: pytest.fail("the span was integrated"))
+    text = (ROOT / "scenarios" / "damped_oscillator.ini").read_text()
+    assert "t_end = 10\n" in text
+    path = tmp_path / "huge.ini"
+    path.write_text(text.replace("t_end = 10\n", "t_end = 1e9\n"))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: integration.t_end: ") and f"{MAX_SAMPLES} samples" in err
+    assert parse_scenario(text.replace("t_end = 10\n", "t_end = 1e5\n")).t_end == 1e5
+    with pytest.raises(ScenarioError, match="integration.t_end"):
+        parse_scenario(text.replace("t_end = 10\n", "t_end = 100000.01\n"))
 
 
 def test_internal_error_exit_code(good_scenario, tmp_path, capsys, monkeypatch):

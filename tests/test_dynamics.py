@@ -1,15 +1,17 @@
 """Flow layer: vector field, integrators, decay laws, volume contraction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import contactmech as cm
-from contactmech.dynamics import _field_flat, _field_jacobian, _integrate_flat
-from contactmech.model import central_difference
-from contactmech.errors import (IntegrationError, SingularMeasureError,
+from contactmech import cli
+from contactmech.dynamics import _field_jacobian, _integrate_flat
+from contactmech.model import _contact_field, central_difference
+from contactmech.errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                                 UnsupportedModelError)
 
 
@@ -120,7 +122,7 @@ def test_divergence_is_trace_of_fd_field_jacobian(factory):
     for _ in range(20):
         x = cm.make_state(rng.uniform(-2, 2), rng.uniform(-2, 2),
                           rng.uniform(-2, 2), rng.uniform(0.0, 5.0))
-        A = central_difference(lambda y: _field_flat(model, x.t, y), x.flat())
+        A = central_difference(lambda y: np.asarray(model.field(x.t, y)), x.flat())
         assert_allclose(np.trace(A), cm.divergence(model, x), rtol=1e-6, atol=1e-8)
 
 
@@ -158,8 +160,38 @@ def test_field_jacobian_matches_fd_oracle(factory):
     for _ in range(8):
         t, y = rng.uniform(0.0, 5.0), rng.uniform(-2, 2, d)
         A = _field_jacobian(model.n, y, model.grad(t, y), model.hess(t, y))
-        oracle = central_difference(lambda w: _field_flat(model, t, w), y)
+        oracle = central_difference(lambda w: np.asarray(model.field(t, w)), y)
         assert_allclose(A, oracle, rtol=1e-6, atol=1e-8)
+
+
+_QUARTIC = cm.parse_expression("0.9*q^2/2 + 0.05*q^4", "q")
+
+
+@pytest.mark.parametrize("model", [
+    cm.make_linear_dissipation(1.3, 0.0, cm.quadratic_potential(2.0)),
+    cm.make_linear_dissipation(0.7, 0.25, _QUARTIC),
+    cm.make_damped_parametric(0.8, 0.0, 1.3),
+    cm.make_damped_parametric(1.1, 0.15, 0.0),
+    cm.make_damped_parametric(0.8, 0.2, cm.parse_expression("1.2 + 0.2*sin(0.5*t)", "t")),
+    cm.make_caldirola_kanai(1.0, 0.0, _QUARTIC),
+    cm.make_caldirola_kanai(1.2, 0.3, cm.quadratic_potential()),
+], ids=["linear-gamma0", "linear-quartic", "parametric-const-gamma0", "parametric-omega0",
+        "parametric-omega-t", "ck-gamma0", "ck"])
+def test_builtin_field_is_the_generic_construction_bit_for_bit(model):
+    """Each built-in's closed-form field against `_contact_field` of its value
+    and gradient, down to the sign of a zero: at q = 0 with p < 0 and dH/dS =
+    0, -dH/dq - p dH/dS is +0.0 where -dH/dq alone is -0.0."""
+    rng = np.random.default_rng(37)
+    points = [(0.0, np.array([0.0, -0.7, 0.3])), (1.5, np.array([0.0, 0.7, -0.3])),
+              (2.0, np.zeros(3)), (3.0, np.array([-0.0, -1.2, 0.0]))]
+    points += [(rng.uniform(0.0, 5.0), rng.uniform(-2, 2, 3)) for _ in range(40)]
+    points += [(rng.uniform(0.0, 5.0), np.array([0.0, -rng.uniform(0.1, 2), rng.uniform(-2, 2)]))
+               for _ in range(10)]
+    for t, y in points:
+        f = np.array(model.field(t, y))
+        generic = _contact_field(1, y, model.value(t, y), model.grad(t, y))
+        assert_array_equal(f, generic)
+        assert_array_equal(np.signbit(f), np.signbit(generic))
 
 
 @pytest.mark.parametrize("partials_fn, atol", [
@@ -307,6 +339,54 @@ def test_integration_errors(linear_model):
         cm.IntegratorOptions(step=-1.0)
     with pytest.raises(ValueError):
         cm.IntegratorOptions(sample_interval=0.0)
+
+
+def _wall_at_q_1_5():
+    """H = p^2/2 + q^2/2 + 0.1 S, except that V' is infinite from q = 1.5 on,
+    which the flow from (1, 2, 0) reaches at t ~ 0.26."""
+    V = cm.ScalarFunction(f=lambda q: 0.5 * q * q,
+                          df=lambda q: q if q < 1.5 else math.inf)
+    return cm.make_linear_dissipation(1.0, 0.1, V)
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, x: cm.integrate(model, x, 3.0),
+    lambda model, x: cm.integrate(model, x, 3.0,
+                                  cm.IntegratorOptions(method="fixed_rk4", step=0.01)),
+    lambda model, x: cm.jacobian_determinant_series(model, x, 3.0),
+], ids=["adaptive", "fixed_rk4", "det_series"])
+def test_a_non_finite_field_is_a_non_finite_error_naming_t_and_y(run):
+    with pytest.raises(NonFiniteError) as err:
+        run(_wall_at_q_1_5(), cm.make_state(1.0, 2.0, 0.0, 0.0))
+    match = re.search(r"t=(\S+), y=\[", str(err.value))
+    assert match, str(err.value)
+    assert 0.2 < float(match.group(1)) < 0.4
+    assert cli._classify(err.value) == cli.EXIT_INTEGRATION
+
+
+def test_a_non_finite_field_at_the_start_is_a_non_finite_error():
+    with pytest.raises(NonFiniteError, match=r"at t=0, y=\[2\. 0\. 0\.\]"):
+        cm.integrate(_wall_at_q_1_5(), cm.make_state(2.0, 0.0, 0.0, 0.0), 1.0)
+
+
+def test_an_overflowing_trial_stage_of_an_ermakov_solve_is_rejected_and_recovered_from():
+    """omega^2 overflows to inf in one trial stage past t = 1: the stepper
+    rejects that step like any other, retries with a shorter one and ends
+    where a solve without the overflow ends."""
+    overflowed = []
+
+    def omega(t):
+        if t > 1.0 and not overflowed:
+            overflowed.append(t)
+            return 1e200  # w * w is inf
+        return 1.3
+
+    grid = np.linspace(0.0, 3.0, 31)
+    erm = cm.solve_ermakov(cm.ScalarFunction(f=omega, df=lambda t: 0.0), 0.2, 0.9, 0.1, grid)
+    clean = cm.solve_ermakov(1.3, 0.2, 0.9, 0.1, grid)
+    assert overflowed
+    assert_allclose(erm.alpha(grid), clean.alpha(grid), rtol=1e-8)
+    assert_allclose(erm.phase(grid), clean.phase(grid), rtol=1e-8, atol=1e-12)
 
 
 def test_adaptive_driver_terminal_event():

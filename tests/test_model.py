@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import contactmech as cm
 from contactmech.errors import DimensionMismatchError, NonFiniteError
@@ -187,6 +187,17 @@ def test_scalar_function_fallback_and_constants():
     assert const(10.0) == 2.5 and const.derivative(10.0) == 0.0 and const.is_constant
     with pytest.raises(TypeError):
         cm.as_scalar_fn("not a function")
+
+
+def test_an_expression_passed_to_a_factory_keeps_its_symbolic_derivative():
+    expr = cm.parse_expression("q^2/2 + 0.05*q^4", "q")
+    direct = cm.make_linear_dissipation(1, 0.3, expr)
+    bridged = cm.make_linear_dissipation(1, 0.3, expr.as_scalar_function())
+    assert direct.params["V"].df is not None
+    x0, opts = cm.make_state(1.2, -0.3, 0.1), cm.IntegratorOptions(rel_tol=1e-9)
+    _, det_direct = cm.jacobian_determinant_series(direct, x0, 4.0, opts)
+    _, det_bridged = cm.jacobian_determinant_series(bridged, x0, 4.0, opts)
+    assert_array_equal(det_direct, det_bridged)
 
 
 def test_scalar_function_second_derivative():

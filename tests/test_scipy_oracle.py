@@ -110,11 +110,8 @@ def test_stepper_matches_rk45_on_the_contact_field_with_an_event():
     over the whole span, where its loose tolerance makes the stepper reject."""
     config, model, init = _scenario_model("damped_oscillator")
 
-    def rhs(t, y):
-        return dynamics._field_flat(model, t, y)
-
     grid = dynamics.sample_grid(init.t, config.t_end, config.options.sample_interval)
-    args = (rhs, init.flat(), init.t, config.t_end)
+    args = (model.field, init.flat(), init.t, config.t_end)
     _assert_same_run(*args, config.options.rel_tol, config.options.abs_tol, grid,
                      event=lambda t, y: y[0])
     _, rejected = _assert_same_run(*args, 1e-4, 1e-7, grid)

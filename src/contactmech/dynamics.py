@@ -43,19 +43,6 @@ class Tangent:
     dt: float = 1.0
 
 
-def _field_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Jacobian A of the field in y, by the chain rule from the gradient g and
-    the Hessian K of H at y; tr A = -(n+1) dH/dS follows from K's symmetry."""
-    d, p = 2 * n + 1, y[n:2 * n]
-    A = np.empty((d, d))
-    A[:n] = K[n:2 * n]
-    A[n:2 * n] = -K[:n] - p[:, None] * K[2 * n]
-    A[2 * n] = p @ K[n:2 * n]
-    A[2 * n, :n] -= g[:n]
-    A.reshape(-1)[n * (d + 1)::d + 1] -= g[2 * n]  # the diagonal from p_1 to S
-    return A
-
-
 def vector_field(model: HamiltonianModel, x: ExtendedState) -> Tangent:
     """Evaluate the contact Hamiltonian vector field at x; a non-finite
     component raises NonFiniteError."""
@@ -189,11 +176,15 @@ def _powers(x):
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
                   rtol: float, atol: float) -> float:
     """First step size by the rule of Hairer, Norsett & Wanner (II.4), never
-    longer than the interval."""
+    longer than the interval; IntegrationError if the rule's first estimate is
+    0, which happens when the scaled RMS of f0 overflows."""
     span = abs(t_end - t0)
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0:  # d1 overflowed, or d0 / d1 underflowed
+        raise IntegrationError(f"no initial step at t={t0:.6g}, y={y0}: the derivative "
+                               f"{f0} is too large for the error norm", last_time=t0)
     h0 = min(h0, span)
     f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
@@ -458,20 +449,20 @@ def recover_S_linear(model: HamiltonianModel, q: float, p: float, t: float,
 
 def _det_series(model: HamiltonianModel, init: ExtendedState, t_end: float,
                 opts: IntegratorOptions, grid: np.ndarray) -> np.ndarray:
-    """det of the fundamental matrix of dJ/dt = A J at grid times, A being the
-    closed-form field Jacobian (a test holds it to finite differences)."""
-    n, d = model.n, 2 * model.n + 1
-    eye = np.eye(d)
+    """det of the fundamental matrix of dJ/dt = A J at grid times, integrated
+    with the flow y; A is the model's `field_jacobian` (a test holds it to
+    finite differences of the field), and each right-hand side calls `field`
+    and `field_jacobian` once each."""
+    d = 2 * model.n + 1
 
     def rhs(t, z):
         y = z[:d]
-        f = model.field(t, y)
-        A = _field_jacobian(n, y, model.grad(t, y), model.hess(t, y))
-        return np.concatenate([f, (A @ z[d:].reshape(d, d)).ravel()])
+        return np.concatenate([model.field(t, y),
+                               (model.field_jacobian(t, y) @ z[d:].reshape(d, d)).ravel()])
 
-    z0 = np.concatenate([init.flat(), eye.ravel()])
+    z0 = np.concatenate([init.flat(), np.eye(d).ravel()])
     zs = _integrate_flat(rhs, z0, init.t, t_end, opts, grid)
-    return np.array([np.linalg.det(zs[i, d:].reshape(d, d)) for i in range(len(grid))])
+    return np.linalg.det(zs[:, d:].reshape(-1, d, d))
 
 
 def flow_jacobian_determinant(model: HamiltonianModel, init: ExtendedState,

@@ -201,13 +201,15 @@ class HamiltonianModel:
     """Descriptor of a contact Hamiltonian H(q, p, S, t).
 
     At y = [q, p, S], ``value(t, y)`` is H, ``grad(t, y)`` is [dH/dq, dH/dp,
-    dH/dS, dH/dt], ``hess(t, y)`` is the (2n+1) x (2n+1) Hessian of H in y,
-    from which `dynamics` builds the field's Jacobian, and ``field(t, y)`` is
-    the (q, p, S) components of the contact vector field as a float sequence,
-    which is what the integrators call.  The built-ins give ``field`` in
-    closed form; `make_custom` builds it from ``value`` and ``grad``.  All four
-    are unvalidated: a non-finite field is left to the integrator, which
-    rejects the step.  ``evaluate`` and ``partials`` validate.
+    dH/dS, dH/dt], ``field(t, y)`` is the (q, p, S) components of the contact
+    vector field as a float sequence, which is what the integrators call, and
+    ``field_jacobian(t, y)`` is the (2n+1) x (2n+1) matrix A = d(field)/dy,
+    which the det series integrates.  The built-ins give ``field`` and
+    ``field_jacobian`` in closed form; `make_custom` builds the field from
+    ``value`` and ``grad``, and A by `_field_jacobian` from ``grad`` and a
+    central-difference Hessian.  All four are unvalidated: a non-finite field
+    is left to the integrator, which rejects the step.  ``evaluate`` and
+    ``partials`` validate.
     ``h_prime``, when present, is h'(S) for Hamiltonians that split as
     H = H_mec(q, p[, t]) + h(S).
     """
@@ -215,8 +217,8 @@ class HamiltonianModel:
     n: int
     value: Callable[[float, np.ndarray], float]
     grad: Callable[[float, np.ndarray], np.ndarray]
-    hess: Callable[[float, np.ndarray], np.ndarray]
     field: Callable[[float, np.ndarray], Sequence[float]]
+    field_jacobian: Callable[[float, np.ndarray], np.ndarray]
     depends_on_S: bool = True
     depends_on_t: bool = True
     name: str = "custom"
@@ -254,6 +256,20 @@ def _contact_field(n: int, y: np.ndarray, h: float, g: np.ndarray) -> np.ndarray
                            [float(np.dot(p, dH_dp)) - h]])
 
 
+def _field_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Jacobian A of the contact field in y, by the chain rule from the
+    gradient g and the Hessian K of H at y; tr A = -(n+1) dH/dS follows from
+    K's symmetry."""
+    d, p = 2 * n + 1, y[n:2 * n]
+    A = np.empty((d, d))
+    A[:n] = K[n:2 * n]
+    A[n:2 * n] = -K[:n] - p[:, None] * K[2 * n]
+    A[2 * n] = p @ K[n:2 * n]
+    A[2 * n, :n] -= g[:n]
+    A.reshape(-1)[n * (d + 1)::d + 1] -= g[2 * n]  # the diagonal from p_1 to S
+    return A
+
+
 # ---------------------------------------------------------------------------
 # Built-in systems
 # ---------------------------------------------------------------------------
@@ -263,6 +279,13 @@ def _contact_field(n: int, y: np.ndarray, h: float, g: np.ndarray) -> np.ndarray
 # it to that), including the -p dH/dS term when dH/dS is 0, which can flip the
 # sign of a zero.  H's terms come before dH's, so the first domain error is
 # the one `value` would raise.  dH/dt is not needed and not evaluated.
+#
+# Each built-in's `field_jacobian` is `_field_jacobian` of its gradient and its
+# Hessian diag(d2H/dq2, d2H/dp2, 0) written out for n = 1, with the same float
+# operations: -K - p K_S in the p row, p dH/dp - dH/dq in the S row and
+# -dH/dS added on the diagonal from p to S.  The values agree; the sign of an
+# exact zero at A[2, 0] or A[2, 2] may not, since the generic S row is a
+# matrix product where this is p * 0.0.
 
 def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     """H = p^2/2m + V(q) + gamma*S, the one-dimensional linear-friction system."""
@@ -279,17 +302,22 @@ def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     def grad(t, y) -> np.ndarray:
         return np.array([Vfn.derivative(y[0]), y[1] / m, gamma, 0.0])
 
-    def hess(t, y) -> np.ndarray:
-        return np.diag([Vfn.second_derivative(y[0]), 1.0 / m, 0.0])
-
     def field(t, y) -> list:
         q, p, S = y.tolist()
         h = p * p / (2.0 * m) + Vfn(q) + gamma * S
         dH_dp = p / m
         return [dH_dp, -Vfn.derivative(q) - p * gamma, p * dH_dp - h]
 
+    def field_jacobian(t, y) -> np.ndarray:
+        q, p, _ = y.tolist()
+        d2H_dp2 = 1.0 / m
+        return np.array([[0.0, d2H_dp2, 0.0],
+                         [-Vfn.second_derivative(q) - p * 0.0, -0.0 - p * 0.0 - gamma,
+                          -0.0 - p * 0.0],
+                         [p * 0.0 - Vfn.derivative(q), p * d2H_dp2, p * 0.0 - gamma]])
+
     return HamiltonianModel(
-        n=1, value=value, grad=grad, hess=hess, field=field,
+        n=1, value=value, grad=grad, field=field, field_jacobian=field_jacobian,
         depends_on_S=gamma > 0, depends_on_t=False,
         name="linear_dissipation",
         params={"m": m, "gamma": gamma, "V": Vfn},
@@ -321,9 +349,6 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
         dt = m * w * wfn.derivative(t) * q * q
         return np.array([m * w * w * q, p / m, gamma, dt])
 
-    def hess(t, y) -> np.ndarray:
-        return np.diag([m * wfn(t) ** 2, 1.0 / m, 0.0])
-
     def field(t, y) -> list:
         q, p, S = y.tolist()
         w = wfn(t)
@@ -331,8 +356,16 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
         dH_dp = p / m
         return [dH_dp, -(m * w * w * q) - p * gamma, p * dH_dp - h]
 
+    def field_jacobian(t, y) -> np.ndarray:
+        q, p, _ = y.tolist()
+        w = wfn(t)
+        d2H_dp2 = 1.0 / m
+        return np.array([[0.0, d2H_dp2, 0.0],
+                         [-(m * w ** 2) - p * 0.0, -0.0 - p * 0.0 - gamma, -0.0 - p * 0.0],
+                         [p * 0.0 - m * w * w * q, p * d2H_dp2, p * 0.0 - gamma]])
+
     return HamiltonianModel(
-        n=1, value=value, grad=grad, hess=hess, field=field,
+        n=1, value=value, grad=grad, field=field, field_jacobian=field_jacobian,
         depends_on_S=gamma > 0, depends_on_t=not wfn.is_constant,
         name="damped_parametric",
         params={"m": m, "gamma": gamma, "omega": wfn},
@@ -372,10 +405,6 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
         dt = -gamma * em * p * p / (2.0 * m) + gamma * ep * Vfn(q)
         return np.array([ep * Vfn.derivative(q), em * p / m, 0.0, dt])
 
-    def hess(t, y) -> np.ndarray:
-        em, ep = factors(t)
-        return np.diag([ep * Vfn.second_derivative(y[0]), em / m, 0.0])
-
     def field(t, y) -> list:
         q, p, S = y.tolist()
         em, ep = factors(t)
@@ -383,8 +412,17 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
         dH_dp = em * p / m
         return [dH_dp, -(ep * Vfn.derivative(q)) - p * 0.0, p * dH_dp - h]
 
+    def field_jacobian(t, y) -> np.ndarray:
+        q, p, _ = y.tolist()
+        em, ep = factors(t)
+        d2H_dp2 = em / m
+        return np.array([[0.0, d2H_dp2, 0.0],
+                         [-(ep * Vfn.second_derivative(q)) - p * 0.0, -0.0 - p * 0.0 - 0.0,
+                          -0.0 - p * 0.0],
+                         [p * 0.0 - ep * Vfn.derivative(q), p * d2H_dp2, p * 0.0 - 0.0]])
+
     return HamiltonianModel(
-        n=1, value=value, grad=grad, hess=hess, field=field,
+        n=1, value=value, grad=grad, field=field, field_jacobian=field_jacobian,
         depends_on_S=False, depends_on_t=gamma > 0,
         name="caldirola_kanai",
         params={"m": m, "gamma": gamma, "V": Vfn},
@@ -397,7 +435,8 @@ def make_custom(n: int, value, partials_fn=None, depends_on_S: bool = True,
                 params: Optional[Mapping[str, Any]] = None,
                 h_prime=None) -> HamiltonianModel:
     """Wrap arbitrary callables as a model; finite differences fill in partials
-    and Hessian, and the field is `_contact_field` of value and gradient."""
+    and Hessian, the field is `_contact_field` of value and gradient, and its
+    Jacobian is `_field_jacobian` of gradient and Hessian."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     n = int(n)
@@ -424,14 +463,15 @@ def make_custom(n: int, value, partials_fn=None, depends_on_S: bool = True,
                 g[2 * n + 1] = 0.0
             return g
 
-    def hess(t, y) -> np.ndarray:
-        return central_difference(lambda z: grad(t, z)[:2 * n + 1], y)
-
     def field(t, y) -> np.ndarray:
         return _contact_field(n, y, flat_value(t, y), grad(t, y))
 
+    def field_jacobian(t, y) -> np.ndarray:
+        return _field_jacobian(n, y, grad(t, y),
+                               central_difference(lambda z: grad(t, z)[:2 * n + 1], y))
+
     return HamiltonianModel(
-        n=n, value=flat_value, grad=grad, hess=hess, field=field,
+        n=n, value=flat_value, grad=grad, field=field, field_jacobian=field_jacobian,
         depends_on_S=depends_on_S, depends_on_t=depends_on_t,
         name=name, params=dict(params or {}), h_prime=h_prime,
     )

@@ -114,6 +114,22 @@ def test_integration_failure_exit_code(tmp_path, capsys):
     assert "max_steps" in capsys.readouterr().err
 
 
+def test_an_overflowing_first_derivative_is_an_integration_failure(tmp_path, capsys):
+    """q = 1e-150 makes the Riccati solve of `hj_residual` start at C = p/(m q)
+    = 1e150, whose derivative -C^2/m overflows the first step's error norm."""
+    text = (ROOT / "scenarios" / "damped_free_particle.ini").read_text()
+    assert "q = 1\n" in text and "p = 0.2\n" in text
+    path = tmp_path / "tiny_q.ini"
+    path.write_text(text.replace("q = 1\n", "q = 1e-150\n").replace("p = 0.2\n", "p = 1\n"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: no initial step at t=0, y=\[[^\]\n]*\]: the derivative "
+                        r"\[[^\]\n]*\] is too large for the error norm\n", err), err
+
+
 def test_float_overflow_exit_code(tmp_path, capsys):
     # e^{gamma t} of the Caldirola-Kanai model overflows a float past gamma t = 709;
     # at gamma = 40, p overflows first and NonFiniteError fires instead

@@ -1,16 +1,18 @@
 """Flow layer: vector field, integrators, decay laws, volume contraction."""
 
+import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import contactmech as cm
-from contactmech import cli
-from contactmech.dynamics import _field_jacobian, _integrate_flat
-from contactmech.model import _contact_field, central_difference
+from contactmech import cli, diagnostics, dynamics
+from contactmech.dynamics import _integrate_flat
+from contactmech.model import _contact_field, _field_jacobian, central_difference
 from contactmech.errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                                 UnsupportedModelError)
 
@@ -150,24 +152,24 @@ def _quartic_s_coupled_partials(x):
                                          + 0.2 * x.t * x.p[1] * x.q[0])),
 ])
 def test_field_jacobian_matches_fd_oracle(factory):
-    """The closed-form Jacobian the det series integrates, against central
-    differences of the flat field.  For a make_custom model without partials
-    both sides difference the same FD gradient, so that case mostly checks how
-    A is assembled; test_custom_hessian_matches_exact checks its Hessian."""
+    """The model's field Jacobian, which the det series integrates, against
+    central differences of the flat field.  For a make_custom model without
+    partials both sides difference the same FD gradient, so that case mostly
+    checks how A is assembled; test_custom_field_jacobian_matches_exact checks
+    it against the exact A."""
     model = factory()
     d = 2 * model.n + 1
     rng = np.random.default_rng(29)
     for _ in range(8):
         t, y = rng.uniform(0.0, 5.0), rng.uniform(-2, 2, d)
-        A = _field_jacobian(model.n, y, model.grad(t, y), model.hess(t, y))
         oracle = central_difference(lambda w: np.asarray(model.field(t, w)), y)
-        assert_allclose(A, oracle, rtol=1e-6, atol=1e-8)
+        assert_allclose(model.field_jacobian(t, y), oracle, rtol=1e-6, atol=1e-8)
 
 
 _QUARTIC = cm.parse_expression("0.9*q^2/2 + 0.05*q^4", "q")
 
 
-@pytest.mark.parametrize("model", [
+_BUILTINS = pytest.mark.parametrize("model", [
     cm.make_linear_dissipation(1.3, 0.0, cm.quadratic_potential(2.0)),
     cm.make_linear_dissipation(0.7, 0.25, _QUARTIC),
     cm.make_damped_parametric(0.8, 0.0, 1.3),
@@ -177,34 +179,162 @@ _QUARTIC = cm.parse_expression("0.9*q^2/2 + 0.05*q^4", "q")
     cm.make_caldirola_kanai(1.2, 0.3, cm.quadratic_potential()),
 ], ids=["linear-gamma0", "linear-quartic", "parametric-const-gamma0", "parametric-omega0",
         "parametric-omega-t", "ck-gamma0", "ck"])
-def test_builtin_field_is_the_generic_construction_bit_for_bit(model):
-    """Each built-in's closed-form field against `_contact_field` of its value
-    and gradient, down to the sign of a zero: at q = 0 with p < 0 and dH/dS =
-    0, -dH/dq - p dH/dS is +0.0 where -dH/dq alone is -0.0."""
+
+
+def _builtin_points():
+    """(t, y) points for n = 1 built-ins, with zeros of both signs in q, p and S."""
     rng = np.random.default_rng(37)
     points = [(0.0, np.array([0.0, -0.7, 0.3])), (1.5, np.array([0.0, 0.7, -0.3])),
               (2.0, np.zeros(3)), (3.0, np.array([-0.0, -1.2, 0.0]))]
     points += [(rng.uniform(0.0, 5.0), rng.uniform(-2, 2, 3)) for _ in range(40)]
     points += [(rng.uniform(0.0, 5.0), np.array([0.0, -rng.uniform(0.1, 2), rng.uniform(-2, 2)]))
                for _ in range(10)]
-    for t, y in points:
+    return points
+
+
+@_BUILTINS
+def test_builtin_field_is_the_generic_construction_bit_for_bit(model):
+    """Each built-in's closed-form field against `_contact_field` of its value
+    and gradient, down to the sign of a zero: at q = 0 with p < 0 and dH/dS =
+    0, -dH/dq - p dH/dS is +0.0 where -dH/dq alone is -0.0."""
+    for t, y in _builtin_points():
         f = np.array(model.field(t, y))
         generic = _contact_field(1, y, model.value(t, y), model.grad(t, y))
         assert_array_equal(f, generic)
         assert_array_equal(np.signbit(f), np.signbit(generic))
 
 
+def _builtin_hessian(model, t, y):
+    """The Hessian of a built-in's H in (q, p, S), written out by hand."""
+    m, gamma = model.params["m"], model.params["gamma"]
+    if model.name == "damped_parametric":
+        return np.diag([m * model.params["omega"](t) ** 2, 1.0 / m, 0.0])
+    d2V = model.params["V"].second_derivative(y[0])
+    if model.name == "caldirola_kanai":
+        return np.diag([math.exp(gamma * t) * d2V, math.exp(-gamma * t) / m, 0.0])
+    return np.diag([d2V, 1.0 / m, 0.0])
+
+
+@_BUILTINS
+def test_builtin_field_jacobian_is_the_chain_rule(model):
+    """Each built-in's closed-form field Jacobian against `_field_jacobian` of
+    its gradient and its hand-written Hessian, value for value.  Signs of zeros
+    are held everywhere except A[2, 0] and A[2, 2]: there the generic S row
+    starts from a matrix product p @ K, which gives +0.0 where the built-ins'
+    p * 0.0 gives -0.0 for p < 0."""
+    sign_held = np.ones((3, 3), dtype=bool)
+    sign_held[2, [0, 2]] = False
+    for t, y in _builtin_points():
+        A = model.field_jacobian(t, y)
+        generic = _field_jacobian(1, y, model.grad(t, y), _builtin_hessian(model, t, y))
+        assert_array_equal(A, generic)
+        assert_array_equal(np.signbit(A)[sign_held], np.signbit(generic)[sign_held])
+
+
+def _exact_quartic_s_coupled_jacobian(q, p, S):
+    """d(field)/dy of H = p^2/2 + q^4/4 + 0.3 S p + 0.2 S^2, by hand."""
+    return np.array([[0.0, 1.0, 0.3],
+                     [-3 * q * q, -0.6 * p - 0.4 * S, -0.4 * p],
+                     [-q ** 3, p, -0.4 * S]])
+
+
 @pytest.mark.parametrize("partials_fn, atol", [
     (None, 1e-3),  # a difference of FD differences: measured error up to 3.5e-4
     (_quartic_s_coupled_partials, 1e-8),
 ])
-def test_custom_hessian_matches_exact(partials_fn, atol):
+def test_custom_field_jacobian_matches_exact(partials_fn, atol):
+    """make_custom's A, from its gradient and a central-difference Hessian,
+    against the exact A."""
     model = cm.make_custom(1, _quartic_s_coupled, partials_fn, depends_on_t=False)
     rng = np.random.default_rng(31)
     for _ in range(8):
         t, (q, p, S) = rng.uniform(0.0, 5.0), rng.uniform(-2, 2, 3)
-        exact = np.array([[3 * q * q, 0.0, 0.0], [0.0, 1.0, 0.3], [0.0, 0.3, 0.4]])
-        assert_allclose(model.hess(t, np.array([q, p, S])), exact, rtol=1e-6, atol=atol)
+        assert_allclose(model.field_jacobian(t, np.array([q, p, S])),
+                        _exact_quartic_s_coupled_jacobian(q, p, S), rtol=1e-6, atol=atol)
+
+
+def test_det_series_calls_field_and_field_jacobian_once_per_right_hand_side(monkeypatch):
+    """The variational right-hand side needs neither H nor its gradient."""
+    base = cm.make_caldirola_kanai(1.2, 0.3, _QUARTIC)
+    calls = {"field": 0, "field_jacobian": 0, "rhs": 0}
+
+    def counted(name, f):
+        def wrapper(t, y):
+            calls[name] += 1
+            return f(t, y)
+        return wrapper
+
+    def forbidden(t, y):
+        raise AssertionError("the det series evaluated H or its gradient")
+
+    def integrate_counted(rhs, *args, **kwargs):
+        return _integrate_flat(counted("rhs", rhs), *args, **kwargs)
+
+    model = dataclasses.replace(base, value=forbidden, grad=forbidden,
+                                field=counted("field", base.field),
+                                field_jacobian=counted("field_jacobian", base.field_jacobian))
+    x0, opts = cm.make_state(1.1, -0.4, 0.2, 0.0), cm.IntegratorOptions(sample_interval=0.1)
+    expected = cm.jacobian_determinant_series(base, x0, 2.0, opts)[1]
+    monkeypatch.setattr(dynamics, "_integrate_flat", integrate_counted)
+    assert_array_equal(cm.jacobian_determinant_series(model, x0, 2.0, opts)[1], expected)
+    assert calls["rhs"] > 50
+    assert calls["field"] == calls["field_jacobian"] == calls["rhs"]
+
+
+def _oscillator_chain(n, kappa=0.3, gamma=0.2, beta=0.15, delta=0.05):
+    """H = |p|^2/2 + |q|^2/2 + kappa sum_a q_a q_a+1 + S (gamma + beta p_1)
+    + delta S^2: n coupled oscillators whose dH/dS = gamma + beta p_1 + 2 delta S
+    varies along the flow, with closed-form partials."""
+    def value(x):
+        q, p, S = x.q, x.p, x.S
+        return (p @ p / 2 + q @ q / 2 + kappa * (q[:-1] @ q[1:])
+                + S * (gamma + beta * p[0]) + delta * S * S)
+
+    def partials(x):
+        q, p, S = x.q, x.p, x.S
+        dq, dp = q.copy(), p.copy()
+        dq[:-1] += kappa * q[1:]
+        dq[1:] += kappa * q[:-1]
+        dp[0] += beta * S
+        return cm.PartialDerivatives(dq, dp, gamma + beta * p[0] + 2 * delta * S, 0.0)
+
+    return cm.make_custom(n, value, partials, depends_on_t=False, name=f"chain{n}")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_n_plus_1_law_beyond_one_degree_of_freedom(n):
+    """Volume contracts at -(n+1) dH/dS and |H|^-(n+1) is the invariant
+    density, at n = 2 and 3, where n + 1 differs from 2n (at n = 1 both are 2).
+    Five routes: the divergence check (det series against exp(int div) of
+    `integrate`), det against `volume_factor(f, n)` with f = exp(-int dH/dS),
+    `divergence` against the trace of the field Jacobian, the measure check,
+    and `measure_weight` times det constant."""
+    model = _oscillator_chain(n)
+    x0 = cm.make_state(np.linspace(1.0, 0.4, n), np.linspace(-0.3, 0.5, n), 0.2, 0.0)
+    # the checks' trapezoid rule needs the finer samples: at 0.01 its error at
+    # n = 3 is 1.4e-5, over the divergence check's 1e-5
+    opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-13, sample_interval=0.005)
+    traj = cm.integrate(model, x0, 3.0, opts)
+    config, cache = SimpleNamespace(options=opts), {}
+    div = diagnostics.check_divergence(config, model, traj, cache)
+    assert div["passed"], div["observed"]
+    dets = cache["dets"]
+    assert dets[-1] < 0.5  # the check is not vacuous
+
+    dH_dS = np.array([model.grad(t, y)[2 * n] for t, y in
+                      zip(traj.times, np.column_stack([traj.q, traj.p, traj.S]))])
+    f = np.exp(-np.concatenate([[0.0], np.cumsum(np.diff(traj.times)
+                                                 * (dH_dS[1:] + dH_dS[:-1]) / 2)]))
+    assert_allclose(dets, [cm.volume_factor(fi, n) for fi in f], rtol=1e-5)
+
+    for x in list(traj.states())[::50]:
+        A = model.field_jacobian(x.t, x.flat())
+        assert cm.divergence(model, x) == pytest.approx(np.trace(A), rel=1e-6, abs=1e-8)
+
+    measure = diagnostics.check_measure(config, model, traj, cache)
+    assert measure["passed"], measure["observed"]
+    product = [cm.measure_weight(model, x) * det for x, det in zip(traj.states(), dets)]
+    assert_allclose(product, product[0], rtol=1e-4)
 
 
 def test_measure_weight_examples(linear_model):

@@ -22,9 +22,9 @@ import contactmech as cm
 
 m, gamma = 1.0, 0.1
 rng = np.random.default_rng(1)
-points = [cm.make_state(float(rng.uniform(0.5, 1.5)), float(rng.uniform(-1, 1)),
-                        float(rng.uniform(-1, 1)), float(rng.uniform(0, 9)))
-          for _ in range(100)]
+# the verifier's sample: 100 rows (q, p, S, t)
+points = rng.uniform([0.5, -1, -1, 0], [1.5, 1, 1, 9], size=(100, 4))
+x0 = cm.make_state(*points[0])
 
 model = cm.make_damped_parametric(m, gamma, 1.0)
 erm = cm.solve_ermakov(1.0, gamma, 1.0, 0.0, np.linspace(0.0, 10.0, 101))
@@ -32,12 +32,12 @@ erm = cm.solve_ermakov(1.0, gamma, 1.0, 0.0, np.linspace(0.0, 10.0, 101))
 for cmap in (cm.map_identity(1), cm.map_ck(m, gamma), cm.map_expanding(m, gamma),
              cm.map_invariants(m, gamma, erm)):
     rep = cm.verify(cmap, points)
-    f0 = cm.conformal_factor(cmap, points[0])
+    f0 = cm.conformal_factor(cmap, x0)
     print(f"{cmap.name:<11} pass={rep.passed}  max residual={rep.max_residual:.2e}  "
-          f"f at t={points[0].t:.2f}: {f0:.6f}")
+          f"f at t={x0.t:.2f}: {f0:.6f}")
 
-planted = cm.ContactMap(n=1, forward=lambda x: cm.make_state(x.q[0], x.p[0] ** 2,
-                                                             x.S, x.t),
+# a map's closures act on the flat point y = [q, p, S] at time t
+planted = cm.ContactMap(n=1, forward=lambda t, y: np.array([y[0], y[1] ** 2, y[2]]),
                         name="planted")
 rep = cm.verify(planted, points)
 print(f"{'planted':<11} pass={rep.passed}  max residual={rep.max_residual:.2e}  "

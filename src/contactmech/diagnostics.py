@@ -16,7 +16,7 @@ from . import dynamics, oscillator, transforms
 from .dynamics import Trajectory
 from .errors import ScenarioError
 from .hamilton_jacobi import hj_residual, principal_field_from_riccati
-from .model import HamiltonianModel, make_state
+from .model import HamiltonianModel
 from .scenario import ScenarioConfig
 
 EPS_DEN = 1e-30
@@ -27,14 +27,14 @@ def _rel_drift(x: np.ndarray, scale_floor: float = 1e-12) -> float:
     return float(np.max(np.abs(x - ref)) / max(abs(ref), scale_floor))
 
 
-def check_energy_conservation(config, model, traj: Trajectory) -> Dict:
+def check_energy_conservation(config, model, traj: Trajectory, cache: Dict) -> Dict:
     observed = _rel_drift(traj.H)
     return {"name": "energy_conservation", "threshold": 1e-8,
             "observed": observed, "passed": observed < 1e-8,
             "series": [("H", traj.times, traj.H)]}
 
 
-def check_hamiltonian_decay(config, model, traj: Trajectory) -> Dict:
+def check_hamiltonian_decay(config, model, traj: Trajectory, cache: Dict) -> Dict:
     pred = dynamics.predicted_hamiltonian(model, traj)
     den = np.maximum(np.abs(pred), EPS_DEN)
     observed = float(np.max(np.abs(traj.H - pred) / den))
@@ -101,7 +101,7 @@ def check_invariants(config, model, traj: Trajectory, cache: Dict) -> Dict:
             "columns": {"I": I, "G": G}}
 
 
-def check_hj_residual(config, model, traj: Trajectory) -> Dict:
+def check_hj_residual(config, model, traj: Trajectory, cache: Dict) -> Dict:
     C0 = config.p0 / (config.m * config.q0) if config.q0 != 0 else 1.0
     grid = np.linspace(config.t0, config.t_end, 201)
     ric = oscillator.solve_riccati(config.omega.as_scalar_function(), config.gamma,
@@ -129,17 +129,13 @@ def _build_map(name: str, config, traj: Trajectory, cache: Dict):
 
 
 def check_transform_verify(name: str, config, model, traj: Trajectory,
-                           seed: int, cache: Dict) -> Dict:
+                           cache: Dict) -> Dict:
     cmap, gmap = _build_map(name, config, traj, cache)
-    rng = np.random.default_rng([seed, len(name)])
-    points = []
-    for _ in range(100):
-        points.append(make_state(float(rng.uniform(0.5, 1.5)),
-                                 float(rng.uniform(-1.0, 1.0)),
-                                 float(rng.uniform(-1.0, 1.0)),
-                                 float(rng.uniform(config.t0, config.t_end))))
-    report = transforms.verify(cmap, points, tol=1e-8)
-    ts = np.array([pt.t for pt in points])
+    rng = np.random.default_rng([cache["seed"], len(name)])
+    rows = rng.uniform([0.5, -1.0, -1.0, config.t0], [1.5, 1.0, 1.0, config.t_end],
+                       size=(100, 4))
+    report = transforms.verify(cmap, rows, tol=1e-8)
+    ts = rows[:, 3]
     order = np.argsort(ts)
     f_expected = np.exp(gmap * ts)
     f_dev = float(np.max(np.abs(report.f_values - f_expected)))
@@ -151,25 +147,26 @@ def check_transform_verify(name: str, config, model, traj: Trajectory,
                        ("exp(gamma t)", ts[order], f_expected[order])]}
 
 
+# token -> check(config, model, traj, cache), with the map name first for
+# "transform_verify:<map>"; the cache holds the seed and the checks' shared work.
+CHECKS = {
+    "energy_conservation": check_energy_conservation,
+    "hamiltonian_decay": check_hamiltonian_decay,
+    "divergence": check_divergence,
+    "measure": check_measure,
+    "invariants": check_invariants,
+    "hj_residual": check_hj_residual,
+    "transform_verify": check_transform_verify,
+}
+
+
 def run_checks(config: ScenarioConfig, model: HamiltonianModel, traj: Trajectory,
                seed: int = 0) -> List[Dict]:
     """Run every diagnostic requested by the scenario, in order."""
+    cache: Dict = {"seed": seed}
     results = []
-    cache: Dict = {}
     for token in config.checks:
-        if token == "energy_conservation":
-            results.append(check_energy_conservation(config, model, traj))
-        elif token == "hamiltonian_decay":
-            results.append(check_hamiltonian_decay(config, model, traj))
-        elif token == "divergence":
-            results.append(check_divergence(config, model, traj, cache))
-        elif token == "measure":
-            results.append(check_measure(config, model, traj, cache))
-        elif token == "invariants":
-            results.append(check_invariants(config, model, traj, cache))
-        elif token == "hj_residual":
-            results.append(check_hj_residual(config, model, traj))
-        else:
-            results.append(check_transform_verify(token.split(":", 1)[1],
-                                                  config, model, traj, seed, cache))
+        kind, _, arg = token.partition(":")
+        args = (arg,) if arg else ()
+        results.append(CHECKS[kind](*args, config, model, traj, cache))
     return results

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, SingularChartError,
+from .errors import (DimensionMismatchError, NonFiniteError, SingularChartError,
                      UnsupportedModelError)
-from .model import (ExtendedState, HamiltonianModel, central_difference,
-                    make_custom, make_state)
+from .model import ExtendedState, HamiltonianModel, central_difference, make_custom
 
 DEFAULT_VERIFY_TOL = 1e-8
 
@@ -35,46 +34,48 @@ DEFAULT_VERIFY_TOL = 1e-8
 class ContactMap:
     """A coordinate map of the extended contact phase space (t is preserved).
 
-    ``jacobian(x)`` returns ``(J, dT)`` where J is the (2n+1)x(2n+1) matrix of
-    d(Q, P, S~)/d(q, p, S) in that row/column order and dT the time-partials
-    d(Q, P, S~)/dt, both at fixed remaining coordinates.  When None, central
-    finite differences of ``forward`` are used.
+    As a model's, its closures act unvalidated on the flat point y = [q, p, S] at
+    time t.  ``forward`` and ``inverse`` give the image [Q, P, S~] as an array;
+    ``jacobian`` gives ``(J, dT)``, J = d(Q, P, S~)/d(q, p, S) in that row/column
+    order and dT = d(Q, P, S~)/dt, or `fd_jacobian` when None.  ``probes`` are rows
+    (q, p, S, t).  ``apply``, ``apply_inverse``, ``jacobian_at`` check their state.
     """
 
     n: int
-    forward: Callable[[ExtendedState], ExtendedState]
-    inverse: Optional[Callable[[ExtendedState], ExtendedState]] = None
-    jacobian: Optional[Callable[[ExtendedState], Tuple[np.ndarray, np.ndarray]]] = None
-    declared_f: Optional[Callable[[ExtendedState], float]] = None
+    forward: Callable[[float, np.ndarray], np.ndarray]
+    inverse: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    jacobian: Optional[Callable[[float, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
+    declared_f: Optional[Callable[[float, np.ndarray], float]] = None
     name: str = "map"
-    probes: Optional[Tuple[ExtendedState, ...]] = None
+    probes: Optional[np.ndarray] = None
 
-    def apply(self, x: ExtendedState) -> ExtendedState:
+    def _check(self, x: ExtendedState):
         if x.n != self.n:
             raise DimensionMismatchError(f"map '{self.name}' has n={self.n}, state has n={x.n}")
-        y = self.forward(x)
-        if abs(y.t - x.t) > 1e-12:
-            raise ValueError(f"map '{self.name}' must preserve t")
-        return y
+
+    def apply(self, x: ExtendedState) -> ExtendedState:
+        self._check(x)
+        return ExtendedState.from_flat(self.forward(x.t, x.flat()), self.n, x.t)
 
     def apply_inverse(self, y: ExtendedState) -> ExtendedState:
         if self.inverse is None:
             raise UnsupportedModelError(f"map '{self.name}' has no inverse")
-        return self.inverse(y)
+        self._check(y)
+        return ExtendedState.from_flat(self.inverse(y.t, y.flat()), self.n, y.t)
 
     def jacobian_at(self, x: ExtendedState) -> Tuple[np.ndarray, np.ndarray]:
-        if self.jacobian is not None:
-            return self.jacobian(x)
-        return fd_jacobian(self, x)
+        self._check(x)
+        return _jacobian(self, x.t, x.flat())
 
 
-def fd_jacobian(cmap: ContactMap, x: ExtendedState) -> Tuple[np.ndarray, np.ndarray]:
+def _jacobian(cmap: ContactMap, t: float, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    return cmap.jacobian(t, y) if cmap.jacobian is not None else fd_jacobian(cmap, t, y)
+
+
+def fd_jacobian(cmap: ContactMap, t: float, y) -> Tuple[np.ndarray, np.ndarray]:
     """Central finite differences of the forward map over (q, p, S) and t."""
-    n = cmap.n
-    d = 2 * n + 1
-    J = central_difference(
-        lambda z: cmap.forward(ExtendedState.from_flat(z, n, z[d])).flat(),
-        np.append(x.flat(), x.t))
+    d = 2 * cmap.n + 1
+    J = central_difference(lambda z: cmap.forward(float(z[d]), z[:d]), np.append(y, t))
     return J[:, :d], J[:, d]
 
 
@@ -95,53 +96,64 @@ class TransformReport:
     passed: bool
 
 
-def _conditions(cmap: ContactMap, x: ExtendedState) -> Tuple[float, np.ndarray, np.ndarray]:
-    n = cmap.n
-    J, _dT = cmap.jacobian_at(x)
-    dQ = J[:n, :]       # rows: Q^a
-    dSt = J[2 * n, :]   # row: S~
-    P = cmap.apply(x).p
-    f = dSt[2 * n] - float(np.dot(P, dQ[:, 2 * n]))
-    res_q = np.array([-f * x.p[i] - dSt[i] + float(np.dot(P, dQ[:, i]))
-                      for i in range(n)])
-    res_p = np.array([dSt[n + i] - float(np.dot(P, dQ[:, n + i]))
-                      for i in range(n)])
+def _conditions(J: np.ndarray, p: np.ndarray, P: np.ndarray):
+    """The conformal factor and the residuals of the contact conditions at k
+    points: J is (k, 2n+1, 2n+1), the map's Jacobians there, p the points'
+    momenta and P their images' momenta, both (k, n).  Returns f (k,) and the
+    residuals of the -f p_i and of the 0 conditions, each (k, n)."""
+    n = p.shape[1]
+    dSt = J[:, 2 * n]                                # rows of S~
+    PdQ = (P[:, :, None] * J[:, :n]).sum(axis=1)     # P_a dQ^a/dz for each column z
+    f = dSt[:, 2 * n] - PdQ[:, 2 * n]
+    res_q = -f[:, None] * p - dSt[:, :n] + PdQ[:, :n]
+    res_p = dSt[:, n:2 * n] - PdQ[:, n:2 * n]
     return f, res_q, res_p
 
 
 def conformal_factor(cmap: ContactMap, x: ExtendedState) -> float:
     """The factor f = dS~/dS - P_a dQ^a/dS at x."""
-    f, _, _ = _conditions(cmap, x)
-    return f
+    J, _ = cmap.jacobian_at(x)
+    return float(_conditions(J[None], x.p[None], cmap.apply(x).p[None])[0][0])
 
 
-def verify(cmap: ContactMap, points: Sequence[ExtendedState],
-           tol: float = DEFAULT_VERIFY_TOL) -> TransformReport:
-    """Check the contact-transformation conditions at each sample point.
+def _require_finite(cmap: ContactMap, what: str, values: np.ndarray, rows: np.ndarray):
+    bad = ~np.isfinite(values.reshape(len(rows), -1)).all(axis=1)
+    if bad.any():
+        raise NonFiniteError(f"map '{cmap.name}' has a non-finite {what} at "
+                             f"(q, p, S, t) = {rows[np.argmax(bad)].tolist()}")
 
-    Passes iff every residual is below tol and |f| stays above tol everywhere;
-    a declared conformal factor, when present, is cross-checked as well.
+
+def verify(cmap: ContactMap, points, tol: float = DEFAULT_VERIFY_TOL) -> TransformReport:
+    """Check the contact conditions at k points, a (k, 2n+2) array of rows (q, p, S, t).
+
+    The closures are called once per row; the conditions are one array pass.  A
+    non-finite row, image or Jacobian is a `NonFiniteError` naming the map.  Passes
+    iff every residual, and |f - declared_f| when declared, is below tol (a NaN
+    fails) and |f| > tol everywhere.
     """
-    if len(points) == 0:
+    rows = np.asarray(points, dtype=float)
+    if len(rows) == 0:
         raise ValueError("verify needs a nonempty sample of points")
-    fs, rq, rp, dm = [], [], [], []
-    for x in points:
-        f, res_q, res_p = _conditions(cmap, x)
-        fs.append(f)
-        rq.append(res_q)
-        rp.append(res_p)
-        if cmap.declared_f is not None:
-            dm.append(abs(f - cmap.declared_f(x)))
-    fs = np.array(fs)
-    rq = np.array(rq)
-    rp = np.array(rp)
-    declared = np.array(dm) if dm else None
-    max_res = max(np.max(np.abs(rq)), np.max(np.abs(rp)))
-    if declared is not None:
-        max_res = max(max_res, float(np.max(declared)))
+    n = cmap.n
+    if rows.shape != (len(rows), 2 * n + 2):
+        raise DimensionMismatchError(f"map '{cmap.name}' needs rows (q, p, S, t) of width "
+                                     f"{2 * n + 2}, got shape {rows.shape}")
+    _require_finite(cmap, "point", rows, rows)
+    at = list(zip(rows[:, -1].tolist(), rows[:, :-1]))
+    images = np.array([cmap.forward(t, y) for t, y in at], dtype=float)
+    _require_finite(cmap, "image", images, rows)
+    J = np.array([_jacobian(cmap, t, y)[0] for t, y in at], dtype=float)
+    _require_finite(cmap, "Jacobian", J, rows)
+    fs, rq, rp = _conditions(J, rows[:, n:2 * n], images[:, n:2 * n])
+    residuals = [rq.ravel(), rp.ravel()]
+    declared = None
+    if cmap.declared_f is not None:
+        declared = np.abs(fs - np.array([cmap.declared_f(t, y) for t, y in at], dtype=float))
+        residuals.append(declared)
+    max_res = float(np.max(np.abs(np.concatenate(residuals))))
     passed = bool(max_res < tol and np.min(np.abs(fs)) > tol)
     return TransformReport(f_values=fs, residuals_q=rq, residuals_p=rp,
-                           declared_mismatch=declared, max_residual=float(max_res),
+                           declared_mismatch=declared, max_residual=max_res,
                            tol=tol, passed=passed)
 
 
@@ -154,14 +166,10 @@ def volume_factor(f: float, n: int) -> float:
 # Pushforward of Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _default_probes(n: int) -> Tuple[ExtendedState, ...]:
-    rng = np.random.default_rng(7)
-    pts = []
-    for _ in range(8):
-        q = rng.uniform(0.5, 1.5, n)
-        p = rng.uniform(-1.0, 1.0, n)
-        pts.append(make_state(q, p, float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 1.5))))
-    return tuple(pts)
+def _default_probes(n: int) -> np.ndarray:
+    lo = np.concatenate([np.full(n, 0.5), np.full(n, -1.0), [-1.0, 0.1]])
+    hi = np.concatenate([np.full(n, 1.5), np.full(n, 1.0), [1.0, 1.5]])
+    return np.random.default_rng(7).uniform(lo, hi, size=(8, 2 * n + 2))
 
 
 def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel,
@@ -169,8 +177,9 @@ def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel,
     """New contact Hamiltonian K(Q, P, S~, t) = f H - dS~/dt + P_a dQ^a/dt.
 
     The right-hand side is evaluated at the pre-image of (Q, P, S~, t), so the
-    map must carry an inverse.  Maps failing the contact conditions at probe
-    points are rejected.
+    map must carry an inverse; each evaluation calls ``inverse``, the
+    Jacobian and ``forward`` once.  Maps failing the contact conditions at
+    probe points are rejected.
     """
     if model.n != cmap.n:
         raise DimensionMismatchError("map and model dimensions differ")
@@ -187,11 +196,10 @@ def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel,
     n = cmap.n
 
     def value(X: ExtendedState) -> float:
-        x = cmap.apply_inverse(X)
-        _J, dT = cmap.jacobian_at(x)
-        f = conformal_factor(cmap, x)
-        return (f * model.evaluate(x) - dT[2 * n]
-                + float(np.dot(X.p, dT[:n])))
+        t, y = X.t, cmap.inverse(X.t, X.flat())
+        J, dT = _jacobian(cmap, t, y)
+        f = _conditions(J[None], y[None, n:2 * n], cmap.forward(t, y)[None, n:2 * n])[0][0]
+        return f * model.value(t, y) - dT[2 * n] + float(np.dot(X.p, dT[:n]))
 
     return make_custom(n, value, name=f"pushforward[{cmap.name}]({model.name})",
                        params={"map": cmap.name, "base": model.name})
@@ -201,30 +209,28 @@ def compose(outer: ContactMap, inner: ContactMap, name: Optional[str] = None) ->
     """The map "outer after inner"; conformal factors multiply as f = f2(inner(x)) f1(x)."""
     if outer.n != inner.n:
         raise DimensionMismatchError("composed maps must share n")
-    n = inner.n
 
-    def forward(x):
-        return outer.apply(inner.apply(x))
+    def forward(t, y):
+        return outer.forward(t, inner.forward(t, y))
 
     inv = None
     if outer.inverse is not None and inner.inverse is not None:
-        def inv(y):
-            return inner.apply_inverse(outer.apply_inverse(y))
+        def inv(t, y):
+            return inner.inverse(t, outer.inverse(t, y))
 
     jac = None
     if outer.jacobian is not None and inner.jacobian is not None:
-        def jac(x):
-            J1, dT1 = inner.jacobian_at(x)
-            mid = inner.apply(x)
-            J2, dT2 = outer.jacobian_at(mid)
+        def jac(t, y):
+            J1, dT1 = inner.jacobian(t, y)
+            J2, dT2 = outer.jacobian(t, inner.forward(t, y))
             return J2 @ J1, J2 @ dT1 + dT2
 
     decl = None
     if outer.declared_f is not None and inner.declared_f is not None:
-        def decl(x):
-            return outer.declared_f(inner.apply(x)) * inner.declared_f(x)
+        def decl(t, y):
+            return outer.declared_f(t, inner.forward(t, y)) * inner.declared_f(t, y)
 
-    return ContactMap(n=n, forward=forward, inverse=inv, jacobian=jac,
+    return ContactMap(n=inner.n, forward=forward, inverse=inv, jacobian=jac,
                       declared_f=decl,
                       name=name or f"{outer.name}*{inner.name}",
                       probes=inner.probes)
@@ -241,10 +247,10 @@ def map_identity(n: int = 1) -> ContactMap:
     zero = np.zeros(d)
     return ContactMap(
         n=n,
-        forward=lambda x: x,
-        inverse=lambda y: y,
-        jacobian=lambda x: (eye.copy(), zero.copy()),
-        declared_f=lambda x: 1.0,
+        forward=lambda t, y: y,
+        inverse=lambda t, y: y,
+        jacobian=lambda t, y: (eye.copy(), zero.copy()),
+        declared_f=lambda t, y: 1.0,
         name="identity",
     )
 
@@ -259,22 +265,20 @@ def map_ck(m: float, gamma: float) -> ContactMap:
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
 
-    def forward(x):
-        e = math.exp(gamma * x.t)
-        return make_state(x.q.copy(), e * x.p, e * x.S, x.t)
+    def forward(t, y):
+        e = math.exp(gamma * t)
+        return y * [1.0, e, e]
 
-    def inverse(y):
-        e = math.exp(-gamma * y.t)
-        return make_state(y.q.copy(), e * y.p, e * y.S, y.t)
+    def inverse(t, y):
+        e = math.exp(-gamma * t)
+        return y * [1.0, e, e]
 
-    def jacobian(x):
-        e = math.exp(gamma * x.t)
-        J = np.diag([1.0, e, e])
-        dT = np.array([0.0, gamma * e * x.p[0], gamma * e * x.S])
-        return J, dT
+    def jacobian(t, y):
+        e = math.exp(gamma * t)
+        return np.diag([1.0, e, e]), np.array([0.0, gamma * e * y[1], gamma * e * y[2]])
 
     return ContactMap(n=1, forward=forward, inverse=inverse, jacobian=jacobian,
-                      declared_f=lambda x: math.exp(gamma * x.t), name="ck")
+                      declared_f=lambda t, y: math.exp(gamma * t), name="ck")
 
 
 def map_expanding(m: float, gamma: float) -> ContactMap:
@@ -288,23 +292,22 @@ def map_expanding(m: float, gamma: float) -> ContactMap:
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
 
-    def forward(x):
-        q, p = x.q[0], x.p[0]
-        eh, e1 = math.exp(gamma * x.t / 2), math.exp(gamma * x.t)
-        return make_state(q * eh, (p + 0.5 * m * gamma * q) * eh,
-                          (x.S + 0.25 * m * gamma * q * q) * e1, x.t)
+    def forward(t, y):
+        q, p, S = y.tolist()
+        eh, e1 = math.exp(gamma * t / 2), math.exp(gamma * t)
+        return np.array([q * eh, (p + 0.5 * m * gamma * q) * eh,
+                         (S + 0.25 * m * gamma * q * q) * e1])
 
-    def inverse(y):
-        Q, P = y.q[0], y.p[0]
-        eh, e1 = math.exp(-gamma * y.t / 2), math.exp(-gamma * y.t)
+    def inverse(t, y):
+        Q, P, St = y.tolist()
+        eh, e1 = math.exp(-gamma * t / 2), math.exp(-gamma * t)
         q = Q * eh
-        p = P * eh - 0.5 * m * gamma * q
-        S = y.S * e1 - 0.25 * m * gamma * q * q
-        return make_state(q, p, S, y.t)
+        return np.array([q, P * eh - 0.5 * m * gamma * q,
+                         St * e1 - 0.25 * m * gamma * q * q])
 
-    def jacobian(x):
-        q, p = x.q[0], x.p[0]
-        eh, e1 = math.exp(gamma * x.t / 2), math.exp(gamma * x.t)
+    def jacobian(t, y):
+        q, p, S = y.tolist()
+        eh, e1 = math.exp(gamma * t / 2), math.exp(gamma * t)
         J = np.array([
             [eh, 0.0, 0.0],
             [0.5 * m * gamma * eh, eh, 0.0],
@@ -313,12 +316,12 @@ def map_expanding(m: float, gamma: float) -> ContactMap:
         dT = np.array([
             0.5 * gamma * q * eh,
             0.5 * gamma * (p + 0.5 * m * gamma * q) * eh,
-            gamma * (x.S + 0.25 * m * gamma * q * q) * e1,
+            gamma * (S + 0.25 * m * gamma * q * q) * e1,
         ])
         return J, dT
 
     return ContactMap(n=1, forward=forward, inverse=inverse, jacobian=jacobian,
-                      declared_f=lambda x: math.exp(gamma * x.t), name="expanding")
+                      declared_f=lambda t, y: math.exp(gamma * t), name="expanding")
 
 
 def map_invariants(m: float, gamma: float, erm) -> ContactMap:
@@ -339,8 +342,8 @@ def map_invariants(m: float, gamma: float, erm) -> ContactMap:
         a = erm.alpha(t)
         return a, erm.alpha_dot(t) - 0.5 * gamma * a
 
-    def forward(x):
-        q, p, t = x.q[0], x.p[0], x.t
+    def forward(t, y):
+        q, p, S = y.tolist()
         if q == 0.0:
             raise SingularChartError("invariants chart is singular at q = 0")
         a, u = _au(t)
@@ -348,11 +351,11 @@ def map_invariants(m: float, gamma: float, erm) -> ContactMap:
         A = a * p / m - u * q
         e = math.exp(gamma * t)
         I = 0.5 * m * e * (A * A + (q / a) ** 2)
-        G = e * (x.S - 0.5 * q * p)
-        return make_state(math.atan(w), I, G, t)
+        G = e * (S - 0.5 * q * p)
+        return np.array([math.atan(w), I, G])
 
-    def inverse(y):
-        phi, I, G, t = y.q[0], y.p[0], y.S, y.t
+    def inverse(t, y):
+        phi, I, G = y.tolist()
         if I < 0:
             raise ValueError("the quadratic invariant is non-negative")
         a, u = _au(t)
@@ -360,11 +363,10 @@ def map_invariants(m: float, gamma: float, erm) -> ContactMap:
         amp = math.sqrt(2.0 * I / m) * eh
         q = amp * a * math.cos(phi)
         p = math.sqrt(2.0 * m * I) * eh * (u * math.cos(phi) - math.sin(phi) / a)
-        S = math.exp(-gamma * t) * G + 0.5 * q * p
-        return make_state(q, p, S, t)
+        return np.array([q, p, math.exp(-gamma * t) * G + 0.5 * q * p])
 
-    def jacobian(x):
-        q, p, t = x.q[0], x.p[0], x.t
+    def jacobian(t, y):
+        q, p, S = y.tolist()
         if q == 0.0:
             raise SingularChartError("invariants chart is singular at q = 0")
         a = erm.alpha(t)
@@ -384,13 +386,13 @@ def map_invariants(m: float, gamma: float, erm) -> ContactMap:
         wdot = ad * u + a * ud - 2.0 * a * ad * p / (m * q)
         Idot = (gamma * 0.5 * m * e * (A * A + (q / a) ** 2)
                 + m * e * (A * (ad * p / m - ud * q) - q * q * ad / a ** 3))
-        dT = np.array([wdot / D, Idot, gamma * e * (x.S - 0.5 * q * p)])
+        dT = np.array([wdot / D, Idot, gamma * e * (S - 0.5 * q * p)])
         return J, dT
 
     t_lo, t_hi = erm.t_range
     ts = np.linspace(t_lo + 0.05 * (t_hi - t_lo), t_lo + 0.75 * (t_hi - t_lo), 8)
-    probes = tuple(make_state(0.6 + 0.1 * k, 0.3 - 0.08 * k, 0.2 * k - 0.5, float(ts[k]))
-                   for k in range(8))
+    k = np.arange(8)
+    probes = np.column_stack([0.6 + 0.1 * k, 0.3 - 0.08 * k, 0.2 * k - 0.5, ts])
     return ContactMap(n=1, forward=forward, inverse=inverse, jacobian=jacobian,
-                      declared_f=lambda x: math.exp(gamma * x.t),
+                      declared_f=lambda t, y: math.exp(gamma * t),
                       name="invariants", probes=probes)

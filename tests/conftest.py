@@ -50,10 +50,13 @@ def ermakov_const(parametric_traj):
     return cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, parametric_traj.times)
 
 
+def random_rows(n_points, seed=0, t_range=(0.0, 5.0), q_range=(0.5, 1.5)):
+    """(n_points, 4) rows (q, p, S, t), the sample `cm.verify` takes."""
+    return np.random.default_rng(seed).uniform(
+        [q_range[0], -1.0, -1.0, t_range[0]], [q_range[1], 1.0, 1.0, t_range[1]],
+        size=(n_points, 4))
+
+
 def random_states(n_points, seed=0, t_range=(0.0, 5.0), q_range=(0.5, 1.5)):
-    rng = np.random.default_rng(seed)
-    return [cm.make_state(float(rng.uniform(*q_range)),
-                          float(rng.uniform(-1.0, 1.0)),
-                          float(rng.uniform(-1.0, 1.0)),
-                          float(rng.uniform(*t_range)))
-            for _ in range(n_points)]
+    """The points of `random_rows` as states."""
+    return [cm.make_state(*row) for row in random_rows(n_points, seed, t_range, q_range)]

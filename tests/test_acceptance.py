@@ -248,22 +248,20 @@ def test_criterion_08_contact_hj(free_particle_routes):
 def test_criterion_09_transformations():
     gamma = 0.1
     rng = np.random.default_rng(42)
-    pts = [cm.make_state(float(rng.uniform(0.5, 1.5)), float(rng.uniform(-1, 1)),
-                         float(rng.uniform(-1, 1)), float(rng.uniform(0.0, 9.5)))
-           for _ in range(100)]
+    pts = rng.uniform([0.5, -1, -1, 0.0], [1.5, 1, 1, 9.5], size=(100, 4))
     erm = cm.solve_ermakov(1.0, gamma, 1.0, 0.0, np.linspace(0.0, 10.0, 101))
     worst_res, worst_f = 0.0, 0.0
     for cmap in (cm.map_ck(1.0, gamma), cm.map_expanding(1.0, gamma),
                  cm.map_invariants(1.0, gamma, erm)):
         rep = cm.verify(cmap, pts, tol=1e-8)
         worst_res = max(worst_res, rep.max_residual)
-        f_exp = np.exp(gamma * np.array([x.t for x in pts]))
+        f_exp = np.exp(gamma * pts[:, 3])
         worst_f = max(worst_f, float(np.max(np.abs(rep.f_values - f_exp))))
         assert rep.passed
     ident = cm.verify(cm.map_identity(1), pts)
     ident_exact = bool(np.all(ident.f_values == 1.0)) and ident.max_residual == 0.0
     planted = cm.ContactMap(
-        n=1, forward=lambda x: cm.make_state(x.q[0], x.p[0] ** 2, x.S, x.t),
+        n=1, forward=lambda t, y: np.array([y[0], y[1] ** 2, y[2]]),
         name="planted")
     planted_fails = not cm.verify(planted, pts, tol=1e-8).passed
     passed = worst_res < 1e-8 and worst_f < 1e-8 and ident_exact and planted_fails

@@ -7,11 +7,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from contactmech import cli
+from contactmech import cli, diagnostics, transforms
+from contactmech.dynamics import integrate
 from contactmech.errors import ScenarioError
-from contactmech.scenario import MAX_SAMPLES, parse_scenario
+from contactmech.model import make_state
+from contactmech.scenario import (MAX_SAMPLES, SIMPLE_CHECKS, TRANSFORM_MAPS, build_model,
+                                  parse_scenario)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -297,6 +301,35 @@ def test_seed_changes_verification_points(tmp_path):
     # but the same seed is reproducible
     assert cli.main(["run", str(path), "--out", str(tmp_path / "s0b"), "--seed", "0"]) == 0
     assert r0 == open(tmp_path / "s0b" / "plots" / "transform_verify_ck.svg", "rb").read()
+
+
+def test_every_check_token_has_a_check_and_every_map_builds():
+    assert set(diagnostics.CHECKS) == set(SIMPLE_CHECKS) | {"transform_verify"}
+    config = parse_scenario((ROOT / "scenarios" / "parametric_oscillator.ini").read_text())
+    traj = integrate(build_model(config),
+                     make_state(config.q0, config.p0, config.S0, config.t0),
+                     config.t_end, config.options)
+    for name in TRANSFORM_MAPS:
+        cmap, _gamma = diagnostics._build_map(name, config, traj, {})
+        assert cmap.name == name
+
+
+def test_a_non_finite_map_jacobian_is_an_integration_failure(tmp_path, capsys, monkeypatch):
+    """A transform check whose map gives a NaN Jacobian exits 3, naming the map."""
+    ck = transforms.map_ck(1.0, 0.1)
+
+    def jacobian(t, y):
+        J, dT = ck.jacobian(t, y)
+        J[2, 1] = np.nan
+        return J, dT
+
+    nan_ck = transforms.ContactMap(n=1, forward=ck.forward, jacobian=jacobian, name="ck")
+    monkeypatch.setattr(diagnostics, "_build_map", lambda *args: (nan_ck, 0.1))
+    path = tmp_path / "nan.ini"
+    path.write_text(GOOD.replace("checks = hamiltonian_decay, divergence",
+                                 "checks = transform_verify:ck"))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("error: map 'ck' has a non-finite Jacobian at ")
 
 
 def test_run_imports_no_scipy(tmp_path):

@@ -1,5 +1,6 @@
 """Contact transformations: conditions, conformal factors, pushforwards."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 import contactmech as cm
-from contactmech.errors import SingularChartError, UnsupportedModelError
+from contactmech.errors import (DimensionMismatchError, NonFiniteError, SingularChartError,
+                                UnsupportedModelError)
+from contactmech.model import ContactState
 from contactmech.transforms import fd_jacobian
 
-from conftest import random_states
+from conftest import random_rows, random_states
 
 
 def test_identity_map_verifies():
-    rep = cm.verify(cm.map_identity(1), random_states(20))
+    rep = cm.verify(cm.map_identity(1), random_rows(20))
     assert rep.passed
     assert rep.max_residual == 0.0
     assert_allclose(rep.f_values, 1.0)
@@ -24,7 +27,7 @@ def test_ck_map_examples():
     ck = cm.map_ck(1.0, 0.1)
     f = cm.conformal_factor(ck, cm.make_state(1.0, 1.0, 1.0, 2.0))
     assert f == pytest.approx(math.exp(0.2), rel=1e-12)
-    rep = cm.verify(ck, random_states(50, seed=5))
+    rep = cm.verify(ck, random_rows(50, seed=5))
     assert rep.passed
     ts = np.array([0.0, 1.0, 3.0])
     # gamma = 0 degenerates to the identity
@@ -40,7 +43,7 @@ def test_expanding_map_examples():
     assert_allclose([y.q[0], y.p[0], y.S], [1.0, 0.1, 0.05])
     assert cm.conformal_factor(ex, cm.make_state(0.5, 0.2, -1.0, 3.0)) == \
         pytest.approx(math.exp(0.6), rel=1e-12)
-    rep = cm.verify(ex, random_states(50, seed=6))
+    rep = cm.verify(ex, random_rows(50, seed=6))
     assert rep.passed
     ident = cm.map_expanding(1.0, 0.0)
     x = cm.make_state(0.4, -0.7, 0.9, 2.0)
@@ -62,7 +65,7 @@ def test_closed_jacobians_match_fd():
     for cmap in (cm.map_ck(1.0, 0.1), cm.map_expanding(1.5, 0.25)):
         for x in random_states(10, seed=9):
             Jc, dTc = cmap.jacobian_at(x)
-            Jf, dTf = fd_jacobian(cmap, x)
+            Jf, dTf = fd_jacobian(cmap, x.t, x.flat())
             assert_allclose(Jc, Jf, atol=1e-5)
             assert_allclose(dTc, dTf, atol=1e-5)
 
@@ -71,10 +74,10 @@ def test_non_contact_map_fails():
     """(q, p, S) -> (q, p^2, S) breaks the -f p condition at generic points."""
     bad = cm.ContactMap(
         n=1,
-        forward=lambda x: cm.make_state(x.q[0], x.p[0] ** 2, x.S, x.t),
+        forward=lambda t, y: np.array([y[0], y[1] ** 2, y[2]]),
         name="planted",
     )
-    rep = cm.verify(bad, random_states(50, seed=10))
+    rep = cm.verify(bad, random_rows(50, seed=10))
     assert not rep.passed
     assert rep.max_residual > 1e-3
     # at the special point p = 1 the conditions happen to cancel; the verifier
@@ -85,10 +88,10 @@ def test_non_contact_map_fails():
 
 def test_invariants_map(parametric_traj, ermakov_const):
     inv = cm.map_invariants(1.0, 0.1, ermakov_const)
-    pts = random_states(100, seed=12, t_range=(0.0, 9.5))
+    pts = random_rows(100, seed=12, t_range=(0.0, 9.5))
     rep = cm.verify(inv, pts)
     assert rep.passed
-    f_exp = np.exp(0.1 * np.array([x.t for x in pts]))
+    f_exp = np.exp(0.1 * pts[:, 3])
     assert np.max(np.abs(rep.f_values - f_exp)) < 1e-8
     # chart breaks down at q = 0
     with pytest.raises(SingularChartError):
@@ -103,7 +106,7 @@ def test_invariants_map(parametric_traj, ermakov_const):
     # closed-form jacobian agrees with finite differences
     for x in random_states(8, seed=14, t_range=(0.5, 9.0)):
         Jc, dTc = inv.jacobian_at(x)
-        Jf, dTf = fd_jacobian(inv, x)
+        Jf, dTf = fd_jacobian(inv, x.t, x.flat())
         assert_allclose(Jc, Jf, atol=1e-5)
         assert_allclose(dTc, dTf, atol=2e-5)
 
@@ -165,13 +168,13 @@ def test_new_coordinate_flow_is_trivial(parametric_traj, ermakov_const):
 
 
 def test_pushforward_requires_inverse_and_contact(linear_model):
-    no_inv = cm.ContactMap(n=1, forward=lambda x: x, name="noinv")
+    no_inv = cm.ContactMap(n=1, forward=lambda t, y: y, name="noinv")
     with pytest.raises(UnsupportedModelError):
         cm.pushforward_hamiltonian(no_inv, linear_model)
     bad = cm.ContactMap(
         n=1,
-        forward=lambda x: cm.make_state(x.q[0], x.p[0] ** 2, x.S, x.t),
-        inverse=lambda y: cm.make_state(y.q[0], math.sqrt(abs(y.p[0])), y.S, y.t),
+        forward=lambda t, y: np.array([y[0], y[1] ** 2, y[2]]),
+        inverse=lambda t, y: np.array([y[0], math.sqrt(abs(y[1])), y[2]]),
         name="planted")
     with pytest.raises(ValueError):
         cm.pushforward_hamiltonian(bad, linear_model)
@@ -187,10 +190,9 @@ def test_composition_conformal_factor():
     ck = cm.map_ck(1.0, 0.1)
     ex = cm.map_expanding(1.0, 0.2)
     comp = cm.compose(ck, ex)
-    pts = random_states(30, seed=19)
-    rep = cm.verify(comp, pts)
+    rep = cm.verify(comp, random_rows(30, seed=19))
     assert rep.passed
-    for x in pts:
+    for x in random_states(30, seed=19):
         f_expected = (cm.conformal_factor(ck, ex.apply(x))
                       * cm.conformal_factor(ex, x))
         assert abs(cm.conformal_factor(comp, x) - f_expected) < 1e-8
@@ -201,23 +203,23 @@ def test_canonical_specialization_symplectic_rotation():
     theta = 0.7
     c, s = math.cos(theta), math.sin(theta)
 
-    def fwd(x):
-        q, p = x.q[0], x.p[0]
+    def fwd(t, y):
+        q, p, S = y
         Q = c * q + s * p
         P = -s * q + c * p
         # S~ = S - F1 with F1 the type-1 generating function of the rotation
         F1 = (2 * q * Q - c * (q * q + Q * Q)) / (2 * s)
-        return cm.make_state(Q, P, x.S - F1, x.t)
+        return np.array([Q, P, S - F1])
 
     rot = cm.ContactMap(n=1, forward=fwd, name="rotation")
-    rep = cm.verify(rot, random_states(30, seed=20), tol=1e-6)
+    rep = cm.verify(rot, random_rows(30, seed=20), tol=1e-6)
     assert rep.passed
     assert np.max(np.abs(rep.f_values - 1.0)) < 1e-6
     # non-symplectic (q, p) part with untouched S fails
     squash = cm.ContactMap(
-        n=1, forward=lambda x: cm.make_state(2 * x.q[0], x.p[0], x.S, x.t),
+        n=1, forward=lambda t, y: np.array([2 * y[0], y[1], y[2]]),
         name="squash")
-    assert not cm.verify(squash, random_states(30, seed=21), tol=1e-6).passed
+    assert not cm.verify(squash, random_rows(30, seed=21), tol=1e-6).passed
 
 
 def test_equation_form_invariance(tight_opts):
@@ -244,3 +246,141 @@ def test_verify_validation(linear_model):
         cm.map_expanding(-1.0, 0.1)
     with pytest.raises(ValueError):
         cm.map_ck(1.0, -0.5)
+
+
+def test_a_non_finite_jacobian_is_a_non_finite_error_naming_the_map():
+    ck = cm.map_ck(1.0, 0.1)
+
+    def jacobian(t, y):
+        J, dT = ck.jacobian(t, y)
+        J[2, 1] = np.nan
+        return J, dT
+
+    with pytest.raises(NonFiniteError, match="map 'ck' has a non-finite Jacobian"):
+        cm.verify(dataclasses.replace(ck, jacobian=jacobian), random_rows(20, seed=30))
+    with pytest.raises(NonFiniteError, match="map 'ck' has a non-finite image"):
+        cm.verify(dataclasses.replace(ck, forward=lambda t, y: np.array([y[0], np.inf, y[2]])),
+                  random_rows(20, seed=30))
+
+
+def test_a_nan_declared_factor_fails_verification():
+    rep = cm.verify(dataclasses.replace(cm.map_ck(1.0, 0.1), declared_f=lambda t, y: math.nan),
+                    random_rows(20, seed=31))
+    assert not rep.passed
+    assert math.isnan(rep.max_residual)
+
+
+def test_verify_checks_the_shape_and_finiteness_of_its_rows():
+    ck = cm.map_ck(1.0, 0.1)
+    with pytest.raises(DimensionMismatchError, match="width 4"):
+        cm.verify(ck, np.zeros((5, 3)))
+    with pytest.raises(DimensionMismatchError, match="width 4"):
+        cm.verify(ck, np.zeros(4))
+    with pytest.raises(DimensionMismatchError, match="width 6"):
+        cm.verify(cm.map_identity(2), random_rows(5))
+    with pytest.raises(ValueError, match="nonempty"):
+        cm.verify(ck, np.zeros((0, 4)))
+    rows = random_rows(5, seed=32)
+    rows[3, 3] = np.nan
+    with pytest.raises(NonFiniteError, match="map 'ck' has a non-finite point at "):
+        cm.verify(ck, rows)
+
+
+def _scaled_rotation(lam, theta=0.7):
+    """(q, p, S) -> (R q, lam R p, lam S) at n = 2, R a rotation: contact with f = lam."""
+    c, s = math.cos(theta), math.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    J = np.zeros((5, 5))
+    J[:2, :2], J[2:4, 2:4], J[4, 4] = R, lam * R, lam
+
+    def forward(t, y):
+        return np.concatenate([R @ y[:2], lam * (R @ y[2:4]), [lam * y[4]]])
+
+    def inverse(t, y):
+        return np.concatenate([R.T @ y[:2], R.T @ y[2:4] / lam, [y[4] / lam]])
+
+    return cm.ContactMap(n=2, forward=forward, inverse=inverse,
+                         jacobian=lambda t, y: (J.copy(), np.zeros(5)),
+                         declared_f=lambda t, y: lam, name="scaled_rotation")
+
+
+def _rows_n2(k, seed):
+    return np.random.default_rng(seed).uniform([0.5, 0.5, -1, -1, -1, 0],
+                                               [1.5, 1.5, 1, 1, 1, 5], size=(k, 6))
+
+
+def test_a_two_degree_of_freedom_map_verifies_with_its_conformal_factor():
+    lam = 1.7
+    rot = _scaled_rotation(lam)
+    rows = _rows_n2(40, seed=33)
+    rep = cm.verify(rot, rows)
+    assert rep.passed and rep.max_residual < 1e-14
+    assert rep.residuals_q.shape == rep.residuals_p.shape == (40, 2)
+    assert_allclose(rep.f_values, lam, rtol=1e-15)
+    x = cm.make_state(rows[0, :2], rows[0, 2:4], rows[0, 4], rows[0, 5])
+    assert cm.conformal_factor(rot, x) == pytest.approx(lam, rel=1e-15)
+    # without the closed-form Jacobian, finite differences give the same verdict
+    assert cm.verify(dataclasses.replace(rot, jacobian=None), rows, tol=1e-6).passed
+    for comp in (cm.compose(rot, cm.map_identity(2)), cm.compose(cm.map_identity(2), rot)):
+        rep = cm.verify(comp, rows)
+        assert rep.passed
+        assert_allclose(rep.f_values, lam, rtol=1e-15)
+    # f multiplies under composition: f = lam^2
+    twice = cm.compose(rot, rot)
+    assert_allclose(cm.verify(twice, rows).f_values, lam * lam, rtol=1e-14)
+    K = cm.pushforward_hamiltonian(rot, cm.make_custom(2, lambda x: float(x.q @ x.p + x.S)))
+    # H = q.p + S is rotation invariant, so K = lam (q.p + S)(pre-image) = Q.P + S~
+    X = cm.make_state([0.3, -0.2], [0.5, 0.9], 0.4, 1.0)
+    assert K.evaluate(X) == pytest.approx(float(X.q @ X.p + X.S), rel=1e-12)
+
+
+def test_a_two_degree_of_freedom_map_broken_in_its_second_column_fails():
+    """(q, p1, 2 p2, S) breaks only the -f p_2 condition."""
+    planted = cm.ContactMap(
+        n=2, forward=lambda t, y: np.array([y[0], y[1], y[2], 2 * y[3], y[4]]),
+        name="planted2")
+    rows = _rows_n2(40, seed=34)
+    rep = cm.verify(planted, rows, tol=1e-6)
+    assert not rep.passed
+    assert np.max(np.abs(rep.residuals_q[:, 0])) < 1e-6
+    assert_allclose(np.abs(rep.residuals_q[:, 1]), np.abs(rows[:, 3]), rtol=1e-6, atol=1e-9)
+
+
+def test_one_pushforward_evaluation_calls_inverse_jacobian_and_forward_once(linear_model):
+    ex = cm.map_expanding(1.0, 0.1)
+    calls = {"forward": 0, "inverse": 0, "jacobian": 0}
+
+    def counted(name):
+        fn = getattr(ex, name)
+
+        def wrapper(t, y):
+            calls[name] += 1
+            return fn(t, y)
+        return wrapper
+
+    K = cm.pushforward_hamiltonian(
+        dataclasses.replace(ex, **{name: counted(name) for name in calls}), linear_model)
+    X = cm.make_state(0.7, -0.4, 0.3, 1.5)
+    for name in calls:
+        calls[name] = 0
+    value = K.evaluate(X)
+    assert calls == {"forward": 1, "inverse": 1, "jacobian": 1}
+    assert value == cm.pushforward_hamiltonian(ex, linear_model).evaluate(X)
+
+
+def test_verify_builds_no_state(monkeypatch, ermakov_const):
+    built = []
+    post_init = ContactState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ContactState, "__post_init__", counting)
+    rows = random_rows(100, seed=35, t_range=(0.0, 9.5))
+    for cmap in (cm.map_identity(1), cm.map_ck(1.0, 0.1), cm.map_expanding(1.0, 0.1),
+                 cm.map_invariants(1.0, 0.1, ermakov_const)):
+        assert cm.verify(cmap, rows).passed
+    assert built == []
+    cm.make_state(1.0, 0.0)  # the counter itself works
+    assert len(built) == 1

@@ -50,12 +50,10 @@ def write_trajectory(path: str, traj, columns: Dict[str, np.ndarray]):
     n = traj.n
     header = (["t"] + [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
               + ["S", "H", "divergence"] + list(columns))
+    table = np.column_stack([traj.times, traj.flat(), traj.H, traj.div, *columns.values()])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
-        for i in range(len(traj)):
-            row = ([traj.times[i]] + list(traj.q[i]) + list(traj.p[i])
-                   + [traj.S[i], traj.H[i], traj.div[i]]
-                   + [columns[k][i] for k in columns])
+        for row in table:
             fh.write("\t".join(_fmt(v) for v in row) + "\n")
 
 

@@ -86,9 +86,9 @@ def _ermakov_for(config, traj: Trajectory, cache: Dict):
 
 def check_invariants(config, model, traj: Trajectory, cache: Dict) -> Dict:
     erm = _ermakov_for(config, traj, cache)
-    I = np.array([oscillator.lewis_invariant(config.m, config.gamma, erm, x)
-                  for x in traj.states()])
-    G = np.array([oscillator.g_invariant(config.gamma, x) for x in traj.states()])
+    rows = traj.flat()
+    I = oscillator.lewis_invariant(config.m, config.gamma, erm, traj.times, rows)
+    G = oscillator.g_invariant(config.gamma, traj.times, rows)
     interior = traj.times[1:-1]
     res = float(np.max(np.abs(erm.residual(interior)))) if len(interior) else 0.0
     observed = max(_rel_drift(I), _rel_drift(G))

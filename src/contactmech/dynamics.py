@@ -105,8 +105,9 @@ class Trajectory:
     def state(self, i: int) -> ExtendedState:
         return ExtendedState(ContactState(self.q[i], self.p[i], self.S[i]), self.times[i])
 
-    def states(self):
-        return (self.state(i) for i in range(len(self)))
+    def flat(self) -> np.ndarray:
+        """The (m, 2n+1) rows [q, p, S] of the samples."""
+        return np.column_stack([self.q, self.p, self.S])
 
 
 def sample_grid(t0: float, t_end: float, sample_interval: float) -> np.ndarray:

@@ -104,12 +104,13 @@ def verify_b_condition(model: HamiltonianModel, field: PrincipalFunctionField,
     residuals certify that the family's constants behave as characteristics
     of the flow on this trajectory.
     """
-    m = len(traj)
-    if m < 3:
+    if len(traj) < 3:
         raise ValueError("need at least 3 trajectory samples")
-    b = np.array([characteristic_b(field, c, traj.q[i], traj.times[i])
-                  for i in range(m)])
-    dS = np.array([model.partials(traj.state(i)).dH_dS for i in range(m)])
+    if traj.n != model.n:
+        raise DimensionMismatchError(f"model '{model.name}' has n={model.n} but the "
+                                     f"trajectory has n={traj.n}")
+    b = np.array([characteristic_b(field, c, q, t) for q, t in zip(traj.q, traj.times)])
+    dS = np.array([model.grad(t, y)[2 * model.n] for t, y in zip(traj.times, traj.flat())])
     dt2 = traj.times[2:] - traj.times[:-2]
     bdot = (b[2:] - b[:-2]) / dt2[:, None]
     return bdot + dS[1:-1, None] * b[1:-1]

@@ -430,48 +430,43 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
     )
 
 
-def make_custom(n: int, value, partials_fn=None, depends_on_S: bool = True,
+def make_custom(n: int, value, grad=None, depends_on_S: bool = True,
                 depends_on_t: bool = True, name: str = "custom",
                 params: Optional[Mapping[str, Any]] = None,
                 h_prime=None) -> HamiltonianModel:
-    """Wrap arbitrary callables as a model; finite differences fill in partials
-    and Hessian, the field is `_contact_field` of value and gradient, and its
-    Jacobian is `_field_jacobian` of gradient and Hessian."""
+    """Wrap callables of (t, y), y = [q, p, S], as a model: ``value`` is H and
+    ``grad`` [dH/dq, dH/dp, dH/dS, dH/dt], central differences of ``value`` when
+    None.  The field is `_contact_field` of value and gradient, and its Jacobian
+    is `_field_jacobian` of gradient and a central-difference Hessian."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     n = int(n)
 
-    def flat_value(t, y) -> float:
-        x = ExtendedState.from_flat(y, n, t)
-        v = float(value(x))
-        if not math.isfinite(v):
-            raise NonFiniteError(f"model '{name}' is non-finite at {x!r}")
-        return v
-
-    if partials_fn is not None:
-        def grad(t, y) -> np.ndarray:
-            d = partials_fn(ExtendedState.from_flat(y, n, t))
-            if d.dH_dq.size != n:
-                raise DimensionMismatchError("partials length does not match model n")
-            return np.concatenate([d.dH_dq, d.dH_dp, [d.dH_dS, d.dH_dt]])
-    else:
-        def grad(t, y) -> np.ndarray:
-            g = central_difference(lambda z: flat_value(z[-1], z), np.append(y, t))
+    if grad is None:
+        def gradient(t, y) -> np.ndarray:
+            g = central_difference(lambda z: value(z[-1], z[:-1]), np.append(y, t))
             if not depends_on_S:
                 g[2 * n] = 0.0
             if not depends_on_t:
                 g[2 * n + 1] = 0.0
             return g
+    else:
+        def gradient(t, y) -> np.ndarray:
+            g = np.asarray(grad(t, y), dtype=float)
+            if g.shape != (2 * n + 2,):
+                raise DimensionMismatchError(f"model '{name}' needs a grad of length "
+                                             f"{2 * n + 2}, got shape {g.shape}")
+            return g
 
     def field(t, y) -> np.ndarray:
-        return _contact_field(n, y, flat_value(t, y), grad(t, y))
+        return _contact_field(n, y, value(t, y), gradient(t, y))
 
     def field_jacobian(t, y) -> np.ndarray:
-        return _field_jacobian(n, y, grad(t, y),
-                               central_difference(lambda z: grad(t, z)[:2 * n + 1], y))
+        return _field_jacobian(n, y, gradient(t, y),
+                               central_difference(lambda z: gradient(t, z)[:2 * n + 1], y))
 
     return HamiltonianModel(
-        n=n, value=flat_value, grad=grad, field=field, field_jacobian=field_jacobian,
+        n=n, value=value, grad=gradient, field=field, field_jacobian=field_jacobian,
         depends_on_S=depends_on_S, depends_on_t=depends_on_t,
         name=name, params=dict(params or {}), h_prime=h_prime,
     )

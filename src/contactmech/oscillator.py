@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import IntegratorOptions, _integrate_flat
-from .errors import BranchError, ErmakovCollapseError, RiccatiPoleError
+from .errors import BranchError, DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
 from .model import FD_STEP, ContactState, ExtendedState, ScalarFunction, as_scalar_fn
 
 SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
@@ -81,7 +81,6 @@ class _Dense:
     node set."""
 
     def __init__(self, ts: np.ndarray, gamma: float, omega: ScalarFunction, grid):
-        self.ts = ts
         self.t_range = (float(ts[0]), float(ts[-1]))
         self.gamma = float(gamma)
         self.omega = omega
@@ -95,7 +94,7 @@ class _Dense:
     def _check_t(self, t):
         t = np.asarray(t, dtype=float)
         lo, hi = self.t_range
-        if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
+        if t.size and not (lo - 1e-12 <= t.min() and t.max() <= hi + 1e-12):
             raise ValueError(f"t={t} outside the solved range [{lo}, {hi}]")
         return t
 
@@ -108,11 +107,8 @@ class ErmakovSolution(_Dense):
     with the accumulated phase phi(t) = int_{t0}^{t} dtau / alpha(tau)^2.
     """
 
-    def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega: ScalarFunction,
-                 alpha0, alpha_dot0, grid):
+    def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega: ScalarFunction, grid):
         super().__init__(ts, gamma, omega, grid)
-        self.alpha0 = float(alpha0)
-        self.alpha_dot0 = float(alpha_dot0)
         w = self._omega(ts)
         add = -(w * w - 0.25 * gamma * gamma) * alpha + alpha ** -3.0
         self._alpha = CubicHermite(ts, alpha, alpha_dot)
@@ -173,42 +169,51 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
     ts, (alpha, alpha_dot, phase) = _solve(
         rhs, [alpha0, alpha_dot0, 0.0], grid,
         lambda t, y: y[0] - COLLAPSE_EPS, collapsed)
-    return ErmakovSolution(ts, alpha, alpha_dot, phase, gamma, wfn,
-                           alpha0, alpha_dot0, grid)
+    return ErmakovSolution(ts, alpha, alpha_dot, phase, gamma, wfn, grid)
 
 
 # ---------------------------------------------------------------------------
 # Invariants
 # ---------------------------------------------------------------------------
 
-def lewis_invariant(m: float, gamma: float, erm: ErmakovSolution,
-                    x: ExtendedState) -> float:
-    """Quadratic invariant of the damped parametric oscillator.
+def _unpack(gamma: float, t, y) -> tuple:
+    """(t, e^{gamma t}, q, p, S) of a point y = (q, p, S) at time t, or of k rows y
+    at k times t; e^{gamma t} is `math.exp` per element (numpy's differs in last bits)."""
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != 3 or t.shape != y.shape[:-1]:
+        raise DimensionMismatchError(f"the invariants need n = 1 points (q, p, S), one per "
+                                     f"time: got shapes {t.shape} and {y.shape}")
+    e = np.array([math.exp(gamma * x) for x in t.ravel().tolist()]).reshape(t.shape)
+    return (t, e, *y.T)
+
+
+def lewis_invariant(m: float, gamma: float, erm: ErmakovSolution, t, y):
+    """Quadratic invariant of the damped parametric oscillator at time t and
+    point y = (q, p, S), or at k times t and rows y of shape (k, 3):
 
     I = (m e^{gt}/2) [ (alpha p/m - [alpha' - g alpha/2] q)^2 + (q/alpha)^2 ];
     reduces to the classic parametric-oscillator invariant at gamma = 0.
     """
-    if x.n != 1:
-        raise ValueError("the quadratic invariant is defined for n = 1")
-    q, p, t = x.q[0], x.p[0], x.t
+    t, e, q, p, _ = _unpack(gamma, t, y)
     a = erm.alpha(t)
     u = erm.alpha_dot(t) - 0.5 * gamma * a
     A = a * p / m - u * q
-    return 0.5 * m * math.exp(gamma * t) * (A * A + (q / a) ** 2)
+    r = q / a
+    return (0.5 * m * e * (A * A + r * r))[()]
 
 
-def g_invariant(gamma: float, x: ExtendedState) -> float:
-    """The S-dependent invariant G = e^{gt} (S - q p / 2)."""
-    if x.n != 1:
-        raise ValueError("the S-dependent invariant is defined for n = 1")
-    return math.exp(gamma * x.t) * (x.S - 0.5 * x.q[0] * x.p[0])
+def g_invariant(gamma: float, t, y):
+    """The S-dependent invariant G = e^{gt} (S - q p / 2) at time t and point
+    y = (q, p, S), or at k times t and rows y of shape (k, 3)."""
+    _, e, q, p, S = _unpack(gamma, t, y)
+    return (e * (S - 0.5 * q * p))[()]
 
 
 def invariants_from_state(m: float, gamma: float, erm: ErmakovSolution,
                           x: ExtendedState):
     """(I, G, phi0) reproducing x through `analytic_state` at time x.t."""
-    I = lewis_invariant(m, gamma, erm, x)
-    G = g_invariant(gamma, x)
+    I = lewis_invariant(m, gamma, erm, x.t, x.flat())
+    G = g_invariant(gamma, x.t, x.flat())
     q, p, t = x.q[0], x.p[0], x.t
     a = erm.alpha(t)
     u = erm.alpha_dot(t) - 0.5 * gamma * a

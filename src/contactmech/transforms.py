@@ -195,11 +195,11 @@ def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel,
 
     n = cmap.n
 
-    def value(X: ExtendedState) -> float:
-        t, y = X.t, cmap.inverse(X.t, X.flat())
+    def value(t, Y) -> float:
+        y = cmap.inverse(t, Y)
         J, dT = _jacobian(cmap, t, y)
         f = _conditions(J[None], y[None, n:2 * n], cmap.forward(t, y)[None, n:2 * n])[0][0]
-        return f * model.value(t, y) - dT[2 * n] + float(np.dot(X.p, dT[:n]))
+        return f * model.value(t, y) - dT[2 * n] + float(np.dot(Y[n:2 * n], dT[:n]))
 
     return make_custom(n, value, name=f"pushforward[{cmap.name}]({model.name})",
                        params={"map": cmap.name, "base": model.name})

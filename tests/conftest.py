@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import contactmech as cm
+from contactmech.model import ContactState
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +61,17 @@ def random_rows(n_points, seed=0, t_range=(0.0, 5.0), q_range=(0.5, 1.5)):
 def random_states(n_points, seed=0, t_range=(0.0, 5.0), q_range=(0.5, 1.5)):
     """The points of `random_rows` as states."""
     return [cm.make_state(*row) for row in random_rows(n_points, seed, t_range, q_range)]
+
+
+@pytest.fixture
+def built_states(monkeypatch):
+    """The ContactStates constructed while the test runs, in order."""
+    built = []
+    post_init = ContactState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ContactState, "__post_init__", counting)
+    return built

@@ -158,8 +158,8 @@ def test_criterion_05_invariants():
                                     sample_interval=0.01)
         traj = cm.integrate(model, cm.make_state(1.0, 0.0, 0.3, 0.0), 10.0, opts)
         erm = cm.solve_ermakov(omega, 0.1, 1.0, 0.0, traj.times)
-        I = np.array([cm.lewis_invariant(1.0, 0.1, erm, x) for x in traj.states()])
-        G = np.array([cm.g_invariant(0.1, x) for x in traj.states()])
+        I = cm.lewis_invariant(1.0, 0.1, erm, traj.times, traj.flat())
+        G = cm.g_invariant(0.1, traj.times, traj.flat())
         worst_drift = max(worst_drift,
                           float(np.max(np.abs(I - I[0])) / abs(I[0])),
                           float(np.max(np.abs(G - G[0])) / abs(G[0])))

@@ -34,7 +34,7 @@ def test_vector_field_reduces_to_symplectic_for_S_independent():
 
 
 def test_step_rk4_zero_model():
-    zero = cm.make_custom(1, lambda x: 0.0, depends_on_S=False, depends_on_t=False)
+    zero = cm.make_custom(1, lambda t, y: 0.0, depends_on_S=False, depends_on_t=False)
     x = cm.make_state(1.0, 2.0, 3.0, 4.0)
     y = cm.step_rk4(zero, x, 0.25)
     assert_allclose([y.q[0], y.p[0], y.S, y.t], [1.0, 2.0, 3.0, 4.25])
@@ -71,7 +71,7 @@ def test_integrate_decay_example(linear_traj):
 
 
 def test_integrate_zero_model_constant():
-    zero = cm.make_custom(1, lambda x: 0.0, depends_on_S=False, depends_on_t=False)
+    zero = cm.make_custom(1, lambda t, y: 0.0, depends_on_S=False, depends_on_t=False)
     traj = cm.integrate(zero, cm.make_state(1.0, -2.0, 0.7, 0.0), 3.0,
                         cm.IntegratorOptions(sample_interval=0.5))
     assert_allclose(traj.q, 1.0)
@@ -105,7 +105,7 @@ def test_divergence_examples(linear_model, conservative_model):
     x = cm.make_state(0.3, -1.2, 0.8, 2.0)
     assert cm.divergence(linear_model, x) == -0.2
     assert cm.divergence(conservative_model, x) == 0.0
-    s2 = cm.make_custom(1, lambda z: z.S ** 2, depends_on_t=False)
+    s2 = cm.make_custom(1, lambda t, y: y[2] ** 2, depends_on_t=False)
     assert cm.divergence(s2, cm.make_state(0.0, 0.0, 1.0, 0.0)) == pytest.approx(-4.0, rel=1e-9)
 
 
@@ -114,7 +114,7 @@ def test_divergence_examples(linear_model, conservative_model):
     lambda: cm.make_damped_parametric(
         0.8, 0.15, cm.parse_expression("1 + 0.3*sin(0.7*t)", "t").as_scalar_function()),
     lambda: cm.make_caldirola_kanai(1.0, 0.2, cm.quadratic_potential()),
-    lambda: cm.make_custom(1, lambda x: x.S ** 2),
+    lambda: cm.make_custom(1, lambda t, y: y[2] ** 2),
 ])
 def test_divergence_is_trace_of_fd_field_jacobian(factory):
     """Pointwise identity tr(dX/dy) = -(n+1) dH/dS: the trace comes from finite
@@ -128,13 +128,14 @@ def test_divergence_is_trace_of_fd_field_jacobian(factory):
         assert_allclose(np.trace(A), cm.divergence(model, x), rtol=1e-6, atol=1e-8)
 
 
-def _quartic_s_coupled(x):
-    return x.p[0] ** 2 / 2 + x.q[0] ** 4 / 4 + 0.3 * x.S * x.p[0] + 0.2 * x.S ** 2
+def _quartic_s_coupled(t, y):
+    q, p, S = y
+    return p ** 2 / 2 + q ** 4 / 4 + 0.3 * S * p + 0.2 * S ** 2
 
 
-def _quartic_s_coupled_partials(x):
-    q, p, S = x.q[0], x.p[0], x.S
-    return cm.PartialDerivatives([q ** 3], [p + 0.3 * S], 0.3 * p + 0.4 * S, 0.0)
+def _quartic_s_coupled_partials(t, y):
+    q, p, S = y
+    return [q ** 3, p + 0.3 * S, 0.3 * p + 0.4 * S, 0.0]
 
 
 @pytest.mark.parametrize("factory", [
@@ -147,9 +148,9 @@ def _quartic_s_coupled_partials(x):
     lambda: cm.make_custom(1, _quartic_s_coupled, depends_on_t=False),
     lambda: cm.make_custom(1, _quartic_s_coupled, _quartic_s_coupled_partials,
                            depends_on_t=False),
-    lambda: cm.make_custom(2, lambda x: (x.p @ x.p / 2 + x.q[0] * x.q[1] ** 2
-                                         + x.S * (x.p[0] - 0.5 * x.q[1]) + 0.1 * x.S ** 2
-                                         + 0.2 * x.t * x.p[1] * x.q[0])),
+    lambda: cm.make_custom(2, lambda t, y: (y[2:4] @ y[2:4] / 2 + y[0] * y[1] ** 2
+                                            + y[4] * (y[2] - 0.5 * y[1]) + 0.1 * y[4] ** 2
+                                            + 0.2 * t * y[3] * y[0])),
 ])
 def test_field_jacobian_matches_fd_oracle(factory):
     """The model's field Jacobian, which the det series integrates, against
@@ -238,14 +239,14 @@ def _exact_quartic_s_coupled_jacobian(q, p, S):
                      [-q ** 3, p, -0.4 * S]])
 
 
-@pytest.mark.parametrize("partials_fn, atol", [
+@pytest.mark.parametrize("grad, atol", [
     (None, 1e-3),  # a difference of FD differences: measured error up to 3.5e-4
     (_quartic_s_coupled_partials, 1e-8),
 ])
-def test_custom_field_jacobian_matches_exact(partials_fn, atol):
+def test_custom_field_jacobian_matches_exact(grad, atol):
     """make_custom's A, from its gradient and a central-difference Hessian,
     against the exact A."""
-    model = cm.make_custom(1, _quartic_s_coupled, partials_fn, depends_on_t=False)
+    model = cm.make_custom(1, _quartic_s_coupled, grad, depends_on_t=False)
     rng = np.random.default_rng(31)
     for _ in range(8):
         t, (q, p, S) = rng.uniform(0.0, 5.0), rng.uniform(-2, 2, 3)
@@ -285,20 +286,20 @@ def _oscillator_chain(n, kappa=0.3, gamma=0.2, beta=0.15, delta=0.05):
     """H = |p|^2/2 + |q|^2/2 + kappa sum_a q_a q_a+1 + S (gamma + beta p_1)
     + delta S^2: n coupled oscillators whose dH/dS = gamma + beta p_1 + 2 delta S
     varies along the flow, with closed-form partials."""
-    def value(x):
-        q, p, S = x.q, x.p, x.S
+    def value(t, y):
+        q, p, S = y[:n], y[n:2 * n], y[2 * n]
         return (p @ p / 2 + q @ q / 2 + kappa * (q[:-1] @ q[1:])
                 + S * (gamma + beta * p[0]) + delta * S * S)
 
-    def partials(x):
-        q, p, S = x.q, x.p, x.S
+    def grad(t, y):
+        q, p, S = y[:n], y[n:2 * n], y[2 * n]
         dq, dp = q.copy(), p.copy()
         dq[:-1] += kappa * q[1:]
         dq[1:] += kappa * q[:-1]
         dp[0] += beta * S
-        return cm.PartialDerivatives(dq, dp, gamma + beta * p[0] + 2 * delta * S, 0.0)
+        return np.concatenate([dq, dp, [gamma + beta * p[0] + 2 * delta * S, 0.0]])
 
-    return cm.make_custom(n, value, partials, depends_on_t=False, name=f"chain{n}")
+    return cm.make_custom(n, value, grad, depends_on_t=False, name=f"chain{n}")
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -321,25 +322,24 @@ def test_the_n_plus_1_law_beyond_one_degree_of_freedom(n):
     dets = cache["dets"]
     assert dets[-1] < 0.5  # the check is not vacuous
 
-    dH_dS = np.array([model.grad(t, y)[2 * n] for t, y in
-                      zip(traj.times, np.column_stack([traj.q, traj.p, traj.S]))])
+    dH_dS = np.array([model.grad(t, y)[2 * n] for t, y in zip(traj.times, traj.flat())])
     f = np.exp(-np.concatenate([[0.0], np.cumsum(np.diff(traj.times)
                                                  * (dH_dS[1:] + dH_dS[:-1]) / 2)]))
     assert_allclose(dets, [cm.volume_factor(fi, n) for fi in f], rtol=1e-5)
 
-    for x in list(traj.states())[::50]:
+    for x in map(traj.state, range(0, len(traj), 50)):
         A = model.field_jacobian(x.t, x.flat())
         assert cm.divergence(model, x) == pytest.approx(np.trace(A), rel=1e-6, abs=1e-8)
 
     measure = diagnostics.check_measure(config, model, traj, cache)
     assert measure["passed"], measure["observed"]
-    product = [cm.measure_weight(model, x) * det for x, det in zip(traj.states(), dets)]
+    product = [cm.measure_weight(model, traj.state(i)) * det for i, det in enumerate(dets)]
     assert_allclose(product, product[0], rtol=1e-4)
 
 
 def test_measure_weight_examples(linear_model):
     assert cm.measure_weight(linear_model, cm.make_state(1.0, 0.0, 0.0, 0.0)) == 4.0
-    one = cm.make_custom(1, lambda z: 1.0, depends_on_S=False, depends_on_t=False)
+    one = cm.make_custom(1, lambda t, y: 1.0, depends_on_S=False, depends_on_t=False)
     assert cm.measure_weight(one, cm.make_state(0.0, 0.0, 0.0, 0.0)) == 1.0
     with pytest.raises(SingularMeasureError):
         cm.measure_weight(linear_model, cm.make_state(0.0, 0.0, 0.0, 0.0))
@@ -348,7 +348,7 @@ def test_measure_weight_examples(linear_model):
 def test_observable_rate_examples(linear_model):
     x = cm.make_state(1.0, 2.0, 0.0, 0.0)
     # F = q reproduces the dq/dt equation
-    Fq = cm.make_custom(1, lambda z: z.q[0], depends_on_S=False, depends_on_t=False)
+    Fq = cm.make_custom(1, lambda t, y: y[0], depends_on_S=False, depends_on_t=False)
     assert cm.observable_rate(linear_model, Fq, x) == pytest.approx(
         linear_model.partials(x).dH_dp[0], rel=1e-9)
     # F = H: dH/dt = -H dH/dS for time-independent models
@@ -356,7 +356,7 @@ def test_observable_rate_examples(linear_model):
     assert cm.observable_rate(linear_model, linear_model, x) == pytest.approx(
         -h * 0.1, rel=1e-9)
     # F = H_mec: mechanical-energy dissipation rate -m gamma qdot^2
-    Fmec = cm.make_custom(1, lambda z: z.p[0] ** 2 / 2 + z.q[0] ** 2 / 2,
+    Fmec = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2,
                           depends_on_S=False, depends_on_t=False)
     assert cm.observable_rate(linear_model, Fmec, x) == pytest.approx(-0.4, rel=1e-8)
 
@@ -364,12 +364,12 @@ def test_observable_rate_examples(linear_model):
 def test_predicted_hamiltonian(linear_traj, linear_model):
     pred = cm.predicted_hamiltonian(linear_model, linear_traj)
     assert np.max(np.abs(pred - linear_traj.H) / np.abs(pred)) < 1e-6
-    zero_h = cm.make_custom(1, lambda z: z.p[0] ** 2 / 2, depends_on_S=False,
+    zero_h = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2, depends_on_S=False,
                             depends_on_t=False, h_prime=lambda S: 0.0)
     traj = cm.integrate(zero_h, cm.make_state(0.0, 1.0, 0.0, 0.0), 1.0,
                         cm.IntegratorOptions(sample_interval=0.1))
     assert_allclose(cm.predicted_hamiltonian(zero_h, traj), traj.H[0])
-    no_split = cm.make_custom(1, lambda z: z.p[0] ** 2 / 2)
+    no_split = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2)
     with pytest.raises(UnsupportedModelError):
         cm.predicted_hamiltonian(no_split, traj)
 
@@ -385,7 +385,7 @@ def test_recover_S_linear(linear_model, linear_traj):
     with pytest.raises(ZeroDivisionError):
         cm.recover_S_linear(cons, 1.0, 0.0, 0.0, 0.5)
     with pytest.raises(UnsupportedModelError):
-        cm.recover_S_linear(cm.make_custom(1, lambda z: 0.0), 1.0, 0.0, 0.0, 0.5)
+        cm.recover_S_linear(cm.make_custom(1, lambda t, y: 0.0), 1.0, 0.0, 0.0, 0.5)
 
 
 def test_flow_jacobian_determinant(linear_model, conservative_model):

@@ -18,7 +18,7 @@ def free_particle_field():
 
 
 def test_hj_residual_conservative_free_particle():
-    model = cm.make_custom(1, lambda x: x.p[0] ** 2 / 2, depends_on_S=False,
+    model = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2, depends_on_S=False,
                            depends_on_t=False)
     field = free_particle_field()
     for q in (-1.5, 0.3, 2.0):
@@ -27,7 +27,7 @@ def test_hj_residual_conservative_free_particle():
 
 
 def test_hj_residual_zero_solution_of_homogeneous_case():
-    model = cm.make_custom(1, lambda x: 0.1 * x.S, depends_on_t=False)
+    model = cm.make_custom(1, lambda t, y: 0.1 * y[2], depends_on_t=False)
     zero = cm.PrincipalFunctionField(
         n=1, S=lambda q, t: 0.0,
         dS_dq=lambda q, t: np.array([0.0]),
@@ -121,7 +121,7 @@ def test_extended_F_examples(linear_model):
     h = linear_model.evaluate(cm.make_state(*x))
     assert cm.extended_F(linear_model, 1.0, 0.0, 0.0, 0.0, h) == 0.0
     assert cm.extended_F(linear_model, 1.0, 0.0, 0.0, 0.0, 1.0) == pytest.approx(0.5)
-    zero = cm.make_custom(1, lambda z: 0.0, depends_on_S=False, depends_on_t=False)
+    zero = cm.make_custom(1, lambda t, y: 0.0, depends_on_S=False, depends_on_t=False)
     assert cm.extended_F(zero, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
 
 
@@ -172,7 +172,7 @@ def test_verify_b_condition_free_particle(free_particle_setup):
 def test_verify_b_condition_conservative_constant():
     """dH/dS = 0 reduces the condition to classical constancy of b."""
     m, C0 = 1.0, 0.3
-    model = cm.make_custom(1, lambda x: x.p[0] ** 2 / (2 * m), depends_on_S=False,
+    model = cm.make_custom(1, lambda t, y: y[1] ** 2 / (2 * m), depends_on_S=False,
                            depends_on_t=False)
     # family for the conservative free particle: S = (m/2) C q^2, C' = -C^2
     opts = cm.IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, sample_interval=0.05)
@@ -191,6 +191,14 @@ def test_verify_b_condition_needs_three_samples(free_particle_setup):
                           S=traj.S[:2], H=traj.H[:2], div=traj.div[:2])
     with pytest.raises(ValueError):
         cm.verify_b_condition(model, fam, [C0], short)
+
+
+def test_verify_b_condition_needs_the_model_dimension(free_particle_setup):
+    model, traj, fam, gamma, m, C0 = free_particle_setup
+    wide = cm.Trajectory(times=traj.times, q=np.hstack([traj.q, traj.q]),
+                         p=np.hstack([traj.p, traj.p]), S=traj.S, H=traj.H, div=traj.div)
+    with pytest.raises(DimensionMismatchError, match="has n=1 but the trajectory has n=2"):
+        cm.verify_b_condition(model, fam, [C0], wide)
 
 
 def test_characteristic_equivalence(free_particle_setup):
@@ -216,10 +224,10 @@ def test_characteristic_equivalence(free_particle_setup):
 def test_residual_linearity(linear_model):
     """Residual of H1 + H2 = residual contributions + a single dS/dt term."""
     field = free_particle_field()
-    h1 = cm.make_custom(1, lambda x: x.p[0] ** 2 / 2, depends_on_S=False,
+    h1 = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2, depends_on_S=False,
                         depends_on_t=False)
-    h2 = cm.make_custom(1, lambda x: 0.3 * x.q[0] + 0.1 * x.S, depends_on_t=False)
-    combined = cm.make_custom(1, lambda x: x.p[0] ** 2 / 2 + 0.3 * x.q[0] + 0.1 * x.S)
+    h2 = cm.make_custom(1, lambda t, y: 0.3 * y[0] + 0.1 * y[2], depends_on_t=False)
+    combined = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + 0.3 * y[0] + 0.1 * y[2])
     q, t = [0.7], 1.3
     r1 = cm.hj_residual(h1, field, q, t)
     r2 = cm.hj_residual(h2, field, q, t)

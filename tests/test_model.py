@@ -79,7 +79,7 @@ def test_flag_contract_S_independent():
 def test_closed_form_partials_match_fd(factory):
     """Backbone oracle: ship analytic partials, check them against central FD."""
     model = factory()
-    fd_model = cm.make_custom(model.n, model.evaluate,
+    fd_model = cm.make_custom(model.n, model.value,
                               depends_on_S=model.depends_on_S,
                               depends_on_t=model.depends_on_t)
     rng = np.random.default_rng(11)
@@ -113,16 +113,28 @@ def test_linear_model_partials_property(q, p, S):
 
 
 def test_make_custom_examples():
-    zero = cm.make_custom(1, lambda x: 0.0, depends_on_S=False, depends_on_t=False)
+    zero = cm.make_custom(1, lambda t, y: 0.0, depends_on_S=False, depends_on_t=False)
     d = zero.partials(cm.make_state(1.0, 2.0, 3.0, 4.0))
     assert_allclose([d.dH_dq[0], d.dH_dp[0], d.dH_dS, d.dH_dt], 0.0, atol=1e-9)
 
-    free = cm.make_custom(1, lambda x: x.p[0] ** 2 / 2, depends_on_S=False,
+    free = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2, depends_on_S=False,
                           depends_on_t=False)
     assert free.partials(cm.make_state(0.0, 1.5, 0.0, 0.0)).dH_dp[0] == pytest.approx(1.5, rel=1e-9)
 
-    contraction = cm.make_custom(1, lambda x: 0.3 * x.S, depends_on_t=False)
+    contraction = cm.make_custom(1, lambda t, y: 0.3 * y[2], depends_on_t=False)
     assert contraction.partials(cm.make_state(0.0, 0.0, 2.0, 0.0)).dH_dS == pytest.approx(0.3, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, length", [(1, 3), (1, 5), (2, 4), (2, 7)])
+def test_a_custom_grad_of_the_wrong_length_names_the_model(n, length):
+    model = cm.make_custom(n, lambda t, y: 0.0, lambda t, y: np.zeros(length), name="short")
+    y = np.zeros(2 * n + 1)
+    for call in (model.grad, model.field, model.field_jacobian):
+        with pytest.raises(DimensionMismatchError, match=f"'short' needs a grad of length "
+                                                         f"{2 * n + 2}"):
+            call(0.0, y)
+    with pytest.raises(DimensionMismatchError, match="'short'"):
+        model.partials(cm.make_state(np.zeros(n), np.zeros(n), 0.0, 0.0))
 
 
 def test_constructor_preconditions():
@@ -135,7 +147,7 @@ def test_constructor_preconditions():
     with pytest.raises(ValueError):
         cm.make_caldirola_kanai(-2.0, 0.1, cm.quadratic_potential())
     with pytest.raises(ValueError):
-        cm.make_custom(0, lambda x: 0.0)
+        cm.make_custom(0, lambda t, y: 0.0)
     with pytest.raises(ValueError, match="mass must be positive"):
         cm.make_damped_parametric(math.nan, 0.1, 1.0)
     with pytest.raises(ValueError, match="damping rate must be non-negative"):
@@ -160,7 +172,7 @@ def test_dimension_and_finiteness_errors(linear_model):
         linear_model.evaluate(bad_dim)
     with pytest.raises(DimensionMismatchError):
         linear_model.partials(bad_dim)
-    exploding = cm.make_custom(1, lambda x: math.inf)
+    exploding = cm.make_custom(1, lambda t, y: math.inf)
     with pytest.raises(NonFiniteError):
         exploding.evaluate(cm.make_state(1.0, 0.0, 0.0, 0.0))
 

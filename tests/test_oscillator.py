@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import contactmech as cm
-from contactmech.errors import ErmakovCollapseError, RiccatiPoleError
+from contactmech import diagnostics, scenario
+from contactmech.errors import DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
 
 
 GRID = np.linspace(0.0, 10.0, 101)
@@ -50,26 +51,76 @@ def test_ermakov_preconditions():
         erm.alpha(11.0)
 
 
+def test_dense_lookups_reject_nan_times():
+    erm = cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, GRID)
+    ric = cm.solve_riccati(0.0, 0.1, 0.2, GRID)
+    for lookup in (erm.alpha, erm.alpha_dot, erm.phase, ric.C):
+        with pytest.raises(ValueError, match="outside the solved range"):
+            lookup(math.nan)
+        with pytest.raises(ValueError, match="outside the solved range"):
+            lookup(np.array([1.0, math.nan]))
+    assert erm.alpha(np.array([])).shape == (0,)
+
+
 def test_lewis_invariant_examples(ermakov_const):
     erm0 = cm.solve_ermakov(1.0, 0.0, 1.0, 0.0, GRID)
-    val = cm.lewis_invariant(1.0, 0.0, erm0, cm.make_state(1.0, 0.0, 0.0, 0.0))
+    val = cm.lewis_invariant(1.0, 0.0, erm0, 0.0, [1.0, 0.0, 0.0])
     assert val == pytest.approx(0.5, rel=1e-10)
     assert cm.lewis_invariant(1.0, 0.1, ermakov_const,
-                              cm.make_state(0.0, 0.0, 1.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
+                              2.0, [0.0, 0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_g_invariant_examples():
-    assert cm.g_invariant(0.1, cm.make_state(1.0, 0.0, 0.0, 0.0)) == 0.0
-    assert cm.g_invariant(0.1, cm.make_state(1.0, 1.0, 2.0, 0.0)) == 1.5
+    assert cm.g_invariant(0.1, 0.0, [1.0, 0.0, 0.0]) == 0.0
+    assert cm.g_invariant(0.1, 0.0, [1.0, 1.0, 2.0]) == 1.5
 
 
 def test_invariants_constant_along_flow(parametric_model, parametric_traj,
                                         ermakov_const):
-    I = np.array([cm.lewis_invariant(1.0, 0.1, ermakov_const, x)
-                  for x in parametric_traj.states()])
-    G = np.array([cm.g_invariant(0.1, x) for x in parametric_traj.states()])
+    I = cm.lewis_invariant(1.0, 0.1, ermakov_const, parametric_traj.times,
+                           parametric_traj.flat())
+    G = cm.g_invariant(0.1, parametric_traj.times, parametric_traj.flat())
     assert np.max(np.abs(I - I[0])) / abs(I[0]) < 1e-6
     assert np.max(np.abs(G - G[0])) / abs(G[0]) < 1e-6
+
+
+def test_invariants_over_rows_equal_the_per_row_calls(parametric_traj, ermakov_const):
+    times, rows = parametric_traj.times, parametric_traj.flat()
+    I = cm.lewis_invariant(1.0, 0.1, ermakov_const, times, rows)
+    G = cm.g_invariant(0.1, times, rows)
+    assert I.shape == G.shape == times.shape
+    assert (I == [cm.lewis_invariant(1.0, 0.1, ermakov_const, t, y)
+                  for t, y in zip(times, rows)]).all()
+    assert (G == [cm.g_invariant(0.1, t, y) for t, y in zip(times, rows)]).all()
+
+
+@pytest.mark.parametrize("t, y", [
+    (1.0, [1.0, 0.0]),                          # width 2
+    (1.0, [1.0, 0.5, 0.0, 0.2, 0.3]),           # an n = 2 point
+    (np.ones(4), np.ones((4, 5))),              # rows of width 5
+    (np.ones(3), np.ones((4, 3))),              # a time per row is missing
+    (1.0, np.ones((4, 3))),                     # one time for several rows
+])
+def test_invariants_need_n_equal_one_points_one_per_time(ermakov_const, t, y):
+    with pytest.raises(DimensionMismatchError):
+        cm.lewis_invariant(1.0, 0.1, ermakov_const, t, y)
+    with pytest.raises(DimensionMismatchError):
+        cm.g_invariant(0.1, t, y)
+
+
+def test_check_invariants_builds_no_state(built_states):
+    config = scenario.parse_scenario(
+        "[model]\nkind = damped_parametric\nm = 1\ngamma = 0.1\n"
+        "omega = 1 + 0.1*sin(0.3*t)\n[initial]\nq = 1\np = 0\nS = 0.3\n"
+        "[integration]\nt_end = 5\nsample_interval = 0.02\n"
+        "[diagnostics]\nchecks = invariants\n")
+    model = scenario.build_model(config)
+    traj = cm.integrate(model, cm.make_state(config.q0, config.p0, config.S0, config.t0),
+                        config.t_end, config.options)
+    del built_states[:]
+    result = diagnostics.check_invariants(config, model, traj, {})
+    assert result["passed"] and len(result["columns"]["I"]) == len(traj) == 251
+    assert built_states == []
 
 
 def test_lewis_gamma_zero_is_classic_formula():
@@ -81,7 +132,7 @@ def test_lewis_gamma_zero_is_classic_formula():
         q, p = 0.8, -0.4
         a, ad = erm.alpha(t), erm.alpha_dot(t)
         classic = 0.5 * ((a * p - ad * q) ** 2 + (q / a) ** 2)
-        got = cm.lewis_invariant(1.0, 0.0, erm, cm.make_state(q, p, 0.0, t))
+        got = cm.lewis_invariant(1.0, 0.0, erm, t, [q, p, 0.0])
         assert got == pytest.approx(classic, rel=1e-12)
 
 
@@ -121,8 +172,7 @@ def test_analytic_state_growing_exponent_fails(parametric_traj, ermakov_const):
     i = len(parametric_traj) - 1
     assert abs(bad.q[0] - parametric_traj.q[i, 0]) > 0.1
     # and the invariant evaluated on the bad closed form drifts
-    x_bad = cm.make_state(bad.q[0], bad.p[0], bad.S, 10.0)
-    I_bad = cm.lewis_invariant(1.0, 0.1, ermakov_const, x_bad)
+    I_bad = cm.lewis_invariant(1.0, 0.1, ermakov_const, 10.0, [bad.q[0], bad.p[0], bad.S])
     assert abs(I_bad - I0) / I0 > 0.1
 
 
@@ -245,8 +295,8 @@ def test_quadratic_invariant_assembles_from_elementary(parametric_traj,
                 1.0, 0.1, zeta0, ermakov_const, x.t)
             F = (beta * x.p[0] ** 2 - 2 * xi * x.q[0] * x.p[0]
                  + eta * x.q[0] ** 2 + zeta * x.S)
-            expected = (cm.lewis_invariant(1.0, 0.1, ermakov_const, x)
-                        + zeta0 * cm.g_invariant(0.1, x))
+            expected = (cm.lewis_invariant(1.0, 0.1, ermakov_const, x.t, x.flat())
+                        + zeta0 * cm.g_invariant(0.1, x.t, x.flat()))
             assert F == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 

@@ -328,7 +328,8 @@ def test_a_two_degree_of_freedom_map_verifies_with_its_conformal_factor():
     # f multiplies under composition: f = lam^2
     twice = cm.compose(rot, rot)
     assert_allclose(cm.verify(twice, rows).f_values, lam * lam, rtol=1e-14)
-    K = cm.pushforward_hamiltonian(rot, cm.make_custom(2, lambda x: float(x.q @ x.p + x.S)))
+    K = cm.pushforward_hamiltonian(
+        rot, cm.make_custom(2, lambda t, y: float(y[:2] @ y[2:4] + y[4])))
     # H = q.p + S is rotation invariant, so K = lam (q.p + S)(pre-image) = Q.P + S~
     X = cm.make_state([0.3, -0.2], [0.5, 0.9], 0.4, 1.0)
     assert K.evaluate(X) == pytest.approx(float(X.q @ X.p + X.S), rel=1e-12)
@@ -384,3 +385,19 @@ def test_verify_builds_no_state(monkeypatch, ermakov_const):
     assert built == []
     cm.make_state(1.0, 0.0)  # the counter itself works
     assert len(built) == 1
+
+
+def test_custom_models_and_pushforwards_build_no_state(built_states, linear_model):
+    custom = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2 + 0.1 * y[2],
+                            depends_on_t=False)
+    K = cm.pushforward_hamiltonian(cm.map_expanding(1.0, 0.1), linear_model)
+    x0 = cm.make_state(1.0, 0.0, 0.2, 0.0)
+    y = np.array([0.7, -0.4, 0.3])
+    del built_states[:]
+    traj = cm.integrate(custom, x0, 2.0, cm.IntegratorOptions(sample_interval=0.1))
+    assert len(traj) == 21
+    assert math.isfinite(K.value(1.5, y))
+    assert np.isfinite(K.field(1.5, y)).all()  # K's gradient by central differences
+    assert built_states == []
+    cm.make_state(1.0, 0.0)  # the counter itself works
+    assert len(built_states) == 1

@@ -9,20 +9,22 @@ Grammar (one free variable per context):
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Identifiers are the declared variable, the constants pi and e, and the
-functions sin, cos, exp, sqrt, log.  A symbolic-derivative pass produces the
-derivative tree; both trees are compiled once, at parse time, into nested
-closures that evaluate to floats with explicit domain errors (sin or cos of an
-infinity, sqrt of a negative, log of a non-positive, division by zero, invalid
-power; an exp or ^ overflow stays an OverflowError) naming the offending operator's
-byte offset and, when given, the key the expression was read from.
+functions sin, cos, exp, sqrt, log.  The expression and its symbolic
+derivative are one DAG of hash-consed nodes, compiled once, at parse time, into
+straight-line functions that do a tree walk's float operations with its domain
+errors (sin or cos of an infinity, sqrt of a negative, log of a non-positive,
+division by zero, invalid power; an exp or ^ overflow stays an OverflowError)
+naming the offending operator's byte offset and, when given, the expression's key.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import ExpressionError
 from .model import ScalarFunction
@@ -63,212 +65,199 @@ def _tokenize(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Hash-consed DAG
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    pos: int = 0
+# the operators that can raise; their nodes key on their offset too
+_RAISING = {"/", "^", *_FUNCTIONS}
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int = 0
+class Node:
+    """A node built by `_Dag.node`: `op` is 'num' or 'const' (`value` is the float),
+    'var' (`value` is its name), 'neg', one of + - * / ^, or a function name;
+    `pos` is the byte offset of an operator in `_RAISING`, else 0."""
+
+    __slots__ = ("op", "args", "value", "pos", "has_var")
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    pos: int = 0
+def _is_num(n: Node, v: float) -> bool:
+    return n.op == "num" and n.value == v
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    arg: "Node"
-    pos: int = 0
+class _Dag:
+    """The intern table of one parse: a node equal to one built before is that
+    node, so equal subtrees are shared and `diff` runs once per distinct node."""
+
+    def __init__(self):
+        self.nodes: dict = {}
+        self.derivatives: dict = {}
+
+    def node(self, op: str, *args: Node, value=None, pos: int = 0) -> Node:
+        pos = pos if op in _RAISING else 0
+        key = (op, args, repr(value), pos)  # repr keeps -0.0 apart from 0.0
+        found = self.nodes.get(key)
+        if found is None:
+            found = self.nodes[key] = Node()  # no __init__, so no frame on the parser's stack
+            found.op, found.args, found.value, found.pos = op, args, value, pos
+            found.has_var = op == "var" or any(map(operator.attrgetter("has_var"), args))
+        return found
+
+    # Smart constructors keep derivatives small and avoid evaluating
+    # annihilated subtrees (e.g. 0 * log(q) at q < 0).
+
+    def num(self, v) -> Node:
+        return self.node("num", value=float(v))
+
+    def add(self, a: Node, b: Node) -> Node:
+        if _is_num(a, 0.0):
+            return b
+        if _is_num(b, 0.0):
+            return a
+        if a.op == "num" and b.op == "num":
+            return self.num(a.value + b.value)
+        return self.node("+", a, b)
+
+    def sub(self, a: Node, b: Node) -> Node:
+        if _is_num(b, 0.0):
+            return a
+        if a.op == "num" and b.op == "num":
+            return self.num(a.value - b.value)
+        if _is_num(a, 0.0):
+            return self.node("neg", b)
+        return self.node("-", a, b)
+
+    def mul(self, a: Node, b: Node) -> Node:
+        if _is_num(a, 0.0) or _is_num(b, 0.0):
+            return self.num(0.0)
+        if _is_num(a, 1.0):
+            return b
+        if _is_num(b, 1.0):
+            return a
+        if a.op == "num" and b.op == "num":
+            return self.num(a.value * b.value)
+        return self.node("*", a, b)
+
+    def div(self, a: Node, b: Node, pos: int) -> Node:
+        if _is_num(a, 0.0):
+            return self.num(0.0)
+        if _is_num(b, 1.0):
+            return a
+        return self.node("/", a, b, pos=pos)
+
+    def diff(self, root: Node) -> Node:
+        """d(root)/dx.  Each distinct node's derivative is built once, after its
+        arguments', by a loop: only the parser recurses."""
+        done = self.derivatives
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            pending = [a for a in node.args if a not in done]
+            if pending:
+                stack.extend(pending)
+            elif stack.pop() not in done:
+                done[node] = self._rule(node, *(done[a] for a in node.args))
+        return done[root]
+
+    def _rule(self, node: Node, da: Node = None, db: Node = None) -> Node:
+        """d(node)/dx from its arguments' derivatives `da` and `db`."""
+        op, pos = node.op, node.pos
+        if op in ("num", "const", "var"):
+            return self.num(1.0 if op == "var" else 0.0)
+        a, b = node.args[0], node.args[-1]   # one argument is both
+        if op == "neg":
+            return self.sub(self.num(0.0), da)
+        if op in _FUNCTIONS:
+            if op == "sin":
+                outer = self.node("cos", a, pos=pos)
+            elif op == "cos":
+                outer = self.node("neg", self.node("sin", a, pos=pos))
+            elif op == "exp":
+                outer = node
+            elif op == "sqrt":
+                outer = self.div(self.num(0.5), node, pos)
+            else:  # log
+                outer = self.div(self.num(1.0), a, pos)
+            return self.mul(outer, da)
+        if op == "+":
+            return self.add(da, db)
+        if op == "-":
+            return self.sub(da, db)
+        if op == "*":
+            return self.add(self.mul(da, b), self.mul(a, db))
+        if op == "/":
+            top = self.sub(self.mul(da, b), self.mul(a, db))
+            return self.div(top, self.node("*", b, b), pos)
+        # power: constant exponents get the plain rule (valid for negative
+        # bases); variable exponents use a^b (b' log a + b a'/a), for a > 0.
+        if not b.has_var:
+            return self.mul(self.mul(b, self.node("^", a, self.sub(b, self.num(1.0)), pos=pos)),
+                            da)
+        term1 = self.mul(db, self.node("log", a, pos=pos))
+        term2 = self.mul(b, self.div(da, a, pos))
+        return self.mul(node, self.add(term1, term2))
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Node"
-    right: "Node"
-    pos: int = 0
+# ---------------------------------------------------------------------------
+# Straight-line code
+# ---------------------------------------------------------------------------
+
+_FORMS = {"neg": "-{}", "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}",
+          "^": "_pow({}, {})", **{fn: f"_{fn}({{}})" for fn in _FUNCTIONS}}
+_GLOBALS = {"_pow": math.pow, "inf": math.inf, "nan": math.nan,
+            **{f"_{fn}": f for fn, f in _FUNCTIONS.items()}}
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
-    pos: int = 0
+def _compile(root: Node, variables: tuple, where: str) -> Callable[..., float]:
+    """`root` as a function of the `variables` (argument i is ``x{i}``): SSA
+    source with one line per distinct node, in the order a tree walk, left
+    operand first, first reaches it.  So it does the walk's float operations
+    and its first error is the walk's; `_error` rebuilds that error's text."""
+    text, lines, body = {}, {}, []   # node -> its name or literal; line -> node
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node in text:
+            continue
+        if node.op == "var":
+            text[node] = f"x{variables.index(node.value)}"
+        elif node.op in ("num", "const"):  # a literal, or inf or nan; unary - binds first
+            text[node] = repr(node.value)
+        elif not expanded:
+            stack.append((node, True))
+            stack.extend((a, False) for a in reversed(node.args))
+        else:
+            text[node] = name = f"t{len(body)}"
+            form = _FORMS[node.op].format(*(text[a] for a in node.args))
+            body.append(f"        {name} = {form}")
+            lines[len(body) + 2] = node   # after the `def` and `try` lines
+    params = ", ".join(f"x{i}" for i in range(len(variables)))
+    source = "\n".join([f"def f({params}):", "    try:", *body,
+                        f"        return {text[root]}",
+                        "    except (ArithmeticError, ValueError) as exc:",
+                        "        raise _error(exc) from None"])
+    namespace = dict(_GLOBALS, _error=functools.partial(_error, where, lines, text))
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["f"]
 
 
-Node = Union[Num, Var, Const, Unary, Bin, Call]
-
-
-def _compile(node: Node, where: str) -> Callable[[float], float]:
-    """A closure computing `node` at x: the float operations of a tree walk,
-    left operand first, with the tree's domain errors and offsets after `where`."""
-    if isinstance(node, (Num, Const)):
-        c = node.value if isinstance(node, Num) else _CONSTANTS[node.name]
-        return lambda x: c
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, Unary):
-        arg = _compile(node.arg, where)
-        return lambda x: -arg(x)
-    pos = node.pos
-    if isinstance(node, Call):
-        arg, fn, name = _compile(node.arg, where), _FUNCTIONS[node.fn], node.fn
-
-        def call(x):
-            v = arg(x)
-            try:
-                return fn(v)
-            except ValueError:  # math's domain error
-                raise ExpressionError(f"{where}{name} of {_DOMAIN_ERRORS[name]} value {v!r}",
-                                      position=pos) from None
-            except OverflowError as exc:  # exp only; stays a float overflow
-                raise OverflowError(f"{where}{name} of {v!r} overflows: {exc} "
-                                    f"(at offset {pos})") from None
-        return call
-    left, right = _compile(node.left, where), _compile(node.right, where)
-    if node.op == "+":
-        return lambda x: left(x) + right(x)
-    if node.op == "-":
-        return lambda x: left(x) - right(x)
-    if node.op == "*":
-        return lambda x: left(x) * right(x)
-    if node.op == "/":
-        def div(x):
-            a, b = left(x), right(x)
-            if b == 0:
-                raise ExpressionError(f"{where}division by zero", position=pos)
-            return a / b
-        return div
-
-    def power(x):
-        a, b = left(x), right(x)
-        try:
-            return math.pow(a, b)
-        except ValueError as exc:  # math's domain error
-            raise ExpressionError(f"{where}invalid power {a!r}^{b!r}: {exc}", position=pos)
-        except OverflowError as exc:  # a float overflow, like exp's
-            raise OverflowError(f"{where}power {a!r}^{b!r} overflows: {exc} "
-                                f"(at offset {pos})") from None
-    return power
-
-
-# Smart constructors keep derivative trees small and avoid evaluating
-# annihilated subtrees (e.g. 0 * log(q) at q < 0).
-
-def _num(v) -> Node:
-    return Num(float(v))
-
-
-def _is_zero(n: Node) -> bool:
-    return isinstance(n, Num) and n.value == 0.0
-
-
-def _is_one(n: Node) -> bool:
-    return isinstance(n, Num) and n.value == 1.0
-
-
-def _add(a: Node, b: Node) -> Node:
-    if _is_zero(a):
-        return b
-    if _is_zero(b):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value + b.value)
-    return Bin("+", a, b)
-
-
-def _sub(a: Node, b: Node) -> Node:
-    if _is_zero(b):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value - b.value)
-    if _is_zero(a):
-        return Unary("-", b)
-    return Bin("-", a, b)
-
-
-def _mul(a: Node, b: Node) -> Node:
-    if _is_zero(a) or _is_zero(b):
-        return _num(0.0)
-    if _is_one(a):
-        return b
-    if _is_one(b):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value * b.value)
-    return Bin("*", a, b)
-
-
-def _div(a: Node, b: Node, pos: int = 0) -> Node:
-    if _is_zero(a):
-        return _num(0.0)
-    if _is_one(b):
-        return a
-    return Bin("/", a, b, pos)
-
-
-def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Num, Const)):
-        return False
-    if isinstance(node, Unary):
-        return _contains_var(node.arg)
-    if isinstance(node, Call):
-        return _contains_var(node.arg)
-    return _contains_var(node.left) or _contains_var(node.right)
-
-
-def _diff(node: Node) -> Node:
-    if isinstance(node, (Num, Const)):
-        return _num(0.0)
-    if isinstance(node, Var):
-        return _num(1.0)
-    if isinstance(node, Unary):
-        return _sub(_num(0.0), _diff(node.arg))
-    if isinstance(node, Call):
-        inner = _diff(node.arg)
-        if node.fn == "sin":
-            outer = Call("cos", node.arg, node.pos)
-        elif node.fn == "cos":
-            outer = Unary("-", Call("sin", node.arg, node.pos))
-        elif node.fn == "exp":
-            outer = node
-        elif node.fn == "sqrt":
-            outer = _div(_num(0.5), node, node.pos)
-        else:  # log
-            outer = _div(_num(1.0), node.arg, node.pos)
-        return _mul(outer, inner)
-    if node.op == "+":
-        return _add(_diff(node.left), _diff(node.right))
-    if node.op == "-":
-        return _sub(_diff(node.left), _diff(node.right))
-    if node.op == "*":
-        return _add(_mul(_diff(node.left), node.right),
-                    _mul(node.left, _diff(node.right)))
-    if node.op == "/":
-        num = _sub(_mul(_diff(node.left), node.right),
-                   _mul(node.left, _diff(node.right)))
-        return _div(num, Bin("*", node.right, node.right, node.pos), node.pos)
-    # power: constant exponents get the plain rule (valid for negative bases);
-    # variable exponents use a^b (b' log a + b a'/a), restricted to a > 0.
-    if not _contains_var(node.right):
-        db = _sub(node.right, _num(1.0))
-        return _mul(_mul(node.right, Bin("^", node.left, db, node.pos)),
-                    _diff(node.left))
-    term1 = _mul(_diff(node.right), Call("log", node.left, node.pos))
-    term2 = _mul(node.right, _div(_diff(node.left), node.left, node.pos))
-    return _mul(node, _add(term1, term2))
+def _error(where: str, lines: dict, text: dict, exc: Exception) -> Exception:
+    """The error of the node on the line that raised `exc`, with the text,
+    operands and offset a tree walk gives it, after `where`."""
+    tb = exc.__traceback__
+    node, env = lines[tb.tb_lineno], tb.tb_frame.f_locals
+    values = [x.value if x.op in ("num", "const") else env[text[x]] for x in node.args]
+    a, b = values[0], values[-1]   # a function's one argument is both
+    op, pos = node.op, node.pos
+    if op == "/":
+        return ExpressionError(f"{where}division by zero", position=pos)
+    if op == "^":
+        if isinstance(exc, ValueError):  # math's domain error
+            return ExpressionError(f"{where}invalid power {a!r}^{b!r}: {exc}", position=pos)
+        return OverflowError(f"{where}power {a!r}^{b!r} overflows: {exc} (at offset {pos})")
+    if isinstance(exc, ValueError):  # math's domain error
+        return ExpressionError(f"{where}{op} of {_DOMAIN_ERRORS[op]} value {a!r}",
+                               position=pos)
+    return OverflowError(f"{where}{op} of {a!r} overflows: {exc} (at offset {pos})")  # exp
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +265,11 @@ def _diff(node: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens, variable: str):
+    def __init__(self, tokens, variable: str, dag: _Dag):
         self.tokens = tokens
         self.i = 0
         self.variable = variable
+        self.dag = dag
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -308,21 +298,21 @@ class _Parser:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             tok = self.advance()
-            node = Bin(tok.text, node, self.term(), tok.pos)
+            node = self.dag.node(tok.text, node, self.term(), pos=tok.pos)
         return node
 
     def term(self) -> Node:
         node = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             tok = self.advance()
-            node = Bin(tok.text, node, self.factor(), tok.pos)
+            node = self.dag.node(tok.text, node, self.factor(), pos=tok.pos)
         return node
 
     def factor(self) -> Node:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Unary("-", self.factor(), tok.pos)
+            return self.dag.node("neg", self.factor())
         return self.power()
 
     def power(self) -> Node:
@@ -330,13 +320,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            return Bin("^", node, self.factor(), tok.pos)
+            return self.dag.node("^", node, self.factor(), pos=tok.pos)
         return node
 
     def atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text), tok.pos)
+            return self.dag.node("num", value=float(tok.text))
         if tok.kind == "ident":
             name = tok.text
             if self.peek().kind == "op" and self.peek().text == "(":
@@ -345,11 +335,11 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(name, arg, tok.pos)
+                return self.dag.node(name, arg, pos=tok.pos)
             if name == self.variable:
-                return Var(name, tok.pos)
+                return self.dag.node("var", value=name)
             if name in _CONSTANTS:
-                return Const(name, tok.pos)
+                return self.dag.node("const", value=_CONSTANTS[name])
             raise ExpressionError(f"unknown identifier {name!r}", position=tok.pos)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
@@ -363,32 +353,34 @@ class _Parser:
 class Expression:
     """A parsed expression in one variable with its symbolic derivative.
 
-    Both trees are compiled into closures once, on construction.  A `key` such
-    as ``model.V`` prefixes their errors and takes no part in equality."""
+    Both DAGs are compiled into straight-line functions once, on construction.
+    A `key` such as ``model.V`` prefixes their errors and takes no part in
+    equality."""
 
     text: str
     variable: str
-    ast: Node
-    derivative_ast: Node
+    ast: Node = field(repr=False)
+    derivative_ast: Node = field(repr=False)
     key: str = field(default="", compare=False)
     _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _slope: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         where = f"{self.key}: " if self.key else ""
-        object.__setattr__(self, "_value", _compile(self.ast, where))
-        object.__setattr__(self, "_slope", _compile(self.derivative_ast, where))
+        object.__setattr__(self, "_value", _compile(self.ast, (self.variable,), where))
+        object.__setattr__(self, "_slope",
+                           _compile(self.derivative_ast, (self.variable,), where))
 
     def __call__(self, x: float) -> float:
-        return float(self._value(float(x)))
+        return self._value(float(x))
 
     def derivative(self, x: float) -> float:
-        return float(self._slope(float(x)))
+        return self._slope(float(x))
 
     def is_constant(self) -> bool:
-        return not _contains_var(self.ast)
+        return not self.ast.has_var
 
-    def __reduce__(self):  # closures do not pickle; the text re-parses to them
+    def __reduce__(self):  # compiled code does not pickle; the text re-parses to it
         return parse_expression, (self.text, self.variable, self.key)
 
     def as_scalar_function(self) -> ScalarFunction:
@@ -404,9 +396,15 @@ class Expression:
 
 
 def parse_expression(text: str, variable: str, key: str = "") -> Expression:
-    """Parse `text` in the single free `variable`; `key` names it in evaluation errors."""
+    """Parse `text` in the single free `variable`; `key` names it in evaluation
+    errors.  Nesting too deep for the recursion limit is an error at offset 0:
+    the depth reached depends on the caller's stack, so no other offset is stable."""
     if not text or not text.strip():
         raise ExpressionError("empty expression", position=0)
-    ast = _Parser(_tokenize(text), variable).parse()
-    return Expression(text=text, variable=variable, ast=ast,
-                      derivative_ast=_diff(ast), key=key)
+    dag = _Dag()
+    try:
+        ast = _Parser(_tokenize(text), variable, dag).parse()
+        return Expression(text=text, variable=variable, ast=ast,
+                          derivative_ast=dag.diff(ast), key=key)
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply", position=0) from None

@@ -260,6 +260,17 @@ def test_expr_errors_map_to_exit_codes(capsys):
             in capsys.readouterr().err)
 
 
+def test_deep_nesting_is_a_bad_expression(tmp_path, capsys):
+    deep = "(" * 300 + "q" + ")" * 300
+    assert cli.main(["expr", deep, "--var", "q", "--at", "1"]) == 2
+    assert capsys.readouterr().err == "error: expression nested too deeply (at offset 0)\n"
+    path = tmp_path / "deep.ini"
+    path.write_text(GOOD.replace("V = q^2/2", f"V = {deep}"))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert ("error: model.V: expression nested too deeply (at offset 0)"
+            in capsys.readouterr().err)
+
+
 def test_trig_of_infinity_is_a_bad_scenario(tmp_path, capsys):
     path = tmp_path / "trig.ini"
     path.write_text(GOOD.replace("V = q^2/2", "V = cos(q*1e308*10)"))

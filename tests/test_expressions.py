@@ -1,6 +1,7 @@
 """Expression grammar: parsing, precedence, evaluation, symbolic derivative."""
 
 import math
+import operator
 import pickle
 
 import pytest
@@ -121,6 +122,24 @@ def test_domain_errors():
     with pytest.raises(ExpressionError) as err:
         cm.parse_expression("sin(q*1e308*10)", "q")(1.0)
     assert err.value.position == 0
+    # the derivative reuses a raising node of the expression (or the ^'s
+    # offset), and raises the error a tree walk meets first
+    for text, x, message, position in _SHARED_RAISING:
+        with pytest.raises(ExpressionError) as err:
+            cm.parse_expression(text, "q").derivative(x)
+        assert str(err.value) == f"{message} (at offset {position})"
+        assert err.value.position == position
+
+
+# (text, x, the derivative's error there, its offset); the value raises too
+_SHARED_RAISING = [
+    ("sqrt(q)", -1.0, "sqrt of negative value -1.0", 0),
+    ("1/(q-1)", 1.0, "division by zero", 1),
+    ("q^0.5", -2.0, "invalid power -2.0^-0.5: math domain error", 1),
+    ("log(q)^2", 0.0, "log of non-positive value 0.0", 0),
+    # d(q^q) has its own log(q), at the ^; the value raises at offset 6
+    ("q^q + log(q)", 0.0, "log of non-positive value 0.0", 1),
+]
 
 
 _ORACLE_NAMES = {"pi": math.pi, "e": math.e, "sin": math.sin, "cos": math.cos,
@@ -139,8 +158,10 @@ def _grow(sub):
     return st.one_of(bare, grouped, calls, sub.map(lambda a: "-" + a))
 
 
-@given(st.recursive(_leaves, _grow, max_leaves=12),
-       st.floats(min_value=-3.0, max_value=3.0))
+_expressions = st.recursive(_leaves, _grow, max_leaves=12)
+
+
+@given(_expressions, st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=300, deadline=None)
 def test_compiled_value_matches_python_eval(text, x):
     """Literals are floats, so Python's float operators and math functions are
@@ -156,11 +177,97 @@ def test_compiled_value_matches_python_eval(text, x):
     assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_DOMAINS = {"sin": "infinite", "cos": "infinite", "sqrt": "negative", "log": "non-positive"}
+
+
+def _tree_walk(node, x):
+    """The reference for the compiled code: a tree walk, left operand first,
+    with the errors of the nested closures that evaluated expressions before."""
+    if node.op in ("num", "const"):
+        return node.value
+    if node.op == "var":
+        return x
+    a, *b = [_tree_walk(arg, x) for arg in node.args]
+    op, pos = node.op, node.pos
+    if op == "neg":
+        return -a
+    if op in _ARITHMETIC:
+        return _ARITHMETIC[op](a, b[0])
+    if op == "/":
+        if b[0] == 0:
+            raise ExpressionError("division by zero", position=pos)
+        return a / b[0]
+    try:
+        return math.pow(a, b[0]) if op == "^" else getattr(math, op)(a)
+    except ValueError as exc:
+        raise ExpressionError(f"invalid power {a!r}^{b[0]!r}: {exc}" if op == "^"
+                              else f"{op} of {_DOMAINS[op]} value {a!r}", position=pos)
+    except OverflowError as exc:
+        operands = f"power {a!r}^{b[0]!r}" if op == "^" else f"{op} of {a!r}"
+        raise OverflowError(f"{operands} overflows: {exc} (at offset {pos})")
+
+
+@given(_expressions, st.floats(min_value=-3.0, max_value=3.0))
+@settings(max_examples=300, deadline=None)
+def test_compiled_code_matches_tree_walk(text, x):
+    """Value and derivative equal a tree walk of their DAGs bit for bit (any NaN
+    matches any NaN), or raise its exception with the same message."""
+    e = cm.parse_expression(text, "q")
+    for root, compiled in ((e.ast, e), (e.derivative_ast, e.derivative)):
+        try:
+            want = _tree_walk(root, x)
+        except (ExpressionError, OverflowError) as exc:
+            with pytest.raises(type(exc)) as err:
+                compiled(x)
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        else:
+            assert compiled(x).hex() == want.hex()
+
+
 def test_long_sums_compile():
     """A flat 600-term sum parses and evaluates as value and derivative."""
     e = cm.parse_expression("+".join(["q"] * 600), "q")
     assert e(1.5) == 900.0
     assert e.derivative(1.5) == 600.0
+
+
+def _size(root):
+    """The number of distinct nodes reachable from `root`."""
+    seen, stack = {root}, [root]
+    while stack:
+        for arg in stack.pop().args:
+            if arg not in seen:
+                seen.add(arg)
+                stack.append(arg)
+    return len(seen)
+
+
+def test_shared_subtrees_keep_derivatives_small():
+    """Equal subtrees are one node, so d(q*q*...*q) holds each partial product
+    once: 596 distinct nodes, where a tree would have 40197."""
+    x = 1.01
+    product = cm.parse_expression("*".join(["q"] * 200), "q")
+    assert _size(product.derivative_ast) < 1000
+    assert product(x) == pytest.approx(x ** 200, rel=1e-12)
+    assert product.derivative(x) == pytest.approx(200 * x ** 199, rel=1e-12)
+    chain = cm.parse_expression("exp(exp(exp(exp(exp(q)))))", "q")
+    assert _size(chain.derivative_ast) < 20
+    x, slope = -1.0, 1.0
+    for _ in range(5):
+        x = math.exp(x)
+        slope *= x
+    assert chain(-1.0) == pytest.approx(x, rel=1e-12)
+    assert chain.derivative(-1.0) == pytest.approx(slope, rel=1e-12)
+
+
+def test_deep_nesting_is_an_expression_error():
+    """Nesting deeper than the recursion limit is a syntax-level error, not a
+    RecursionError; shallower nesting still parses."""
+    assert cm.parse_expression("(" * 150 + "q" + ")" * 150, "q")(2.0) == 2.0
+    with pytest.raises(ExpressionError) as err:
+        cm.parse_expression("(" * 300 + "q" + ")" * 300, "q")
+    assert str(err.value) == "expression nested too deeply (at offset 0)"
 
 
 def test_as_scalar_function_bridge():
@@ -191,3 +298,10 @@ def test_key_names_evaluation_errors_only():
     assert back == e and back.key == "model.V"
     with pytest.raises(ExpressionError, match=r"^division by zero"):
         plain(2.0)
+    for text, x, message, position in _SHARED_RAISING:
+        keyed = cm.parse_expression(text, "q", "model.V")
+        with pytest.raises(ExpressionError, match=r"^model\.V: "):
+            keyed(x)
+        with pytest.raises(ExpressionError) as err:
+            keyed.derivative(x)
+        assert str(err.value) == f"model.V: {message} (at offset {position})"

@@ -43,15 +43,18 @@ def check_hamiltonian_decay(config, model, traj: Trajectory, cache: Dict) -> Dic
             "series": [("H", traj.times, traj.H), ("predicted", traj.times, pred)]}
 
 
-def _det_series(config, model, traj: Trajectory, cache: Dict) -> np.ndarray:
+def _det_series(traj: Trajectory, cache: Dict) -> np.ndarray:
+    """det dPhi at the samples, from the tangent `integrate` carried."""
+    if traj.J is None:
+        raise ValueError("the divergence and measure checks need the flow's tangent: "
+                         "integrate with tangent=True")
     if "dets" not in cache:
-        _, cache["dets"] = dynamics.jacobian_determinant_series(
-            model, traj.state(0), float(traj.times[-1]), config.options)
+        cache["dets"] = np.linalg.det(traj.J)
     return cache["dets"]
 
 
 def check_divergence(config, model, traj: Trajectory, cache: Dict) -> Dict:
-    dets = _det_series(config, model, traj, cache)
+    dets = _det_series(traj, cache)
     dt = np.diff(traj.times)
     acc = np.concatenate([[0.0], np.cumsum(0.5 * dt * (traj.div[1:] + traj.div[:-1]))])
     expected = np.exp(acc)
@@ -64,7 +67,7 @@ def check_divergence(config, model, traj: Trajectory, cache: Dict) -> Dict:
 
 
 def check_measure(config, model, traj: Trajectory, cache: Dict) -> Dict:
-    dets = _det_series(config, model, traj, cache)
+    dets = _det_series(traj, cache)
     mask = np.abs(traj.H) > 1e-3
     if mask.sum() < 2:
         raise ScenarioError("measure: |H| <= 1e-3 along the whole trajectory")
@@ -158,6 +161,8 @@ CHECKS = {
     "hj_residual": check_hj_residual,
     "transform_verify": check_transform_verify,
 }
+# the checks that read Trajectory.J, for which the flow is integrated with its tangent
+TANGENT_CHECKS = frozenset({"divergence", "measure"})
 
 
 def run_checks(config: ScenarioConfig, model: HamiltonianModel, traj: Trajectory,

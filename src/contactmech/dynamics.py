@@ -88,11 +88,16 @@ class Trajectory:
     S: np.ndarray                # (m,)
     H: np.ndarray                # (m,) Hamiltonian value per sample
     div: np.ndarray              # (m,) flow divergence per sample
+    # (m, 2n+1, 2n+1) fundamental matrix dPhi of the flow from the first
+    # sample, carried on the flow's steps and held to the same tolerance;
+    # only with integrate(..., tangent=True)
+    J: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
-        if not (len(self.times) == len(self.q) == len(self.p) == len(self.S)):
+        if not (len(self.times) == len(self.q) == len(self.p) == len(self.S)
+                == len(self.times if self.J is None else self.J)):
             raise ValueError("trajectory component lengths differ")
 
     def __len__(self) -> int:
@@ -175,20 +180,22 @@ def _powers(x):
 
 
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
-                  rtol: float, atol: float) -> float:
-    """First step size by the rule of Hairer, Norsett & Wanner (II.4), never
-    longer than the interval; IntegrationError if the rule's first estimate is
-    0, which happens when the scaled RMS of f0 overflows."""
+                  rtol: float, atol: float, d: int) -> float:
+    """First step size by the rule of Hairer, Norsett & Wanner (II.4) on the
+    first d components, never longer than the interval; IntegrationError if the
+    rule's first estimate is 0, which happens when the scaled RMS of f0
+    overflows."""
     span = abs(t_end - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    scale = atol + np.abs(y0[:d]) * rtol
+    d0, d1 = _rms(y0[:d] / scale), _rms(f0[:d] / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if h0 == 0:  # d1 overflowed, or d0 / d1 underflowed
-        raise IntegrationError(f"no initial step at t={t0:.6g}, y={y0}: the derivative "
-                               f"{f0} is too large for the error norm", last_time=t0)
+        raise IntegrationError(f"no initial step at t={t0:.6g}, y={y0[:d]}: the "
+                               f"derivative {f0[:d]} is too large for the error norm",
+                               last_time=t0)
     h0 = min(h0, span)
     f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((f1[:d] - f0[:d]) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -253,7 +260,7 @@ def _brent(f, a: float, b: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are handled below
 def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                     opts: IntegratorOptions, grid: np.ndarray,
-                    event=None, event_error=None) -> np.ndarray:
+                    event=None, event_error=None, d: Optional[int] = None) -> np.ndarray:
     """Integrate dy/dt = rhs(t, y) and return samples at grid points.
 
     `grid` must start at t0 and end at t_end, and rhs may return any float
@@ -267,6 +274,23 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     step's dense output by Brent's method, and event_error(t) is raised at the
     crossing time.
 
+    Only the first d components of y (all by default) enter the initial-step
+    rule, and at first the error norm; the rest ride along on the steps these
+    choose.  Their own error estimate is still taken on every step the first
+    d accept: the RMS of their error over one scale, atol + rtol times the
+    largest of them at either end of the step, as suits the entries of a
+    matrix.  At the first step on which it is 1 or more (or NaN) the rest join
+    the error norm, as the larger of the two, for the remainder of the solve:
+    so the rest are held to the same tolerance, and a non-finite stage among
+    them is rejected like any other.  Adaptive mode
+    keeps a contiguous copy of the first d stage columns and forms those
+    components' stage values, steps and samples from it alone, because BLAS
+    rounds a matrix-vector product differently for different widths.  So when
+    the first d components' rhs reads only them, their values are bit for bit
+    those of a solve of them alone up to the step at which the rest join the
+    norm, if they do.  Fixed mode is elementwise and needs no copy.  Errors
+    name the first d components.
+
     rhs is not checked for finite values stage by stage.  In adaptive mode a
     non-finite stage makes the error estimate non-finite, so the step is
     rejected and h shrinks by the minimum factor; if h falls below the
@@ -275,6 +299,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     each grid point.  numpy's overflow and invalid-value warnings are silenced
     here, since these checks report them.
     """
+    d = len(y0) if d is None else d
     out = np.empty((len(grid), len(y0)))
     out[0] = y0
     nsteps = 0
@@ -293,7 +318,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                 t += h
             t = grid[i]  # land exactly, avoiding accumulated rounding
             if not np.all(np.isfinite(y)):
-                raise NonFiniteError(f"non-finite state at t={t:.6g}, y={y}")
+                raise NonFiniteError(f"non-finite state at t={t:.6g}, y={y[:d]}")
             out[i] = y
         return out
 
@@ -302,10 +327,16 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     rtol, atol = max(opts.rel_tol, 100 * _EPS), opts.abs_tol
     K = np.empty((7, len(y0)))  # stages; row 6 is the field at the step's end
     KT = [K[:s].T for s in range(8)]  # the first s stages, as columns
+    split = d < len(y0)
+    joint = False  # whether the rest has joined the first d in the error norm
+    Kd = np.empty((7, d)) if split else K  # the first d columns of K, contiguous
+    KdT = [Kd[:s].T for s in range(8)]
     K[0] = rhs(t0, y0)
     if not np.all(np.isfinite(K[0])):
-        raise NonFiniteError(f"non-finite vector field at t={t0:.6g}, y={y0}")
-    h_abs = _initial_step(rhs, t0, y0, K[0], t_end, rtol, atol)
+        raise NonFiniteError(f"non-finite vector field at t={t0:.6g}, y={y0[:d]}")
+    if split:
+        Kd[0] = K[0, :d]
+    h_abs = _initial_step(rhs, t0, y0, K[0], t_end, rtol, atol, d)
     t, y = t0, y0
     g = event(t0, y0) if event is not None else None
     i = 1
@@ -321,18 +352,34 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
             if h_abs < min_step:
                 if rejected and not math.isfinite(err):
                     raise NonFiniteError(f"non-finite vector field: the steps from "
-                                         f"t={t:.6g}, y={y} down to h={min_step:.3g} "
+                                         f"t={t:.6g}, y={y[:d]} down to h={min_step:.3g} "
                                          f"all met a non-finite stage")
-                raise IntegrationError(f"adaptive step failed at t={t:.6g}, y={y}",
+                raise IntegrationError(f"adaptive step failed at t={t:.6g}, y={y[:d]}",
                                        last_time=t)
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
             for s in range(1, 6):
-                K[s] = rhs(t + _DP_C[s] * h, y + np.dot(KT[s], _DP_A[s]) * h)
-            y_new = y + h * np.dot(KT[6], _DP_B)
+                dy = np.dot(KT[s], _DP_A[s])
+                if split:
+                    dy[:d] = np.dot(KdT[s], _DP_A[s])
+                K[s] = rhs(t + _DP_C[s] * h, y + dy * h)
+                if split:
+                    Kd[s] = K[s, :d]
+            dy = np.dot(KT[6], _DP_B)
+            if split:
+                dy[:d] = np.dot(KdT[6], _DP_B)
+            y_new = y + h * dy
             K[6] = rhs(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(KT[7], _DP_E) * h / scale)
+            if split:
+                Kd[6] = K[6, :d]
+            scale = atol + np.maximum(np.abs(y[:d]), np.abs(y_new[:d])) * rtol
+            err = _rms(np.dot(KdT[7], _DP_E) * h / scale)
+            if split and (joint or err < 1):
+                scale = atol + max(np.abs(y[d:]).max(), np.abs(y_new[d:]).max()) * rtol
+                err_rest = _rms(np.dot(KT[7][d:], _DP_E) * (h / scale))
+                joint = joint or not err_rest < 1
+                if joint and (err_rest > err or math.isnan(err_rest)):
+                    err = err_rest
             if err < 1:
                 factor = (_MAX_FACTOR if err == 0
                           else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
@@ -352,8 +399,12 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         if j > i:
             x = _powers((grid[i:j] - t_old) / h)
             out[i:j] = (h * np.dot(K.T.dot(_DP_P), x) + y_old[:, None]).T
+            if split:
+                out[i:j, :d] = (h * np.dot(Kd.T.dot(_DP_P), x) + y_old[:d, None]).T
             i = j
         K[0] = K[6]
+        if split:
+            Kd[0] = Kd[6]
     if i < len(grid):
         raise IntegrationError(f"integration stopped at t={t:.6g} before t_end",
                                last_time=t)
@@ -362,23 +413,57 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     return out
 
 
+def _solve(model: HamiltonianModel, init: ExtendedState, t_end: float,
+           opts: IntegratorOptions, grid: np.ndarray, tangent: bool) -> tuple:
+    """(rows [q, p, S] of the flow at the grid times, J or None).  With
+    `tangent`, J = dPhi solves dJ/dt = A J, J(t0) = I, where A is the model's
+    `field_jacobian` (a test holds it to finite differences of the field).  J
+    rides the flow's own steps, so the rows are those of the solve without J
+    unless J's error estimate fails on one of them, from which step on J joins
+    the error norm (see `_integrate_flat`); each right-hand side calls `field`
+    and `field_jacobian` once each."""
+    y0 = init.flat()
+    if not tangent:
+        return _integrate_flat(model.field, y0, init.t, t_end, opts, grid), None
+    d, field, jacobian = len(y0), model.field, model.field_jacobian
+
+    def rhs(t, z):
+        y = z[:d]
+        return np.concatenate([field(t, y), (jacobian(t, y) @ z[d:].reshape(d, d)).ravel()])
+
+    zs = _integrate_flat(rhs, np.concatenate([y0, np.eye(d).ravel()]), init.t, t_end,
+                         opts, grid, d=d)
+    return zs[:, :d], zs[:, d:].reshape(-1, d, d)
+
+
 def integrate(model: HamiltonianModel, init: ExtendedState, t_end: float,
-              opts: Optional[IntegratorOptions] = None) -> Trajectory:
-    """Integrate the contact equations from init.t to t_end and sample the flow."""
+              opts: Optional[IntegratorOptions] = None,
+              tangent: bool = False) -> Trajectory:
+    """Integrate the contact equations from init.t to t_end and sample the flow.
+
+    With `tangent`, the fundamental matrix J = dPhi of the variational
+    equations dJ/dt = A J is integrated on the same steps and returned as
+    `Trajectory.J`.  The steps are chosen for (q, p, S) alone, so times, q, p,
+    S, H and div are bit for bit those of the solve without J, as long as J's
+    own error estimate (RMS over its entries, relative to rel_tol times its
+    largest entry) stays under 1 on them.  Where it does not, as from a rest
+    point, where the flow's steps are long and J still turns, J joins the
+    error norm from that step on and the flow is sampled on the shorter steps
+    that follow."""
     opts = opts or IntegratorOptions()
     model.check_dimensions(init)
     if t_end <= init.t:
         raise ValueError(f"t_end={t_end} must exceed the initial time {init.t}")
     n = model.n
     grid = sample_grid(init.t, t_end, opts.sample_interval)
-    ys = _integrate_flat(model.field, init.flat(), init.t, t_end, opts, grid)
+    ys, J = _solve(model, init, t_end, opts, grid, tangent)
     H = np.array([model.value(t, y) for t, y in zip(grid, ys)], dtype=float)
     dv = np.array([-(n + 1) * model.grad(t, y)[2 * n] for t, y in zip(grid, ys)],
                   dtype=float)
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(dv))):
         raise NonFiniteError("non-finite H or divergence at a sample point")
     return Trajectory(times=grid, q=ys[:, :n].copy(), p=ys[:, n:2 * n].copy(),
-                      S=ys[:, 2 * n].copy(), H=H, div=dv)
+                      S=ys[:, 2 * n].copy(), H=H, div=dv, J=J)
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +533,6 @@ def recover_S_linear(model: HamiltonianModel, q: float, p: float, t: float,
 # Variational equations / volume contraction
 # ---------------------------------------------------------------------------
 
-def _det_series(model: HamiltonianModel, init: ExtendedState, t_end: float,
-                opts: IntegratorOptions, grid: np.ndarray) -> np.ndarray:
-    """det of the fundamental matrix of dJ/dt = A J at grid times, integrated
-    with the flow y; A is the model's `field_jacobian` (a test holds it to
-    finite differences of the field), and each right-hand side calls `field`
-    and `field_jacobian` once each."""
-    d = 2 * model.n + 1
-
-    def rhs(t, z):
-        y = z[:d]
-        return np.concatenate([model.field(t, y),
-                               (model.field_jacobian(t, y) @ z[d:].reshape(d, d)).ravel()])
-
-    z0 = np.concatenate([init.flat(), np.eye(d).ravel()])
-    zs = _integrate_flat(rhs, z0, init.t, t_end, opts, grid)
-    return np.linalg.det(zs[:, d:].reshape(-1, d, d))
-
-
 def flow_jacobian_determinant(model: HamiltonianModel, init: ExtendedState,
                               t_end: float,
                               opts: Optional[IntegratorOptions] = None) -> float:
@@ -481,7 +548,8 @@ def flow_jacobian_determinant(model: HamiltonianModel, init: ExtendedState,
     if t_end < init.t:
         raise ValueError(f"t_end={t_end} must not precede the initial time {init.t}")
     grid = np.array([init.t, t_end])
-    return float(_det_series(model, init, t_end, opts, grid)[-1])
+    _, J = _solve(model, init, t_end, opts, grid, tangent=True)
+    return float(np.linalg.det(J[-1]))
 
 
 def jacobian_determinant_series(model: HamiltonianModel, init: ExtendedState,
@@ -493,4 +561,5 @@ def jacobian_determinant_series(model: HamiltonianModel, init: ExtendedState,
     if t_end <= init.t:
         raise ValueError(f"t_end={t_end} must exceed the initial time {init.t}")
     grid = sample_grid(init.t, t_end, opts.sample_interval)
-    return grid, _det_series(model, init, t_end, opts, grid)
+    _, J = _solve(model, init, t_end, opts, grid, tangent=True)
+    return grid, np.linalg.det(J)

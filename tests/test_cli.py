@@ -1,5 +1,6 @@
 """Front end: subcommands, artifacts on disk, exit-code contract, determinism."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactmech import cli, diagnostics, transforms
+from contactmech import cli, diagnostics, dynamics, transforms
 from contactmech.dynamics import integrate
 from contactmech.errors import ScenarioError
 from contactmech.model import make_state
@@ -316,6 +317,7 @@ def test_seed_changes_verification_points(tmp_path):
 
 def test_every_check_token_has_a_check_and_every_map_builds():
     assert set(diagnostics.CHECKS) == set(SIMPLE_CHECKS) | {"transform_verify"}
+    assert diagnostics.TANGENT_CHECKS <= set(diagnostics.CHECKS)
     config = parse_scenario((ROOT / "scenarios" / "parametric_oscillator.ini").read_text())
     traj = integrate(build_model(config),
                      make_state(config.q0, config.p0, config.S0, config.t0),
@@ -323,6 +325,55 @@ def test_every_check_token_has_a_check_and_every_map_builds():
     for name in TRANSFORM_MAPS:
         cmap, _gamma = diagnostics._build_map(name, config, traj, {})
         assert cmap.name == name
+
+
+def test_a_scenario_with_volume_checks_is_one_solve(tmp_path, monkeypatch):
+    """divergence and measure read the tangent that the flow's own solve
+    carried: no second solve."""
+    solves, integrate_flat = [], dynamics._integrate_flat
+
+    def counted(rhs, y0, *args, **kwargs):
+        solves.append(len(y0))
+        return integrate_flat(rhs, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_integrate_flat", counted)
+    config = parse_scenario((ROOT / "scenarios" / "damped_oscillator.ini").read_text())
+    assert {"divergence", "measure"} <= set(config.checks)
+    assert cli.run_scenario(config, str(tmp_path)) == cli.EXIT_PASS
+    assert solves == [3 + 9]
+
+
+@pytest.mark.parametrize("name, tangent", [("damped_oscillator", True),
+                                           ("damped_free_particle", False),
+                                           ("parametric_oscillator", False)])
+def test_only_the_volume_checks_evaluate_the_field_jacobian(name, tangent, tmp_path,
+                                                           monkeypatch):
+    calls = []
+
+    def build_counted(config):
+        model = build_model(config)
+
+        def field_jacobian(t, y):
+            calls.append(t)
+            return model.field_jacobian(t, y)
+        return dataclasses.replace(model, field_jacobian=field_jacobian)
+
+    monkeypatch.setattr(cli, "build_model", build_counted)
+    config = parse_scenario((ROOT / "scenarios" / f"{name}.ini").read_text())
+    assert cli.run_scenario(config, str(tmp_path)) == cli.EXIT_PASS
+    assert bool(calls) == tangent
+
+
+@pytest.mark.parametrize("start", ["q = 0\np = 0\nS = 1", "q = 1e-8\np = 0\nS = 1"])
+def test_the_volume_checks_pass_from_a_rest_point(start, tmp_path):
+    """At (or next to) the rest point q = p = 0 only the slow decay of S moves
+    the flow, while J follows the unit-frequency rotation: the steps the flow
+    alone would take are too long for J."""
+    text = GOOD.replace("q = 1\np = 0", start).replace("rel_tol = 1e-10", "rel_tol = 1e-9") \
+               .replace("abs_tol = 1e-13", "abs_tol = 1e-12") \
+               .replace("checks = hamiltonian_decay, divergence", "checks = divergence, measure")
+    assert start in text and "checks = divergence, measure" in text
+    assert cli.run_scenario(parse_scenario(text), str(tmp_path)) == cli.EXIT_PASS
 
 
 def test_a_non_finite_map_jacobian_is_an_integration_failure(tmp_path, capsys, monkeypatch):

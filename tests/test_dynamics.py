@@ -1,8 +1,10 @@
 """Flow layer: vector field, integrators, decay laws, volume contraction."""
 
 import dataclasses
+import importlib
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +15,12 @@ import contactmech as cm
 from contactmech import cli, diagnostics, dynamics
 from contactmech.dynamics import _integrate_flat
 from contactmech.model import _contact_field, _field_jacobian, central_difference
+from contactmech.scenario import build_model, parse_scenario
 from contactmech.errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                                 UnsupportedModelError)
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(p.stem for p in (ROOT / "scenarios").glob("*.ini"))
 
 
 def test_vector_field_examples(linear_model):
@@ -315,7 +321,7 @@ def test_the_n_plus_1_law_beyond_one_degree_of_freedom(n):
     # the checks' trapezoid rule needs the finer samples: at 0.01 its error at
     # n = 3 is 1.4e-5, over the divergence check's 1e-5
     opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-13, sample_interval=0.005)
-    traj = cm.integrate(model, x0, 3.0, opts)
+    traj = cm.integrate(model, x0, 3.0, opts, tangent=True)
     config, cache = SimpleNamespace(options=opts), {}
     div = diagnostics.check_divergence(config, model, traj, cache)
     assert div["passed"], div["observed"]
@@ -335,6 +341,126 @@ def test_the_n_plus_1_law_beyond_one_degree_of_freedom(n):
     assert measure["passed"], measure["observed"]
     product = [cm.measure_weight(model, traj.state(i)) * det for i, det in enumerate(dets)]
     assert_allclose(product, product[0], rtol=1e-4)
+
+
+def _scenario(text):
+    """(config, model, initial state) of a scenario text."""
+    config = parse_scenario(text)
+    return config, build_model(config), cm.make_state(config.q0, config.p0, config.S0,
+                                                      config.t0)
+
+
+def _volume_entry(kind, damped, monkeypatch):
+    """The first entry of the benchmark's `volume` workload (seed 5) with this
+    model kind and gamma = 0 or not."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    generate = importlib.import_module("perfbench.generate")
+    for entry in generate.volume(5):
+        config = parse_scenario(entry.text)
+        if config.kind == kind and (config.gamma > 0) == damped:
+            return entry.text
+    raise AssertionError(f"no {kind} entry with damped={damped}")
+
+
+def _flow_case(case, monkeypatch):
+    """(model, x0, t_end, opts) of a case named "shipped:<scenario>",
+    "volume:<kind>:<damped 0/1>", "chain:<n>" or "fixed_rk4"."""
+    kind, _, arg = case.partition(":")
+    if kind == "chain":
+        n = int(arg)
+        x0 = cm.make_state(np.linspace(1.0, 0.4, n), np.linspace(-0.3, 0.5, n), 0.2, 0.0)
+        return (_oscillator_chain(n), x0, 3.0,
+                cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-13, sample_interval=0.005))
+    if kind == "fixed_rk4":
+        return (cm.make_linear_dissipation(0.7, 0.25, _QUARTIC),
+                cm.make_state(1.1, -0.4, 0.2, 0.0), 2.0,
+                cm.IntegratorOptions(method="fixed_rk4", step=0.01, sample_interval=0.05))
+    if kind == "shipped":
+        text = (ROOT / "scenarios" / f"{arg}.ini").read_text()
+    else:
+        model_kind, damped = arg.split(":")
+        text = _volume_entry(model_kind, damped == "1", monkeypatch)
+    config, model, x0 = _scenario(text)
+    return model, x0, config.t_end, config.options
+
+
+@pytest.mark.parametrize("case", [f"shipped:{name}" for name in SHIPPED]
+                         + [f"volume:{kind}:{damped}" for kind in ("linear_dissipation",
+                                                                   "caldirola_kanai")
+                            for damped in (1, 0)]
+                         + ["chain:2", "chain:3", "fixed_rk4"])
+def test_the_tangent_leaves_the_flow_alone(case, monkeypatch):
+    """J rides the flow's steps, and on these cases its own error estimate
+    stays under 1 on every step the flow accepts, so it never joins the error
+    norm: the flow's samples and their H and div are those of the solve
+    without J, bit for bit."""
+    model, x0, t_end, opts = _flow_case(case, monkeypatch)
+    plain = cm.integrate(model, x0, t_end, opts)
+    carried = cm.integrate(model, x0, t_end, opts, tangent=True)
+    d = 2 * model.n + 1
+    assert plain.J is None
+    assert carried.J.shape == (len(plain), d, d)
+    assert_array_equal(carried.J[0], np.eye(d))
+    for name in ("times", "q", "p", "S", "H", "div"):
+        a, b = getattr(carried, name), getattr(plain, name)
+        assert_array_equal(a, b, err_msg=name)
+        assert a.tobytes() == b.tobytes(), name  # down to the sign of a zero
+
+
+def test_the_tangent_matches_differences_of_the_flow_map():
+    """J(t_end) against central differences of the flow map: perturbed
+    `integrate` runs of a model whose field_jacobian may not be called."""
+    model = cm.make_linear_dissipation(0.7, 0.25, _QUARTIC)
+    y0, t_end, h = np.array([1.1, -0.4, 0.2]), 3.0, 1e-4
+    opts = cm.IntegratorOptions(rel_tol=1e-12, abs_tol=1e-14, sample_interval=t_end)
+    J = cm.integrate(model, cm.make_state(*y0, 0.0), t_end, opts, tangent=True).J[-1]
+
+    def forbidden(t, y):
+        raise AssertionError("the difference quotients called field_jacobian")
+
+    flow_only = dataclasses.replace(model, field_jacobian=forbidden)
+
+    def phi(y):
+        return cm.integrate(flow_only, cm.make_state(*y, 0.0), t_end, opts).flat()[-1]
+
+    fd = np.column_stack([(phi(y0 + h * e) - phi(y0 - h * e)) / (2 * h) for e in np.eye(3)])
+    assert np.max(np.abs(J - np.eye(3))) > 0.1  # the check is not vacuous
+    assert_allclose(J, fd, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_det_of_the_tangent_is_the_closed_form_volume_factor(name):
+    """det J = exp(-(n+1) gamma t) on every shipped scenario: dH/dS is the
+    constant h'(S) of each built-in (gamma, or 0 for Caldirola-Kanai)."""
+    config, model, x0 = _scenario((ROOT / "scenarios" / f"{name}.ini").read_text())
+    traj = cm.integrate(model, x0, config.t_end, config.options, tangent=True)
+    expected = np.exp(-2 * model.h_prime(0.0) * (traj.times - config.t0))
+    assert_allclose(np.linalg.det(traj.J), expected, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_a_tangent_from_a_rest_point_is_held_to_the_tolerance(gamma):
+    """From q = p = 0 the flow's own error estimate allows long steps (with
+    gamma = 0 its field is zero), while J follows the unit-frequency rotation
+    of the (q, p) block; J's own estimate must shorten them."""
+    model = cm.make_linear_dissipation(1.0, gamma, cm.quadratic_potential(1.0))
+    x0 = cm.make_state(0.0, 0.0, 1.0, 0.0)
+    opts = cm.IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, sample_interval=0.05)
+    traj = cm.integrate(model, x0, 5.0, opts, tangent=True)
+    t = traj.times
+    assert_allclose(np.linalg.det(traj.J), np.exp(-2 * gamma * t), rtol=1e-7, atol=0)
+    if gamma == 0:
+        rotation = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+        assert_allclose(traj.J[:, :2, :2], rotation.transpose(2, 0, 1), rtol=0, atol=1e-7)
+    grid, dets = cm.jacobian_determinant_series(model, x0, 5.0, opts)
+    assert_allclose(dets, np.exp(-2 * gamma * grid), rtol=1e-7, atol=0)
+
+
+def test_the_volume_checks_need_the_tangent(linear_model, linear_traj):
+    config = SimpleNamespace(options=cm.IntegratorOptions())
+    for check in (diagnostics.check_divergence, diagnostics.check_measure):
+        with pytest.raises(ValueError, match="tangent=True"):
+            check(config, linear_model, linear_traj, {})
 
 
 def test_measure_weight_examples(linear_model):
@@ -491,6 +617,32 @@ def test_a_non_finite_field_is_a_non_finite_error_naming_t_and_y(run):
     match = re.search(r"t=(\S+), y=\[", str(err.value))
     assert match, str(err.value)
     assert 0.2 < float(match.group(1)) < 0.4
+    assert cli._classify(err.value) == cli.EXIT_INTEGRATION
+
+
+def _jacobian_wall_at_q_1_5():
+    """The harmonic model of `_wall_at_q_1_5` with a finite field everywhere,
+    but a field Jacobian that is non-finite from q = 1.5 on, as where a
+    central-difference V'' overflows while V' stays finite."""
+    model = cm.make_linear_dissipation(1.0, 0.1, cm.quadratic_potential(1.0))
+    jacobian = model.field_jacobian
+    return dataclasses.replace(
+        model, field_jacobian=lambda t, y: jacobian(t, y) * (1.0 if y[0] < 1.5 else math.inf))
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, x: cm.integrate(model, x, 3.0, tangent=True),
+    lambda model, x: cm.jacobian_determinant_series(model, x, 3.0),
+], ids=["integrate", "det_series"])
+def test_a_non_finite_tangent_is_a_non_finite_error_naming_t_and_y(run):
+    """A non-finite stage of J is rejected like one of the flow, so the error
+    names the time and the (q, p, S) block where the steps gave out."""
+    with pytest.raises(NonFiniteError) as err:
+        run(_jacobian_wall_at_q_1_5(), cm.make_state(1.0, 2.0, 0.0, 0.0))
+    match = re.search(r"t=(\S+), y=\[([^\]]*)\]", str(err.value))
+    assert match, str(err.value)
+    assert 0.2 < float(match.group(1)) < 0.4
+    assert len(match.group(2).split()) == 3
     assert cli._classify(err.value) == cli.EXIT_INTEGRATION
 
 

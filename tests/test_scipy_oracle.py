@@ -56,10 +56,11 @@ def _scipy_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None):
     return steps, out, None, (solver.nfev - 2) // 6 - len(steps)
 
 
-def _own_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None):
-    """(accepted (t, y), grid samples, event time) of `_integrate_flat`; the event
-    function sees every accepted step, so it records them up to the crossing
-    (the root finder's calls come after)."""
+def _own_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None, d=None):
+    """(accepted (t, y), grid samples, event time) of `_integrate_flat`, with
+    the first d components in the error norm; the event function sees every
+    accepted step, so it records them up to the crossing (the root finder's
+    calls come after)."""
     steps, gs = [], []
 
     def record(t, y):
@@ -71,7 +72,8 @@ def _own_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None):
 
     opts = cm.IntegratorOptions(rel_tol=rtol, abs_tol=atol)
     try:
-        out = _integrate_flat(rhs, y0, t0, t_end, opts, grid, event=record, event_error=_Stop)
+        out = _integrate_flat(rhs, y0, t0, t_end, opts, grid, event=record, event_error=_Stop,
+                              d=d)
     except _Stop as stop:
         return steps[1:], None, stop.t
     return steps[1:], out, None
@@ -119,22 +121,33 @@ def test_stepper_matches_rk45_on_the_contact_field_with_an_event():
 
 
 def test_stepper_matches_rk45_on_the_det_series_system(monkeypatch):
-    """The 3 + 9 dimensional variational system of the volume checks."""
+    """The 3 + 9 dimensional tangent solve of the volume checks: its accepted
+    steps and the (q, p, S) block of its steps and samples are scipy's RK45 on
+    the 3-dimensional field alone, bit for bit."""
     V = cm.parse_expression("q^2/2 + 0.05*q^4", "q").as_scalar_function()
     model = cm.make_linear_dissipation(1.0, 0.3, V)
     captured = []
 
     def capture(rhs, y0, t0, t_end, opts, grid, **kwargs):
-        captured.append((rhs, y0, t0, t_end, opts, grid))
+        captured.append((rhs, y0, kwargs))
         return _integrate_flat(rhs, y0, t0, t_end, opts, grid, **kwargs)
 
     monkeypatch.setattr(dynamics, "_integrate_flat", capture)
     opts = cm.IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, sample_interval=0.05)
-    dynamics.jacobian_determinant_series(model, cm.make_state(1.2, -0.3, 0.1, 0.0), 4.0, opts)
-    rhs, y0, t0, t_end, opts, grid = captured[0]
-    assert len(y0) == 12
-    accepted, _ = _assert_same_run(rhs, y0, t0, t_end, opts.rel_tol, opts.abs_tol, grid)
-    assert accepted > 20
+    x0 = cm.make_state(1.2, -0.3, 0.1, 0.0)
+    traj = cm.integrate(model, x0, 4.0, opts, tangent=True)
+    [(rhs, y0, kwargs)] = captured
+    assert len(y0) == 12 and kwargs == {"d": 3}
+    grid = traj.times
+    ref_steps, ref_out, _, _ = _scipy_run(model.field, x0.flat(), 0.0, 4.0, opts.rel_tol,
+                                          opts.abs_tol, grid)
+    steps, out, _ = _own_run(rhs, y0, 0.0, 4.0, opts.rel_tol, opts.abs_tol, grid, d=3)
+    assert [t for t, _ in steps] == [t for t, _ in ref_steps]
+    assert np.array_equal(np.array([y[:3] for _, y in steps]),
+                          np.array([y for _, y in ref_steps]))
+    assert np.array_equal(out[:, :3], ref_out)
+    assert np.array_equal(traj.flat(), ref_out)
+    assert len(steps) > 20
 
 
 def test_stepper_matches_rk45_on_the_ermakov_list_rhs(monkeypatch):

@@ -1,12 +1,10 @@
 """contactmech: simulation and verification engine for contact Hamiltonian mechanics."""
 
-from .model import (ContactState, ExtendedState, HamiltonianModel,
-                    PartialDerivatives, ScalarFunction, as_scalar_fn,
-                    make_caldirola_kanai, make_custom,
+from .model import (ExtendedState, HamiltonianModel, ScalarFunction,
+                    as_scalar_fn, make_caldirola_kanai, make_custom,
                     make_damped_parametric, make_linear_dissipation,
                     make_state, quadratic_potential)
-from .dynamics import (IntegratorOptions, Tangent, Trajectory, divergence,
-                       flow_jacobian_determinant, integrate,
+from .dynamics import (IntegratorOptions, Trajectory, divergence, integrate,
                        jacobian_determinant_series, measure_weight,
                        observable_rate, predicted_hamiltonian,
                        recover_S_linear, step_rk4, vector_field)
@@ -30,12 +28,12 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContactState", "ExtendedState", "HamiltonianModel", "PartialDerivatives",
-    "ScalarFunction", "as_scalar_fn", "make_caldirola_kanai",
+    "ExtendedState", "HamiltonianModel", "ScalarFunction", "as_scalar_fn",
+    "make_caldirola_kanai",
     "make_custom", "make_damped_parametric", "make_linear_dissipation",
     "make_state", "quadratic_potential",
-    "IntegratorOptions", "Tangent", "Trajectory", "divergence",
-    "flow_jacobian_determinant", "integrate", "jacobian_determinant_series",
+    "IntegratorOptions", "Trajectory", "divergence", "integrate",
+    "jacobian_determinant_series",
     "measure_weight", "observable_rate", "predicted_hamiltonian",
     "recover_S_linear", "step_rk4", "vector_field",
     "ContactMap", "TransformReport", "compose", "conformal_factor", "map_ck",

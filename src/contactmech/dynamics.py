@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                      UnsupportedModelError)
-from .model import ContactState, ExtendedState, HamiltonianModel
+from .model import ExtendedState, HamiltonianModel
 
 MEASURE_EPS = 1e-12      # |H| below this is treated as the singular level set
 _EPS = np.finfo(float).eps
@@ -33,25 +33,16 @@ _ROOT_TOL = 4 * _EPS     # x and relative tolerance of the event root
 # Vector field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tangent:
-    """Components of the extended contact Hamiltonian vector field (dt = 1)."""
-
-    dq: np.ndarray
-    dp: np.ndarray
-    dS: float
-    dt: float = 1.0
-
-
-def vector_field(model: HamiltonianModel, x: ExtendedState) -> Tangent:
-    """Evaluate the contact Hamiltonian vector field at x; a non-finite
-    component raises NonFiniteError."""
+def vector_field(model: HamiltonianModel, x: ExtendedState) -> np.ndarray:
+    """The (q, p, S) components [dq/dt, dp/dt, dS/dt] of the contact
+    Hamiltonian vector field at x (dt/dt = 1 is left out), a fresh (2n+1,)
+    array; a non-finite component raises NonFiniteError."""
     model.check_dimensions(x)
     y = x.flat()
-    f = np.asarray(model.field(x.t, y), dtype=float)
+    f = np.array(model.field(x.t, y), dtype=float)
     if not np.all(np.isfinite(f)):
         raise NonFiniteError(f"non-finite vector field at t={x.t}, y={y}: {f}")
-    return Tangent(f[:x.n], f[x.n:2 * x.n], float(f[2 * x.n]))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +99,7 @@ class Trajectory:
         return self.q.shape[1]
 
     def state(self, i: int) -> ExtendedState:
-        return ExtendedState(ContactState(self.q[i], self.p[i], self.S[i]), self.times[i])
+        return ExtendedState(self.q[i], self.p[i], self.S[i], self.times[i])
 
     def flat(self) -> np.ndarray:
         """The (m, 2n+1) rows [q, p, S] of the samples."""
@@ -472,7 +463,7 @@ def integrate(model: HamiltonianModel, init: ExtendedState, t_end: float,
 
 def divergence(model: HamiltonianModel, x: ExtendedState) -> float:
     """Divergence of the contact flow in the (q, p, S) volume sense: -(n+1) dH/dS."""
-    return -(model.n + 1) * model.partials(x).dH_dS
+    return -(model.n + 1) * float(model.partials(x)[2 * model.n])
 
 
 def measure_weight(model: HamiltonianModel, x: ExtendedState,
@@ -492,12 +483,13 @@ def observable_rate(model: HamiltonianModel, observable: HamiltonianModel,
     dF/dt = -H dF/dS + p_a (dF/dS dH/dp_a - dF/dp_a dH/dS)
             + {F, H}_(q,p) + dF/dt.
     """
+    n = model.n
     h = model.evaluate(x)
     dH = model.partials(x)
     dF = observable.partials(x)
-    poisson = float(np.dot(dF.dH_dq, dH.dH_dp) - np.dot(dF.dH_dp, dH.dH_dq))
-    contact = float(np.dot(x.p, dF.dH_dS * dH.dH_dp - dH.dH_dS * dF.dH_dp))
-    return -h * dF.dH_dS + contact + poisson + dF.dH_dt
+    poisson = np.dot(dF[:n], dH[n:2 * n]) - np.dot(dF[n:2 * n], dH[:n])
+    contact = np.dot(x.p, dF[2 * n] * dH[n:2 * n] - dH[2 * n] * dF[n:2 * n])
+    return float(-h * dF[2 * n] + contact + poisson + dF[2 * n + 1])
 
 
 def predicted_hamiltonian(model: HamiltonianModel, traj: Trajectory) -> np.ndarray:
@@ -533,29 +525,12 @@ def recover_S_linear(model: HamiltonianModel, q: float, p: float, t: float,
 # Variational equations / volume contraction
 # ---------------------------------------------------------------------------
 
-def flow_jacobian_determinant(model: HamiltonianModel, init: ExtendedState,
-                              t_end: float,
-                              opts: Optional[IntegratorOptions] = None) -> float:
-    """Volume-contraction factor det dPhi_t at t_end.
-
-    Equals exp(int divergence dt) along the flow up to integration tolerance;
-    identically 1 for S-independent models (Liouville's theorem).
-    """
-    opts = opts or IntegratorOptions()
-    model.check_dimensions(init)
-    if t_end == init.t:
-        return 1.0
-    if t_end < init.t:
-        raise ValueError(f"t_end={t_end} must not precede the initial time {init.t}")
-    grid = np.array([init.t, t_end])
-    _, J = _solve(model, init, t_end, opts, grid, tangent=True)
-    return float(np.linalg.det(J[-1]))
-
-
 def jacobian_determinant_series(model: HamiltonianModel, init: ExtendedState,
                                 t_end: float,
                                 opts: Optional[IntegratorOptions] = None) -> tuple:
-    """(times, det) sampled like `integrate`; used by measure/volume diagnostics."""
+    """(times, det dPhi_t) sampled like `integrate`: the volume-contraction
+    factor, equal to exp(int divergence dt) along the flow up to integration
+    tolerance and identically 1 for S-independent models (Liouville's theorem)."""
     opts = opts or IntegratorOptions()
     model.check_dimensions(init)
     if t_end <= init.t:

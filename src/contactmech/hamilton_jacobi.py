@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, UnsupportedModelError
-from .model import ContactState, ExtendedState, HamiltonianModel, central_difference
+from .model import ExtendedState, HamiltonianModel, central_difference
 from .dynamics import Trajectory
 from .oscillator import RiccatiSolution, riccati_sensitivity, solve_riccati
 
@@ -81,8 +81,7 @@ def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t: fl
 
 def extended_F(model: HamiltonianModel, q, p, S: float, t: float, E: float) -> float:
     """The level function E - H(q, p, S, t) whose zero set carries the dynamics."""
-    x = ExtendedState(ContactState(np.atleast_1d(q), np.atleast_1d(p), S), t)
-    return E - model.evaluate(x)
+    return E - model.evaluate(ExtendedState(q, p, S, t))
 
 
 def characteristic_b(field: PrincipalFunctionField, c, q, t: float) -> np.ndarray:

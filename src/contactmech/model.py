@@ -1,7 +1,8 @@
-"""Contact phase-space states and contact Hamiltonian descriptors.
+"""Extended contact phase-space states and contact Hamiltonian descriptors.
 
 The phase space is described in Darboux coordinates (q, p, S): generalized
-positions, conjugate momenta and an action-like contact variable.  A
+positions, conjugate momenta and an action-like contact variable; an
+``ExtendedState`` is one point (q, p, S, t) of it at a time t.  A
 ``HamiltonianModel`` holds H(q, p, S, t), its derivatives and its contact
 vector field as closures over the flat vector [q, p, S]; the built-in
 factories cover linear dissipation, the damped parametric oscillator and the
@@ -48,61 +49,38 @@ def _readonly(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ContactState:
-    """A point (q, p, S) of the contact phase space; immutable after construction."""
+class ExtendedState:
+    """A point (q, p, S, t) of the extended contact phase space; immutable after
+    construction.  q and p are read-only 1-d arrays of equal length (a scalar is
+    promoted to length 1), and all coordinates are finite."""
 
     q: np.ndarray
     p: np.ndarray
     S: float
+    t: float
 
     def __post_init__(self):
         object.__setattr__(self, "q", _readonly(self.q))
         object.__setattr__(self, "p", _readonly(self.p))
         object.__setattr__(self, "S", float(self.S))
+        object.__setattr__(self, "t", float(self.t))
         if self.q.ndim != 1 or self.p.ndim != 1 or self.q.size != self.p.size:
             raise DimensionMismatchError(
                 f"q and p must be 1-d arrays of equal length, got {self.q.shape} and {self.p.shape}"
             )
         if self.q.size < 1:
             raise DimensionMismatchError("need at least one degree of freedom")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p)) and math.isfinite(self.S)):
-            raise NonFiniteError(f"non-finite contact state: q={self.q}, p={self.p}, S={self.S}")
+        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))
+                and math.isfinite(self.S) and math.isfinite(self.t)):
+            raise NonFiniteError(f"non-finite state: {self!r}")
 
     @property
     def n(self) -> int:
         return self.q.size
 
     def __repr__(self):
-        return f"ContactState(q={self.q.tolist()}, p={self.p.tolist()}, S={self.S})"
-
-
-@dataclass(frozen=True)
-class ExtendedState:
-    """A contact state with the time coordinate appended."""
-
-    state: ContactState
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        if not math.isfinite(self.t):
-            raise NonFiniteError(f"non-finite time t={self.t}")
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.state.q
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.state.p
-
-    @property
-    def S(self) -> float:
-        return self.state.S
-
-    @property
-    def n(self) -> int:
-        return self.state.n
+        return (f"ExtendedState(q={self.q.tolist()}, p={self.p.tolist()}, S={self.S}, "
+                f"t={self.t})")
 
     def flat(self) -> np.ndarray:
         """Pack into [q, p, S] (time excluded)."""
@@ -110,33 +88,12 @@ class ExtendedState:
 
     @staticmethod
     def from_flat(y: np.ndarray, n: int, t: float) -> "ExtendedState":
-        return ExtendedState(ContactState(y[:n], y[n:2 * n], y[2 * n]), t)
+        return ExtendedState(y[:n], y[n:2 * n], y[2 * n], t)
 
 
 def make_state(q, p, S=0.0, t=0.0) -> ExtendedState:
-    """Convenience constructor; scalars are promoted to length-1 vectors."""
-    return ExtendedState(ContactState(np.atleast_1d(q), np.atleast_1d(p), S), t)
-
-
-@dataclass(frozen=True)
-class PartialDerivatives:
-    """First partials of a contact Hamiltonian at one extended state."""
-
-    dH_dq: np.ndarray
-    dH_dp: np.ndarray
-    dH_dS: float
-    dH_dt: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dH_dq", _readonly(self.dH_dq))
-        object.__setattr__(self, "dH_dp", _readonly(self.dH_dp))
-        object.__setattr__(self, "dH_dS", float(self.dH_dS))
-        object.__setattr__(self, "dH_dt", float(self.dH_dt))
-        if self.dH_dq.size != self.dH_dp.size:
-            raise DimensionMismatchError("dH_dq and dH_dp lengths differ")
-        vals = np.concatenate([self.dH_dq, self.dH_dp, [self.dH_dS, self.dH_dt]])
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteError(f"non-finite partial derivatives: {vals}")
+    """Convenience constructor with S and t defaulting to 0."""
+    return ExtendedState(q, p, S, t)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +196,14 @@ class HamiltonianModel:
             raise NonFiniteError(f"model '{self.name}' is non-finite at {x!r}")
         return v
 
-    def partials(self, x: ExtendedState) -> PartialDerivatives:
-        """First partials of the contact Hamiltonian at x."""
+    def partials(self, x: ExtendedState) -> np.ndarray:
+        """First partials [dH/dq, dH/dp, dH/dS, dH/dt] of the contact
+        Hamiltonian at x, a fresh (2n+2,) array; all entries are finite."""
         self.check_dimensions(x)
-        n = self.n
-        g = self.grad(x.t, x.flat())
-        return PartialDerivatives(g[:n], g[n:2 * n], g[2 * n], g[2 * n + 1])
+        g = np.array(self.grad(x.t, x.flat()), dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteError(f"model '{self.name}' has non-finite partials at {x!r}: {g}")
+        return g
 
 
 def _contact_field(n: int, y: np.ndarray, h: float, g: np.ndarray) -> np.ndarray:

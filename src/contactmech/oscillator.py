@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import IntegratorOptions, _integrate_flat
 from .errors import BranchError, DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
-from .model import FD_STEP, ContactState, ExtendedState, ScalarFunction, as_scalar_fn
+from .model import FD_STEP, ExtendedState, ScalarFunction, as_scalar_fn
 
 SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
@@ -224,7 +224,7 @@ def invariants_from_state(m: float, gamma: float, erm: ErmakovSolution,
 
 def analytic_state(m: float, gamma: float, erm: ErmakovSolution, I: float,
                    G: float, phi0: float, t: float,
-                   growing_exponent: bool = False) -> ContactState:
+                   growing_exponent: bool = False) -> ExtendedState:
     """Closed-form state of the damped parametric oscillator at time t.
 
         q(t) = sqrt(2 I / m) e^{-g t/2} alpha cos(phi)
@@ -244,7 +244,7 @@ def analytic_state(m: float, gamma: float, erm: ErmakovSolution, I: float,
     q = math.sqrt(2.0 * I / m) * pref * a * math.cos(phi)
     p = math.sqrt(2.0 * m * I) * pref * (u * math.cos(phi) - math.sin(phi) / a)
     S = math.exp(-gamma * t) * G + 0.5 * q * p
-    return ContactState([q], [p], S)
+    return ExtendedState(q, p, S, t)
 
 
 def quadratic_invariant_coefficients(m: float, gamma: float, zeta0: float,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import contactmech as cm
-from contactmech.model import ContactState
+from contactmech.model import ExtendedState
 
 
 @pytest.fixture(scope="session")
@@ -65,13 +65,13 @@ def random_states(n_points, seed=0, t_range=(0.0, 5.0), q_range=(0.5, 1.5)):
 
 @pytest.fixture
 def built_states(monkeypatch):
-    """The ContactStates constructed while the test runs, in order."""
+    """The ExtendedStates constructed while the test runs, in order."""
     built = []
-    post_init = ContactState.__post_init__
+    post_init = ExtendedState.__post_init__
 
     def counting(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(ContactState, "__post_init__", counting)
+    monkeypatch.setattr(ExtendedState, "__post_init__", counting)
     return built

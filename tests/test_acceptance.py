@@ -9,6 +9,7 @@ vanishes at turning points.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,8 +131,8 @@ def test_criterion_03_divergence_and_volume(linear, traj20):
     traj, _ = traj20
     div_exact = bool(np.all(traj.div == -0.2))
     opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-13, sample_interval=5.0)
-    det = cm.flow_jacobian_determinant(linear, cm.make_state(1.0, 0.0, 0.0, 0.0),
-                                       5.0, opts)
+    det = cm.jacobian_determinant_series(linear, cm.make_state(1.0, 0.0, 0.0, 0.0),
+                                         5.0, opts)[1][-1]
     det_err = abs(det - math.exp(-1.0))
     report(3, "divergence-and-volume", div_exact and det_err < 1e-5,
            f"div==-2*gamma exact={div_exact}, |det(5)-e^-1|={det_err:.3g} (tol 1e-5)")
@@ -334,8 +335,8 @@ def test_criterion_12_cli_regression_set(tmp_path):
         for root, _dirs, files in os.walk(out_a):
             rel = os.path.relpath(root, out_a)
             for f in files:
-                b1 = open(os.path.join(root, f), "rb").read()
-                b2 = open(os.path.join(out_b, rel, f), "rb").read()
+                b1 = Path(root, f).read_bytes()
+                b2 = Path(out_b, rel, f).read_bytes()
                 stable = stable and (b1 == b2)
     elapsed = time.perf_counter() - t0
     report(12, "cli-regression-set", stable and elapsed < 30.0,

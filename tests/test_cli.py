@@ -61,9 +61,9 @@ def test_run_writes_artifacts(good_scenario, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "plots", "hamiltonian_decay.svg"))
     assert os.path.exists(os.path.join(out, "plots", "divergence.svg"))
     assert "cli_smoke: pass" in capsys.readouterr().out
-    header = open(os.path.join(out, "trajectory.tsv")).readline().strip().split("\t")
+    header = Path(out, "trajectory.tsv").read_text().splitlines()[0].split("\t")
     assert header[:6] == ["t", "q1", "p1", "S", "H", "divergence"]
-    report = open(os.path.join(out, "report.txt")).read()
+    report = Path(out, "report.txt").read_text()
     assert "status: pass" in report
     assert "hamiltonian_decay:" in report and "threshold:" in report
 
@@ -75,8 +75,8 @@ def test_run_is_byte_deterministic(good_scenario, tmp_path):
     for name in ("trajectory.tsv", "report.txt",
                  os.path.join("plots", "hamiltonian_decay.svg"),
                  os.path.join("plots", "divergence.svg")):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(out1, name).read_bytes()
+        b2 = Path(out2, name).read_bytes()
         assert b1 == b2, name
 
 
@@ -95,7 +95,7 @@ def test_failed_diagnostic_exit_code(tmp_path, capsys):
     path.write_text(bad)
     code = cli.main(["run", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
-    report = open(tmp_path / "o" / "report.txt").read()
+    report = (tmp_path / "o" / "report.txt").read_text()
     assert "status: fail" in report
     assert "pass: false" in report
 
@@ -307,12 +307,12 @@ def test_seed_changes_verification_points(tmp_path):
     path.write_text(text)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "s0"), "--seed", "0"]) == 0
     assert cli.main(["run", str(path), "--out", str(tmp_path / "s1"), "--seed", "1"]) == 0
-    r0 = open(tmp_path / "s0" / "plots" / "transform_verify_ck.svg", "rb").read()
-    r1 = open(tmp_path / "s1" / "plots" / "transform_verify_ck.svg", "rb").read()
+    r0 = (tmp_path / "s0" / "plots" / "transform_verify_ck.svg").read_bytes()
+    r1 = (tmp_path / "s1" / "plots" / "transform_verify_ck.svg").read_bytes()
     assert r0 != r1  # point sets are seed-dependent
     # but the same seed is reproducible
     assert cli.main(["run", str(path), "--out", str(tmp_path / "s0b"), "--seed", "0"]) == 0
-    assert r0 == open(tmp_path / "s0b" / "plots" / "transform_verify_ck.svg", "rb").read()
+    assert r0 == (tmp_path / "s0b" / "plots" / "transform_verify_ck.svg").read_bytes()
 
 
 def test_every_check_token_has_a_check_and_every_map_builds():

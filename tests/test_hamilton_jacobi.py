@@ -216,7 +216,7 @@ def test_characteristic_equivalence(free_particle_setup):
     i = len(traj) // 2
     x = traj.state(i)
     d = model.partials(x)
-    sdot_flow = x.p[0] * d.dH_dp[0] - model.evaluate(x)
+    sdot_flow = x.p[0] * d[1] - model.evaluate(x)
     fd = (traj.S[i + 1] - traj.S[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])
     assert abs(fd - sdot_flow) < 1e-5
 

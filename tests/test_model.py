@@ -39,20 +39,18 @@ def test_caldirola_kanai_eval_examples():
 
 def test_partials_examples(linear_model):
     d = linear_model.partials(cm.make_state(1.0, 2.0, 0.0, 0.0))
-    assert_allclose(d.dH_dq, [1.0])
-    assert_allclose(d.dH_dp, [2.0])
-    assert d.dH_dS == 0.1
-    assert d.dH_dt == 0.0
+    assert_allclose(d[:2], [1.0, 2.0])
+    assert d[2] == 0.1
+    assert d[3] == 0.0
 
 
 def test_caldirola_kanai_partials_at_origin_time():
     ck = cm.make_caldirola_kanai(1.0, 0.1, cm.quadratic_potential())
     d = ck.partials(cm.make_state(1.0, 1.0, 0.0, 0.0))
-    assert_allclose(d.dH_dq, [1.0])
-    assert_allclose(d.dH_dp, [1.0])
-    assert d.dH_dS == 0.0
+    assert_allclose(d[:2], [1.0, 1.0])
+    assert d[2] == 0.0
     # dH/dt = gamma (V - p^2/2m) vanishes at (1, 1, , 0)
-    assert d.dH_dt == pytest.approx(0.0, abs=1e-15)
+    assert d[3] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_flag_contract_S_independent():
@@ -62,9 +60,9 @@ def test_flag_contract_S_independent():
     for _ in range(20):
         x = cm.make_state(rng.uniform(-2, 2), rng.uniform(-2, 2),
                           rng.uniform(-2, 2), rng.uniform(0, 5))
-        assert ck.partials(x).dH_dS == 0.0
-        assert cons.partials(x).dH_dS == 0.0
-        assert cons.partials(x).dH_dt == 0.0
+        assert ck.partials(x)[2] == 0.0
+        assert cons.partials(x)[2] == 0.0
+        assert cons.partials(x)[3] == 0.0
 
 
 @pytest.mark.parametrize("factory", [
@@ -86,20 +84,13 @@ def test_closed_form_partials_match_fd(factory):
     for _ in range(100):
         x = cm.make_state(rng.uniform(0.3, 2.0), rng.uniform(-2, 2),
                           rng.uniform(-1, 1), rng.uniform(0.0, 4.0))
-        da, dn = model.partials(x), fd_model.partials(x)
-        assert_allclose(da.dH_dq, dn.dH_dq, rtol=1e-5, atol=1e-8)
-        assert_allclose(da.dH_dp, dn.dH_dp, rtol=1e-5, atol=1e-8)
-        assert_allclose(da.dH_dS, dn.dH_dS, rtol=1e-5, atol=1e-8)
-        assert_allclose(da.dH_dt, dn.dH_dt, rtol=1e-5, atol=1e-8)
+        assert_allclose(model.partials(x), fd_model.partials(x), rtol=1e-5, atol=1e-8)
 
 
 def test_eval_and_partials_are_pure(linear_model):
     x = cm.make_state(0.7, -0.4, 0.2, 1.3)
     assert linear_model.evaluate(x) == linear_model.evaluate(x)
-    d1, d2 = linear_model.partials(x), linear_model.partials(x)
-    assert np.array_equal(d1.dH_dq, d2.dH_dq)
-    assert np.array_equal(d1.dH_dp, d2.dH_dp)
-    assert d1.dH_dS == d2.dH_dS and d1.dH_dt == d2.dH_dt
+    assert np.array_equal(linear_model.partials(x), linear_model.partials(x))
 
 
 @given(q=st.floats(-3, 3), p=st.floats(-3, 3), S=st.floats(-3, 3))
@@ -107,22 +98,22 @@ def test_eval_and_partials_are_pure(linear_model):
 def test_linear_model_partials_property(q, p, S):
     model = cm.make_linear_dissipation(1.0, 0.1, cm.quadratic_potential())
     d = model.partials(cm.make_state(q, p, S, 0.0))
-    assert d.dH_dq[0] == pytest.approx(q)
-    assert d.dH_dp[0] == pytest.approx(p)
-    assert d.dH_dS == 0.1
+    assert d[0] == pytest.approx(q)
+    assert d[1] == pytest.approx(p)
+    assert d[2] == 0.1
 
 
 def test_make_custom_examples():
     zero = cm.make_custom(1, lambda t, y: 0.0, depends_on_S=False, depends_on_t=False)
     d = zero.partials(cm.make_state(1.0, 2.0, 3.0, 4.0))
-    assert_allclose([d.dH_dq[0], d.dH_dp[0], d.dH_dS, d.dH_dt], 0.0, atol=1e-9)
+    assert_allclose(d, 0.0, atol=1e-9)
 
     free = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2, depends_on_S=False,
                           depends_on_t=False)
-    assert free.partials(cm.make_state(0.0, 1.5, 0.0, 0.0)).dH_dp[0] == pytest.approx(1.5, rel=1e-9)
+    assert free.partials(cm.make_state(0.0, 1.5, 0.0, 0.0))[1] == pytest.approx(1.5, rel=1e-9)
 
     contraction = cm.make_custom(1, lambda t, y: 0.3 * y[2], depends_on_t=False)
-    assert contraction.partials(cm.make_state(0.0, 0.0, 2.0, 0.0)).dH_dS == pytest.approx(0.3, rel=1e-9)
+    assert contraction.partials(cm.make_state(0.0, 0.0, 2.0, 0.0))[2] == pytest.approx(0.3, rel=1e-9)
 
 
 @pytest.mark.parametrize("n, length", [(1, 3), (1, 5), (2, 4), (2, 7)])
@@ -167,7 +158,7 @@ def test_constructor_preconditions():
 
 
 def test_dimension_and_finiteness_errors(linear_model):
-    bad_dim = cm.ExtendedState(cm.ContactState([1.0, 2.0], [0.0, 0.0], 0.0), 0.0)
+    bad_dim = cm.ExtendedState([1.0, 2.0], [0.0, 0.0], 0.0, 0.0)
     with pytest.raises(DimensionMismatchError):
         linear_model.evaluate(bad_dim)
     with pytest.raises(DimensionMismatchError):
@@ -179,14 +170,14 @@ def test_dimension_and_finiteness_errors(linear_model):
 
 def test_state_validation():
     with pytest.raises(DimensionMismatchError):
-        cm.ContactState([1.0], [1.0, 2.0], 0.0)
+        cm.ExtendedState([1.0], [1.0, 2.0], 0.0, 0.0)
     with pytest.raises(DimensionMismatchError):
-        cm.ContactState([], [], 0.0)
+        cm.ExtendedState([], [], 0.0, 0.0)
     with pytest.raises(NonFiniteError):
-        cm.ContactState([np.nan], [0.0], 0.0)
+        cm.ExtendedState([np.nan], [0.0], 0.0, 0.0)
     with pytest.raises(NonFiniteError):
         cm.make_state(1.0, 0.0, 0.0, np.inf)
-    st_ = cm.ContactState([1.0], [2.0], 3.0)
+    st_ = cm.ExtendedState([1.0], [2.0], 3.0, 0.0)
     assert st_.n == 1
     with pytest.raises(ValueError):
         st_.q[0] = 5.0  # immutable storage

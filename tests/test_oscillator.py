@@ -138,7 +138,7 @@ def test_lewis_gamma_zero_is_classic_formula():
 
 def test_analytic_state_zero_amplitude(ermakov_const):
     st = cm.analytic_state(1.0, 0.1, ermakov_const, 0.0, 2.0, 0.3, 4.0)
-    assert st.q[0] == 0.0 and st.p[0] == 0.0
+    assert st.q[0] == 0.0 and st.p[0] == 0.0 and st.t == 4.0
     assert st.S == pytest.approx(2.0 * math.exp(-0.4), rel=1e-12)
     with pytest.raises(ValueError):
         cm.analytic_state(1.0, 0.1, ermakov_const, -0.5, 0.0, 0.0, 1.0)

@@ -1,0 +1,37 @@
+"""The README's library tour runs as written and shows the values it documents."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_tour() -> str:
+    """The first fenced python block under the `## Library tour` heading."""
+    section = README.read_text().split("\n## Library tour\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def run_tour(source: str) -> dict:
+    """Execute the block statement by statement; the value of each bare
+    expression, keyed by its source text."""
+    namespace, values = {}, {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "<README>", "eval")
+            values[ast.get_source_segment(source, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "<README>", "exec"), namespace)
+    return values
+
+
+def test_library_tour_runs_and_shows_the_documented_values():
+    values = run_tour(library_tour())
+    assert values["traj.H[-1]"] == pytest.approx(0.5 * math.exp(-1.0), rel=1e-6)
+    assert values["cm.divergence(model, x0)"] == pytest.approx(-0.2, rel=1e-12)
+    assert values["det[-1]"] == pytest.approx(math.exp(-1.0), abs=1e-5)
+    assert values["cm.measure_weight(model, x0)"] == pytest.approx(4.0)

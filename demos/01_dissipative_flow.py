@@ -25,7 +25,7 @@ OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
 m, gamma = 1.0, 0.1
-model = cm.make_linear_dissipation(m, gamma, cm.quadratic_potential())
+model = cm.make_linear_dissipation(m, gamma, cm.parse_expression("q^2/2", "q"))
 x0 = cm.make_state(1.0, 0.0, 0.0, 0.0)
 opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-13, sample_interval=0.002)
 

@@ -45,9 +45,10 @@ print(f"{'planted':<11} pass={rep.passed}  max residual={rep.max_residual:.2e}  
 
 # pushforwards: the new Hamiltonian K = f H - dS~/dt + P dQ/dt at pre-images
 print()
-hs = cm.make_linear_dissipation(m, gamma, cm.quadratic_potential())
+V = cm.parse_expression("q^2/2", "q")
+hs = cm.make_linear_dissipation(m, gamma, V)
 K_ck = cm.pushforward_hamiltonian(cm.map_ck(m, gamma), hs)
-ck = cm.make_caldirola_kanai(m, gamma, cm.quadratic_potential())
+ck = cm.make_caldirola_kanai(m, gamma, V)
 X = cm.make_state(0.7, -0.4, 0.3, 1.5)
 print(f"pushforward through ck at a sample point: {K_ck.evaluate(X):.12f}")
 print(f"Caldirola-Kanai Hamiltonian there:        {ck.evaluate(X):.12f}")

@@ -1,9 +1,8 @@
 """contactmech: simulation and verification engine for contact Hamiltonian mechanics."""
 
-from .model import (ExtendedState, HamiltonianModel, ScalarFunction,
-                    as_scalar_fn, make_caldirola_kanai, make_custom,
-                    make_damped_parametric, make_linear_dissipation,
-                    make_state, quadratic_potential)
+from .model import (ExtendedState, HamiltonianModel, make_caldirola_kanai,
+                    make_custom, make_damped_parametric,
+                    make_linear_dissipation, make_state)
 from .dynamics import (IntegratorOptions, Trajectory, divergence, integrate,
                        jacobian_determinant_series, measure_weight,
                        observable_rate, predicted_hamiltonian,
@@ -28,10 +27,9 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtendedState", "HamiltonianModel", "ScalarFunction", "as_scalar_fn",
-    "make_caldirola_kanai",
+    "ExtendedState", "HamiltonianModel", "make_caldirola_kanai",
     "make_custom", "make_damped_parametric", "make_linear_dissipation",
-    "make_state", "quadratic_potential",
+    "make_state",
     "IntegratorOptions", "Trajectory", "divergence", "integrate",
     "jacobian_determinant_series",
     "measure_weight", "observable_rate", "predicted_hamiltonian",

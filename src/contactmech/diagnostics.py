@@ -55,9 +55,7 @@ def _det_series(traj: Trajectory, cache: Dict) -> np.ndarray:
 
 def check_divergence(config, model, traj: Trajectory, cache: Dict) -> Dict:
     dets = _det_series(traj, cache)
-    dt = np.diff(traj.times)
-    acc = np.concatenate([[0.0], np.cumsum(0.5 * dt * (traj.div[1:] + traj.div[:-1]))])
-    expected = np.exp(acc)
+    expected = np.exp(dynamics._cumulative_trapezoid(traj.times, traj.div))
     observed = float(np.max(np.abs(dets - expected) / np.abs(expected)))
     return {"name": "divergence", "threshold": 1e-5,
             "observed": observed, "passed": observed < 1e-5,
@@ -83,7 +81,7 @@ def check_measure(config, model, traj: Trajectory, cache: Dict) -> Dict:
 def _ermakov_for(config, traj: Trajectory, cache: Dict):
     if "erm" not in cache:
         cache["erm"] = oscillator.solve_ermakov(
-            config.omega.as_scalar_function(), config.gamma, 1.0, 0.0, traj.times)
+            config.omega, config.gamma, 1.0, 0.0, traj.times)
     return cache["erm"]
 
 
@@ -107,8 +105,7 @@ def check_invariants(config, model, traj: Trajectory, cache: Dict) -> Dict:
 def check_hj_residual(config, model, traj: Trajectory, cache: Dict) -> Dict:
     C0 = config.p0 / (config.m * config.q0) if config.q0 != 0 else 1.0
     grid = np.linspace(config.t0, config.t_end, 201)
-    ric = oscillator.solve_riccati(config.omega.as_scalar_function(), config.gamma,
-                                   C0, grid)
+    ric = oscillator.solve_riccati(config.omega, config.gamma, C0, grid)
     field = principal_field_from_riccati(config.m, ric)
     qs = np.linspace(-2.0, 2.0, 50)
     ts = np.linspace(config.t0, config.t_end, 50)

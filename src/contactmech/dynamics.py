@@ -492,21 +492,20 @@ def observable_rate(model: HamiltonianModel, observable: HamiltonianModel,
     return float(-h * dF[2 * n] + contact + poisson + dF[2 * n + 1])
 
 
-def predicted_hamiltonian(model: HamiltonianModel, traj: Trajectory) -> np.ndarray:
-    """H(t) predicted from the decay law H_0 exp(-int h'(S) dtau).
+def _cumulative_trapezoid(times: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int x dt from times[0] to each sample, by the trapezoid rule on the samples."""
+    dt = np.diff(times)
+    return np.concatenate([[0.0], np.cumsum(0.5 * dt * (x[1:] + x[:-1]))])
 
-    Requires the model to expose the environment-coupling derivative h'(S) of
-    the split H = H_mec + h(S); quadrature is trapezoidal on the sample grid.
-    """
-    if model.h_prime is None:
-        raise UnsupportedModelError(
-            f"model '{model.name}' does not expose an h(S) split")
+
+def predicted_hamiltonian(model: HamiltonianModel, traj: Trajectory) -> np.ndarray:
+    """H(t) predicted from the decay law dH/dt = -H dH/dS of an autonomous H:
+    H_0 exp(-int dH/dS dtau), with dH/dS = -div/(n+1) from the trajectory's
+    samples and the trapezoid rule on the sample grid.  A time-dependent H adds
+    dH/dt to the law, which this prediction leaves out."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    hp = np.array([model.h_prime(s) for s in traj.S])
-    dt = np.diff(traj.times)
-    acc = np.concatenate([[0.0], np.cumsum(0.5 * dt * (hp[1:] + hp[:-1]))])
-    return traj.H[0] * np.exp(-acc)
+    return traj.H[0] * np.exp(-_cumulative_trapezoid(traj.times, -traj.div / (traj.n + 1)))
 
 
 def recover_S_linear(model: HamiltonianModel, q: float, p: float, t: float,

@@ -42,7 +42,7 @@ class BranchError(ContactMechError, ValueError):
 
 
 class UnsupportedModelError(ContactMechError, TypeError):
-    """The operation needs structure (h-split, inverse map, family) the object lacks."""
+    """The operation needs structure (model kind, inverse map, family) the object lacks."""
 
 
 class ExpressionError(ContactMechError, ValueError):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ExpressionError
-from .model import ScalarFunction
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
@@ -377,15 +376,8 @@ class Expression:
     def derivative(self, x: float) -> float:
         return self._slope(float(x))
 
-    def is_constant(self) -> bool:
-        return not self.ast.has_var
-
     def __reduce__(self):  # compiled code does not pickle; the text re-parses to it
         return parse_expression, (self.text, self.variable, self.key)
-
-    def as_scalar_function(self) -> ScalarFunction:
-        return ScalarFunction(f=self.__call__, df=self.derivative,
-                              is_constant=self.is_constant())
 
     def __eq__(self, other):
         return (isinstance(other, Expression) and other.text == self.text
@@ -408,3 +400,19 @@ def parse_expression(text: str, variable: str, key: str = "") -> Expression:
                           derivative_ast=dag.diff(ast), key=key)
     except RecursionError:
         raise ExpressionError("expression nested too deeply", position=0) from None
+
+
+def as_expression(obj, variable: str, name: str):
+    """`obj` as a function of `variable` for the built-in models and solvers:
+    an object with ``__call__(x)`` and ``derivative(x)``, such as an `Expression`,
+    as it is, or a finite number c as ``parse_expression(repr(float(c)), variable,
+    name)``.  Anything else (a bare callable, a string, a bool, a non-finite
+    number) is an error naming `name`."""
+    if callable(obj) and callable(getattr(obj, "derivative", None)):
+        return obj
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise TypeError(f"{name} must be an expression in {variable} or a finite number, "
+                        f"got {type(obj).__name__}")
+    if not math.isfinite(obj):
+        raise ValueError(f"{name} must be finite, got {obj!r}")
+    return parse_expression(repr(float(obj)), variable, name)

@@ -18,6 +18,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
+from .expressions import as_expression
 
 FD_STEP = 1e-6  # relative step for central finite differences
 
@@ -48,11 +49,12 @@ def _readonly(a) -> np.ndarray:
 # States
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedState:
     """A point (q, p, S, t) of the extended contact phase space; immutable after
     construction.  q and p are read-only 1-d arrays of equal length (a scalar is
-    promoted to length 1), and all coordinates are finite."""
+    promoted to length 1), and all coordinates are finite.  Two states are equal
+    when their coordinates are, and equal states hash alike."""
 
     q: np.ndarray
     p: np.ndarray
@@ -78,6 +80,17 @@ class ExtendedState:
     def n(self) -> int:
         return self.q.size
 
+    def _key(self) -> tuple:
+        return tuple(self.q.tolist()), tuple(self.p.tolist()), self.S, self.t
+
+    def __eq__(self, other):
+        if not isinstance(other, ExtendedState):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def __repr__(self):
         return (f"ExtendedState(q={self.q.tolist()}, p={self.p.tolist()}, S={self.S}, "
                 f"t={self.t})")
@@ -94,59 +107,6 @@ class ExtendedState:
 def make_state(q, p, S=0.0, t=0.0) -> ExtendedState:
     """Convenience constructor with S and t defaulting to 0."""
     return ExtendedState(q, p, S, t)
-
-
-# ---------------------------------------------------------------------------
-# Scalar helper functions (potentials, frequencies)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalarFunction:
-    """A scalar function of one variable carrying its own derivatives.
-
-    Built-ins always supply an analytic derivative; passing ``df=None`` falls
-    back to central finite differences (documented fallback, not the default).
-    The second derivative is always a central difference of the first.
-    """
-
-    f: Callable[[float], float]
-    df: Optional[Callable[[float], float]] = None
-    is_constant: bool = False
-
-    def __call__(self, x: float) -> float:
-        return float(self.f(x))
-
-    def derivative(self, x: float) -> float:
-        if self.is_constant:
-            return 0.0
-        if self.df is not None:
-            return float(self.df(x))
-        return float(central_difference(lambda z: self(z[0]), [x])[0])
-
-    def second_derivative(self, x: float) -> float:
-        h = FD_STEP * max(1.0, abs(x))
-        return (self.derivative(x + h) - self.derivative(x - h)) / (2.0 * h)
-
-
-def as_scalar_fn(obj, name: str = "function") -> ScalarFunction:
-    """Coerce numbers, callables or ScalarFunctions to a ScalarFunction; an
-    object with ``as_scalar_function`` (a parsed expression) converts itself,
-    so that it keeps its symbolic derivative."""
-    if isinstance(obj, ScalarFunction):
-        return obj
-    if hasattr(obj, "as_scalar_function"):
-        return obj.as_scalar_function()
-    if isinstance(obj, (int, float)):
-        c = float(obj)
-        return ScalarFunction(f=lambda _x, c=c: c, df=lambda _x: 0.0, is_constant=True)
-    if callable(obj):
-        return ScalarFunction(f=obj)
-    raise TypeError(f"{name} must be a number, callable or ScalarFunction, got {type(obj)!r}")
-
-
-def quadratic_potential(k: float = 1.0) -> ScalarFunction:
-    """V(q) = k q^2 / 2 with analytic derivative."""
-    return ScalarFunction(f=lambda q: 0.5 * k * q * q, df=lambda q: k * q)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +127,6 @@ class HamiltonianModel:
     central-difference Hessian.  All four are unvalidated: a non-finite field
     is left to the integrator, which rejects the step.  ``evaluate`` and
     ``partials`` validate.
-    ``h_prime``, when present, is h'(S) for Hamiltonians that split as
-    H = H_mec(q, p[, t]) + h(S).
     """
 
     n: int
@@ -176,11 +134,8 @@ class HamiltonianModel:
     grad: Callable[[float, np.ndarray], np.ndarray]
     field: Callable[[float, np.ndarray], Sequence[float]]
     field_jacobian: Callable[[float, np.ndarray], np.ndarray]
-    depends_on_S: bool = True
-    depends_on_t: bool = True
     name: str = "custom"
     params: Mapping[str, Any] = dataclass_field(default_factory=dict)
-    h_prime: Optional[Callable[[float], float]] = None
 
     def check_dimensions(self, x: ExtendedState):
         if x.n != self.n:
@@ -246,13 +201,24 @@ def _field_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np.n
 # exact zero at A[2, 0] or A[2, 2] may not, since the generic S row is a
 # matrix product where this is p * 0.0.
 
-def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
-    """H = p^2/2m + V(q) + gamma*S, the one-dimensional linear-friction system."""
+
+def _check_mass_and_damping(m: float, gamma: float):
     if not 0 < m < math.inf:
         raise ValueError(f"mass must be positive, got m={m}")
     if not 0 <= gamma < math.inf:
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
-    Vfn = as_scalar_fn(V, "V")
+
+
+def _second_derivative(f, x: float) -> float:
+    """f''(x) as a central difference of f.derivative with step FD_STEP * max(1, |x|)."""
+    h = FD_STEP * max(1.0, abs(x))
+    return (f.derivative(x + h) - f.derivative(x - h)) / (2.0 * h)
+
+
+def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
+    """H = p^2/2m + V(q) + gamma*S, the one-dimensional linear-friction system."""
+    _check_mass_and_damping(m, gamma)
+    Vfn = as_expression(V, "q", "V")
 
     def value(t, y) -> float:
         q, p = y[0], y[1]
@@ -271,31 +237,27 @@ def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
         q, p, _ = y.tolist()
         d2H_dp2 = 1.0 / m
         return np.array([[0.0, d2H_dp2, 0.0],
-                         [-Vfn.second_derivative(q) - p * 0.0, -0.0 - p * 0.0 - gamma,
+                         [-_second_derivative(Vfn, q) - p * 0.0, -0.0 - p * 0.0 - gamma,
                           -0.0 - p * 0.0],
                          [p * 0.0 - Vfn.derivative(q), p * d2H_dp2, p * 0.0 - gamma]])
 
     return HamiltonianModel(
         n=1, value=value, grad=grad, field=field, field_jacobian=field_jacobian,
-        depends_on_S=gamma > 0, depends_on_t=False,
         name="linear_dissipation",
         params={"m": m, "gamma": gamma, "V": Vfn},
-        h_prime=lambda S: gamma,
     )
 
 
 def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
     """H = p^2/2m + m w(t)^2 q^2 / 2 + gamma*S, the damped parametric oscillator.
 
-    ``omega`` may be a number (constant frequency: damped harmonic oscillator,
-    and the model is flagged time-independent), zero (damped free particle) or
-    a time-dependent ScalarFunction/callable.
+    ``omega`` is an expression in t (an `Expression`, or any object with
+    ``__call__(t)`` and ``derivative(t)``) or a finite number: a constant
+    frequency gives the damped harmonic oscillator, zero the damped free
+    particle.
     """
-    if not 0 < m < math.inf:
-        raise ValueError(f"mass must be positive, got m={m}")
-    if not 0 <= gamma < math.inf:
-        raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
-    wfn = as_scalar_fn(omega, "omega")
+    _check_mass_and_damping(m, gamma)
+    wfn = as_expression(omega, "t", "omega")
 
     def value(t, y) -> float:
         q, p = y[0], y[1]
@@ -325,10 +287,8 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
 
     return HamiltonianModel(
         n=1, value=value, grad=grad, field=field, field_jacobian=field_jacobian,
-        depends_on_S=gamma > 0, depends_on_t=not wfn.is_constant,
         name="damped_parametric",
         params={"m": m, "gamma": gamma, "omega": wfn},
-        h_prime=lambda S: gamma,
     )
 
 
@@ -339,11 +299,8 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
     contact equations its (q, p) flow is the standard symplectic one, and q(t)
     obeys the same damped Newton equation as the linear-dissipation model.
     """
-    if not 0 < m < math.inf:
-        raise ValueError(f"mass must be positive, got m={m}")
-    if not 0 <= gamma < math.inf:
-        raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
-    Vfn = as_scalar_fn(V, "V")
+    _check_mass_and_damping(m, gamma)
+    Vfn = as_expression(V, "q", "V")
 
     def factors(t):
         """(e^{-gamma t}, e^{gamma t}); an overflow names the model, key and time."""
@@ -376,23 +333,19 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
         em, ep = factors(t)
         d2H_dp2 = em / m
         return np.array([[0.0, d2H_dp2, 0.0],
-                         [-(ep * Vfn.second_derivative(q)) - p * 0.0, -0.0 - p * 0.0 - 0.0,
+                         [-(ep * _second_derivative(Vfn, q)) - p * 0.0, -0.0 - p * 0.0 - 0.0,
                           -0.0 - p * 0.0],
                          [p * 0.0 - ep * Vfn.derivative(q), p * d2H_dp2, p * 0.0 - 0.0]])
 
     return HamiltonianModel(
         n=1, value=value, grad=grad, field=field, field_jacobian=field_jacobian,
-        depends_on_S=False, depends_on_t=gamma > 0,
         name="caldirola_kanai",
         params={"m": m, "gamma": gamma, "V": Vfn},
-        h_prime=lambda S: 0.0,
     )
 
 
-def make_custom(n: int, value, grad=None, depends_on_S: bool = True,
-                depends_on_t: bool = True, name: str = "custom",
-                params: Optional[Mapping[str, Any]] = None,
-                h_prime=None) -> HamiltonianModel:
+def make_custom(n: int, value, grad=None, name: str = "custom",
+                params: Optional[Mapping[str, Any]] = None) -> HamiltonianModel:
     """Wrap callables of (t, y), y = [q, p, S], as a model: ``value`` is H and
     ``grad`` [dH/dq, dH/dp, dH/dS, dH/dt], central differences of ``value`` when
     None.  The field is `_contact_field` of value and gradient, and its Jacobian
@@ -403,12 +356,7 @@ def make_custom(n: int, value, grad=None, depends_on_S: bool = True,
 
     if grad is None:
         def gradient(t, y) -> np.ndarray:
-            g = central_difference(lambda z: value(z[-1], z[:-1]), np.append(y, t))
-            if not depends_on_S:
-                g[2 * n] = 0.0
-            if not depends_on_t:
-                g[2 * n + 1] = 0.0
-            return g
+            return central_difference(lambda z: value(z[-1], z[:-1]), np.append(y, t))
     else:
         def gradient(t, y) -> np.ndarray:
             g = np.asarray(grad(t, y), dtype=float)
@@ -426,6 +374,5 @@ def make_custom(n: int, value, grad=None, depends_on_S: bool = True,
 
     return HamiltonianModel(
         n=n, value=value, grad=gradient, field=field, field_jacobian=field_jacobian,
-        depends_on_S=depends_on_S, depends_on_t=depends_on_t,
-        name=name, params=dict(params or {}), h_prime=h_prime,
+        name=name, params=dict(params or {}),
     )

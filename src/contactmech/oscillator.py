@@ -16,7 +16,8 @@ import numpy as np
 
 from .dynamics import IntegratorOptions, _integrate_flat
 from .errors import BranchError, DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
-from .model import FD_STEP, ExtendedState, ScalarFunction, as_scalar_fn
+from .expressions import as_expression
+from .model import FD_STEP, ExtendedState
 
 SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
@@ -80,7 +81,7 @@ class _Dense:
     """Bundle of the package's own `CubicHermite` interpolants over a common
     node set."""
 
-    def __init__(self, ts: np.ndarray, gamma: float, omega: ScalarFunction, grid):
+    def __init__(self, ts: np.ndarray, gamma: float, omega, grid):
         self.t_range = (float(ts[0]), float(ts[-1]))
         self.gamma = float(gamma)
         self.omega = omega
@@ -107,7 +108,7 @@ class ErmakovSolution(_Dense):
     with the accumulated phase phi(t) = int_{t0}^{t} dtau / alpha(tau)^2.
     """
 
-    def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega: ScalarFunction, grid):
+    def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega, grid):
         super().__init__(ts, gamma, omega, grid)
         w = self._omega(ts)
         add = -(w * w - 0.25 * gamma * gamma) * alpha + alpha ** -3.0
@@ -153,7 +154,7 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
     grid = _check_grid(grid)
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
-    wfn = as_scalar_fn(omega, "omega")
+    wfn = as_expression(omega, "t", "omega")
     g2 = 0.25 * gamma * gamma
 
     def rhs(t, y):
@@ -277,7 +278,7 @@ class RiccatiSolution(_Dense):
     companion damped Newton solution lambda (lambda(t0)=1, lambda'(t0)=C0),
     linked by C = lambda'/lambda wherever lambda != 0."""
 
-    def __init__(self, ts, C, lam, lam_dot, gamma, omega: ScalarFunction, C0, grid):
+    def __init__(self, ts, C, lam, lam_dot, gamma, omega, C0, grid):
         super().__init__(ts, gamma, omega, grid)
         self.C0 = float(C0)
         w = self._omega(ts)
@@ -318,7 +319,7 @@ def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
     continuing on the far branch.
     """
     grid = _check_grid(grid)
-    wfn = as_scalar_fn(omega, "omega")
+    wfn = as_expression(omega, "t", "omega")
 
     def pole(tp):
         return RiccatiPoleError(
@@ -356,7 +357,7 @@ def riccati_sensitivity(omega, gamma: float, C0: float, grid,
     common local error instead of amplifying it by 1/delta.
     """
     grid = _check_grid(grid)
-    wfn = as_scalar_fn(omega, "omega")
+    wfn = as_expression(omega, "t", "omega")
     if delta is None:
         delta = FD_STEP * max(1.0, abs(C0))
 

@@ -206,13 +206,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
 def build_model(config: ScenarioConfig) -> HamiltonianModel:
     """Instantiate the built-in model selected by a scenario."""
     if config.kind == "linear_dissipation":
-        return make_linear_dissipation(config.m, config.gamma,
-                                       config.V.as_scalar_function())
+        return make_linear_dissipation(config.m, config.gamma, config.V)
     if config.kind == "damped_parametric":
-        return make_damped_parametric(config.m, config.gamma,
-                                      config.omega.as_scalar_function())
-    return make_caldirola_kanai(config.m, config.gamma,
-                                config.V.as_scalar_function())
+        return make_damped_parametric(config.m, config.gamma, config.omega)
+    return make_caldirola_kanai(config.m, config.gamma, config.V)
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:

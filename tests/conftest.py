@@ -10,13 +10,13 @@ from contactmech.model import ExtendedState
 @pytest.fixture(scope="session")
 def linear_model():
     """H = p^2/2 + q^2/2 + 0.1 S."""
-    return cm.make_linear_dissipation(1.0, 0.1, cm.quadratic_potential())
+    return cm.make_linear_dissipation(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
 
 
 @pytest.fixture(scope="session")
 def conservative_model():
     """H = p^2/2 + q^2/2 (gamma = 0)."""
-    return cm.make_linear_dissipation(1.0, 0.0, cm.quadratic_potential())
+    return cm.make_linear_dissipation(1.0, 0.0, cm.parse_expression("q^2/2", "q"))
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ def report(num, name, passed, detail):
 
 @pytest.fixture(scope="module")
 def linear():
-    return cm.make_linear_dissipation(1.0, 0.1, cm.quadratic_potential())
+    return cm.make_linear_dissipation(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +152,7 @@ def test_criterion_04_invariant_measure(traj20, dets20):
 
 def test_criterion_05_invariants():
     worst_drift, worst_res = 0.0, 0.0
-    for omega in (1.0, cm.ScalarFunction(f=lambda t: 1 + 0.1 * math.sin(0.3 * t),
-                                         df=lambda t: 0.03 * math.cos(0.3 * t))):
+    for omega in (1.0, cm.parse_expression("1 + 0.1*sin(0.3*t)", "t")):
         model = cm.make_damped_parametric(1.0, 0.1, omega)
         opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-13,
                                     sample_interval=0.01)
@@ -274,17 +273,17 @@ def test_criterion_09_transformations():
 def test_criterion_10_conservative_limit():
     opts = cm.IntegratorOptions(method="fixed_rk4", step=1e-3, sample_interval=0.1)
     worst_drift, worst_div = 0.0, 0.0
-    for model in (cm.make_linear_dissipation(1.0, 0.0, cm.quadratic_potential()),
+    for model in (cm.make_linear_dissipation(1.0, 0.0, cm.parse_expression("q^2/2", "q")),
                   cm.make_damped_parametric(1.0, 0.0, 1.0),
-                  cm.make_caldirola_kanai(1.0, 0.0, cm.quadratic_potential())):
+                  cm.make_caldirola_kanai(1.0, 0.0, cm.parse_expression("q^2/2", "q"))):
         traj = cm.integrate(model, cm.make_state(1.0, 0.0, 0.0, 0.0), 10.0, opts)
         worst_drift = max(worst_drift,
                           float(np.max(np.abs(traj.H - traj.H[0])) / traj.H[0]))
         worst_div = max(worst_div, float(np.max(np.abs(traj.div))))
     # shared damped Newton equation: CK coordinates reproduce the contact q(t)
     tight = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-13, sample_interval=0.01)
-    hs = cm.make_linear_dissipation(1.0, 0.1, cm.quadratic_potential())
-    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.quadratic_potential())
+    hs = cm.make_linear_dissipation(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
+    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
     x0 = cm.make_state(1.0, 0.0, 0.0, 0.0)
     q_err = float(np.max(np.abs(cm.integrate(hs, x0, 10.0, tight).q
                                 - cm.integrate(ck, x0, 10.0, tight).q)))
@@ -296,8 +295,7 @@ def test_criterion_10_conservative_limit():
 
 def test_criterion_11_quadratic_invariant_closure():
     m = 1.0
-    omega = cm.ScalarFunction(f=lambda t: 1 + 0.1 * math.sin(0.3 * t),
-                              df=lambda t: 0.03 * math.cos(0.3 * t))
+    omega = cm.parse_expression("1 + 0.1*sin(0.3*t)", "t")
     h = 1e-4
     worst = 0.0
     for gamma in (0.0, 0.1, 0.5):

@@ -14,7 +14,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 import contactmech as cm
 from contactmech import cli, diagnostics, dynamics
 from contactmech.dynamics import _integrate_flat
-from contactmech.model import _contact_field, _field_jacobian, central_difference
+from contactmech.model import (_contact_field, _field_jacobian, _second_derivative,
+                               central_difference)
 from contactmech.scenario import build_model, parse_scenario
 from contactmech.errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                                 UnsupportedModelError)
@@ -31,7 +32,7 @@ def test_vector_field_examples(linear_model):
 
 
 def test_vector_field_reduces_to_symplectic_for_S_independent():
-    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.quadratic_potential())
+    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
     x = cm.make_state(0.8, -0.5, 3.0, 1.2)
     f = cm.vector_field(ck, x)
     d = ck.partials(x)
@@ -40,7 +41,7 @@ def test_vector_field_reduces_to_symplectic_for_S_independent():
 
 
 def test_step_rk4_zero_model():
-    zero = cm.make_custom(1, lambda t, y: 0.0, depends_on_S=False, depends_on_t=False)
+    zero = cm.make_custom(1, lambda t, y: 0.0)
     x = cm.make_state(1.0, 2.0, 3.0, 4.0)
     y = cm.step_rk4(zero, x, 0.25)
     assert_allclose([y.q[0], y.p[0], y.S, y.t], [1.0, 2.0, 3.0, 4.25])
@@ -77,7 +78,7 @@ def test_integrate_decay_example(linear_traj):
 
 
 def test_integrate_zero_model_constant():
-    zero = cm.make_custom(1, lambda t, y: 0.0, depends_on_S=False, depends_on_t=False)
+    zero = cm.make_custom(1, lambda t, y: 0.0)
     traj = cm.integrate(zero, cm.make_state(1.0, -2.0, 0.7, 0.0), 3.0,
                         cm.IntegratorOptions(sample_interval=0.5))
     assert_allclose(traj.q, 1.0)
@@ -97,8 +98,8 @@ def test_integrate_fixed_rk4_lands_on_samples(linear_model):
 
 def test_caldirola_kanai_q_matches_contact_model(tight_opts):
     """Both models produce the damped Newton equation for q."""
-    hs = cm.make_linear_dissipation(1.0, 0.1, cm.quadratic_potential())
-    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.quadratic_potential())
+    hs = cm.make_linear_dissipation(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
+    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
     x0 = cm.make_state(1.0, 0.0, 0.0, 0.0)
     t1 = cm.integrate(hs, x0, 10.0, tight_opts)
     t2 = cm.integrate(ck, x0, 10.0, tight_opts)
@@ -111,15 +112,15 @@ def test_divergence_examples(linear_model, conservative_model):
     x = cm.make_state(0.3, -1.2, 0.8, 2.0)
     assert cm.divergence(linear_model, x) == -0.2
     assert cm.divergence(conservative_model, x) == 0.0
-    s2 = cm.make_custom(1, lambda t, y: y[2] ** 2, depends_on_t=False)
+    s2 = cm.make_custom(1, lambda t, y: y[2] ** 2)
     assert cm.divergence(s2, cm.make_state(0.0, 0.0, 1.0, 0.0)) == pytest.approx(-4.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("factory", [
-    lambda: cm.make_linear_dissipation(1.3, 0.25, cm.quadratic_potential(2.0)),
+    lambda: cm.make_linear_dissipation(1.3, 0.25, cm.parse_expression("2*q^2/2", "q")),
     lambda: cm.make_damped_parametric(
-        0.8, 0.15, cm.parse_expression("1 + 0.3*sin(0.7*t)", "t").as_scalar_function()),
-    lambda: cm.make_caldirola_kanai(1.0, 0.2, cm.quadratic_potential()),
+        0.8, 0.15, cm.parse_expression("1 + 0.3*sin(0.7*t)", "t")),
+    lambda: cm.make_caldirola_kanai(1.0, 0.2, cm.parse_expression("q^2/2", "q")),
     lambda: cm.make_custom(1, lambda t, y: y[2] ** 2),
 ])
 def test_divergence_is_trace_of_fd_field_jacobian(factory):
@@ -146,14 +147,13 @@ def _quartic_s_coupled_partials(t, y):
 
 @pytest.mark.parametrize("factory", [
     lambda: cm.make_linear_dissipation(
-        1.3, 0.25, cm.parse_expression("1.7*q^2/2 + 0.08*q^4", "q").as_scalar_function()),
+        1.3, 0.25, cm.parse_expression("1.7*q^2/2 + 0.08*q^4", "q")),
     lambda: cm.make_caldirola_kanai(1.2, 0.3, cm.parse_expression(
-        "0.9*q^2/2 + 0.05*q^4", "q").as_scalar_function()),
+        "0.9*q^2/2 + 0.05*q^4", "q")),
     lambda: cm.make_damped_parametric(
-        0.8, 0.15, cm.parse_expression("1 + 0.3*sin(0.5*t)", "t").as_scalar_function()),
-    lambda: cm.make_custom(1, _quartic_s_coupled, depends_on_t=False),
-    lambda: cm.make_custom(1, _quartic_s_coupled, _quartic_s_coupled_partials,
-                           depends_on_t=False),
+        0.8, 0.15, cm.parse_expression("1 + 0.3*sin(0.5*t)", "t")),
+    lambda: cm.make_custom(1, _quartic_s_coupled),
+    lambda: cm.make_custom(1, _quartic_s_coupled, _quartic_s_coupled_partials),
     lambda: cm.make_custom(2, lambda t, y: (y[2:4] @ y[2:4] / 2 + y[0] * y[1] ** 2
                                             + y[4] * (y[2] - 0.5 * y[1]) + 0.1 * y[4] ** 2
                                             + 0.2 * t * y[3] * y[0])),
@@ -177,13 +177,13 @@ _QUARTIC = cm.parse_expression("0.9*q^2/2 + 0.05*q^4", "q")
 
 
 _BUILTINS = pytest.mark.parametrize("model", [
-    cm.make_linear_dissipation(1.3, 0.0, cm.quadratic_potential(2.0)),
+    cm.make_linear_dissipation(1.3, 0.0, cm.parse_expression("2*q^2/2", "q")),
     cm.make_linear_dissipation(0.7, 0.25, _QUARTIC),
     cm.make_damped_parametric(0.8, 0.0, 1.3),
     cm.make_damped_parametric(1.1, 0.15, 0.0),
     cm.make_damped_parametric(0.8, 0.2, cm.parse_expression("1.2 + 0.2*sin(0.5*t)", "t")),
     cm.make_caldirola_kanai(1.0, 0.0, _QUARTIC),
-    cm.make_caldirola_kanai(1.2, 0.3, cm.quadratic_potential()),
+    cm.make_caldirola_kanai(1.2, 0.3, cm.parse_expression("q^2/2", "q")),
 ], ids=["linear-gamma0", "linear-quartic", "parametric-const-gamma0", "parametric-omega0",
         "parametric-omega-t", "ck-gamma0", "ck"])
 
@@ -216,7 +216,7 @@ def _builtin_hessian(model, t, y):
     m, gamma = model.params["m"], model.params["gamma"]
     if model.name == "damped_parametric":
         return np.diag([m * model.params["omega"](t) ** 2, 1.0 / m, 0.0])
-    d2V = model.params["V"].second_derivative(y[0])
+    d2V = _second_derivative(model.params["V"], y[0])
     if model.name == "caldirola_kanai":
         return np.diag([math.exp(gamma * t) * d2V, math.exp(-gamma * t) / m, 0.0])
     return np.diag([d2V, 1.0 / m, 0.0])
@@ -252,7 +252,7 @@ def _exact_quartic_s_coupled_jacobian(q, p, S):
 def test_custom_field_jacobian_matches_exact(grad, atol):
     """make_custom's A, from its gradient and a central-difference Hessian,
     against the exact A."""
-    model = cm.make_custom(1, _quartic_s_coupled, grad, depends_on_t=False)
+    model = cm.make_custom(1, _quartic_s_coupled, grad)
     rng = np.random.default_rng(31)
     for _ in range(8):
         t, (q, p, S) = rng.uniform(0.0, 5.0), rng.uniform(-2, 2, 3)
@@ -305,7 +305,7 @@ def _oscillator_chain(n, kappa=0.3, gamma=0.2, beta=0.15, delta=0.05):
         dp[0] += beta * S
         return np.concatenate([dq, dp, [gamma + beta * p[0] + 2 * delta * S, 0.0]])
 
-    return cm.make_custom(n, value, grad, depends_on_t=False, name=f"chain{n}")
+    return cm.make_custom(n, value, grad, name=f"chain{n}")
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -430,11 +430,12 @@ def test_the_tangent_matches_differences_of_the_flow_map():
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_det_of_the_tangent_is_the_closed_form_volume_factor(name):
-    """det J = exp(-(n+1) gamma t) on every shipped scenario: dH/dS is the
-    constant h'(S) of each built-in (gamma, or 0 for Caldirola-Kanai)."""
+    """det J = exp(-(n+1) gamma t) on every shipped scenario: dH/dS is
+    constant for each built-in (gamma, or 0 for Caldirola-Kanai)."""
     config, model, x0 = _scenario((ROOT / "scenarios" / f"{name}.ini").read_text())
     traj = cm.integrate(model, x0, config.t_end, config.options, tangent=True)
-    expected = np.exp(-2 * model.h_prime(0.0) * (traj.times - config.t0))
+    dH_dS = 0.0 if config.kind == "caldirola_kanai" else config.gamma
+    expected = np.exp(-2 * dH_dS * (traj.times - config.t0))
     assert_allclose(np.linalg.det(traj.J), expected, rtol=1e-9, atol=0)
 
 
@@ -443,7 +444,7 @@ def test_a_tangent_from_a_rest_point_is_held_to_the_tolerance(gamma):
     """From q = p = 0 the flow's own error estimate allows long steps (with
     gamma = 0 its field is zero), while J follows the unit-frequency rotation
     of the (q, p) block; J's own estimate must shorten them."""
-    model = cm.make_linear_dissipation(1.0, gamma, cm.quadratic_potential(1.0))
+    model = cm.make_linear_dissipation(1.0, gamma, cm.parse_expression("q^2/2", "q"))
     x0 = cm.make_state(0.0, 0.0, 1.0, 0.0)
     opts = cm.IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, sample_interval=0.05)
     traj = cm.integrate(model, x0, 5.0, opts, tangent=True)
@@ -465,7 +466,7 @@ def test_the_volume_checks_need_the_tangent(linear_model, linear_traj):
 
 def test_measure_weight_examples(linear_model):
     assert cm.measure_weight(linear_model, cm.make_state(1.0, 0.0, 0.0, 0.0)) == 4.0
-    one = cm.make_custom(1, lambda t, y: 1.0, depends_on_S=False, depends_on_t=False)
+    one = cm.make_custom(1, lambda t, y: 1.0)
     assert cm.measure_weight(one, cm.make_state(0.0, 0.0, 0.0, 0.0)) == 1.0
     with pytest.raises(SingularMeasureError):
         cm.measure_weight(linear_model, cm.make_state(0.0, 0.0, 0.0, 0.0))
@@ -474,7 +475,7 @@ def test_measure_weight_examples(linear_model):
 def test_observable_rate_examples(linear_model):
     x = cm.make_state(1.0, 2.0, 0.0, 0.0)
     # F = q reproduces the dq/dt equation
-    Fq = cm.make_custom(1, lambda t, y: y[0], depends_on_S=False, depends_on_t=False)
+    Fq = cm.make_custom(1, lambda t, y: y[0])
     assert cm.observable_rate(linear_model, Fq, x) == pytest.approx(
         linear_model.partials(x)[1], rel=1e-9)
     # F = H: dH/dt = -H dH/dS for time-independent models
@@ -482,22 +483,28 @@ def test_observable_rate_examples(linear_model):
     assert cm.observable_rate(linear_model, linear_model, x) == pytest.approx(
         -h * 0.1, rel=1e-9)
     # F = H_mec: mechanical-energy dissipation rate -m gamma qdot^2
-    Fmec = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2,
-                          depends_on_S=False, depends_on_t=False)
+    Fmec = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2)
     assert cm.observable_rate(linear_model, Fmec, x) == pytest.approx(-0.4, rel=1e-8)
 
 
 def test_predicted_hamiltonian(linear_traj, linear_model):
     pred = cm.predicted_hamiltonian(linear_model, linear_traj)
     assert np.max(np.abs(pred - linear_traj.H) / np.abs(pred)) < 1e-6
-    zero_h = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2, depends_on_S=False,
-                            depends_on_t=False, h_prime=lambda S: 0.0)
-    traj = cm.integrate(zero_h, cm.make_state(0.0, 1.0, 0.0, 0.0), 1.0,
+    free = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2)
+    traj = cm.integrate(free, cm.make_state(0.0, 1.0, 0.0, 0.0), 1.0,
                         cm.IntegratorOptions(sample_interval=0.1))
-    assert_allclose(cm.predicted_hamiltonian(zero_h, traj), traj.H[0])
-    no_split = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2)
-    with pytest.raises(UnsupportedModelError):
-        cm.predicted_hamiltonian(no_split, traj)
+    assert_allclose(cm.predicted_hamiltonian(free, traj), traj.H[0])
+
+
+def test_predicted_hamiltonian_of_a_custom_model_takes_dH_dS_from_the_trajectory():
+    """H = p^2/2 + q^2/2 + 0.2 S has dH/dS = 0.2 from its central-difference
+    gradient alone; the decay law predicts H_0 e^{-0.2 t}."""
+    model = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2 + 0.2 * y[2])
+    opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, sample_interval=0.01)
+    traj = cm.integrate(model, cm.make_state(1.0, 0.3, 0.5, 0.0), 5.0, opts)
+    pred = cm.predicted_hamiltonian(model, traj)
+    assert np.max(np.abs(pred - traj.H)) < 1e-6
+    assert_allclose(pred, traj.H[0] * np.exp(-0.2 * traj.times), rtol=1e-8)
 
 
 def test_recover_S_linear(linear_model, linear_traj):
@@ -507,7 +514,7 @@ def test_recover_S_linear(linear_model, linear_traj):
                                         linear_traj.p[i, 0], linear_traj.times[i], H0)
                     for i in range(0, len(linear_traj), 100)])
     assert np.max(np.abs(rec - linear_traj.S[::100])) < 1e-6
-    cons = cm.make_linear_dissipation(1.0, 0.0, cm.quadratic_potential())
+    cons = cm.make_linear_dissipation(1.0, 0.0, cm.parse_expression("q^2/2", "q"))
     with pytest.raises(ZeroDivisionError):
         cm.recover_S_linear(cons, 1.0, 0.0, 0.0, 0.5)
     with pytest.raises(UnsupportedModelError):
@@ -540,8 +547,7 @@ def test_conservative_energy_drift_adaptive(conservative_model):
 
 def test_hamiltonian_evolution_rate_fd(tight_opts):
     """Finite-difference dH/dt vs -H dH/dS + dH/dt along a time-dependent flow."""
-    omega = cm.ScalarFunction(f=lambda t: 1 + 0.1 * math.sin(0.3 * t),
-                              df=lambda t: 0.03 * math.cos(0.3 * t))
+    omega = cm.parse_expression("1 + 0.1*sin(0.3*t)", "t")
     model = cm.make_damped_parametric(1.0, 0.1, omega)
     opts = cm.IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, sample_interval=0.002)
     traj = cm.integrate(model, cm.make_state(1.0, 0.0, 0.3, 0.0), 10.0, opts)
@@ -596,11 +602,24 @@ def test_integration_errors(linear_model):
         cm.IntegratorOptions(sample_interval=0.0)
 
 
+class _Pathological:
+    """A V or an omega outside the expression grammar, from its value and its
+    derivative as two callables."""
+
+    def __init__(self, f, df):
+        self.f, self.df = f, df
+
+    def __call__(self, x):
+        return self.f(x)
+
+    def derivative(self, x):
+        return self.df(x)
+
+
 def _wall_at_q_1_5():
     """H = p^2/2 + q^2/2 + 0.1 S, except that V' is infinite from q = 1.5 on,
     which the flow from (1, 2, 0) reaches at t ~ 0.26."""
-    V = cm.ScalarFunction(f=lambda q: 0.5 * q * q,
-                          df=lambda q: q if q < 1.5 else math.inf)
+    V = _Pathological(lambda q: 0.5 * q * q, lambda q: q if q < 1.5 else math.inf)
     return cm.make_linear_dissipation(1.0, 0.1, V)
 
 
@@ -623,7 +642,7 @@ def _jacobian_wall_at_q_1_5():
     """The harmonic model of `_wall_at_q_1_5` with a finite field everywhere,
     but a field Jacobian that is non-finite from q = 1.5 on, as where a
     central-difference V'' overflows while V' stays finite."""
-    model = cm.make_linear_dissipation(1.0, 0.1, cm.quadratic_potential(1.0))
+    model = cm.make_linear_dissipation(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
     jacobian = model.field_jacobian
     return dataclasses.replace(
         model, field_jacobian=lambda t, y: jacobian(t, y) * (1.0 if y[0] < 1.5 else math.inf))
@@ -663,7 +682,7 @@ def test_an_overflowing_trial_stage_of_an_ermakov_solve_is_rejected_and_recovere
         return 1.3
 
     grid = np.linspace(0.0, 3.0, 31)
-    erm = cm.solve_ermakov(cm.ScalarFunction(f=omega, df=lambda t: 0.0), 0.2, 0.9, 0.1, grid)
+    erm = cm.solve_ermakov(_Pathological(omega, lambda t: 0.0), 0.2, 0.9, 0.1, grid)
     clean = cm.solve_ermakov(1.3, 0.2, 0.9, 0.1, grid)
     assert overflowed
     assert_allclose(erm.alpha(grid), clean.alpha(grid), rtol=1e-8)

@@ -16,7 +16,6 @@ def test_trivial_constant():
     e = cm.parse_expression("0", "q")
     assert e(5.0) == 0.0
     assert e.derivative(5.0) == 0.0
-    assert e.is_constant()
 
 
 def test_spec_examples():
@@ -268,14 +267,6 @@ def test_deep_nesting_is_an_expression_error():
     with pytest.raises(ExpressionError) as err:
         cm.parse_expression("(" * 300 + "q" + ")" * 300, "q")
     assert str(err.value) == "expression nested too deeply (at offset 0)"
-
-
-def test_as_scalar_function_bridge():
-    fn = cm.parse_expression("q^2/2", "q").as_scalar_function()
-    assert fn(3.0) == 4.5
-    assert fn.derivative(3.0) == 3.0
-    const = cm.parse_expression("2*pi", "t").as_scalar_function()
-    assert const.is_constant
 
 
 def test_expressions_pickle_by_text():

@@ -18,8 +18,7 @@ def free_particle_field():
 
 
 def test_hj_residual_conservative_free_particle():
-    model = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2, depends_on_S=False,
-                           depends_on_t=False)
+    model = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2)
     field = free_particle_field()
     for q in (-1.5, 0.3, 2.0):
         for t in (0.0, 1.0, 4.0):
@@ -27,7 +26,7 @@ def test_hj_residual_conservative_free_particle():
 
 
 def test_hj_residual_zero_solution_of_homogeneous_case():
-    model = cm.make_custom(1, lambda t, y: 0.1 * y[2], depends_on_t=False)
+    model = cm.make_custom(1, lambda t, y: 0.1 * y[2])
     zero = cm.PrincipalFunctionField(
         n=1, S=lambda q, t: 0.0,
         dS_dq=lambda q, t: np.array([0.0]),
@@ -121,7 +120,7 @@ def test_extended_F_examples(linear_model):
     h = linear_model.evaluate(cm.make_state(*x))
     assert cm.extended_F(linear_model, 1.0, 0.0, 0.0, 0.0, h) == 0.0
     assert cm.extended_F(linear_model, 1.0, 0.0, 0.0, 0.0, 1.0) == pytest.approx(0.5)
-    zero = cm.make_custom(1, lambda t, y: 0.0, depends_on_S=False, depends_on_t=False)
+    zero = cm.make_custom(1, lambda t, y: 0.0)
     assert cm.extended_F(zero, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
 
 
@@ -172,8 +171,7 @@ def test_verify_b_condition_free_particle(free_particle_setup):
 def test_verify_b_condition_conservative_constant():
     """dH/dS = 0 reduces the condition to classical constancy of b."""
     m, C0 = 1.0, 0.3
-    model = cm.make_custom(1, lambda t, y: y[1] ** 2 / (2 * m), depends_on_S=False,
-                           depends_on_t=False)
+    model = cm.make_custom(1, lambda t, y: y[1] ** 2 / (2 * m))
     # family for the conservative free particle: S = (m/2) C q^2, C' = -C^2
     opts = cm.IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, sample_interval=0.05)
     traj = cm.integrate(model, cm.make_state(1.0, m * C0, 0.0, 0.0), 5.0, opts)
@@ -224,9 +222,8 @@ def test_characteristic_equivalence(free_particle_setup):
 def test_residual_linearity(linear_model):
     """Residual of H1 + H2 = residual contributions + a single dS/dt term."""
     field = free_particle_field()
-    h1 = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2, depends_on_S=False,
-                        depends_on_t=False)
-    h2 = cm.make_custom(1, lambda t, y: 0.3 * y[0] + 0.1 * y[2], depends_on_t=False)
+    h1 = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2)
+    h2 = cm.make_custom(1, lambda t, y: 0.3 * y[0] + 0.1 * y[2])
     combined = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + 0.3 * y[0] + 0.1 * y[2])
     q, t = [0.7], 1.3
     r1 = cm.hj_residual(h1, field, q, t)

@@ -30,10 +30,10 @@ def test_damped_parametric_eval_examples():
 
 
 def test_caldirola_kanai_eval_examples():
-    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.quadratic_potential())
+    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
     assert ck.evaluate(cm.make_state(1.0, 1.0, 0.0, 0.0)) == pytest.approx(1.0)
-    cons = cm.make_caldirola_kanai(1.0, 0.0, cm.quadratic_potential())
-    assert not cons.depends_on_t
+    cons = cm.make_caldirola_kanai(1.0, 0.0, cm.parse_expression("q^2/2", "q"))
+    assert cons.partials(cm.make_state(1.0, 0.5, 5.0, 3.0))[3] == 0.0
     assert cons.evaluate(cm.make_state(1.0, 0.0, 5.0, 3.0)) == pytest.approx(0.5)
 
 
@@ -45,7 +45,7 @@ def test_partials_examples(linear_model):
 
 
 def test_caldirola_kanai_partials_at_origin_time():
-    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.quadratic_potential())
+    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
     d = ck.partials(cm.make_state(1.0, 1.0, 0.0, 0.0))
     assert_allclose(d[:2], [1.0, 1.0])
     assert d[2] == 0.0
@@ -54,8 +54,8 @@ def test_caldirola_kanai_partials_at_origin_time():
 
 
 def test_flag_contract_S_independent():
-    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.quadratic_potential())
-    cons = cm.make_linear_dissipation(1.0, 0.0, cm.quadratic_potential())
+    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
+    cons = cm.make_linear_dissipation(1.0, 0.0, cm.parse_expression("q^2/2", "q"))
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = cm.make_state(rng.uniform(-2, 2), rng.uniform(-2, 2),
@@ -66,20 +66,16 @@ def test_flag_contract_S_independent():
 
 
 @pytest.mark.parametrize("factory", [
-    lambda: cm.make_linear_dissipation(1.0, 0.1, cm.quadratic_potential()),
-    lambda: cm.make_linear_dissipation(2.0, 0.3, cm.ScalarFunction(
-        f=lambda q: math.cos(q), df=lambda q: -math.sin(q))),
-    lambda: cm.make_damped_parametric(1.0, 0.1, cm.ScalarFunction(
-        f=lambda t: 1 + 0.1 * math.sin(0.3 * t),
-        df=lambda t: 0.03 * math.cos(0.3 * t))),
-    lambda: cm.make_caldirola_kanai(1.5, 0.2, cm.quadratic_potential(2.0)),
+    lambda: cm.make_linear_dissipation(1.0, 0.1, cm.parse_expression("q^2/2", "q")),
+    lambda: cm.make_linear_dissipation(2.0, 0.3, cm.parse_expression("cos(q)", "q")),
+    lambda: cm.make_damped_parametric(1.0, 0.1,
+                                      cm.parse_expression("1 + 0.1*sin(0.3*t)", "t")),
+    lambda: cm.make_caldirola_kanai(1.5, 0.2, cm.parse_expression("2*q^2/2", "q")),
 ])
 def test_closed_form_partials_match_fd(factory):
     """Backbone oracle: ship analytic partials, check them against central FD."""
     model = factory()
-    fd_model = cm.make_custom(model.n, model.value,
-                              depends_on_S=model.depends_on_S,
-                              depends_on_t=model.depends_on_t)
+    fd_model = cm.make_custom(model.n, model.value)
     rng = np.random.default_rng(11)
     for _ in range(100):
         x = cm.make_state(rng.uniform(0.3, 2.0), rng.uniform(-2, 2),
@@ -96,7 +92,7 @@ def test_eval_and_partials_are_pure(linear_model):
 @given(q=st.floats(-3, 3), p=st.floats(-3, 3), S=st.floats(-3, 3))
 @settings(max_examples=60, deadline=None)
 def test_linear_model_partials_property(q, p, S):
-    model = cm.make_linear_dissipation(1.0, 0.1, cm.quadratic_potential())
+    model = cm.make_linear_dissipation(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
     d = model.partials(cm.make_state(q, p, S, 0.0))
     assert d[0] == pytest.approx(q)
     assert d[1] == pytest.approx(p)
@@ -104,15 +100,14 @@ def test_linear_model_partials_property(q, p, S):
 
 
 def test_make_custom_examples():
-    zero = cm.make_custom(1, lambda t, y: 0.0, depends_on_S=False, depends_on_t=False)
+    zero = cm.make_custom(1, lambda t, y: 0.0)
     d = zero.partials(cm.make_state(1.0, 2.0, 3.0, 4.0))
     assert_allclose(d, 0.0, atol=1e-9)
 
-    free = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2, depends_on_S=False,
-                          depends_on_t=False)
+    free = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2)
     assert free.partials(cm.make_state(0.0, 1.5, 0.0, 0.0))[1] == pytest.approx(1.5, rel=1e-9)
 
-    contraction = cm.make_custom(1, lambda t, y: 0.3 * y[2], depends_on_t=False)
+    contraction = cm.make_custom(1, lambda t, y: 0.3 * y[2])
     assert contraction.partials(cm.make_state(0.0, 0.0, 2.0, 0.0))[2] == pytest.approx(0.3, rel=1e-9)
 
 
@@ -130,31 +125,31 @@ def test_a_custom_grad_of_the_wrong_length_names_the_model(n, length):
 
 def test_constructor_preconditions():
     with pytest.raises(ValueError):
-        cm.make_linear_dissipation(0.0, 0.1, cm.quadratic_potential())
+        cm.make_linear_dissipation(0.0, 0.1, cm.parse_expression("q^2/2", "q"))
     with pytest.raises(ValueError):
-        cm.make_linear_dissipation(-1.0, 0.1, cm.quadratic_potential())
+        cm.make_linear_dissipation(-1.0, 0.1, cm.parse_expression("q^2/2", "q"))
     with pytest.raises(ValueError):
         cm.make_damped_parametric(1.0, -0.1, 1.0)
     with pytest.raises(ValueError):
-        cm.make_caldirola_kanai(-2.0, 0.1, cm.quadratic_potential())
+        cm.make_caldirola_kanai(-2.0, 0.1, cm.parse_expression("q^2/2", "q"))
     with pytest.raises(ValueError):
         cm.make_custom(0, lambda t, y: 0.0)
     with pytest.raises(ValueError, match="mass must be positive"):
         cm.make_damped_parametric(math.nan, 0.1, 1.0)
     with pytest.raises(ValueError, match="damping rate must be non-negative"):
-        cm.make_linear_dissipation(1.0, math.nan, cm.quadratic_potential())
+        cm.make_linear_dissipation(1.0, math.nan, cm.parse_expression("q^2/2", "q"))
     with pytest.raises(ValueError, match="mass must be positive"):
-        cm.make_caldirola_kanai(math.nan, 0.1, cm.quadratic_potential())
+        cm.make_caldirola_kanai(math.nan, 0.1, cm.parse_expression("q^2/2", "q"))
     with pytest.raises(ValueError, match="damping rate must be non-negative"):
-        cm.make_caldirola_kanai(1.0, math.nan, cm.quadratic_potential())
+        cm.make_caldirola_kanai(1.0, math.nan, cm.parse_expression("q^2/2", "q"))
     with pytest.raises(ValueError, match="mass must be positive"):
         cm.make_linear_dissipation(math.inf, 0.1, 1.0)
     with pytest.raises(ValueError, match="damping rate must be non-negative"):
         cm.make_damped_parametric(1.0, math.inf, 1.0)
     with pytest.raises(ValueError, match="mass must be positive"):
-        cm.make_caldirola_kanai(math.inf, 0.1, cm.quadratic_potential())
+        cm.make_caldirola_kanai(math.inf, 0.1, cm.parse_expression("q^2/2", "q"))
     with pytest.raises(ValueError, match="damping rate must be non-negative"):
-        cm.make_caldirola_kanai(1.0, math.inf, cm.quadratic_potential())
+        cm.make_caldirola_kanai(1.0, math.inf, cm.parse_expression("q^2/2", "q"))
 
 
 def test_dimension_and_finiteness_errors(linear_model):
@@ -183,32 +178,74 @@ def test_state_validation():
         st_.q[0] = 5.0  # immutable storage
 
 
-def test_scalar_function_fallback_and_constants():
-    fd = cm.ScalarFunction(f=lambda x: x ** 3)
-    assert fd.derivative(2.0) == pytest.approx(12.0, rel=1e-8)
-    const = cm.as_scalar_fn(2.5)
-    assert const(10.0) == 2.5 and const.derivative(10.0) == 0.0 and const.is_constant
-    with pytest.raises(TypeError):
-        cm.as_scalar_fn("not a function")
+@pytest.mark.parametrize("n", [1, 2])
+def test_states_compare_and_hash_by_value(n):
+    q, p = np.linspace(0.5, 1.5, n), -np.arange(n, dtype=float)
+    x = cm.make_state(q, p, 0.3, 1.0)
+    same = cm.make_state(q.tolist(), p.copy(), 0.3, 1.0)
+    assert x == same and not x != same and hash(x) == hash(same)
+    for other in (cm.make_state(q + 1.0, p, 0.3, 1.0), cm.make_state(q, p + 1.0, 0.3, 1.0),
+                  cm.make_state(q, p, 0.4, 1.0), cm.make_state(q, p, 0.3, 2.0)):
+        assert x != other and not x == other
+    assert x != (q, p, 0.3, 1.0)
+    assert cm.make_state(q, p, 0.0, 1.0) == cm.make_state(q, p, -0.0, 1.0)
+    assert hash(cm.make_state(q, p, 0.0, 1.0)) == hash(cm.make_state(q, p, -0.0, 1.0))
+    states = {x, same, cm.make_state(q, p, 0.4, 1.0)}
+    assert len(states) == 2 and same in states and cm.make_state(q, p, 0.5, 1.0) not in states
+
+
+FACTORIES = [(cm.make_linear_dissipation, "V", "q"), (cm.make_damped_parametric, "omega", "t"),
+             (cm.make_caldirola_kanai, "V", "q")]
 
 
 def test_an_expression_passed_to_a_factory_keeps_its_symbolic_derivative():
-    expr = cm.parse_expression("q^2/2 + 0.05*q^4", "q")
-    direct = cm.make_linear_dissipation(1, 0.3, expr)
-    bridged = cm.make_linear_dissipation(1, 0.3, expr.as_scalar_function())
-    assert direct.params["V"].df is not None
-    x0, opts = cm.make_state(1.2, -0.3, 0.1), cm.IntegratorOptions(rel_tol=1e-9)
-    _, det_direct = cm.jacobian_determinant_series(direct, x0, 4.0, opts)
-    _, det_bridged = cm.jacobian_determinant_series(bridged, x0, 4.0, opts)
-    assert_array_equal(det_direct, det_bridged)
+    for factory, name, var in FACTORIES:
+        expr = cm.parse_expression(f"0.7 + {var}^2/2 + 0.05*{var}^4", var)
+        assert factory(1.3, 0.2, expr).params[name] is expr
+    V = cm.parse_expression("0.7 + q^2/2 + 0.05*q^4", "q")
+    model = cm.make_linear_dissipation(1.3, 0.2, V)
+    for q, p in ((0.4, -0.7), (-1.3, 0.0), (2.0, 1.0)):
+        assert model.field(0.0, np.array([q, p, 0.3]))[1] == -V.derivative(q) - p * 0.2
 
 
-def test_scalar_function_second_derivative():
-    assert cm.quadratic_potential(2.5).second_derivative(0.7) == pytest.approx(2.5, rel=1e-9)
-    assert cm.as_scalar_fn(2.5).second_derivative(10.0) == 0.0
-    quartic = cm.parse_expression("q^4", "q").as_scalar_function()
+@pytest.mark.parametrize("factory, name, var", FACTORIES)
+def test_a_number_passed_to_a_factory_is_its_parsed_repr(factory, name, var):
+    for c in (1.5, 0, 2, -0.0, -3.25, 1e-300):
+        by_number = factory(1.3, 0.2, c)
+        by_text = factory(1.3, 0.2, cm.parse_expression(repr(float(c)), var))
+        for t, y in ((0.0, [0.4, -0.7, 0.2]), (1.7, [-1.3, 0.0, -0.5]), (3.0, [0.0, 2.0, 1.0])):
+            y = np.array(y)
+            assert [v.hex() for v in by_number.field(t, y)] == \
+                [v.hex() for v in by_text.field(t, y)]
+            assert by_number.field_jacobian(t, y).tobytes() == \
+                by_text.field_jacobian(t, y).tobytes()
+
+
+@pytest.mark.parametrize("factory, name, var", FACTORIES)
+def test_factories_reject_anything_else_by_name(factory, name, var):
+    for bad in (lambda x: x, f"{var}^2/2", True, math.nan, math.inf, -math.inf, None):
+        with pytest.raises((TypeError, ValueError), match=f"^{name} must be"):
+            factory(1.3, 0.2, bad)
+
+
+def test_the_solvers_reject_a_bare_callable_or_a_non_finite_omega_by_name():
+    grid = np.linspace(0.0, 1.0, 5)
+    calls = [lambda w: cm.solve_ermakov(w, 0.1, 1.0, 0.0, grid),
+             lambda w: cm.solve_riccati(w, 0.1, 0.5, grid),
+             lambda w: cm.riccati_sensitivity(w, 0.1, 0.5, grid)]
+    for call in calls:
+        for bad in (lambda t: 1.0, "1 + t", False, math.nan):
+            with pytest.raises((TypeError, ValueError), match="^omega must be"):
+                call(bad)
+
+
+def test_field_jacobian_takes_V2_as_a_central_difference_of_V1():
+    """A[1, 0] = -V''(q) at p = 0, with V'' the difference of the symbolic V'."""
+    def d2V(V, q):
+        model = cm.make_linear_dissipation(1.0, 0.0, V)
+        return -model.field_jacobian(0.0, np.array([q, 0.0, 0.0]))[1, 0]
+    assert d2V(cm.parse_expression("2.5*q^2/2", "q"), 0.7) == pytest.approx(2.5, rel=1e-9)
+    assert d2V(2.5, 10.0) == 0.0
+    quartic = cm.parse_expression("q^4", "q")
     for q in (-1.7, -0.3, 0.4, 2.0, 15.0):
-        assert quartic.second_derivative(q) == pytest.approx(12 * q * q, rel=1e-6)
-    cubic = cm.ScalarFunction(f=lambda x: x ** 3)  # no df: a difference of differences
-    assert cubic.second_derivative(2.0) == pytest.approx(12.0, rel=1e-4)
-
+        assert d2V(quartic, q) == pytest.approx(12 * q * q, rel=1e-6)

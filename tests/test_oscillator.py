@@ -29,8 +29,7 @@ def test_ermakov_equilibrium_omega_two():
 
 
 def test_ermakov_residual_time_dependent():
-    omega = cm.ScalarFunction(f=lambda t: 1 + 0.1 * math.sin(0.3 * t),
-                              df=lambda t: 0.03 * math.cos(0.3 * t))
+    omega = cm.parse_expression("1 + 0.1*sin(0.3*t)", "t")
     erm = cm.solve_ermakov(omega, 0.1, 1.0, 0.0, GRID)
     interior = np.linspace(0.2, 9.8, 60)
     assert np.max(np.abs(erm.residual(interior))) < 1e-7
@@ -125,8 +124,7 @@ def test_check_invariants_builds_no_state(built_states):
 
 def test_lewis_gamma_zero_is_classic_formula():
     """At gamma = 0 the invariant is (m/2)[(alpha p/m - alpha' q)^2 + (q/alpha)^2]."""
-    omega = cm.ScalarFunction(f=lambda t: 1 + 0.2 * math.sin(0.5 * t),
-                              df=lambda t: 0.1 * math.cos(0.5 * t))
+    omega = cm.parse_expression("1 + 0.2*sin(0.5*t)", "t")
     erm = cm.solve_ermakov(omega, 0.0, 1.0, 0.3, GRID)
     for t in (0.0, 2.0, 7.5):
         q, p = 0.8, -0.4
@@ -199,8 +197,7 @@ def test_riccati_matches_closed_form():
 
 def test_riccati_newton_link():
     # lambda first vanishes near t = 8.6 for these parameters; stay clear of it
-    omega = cm.ScalarFunction(f=lambda t: 0.4 * math.cos(0.2 * t),
-                              df=lambda t: -0.08 * math.sin(0.2 * t))
+    omega = cm.parse_expression("0.4*cos(0.2*t)", "t")
     ric = cm.solve_riccati(omega, 0.1, 0.5, np.linspace(0.0, 7.0, 71))
     ts = np.linspace(0, 7, 71)
     lam, lam_dot = ric.lam(ts), ric.lam_dot(ts)
@@ -305,8 +302,7 @@ def test_quadratic_invariant_assembles_from_elementary(parametric_traj,
 def test_coefficient_ode_closure(gamma, zeta0):
     """The coefficients satisfy their defining ODE system (FD time derivatives)."""
     m = 1.0
-    omega = cm.ScalarFunction(f=lambda t: 1 + 0.1 * math.sin(0.3 * t),
-                              df=lambda t: 0.03 * math.cos(0.3 * t))
+    omega = cm.parse_expression("1 + 0.1*sin(0.3*t)", "t")
     erm = cm.solve_ermakov(omega, gamma, 1.0, 0.0, np.linspace(0.0, 5.0, 51))
     ts = np.linspace(0.05, 4.95, 30)
     h = 1e-4

@@ -171,4 +171,4 @@ def test_parametric_scenario():
     cfg = cm.parse_scenario(text + "\n[diagnostics]\nchecks = invariants\n")
     model = cm.build_model(cfg)
     assert model.name == "damped_parametric"
-    assert model.depends_on_t
+    assert model.partials(cm.make_state(1.0, 0.0, 0.0, 1.0))[3] != 0.0

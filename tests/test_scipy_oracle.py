@@ -124,7 +124,7 @@ def test_stepper_matches_rk45_on_the_det_series_system(monkeypatch):
     """The 3 + 9 dimensional tangent solve of the volume checks: its accepted
     steps and the (q, p, S) block of its steps and samples are scipy's RK45 on
     the 3-dimensional field alone, bit for bit."""
-    V = cm.parse_expression("q^2/2 + 0.05*q^4", "q").as_scalar_function()
+    V = cm.parse_expression("q^2/2 + 0.05*q^4", "q")
     model = cm.make_linear_dissipation(1.0, 0.3, V)
     captured = []
 

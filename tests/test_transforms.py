@@ -118,7 +118,7 @@ def test_pushforward_identity(linear_model):
 
 def test_pushforward_ck_gives_caldirola_kanai(linear_model):
     K = cm.pushforward_hamiltonian(cm.map_ck(1.0, 0.1), linear_model)
-    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.quadratic_potential())
+    ck = cm.make_caldirola_kanai(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
     for X in random_states(25, seed=16):
         assert abs(K.evaluate(X) - ck.evaluate(X)) < 1e-9
 
@@ -379,8 +379,7 @@ def test_verify_builds_no_state(built_states, ermakov_const):
 
 
 def test_custom_models_and_pushforwards_build_no_state(built_states, linear_model):
-    custom = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2 + 0.1 * y[2],
-                            depends_on_t=False)
+    custom = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2 + 0.1 * y[2])
     K = cm.pushforward_hamiltonian(cm.map_expanding(1.0, 0.1), linear_model)
     x0 = cm.make_state(1.0, 0.0, 0.2, 0.0)
     y = np.array([0.7, -0.4, 0.3])

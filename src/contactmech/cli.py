@@ -91,7 +91,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".", seed: int = 0,
     init = make_state(config.q0, config.p0, config.S0, config.t0)
     traj = integrate(model, init, config.t_end, config.options,
                      tangent=not TANGENT_CHECKS.isdisjoint(config.checks))
-    results = run_checks(config, model, traj, seed=seed)
+    results = run_checks(config.checks, model, traj, seed=seed)
 
     os.makedirs(out_dir, exist_ok=True)
     if with_trajectory:

@@ -3,12 +3,13 @@
 Each diagnostic compares a structural prediction of the contact formalism
 (decay law, volume contraction, invariant measure, invariants, contact
 Hamilton-Jacobi residual, transformation conditions) against the integrated
-flow and reports threshold / observed / pass.
+flow and reports threshold / observed / pass.  A check reads only the model
+(its params) and the trajectory, and this module owns the check vocabulary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -17,25 +18,25 @@ from .dynamics import Trajectory
 from .errors import ScenarioError
 from .hamilton_jacobi import hj_residual, principal_field_from_riccati
 from .model import HamiltonianModel
-from .scenario import ScenarioConfig
 
 EPS_DEN = 1e-30
 
 
-def _rel_drift(x: np.ndarray, scale_floor: float = 1e-12) -> float:
+def _rel_drift(x: np.ndarray) -> float:
     ref = x[0]
-    return float(np.max(np.abs(x - ref)) / max(abs(ref), scale_floor))
+    return float(np.max(np.abs(x - ref)) / max(abs(ref), 1e-12))
 
 
-def check_energy_conservation(config, model, traj: Trajectory, cache: Dict) -> Dict:
+def check_energy_conservation(model, traj: Trajectory, cache: Dict) -> Dict:
     observed = _rel_drift(traj.H)
     return {"name": "energy_conservation", "threshold": 1e-8,
             "observed": observed, "passed": observed < 1e-8,
             "series": [("H", traj.times, traj.H)]}
 
 
-def check_hamiltonian_decay(config, model, traj: Trajectory, cache: Dict) -> Dict:
-    pred = dynamics.predicted_hamiltonian(model, traj)
+def check_hamiltonian_decay(model, traj: Trajectory, cache: Dict) -> Dict:
+    """H against the decay law dH/dt = -H dH/dS, which needs an H without explicit t."""
+    pred = dynamics.predicted_hamiltonian(traj)
     den = np.maximum(np.abs(pred), EPS_DEN)
     observed = float(np.max(np.abs(traj.H - pred) / den))
     return {"name": "hamiltonian_decay", "threshold": 1e-6,
@@ -53,7 +54,7 @@ def _det_series(traj: Trajectory, cache: Dict) -> np.ndarray:
     return cache["dets"]
 
 
-def check_divergence(config, model, traj: Trajectory, cache: Dict) -> Dict:
+def check_divergence(model, traj: Trajectory, cache: Dict) -> Dict:
     dets = _det_series(traj, cache)
     expected = np.exp(dynamics._cumulative_trapezoid(traj.times, traj.div))
     observed = float(np.max(np.abs(dets - expected) / np.abs(expected)))
@@ -64,7 +65,7 @@ def check_divergence(config, model, traj: Trajectory, cache: Dict) -> Dict:
                        ("exp(int div)", traj.times, expected)]}
 
 
-def check_measure(config, model, traj: Trajectory, cache: Dict) -> Dict:
+def check_measure(model, traj: Trajectory, cache: Dict) -> Dict:
     dets = _det_series(traj, cache)
     mask = np.abs(traj.H) > 1e-3
     if mask.sum() < 2:
@@ -78,18 +79,20 @@ def check_measure(config, model, traj: Trajectory, cache: Dict) -> Dict:
             "series": [("weight*det", traj.times[mask], product)]}
 
 
-def _ermakov_for(config, traj: Trajectory, cache: Dict):
+def _ermakov_for(model, traj: Trajectory, cache: Dict):
     if "erm" not in cache:
         cache["erm"] = oscillator.solve_ermakov(
-            config.omega, config.gamma, 1.0, 0.0, traj.times)
+            model.params["omega"], model.params["gamma"], 1.0, 0.0, traj.times)
     return cache["erm"]
 
 
-def check_invariants(config, model, traj: Trajectory, cache: Dict) -> Dict:
-    erm = _ermakov_for(config, traj, cache)
+def check_invariants(model, traj: Trajectory, cache: Dict) -> Dict:
+    """Lewis's I and the G invariant of the damped parametric oscillator along traj."""
+    erm = _ermakov_for(model, traj, cache)
+    m, gamma = model.params["m"], model.params["gamma"]
     rows = traj.flat()
-    I = oscillator.lewis_invariant(config.m, config.gamma, erm, traj.times, rows)
-    G = oscillator.g_invariant(config.gamma, traj.times, rows)
+    I = oscillator.lewis_invariant(m, gamma, erm, traj.times, rows)
+    G = oscillator.g_invariant(gamma, traj.times, rows)
     interior = traj.times[1:-1]
     res = float(np.max(np.abs(erm.residual(interior)))) if len(interior) else 0.0
     observed = max(_rel_drift(I), _rel_drift(G))
@@ -102,13 +105,17 @@ def check_invariants(config, model, traj: Trajectory, cache: Dict) -> Dict:
             "columns": {"I": I, "G": G}}
 
 
-def check_hj_residual(config, model, traj: Trajectory, cache: Dict) -> Dict:
-    C0 = config.p0 / (config.m * config.q0) if config.q0 != 0 else 1.0
-    grid = np.linspace(config.t0, config.t_end, 201)
-    ric = oscillator.solve_riccati(config.omega, config.gamma, C0, grid)
-    field = principal_field_from_riccati(config.m, ric)
+def check_hj_residual(model, traj: Trajectory, cache: Dict) -> Dict:
+    """The contact HJ residual of the oscillator's quadratic principal function
+    with slope p/(m q) at the first sample, on a 50 x 50 grid of q and t."""
+    m, gamma = model.params["m"], model.params["gamma"]
+    q0, p0 = float(traj.q[0, 0]), float(traj.p[0, 0])
+    C0 = p0 / (m * q0) if q0 != 0 else 1.0
+    grid = np.linspace(traj.times[0], traj.times[-1], 201)
+    ric = oscillator.solve_riccati(model.params["omega"], gamma, C0, grid)
+    field = principal_field_from_riccati(m, ric)
     qs = np.linspace(-2.0, 2.0, 50)
-    ts = np.linspace(config.t0, config.t_end, 50)
+    ts = np.linspace(traj.times[0], traj.times[-1], 50)
     res = np.array([hj_residual(model, field, qs[None, :], float(t)) for t in ts])
     observed = float(np.max(np.abs(res)))
     return {"name": "hj_residual", "threshold": 1e-8,
@@ -117,22 +124,23 @@ def check_hj_residual(config, model, traj: Trajectory, cache: Dict) -> Dict:
             "series": [("max_q |residual|", ts, np.max(np.abs(res), axis=1))]}
 
 
-def _build_map(name: str, config, traj: Trajectory, cache: Dict):
+def _build_map(name: str, model, traj: Trajectory, cache: Dict):
+    """(map, gamma of its conformal factor e^{gamma t}) for the map name."""
     if name == "identity":
         return transforms.map_identity(1), 0.0
+    m, gamma = model.params["m"], model.params["gamma"]
     if name == "ck":
-        return transforms.map_ck(config.m, config.gamma), config.gamma
+        return transforms.map_ck(m, gamma), gamma
     if name == "expanding":
-        return transforms.map_expanding(config.m, config.gamma), config.gamma
-    erm = _ermakov_for(config, traj, cache)
-    return transforms.map_invariants(config.m, config.gamma, erm), config.gamma
+        return transforms.map_expanding(m, gamma), gamma
+    return transforms.map_invariants(m, gamma, _ermakov_for(model, traj, cache)), gamma
 
 
-def check_transform_verify(name: str, config, model, traj: Trajectory,
-                           cache: Dict) -> Dict:
-    cmap, gmap = _build_map(name, config, traj, cache)
+def check_transform_verify(name: str, model, traj: Trajectory, cache: Dict) -> Dict:
+    """The named map's contact conditions and factor e^{gamma t} at 100 seeded points."""
+    cmap, gmap = _build_map(name, model, traj, cache)
     rng = np.random.default_rng([cache["seed"], len(name)])
-    rows = rng.uniform([0.5, -1.0, -1.0, config.t0], [1.5, 1.0, 1.0, config.t_end],
+    rows = rng.uniform([0.5, -1.0, -1.0, traj.times[0]], [1.5, 1.0, 1.0, traj.times[-1]],
                        size=(100, 4))
     report = transforms.verify(cmap, rows, tol=1e-8)
     ts = rows[:, 3]
@@ -147,7 +155,7 @@ def check_transform_verify(name: str, config, model, traj: Trajectory,
                        ("exp(gamma t)", ts[order], f_expected[order])]}
 
 
-# token -> check(config, model, traj, cache), with the map name first for
+# token -> check(model, traj, cache), with the map name first for
 # "transform_verify:<map>"; the cache holds the seed and the checks' shared work.
 CHECKS = {
     "energy_conservation": check_energy_conservation,
@@ -158,17 +166,25 @@ CHECKS = {
     "hj_residual": check_hj_residual,
     "transform_verify": check_transform_verify,
 }
-# the checks that read Trajectory.J, for which the flow is integrated with its tangent
+MAPS = ("identity", "ck", "expanding", "invariants")  # of "transform_verify:<map>"
+TOKENS = (*(kind for kind in CHECKS if kind != "transform_verify"),
+          *(f"transform_verify:{name}" for name in MAPS))
+# What a check needs beyond m and gamma, which every built-in model has: the flow's
+# tangent Trajectory.J (integrate with tangent=True), an H without explicit t, or
+# model.params["omega"], the damped parametric oscillator's omega(t).
 TANGENT_CHECKS = frozenset({"divergence", "measure"})
+AUTONOMOUS_CHECKS = frozenset({"hamiltonian_decay"})
+OMEGA_CHECKS = frozenset({"invariants", "hj_residual", "transform_verify:invariants"})
 
 
-def run_checks(config: ScenarioConfig, model: HamiltonianModel, traj: Trajectory,
+def run_checks(checks: Sequence[str], model: HamiltonianModel, traj: Trajectory,
                seed: int = 0) -> List[Dict]:
-    """Run every diagnostic requested by the scenario, in order."""
+    """Run the checks named by `checks`, tokens of TOKENS, in order on the model
+    and its trajectory; `seed` draws the transform checks' points."""
     cache: Dict = {"seed": seed}
     results = []
-    for token in config.checks:
+    for token in checks:
         kind, _, arg = token.partition(":")
         args = (arg,) if arg else ()
-        results.append(CHECKS[kind](*args, config, model, traj, cache))
+        results.append(CHECKS[kind](*args, model, traj, cache))
     return results

@@ -466,13 +466,12 @@ def divergence(model: HamiltonianModel, x: ExtendedState) -> float:
     return -(model.n + 1) * float(model.partials(x)[2 * model.n])
 
 
-def measure_weight(model: HamiltonianModel, x: ExtendedState,
-                   eps: float = MEASURE_EPS) -> float:
+def measure_weight(model: HamiltonianModel, x: ExtendedState) -> float:
     """Invariant-measure density |H|^-(n+1); defined only away from H = 0."""
     h = model.evaluate(x)
-    if abs(h) <= eps:
+    if abs(h) <= MEASURE_EPS:
         raise SingularMeasureError(
-            f"|H|={abs(h):.3g} <= {eps:.3g}: invariant measure is singular on H=0")
+            f"|H|={abs(h):.3g} <= {MEASURE_EPS:.3g}: invariant measure is singular on H=0")
     return abs(h) ** (-(model.n + 1))
 
 
@@ -498,7 +497,7 @@ def _cumulative_trapezoid(times: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(0.5 * dt * (x[1:] + x[:-1]))])
 
 
-def predicted_hamiltonian(model: HamiltonianModel, traj: Trajectory) -> np.ndarray:
+def predicted_hamiltonian(traj: Trajectory) -> np.ndarray:
     """H(t) predicted from the decay law dH/dt = -H dH/dS of an autonomous H:
     H_0 exp(-int dH/dS dtau), with dH/dS = -div/(n+1) from the trajectory's
     samples and the trapezoid rule on the sample grid.  A time-dependent H adds

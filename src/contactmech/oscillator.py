@@ -10,7 +10,6 @@ general quadratic invariant.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -348,9 +347,9 @@ def riccati_free_particle(gamma: float, C0: float, t):
     return (np.exp(-gamma * t) / denom)[()]
 
 
-def riccati_sensitivity(omega, gamma: float, C0: float, grid,
-                        delta: Optional[float] = None):
-    """dC/dC0 as a dense `CubicHermite` callable, by paired solves at C0 +/- delta.
+def riccati_sensitivity(omega, gamma: float, C0: float, grid):
+    """dC/dC0 as a dense `CubicHermite` callable, by paired solves at C0 +/- delta,
+    delta = FD_STEP * max(1, |C0|).
 
     The two initial conditions are advanced as one stacked system so that they
     share the adaptive step sequence; the centered difference then cancels the
@@ -358,8 +357,7 @@ def riccati_sensitivity(omega, gamma: float, C0: float, grid,
     """
     grid = _check_grid(grid)
     wfn = as_expression(omega, "t", "omega")
-    if delta is None:
-        delta = FD_STEP * max(1.0, abs(C0))
+    delta = FD_STEP * max(1.0, abs(C0))
 
     def rhs(t, y):
         w2 = wfn(t) ** 2

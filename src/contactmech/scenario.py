@@ -15,16 +15,19 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .diagnostics import AUTONOMOUS_CHECKS, OMEGA_CHECKS, TOKENS
 from .dynamics import IntegratorOptions
 from .errors import ScenarioError
 from .expressions import Expression, parse_expression
 from .model import HamiltonianModel, make_caldirola_kanai, make_damped_parametric, \
     make_linear_dissipation
 
-MODEL_KINDS = ("linear_dissipation", "damped_parametric", "caldirola_kanai")
-SIMPLE_CHECKS = ("energy_conservation", "hamiltonian_decay", "divergence",
-                 "measure", "invariants", "hj_residual")
-TRANSFORM_MAPS = ("identity", "ck", "expanding", "invariants")
+# model.kind -> (factory(m, gamma, expression), the expression's key, its variable)
+KINDS = {
+    "linear_dissipation": (make_linear_dissipation, "V", "q"),
+    "damped_parametric": (make_damped_parametric, "omega", "t"),
+    "caldirola_kanai": (make_caldirola_kanai, "V", "q"),
+}
 MAX_SAMPLES = 10 ** 7  # (t_end - t0) / sample_interval above this is refused
 
 _SCHEMA = {
@@ -115,8 +118,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     kind = msec.get("kind")
     if kind is None:
         _err("model.kind", "missing required key")
-    if kind not in MODEL_KINDS:
-        _err("model.kind", f"unknown model {kind!r}; expected one of {MODEL_KINDS}")
+    if kind not in KINDS:
+        _err("model.kind", f"unknown model {kind!r}; expected one of {tuple(KINDS)}")
     m = _get_float(msec, "model", "m")
     gamma = _get_float(msec, "model", "gamma")
     if m <= 0:
@@ -124,25 +127,17 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if gamma < 0:
         _err("model.gamma", f"must be >= 0, got {gamma}")
 
-    V = omega = None
-    if kind in ("linear_dissipation", "caldirola_kanai"):
-        if "V" not in msec:
-            _err("model.V", f"required for kind={kind}")
-        if "omega" in msec:
-            _err("model.omega", f"not allowed for kind={kind}")
-        try:
-            V = parse_expression(msec["V"], "q", "model.V")
-        except Exception as exc:
-            _err("model.V", str(exc))
-    else:
-        if "omega" not in msec:
-            _err("model.omega", f"required for kind={kind}")
-        if "V" in msec:
-            _err("model.V", f"not allowed for kind={kind}")
-        try:
-            omega = parse_expression(msec["omega"], "t", "model.omega")
-        except Exception as exc:
-            _err("model.omega", str(exc))
+    _, key, var = KINDS[kind]
+    exprs = {"V": None, "omega": None}
+    if key not in msec:
+        _err(f"model.{key}", f"required for kind={kind}")
+    for other in exprs:
+        if other != key and other in msec:
+            _err(f"model.{other}", f"not allowed for kind={kind}")
+    try:
+        exprs[key] = parse_expression(msec[key], var, f"model.{key}")
+    except Exception as exc:
+        _err(f"model.{key}", str(exc))
 
     isec = cp["initial"]
     q0 = _get_float(isec, "initial", "q")
@@ -176,26 +171,23 @@ def parse_scenario(text: str) -> ScenarioConfig:
         tokens = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
         if not tokens:
             _err("diagnostics.checks", "empty check list")
+        d = exprs[key].derivative_ast  # H has explicit t through e^{+-gamma t} or omega(t)
+        explicit_t = gamma > 0 if kind == "caldirola_kanai" else \
+            var == "t" and not (d.op == "num" and d.value == 0.0)
         for tok in tokens:
-            if tok in SIMPLE_CHECKS:
-                continue
-            if tok.startswith("transform_verify:"):
-                mp = tok.split(":", 1)[1]
-                if mp not in TRANSFORM_MAPS:
-                    _err("diagnostics.checks",
-                         f"unknown map {mp!r}; expected one of {TRANSFORM_MAPS}")
-                continue
-            _err("diagnostics.checks", f"unknown check {tok!r}")
-        for tok in tokens:
-            if tok in ("invariants", "hj_residual", "transform_verify:invariants") \
-                    and kind != "damped_parametric":
-                _err("diagnostics.checks",
-                     f"{tok!r} requires model.kind=damped_parametric")
+            if tok not in TOKENS:
+                _err("diagnostics.checks", f"unknown check {tok!r}; expected one of {TOKENS}")
+            if tok in OMEGA_CHECKS and key != "omega":
+                _err("diagnostics.checks", f"{tok!r} needs model.omega, "
+                                           f"which kind={kind} does not take")
+            if tok in AUTONOMOUS_CHECKS and explicit_t:
+                _err("diagnostics.checks", f"{tok!r} holds only for an H without explicit "
+                                           f"t, and this {kind} model depends on t")
         checks = tokens
 
     out = cp["output"] if "output" in cp else {}
     return ScenarioConfig(
-        name=name, kind=kind, m=m, gamma=gamma, V=V, omega=omega,
+        name=name, kind=kind, m=m, gamma=gamma, **exprs,
         q0=q0, p0=p0, S0=S0, t0=t0, t_end=t_end, options=options, checks=checks,
         trajectory_file=out.get("trajectory", "trajectory.tsv"),
         report_file=out.get("report", "report.txt"),
@@ -205,11 +197,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 def build_model(config: ScenarioConfig) -> HamiltonianModel:
     """Instantiate the built-in model selected by a scenario."""
-    if config.kind == "linear_dissipation":
-        return make_linear_dissipation(config.m, config.gamma, config.V)
-    if config.kind == "damped_parametric":
-        return make_damped_parametric(config.m, config.gamma, config.omega)
-    return make_caldirola_kanai(config.m, config.gamma, config.V)
+    factory, key, _ = KINDS[config.kind]
+    return factory(config.m, config.gamma, getattr(config, key))
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:
@@ -221,10 +210,8 @@ def serialize_scenario(config: ScenarioConfig) -> str:
     buf.write(f"kind = {config.kind}\n")
     buf.write(f"m = {config.m:.17g}\n")
     buf.write(f"gamma = {config.gamma:.17g}\n")
-    if config.V is not None:
-        buf.write(f"V = {config.V.text}\n")
-    if config.omega is not None:
-        buf.write(f"omega = {config.omega.text}\n")
+    key = KINDS[config.kind][1]
+    buf.write(f"{key} = {getattr(config, key).text}\n")
     buf.write("\n[initial]\n")
     for key, val in (("q", config.q0), ("p", config.p0), ("S", config.S0),
                      ("t", config.t0)):

@@ -20,14 +20,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6):
+def _nice_ticks(lo: float, hi: float):
     """A short list of round tick positions covering [lo, hi]."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0]
     if hi <= lo:
         hi = lo + (abs(lo) if lo != 0 else 1.0) * 1e-9 + 1e-300
     span = hi - lo
-    raw = span / max(1, target - 1)
+    raw = span / 5  # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -172,14 +172,13 @@ def _default_probes(n: int) -> np.ndarray:
     return np.random.default_rng(7).uniform(lo, hi, size=(8, 2 * n + 2))
 
 
-def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel,
-                            probe_tol: float = 1e-6) -> HamiltonianModel:
+def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel) -> HamiltonianModel:
     """New contact Hamiltonian K(Q, P, S~, t) = f H - dS~/dt + P_a dQ^a/dt.
 
     The right-hand side is evaluated at the pre-image of (Q, P, S~, t), so the
     map must carry an inverse; each evaluation calls ``inverse``, the
     Jacobian and ``forward`` once.  Maps failing the contact conditions at
-    probe points are rejected.
+    probe points (to 1e-6) are rejected.
     """
     if model.n != cmap.n:
         raise DimensionMismatchError("map and model dimensions differ")
@@ -187,7 +186,7 @@ def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel,
         raise UnsupportedModelError(
             f"pushforward through '{cmap.name}' needs an inverse map")
     probes = cmap.probes if cmap.probes is not None else _default_probes(cmap.n)
-    report = verify(cmap, probes, tol=probe_tol)
+    report = verify(cmap, probes, tol=1e-6)
     if not report.passed:
         raise ValueError(
             f"'{cmap.name}' is not a contact transformation "

@@ -15,8 +15,7 @@ from contactmech import cli, diagnostics, dynamics, transforms
 from contactmech.dynamics import integrate
 from contactmech.errors import ScenarioError
 from contactmech.model import make_state
-from contactmech.scenario import (MAX_SAMPLES, SIMPLE_CHECKS, TRANSFORM_MAPS, build_model,
-                                  parse_scenario)
+from contactmech.scenario import KINDS, MAX_SAMPLES, build_model, parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -141,7 +140,8 @@ def test_float_overflow_exit_code(tmp_path, capsys):
     text = GOOD.replace("kind = linear_dissipation", "kind = caldirola_kanai") \
                .replace("gamma = 0.1", "gamma = 10").replace("t_end = 5", "t_end = 80") \
                .replace("rel_tol = 1e-10", "rel_tol = 1e-6") \
-               .replace("abs_tol = 1e-13", "abs_tol = 1e-9")
+               .replace("abs_tol = 1e-13", "abs_tol = 1e-9") \
+               .replace("checks = hamiltonian_decay, divergence", "checks = divergence")
     path = tmp_path / "overflow.ini"
     path.write_text(text)
     assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
@@ -285,7 +285,8 @@ def test_trig_of_infinity_is_a_bad_scenario(tmp_path, capsys):
     ({"V = q^2/2": "V = exp(q)", "q = 1": "q = 800"}, 3,
      "error: model.V: exp of 800.0 overflows: math range error (at offset 0)"),
     ({"kind = linear_dissipation": "kind = damped_parametric",
-      "V = q^2/2": "omega = 2 + sqrt(t - 5)"}, 2,
+      "V = q^2/2": "omega = 2 + sqrt(t - 5)",
+      "checks = hamiltonian_decay, divergence": "checks = divergence"}, 2,
      "error: model.omega: sqrt of negative value -5.0 (at offset 4)"),
     ({"V = q^2/2": "V = q^1000", "q = 1": "q = 800"}, 3,
      "error: model.V: power 800.0^1000.0 overflows: math range error (at offset 1)"),
@@ -315,16 +316,70 @@ def test_seed_changes_verification_points(tmp_path):
     assert r0 == (tmp_path / "s0b" / "plots" / "transform_verify_ck.svg").read_bytes()
 
 
-def test_every_check_token_has_a_check_and_every_map_builds():
-    assert set(diagnostics.CHECKS) == set(SIMPLE_CHECKS) | {"transform_verify"}
-    assert diagnostics.TANGENT_CHECKS <= set(diagnostics.CHECKS)
+_EXPRESSIONS = {"V": "q^2/2", "omega": "1"}
+
+
+def _scenario_of(kind, checks, gamma=0.1, expression=None):
+    key = KINDS[kind][1]
+    return GOOD.replace("kind = linear_dissipation", f"kind = {kind}") \
+               .replace("gamma = 0.1", f"gamma = {gamma}") \
+               .replace("V = q^2/2", f"{key} = {expression or _EXPRESSIONS[key]}") \
+               .replace("checks = hamiltonian_decay, divergence", f"checks = {checks}")
+
+
+@pytest.mark.parametrize("token", diagnostics.TOKENS)
+def test_every_check_token_parses_for_the_kinds_it_allows(token):
+    """A token parses for every kind that gives its check what it needs, and
+    exits 2 naming diagnostics.checks for every other kind.  Here gamma = 0.1
+    and omega = 1, so only the Caldirola-Kanai H has explicit t."""
+    assert token.partition(":")[0] in diagnostics.CHECKS
+    for kind, (_, key, _) in KINDS.items():
+        text = _scenario_of(kind, token)
+        refused = (token in diagnostics.OMEGA_CHECKS and key != "omega") or \
+            (token in diagnostics.AUTONOMOUS_CHECKS and kind == "caldirola_kanai")
+        if refused:
+            with pytest.raises(ScenarioError, match=f"^diagnostics.checks: '{token}' ") as err:
+                parse_scenario(text)
+            assert cli._classify(err.value) == cli.EXIT_BAD_SCENARIO
+        else:
+            assert parse_scenario(text).checks == (token,)
+
+
+def test_every_map_builds_from_the_model():
+    assert diagnostics.TANGENT_CHECKS | diagnostics.AUTONOMOUS_CHECKS \
+        | diagnostics.OMEGA_CHECKS <= set(diagnostics.TOKENS)
     config = parse_scenario((ROOT / "scenarios" / "parametric_oscillator.ini").read_text())
-    traj = integrate(build_model(config),
-                     make_state(config.q0, config.p0, config.S0, config.t0),
+    model = build_model(config)
+    traj = integrate(model, make_state(config.q0, config.p0, config.S0, config.t0),
                      config.t_end, config.options)
-    for name in TRANSFORM_MAPS:
-        cmap, _gamma = diagnostics._build_map(name, config, traj, {})
+    for name in diagnostics.MAPS:
+        cmap, _gamma = diagnostics._build_map(name, model, traj, {})
         assert cmap.name == name
+
+
+@pytest.mark.parametrize("name", ["caldirola_kanai", "parametric_oscillator"])
+def test_the_decay_check_on_a_time_dependent_hamiltonian_is_a_bad_scenario(name, tmp_path,
+                                                                           capsys):
+    """dH/dt = -H dH/dS leaves out the dH/dt of an H with explicit t, so the
+    decay check on one is refused before anything is integrated."""
+    text = (ROOT / "scenarios" / f"{name}.ini").read_text()
+    text = re.sub(r"(?m)^checks = .*$", "checks = hamiltonian_decay", text)
+    path = tmp_path / f"{name}.ini"
+    path.write_text(text)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: diagnostics.checks: 'hamiltonian_decay' holds only for an H without explicit t")
+
+
+@pytest.mark.parametrize("kind, gamma, expression", [
+    ("caldirola_kanai", 0, None), ("damped_parametric", 0.1, "0"),
+    ("damped_parametric", 0.1, "1.2"), ("damped_parametric", 0.1, "t - t"),
+    ("damped_parametric", 0.1, "0*t")])
+def test_the_decay_check_parses_where_h_has_no_explicit_t(kind, gamma, expression):
+    """An omega whose parsed derivative is the literal 0, or Caldirola-Kanai at
+    gamma = 0, gives an H without explicit t."""
+    config = parse_scenario(_scenario_of(kind, "hamiltonian_decay", gamma, expression))
+    assert config.checks == ("hamiltonian_decay",)
 
 
 def test_a_scenario_with_volume_checks_is_one_solve(tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ import importlib
 import math
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,8 +321,8 @@ def test_the_n_plus_1_law_beyond_one_degree_of_freedom(n):
     # n = 3 is 1.4e-5, over the divergence check's 1e-5
     opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-13, sample_interval=0.005)
     traj = cm.integrate(model, x0, 3.0, opts, tangent=True)
-    config, cache = SimpleNamespace(options=opts), {}
-    div = diagnostics.check_divergence(config, model, traj, cache)
+    cache = {}
+    div = diagnostics.check_divergence(model, traj, cache)
     assert div["passed"], div["observed"]
     dets = cache["dets"]
     assert dets[-1] < 0.5  # the check is not vacuous
@@ -337,7 +336,7 @@ def test_the_n_plus_1_law_beyond_one_degree_of_freedom(n):
         A = model.field_jacobian(x.t, x.flat())
         assert cm.divergence(model, x) == pytest.approx(np.trace(A), rel=1e-6, abs=1e-8)
 
-    measure = diagnostics.check_measure(config, model, traj, cache)
+    measure = diagnostics.check_measure(model, traj, cache)
     assert measure["passed"], measure["observed"]
     product = [cm.measure_weight(model, traj.state(i)) * det for i, det in enumerate(dets)]
     assert_allclose(product, product[0], rtol=1e-4)
@@ -458,10 +457,9 @@ def test_a_tangent_from_a_rest_point_is_held_to_the_tolerance(gamma):
 
 
 def test_the_volume_checks_need_the_tangent(linear_model, linear_traj):
-    config = SimpleNamespace(options=cm.IntegratorOptions())
     for check in (diagnostics.check_divergence, diagnostics.check_measure):
         with pytest.raises(ValueError, match="tangent=True"):
-            check(config, linear_model, linear_traj, {})
+            check(linear_model, linear_traj, {})
 
 
 def test_measure_weight_examples(linear_model):
@@ -487,13 +485,13 @@ def test_observable_rate_examples(linear_model):
     assert cm.observable_rate(linear_model, Fmec, x) == pytest.approx(-0.4, rel=1e-8)
 
 
-def test_predicted_hamiltonian(linear_traj, linear_model):
-    pred = cm.predicted_hamiltonian(linear_model, linear_traj)
+def test_predicted_hamiltonian(linear_traj):
+    pred = cm.predicted_hamiltonian(linear_traj)
     assert np.max(np.abs(pred - linear_traj.H) / np.abs(pred)) < 1e-6
     free = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2)
     traj = cm.integrate(free, cm.make_state(0.0, 1.0, 0.0, 0.0), 1.0,
                         cm.IntegratorOptions(sample_interval=0.1))
-    assert_allclose(cm.predicted_hamiltonian(free, traj), traj.H[0])
+    assert_allclose(cm.predicted_hamiltonian(traj), traj.H[0])
 
 
 def test_predicted_hamiltonian_of_a_custom_model_takes_dH_dS_from_the_trajectory():
@@ -502,7 +500,7 @@ def test_predicted_hamiltonian_of_a_custom_model_takes_dH_dS_from_the_trajectory
     model = cm.make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2 + 0.2 * y[2])
     opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, sample_interval=0.01)
     traj = cm.integrate(model, cm.make_state(1.0, 0.3, 0.5, 0.0), 5.0, opts)
-    pred = cm.predicted_hamiltonian(model, traj)
+    pred = cm.predicted_hamiltonian(traj)
     assert np.max(np.abs(pred - traj.H)) < 1e-6
     assert_allclose(pred, traj.H[0] * np.exp(-0.2 * traj.times), rtol=1e-8)
 

@@ -117,7 +117,7 @@ def test_check_invariants_builds_no_state(built_states):
     traj = cm.integrate(model, cm.make_state(config.q0, config.p0, config.S0, config.t0),
                         config.t_end, config.options)
     del built_states[:]
-    result = diagnostics.check_invariants(config, model, traj, {})
+    result = diagnostics.check_invariants(model, traj, {})
     assert result["passed"] and len(result["columns"]["I"]) == len(traj) == 251
     assert built_states == []
 

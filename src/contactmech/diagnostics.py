@@ -169,18 +169,41 @@ CHECKS = {
 MAPS = ("identity", "ck", "expanding", "invariants")  # of "transform_verify:<map>"
 TOKENS = (*(kind for kind in CHECKS if kind != "transform_verify"),
           *(f"transform_verify:{name}" for name in MAPS))
-# What a check needs beyond m and gamma, which every built-in model has: the flow's
-# tangent Trajectory.J (integrate with tangent=True), an H without explicit t, or
-# model.params["omega"], the damped parametric oscillator's omega(t).
+# What a check needs: the flow's tangent Trajectory.J (integrate with
+# tangent=True), an H without explicit t, or entries of model.params, where the
+# damped parametric oscillator keeps its omega(t).
 TANGENT_CHECKS = frozenset({"divergence", "measure"})
 AUTONOMOUS_CHECKS = frozenset({"hamiltonian_decay"})
-OMEGA_CHECKS = frozenset({"invariants", "hj_residual", "transform_verify:invariants"})
+PARAMS = {  # token -> the model.params entries its check reads
+    "invariants": ("m", "gamma", "omega"),
+    "hj_residual": ("m", "gamma", "omega"),
+    "transform_verify:ck": ("m", "gamma"),
+    "transform_verify:expanding": ("m", "gamma"),
+    "transform_verify:invariants": ("m", "gamma", "omega"),
+}
+
+
+def validate_checks(checks: Sequence[str], params, owner: str) -> None:
+    """ScenarioError at diagnostics.checks for the first token of `checks` that
+    is not in TOKENS, or whose check reads model.params entries that `params`
+    lacks; `owner` names the model, as in "kind=linear_dissipation"."""
+    for token in checks:
+        if token not in TOKENS:
+            raise ScenarioError(f"diagnostics.checks: unknown check {token!r}; "
+                                f"expected one of {TOKENS}")
+        missing = [key for key in PARAMS.get(token, ()) if key not in params]
+        if missing:
+            raise ScenarioError(f"diagnostics.checks: {token!r} needs "
+                                f"{', '.join('model.' + key for key in missing)}, "
+                                f"which {owner} does not have")
 
 
 def run_checks(checks: Sequence[str], model: HamiltonianModel, traj: Trajectory,
                seed: int = 0) -> List[Dict]:
     """Run the checks named by `checks`, tokens of TOKENS, in order on the model
-    and its trajectory; `seed` draws the transform checks' points."""
+    and its trajectory; `seed` draws the transform checks' points.  The tokens
+    and the model.params they read are validated before any check runs."""
+    validate_checks(checks, model.params, f"model {model.name!r}")
     cache: Dict = {"seed": seed}
     results = []
     for token in checks:

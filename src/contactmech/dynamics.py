@@ -407,23 +407,18 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
 def _solve(model: HamiltonianModel, init: ExtendedState, t_end: float,
            opts: IntegratorOptions, grid: np.ndarray, tangent: bool) -> tuple:
     """(rows [q, p, S] of the flow at the grid times, J or None).  With
-    `tangent`, J = dPhi solves dJ/dt = A J, J(t0) = I, where A is the model's
-    `field_jacobian` (a test holds it to finite differences of the field).  J
+    `tangent`, J = dPhi solves dJ/dt = A J, J(t0) = I, where A = d(field)/dy,
+    by the model's `tangent_rhs`, whose first rows are `field` itself.  J
     rides the flow's own steps, so the rows are those of the solve without J
     unless J's error estimate fails on one of them, from which step on J joins
-    the error norm (see `_integrate_flat`); each right-hand side calls `field`
-    and `field_jacobian` once each."""
+    the error norm (see `_integrate_flat`); each right-hand side calls
+    `tangent_rhs` once, and it calls `field` once."""
     y0 = init.flat()
     if not tangent:
         return _integrate_flat(model.field, y0, init.t, t_end, opts, grid), None
-    d, field, jacobian = len(y0), model.field, model.field_jacobian
-
-    def rhs(t, z):
-        y = z[:d]
-        return np.concatenate([field(t, y), (jacobian(t, y) @ z[d:].reshape(d, d)).ravel()])
-
-    zs = _integrate_flat(rhs, np.concatenate([y0, np.eye(d).ravel()]), init.t, t_end,
-                         opts, grid, d=d)
+    d = len(y0)
+    zs = _integrate_flat(model.tangent_rhs, np.concatenate([y0, np.eye(d).ravel()]), init.t,
+                         t_end, opts, grid, d=d)
     return zs[:, :d], zs[:, d:].reshape(-1, d, d)
 
 
@@ -433,14 +428,14 @@ def integrate(model: HamiltonianModel, init: ExtendedState, t_end: float,
     """Integrate the contact equations from init.t to t_end and sample the flow.
 
     With `tangent`, the fundamental matrix J = dPhi of the variational
-    equations dJ/dt = A J is integrated on the same steps and returned as
-    `Trajectory.J`.  The steps are chosen for (q, p, S) alone, so times, q, p,
-    S, H and div are bit for bit those of the solve without J, as long as J's
-    own error estimate (RMS over its entries, relative to rel_tol times its
-    largest entry) stays under 1 on them.  Where it does not, as from a rest
-    point, where the flow's steps are long and J still turns, J joins the
-    error norm from that step on and the flow is sampled on the shorter steps
-    that follow."""
+    equations dJ/dt = A J is integrated on the same steps, by the model's
+    `tangent_rhs`, and returned as `Trajectory.J`.  The steps are chosen for
+    (q, p, S) alone, so times, q, p, S, H and div are bit for bit those of the
+    solve without J, as long as J's own error estimate (RMS over its entries,
+    relative to rel_tol times its largest entry) stays under 1 on them.  Where
+    it does not, as from a rest point, where the flow's steps are long and J
+    still turns, J joins the error norm from that step on and the flow is
+    sampled on the shorter steps that follow."""
     opts = opts or IntegratorOptions()
     model.check_dimensions(init)
     if t_end <= init.t:

@@ -11,10 +11,12 @@ Grammar (one free variable per context):
 Identifiers are the declared variable, the constants pi and e, and the
 functions sin, cos, exp, sqrt, log.  The expression and its symbolic
 derivative are one DAG of hash-consed nodes, compiled once, at parse time, into
-straight-line functions that do a tree walk's float operations with its domain
-errors (sin or cos of an infinity, sqrt of a negative, log of a non-positive,
-division by zero, invalid power; an exp or ^ overflow stays an OverflowError)
-naming the offending operator's byte offset and, when given, the expression's key.
+straight-line functions; the second derivative is differentiated from the
+first and compiled on its first call.  Each does a tree walk's float operations
+with its domain errors (sin or cos of an infinity, sqrt of a negative, log of a
+non-positive, division by zero, invalid power; an exp or ^ overflow stays an
+OverflowError) naming the offending operator's byte offset and, when given,
+the expression's key.
 """
 
 from __future__ import annotations
@@ -350,11 +352,13 @@ class _Parser:
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression in one variable with its symbolic derivative.
+    """A parsed expression in one variable with its symbolic derivatives.
 
-    Both DAGs are compiled into straight-line functions once, on construction.
-    A `key` such as ``model.V`` prefixes their errors and takes no part in
-    equality."""
+    The value and first-derivative DAGs are compiled into straight-line
+    functions once, on construction; the second derivative, the derivative of
+    `derivative_ast`, is built and compiled on the first `second_derivative`
+    call.  A `key` such as ``model.V`` prefixes the errors of all three and
+    takes no part in equality."""
 
     text: str
     variable: str
@@ -363,18 +367,29 @@ class Expression:
     key: str = field(default="", compare=False)
     _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _slope: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _curvature: Callable[[float], float] = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
-        where = f"{self.key}: " if self.key else ""
-        object.__setattr__(self, "_value", _compile(self.ast, (self.variable,), where))
+        object.__setattr__(self, "_value", _compile(self.ast, (self.variable,), self._where))
         object.__setattr__(self, "_slope",
-                           _compile(self.derivative_ast, (self.variable,), where))
+                           _compile(self.derivative_ast, (self.variable,), self._where))
+
+    @property
+    def _where(self) -> str:
+        return f"{self.key}: " if self.key else ""
 
     def __call__(self, x: float) -> float:
         return self._value(float(x))
 
     def derivative(self, x: float) -> float:
         return self._slope(float(x))
+
+    def second_derivative(self, x: float) -> float:
+        if self._curvature is None:
+            object.__setattr__(self, "_curvature", _compile(
+                _Dag().diff(self.derivative_ast), (self.variable,), self._where))
+        return self._curvature(float(x))
 
     def __reduce__(self):  # compiled code does not pickle; the text re-parses to it
         return parse_expression, (self.text, self.variable, self.key)
@@ -404,11 +419,13 @@ def parse_expression(text: str, variable: str, key: str = "") -> Expression:
 
 def as_expression(obj, variable: str, name: str):
     """`obj` as a function of `variable` for the built-in models and solvers:
-    an object with ``__call__(x)`` and ``derivative(x)``, such as an `Expression`,
-    as it is, or a finite number c as ``parse_expression(repr(float(c)), variable,
-    name)``.  Anything else (a bare callable, a string, a bool, a non-finite
-    number) is an error naming `name`."""
-    if callable(obj) and callable(getattr(obj, "derivative", None)):
+    an object with ``__call__(x)``, ``derivative(x)`` and
+    ``second_derivative(x)``, such as an `Expression`, as it is, or a finite
+    number c as ``parse_expression(repr(float(c)), variable, name)``.  Anything
+    else (a bare callable, a string, a bool, a non-finite number) is an error
+    naming `name`."""
+    if callable(obj) and callable(getattr(obj, "derivative", None)) \
+            and callable(getattr(obj, "second_derivative", None)):
         return obj
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise TypeError(f"{name} must be an expression in {variable} or a finite number, "

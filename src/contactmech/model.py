@@ -118,22 +118,25 @@ class HamiltonianModel:
     """Descriptor of a contact Hamiltonian H(q, p, S, t).
 
     At y = [q, p, S], ``value(t, y)`` is H, ``grad(t, y)`` is [dH/dq, dH/dp,
-    dH/dS, dH/dt], ``field(t, y)`` is the (q, p, S) components of the contact
-    vector field as a float sequence, which is what the integrators call, and
-    ``field_jacobian(t, y)`` is the (2n+1) x (2n+1) matrix A = d(field)/dy,
-    which the det series integrates.  The built-ins give ``field`` and
-    ``field_jacobian`` in closed form; `make_custom` builds the field from
-    ``value`` and ``grad``, and A by `_field_jacobian` from ``grad`` and a
-    central-difference Hessian.  All four are unvalidated: a non-finite field
-    is left to the integrator, which rejects the step.  ``evaluate`` and
-    ``partials`` validate.
+    dH/dS, dH/dt] and ``field(t, y)`` is the (q, p, S) components of the
+    contact vector field as a float sequence, which is what the integrators
+    call.  At z = [y, J row-major], with J a (2n+1) x (2n+1) matrix,
+    ``tangent_rhs(t, z)`` is the flat float sequence [field(t, y), A J] of
+    the flow and its variational equations, A = d(field)/dy, which `integrate`
+    solves for the volume checks; its first 2n+1 entries are ``field(t, y)``
+    bit for bit.  The built-ins give ``field`` in closed form and
+    ``tangent_rhs`` in straight-line floats from their symbolic second
+    derivatives; `make_custom` builds the field from ``value`` and ``grad``,
+    and A by `_contact_jacobian` from ``grad`` and a central-difference Hessian.
+    All four are unvalidated: a non-finite field is left to the integrator,
+    which rejects the step.  ``evaluate`` and ``partials`` validate.
     """
 
     n: int
     value: Callable[[float, np.ndarray], float]
     grad: Callable[[float, np.ndarray], np.ndarray]
     field: Callable[[float, np.ndarray], Sequence[float]]
-    field_jacobian: Callable[[float, np.ndarray], np.ndarray]
+    tangent_rhs: Callable[[float, np.ndarray], Sequence[float]]
     name: str = "custom"
     params: Mapping[str, Any] = dataclass_field(default_factory=dict)
 
@@ -170,7 +173,7 @@ def _contact_field(n: int, y: np.ndarray, h: float, g: np.ndarray) -> np.ndarray
                            [float(np.dot(p, dH_dp)) - h]])
 
 
-def _field_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np.ndarray:
+def _contact_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Jacobian A of the contact field in y, by the chain rule from the
     gradient g and the Hessian K of H at y; tr A = -(n+1) dH/dS follows from
     K's symmetry."""
@@ -193,13 +196,6 @@ def _field_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np.n
 # it to that), including the -p dH/dS term when dH/dS is 0, which can flip the
 # sign of a zero.  H's terms come before dH's, so the first domain error is
 # the one `value` would raise.  dH/dt is not needed and not evaluated.
-#
-# Each built-in's `field_jacobian` is `_field_jacobian` of its gradient and its
-# Hessian diag(d2H/dq2, d2H/dp2, 0) written out for n = 1, with the same float
-# operations: -K - p K_S in the p row, p dH/dp - dH/dq in the S row and
-# -dH/dS added on the diagonal from p to S.  The values agree; the sign of an
-# exact zero at A[2, 0] or A[2, 2] may not, since the generic S row is a
-# matrix product where this is p * 0.0.
 
 
 def _check_mass_and_damping(m: float, gamma: float):
@@ -209,10 +205,22 @@ def _check_mass_and_damping(m: float, gamma: float):
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
 
 
-def _second_derivative(f, x: float) -> float:
-    """f''(x) as a central difference of f.derivative with step FD_STEP * max(1, |x|)."""
-    h = FD_STEP * max(1.0, abs(x))
-    return (f.derivative(x + h) - f.derivative(x - h)) / (2.0 * h)
+def tangent(field, curvature):
+    """The ``tangent_rhs`` of an n = 1 model H = T(p, t) + U(q, t) + c S from its
+    ``field`` and ``curvature(t, q)`` = (dH/dq, d2H/dq2, d2H/dp2, dH/dS).  Then
+    A = [[0, H_pp, 0], [-H_qq, -H_S, 0], [-H_q, p H_pp, -H_S]], and A J is
+    written out in floats after the field's own three entries."""
+    def tangent_rhs(t, z) -> list:
+        f = field(t, z[:3])  # first, so that the first error is the field's
+        q, p, _, j0, j1, j2, k0, k1, k2, l0, l1, l2 = z.tolist()
+        H_q, H_qq, H_pp, H_S = curvature(t, q)
+        a = p * H_pp
+        return [*f,
+                H_pp * k0, H_pp * k1, H_pp * k2,
+                -H_qq * j0 - H_S * k0, -H_qq * j1 - H_S * k1, -H_qq * j2 - H_S * k2,
+                -H_q * j0 + a * k0 - H_S * l0, -H_q * j1 + a * k1 - H_S * l1,
+                -H_q * j2 + a * k2 - H_S * l2]
+    return tangent_rhs
 
 
 def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
@@ -233,16 +241,11 @@ def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
         dH_dp = p / m
         return [dH_dp, -Vfn.derivative(q) - p * gamma, p * dH_dp - h]
 
-    def field_jacobian(t, y) -> np.ndarray:
-        q, p, _ = y.tolist()
-        d2H_dp2 = 1.0 / m
-        return np.array([[0.0, d2H_dp2, 0.0],
-                         [-_second_derivative(Vfn, q) - p * 0.0, -0.0 - p * 0.0 - gamma,
-                          -0.0 - p * 0.0],
-                         [p * 0.0 - Vfn.derivative(q), p * d2H_dp2, p * 0.0 - gamma]])
+    def curvature(t, q) -> tuple:
+        return Vfn.derivative(q), Vfn.second_derivative(q), 1.0 / m, gamma
 
     return HamiltonianModel(
-        n=1, value=value, grad=grad, field=field, field_jacobian=field_jacobian,
+        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(field, curvature),
         name="linear_dissipation",
         params={"m": m, "gamma": gamma, "V": Vfn},
     )
@@ -251,10 +254,9 @@ def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
 def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
     """H = p^2/2m + m w(t)^2 q^2 / 2 + gamma*S, the damped parametric oscillator.
 
-    ``omega`` is an expression in t (an `Expression`, or any object with
-    ``__call__(t)`` and ``derivative(t)``) or a finite number: a constant
-    frequency gives the damped harmonic oscillator, zero the damped free
-    particle.
+    ``omega`` is an expression in t (an `Expression`, or any object that
+    `as_expression` takes as it is) or a finite number: a constant frequency
+    gives the damped harmonic oscillator, zero the damped free particle.
     """
     _check_mass_and_damping(m, gamma)
     wfn = as_expression(omega, "t", "omega")
@@ -277,16 +279,12 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
         dH_dp = p / m
         return [dH_dp, -(m * w * w * q) - p * gamma, p * dH_dp - h]
 
-    def field_jacobian(t, y) -> np.ndarray:
-        q, p, _ = y.tolist()
+    def curvature(t, q) -> tuple:
         w = wfn(t)
-        d2H_dp2 = 1.0 / m
-        return np.array([[0.0, d2H_dp2, 0.0],
-                         [-(m * w ** 2) - p * 0.0, -0.0 - p * 0.0 - gamma, -0.0 - p * 0.0],
-                         [p * 0.0 - m * w * w * q, p * d2H_dp2, p * 0.0 - gamma]])
+        return m * w * w * q, m * w * w, 1.0 / m, gamma
 
     return HamiltonianModel(
-        n=1, value=value, grad=grad, field=field, field_jacobian=field_jacobian,
+        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(field, curvature),
         name="damped_parametric",
         params={"m": m, "gamma": gamma, "omega": wfn},
     )
@@ -328,17 +326,12 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
         dH_dp = em * p / m
         return [dH_dp, -(ep * Vfn.derivative(q)) - p * 0.0, p * dH_dp - h]
 
-    def field_jacobian(t, y) -> np.ndarray:
-        q, p, _ = y.tolist()
+    def curvature(t, q) -> tuple:
         em, ep = factors(t)
-        d2H_dp2 = em / m
-        return np.array([[0.0, d2H_dp2, 0.0],
-                         [-(ep * _second_derivative(Vfn, q)) - p * 0.0, -0.0 - p * 0.0 - 0.0,
-                          -0.0 - p * 0.0],
-                         [p * 0.0 - ep * Vfn.derivative(q), p * d2H_dp2, p * 0.0 - 0.0]])
+        return ep * Vfn.derivative(q), ep * Vfn.second_derivative(q), em / m, 0.0
 
     return HamiltonianModel(
-        n=1, value=value, grad=grad, field=field, field_jacobian=field_jacobian,
+        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(field, curvature),
         name="caldirola_kanai",
         params={"m": m, "gamma": gamma, "V": Vfn},
     )
@@ -348,8 +341,9 @@ def make_custom(n: int, value, grad=None, name: str = "custom",
                 params: Optional[Mapping[str, Any]] = None) -> HamiltonianModel:
     """Wrap callables of (t, y), y = [q, p, S], as a model: ``value`` is H and
     ``grad`` [dH/dq, dH/dp, dH/dS, dH/dt], central differences of ``value`` when
-    None.  The field is `_contact_field` of value and gradient, and its Jacobian
-    is `_field_jacobian` of gradient and a central-difference Hessian."""
+    None.  The field is `_contact_field` of value and gradient; the tangent
+    right-hand side multiplies J by `_contact_jacobian` of the gradient and a
+    central-difference Hessian, in numpy."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     n = int(n)
@@ -368,11 +362,15 @@ def make_custom(n: int, value, grad=None, name: str = "custom",
     def field(t, y) -> np.ndarray:
         return _contact_field(n, y, value(t, y), gradient(t, y))
 
-    def field_jacobian(t, y) -> np.ndarray:
-        return _field_jacobian(n, y, gradient(t, y),
-                               central_difference(lambda z: gradient(t, z)[:2 * n + 1], y))
+    d = 2 * n + 1
+
+    def tangent_rhs(t, z) -> np.ndarray:
+        y = z[:d]
+        A = _contact_jacobian(n, y, gradient(t, y),
+                            central_difference(lambda w: gradient(t, w)[:d], y))
+        return np.concatenate([field(t, y), (A @ z[d:].reshape(d, d)).ravel()])
 
     return HamiltonianModel(
-        n=n, value=value, grad=gradient, field=field, field_jacobian=field_jacobian,
+        n=n, value=value, grad=gradient, field=field, tangent_rhs=tangent_rhs,
         name=name, params=dict(params or {}),
     )

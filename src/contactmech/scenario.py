@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .diagnostics import AUTONOMOUS_CHECKS, OMEGA_CHECKS, TOKENS
+from .diagnostics import AUTONOMOUS_CHECKS, validate_checks
 from .dynamics import IntegratorOptions
 from .errors import ScenarioError
 from .expressions import Expression, parse_expression
@@ -171,15 +171,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         tokens = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
         if not tokens:
             _err("diagnostics.checks", "empty check list")
+        validate_checks(tokens, ("m", "gamma", key), f"kind={kind}")
         d = exprs[key].derivative_ast  # H has explicit t through e^{+-gamma t} or omega(t)
         explicit_t = gamma > 0 if kind == "caldirola_kanai" else \
             var == "t" and not (d.op == "num" and d.value == 0.0)
         for tok in tokens:
-            if tok not in TOKENS:
-                _err("diagnostics.checks", f"unknown check {tok!r}; expected one of {TOKENS}")
-            if tok in OMEGA_CHECKS and key != "omega":
-                _err("diagnostics.checks", f"{tok!r} needs model.omega, "
-                                           f"which kind={kind} does not take")
             if tok in AUTONOMOUS_CHECKS and explicit_t:
                 _err("diagnostics.checks", f"{tok!r} holds only for an H without explicit "
                                            f"t, and this {kind} model depends on t")

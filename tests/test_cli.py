@@ -14,7 +14,7 @@ import pytest
 from contactmech import cli, diagnostics, dynamics, transforms
 from contactmech.dynamics import integrate
 from contactmech.errors import ScenarioError
-from contactmech.model import make_state
+from contactmech.model import make_custom, make_state
 from contactmech.scenario import KINDS, MAX_SAMPLES, build_model, parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -335,7 +335,7 @@ def test_every_check_token_parses_for_the_kinds_it_allows(token):
     assert token.partition(":")[0] in diagnostics.CHECKS
     for kind, (_, key, _) in KINDS.items():
         text = _scenario_of(kind, token)
-        refused = (token in diagnostics.OMEGA_CHECKS and key != "omega") or \
+        refused = ("omega" in diagnostics.PARAMS.get(token, ()) and key != "omega") or \
             (token in diagnostics.AUTONOMOUS_CHECKS and kind == "caldirola_kanai")
         if refused:
             with pytest.raises(ScenarioError, match=f"^diagnostics.checks: '{token}' ") as err:
@@ -347,7 +347,7 @@ def test_every_check_token_parses_for_the_kinds_it_allows(token):
 
 def test_every_map_builds_from_the_model():
     assert diagnostics.TANGENT_CHECKS | diagnostics.AUTONOMOUS_CHECKS \
-        | diagnostics.OMEGA_CHECKS <= set(diagnostics.TOKENS)
+        | diagnostics.PARAMS.keys() <= set(diagnostics.TOKENS)
     config = parse_scenario((ROOT / "scenarios" / "parametric_oscillator.ini").read_text())
     model = build_model(config)
     traj = integrate(model, make_state(config.q0, config.p0, config.S0, config.t0),
@@ -355,6 +355,42 @@ def test_every_map_builds_from_the_model():
     for name in diagnostics.MAPS:
         cmap, _gamma = diagnostics._build_map(name, model, traj, {})
         assert cmap.name == name
+
+
+def _custom_oscillator_run(params):
+    """(model, trajectory) of a make_custom harmonic oscillator with `params`."""
+    model = make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2, params=params)
+    return model, integrate(model, make_state(1.0, 0.0, 0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("params, checks, message", [
+    ({"m": 1.0, "gamma": 0.0}, ("energy_conservation", "invariants"),
+     "'invariants' needs model.omega, which model 'custom' does not have"),
+    ({}, ("energy_conservation", "transform_verify:ck"),
+     "'transform_verify:ck' needs model.m, model.gamma, which model 'custom' does not have"),
+    ({}, ("energy_conservation", "nonsense"), "unknown check 'nonsense'; expected one of "),
+], ids=["omega", "params", "unknown"])
+def test_run_checks_refuses_what_the_model_cannot_give_before_any_check_runs(
+        params, checks, message, monkeypatch):
+    """From the library, as from a scenario file, a token that is unknown or
+    whose check reads a model.params entry that the model lacks is a
+    ScenarioError (exit 2) naming the token and the entry; no check runs."""
+    model, traj = _custom_oscillator_run(params)
+
+    def forbidden(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(diagnostics.CHECKS, "energy_conservation", forbidden)
+    with pytest.raises(ScenarioError) as err:
+        diagnostics.run_checks(checks, model, traj)
+    assert str(err.value).startswith(f"diagnostics.checks: {message}")
+    assert cli._classify(err.value) == cli.EXIT_BAD_SCENARIO
+
+
+def test_run_checks_runs_a_parameterised_check_on_a_custom_model_that_has_the_params():
+    model, traj = _custom_oscillator_run({"m": 1.0, "gamma": 0.0})
+    (result,) = diagnostics.run_checks(("transform_verify:ck",), model, traj)
+    assert result["passed"]
 
 
 @pytest.mark.parametrize("name", ["caldirola_kanai", "parametric_oscillator"])
@@ -408,10 +444,10 @@ def test_only_the_volume_checks_evaluate_the_field_jacobian(name, tangent, tmp_p
     def build_counted(config):
         model = build_model(config)
 
-        def field_jacobian(t, y):
+        def tangent_rhs(t, z):
             calls.append(t)
-            return model.field_jacobian(t, y)
-        return dataclasses.replace(model, field_jacobian=field_jacobian)
+            return model.tangent_rhs(t, z)
+        return dataclasses.replace(model, tangent_rhs=tangent_rhs)
 
     monkeypatch.setattr(cli, "build_model", build_counted)
     config = parse_scenario((ROOT / "scenarios" / f"{name}.ini").read_text())

@@ -13,8 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import contactmech as cm
 from contactmech import cli, diagnostics, dynamics
 from contactmech.dynamics import _integrate_flat
-from contactmech.model import (_contact_field, _field_jacobian, _second_derivative,
-                               central_difference)
+from contactmech.model import _contact_field, _contact_jacobian, central_difference
 from contactmech.scenario import build_model, parse_scenario
 from contactmech.errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                                 UnsupportedModelError)
@@ -134,6 +133,13 @@ def test_divergence_is_trace_of_fd_field_jacobian(factory):
         assert_allclose(np.trace(A), cm.divergence(model, x), rtol=1e-6, atol=1e-8)
 
 
+def _tangent_A(model, t, y):
+    """A = d(field)/dy, as the A J rows of the model's tangent right-hand side at J = I."""
+    d = 2 * model.n + 1
+    z = np.concatenate([y, np.eye(d).ravel()])
+    return np.reshape(model.tangent_rhs(t, z)[d:], (d, d))
+
+
 def _quartic_s_coupled(t, y):
     q, p, S = y
     return p ** 2 / 2 + q ** 4 / 4 + 0.3 * S * p + 0.2 * S ** 2
@@ -158,33 +164,35 @@ def _quartic_s_coupled_partials(t, y):
                                             + 0.2 * t * y[3] * y[0])),
 ])
 def test_field_jacobian_matches_fd_oracle(factory):
-    """The model's field Jacobian, which the det series integrates, against
-    central differences of the flat field.  For a make_custom model without
-    partials both sides difference the same FD gradient, so that case mostly
-    checks how A is assembled; test_custom_field_jacobian_matches_exact checks
-    it against the exact A."""
+    """The field Jacobian A that the model's tangent right-hand side applies,
+    which the det series integrates, against central differences of the flat
+    field.  For a make_custom model without partials both sides difference the
+    same FD gradient, so that case mostly checks how A is assembled;
+    test_custom_field_jacobian_matches_exact checks it against the exact A."""
     model = factory()
     d = 2 * model.n + 1
     rng = np.random.default_rng(29)
     for _ in range(8):
         t, y = rng.uniform(0.0, 5.0), rng.uniform(-2, 2, d)
         oracle = central_difference(lambda w: np.asarray(model.field(t, w)), y)
-        assert_allclose(model.field_jacobian(t, y), oracle, rtol=1e-6, atol=1e-8)
+        assert_allclose(_tangent_A(model, t, y), oracle, rtol=1e-6, atol=1e-8)
 
 
 _QUARTIC = cm.parse_expression("0.9*q^2/2 + 0.05*q^4", "q")
 
 
-_BUILTINS = pytest.mark.parametrize("model", [
-    cm.make_linear_dissipation(1.3, 0.0, cm.parse_expression("2*q^2/2", "q")),
-    cm.make_linear_dissipation(0.7, 0.25, _QUARTIC),
-    cm.make_damped_parametric(0.8, 0.0, 1.3),
-    cm.make_damped_parametric(1.1, 0.15, 0.0),
-    cm.make_damped_parametric(0.8, 0.2, cm.parse_expression("1.2 + 0.2*sin(0.5*t)", "t")),
-    cm.make_caldirola_kanai(1.0, 0.0, _QUARTIC),
-    cm.make_caldirola_kanai(1.2, 0.3, cm.parse_expression("q^2/2", "q")),
-], ids=["linear-gamma0", "linear-quartic", "parametric-const-gamma0", "parametric-omega0",
-        "parametric-omega-t", "ck-gamma0", "ck"])
+_BUILTIN_MODELS = {
+    "linear-gamma0": cm.make_linear_dissipation(1.3, 0.0, cm.parse_expression("2*q^2/2", "q")),
+    "linear-quartic": cm.make_linear_dissipation(0.7, 0.25, _QUARTIC),
+    "parametric-const-gamma0": cm.make_damped_parametric(0.8, 0.0, 1.3),
+    "parametric-omega0": cm.make_damped_parametric(1.1, 0.15, 0.0),
+    "parametric-omega-t": cm.make_damped_parametric(
+        0.8, 0.2, cm.parse_expression("1.2 + 0.2*sin(0.5*t)", "t")),
+    "ck-gamma0": cm.make_caldirola_kanai(1.0, 0.0, _QUARTIC),
+    "ck": cm.make_caldirola_kanai(1.2, 0.3, cm.parse_expression("q^2/2", "q")),
+}
+_BUILTINS = pytest.mark.parametrize("model", list(_BUILTIN_MODELS.values()),
+                                    ids=list(_BUILTIN_MODELS))
 
 
 def _builtin_points():
@@ -211,11 +219,13 @@ def test_builtin_field_is_the_generic_construction_bit_for_bit(model):
 
 
 def _builtin_hessian(model, t, y):
-    """The Hessian of a built-in's H in (q, p, S), written out by hand."""
+    """The Hessian of a built-in's H in (q, p, S), written out by hand with the
+    symbolic V''."""
     m, gamma = model.params["m"], model.params["gamma"]
     if model.name == "damped_parametric":
-        return np.diag([m * model.params["omega"](t) ** 2, 1.0 / m, 0.0])
-    d2V = _second_derivative(model.params["V"], y[0])
+        w = model.params["omega"](t)
+        return np.diag([m * w * w, 1.0 / m, 0.0])
+    d2V = model.params["V"].second_derivative(y[0])
     if model.name == "caldirola_kanai":
         return np.diag([math.exp(gamma * t) * d2V, math.exp(-gamma * t) / m, 0.0])
     return np.diag([d2V, 1.0 / m, 0.0])
@@ -223,18 +233,41 @@ def _builtin_hessian(model, t, y):
 
 @_BUILTINS
 def test_builtin_field_jacobian_is_the_chain_rule(model):
-    """Each built-in's closed-form field Jacobian against `_field_jacobian` of
-    its gradient and its hand-written Hessian, value for value.  Signs of zeros
-    are held everywhere except A[2, 0] and A[2, 2]: there the generic S row
-    starts from a matrix product p @ K, which gives +0.0 where the built-ins'
-    p * 0.0 gives -0.0 for p < 0."""
-    sign_held = np.ones((3, 3), dtype=bool)
-    sign_held[2, [0, 2]] = False
+    """The A of each built-in's straight-line tangent right-hand side, at J = I,
+    against `_contact_jacobian` of its gradient and its hand-written Hessian,
+    value for value.  The signs of zeros are not held: the tangent sums
+    products with the zero entries of J and A, where the generic A leaves
+    those out or takes them from a matrix product."""
     for t, y in _builtin_points():
-        A = model.field_jacobian(t, y)
-        generic = _field_jacobian(1, y, model.grad(t, y), _builtin_hessian(model, t, y))
-        assert_array_equal(A, generic)
-        assert_array_equal(np.signbit(A)[sign_held], np.signbit(generic)[sign_held])
+        generic = _contact_jacobian(1, y, model.grad(t, y), _builtin_hessian(model, t, y))
+        assert_array_equal(_tangent_A(model, t, y), generic)
+
+
+_CUSTOM_MODELS = {
+    "custom-fd": cm.make_custom(1, _quartic_s_coupled),
+    "custom-partials": cm.make_custom(1, _quartic_s_coupled, _quartic_s_coupled_partials),
+    "custom-n2": cm.make_custom(2, lambda t, y: (y[2:4] @ y[2:4] / 2 + y[0] * y[1] ** 2
+                                                 + y[4] * (y[2] - 0.5 * y[1])
+                                                 + 0.1 * y[4] ** 2)),
+}
+
+
+@pytest.mark.parametrize("model", [*_BUILTIN_MODELS.values(), *_CUSTOM_MODELS.values()],
+                         ids=[*_BUILTIN_MODELS, *_CUSTOM_MODELS])
+def test_the_tangent_rhs_starts_with_the_field_bit_for_bit(model):
+    """The flow rows of `tangent_rhs` are `field` itself, down to the sign of a
+    zero, whatever J is: so the tangent cannot move the flow's own stages."""
+    d = 2 * model.n + 1
+    rng = np.random.default_rng(41)
+    points = _builtin_points() if model.n == 1 else \
+        [(0.0, np.zeros(d)), (1.0, np.array([0.0, -0.0, -0.7, 0.0, 0.3]))] \
+        + [(rng.uniform(0.0, 5.0), rng.uniform(-2, 2, d)) for _ in range(20)]
+    for t, y in points:
+        z = np.concatenate([y, rng.uniform(-2, 2, d * d)])
+        head = np.array(model.tangent_rhs(t, z)[:d])
+        f = np.array(model.field(t, y))
+        assert_array_equal(head, f)
+        assert_array_equal(np.signbit(head), np.signbit(f))
 
 
 def _exact_quartic_s_coupled_jacobian(q, p, S):
@@ -255,36 +288,67 @@ def test_custom_field_jacobian_matches_exact(grad, atol):
     rng = np.random.default_rng(31)
     for _ in range(8):
         t, (q, p, S) = rng.uniform(0.0, 5.0), rng.uniform(-2, 2, 3)
-        assert_allclose(model.field_jacobian(t, np.array([q, p, S])),
+        assert_allclose(_tangent_A(model, t, np.array([q, p, S])),
                         _exact_quartic_s_coupled_jacobian(q, p, S), rtol=1e-6, atol=atol)
 
 
-def test_det_series_calls_field_and_field_jacobian_once_per_right_hand_side(monkeypatch):
-    """The variational right-hand side needs neither H nor its gradient."""
-    base = cm.make_caldirola_kanai(1.2, 0.3, _QUARTIC)
-    calls = {"field": 0, "field_jacobian": 0, "rhs": 0}
+class _Counted:
+    """A parsed V whose value and second derivative count their calls."""
 
-    def counted(name, f):
-        def wrapper(t, y):
-            calls[name] += 1
-            return f(t, y)
-        return wrapper
+    def __init__(self, V):
+        self.V, self.calls = V, {"value": 0, "second_derivative": 0}
 
-    def forbidden(t, y):
-        raise AssertionError("the det series evaluated H or its gradient")
+    def __call__(self, q):
+        self.calls["value"] += 1
+        return self.V(q)
+
+    def derivative(self, q):
+        return self.V.derivative(q)
+
+    def second_derivative(self, q):
+        self.calls["second_derivative"] += 1
+        return self.V.second_derivative(q)
+
+
+@pytest.mark.parametrize("kind", ["builtin", "custom"])
+def test_det_series_calls_field_once_per_right_hand_side(kind, monkeypatch):
+    """Each right-hand side of the tangent solve is one `tangent_rhs` call,
+    which evaluates the field once: V (the built-in's) or H (make_custom's)
+    is evaluated only by the field, once per call.  The built-in's also takes
+    V'' once and needs neither `value` nor `grad`."""
+    calls = {"rhs": 0}
+    if kind == "builtin":
+        V = _Counted(_QUARTIC)
+        base = cm.make_caldirola_kanai(1.2, 0.3, _QUARTIC)
+
+        def forbidden(t, y):
+            raise AssertionError("the det series evaluated H or its gradient")
+
+        model = dataclasses.replace(cm.make_caldirola_kanai(1.2, 0.3, V), value=forbidden,
+                                    grad=forbidden)
+        counts = V.calls
+    else:
+        counts = {"value": 0}
+
+        def value(t, y):
+            counts["value"] += 1
+            return _quartic_s_coupled(t, y)
+
+        base = cm.make_custom(1, _quartic_s_coupled, _quartic_s_coupled_partials)
+        model = cm.make_custom(1, value, _quartic_s_coupled_partials)
 
     def integrate_counted(rhs, *args, **kwargs):
-        return _integrate_flat(counted("rhs", rhs), *args, **kwargs)
+        def counted(t, y):
+            calls["rhs"] += 1
+            return rhs(t, y)
+        return _integrate_flat(counted, *args, **kwargs)
 
-    model = dataclasses.replace(base, value=forbidden, grad=forbidden,
-                                field=counted("field", base.field),
-                                field_jacobian=counted("field_jacobian", base.field_jacobian))
     x0, opts = cm.make_state(1.1, -0.4, 0.2, 0.0), cm.IntegratorOptions(sample_interval=0.1)
     expected = cm.jacobian_determinant_series(base, x0, 2.0, opts)[1]
     monkeypatch.setattr(dynamics, "_integrate_flat", integrate_counted)
     assert_array_equal(cm.jacobian_determinant_series(model, x0, 2.0, opts)[1], expected)
     assert calls["rhs"] > 50
-    assert calls["field"] == calls["field_jacobian"] == calls["rhs"]
+    assert all(count == calls["rhs"] for count in counts.values()), (counts, calls)
 
 
 def _oscillator_chain(n, kappa=0.3, gamma=0.2, beta=0.15, delta=0.05):
@@ -333,7 +397,7 @@ def test_the_n_plus_1_law_beyond_one_degree_of_freedom(n):
     assert_allclose(dets, [cm.volume_factor(fi, n) for fi in f], rtol=1e-5)
 
     for x in map(traj.state, range(0, len(traj), 50)):
-        A = model.field_jacobian(x.t, x.flat())
+        A = _tangent_A(model, x.t, x.flat())
         assert cm.divergence(model, x) == pytest.approx(np.trace(A), rel=1e-6, abs=1e-8)
 
     measure = diagnostics.check_measure(model, traj, cache)
@@ -408,16 +472,16 @@ def test_the_tangent_leaves_the_flow_alone(case, monkeypatch):
 
 def test_the_tangent_matches_differences_of_the_flow_map():
     """J(t_end) against central differences of the flow map: perturbed
-    `integrate` runs of a model whose field_jacobian may not be called."""
+    `integrate` runs of a model whose tangent_rhs may not be called."""
     model = cm.make_linear_dissipation(0.7, 0.25, _QUARTIC)
     y0, t_end, h = np.array([1.1, -0.4, 0.2]), 3.0, 1e-4
     opts = cm.IntegratorOptions(rel_tol=1e-12, abs_tol=1e-14, sample_interval=t_end)
     J = cm.integrate(model, cm.make_state(*y0, 0.0), t_end, opts, tangent=True).J[-1]
 
     def forbidden(t, y):
-        raise AssertionError("the difference quotients called field_jacobian")
+        raise AssertionError("the difference quotients called tangent_rhs")
 
-    flow_only = dataclasses.replace(model, field_jacobian=forbidden)
+    flow_only = dataclasses.replace(model, tangent_rhs=forbidden)
 
     def phi(y):
         return cm.integrate(flow_only, cm.make_state(*y, 0.0), t_end, opts).flat()[-1]
@@ -602,10 +666,10 @@ def test_integration_errors(linear_model):
 
 class _Pathological:
     """A V or an omega outside the expression grammar, from its value and its
-    derivative as two callables."""
+    first and second derivatives as three callables."""
 
-    def __init__(self, f, df):
-        self.f, self.df = f, df
+    def __init__(self, f, df, d2f):
+        self.f, self.df, self.d2f = f, df, d2f
 
     def __call__(self, x):
         return self.f(x)
@@ -613,11 +677,15 @@ class _Pathological:
     def derivative(self, x):
         return self.df(x)
 
+    def second_derivative(self, x):
+        return self.d2f(x)
+
 
 def _wall_at_q_1_5():
     """H = p^2/2 + q^2/2 + 0.1 S, except that V' is infinite from q = 1.5 on,
     which the flow from (1, 2, 0) reaches at t ~ 0.26."""
-    V = _Pathological(lambda q: 0.5 * q * q, lambda q: q if q < 1.5 else math.inf)
+    V = _Pathological(lambda q: 0.5 * q * q, lambda q: q if q < 1.5 else math.inf,
+                      lambda q: 1.0)
     return cm.make_linear_dissipation(1.0, 0.1, V)
 
 
@@ -638,12 +706,11 @@ def test_a_non_finite_field_is_a_non_finite_error_naming_t_and_y(run):
 
 def _jacobian_wall_at_q_1_5():
     """The harmonic model of `_wall_at_q_1_5` with a finite field everywhere,
-    but a field Jacobian that is non-finite from q = 1.5 on, as where a
-    central-difference V'' overflows while V' stays finite."""
-    model = cm.make_linear_dissipation(1.0, 0.1, cm.parse_expression("q^2/2", "q"))
-    jacobian = model.field_jacobian
-    return dataclasses.replace(
-        model, field_jacobian=lambda t, y: jacobian(t, y) * (1.0 if y[0] < 1.5 else math.inf))
+    but an infinite V'', and so a non-finite field Jacobian A, from q = 1.5 on,
+    as where V'' overflows while V' stays finite."""
+    V = _Pathological(lambda q: 0.5 * q * q, lambda q: q,
+                      lambda q: 1.0 if q < 1.5 else math.inf)
+    return cm.make_linear_dissipation(1.0, 0.1, V)
 
 
 @pytest.mark.parametrize("run", [
@@ -680,7 +747,8 @@ def test_an_overflowing_trial_stage_of_an_ermakov_solve_is_rejected_and_recovere
         return 1.3
 
     grid = np.linspace(0.0, 3.0, 31)
-    erm = cm.solve_ermakov(_Pathological(omega, lambda t: 0.0), 0.2, 0.9, 0.1, grid)
+    erm = cm.solve_ermakov(_Pathological(omega, lambda t: 0.0, lambda t: 0.0), 0.2, 0.9, 0.1,
+                           grid)
     clean = cm.solve_ermakov(1.3, 0.2, 0.9, 0.1, grid)
     assert overflowed
     assert_allclose(erm.alpha(grid), clean.alpha(grid), rtol=1e-8)

@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contactmech as cm
+from contactmech import expressions
 from contactmech.errors import ExpressionError
+from contactmech.scenario import build_model, parse_scenario
 
 
 def test_trivial_constant():
@@ -60,6 +62,66 @@ def test_grammar_values(text, var, x, value):
 ])
 def test_symbolic_derivatives(text, x, deriv):
     assert cm.parse_expression(text, "q").derivative(x) == pytest.approx(deriv, rel=1e-12)
+
+
+@pytest.mark.parametrize("text,x,second", [
+    ("q^4 - 3*q^2 + 2*q", 1.5, 21.0),
+    ("sin(q)", 0.5, -math.sin(0.5)),
+    ("exp(2*q)", 0.3, 4 * math.exp(0.6)),
+    ("log(q)", 2.0, -0.25),
+    ("sqrt(q)", 4.0, -1 / 32),
+    ("q^q", 2.0, 4.0 * ((math.log(2.0) + 1.0) ** 2 + 0.5)),  # variable exponent
+    ("2^q", 1.5, math.log(2.0) ** 2 * 2 ** 1.5),
+])
+def test_symbolic_second_derivatives(text, x, second):
+    assert cm.parse_expression(text, "q").second_derivative(x) == pytest.approx(second,
+                                                                                 rel=1e-12)
+
+
+def test_a_polynomial_second_derivative_is_exact_at_dyadic_points():
+    """At these q every product and sum of 12 q^2 - 6 is a float, so no rounding."""
+    V = cm.parse_expression("q^4 - 3*q^2 + 2*q", "q")
+    for q in (-1.25, -0.0, 0.5, 2.0, 3.75):
+        assert V.second_derivative(q) == 12 * q * q - 6
+
+
+def test_second_derivative_errors_name_the_key_and_offset_of_the_first_derivative():
+    V = cm.parse_expression("1/q", "q", "model.V")
+    for call in (V.derivative, V.second_derivative):
+        with pytest.raises(ExpressionError) as err:
+            call(0.0)
+        assert str(err.value) == "model.V: division by zero (at offset 1)"
+        assert err.value.position == 1
+
+
+def test_the_second_derivative_is_built_on_its_first_call_only(monkeypatch):
+    """Parsing, and building a model from a scenario, differentiate once; the
+    first second_derivative call differentiates again and compiles, the next
+    call neither."""
+    diffs = []
+    diff = expressions._Dag.diff
+
+    def counted(self, root):
+        diffs.append(root)
+        return diff(self, root)
+
+    monkeypatch.setattr(expressions._Dag, "diff", counted)
+    text = ("[model]\nkind = linear_dissipation\nm = 1\ngamma = 0.1\nV = q^2/2 + q^4\n"
+            "[initial]\nq = 1\np = 0\n[integration]\nt_end = 1\n")
+    V = build_model(parse_scenario(text)).params["V"]
+    assert len(diffs) == 1 and V._curvature is None
+    assert V.second_derivative(0.5) == 4.0
+    assert len(diffs) == 2 and diffs[1] is V.derivative_ast
+    assert V.second_derivative(1.0) == 13.0
+    assert len(diffs) == 2
+
+
+def test_a_second_derivative_survives_pickling():
+    e = cm.parse_expression("sqrt(q) + q^3/2", "q", "model.V")
+    assert e.second_derivative(2.0) == pytest.approx(-0.25 * 2.0 ** -1.5 + 6.0, rel=1e-12)
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and back.key == "model.V" and back._curvature is None
+    assert back.second_derivative(2.0) == e.second_derivative(2.0)
 
 
 @given(st.floats(min_value=0.2, max_value=3.0))
@@ -210,10 +272,13 @@ def _tree_walk(node, x):
 @given(_expressions, st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=300, deadline=None)
 def test_compiled_code_matches_tree_walk(text, x):
-    """Value and derivative equal a tree walk of their DAGs bit for bit (any NaN
-    matches any NaN), or raise its exception with the same message."""
+    """Value and first and second derivatives equal a tree walk of their DAGs
+    bit for bit (any NaN matches any NaN), or raise its exception with the same
+    message."""
     e = cm.parse_expression(text, "q")
-    for root, compiled in ((e.ast, e), (e.derivative_ast, e.derivative)):
+    second_ast = expressions._Dag().diff(e.derivative_ast)
+    for root, compiled in ((e.ast, e), (e.derivative_ast, e.derivative),
+                           (second_ast, e.second_derivative)):
         try:
             want = _tree_walk(root, x)
         except (ExpressionError, OverflowError) as exc:

@@ -114,8 +114,9 @@ def test_make_custom_examples():
 @pytest.mark.parametrize("n, length", [(1, 3), (1, 5), (2, 4), (2, 7)])
 def test_a_custom_grad_of_the_wrong_length_names_the_model(n, length):
     model = cm.make_custom(n, lambda t, y: 0.0, lambda t, y: np.zeros(length), name="short")
-    y = np.zeros(2 * n + 1)
-    for call in (model.grad, model.field, model.field_jacobian):
+    d = 2 * n + 1
+    for call, y in ((model.grad, np.zeros(d)), (model.field, np.zeros(d)),
+                    (model.tangent_rhs, np.zeros(d + d * d))):
         with pytest.raises(DimensionMismatchError, match=f"'short' needs a grad of length "
                                                          f"{2 * n + 2}"):
             call(0.0, y)
@@ -214,11 +215,11 @@ def test_a_number_passed_to_a_factory_is_its_parsed_repr(factory, name, var):
         by_number = factory(1.3, 0.2, c)
         by_text = factory(1.3, 0.2, cm.parse_expression(repr(float(c)), var))
         for t, y in ((0.0, [0.4, -0.7, 0.2]), (1.7, [-1.3, 0.0, -0.5]), (3.0, [0.0, 2.0, 1.0])):
-            y = np.array(y)
+            y, z = np.array(y), np.array(y + np.eye(3).ravel().tolist())
             assert [v.hex() for v in by_number.field(t, y)] == \
                 [v.hex() for v in by_text.field(t, y)]
-            assert by_number.field_jacobian(t, y).tobytes() == \
-                by_text.field_jacobian(t, y).tobytes()
+            assert [v.hex() for v in by_number.tangent_rhs(t, z)] == \
+                [v.hex() for v in by_text.tangent_rhs(t, z)]
 
 
 @pytest.mark.parametrize("factory, name, var", FACTORIES)
@@ -239,13 +240,15 @@ def test_the_solvers_reject_a_bare_callable_or_a_non_finite_omega_by_name():
                 call(bad)
 
 
-def test_field_jacobian_takes_V2_as_a_central_difference_of_V1():
-    """A[1, 0] = -V''(q) at p = 0, with V'' the difference of the symbolic V'."""
+def test_the_tangent_takes_V2_from_the_symbolic_second_derivative():
+    """A[1, 0] = -V''(q) at p = 0, the entry of the tangent right-hand side at
+    J = I, with V'' the expression's symbolic second derivative."""
     def d2V(V, q):
         model = cm.make_linear_dissipation(1.0, 0.0, V)
-        return -model.field_jacobian(0.0, np.array([q, 0.0, 0.0]))[1, 0]
-    assert d2V(cm.parse_expression("2.5*q^2/2", "q"), 0.7) == pytest.approx(2.5, rel=1e-9)
+        return -model.tangent_rhs(0.0, np.array([q, 0.0, 0.0, *np.eye(3).ravel()]))[6]
+    assert d2V(cm.parse_expression("2.5*q^2/2", "q"), 0.7) == 2.5
     assert d2V(2.5, 10.0) == 0.0
     quartic = cm.parse_expression("q^4", "q")
     for q in (-1.7, -0.3, 0.4, 2.0, 15.0):
-        assert d2V(quartic, q) == pytest.approx(12 * q * q, rel=1e-6)
+        assert d2V(quartic, q) == quartic.second_derivative(q)
+        assert d2V(quartic, q) == pytest.approx(12 * q * q, rel=1e-14)

@@ -15,6 +15,7 @@ invariant measure away from the H = 0 level set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -330,7 +331,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     h_abs = _initial_step(rhs, t0, y0, K[0], t_end, rtol, atol, d)
     t, y = t0, y0
     g = event(t0, y0) if event is not None else None
-    i = 1
+    i, grid_times = 1, grid.tolist()
     while t < t_end:
         nsteps += 1
         if nsteps > opts.max_steps:
@@ -386,7 +387,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                 raise event_error(_brent(
                     lambda s: event(s, h * np.dot(Q, _powers((s - t_old) / h)) + y_old),
                     t_old, t))
-        j = np.searchsorted(grid, t, side="right")
+        j = bisect_right(grid_times, t)
         if j > i:
             x = _powers((grid[i:j] - t_old) / h)
             out[i:j] = (h * np.dot(K.T.dot(_DP_P), x) + y_old[:, None]).T
@@ -443,8 +444,9 @@ def integrate(model: HamiltonianModel, init: ExtendedState, t_end: float,
     n = model.n
     grid = sample_grid(init.t, t_end, opts.sample_interval)
     ys, J = _solve(model, init, t_end, opts, grid, tangent)
-    H = np.array([model.value(t, y) for t, y in zip(grid, ys)], dtype=float)
-    dv = np.array([-(n + 1) * model.grad(t, y)[2 * n] for t, y in zip(grid, ys)],
+    times = grid.tolist()
+    H = np.array([model.value(t, y) for t, y in zip(times, ys)], dtype=float)
+    dv = np.array([-(n + 1) * model.grad(t, y)[2 * n] for t, y in zip(times, ys)],
                   dtype=float)
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(dv))):
         raise NonFiniteError("non-finite H or divergence at a sample point")

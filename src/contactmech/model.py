@@ -229,11 +229,12 @@ def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     Vfn = as_expression(V, "q", "V")
 
     def value(t, y) -> float:
-        q, p = y[0], y[1]
-        return p * p / (2.0 * m) + Vfn(q) + gamma * y[2]
+        q, p, S = y.tolist()
+        return p * p / (2.0 * m) + Vfn(q) + gamma * S
 
     def grad(t, y) -> np.ndarray:
-        return np.array([Vfn.derivative(y[0]), y[1] / m, gamma, 0.0])
+        q, p, _ = y.tolist()
+        return np.array([Vfn.derivative(q), p / m, gamma, 0.0])
 
     def field(t, y) -> list:
         q, p, S = y.tolist()
@@ -262,12 +263,12 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
     wfn = as_expression(omega, "t", "omega")
 
     def value(t, y) -> float:
-        q, p = y[0], y[1]
+        q, p, S = y.tolist()
         w = wfn(t)
-        return p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * y[2]
+        return p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * S
 
     def grad(t, y) -> np.ndarray:
-        q, p = y[0], y[1]
+        q, p, _ = y.tolist()
         w = wfn(t)
         dt = m * w * wfn.derivative(t) * q * q
         return np.array([m * w * w * q, p / m, gamma, dt])
@@ -309,12 +310,12 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
                                 f"overflows at t={t!r}: {exc}") from None
 
     def value(t, y) -> float:
-        q, p = y[0], y[1]
+        q, p, _ = y.tolist()
         em, ep = factors(t)
         return em * p * p / (2.0 * m) + ep * Vfn(q)
 
     def grad(t, y) -> np.ndarray:
-        q, p = y[0], y[1]
+        q, p, _ = y.tolist()
         em, ep = factors(t)
         dt = -gamma * em * p * p / (2.0 * m) + gamma * ep * Vfn(q)
         return np.array([ep * Vfn.derivative(q), em * p / m, 0.0, dt])

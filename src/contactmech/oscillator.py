@@ -10,6 +10,7 @@ general quadratic invariant.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -54,8 +55,13 @@ class CubicHermite:
 
     Interval i holds c0 s^3 + c1 s^2 + c2 s + c3 in s = t - x_i, evaluated
     left to right as 0 + c3 + c2 s + c1 s^2 + c0 s^3; the end cubics
-    extrapolate.  Calling it on a float returns a float, on an array an array
-    of the same shape.
+    extrapolate.  Calling it on an array returns an array of the same shape,
+    through numpy.  A float (np.float64 included) takes a float path instead:
+    the interval by `bisect` on the nodes, which is the index `searchsorted`
+    gives, and the cubic in the same float operations in the same order, so
+    the value is bit for bit the array path's at that t.  It reads the nodes
+    and coefficient rows through memoryviews, which index to Python floats
+    without a copy, made on the first float call.
     """
 
     def __init__(self, x, y, dydx):
@@ -67,10 +73,22 @@ class CubicHermite:
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
         self.x, self._inner = x, x[1:-1]
         self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+        self._tables = None  # views of (x, c0, c1, c2, c3) for the float path
 
     def __call__(self, t):
+        if not isinstance(t, float):
+            return self._at_array(t)
+        if self._tables is None:
+            self._tables = tuple(memoryview(row) for row in (self.x, *self.c))
+        x, c0, c1, c2, c3 = self._tables
+        i = bisect_right(x, t, 1, len(x) - 1) - 1  # x[i] <= t < x[i+1] inside
+        s = t - x[i]
+        s2 = s * s
+        return 0.0 + c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+    def _at_array(self, t):
         t = np.asarray(t, dtype=float)
-        i = self._inner.searchsorted(t, side="right")  # x[i] <= t < x[i+1] inside
+        i = self._inner.searchsorted(t, side="right")
         s, c = t - self.x[i], self.c
         s2 = s * s
         return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * s2 + c[0, i] * (s2 * s)
@@ -78,24 +96,41 @@ class CubicHermite:
 
 class _Dense:
     """Bundle of the package's own `CubicHermite` interpolants over a common
-    node set."""
+    node set.
+
+    Each lookup takes t in the solved range, widened by 1e-12 at both ends.  A
+    float t (np.float64 included) is looked up in floats and gives a float,
+    bit for bit the array path's value at that t; any other t goes through
+    numpy and gives an array of its shape.  The exception is alpha^-3 in
+    `alpha_ddot` and `residual`: numpy's vectorised power can round it
+    differently from the C library's pow, which a float and any numpy scalar
+    use.  A NaN or out-of-range time raises ValueError naming the first such
+    time and the solved range.
+    """
 
     def __init__(self, ts: np.ndarray, gamma: float, omega, grid):
         self.t_range = (float(ts[0]), float(ts[-1]))
+        self._lo, self._hi = self.t_range[0] - 1e-12, self.t_range[1] + 1e-12
         self.gamma = float(gamma)
         self.omega = omega
         self.grid = grid
 
     def _omega(self, t):
-        """omega sampled at each time of t, in the shape of t."""
-        return (np.array([self.omega(float(x)) for x in np.atleast_1d(t)])
-                .reshape(np.shape(t)))
+        """omega at each time of t, in the shape of t; a float for a float."""
+        if isinstance(t, float):
+            return self.omega(t)
+        return np.array([self.omega(x) for x in np.ravel(t).tolist()]).reshape(np.shape(t))
 
     def _check_t(self, t):
+        """t itself if it is a float in range, else t as a checked float array."""
+        if isinstance(t, float) and self._lo <= t <= self._hi:
+            return t
         t = np.asarray(t, dtype=float)
-        lo, hi = self.t_range
-        if t.size and not (lo - 1e-12 <= t.min() and t.max() <= hi + 1e-12):
-            raise ValueError(f"t={t} outside the solved range [{lo}, {hi}]")
+        if t.size and not (self._lo <= t.min() and t.max() <= self._hi):
+            flat = t.ravel()
+            bad = float(flat[~((self._lo <= flat) & (flat <= self._hi))][0])
+            lo, hi = self.t_range
+            raise ValueError(f"t={bad!r} is outside the solved range [{lo!r}, {hi!r}]")
         return t
 
 
@@ -116,21 +151,20 @@ class ErmakovSolution(_Dense):
         self._phase = CubicHermite(ts, phase, alpha ** -2.0)
 
     def alpha(self, t):
-        return self._alpha(self._check_t(t))[()]
+        return self._alpha(self._check_t(t))
 
     def alpha_dot(self, t):
-        return self._alpha_dot(self._check_t(t))[()]
+        return self._alpha_dot(self._check_t(t))
 
     def alpha_ddot(self, t):
         """Second derivative through the defining equation (exact given alpha)."""
         t = self._check_t(t)
-        a = self._alpha(t)
-        w = self._omega(t)
-        return (-(w * w - 0.25 * self.gamma ** 2) * a + a ** -3.0)[()]
+        a, w = self._alpha(t), self._omega(t)
+        return -(w * w - 0.25 * self.gamma ** 2) * a + a ** -3.0
 
     def phase(self, t):
         """phi(t), measured from the grid origin; strictly increasing."""
-        return self._phase(self._check_t(t))[()]
+        return self._phase(self._check_t(t))
 
     def residual(self, t):
         """alpha'' + (omega^2 - gamma^2/4) alpha - 1/alpha^3 with alpha'' by
@@ -138,9 +172,8 @@ class ErmakovSolution(_Dense):
         t = self._check_t(t)
         h = 1e-4
         add = (self._alpha_dot(t + h) - self._alpha_dot(t - h)) / (2 * h)
-        a = self._alpha(t)
-        w = self._omega(t)
-        return (add + (w * w - 0.25 * self.gamma ** 2) * a - a ** -3.0)[()]
+        a, w = self._alpha(t), self._omega(t)
+        return add + (w * w - 0.25 * self.gamma ** 2) * a - a ** -3.0
 
 
 def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
@@ -157,9 +190,12 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
     g2 = 0.25 * gamma * gamma
 
     def rhs(t, y):
-        a, ad, _phi = y
+        a, ad, _phi = y.tolist()
         w = wfn(t)
-        return [ad, -(w * w - g2) * a + a ** -3.0, a ** -2.0]
+        try:
+            return [ad, -(w * w - g2) * a + a ** -3.0, a ** -2.0]
+        except (ZeroDivisionError, OverflowError):  # alpha = 0 or tiny: the stage is rejected
+            return [ad, math.inf, math.inf]
 
     def collapsed(tc):
         return ErmakovCollapseError(
@@ -286,25 +322,24 @@ class RiccatiSolution(_Dense):
         self._lam_dot = CubicHermite(ts, lam_dot, -gamma * lam_dot - w * w * lam)
 
     def C(self, t):
-        return self._C(self._check_t(t))[()]
+        return self._C(self._check_t(t))
 
     def lam(self, t):
-        return self._lam(self._check_t(t))[()]
+        return self._lam(self._check_t(t))
 
     def lam_dot(self, t):
-        return self._lam_dot(self._check_t(t))[()]
+        return self._lam_dot(self._check_t(t))
 
     def C_dot(self, t):
         """C' through the defining equation (exact given C)."""
         t = self._check_t(t)
-        c = self._C(t)
-        w = self._omega(t)
-        return (-c * c - self.gamma * c - w * w)[()]
+        c, w = self._C(t), self._omega(t)
+        return -c * c - self.gamma * c - w * w
 
 
 def _riccati_rhs(wfn, gamma):
     def rhs(t, y):
-        C, lam, lam_dot = y
+        C, lam, lam_dot = y.tolist()
         w2 = wfn(t) ** 2
         return [-C * C - gamma * C - w2, lam_dot, -gamma * lam_dot - w2 * lam]
     return rhs

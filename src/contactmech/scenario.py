@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .diagnostics import AUTONOMOUS_CHECKS, validate_checks
+from .diagnostics import AUTONOMOUS_CHECKS, CONSERVATIVE_CHECKS, validate_checks
 from .dynamics import IntegratorOptions
 from .errors import ScenarioError
 from .expressions import Expression, parse_expression
@@ -179,6 +179,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if tok in AUTONOMOUS_CHECKS and explicit_t:
                 _err("diagnostics.checks", f"{tok!r} holds only for an H without explicit "
                                            f"t, and this {kind} model depends on t")
+            if tok in CONSERVATIVE_CHECKS and (gamma > 0 or explicit_t):
+                why = f"has gamma = {gamma!r}" if gamma > 0 else "depends on t"
+                _err("diagnostics.checks", f"{tok!r} holds only for a conservative H "
+                                           f"(gamma = 0, no explicit t), and this {kind} "
+                                           f"model {why}")
         checks = tokens
 
     out = cp["output"] if "output" in cp else {}

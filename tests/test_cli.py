@@ -330,19 +330,24 @@ def _scenario_of(kind, checks, gamma=0.1, expression=None):
 @pytest.mark.parametrize("token", diagnostics.TOKENS)
 def test_every_check_token_parses_for_the_kinds_it_allows(token):
     """A token parses for every kind that gives its check what it needs, and
-    exits 2 naming diagnostics.checks for every other kind.  Here gamma = 0.1
-    and omega = 1, so only the Caldirola-Kanai H has explicit t."""
+    exits 2 naming diagnostics.checks for every other kind.  Here omega = 1,
+    so only the Caldirola-Kanai H has explicit t, and only at gamma > 0; at
+    gamma = 0.1 no H is conservative, at gamma = 0 every one is."""
     assert token.partition(":")[0] in diagnostics.CHECKS
-    for kind, (_, key, _) in KINDS.items():
-        text = _scenario_of(kind, token)
-        refused = ("omega" in diagnostics.PARAMS.get(token, ()) and key != "omega") or \
-            (token in diagnostics.AUTONOMOUS_CHECKS and kind == "caldirola_kanai")
-        if refused:
-            with pytest.raises(ScenarioError, match=f"^diagnostics.checks: '{token}' ") as err:
-                parse_scenario(text)
-            assert cli._classify(err.value) == cli.EXIT_BAD_SCENARIO
-        else:
-            assert parse_scenario(text).checks == (token,)
+    for gamma in (0.1, 0):
+        for kind, (_, key, _) in KINDS.items():
+            text = _scenario_of(kind, token, gamma)
+            explicit_t = kind == "caldirola_kanai" and gamma > 0
+            refused = ("omega" in diagnostics.PARAMS.get(token, ()) and key != "omega") or \
+                (token in diagnostics.AUTONOMOUS_CHECKS and explicit_t) or \
+                (token in diagnostics.CONSERVATIVE_CHECKS and gamma > 0)
+            if refused:
+                with pytest.raises(ScenarioError,
+                                   match=f"^diagnostics.checks: '{token}' ") as err:
+                    parse_scenario(text)
+                assert cli._classify(err.value) == cli.EXIT_BAD_SCENARIO
+            else:
+                assert parse_scenario(text).checks == (token,)
 
 
 def test_every_map_builds_from_the_model():
@@ -405,6 +410,22 @@ def test_the_decay_check_on_a_time_dependent_hamiltonian_is_a_bad_scenario(name,
     assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(
         "error: diagnostics.checks: 'hamiltonian_decay' holds only for an H without explicit t")
+
+
+def test_energy_conservation_on_a_dissipative_hamiltonian_is_a_bad_scenario(tmp_path, capsys):
+    """H is conserved only at gamma = 0 with no explicit t, so on the damped
+    oscillator the check is refused before anything is integrated, rather than
+    failing with an observed drift of 1 - e^-1."""
+    text = (ROOT / "scenarios" / "damped_oscillator.ini").read_text()
+    path = tmp_path / "damped.ini"
+    path.write_text(re.sub(r"(?m)^checks = .*$", "checks = energy_conservation", text))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: diagnostics.checks: 'energy_conservation' holds only for a conservative H "
+        "(gamma = 0, no explicit t), and this linear_dissipation model has gamma = 0.1")
+    explicit_t = _scenario_of("damped_parametric", "energy_conservation", 0, "1 + 0.1*sin(t)")
+    with pytest.raises(ScenarioError, match="damped_parametric model depends on t$"):
+        parse_scenario(explicit_t)
 
 
 @pytest.mark.parametrize("kind, gamma, expression", [

@@ -755,6 +755,29 @@ def test_an_overflowing_trial_stage_of_an_ermakov_solve_is_rejected_and_recovere
     assert_allclose(erm.phase(grid), clean.phase(grid), rtol=1e-8, atol=1e-12)
 
 
+def test_an_ermakov_start_whose_alpha_to_the_minus_3_overflows_is_a_non_finite_field():
+    """alpha0 = 1e-200 puts alpha^-3 beyond the float range: the field at the
+    start is non-finite, as numpy's inf made it, not an OverflowError."""
+    with pytest.raises(NonFiniteError, match="^non-finite vector field at t=0"):
+        cm.solve_ermakov(1.0, 0.1, 1e-200, 0.0, np.linspace(0.0, 1.0, 11))
+
+
+def test_integrate_hands_value_and_grad_float_times(linear_model):
+    """The sample loop that fills H and div passes each time as a float."""
+    times = []
+
+    def recording(f):
+        def g(t, y):
+            times.append(t)
+            return f(t, y)
+        return g
+
+    model = dataclasses.replace(linear_model, value=recording(linear_model.value),
+                                grad=recording(linear_model.grad))
+    traj = cm.integrate(model, cm.make_state(1.0, 0.0), 1.0)
+    assert len(times) == 2 * len(traj) and {type(t) for t in times} == {float}
+
+
 def test_adaptive_driver_terminal_event():
     """A downward zero of the event stops y' = -y at ln 2; an upward one does not."""
     grid = np.linspace(0.0, 2.0, 21)

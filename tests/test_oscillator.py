@@ -1,14 +1,20 @@
 """Oscillator oracles: Ermakov, invariants, closed-form motion, Riccati, HJ route."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import contactmech as cm
-from contactmech import diagnostics, scenario
+from contactmech import diagnostics, oscillator, scenario
 from contactmech.errors import DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
+from contactmech.oscillator import CubicHermite
+
+from conftest import random_rows
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 GRID = np.linspace(0.0, 10.0, 101)
@@ -51,14 +57,107 @@ def test_ermakov_preconditions():
 
 
 def test_dense_lookups_reject_nan_times():
+    """NaN and out-of-range times, floats, np.float64 or in arrays, are refused
+    by every lookup with one message naming the first of them."""
     erm = cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, GRID)
     ric = cm.solve_riccati(0.0, 0.1, 0.2, GRID)
-    for lookup in (erm.alpha, erm.alpha_dot, erm.phase, ric.C):
-        with pytest.raises(ValueError, match="outside the solved range"):
-            lookup(math.nan)
-        with pytest.raises(ValueError, match="outside the solved range"):
-            lookup(np.array([1.0, math.nan]))
+    for lookup in (erm.alpha, erm.alpha_dot, erm.alpha_ddot, erm.phase, erm.residual,
+                   ric.C, ric.lam, ric.lam_dot, ric.C_dot):
+        for t in (math.nan, -1e-9, 10.0 + 1e-9, np.float64(math.nan), np.float64(11.0),
+                  np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match=r"^t=.* is outside the solved range "
+                                                 r"\[0\.0, 10\.0\]$"):
+                lookup(t)
     assert erm.alpha(np.array([])).shape == (0,)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_interpolant_float_path_is_the_array_path_at_every_t():
+    """Every t of the array path's oracle sample (random interior points, the
+    nodes, the ends `_check_t` admits) and the extrapolated tails: a float, and
+    an np.float64, give the array path's element bit for bit, and a NaN gives
+    its NaN."""
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.01, 1.0, 40))
+    ours = CubicHermite(x, rng.normal(size=40) * 10.0, rng.normal(size=40) * 10.0)
+    t = np.concatenate([rng.uniform(x[0], x[-1], 500), x,
+                        [x[0] - 1e-12, x[-1] + 1e-12, x[0] - 0.5, x[-1] + 0.5]])
+    for s, expected in zip(t.tolist(), ours(t).tolist()):
+        value, value64 = ours(s), ours(np.float64(s))
+        assert type(value) is float and isinstance(value64, np.float64)
+        assert _bits(value) == _bits(expected) == _bits(value64)
+    assert math.isnan(ours(math.nan)) and np.isnan(ours(np.array([math.nan]))[0])
+    one_interval = CubicHermite([0.0, 1.0], [1.0, 2.0], [0.0, 0.0])
+    assert one_interval(0.25) == one_interval(np.array([0.25]))[0]
+
+
+@pytest.mark.parametrize("omega", ["1", "1 + 0.2*sin(0.7*t)"])
+def test_dense_float_lookups_are_the_array_lookups_bit_for_bit(omega):
+    """Every accessor of both dense solutions answers a float t with the
+    element the array path gives at t, at the nodes, inside the intervals and
+    at both widened ends, for floats and np.float64 alike.  alpha_ddot's alpha^-3
+    is the one operation whose array form numpy may round differently: its
+    vectorised power on AVX-512 is not the C library's pow, which the float path
+    and any numpy scalar use.  So alpha_ddot is held bit for bit to the array
+    path's alpha and omega through its defining equation, and to its array
+    path within 2 ulp of alpha^-3."""
+    w = cm.parse_expression(omega, "t")
+    grid = np.linspace(0.5, 2.0, 7)  # C(0.5) = 2 has its first pole after t = 2.5
+    erm = cm.solve_ermakov(w, 0.1, 1.0, 0.0, grid)
+    ric = cm.solve_riccati(w, 0.1, 2.0, grid)
+    nodes = oscillator._internal_nodes(grid)
+    ts = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
+                         [nodes[0] - 1e-12, nodes[-1] + 1e-12]])
+    lookups = [getattr(erm, name) for name in ("alpha", "alpha_dot", "phase")] + \
+        [getattr(ric, name) for name in ("C", "lam", "lam_dot", "C_dot")]
+    for lookup in lookups:
+        for t, expected in zip(ts.tolist(), lookup(ts).tolist()):
+            value = lookup(t)
+            assert type(value) is float
+            assert _bits(value) == _bits(expected) == _bits(lookup(np.float64(t)))
+    alphas, omegas = erm.alpha(ts).tolist(), [w(t) for t in ts.tolist()]
+    for t, a, wt, expected in zip(ts.tolist(), alphas, omegas, erm.alpha_ddot(ts).tolist()):
+        value = erm.alpha_ddot(t)
+        assert _bits(value) == _bits(-(wt * wt - 0.25 * 0.1 ** 2) * a + a ** -3.0)
+        assert _bits(value) == _bits(erm.alpha_ddot(np.float64(t)))
+        assert abs(value - expected) <= 2 * np.spacing(a ** -3.0)
+
+
+def test_the_range_error_names_the_first_offending_time():
+    erm = cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, GRID)
+    batch = np.linspace(0.0, 10.0, 1000)
+    batch[[400, 700]] = [12.5, math.nan]
+    with pytest.raises(ValueError) as err:
+        erm.alpha(batch.reshape(20, 50))
+    assert str(err.value) == "t=12.5 is outside the solved range [0.0, 10.0]"
+    assert erm.alpha(batch[:400].reshape(8, 50)).shape == (8, 50)
+    assert erm.alpha_ddot(batch[:400].reshape(8, 50)).shape == (8, 50)
+
+
+def _scenario_run(name):
+    config = scenario.parse_scenario((ROOT / "scenarios" / f"{name}.ini").read_text())
+    model = scenario.build_model(config)
+    return model, cm.integrate(model, cm.make_state(config.q0, config.p0, config.S0,
+                                                    config.t0), config.t_end, config.options)
+
+
+def test_per_point_checks_never_take_the_interpolants_array_path(monkeypatch):
+    """The invariants chart's verification (100 rows) and the contact HJ
+    residual look up the dense solutions one float time at a time."""
+    model, traj = _scenario_run("parametric_oscillator")
+    erm = diagnostics._ermakov_for(model, traj, {})
+    cmap = cm.map_invariants(model.params["m"], model.params["gamma"], erm)
+    free_model, free_traj = _scenario_run("damped_free_particle")
+
+    def forbidden(self, t):
+        raise AssertionError("an array lookup")
+
+    monkeypatch.setattr(CubicHermite, "_at_array", forbidden)
+    assert cm.verify(cmap, random_rows(100, t_range=erm.t_range)).passed
+    assert diagnostics.check_hj_residual(free_model, free_traj, {})["passed"]
 
 
 def test_lewis_invariant_examples(ermakov_const):

@@ -113,14 +113,28 @@ def sample_grid(t0: float, t_end: float, sample_interval: float) -> np.ndarray:
     return np.linspace(t0, t_end, m + 1)
 
 
+def _floats(v) -> list:
+    """A right-hand side's value as a list: an ndarray's `tolist()`, a list as it is."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
 def _rk4(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of dy/dt = rhs(t, y), rhs
-    returning any float sequence."""
-    k1 = np.asarray(rhs(t, y))
-    k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1))
-    k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2))
-    k4 = np.asarray(rhs(t + h, y + h * k3))
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    returning a list of floats or an ndarray.  The stages are Python floats
+    combined in the order of the array expression
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), with stage arguments y + (h/2) k,
+    so the step is bit for bit that expression's on every host.  rhs gets y
+    itself for the first stage and a fresh array for each other one, which it
+    may keep; no stage argument is written afterwards, and the result is a
+    fresh array."""
+    h2, h6 = h / 2, h / 6.0
+    y0 = y.tolist()
+    k1 = _floats(rhs(t, y))
+    k2 = _floats(rhs(t + h2, np.array([a + h2 * k for a, k in zip(y0, k1)])))
+    k3 = _floats(rhs(t + h2, np.array([a + h2 * k for a, k in zip(y0, k2)])))
+    k4 = _floats(rhs(t + h, np.array([a + h * k for a, k in zip(y0, k3)])))
+    return np.array([a + h6 * (((b1 + 2 * b2) + 2 * b3) + b4)
+                     for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)])
 
 
 def step_rk4(model: HamiltonianModel, x: ExtendedState, h: float) -> ExtendedState:
@@ -166,9 +180,29 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _powers(x):
-    """x, x^2, x^3, x^4 stacked along a new first axis, by repeated products."""
-    return np.multiply.accumulate([x] * 4)
+def _scaled_error(e: list, h: float, y: list, y_new: list, atol: float,
+                  rtol: float) -> np.ndarray:
+    """e h / (atol + max(|y|, |y_new|) rtol) over the components of e, in
+    floats; the maximum is NaN if either side is, as np.maximum's is."""
+    return np.array([x * h / (atol + (a if a > b or a != a else b) * rtol)
+                     for x, a, b in zip(e, map(abs, y), map(abs, y_new))])
+
+
+def _abs_max(v: list) -> float:
+    """The largest |v_i|, NaN if any v_i is NaN, as ndarray.max gives it."""
+    a = [abs(x) for x in v]
+    total = sum(a)  # NaN exactly when some |v_i| is
+    return max(a) if total == total else total
+
+
+def _dense_powers(ts: list, t_old: float, h: float) -> np.ndarray:
+    """The (4, k) rows x, x^2, x^3, x^4 of x = (t - t_old) / h at the k times
+    ts, each power the previous one times x, as np.multiply.accumulate forms
+    them."""
+    x1 = [(t - t_old) / h for t in ts]
+    x2 = [x * x for x in x1]
+    x3 = [a * x for a, x in zip(x2, x1)]
+    return np.array([x1, x2, x3, [a * x for a, x in zip(x3, x1)]])
 
 
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
@@ -283,6 +317,20 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     norm, if they do.  Fixed mode is elementwise and needs no copy.  Errors
     name the first d components.
 
+    The sums over stages (the stage arguments, the step, the error estimates
+    and the dense output) are BLAS products on the stored stages, the same
+    calls on the same operands as scipy's RK45 makes, and the error norm's
+    sum of squares is a BLAS dot; everything elementwise around them is done
+    in place or in Python floats, in the order of the array expressions, so
+    the bits are those of scipy's RK45.  In adaptive mode rhs gets each
+    trial stage's argument in one scratch array that the next stage
+    overwrites: it is valid only during the call, and rhs must not keep it.
+    The step's end state, which rhs gets for the last stage and the event
+    sees, is a fresh array, as are the samples; no array the stepper hands
+    out shares the scratch array's memory.  Fixed mode hands rhs arrays that
+    are never written (see `_rk4`).  A fixed-mode interval whose substep count would pass
+    max_steps, an infinite count included, fails before its first substep.
+
     rhs is not checked for finite values stage by stage.  In adaptive mode a
     non-finite stage makes the error estimate non-finite, so the step is
     rejected and h shrinks by the minimum factor; if h falls below the
@@ -294,21 +342,25 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     d = len(y0) if d is None else d
     out = np.empty((len(grid), len(y0)))
     out[0] = y0
-    nsteps = 0
+    nsteps, grid_times = 0, grid.tolist()
     if opts.method == "fixed_rk4":
-        y, t = y0.copy(), t0
+        y, t = y0, t0
         for i in range(1, len(grid)):
-            span = grid[i] - t
-            nsub = max(1, int(math.ceil(span / opts.step - 1e-12)))
+            span = grid_times[i] - t
+            ratio = span / opts.step - 1e-12  # inf for a subnormal step
+            left = opts.max_steps - nsteps
+            if left < 1 or not ratio <= left:  # more substeps than are left
+                raise IntegrationError(
+                    f"max_steps={opts.max_steps} exceeded at t={t:.6g}: step={opts.step!r} "
+                    f"needs {max(1.0, span / opts.step):.3g} substeps to reach "
+                    f"t={grid_times[i]:.6g}, and {left} are left", last_time=t)
+            nsub = max(1, int(math.ceil(ratio)))
             h = span / nsub
+            nsteps += nsub
             for _ in range(nsub):
-                nsteps += 1
-                if nsteps > opts.max_steps:
-                    raise IntegrationError(
-                        f"max_steps={opts.max_steps} exceeded at t={t:.6g}", last_time=t)
                 y = _rk4(rhs, t, y, h)
                 t += h
-            t = grid[i]  # land exactly, avoiding accumulated rounding
+            t = grid_times[i]  # land exactly, avoiding accumulated rounding
             if not np.all(np.isfinite(y)):
                 raise NonFiniteError(f"non-finite state at t={t:.6g}, y={y[:d]}")
             out[i] = y
@@ -323,15 +375,17 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     joint = False  # whether the rest has joined the first d in the error norm
     Kd = np.empty((7, d)) if split else K  # the first d columns of K, contiguous
     KdT = [Kd[:s].T for s in range(8)]
+    dy = np.empty(len(y0))  # each stage's sum, then its argument y + h sum
+    dy_d = dy[:d]
     K[0] = rhs(t0, y0)
     if not np.all(np.isfinite(K[0])):
         raise NonFiniteError(f"non-finite vector field at t={t0:.6g}, y={y0[:d]}")
     if split:
         Kd[0] = K[0, :d]
     h_abs = _initial_step(rhs, t0, y0, K[0], t_end, rtol, atol, d)
-    t, y = t0, y0
+    t, y, y_list = t0, y0, y0.tolist()
     g = event(t0, y0) if event is not None else None
-    i, grid_times = 1, grid.tolist()
+    i = 1
     while t < t_end:
         nsteps += 1
         if nsteps > opts.max_steps:
@@ -351,24 +405,29 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
             for s in range(1, 6):
-                dy = np.dot(KT[s], _DP_A[s])
+                np.dot(KT[s], _DP_A[s], out=dy)
                 if split:
-                    dy[:d] = np.dot(KdT[s], _DP_A[s])
-                K[s] = rhs(t + _DP_C[s] * h, y + dy * h)
+                    np.dot(KdT[s], _DP_A[s], out=dy_d)
+                dy *= h
+                dy += y
+                K[s] = rhs(t + _DP_C[s] * h, dy)
                 if split:
                     Kd[s] = K[s, :d]
-            dy = np.dot(KT[6], _DP_B)
+            np.dot(KT[6], _DP_B, out=dy)
             if split:
-                dy[:d] = np.dot(KdT[6], _DP_B)
-            y_new = y + h * dy
+                np.dot(KdT[6], _DP_B, out=dy_d)
+            dy *= h
+            y_new = y + dy
             K[6] = rhs(t + h, y_new)
             if split:
                 Kd[6] = K[6, :d]
-            scale = atol + np.maximum(np.abs(y[:d]), np.abs(y_new[:d])) * rtol
-            err = _rms(np.dot(KdT[7], _DP_E) * h / scale)
+            new_list = y_new.tolist()
+            err = _rms(_scaled_error(np.dot(KdT[7], _DP_E).tolist(), h, y_list, new_list,
+                                     atol, rtol))
             if split and (joint or err < 1):
-                scale = atol + max(np.abs(y[d:]).max(), np.abs(y_new[d:]).max()) * rtol
-                err_rest = _rms(np.dot(KT[7][d:], _DP_E) * (h / scale))
+                scale = atol + max(_abs_max(y_list[d:]), _abs_max(new_list[d:])) * rtol
+                hs = h / scale
+                err_rest = _rms(np.array([x * hs for x in np.dot(KT[7][d:], _DP_E).tolist()]))
                 joint = joint or not err_rest < 1
                 if joint and (err_rest > err or math.isnan(err_rest)):
                     err = err_rest
@@ -379,17 +438,18 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)  # 0.2 if err is NaN
             rejected = True
-        t_old, y_old, t, y = t, y, t_new, y_new
+        t_old, y_old, t, y, y_list = t, y, t_new, y_new, new_list
         if event is not None:
             g_old, g = g, event(t, y)
             if g_old >= 0 >= g:  # a terminal event of direction -1
                 Q = K.T.dot(_DP_P)
                 raise event_error(_brent(
-                    lambda s: event(s, h * np.dot(Q, _powers((s - t_old) / h)) + y_old),
+                    lambda s: event(s, h * np.dot(Q, _dense_powers([s], t_old, h).ravel())
+                                    + y_old),
                     t_old, t))
         j = bisect_right(grid_times, t)
         if j > i:
-            x = _powers((grid[i:j] - t_old) / h)
+            x = _dense_powers(grid_times[i:j], t_old, h)
             out[i:j] = (h * np.dot(K.T.dot(_DP_P), x) + y_old[:, None]).T
             if split:
                 out[i:j, :d] = (h * np.dot(Kd.T.dot(_DP_P), x) + y_old[:d, None]).T

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -199,6 +200,23 @@ def test_a_huge_span_is_a_bad_scenario(tmp_path, capsys, monkeypatch):
     assert parse_scenario(text.replace("t_end = 10\n", "t_end = 1e5\n")).t_end == 1e5
     with pytest.raises(ScenarioError, match="integration.t_end"):
         parse_scenario(text.replace("t_end = 10\n", "t_end = 100000.01\n"))
+
+
+@pytest.mark.parametrize("step", ["5e-324", "1e-300"])
+def test_a_fixed_step_too_small_for_max_steps_fails_at_once(step, tmp_path, capsys):
+    """A subnormal step makes the substep count infinite, and 1e-300 makes it
+    about 1e298: both fail before the first step, naming max_steps, the step
+    and t, where 1e-300 once ran a million futile steps for half a minute."""
+    text = (ROOT / "scenarios" / "damped_oscillator.ini").read_text()
+    assert "method = adaptive_rk45\n" in text
+    path = tmp_path / "tiny.ini"
+    path.write_text(text.replace("method = adaptive_rk45\n",
+                                 f"method = fixed_rk4\nstep = {step}\n"))
+    started = time.perf_counter()
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert time.perf_counter() - started < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: max_steps=1000000 exceeded at t=0: step={step} needs ")
 
 
 def test_internal_error_exit_code(good_scenario, tmp_path, capsys, monkeypatch):

@@ -803,3 +803,122 @@ def test_trajectory_invariants(linear_traj):
         cm.Trajectory(times=np.array([0.0, 0.0, 1.0]), q=np.zeros((3, 1)),
                       p=np.zeros((3, 1)), S=np.zeros(3), H=np.zeros(3),
                       div=np.zeros(3))
+
+
+def _numpy_rk4(rhs, t, y, h):
+    """The classical RK4 step as an array expression, the oracle of the float
+    one in `dynamics._rk4`."""
+    k1 = np.asarray(rhs(t, y))
+    k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1))
+    k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2))
+    k4 = np.asarray(rhs(t + h, y + h * k3))
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+_RK4_MODELS = {
+    "builtin-field": (_BUILTIN_MODELS["parametric-omega-t"], False),
+    "builtin-tangent": (_BUILTIN_MODELS["linear-quartic"], True),
+    "custom-n2": (_CUSTOM_MODELS["custom-n2"], False),
+}
+
+
+@pytest.mark.parametrize("model, tangent", list(_RK4_MODELS.values()), ids=list(_RK4_MODELS))
+def test_fixed_rk4_is_the_numpy_expression_bit_for_bit(model, tangent, monkeypatch):
+    """`integrate` in fixed_rk4 mode and `step_rk4` give the bits of the array
+    expression, signs of zeros included: on a built-in field (n = 1) and a
+    built-in `tangent_rhs` (width 12), which return lists, and on a custom
+    n = 2 model, whose right-hand side returns an ndarray."""
+    d = 2 * model.n + 1
+    y = np.linspace(0.9, -0.4, d)
+    x0 = cm.make_state(y[:model.n], y[model.n:2 * model.n], y[-1], 0.3)
+    opts = cm.IntegratorOptions(method="fixed_rk4", step=0.01, sample_interval=0.05)
+    traj = cm.integrate(model, x0, 2.3, opts, tangent=tangent)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_rk4", _numpy_rk4)
+        ref = cm.integrate(model, x0, 2.3, opts, tangent=tangent)
+    assert traj.flat().tobytes() == ref.flat().tobytes()
+    assert tangent == (traj.J is not None)
+    if tangent:
+        assert traj.J.tobytes() == ref.J.tobytes()
+    rhs = model.tangent_rhs if tangent else model.field
+    z = np.concatenate([y, np.eye(d).ravel()]) if tangent else y
+    for t, h in ((0.3, 0.01), (1.7, -0.25), (0.0, 1e-7)):
+        assert dynamics._rk4(rhs, t, z, h).tobytes() == _numpy_rk4(rhs, t, z, h).tobytes()
+        if not tangent:
+            x = cm.make_state(z[:model.n], z[model.n:2 * model.n], z[-1], t)
+            assert cm.step_rk4(model, x, h).flat().tobytes() == \
+                _numpy_rk4(rhs, t, z, h).tobytes()
+
+
+def test_the_float_error_norm_is_the_numpy_one_bit_for_bit():
+    """The error norm's scaled error in floats against the array expression,
+    with inf and NaN in y, y_new and the error estimate e; and the scale of
+    the rest in split mode against ndarray.max."""
+    rng = np.random.default_rng(53)
+    specials = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1e308, 5e-324])
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            width = int(rng.integers(1, 13))
+            y, y_new, e = (rng.normal(size=width) * 10.0 ** rng.integers(-300, 300, size=width)
+                           for _ in range(3))
+            for a in (y, y_new, e):
+                special = rng.random(width) < 0.2
+                a[special] = rng.choice(specials, size=special.sum())
+            h, atol, rtol = 10.0 ** rng.uniform(-5, 0, size=3) * [1, 1e-8, 1e-6]
+            ref = e * h / (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
+            got = dynamics._scaled_error(e.tolist(), h, y.tolist(), y_new.tolist(), atol, rtol)
+            assert got.tobytes() == ref.tobytes()
+            assert np.float64(dynamics._rms(got)).tobytes() == \
+                np.float64(dynamics._rms(ref)).tobytes()
+            ref_max = max(np.abs(y).max(), np.abs(y_new).max())
+            got_max = max(dynamics._abs_max(y.tolist()), dynamics._abs_max(y_new.tolist()))
+            assert np.float64(got_max).tobytes() == np.float64(ref_max).tobytes()
+
+
+@pytest.mark.parametrize("d", [None, 3], ids=["flow", "split"])
+def test_the_stepper_hands_out_no_view_of_its_stage_buffer(d):
+    """The right-hand side's argument may be a scratch array reused from stage
+    to stage; no array the stepper hands out, be it the event's argument (the
+    accepted states and the root finder's points) or the output, shares its
+    memory, and the arrays an event keeps are never written afterwards."""
+    model = _BUILTIN_MODELS["linear-quartic"]
+    y0 = np.array([1.2, -0.3, 0.1])
+    if d is not None:
+        y0 = np.concatenate([y0, np.eye(3).ravel()])
+    rhs_args, kept = [], []
+
+    def rhs(t, y):
+        rhs_args.append(y)
+        return model.tangent_rhs(t, y) if d is not None else model.field(t, y)
+
+    def event(t, y):
+        kept.append((y, y.copy()))
+        return y[0] + 0.9  # q falls through -0.9 after about t = 2
+
+    grid = dynamics.sample_grid(0.0, 6.0, 0.05)
+    opts = cm.IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12)
+    out = _integrate_flat(rhs, y0.copy(), 0.0, 6.0, opts, grid, d=d)
+    with pytest.raises(IntegrationError):
+        _integrate_flat(rhs, y0.copy(), 0.0, 6.0, opts, grid, event=event, d=d,
+                        event_error=lambda t: IntegrationError("crossed", last_time=t))
+    reused = [a for i, a in enumerate(rhs_args) if any(a is b for b in rhs_args[:i])]
+    assert reused and len(kept) > 20
+    for y, snapshot in kept:
+        assert y.tobytes() == snapshot.tobytes()
+        assert not any(np.shares_memory(y, b) for b in reused)
+    assert not any(np.shares_memory(out, b) for b in reused)
+
+
+def test_a_fixed_step_interval_that_would_pass_max_steps_fails_before_stepping(linear_model):
+    """Ten substeps of 0.1 take the flow to t = 1: max_steps = 10 is enough,
+    and with 9 the second interval fails at its start, t = 0.5, without a step."""
+    x0 = cm.make_state(1.0, 0.0, 0.0, 0.0)
+    opts = cm.IntegratorOptions(method="fixed_rk4", step=0.1, sample_interval=0.5)
+    assert len(cm.integrate(linear_model, x0, 1.0, dataclasses.replace(opts, max_steps=10))) == 3
+    calls = []
+    model = dataclasses.replace(linear_model,
+                                field=lambda t, y: calls.append(t) or linear_model.field(t, y))
+    with pytest.raises(IntegrationError, match=r"^max_steps=9 exceeded at t=0\.5: step=0\.1 ") \
+            as err:
+        cm.integrate(model, x0, 1.0, dataclasses.replace(opts, max_steps=9))
+    assert err.value.last_time == 0.5 and len(calls) == 5 * 4  # the first interval's steps

@@ -28,8 +28,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print()
     print("a report, verbatim:")
     print()
-    report = os.path.join(tmp, "damped_oscillator", "report.txt")
-    print(open(report).read())
+    with open(os.path.join(tmp, "damped_oscillator", "report.txt")) as report:
+        print(report.read())
 
 print("expression debugging:")
 cli.main(["expr", "1 + 0.1*sin(0.3*t)", "--var", "t", "--at", "0"])

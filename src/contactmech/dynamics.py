@@ -62,12 +62,13 @@ class IntegratorOptions:
     sample_interval: float = 0.1
 
     def __post_init__(self):
+        # each message starts with the field, so a scenario can name its key
         if self.method not in ("adaptive_rk45", "fixed_rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if not all(0 < v < math.inf for v in (self.step, self.rel_tol, self.abs_tol)):
-            raise ValueError("step and tolerances must be positive")
-        if not all(0 < v < math.inf for v in (self.max_steps, self.sample_interval)):
-            raise ValueError("max_steps and sample_interval must be positive")
+            raise ValueError(f"method: must be 'adaptive_rk45' or 'fixed_rk4', got {self.method!r}")
+        for name in ("step", "rel_tol", "abs_tol", "max_steps", "sample_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name}: must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,14 @@ def _solve(rhs, y0, grid, event, event_error) -> tuple:
     return ts, ys.T
 
 
+def _per_element(f, x):
+    """f(x) for a float x, else f of each element of x as a float, in the shape of x:
+    so powers and exponentials are the C library's, not numpy's SIMD-dependent ones."""
+    if isinstance(x, float):
+        return f(x)
+    return np.array([f(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -101,11 +109,8 @@ class _Dense:
     Each lookup takes t in the solved range, widened by 1e-12 at both ends.  A
     float t (np.float64 included) is looked up in floats and gives a float,
     bit for bit the array path's value at that t; any other t goes through
-    numpy and gives an array of its shape.  The exception is alpha^-3 in
-    `alpha_ddot` and `residual`: numpy's vectorised power can round it
-    differently from the C library's pow, which a float and any numpy scalar
-    use.  A NaN or out-of-range time raises ValueError naming the first such
-    time and the solved range.
+    numpy and gives an array of its shape.  A NaN or out-of-range time raises
+    ValueError naming the first such time and the solved range.
     """
 
     def __init__(self, ts: np.ndarray, gamma: float, omega, grid):
@@ -114,12 +119,6 @@ class _Dense:
         self.gamma = float(gamma)
         self.omega = omega
         self.grid = grid
-
-    def _omega(self, t):
-        """omega at each time of t, in the shape of t; a float for a float."""
-        if isinstance(t, float):
-            return self.omega(t)
-        return np.array([self.omega(x) for x in np.ravel(t).tolist()]).reshape(np.shape(t))
 
     def _check_t(self, t):
         """t itself if it is a float in range, else t as a checked float array."""
@@ -144,11 +143,11 @@ class ErmakovSolution(_Dense):
 
     def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega, grid):
         super().__init__(ts, gamma, omega, grid)
-        w = self._omega(ts)
-        add = -(w * w - 0.25 * gamma * gamma) * alpha + alpha ** -3.0
+        w = _per_element(self.omega, ts)
+        add = -(w * w - 0.25 * gamma * gamma) * alpha + _per_element(lambda a: a ** -3.0, alpha)
         self._alpha = CubicHermite(ts, alpha, alpha_dot)
         self._alpha_dot = CubicHermite(ts, alpha_dot, add)
-        self._phase = CubicHermite(ts, phase, alpha ** -2.0)
+        self._phase = CubicHermite(ts, phase, _per_element(lambda a: a ** -2.0, alpha))
 
     def alpha(self, t):
         return self._alpha(self._check_t(t))
@@ -159,8 +158,8 @@ class ErmakovSolution(_Dense):
     def alpha_ddot(self, t):
         """Second derivative through the defining equation (exact given alpha)."""
         t = self._check_t(t)
-        a, w = self._alpha(t), self._omega(t)
-        return -(w * w - 0.25 * self.gamma ** 2) * a + a ** -3.0
+        a, w = self._alpha(t), _per_element(self.omega, t)
+        return -(w * w - 0.25 * self.gamma ** 2) * a + _per_element(lambda x: x ** -3.0, a)
 
     def phase(self, t):
         """phi(t), measured from the grid origin; strictly increasing."""
@@ -172,8 +171,8 @@ class ErmakovSolution(_Dense):
         t = self._check_t(t)
         h = 1e-4
         add = (self._alpha_dot(t + h) - self._alpha_dot(t - h)) / (2 * h)
-        a, w = self._alpha(t), self._omega(t)
-        return add + (w * w - 0.25 * self.gamma ** 2) * a - a ** -3.0
+        a, w = self._alpha(t), _per_element(self.omega, t)
+        return add + (w * w - 0.25 * self.gamma ** 2) * a - _per_element(lambda x: x ** -3.0, a)
 
 
 def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
@@ -219,7 +218,7 @@ def _unpack(gamma: float, t, y) -> tuple:
     if y.ndim not in (1, 2) or y.shape[-1] != 3 or t.shape != y.shape[:-1]:
         raise DimensionMismatchError(f"the invariants need n = 1 points (q, p, S), one per "
                                      f"time: got shapes {t.shape} and {y.shape}")
-    e = np.array([math.exp(gamma * x) for x in t.ravel().tolist()]).reshape(t.shape)
+    e = _per_element(lambda x: math.exp(gamma * x), t)
     return (t, e, *y.T)
 
 
@@ -316,7 +315,7 @@ class RiccatiSolution(_Dense):
     def __init__(self, ts, C, lam, lam_dot, gamma, omega, C0, grid):
         super().__init__(ts, gamma, omega, grid)
         self.C0 = float(C0)
-        w = self._omega(ts)
+        w = _per_element(self.omega, ts)
         self._C = CubicHermite(ts, C, -C * C - gamma * C - w * w)
         self._lam = CubicHermite(ts, lam, lam_dot)
         self._lam_dot = CubicHermite(ts, lam_dot, -gamma * lam_dot - w * w * lam)
@@ -333,7 +332,7 @@ class RiccatiSolution(_Dense):
     def C_dot(self, t):
         """C' through the defining equation (exact given C)."""
         t = self._check_t(t)
-        c, w = self._C(t), self._omega(t)
+        c, w = self._C(t), _per_element(self.omega, t)
         return -c * c - self.gamma * c - w * w
 
 

@@ -2,7 +2,10 @@
 
 A scenario selects a built-in model (with expression-valued parameters),
 an initial state, integration options, a list of diagnostics and output
-paths.  Parsing is strict: unknown sections or keys, duplicates and
+paths.  `_GRAMMAR` is the grammar: one ordered row per key gives the field
+it fills, its type and its default, or that it is required, and both
+`parse_scenario` and `serialize_scenario` walk it.  Parsing is strict:
+unknown sections or keys, duplicates, values continued onto a second line and
 constraint violations are rejected eagerly with their key path, so that
 scenario files double as regression fixtures.
 """
@@ -10,9 +13,9 @@ scenario files double as regression fixtures.
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Tuple
 
 from .diagnostics import AUTONOMOUS_CHECKS, CONSERVATIVE_CHECKS, validate_checks
@@ -29,17 +32,6 @@ KINDS = {
     "caldirola_kanai": (make_caldirola_kanai, "V", "q"),
 }
 MAX_SAMPLES = 10 ** 7  # (t_end - t0) / sample_interval above this is refused
-
-_SCHEMA = {
-    "scenario": {"name"},
-    "model": {"kind", "m", "gamma", "V", "omega"},
-    "initial": {"q", "p", "S", "t"},
-    "integration": {"method", "rel_tol", "abs_tol", "step", "max_steps",
-                    "sample_interval", "t_end"},
-    "diagnostics": {"checks"},
-    "output": {"trajectory", "report", "plot_dir"},
-}
-_REQUIRED_SECTIONS = ("model", "initial", "integration")
 
 
 @dataclass(frozen=True)
@@ -68,29 +60,85 @@ def _err(path: str, msg: str):
     raise ScenarioError(f"{path}: {msg}")
 
 
-def _get_float(sec, section: str, key: str, default=None) -> float:
-    if key not in sec:
-        if default is None:
-            _err(f"{section}.{key}", "missing required key")
-        return default
-    raw = sec[key]
+# A type is a pair: it reads a raw value at its key path, and writes a value back.
+def _read_file_name(raw: str, path: str) -> str:
+    if not raw:
+        _err(path, "empty file name")
+    return raw
+
+
+def _read_float(raw: str, path: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        _err(f"{section}.{key}", f"not a number: {raw!r}")
+        _err(path, f"not a number: {raw!r}")
     if not math.isfinite(value):
-        _err(f"{section}.{key}", f"non-finite number: {raw!r}")
+        _err(path, f"non-finite number: {raw!r}")
     return value
 
 
-def _get_int(sec, section: str, key: str, default: int) -> int:
-    if key not in sec:
-        return default
-    raw = sec[key]
+def _read_int(raw: str, path: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        _err(f"{section}.{key}", f"not an integer: {raw!r}")
+        _err(path, f"not an integer: {raw!r}")
+
+
+def _read_expression(variable: str):
+    def read(raw: str, path: str) -> Expression:
+        try:
+            return parse_expression(raw, variable, path)
+        except Exception as exc:
+            _err(path, str(exc))
+    return read
+
+
+def _read_checks(raw: str, path: str) -> Tuple[str, ...]:
+    tokens = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    if not tokens:
+        _err(path, "empty check list")
+    return tokens
+
+
+_TEXT = (lambda raw, path: raw, str)
+_FILE_NAME = (_read_file_name, str)
+_FLOAT = (_read_float, "{:.17g}".format)
+_INT = (_read_int, str)
+_CHECKS = (_read_checks, ", ".join)
+_EXPRESSION = {key: (_read_expression(var), attrgetter("text"))
+               for _, key, var in KINDS.values()}  # V in q, omega in t
+
+_REQUIRED, _OWN = object(), object()  # absent: an error; the field's dataclass default
+
+# The grammar, in the order serialize_scenario writes it: (section, key, the
+# ScenarioConfig or IntegratorOptions field it fills, its type, its default).
+_GRAMMAR = (
+    ("scenario", "name", "name", _TEXT, "scenario"),
+    ("model", "kind", "kind", _TEXT, _REQUIRED),
+    ("model", "m", "m", _FLOAT, _REQUIRED),
+    ("model", "gamma", "gamma", _FLOAT, _REQUIRED),
+    ("model", "V", "V", _EXPRESSION["V"], None),  # KINDS says which of V and omega
+    ("model", "omega", "omega", _EXPRESSION["omega"], None),
+    ("initial", "q", "q0", _FLOAT, _REQUIRED),
+    ("initial", "p", "p0", _FLOAT, _REQUIRED),
+    ("initial", "S", "S0", _FLOAT, 0.0),
+    ("initial", "t", "t0", _FLOAT, 0.0),
+    ("integration", "method", "method", _TEXT, _OWN),
+    ("integration", "step", "step", _FLOAT, _OWN),
+    ("integration", "rel_tol", "rel_tol", _FLOAT, _OWN),
+    ("integration", "abs_tol", "abs_tol", _FLOAT, _OWN),
+    ("integration", "max_steps", "max_steps", _INT, _OWN),
+    # a file samples finer than IntegratorOptions' own default of 0.1
+    ("integration", "sample_interval", "sample_interval", _FLOAT, 0.01),
+    ("integration", "t_end", "t_end", _FLOAT, _REQUIRED),
+    ("diagnostics", "checks", "checks", _CHECKS, _OWN),
+    ("output", "trajectory", "trajectory_file", _FILE_NAME, _OWN),
+    ("output", "report", "report_file", _FILE_NAME, _OWN),
+    ("output", "plot_dir", "plot_dir", _TEXT, _OWN),
+)
+_WALK = tuple((f"{row[0]}.{row[1]}",) + row for row in _GRAMMAR)  # each row with its key path
+_KEYS = {section: {key for s, key, *_ in _GRAMMAR if s == section} for section, *_ in _GRAMMAR}
+_OPTIONS = frozenset(f.name for f in fields(IntegratorOptions))
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -101,78 +149,60 @@ def parse_scenario(text: str) -> ScenarioConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
+    sections = {name: dict(cp.items(name, raw=True)) for name in cp.sections()}
 
-    for section in cp.sections():
-        if section not in _SCHEMA:
+    for section, keys in sections.items():
+        if section not in _KEYS:
             _err(section, "unknown section")
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
+        for key in keys:
+            if key not in _KEYS[section]:
                 _err(f"{section}.{key}", "unknown key")
-    for section in _REQUIRED_SECTIONS:
-        if section not in cp:
-            _err(section, "missing required section")
 
-    name = cp["scenario"].get("name", "scenario") if "scenario" in cp else "scenario"
+    values = {}
+    for path, section, key, field, (read, _), default in _WALK:
+        raw = sections[section].get(key) if section in sections else None
+        if raw is None:
+            if default is _REQUIRED and section not in sections:
+                _err(section, "missing required section")
+            if default is _REQUIRED:
+                _err(path, "missing required key")
+            if default is not _OWN:
+                values[field] = default
+        elif "\n" in raw:  # a continuation line would not survive serialize_scenario
+            _err(path, "a value must be on one line")
+        else:
+            values[field] = read(raw, path)
 
-    msec = cp["model"]
-    kind = msec.get("kind")
-    if kind is None:
-        _err("model.kind", "missing required key")
+    kind = values["kind"]
     if kind not in KINDS:
         _err("model.kind", f"unknown model {kind!r}; expected one of {tuple(KINDS)}")
-    m = _get_float(msec, "model", "m")
-    gamma = _get_float(msec, "model", "gamma")
+    m, gamma = values["m"], values["gamma"]
     if m <= 0:
         _err("model.m", f"must be > 0, got {m}")
     if gamma < 0:
         _err("model.gamma", f"must be >= 0, got {gamma}")
-
     _, key, var = KINDS[kind]
-    exprs = {"V": None, "omega": None}
-    if key not in msec:
+    if values[key] is None:
         _err(f"model.{key}", f"required for kind={kind}")
-    for other in exprs:
-        if other != key and other in msec:
+    for other in _EXPRESSION:
+        if other != key and values[other] is not None:
             _err(f"model.{other}", f"not allowed for kind={kind}")
-    try:
-        exprs[key] = parse_expression(msec[key], var, f"model.{key}")
-    except Exception as exc:
-        _err(f"model.{key}", str(exc))
 
-    isec = cp["initial"]
-    q0 = _get_float(isec, "initial", "q")
-    p0 = _get_float(isec, "initial", "p")
-    S0 = _get_float(isec, "initial", "S", 0.0)
-    t0 = _get_float(isec, "initial", "t", 0.0)
-
-    gsec = cp["integration"]
-    method = gsec.get("method", "adaptive_rk45")
-    t_end = _get_float(gsec, "integration", "t_end")
-    numbers = dict(  # read first, so that their key-path errors are not wrapped below
-        step=_get_float(gsec, "integration", "step", 1e-3),
-        rel_tol=_get_float(gsec, "integration", "rel_tol", 1e-9),
-        abs_tol=_get_float(gsec, "integration", "abs_tol", 1e-12),
-        max_steps=_get_int(gsec, "integration", "max_steps", 1_000_000),
-        sample_interval=_get_float(gsec, "integration", "sample_interval", 0.01),
-    )
     try:
-        options = IntegratorOptions(method=method, **numbers)
-    except ValueError as exc:
-        raise ScenarioError(f"integration: {exc}") from exc
+        options = IntegratorOptions(**{f: values.pop(f) for f in _OPTIONS if f in values})
+    except ValueError as exc:  # its message starts with the field, which is the key
+        raise ScenarioError(f"integration.{exc}") from exc
+    t0, t_end = values["t0"], values["t_end"]
     if t_end <= t0:
         _err("integration.t_end", f"must exceed initial.t={t0}, got {t_end}")
     if (t_end - t0) / options.sample_interval > MAX_SAMPLES:
         _err("integration.t_end", f"(t_end - t0) / sample_interval exceeds "
                                   f"{MAX_SAMPLES} samples, got t_end={t_end}")
 
-    checks: Tuple[str, ...] = ()
-    if "diagnostics" in cp and "checks" in cp["diagnostics"]:
-        raw = cp["diagnostics"]["checks"]
-        tokens = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-        if not tokens:
-            _err("diagnostics.checks", "empty check list")
+    if "checks" in values:
+        tokens = values["checks"]
         validate_checks(tokens, ("m", "gamma", key), f"kind={kind}")
-        d = exprs[key].derivative_ast  # H has explicit t through e^{+-gamma t} or omega(t)
+        d = values[key].derivative_ast  # H has explicit t through e^{+-gamma t} or omega(t)
         explicit_t = gamma > 0 if kind == "caldirola_kanai" else \
             var == "t" and not (d.op == "num" and d.value == 0.0)
         for tok in tokens:
@@ -184,16 +214,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 _err("diagnostics.checks", f"{tok!r} holds only for a conservative H "
                                            f"(gamma = 0, no explicit t), and this {kind} "
                                            f"model {why}")
-        checks = tokens
-
-    out = cp["output"] if "output" in cp else {}
-    return ScenarioConfig(
-        name=name, kind=kind, m=m, gamma=gamma, **exprs,
-        q0=q0, p0=p0, S0=S0, t0=t0, t_end=t_end, options=options, checks=checks,
-        trajectory_file=out.get("trajectory", "trajectory.tsv"),
-        report_file=out.get("report", "report.txt"),
-        plot_dir=out.get("plot_dir", "plots"),
-    )
+    return ScenarioConfig(options=options, **values)
 
 
 def build_model(config: ScenarioConfig) -> HamiltonianModel:
@@ -204,33 +225,9 @@ def build_model(config: ScenarioConfig) -> HamiltonianModel:
 
 def serialize_scenario(config: ScenarioConfig) -> str:
     """Render a config back to scenario-file text (parse/print/parse fixed point)."""
-    buf = io.StringIO()
-    buf.write("[scenario]\n")
-    buf.write(f"name = {config.name}\n\n")
-    buf.write("[model]\n")
-    buf.write(f"kind = {config.kind}\n")
-    buf.write(f"m = {config.m:.17g}\n")
-    buf.write(f"gamma = {config.gamma:.17g}\n")
-    key = KINDS[config.kind][1]
-    buf.write(f"{key} = {getattr(config, key).text}\n")
-    buf.write("\n[initial]\n")
-    for key, val in (("q", config.q0), ("p", config.p0), ("S", config.S0),
-                     ("t", config.t0)):
-        buf.write(f"{key} = {val:.17g}\n")
-    o = config.options
-    buf.write("\n[integration]\n")
-    buf.write(f"method = {o.method}\n")
-    buf.write(f"step = {o.step:.17g}\n")
-    buf.write(f"rel_tol = {o.rel_tol:.17g}\n")
-    buf.write(f"abs_tol = {o.abs_tol:.17g}\n")
-    buf.write(f"max_steps = {o.max_steps}\n")
-    buf.write(f"sample_interval = {o.sample_interval:.17g}\n")
-    buf.write(f"t_end = {config.t_end:.17g}\n")
-    if config.checks:
-        buf.write("\n[diagnostics]\n")
-        buf.write(f"checks = {', '.join(config.checks)}\n")
-    buf.write("\n[output]\n")
-    buf.write(f"trajectory = {config.trajectory_file}\n")
-    buf.write(f"report = {config.report_file}\n")
-    buf.write(f"plot_dir = {config.plot_dir}\n")
-    return buf.getvalue()
+    sections = {}
+    for section, key, field, (_, write), _ in _GRAMMAR:
+        value = getattr(config.options if field in _OPTIONS else config, field)
+        if value is not None and value != ():  # the other kind's expression, no checks
+            sections.setdefault(section, []).append(f"{key} = {write(value)}\n")
+    return "\n".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())

@@ -202,6 +202,23 @@ def test_a_huge_span_is_a_bad_scenario(tmp_path, capsys, monkeypatch):
         parse_scenario(text.replace("t_end = 10\n", "t_end = 100000.01\n"))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("V = q^2/2", "V = q^2/2\n  + 0.1*q^4", "error: model.V: a value must be on one line\n"),
+    ("name = cli_smoke", "name = cli\n  smoke",
+     "error: scenario.name: a value must be on one line\n"),
+    ("[diagnostics]", "[output]\ntrajectory =\n\n[diagnostics]",
+     "error: output.trajectory: empty file name\n"),
+    ("[diagnostics]", "[output]\nreport =\n\n[diagnostics]",
+     "error: output.report: empty file name\n"),
+], ids=["continued-V", "continued-name", "empty-trajectory", "empty-report"])
+def test_values_the_outputs_cannot_honour_are_bad_scenarios(old, new, message, tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(GOOD.replace(old, new))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("step", ["5e-324", "1e-300"])
 def test_a_fixed_step_too_small_for_max_steps_fails_at_once(step, tmp_path, capsys):
     """A subnormal step makes the substep count infinite, and 1e-300 makes it

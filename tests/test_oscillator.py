@@ -98,12 +98,10 @@ def test_interpolant_float_path_is_the_array_path_at_every_t():
 def test_dense_float_lookups_are_the_array_lookups_bit_for_bit(omega):
     """Every accessor of both dense solutions answers a float t with the
     element the array path gives at t, at the nodes, inside the intervals and
-    at both widened ends, for floats and np.float64 alike.  alpha_ddot's alpha^-3
-    is the one operation whose array form numpy may round differently: its
-    vectorised power on AVX-512 is not the C library's pow, which the float path
-    and any numpy scalar use.  So alpha_ddot is held bit for bit to the array
-    path's alpha and omega through its defining equation, and to its array
-    path within 2 ulp of alpha^-3."""
+    at both widened ends, for floats and np.float64 alike.  alpha_ddot and the
+    residual take alpha^-3 by the C library's pow on both paths, never by
+    numpy's vectorised power, whose rounding depends on the host's SIMD; so
+    alpha_ddot is also its defining equation in floats, bit for bit."""
     w = cm.parse_expression(omega, "t")
     grid = np.linspace(0.5, 2.0, 7)  # C(0.5) = 2 has its first pole after t = 2.5
     erm = cm.solve_ermakov(w, 0.1, 1.0, 0.0, grid)
@@ -111,19 +109,18 @@ def test_dense_float_lookups_are_the_array_lookups_bit_for_bit(omega):
     nodes = oscillator._internal_nodes(grid)
     ts = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
                          [nodes[0] - 1e-12, nodes[-1] + 1e-12]])
-    lookups = [getattr(erm, name) for name in ("alpha", "alpha_dot", "phase")] + \
+    lookups = [getattr(erm, name) for name in ("alpha", "alpha_dot", "phase", "alpha_ddot")] + \
         [getattr(ric, name) for name in ("C", "lam", "lam_dot", "C_dot")]
     for lookup in lookups:
         for t, expected in zip(ts.tolist(), lookup(ts).tolist()):
             value = lookup(t)
             assert type(value) is float
             assert _bits(value) == _bits(expected) == _bits(lookup(np.float64(t)))
+    for t, expected in zip(ts.tolist(), erm.residual(ts).tolist()):
+        assert _bits(erm.residual(t)) == _bits(expected) == _bits(erm.residual(np.float64(t)))
     alphas, omegas = erm.alpha(ts).tolist(), [w(t) for t in ts.tolist()]
-    for t, a, wt, expected in zip(ts.tolist(), alphas, omegas, erm.alpha_ddot(ts).tolist()):
-        value = erm.alpha_ddot(t)
-        assert _bits(value) == _bits(-(wt * wt - 0.25 * 0.1 ** 2) * a + a ** -3.0)
-        assert _bits(value) == _bits(erm.alpha_ddot(np.float64(t)))
-        assert abs(value - expected) <= 2 * np.spacing(a ** -3.0)
+    for t, a, wt in zip(ts.tolist(), alphas, omegas):
+        assert _bits(erm.alpha_ddot(t)) == _bits(-(wt * wt - 0.25 * 0.1 ** 2) * a + a ** -3.0)
 
 
 def test_the_range_error_names_the_first_offending_time():

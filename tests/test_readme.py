@@ -35,3 +35,19 @@ def test_library_tour_runs_and_shows_the_documented_values():
     assert values["cm.divergence(model, x0)"] == pytest.approx(-0.2, rel=1e-12)
     assert values["det[-1]"] == pytest.approx(math.exp(-1.0), abs=1e-5)
     assert values["cm.measure_weight(model, x0)"] == pytest.approx(4.0)
+
+
+def test_the_scenario_example_shows_every_key_and_its_default():
+    """The ini block under `### Scenario files` parses, names every key of the
+    grammar, and dropping any key that has a default leaves the config as it is."""
+    from contactmech import scenario
+
+    section = README.read_text().split("\n### Scenario files\n", 1)[1]
+    text = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    config = scenario.parse_scenario(text)
+    shown = set(re.findall(r"^(?:# )?(\w+) = ", text, re.M))
+    assert shown == {key for _, key, *_ in scenario._GRAMMAR}
+    for _, key, _, _, default in scenario._GRAMMAR:
+        if default is not scenario._REQUIRED and key not in ("V", "omega", "checks"):
+            dropped = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+            assert dropped != text and scenario.parse_scenario(dropped) == config, key

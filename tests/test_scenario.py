@@ -1,11 +1,17 @@
 """Scenario format: strict parsing, validation paths, serialization round-trip."""
 
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contactmech as cm
-from contactmech.errors import ScenarioError
+from contactmech import diagnostics, scenario
+from contactmech.errors import ExpressionError, ScenarioError
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 MINIMAL = """\
 [model]
@@ -172,3 +178,162 @@ def test_parametric_scenario():
     model = cm.build_model(cfg)
     assert model.name == "damped_parametric"
     assert model.partials(cm.make_state(1.0, 0.0, 0.0, 1.0))[3] != 0.0
+
+
+@pytest.mark.parametrize("text,message", [
+    (MINIMAL.replace("V = q^2/2", "V = q^2/2\n  + 0.1*q^4"),
+     "model.V: a value must be on one line"),
+    ("[scenario]\nname = two\n  lines\n\n" + MINIMAL, "scenario.name: a value must be on one line"),
+    (MINIMAL.replace("t_end = 10", "t_end = 10\n\n  5"),
+     "integration.t_end: a value must be on one line"),
+    (MINIMAL + "\n[output]\ntrajectory =\n", "output.trajectory: empty file name"),
+    (MINIMAL + "\n[output]\nreport =\n", "output.report: empty file name"),
+], ids=["V-continued", "name-continued", "t_end-continued", "trajectory-empty", "report-empty"])
+def test_values_the_outputs_cannot_honour_are_refused(text, message):
+    """A continued value would be serialized as a line that no longer parses,
+    and an empty file name would be the output directory itself."""
+    with pytest.raises(ScenarioError) as err:
+        cm.parse_scenario(text)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("key,raw", [
+    *((key, raw) for key in ("step", "rel_tol", "abs_tol", "max_steps", "sample_interval")
+      for raw in ("0", "-1")),
+    ("method", "leapfrog")])
+def test_integration_errors_name_their_key_and_value(key, raw):
+    text = MINIMAL.replace("[integration]\n", f"[integration]\n{key} = {raw}\n")
+    with pytest.raises(ScenarioError) as err:
+        cm.parse_scenario(text)
+    message = str(err.value)
+    assert message.startswith(f"integration.{key}: ")
+    assert ("must be positive" in message) == (key != "method")
+    value = repr(raw) if key == "method" else raw if key == "max_steps" else repr(float(raw))
+    assert message.endswith(f"got {value}")
+
+
+# ---------------------------------------------------------------------------
+# Properties of the input contract
+# ---------------------------------------------------------------------------
+
+_EDGES = st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.5])
+_FINITE = _EDGES | st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.sampled_from([5e-324, 1e-300, 1e300, 1.0]) | st.floats(1e-3, 1e3)
+_EXPRESSIONS = {  # the kind's expression key -> texts in its variable, and the constant ones
+    "V": (["q^2/2", "1.8387*q^2/2 + 0.0399*q^4", "0.5*q^2 - 0.1*cos(q)", "-q", "0"], ()),
+    "omega": (["1", "0", "1.2", "1 + 0.1*sin(0.3*t)", "sqrt(1 + t^2)"], ("1", "0", "1.2")),
+}
+_FORMATS = st.sampled_from([repr, "{:.17g}".format, "{:e}".format, " {} ".format])
+
+
+def _allowed_checks(kind, gamma, expression):
+    """The tokens a scenario of this kind accepts: what each check needs, and
+    the autonomous and conservative ones only for an H that is so."""
+    key = scenario.KINDS[kind][1]
+    explicit_t = gamma > 0 if kind == "caldirola_kanai" else \
+        key == "omega" and expression not in _EXPRESSIONS["omega"][1]
+    return [token for token in diagnostics.TOKENS
+            if set(diagnostics.PARAMS.get(token, ())) <= {"m", "gamma", key}
+            and not (token in diagnostics.AUTONOMOUS_CHECKS and explicit_t)
+            and not (token in diagnostics.CONSERVATIVE_CHECKS and (gamma > 0 or explicit_t))]
+
+
+@st.composite
+def scenario_texts(draw):
+    """(text, continued): a scenario drawn from the grammar, keys in any order
+    within their sections and sections in any order, optional keys present
+    or not; `continued` if some value goes on onto a second line."""
+    fmt = draw(_FORMATS)
+    kind = draw(st.sampled_from(sorted(scenario.KINDS)))
+    key = scenario.KINDS[kind][1]
+    gamma = draw(st.sampled_from([-0.0, 0.0, 1e-300, 1e300]) | st.floats(0.0, 10.0))
+    expression = draw(st.sampled_from(_EXPRESSIONS[key][0]))
+    t0, span = draw(st.sampled_from([-0.0, 0.0, 5e-324, -2.5, 3.0])), draw(st.floats(1e-3, 1e2))
+    sections = {
+        "scenario": {"name": draw(st.text(st.characters(blacklist_characters="\n\r"),
+                                          max_size=12))},
+        "model": {"kind": kind, "m": fmt(draw(_POSITIVE)), "gamma": fmt(gamma), key: expression},
+        "initial": {"q": fmt(draw(_FINITE)), "p": fmt(draw(_FINITE)),
+                    "S": fmt(draw(_FINITE)), "t": fmt(t0)},
+        "integration": {"method": draw(st.sampled_from(["adaptive_rk45", "fixed_rk4"])),
+                        "step": fmt(draw(_POSITIVE)), "rel_tol": fmt(draw(_POSITIVE)),
+                        "abs_tol": fmt(draw(_POSITIVE)),
+                        "max_steps": str(draw(st.integers(1, 10 ** 30))),
+                        "sample_interval": fmt(draw(st.sampled_from([1e-4, 0.01, 1e300])
+                                                    | st.floats(1e-3, 10.0))),
+                        "t_end": fmt(max(t0, 0.0) + span)},  # past t0 and the default 0
+        "diagnostics": {"checks": ", ".join(draw(st.lists(
+            st.sampled_from(_allowed_checks(kind, gamma, expression)), min_size=1)))},
+        "output": {"trajectory": draw(st.sampled_from(["trajectory.tsv", "t.tsv", "a b.tsv"])),
+                   "report": draw(st.sampled_from(["report.txt", "r"])),
+                   "plot_dir": draw(st.sampled_from(["plots", "", "p/q"]))},
+    }
+    optional = {(section, k) for section, k, *_, default in scenario._GRAMMAR
+                if default is not scenario._REQUIRED and k != key}
+    continued = False
+    lines = []
+    for section in draw(st.permutations(list(sections))):
+        items = [(k, v) for k, v in sections[section].items()
+                 if (section, k) not in optional or draw(st.booleans())]
+        if not items:
+            continue
+        lines.append(f"[{section}]")
+        for k, v in draw(st.permutations(items)):
+            lines.append(f"{k} = {v}")
+            if draw(st.integers(0, 40)) == 0:
+                lines.append(draw(st.sampled_from(["  + 1", "\tmore", " x"])))
+                continued = True
+        lines.append("")
+    return "\n".join(lines), continued
+
+
+@given(scenario_texts())
+@settings(max_examples=100, deadline=None)
+def test_serialize_then_parse_is_the_identity_on_every_key(drawn):
+    """serialize_scenario(parse_scenario(text)) parses back to the same config,
+    and serializing that config again gives the same text; a value continued
+    onto a second line is refused instead, naming its key."""
+    text, continued = drawn
+    if continued:
+        with pytest.raises(ScenarioError, match="a value must be on one line"):
+            cm.parse_scenario(text)
+        return
+    config = cm.parse_scenario(text)
+    printed = cm.serialize_scenario(config)
+    assert cm.parse_scenario(printed) == config
+    assert cm.serialize_scenario(cm.parse_scenario(printed)) == printed
+
+
+_GARBAGE = ["", "nan", "-inf", "1e999", "1e308", "-1e308", "5e-324", "garbage", "q +* 2",
+            "((((", "1/0", "exp(800)", "0x10", "1_000", "[model]", " = ", "\u00e9", "1" * 5000,
+            "(" * 2000 + "q" + ")" * 2000, "transform_verify:", ",", "t", "q"]
+
+
+@given(st.sampled_from(sorted(p.name for p in SCENARIOS.glob("*.ini"))),
+       st.lists(st.tuples(st.sampled_from(["drop", "duplicate", "value", "insert"]),
+                          st.integers(0, 10 ** 6), st.sampled_from(_GARBAGE)),
+                min_size=1, max_size=4),
+       st.sampled_from(["color = red", "[extras]", "[DEFAULT]", "V = q", "omega = t",
+                        "  continued", "checks = divergence", "t = 1e300"]))
+@settings(max_examples=200, deadline=None)
+def test_mutated_shipped_scenarios_parse_or_raise_a_scenario_error(name, mutations, line):
+    """Lines dropped or duplicated, values replaced by garbage, NaN, huge
+    numbers or nothing, and unknown or misplaced lines inserted: parsing
+    returns a config or raises ScenarioError or ExpressionError, nothing else."""
+    lines = (SCENARIOS / name).read_text().splitlines()
+    for op, at, garbage in mutations:
+        i = at % (len(lines) + 1)
+        if op == "insert":
+            lines.insert(i, line)
+        elif i == len(lines):
+            continue
+        elif op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(at % len(lines), lines[i])
+        elif " = " in lines[i]:
+            lines[i] = lines[i].partition(" = ")[0] + " = " + garbage
+    try:
+        cm.parse_scenario("\n".join(lines) + "\n")
+    except (ScenarioError, ExpressionError):
+        pass

@@ -385,6 +385,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         Kd[0] = K[0, :d]
     h_abs = _initial_step(rhs, t0, y0, K[0], t_end, rtol, atol, d)
     t, y, y_list = t0, y0, y0.tolist()
+    rest_max = _abs_max(y_list[d:]) if split else None  # the rest's largest |entry| at t
     g = event(t0, y0) if event is not None else None
     i = 1
     while t < t_end:
@@ -406,29 +407,29 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
             for s in range(1, 6):
-                np.dot(KT[s], _DP_A[s], out=dy)
+                KT[s].dot(_DP_A[s], out=dy)
                 if split:
-                    np.dot(KdT[s], _DP_A[s], out=dy_d)
-                dy *= h
+                    KdT[s].dot(_DP_A[s], out=dy_d)
+                np.multiply(dy, h, out=dy)
                 dy += y
                 K[s] = rhs(t + _DP_C[s] * h, dy)
                 if split:
                     Kd[s] = K[s, :d]
-            np.dot(KT[6], _DP_B, out=dy)
+            KT[6].dot(_DP_B, out=dy)
             if split:
-                np.dot(KdT[6], _DP_B, out=dy_d)
-            dy *= h
+                KdT[6].dot(_DP_B, out=dy_d)
+            np.multiply(dy, h, out=dy)
             y_new = y + dy
             K[6] = rhs(t + h, y_new)
             if split:
                 Kd[6] = K[6, :d]
             new_list = y_new.tolist()
-            err = _rms(_scaled_error(np.dot(KdT[7], _DP_E).tolist(), h, y_list, new_list,
+            err = _rms(_scaled_error(KdT[7].dot(_DP_E).tolist(), h, y_list, new_list,
                                      atol, rtol))
             if split and (joint or err < 1):
-                scale = atol + max(_abs_max(y_list[d:]), _abs_max(new_list[d:])) * rtol
-                hs = h / scale
-                err_rest = _rms(np.array([x * hs for x in np.dot(KT[7][d:], _DP_E).tolist()]))
+                new_rest_max = _abs_max(new_list[d:])
+                hs = h / (atol + max(rest_max, new_rest_max) * rtol)
+                err_rest = _rms(np.array([x * hs for x in KT[7][d:].dot(_DP_E).tolist()]))
                 joint = joint or not err_rest < 1
                 if joint and (err_rest > err or math.isnan(err_rest)):
                     err = err_rest
@@ -440,6 +441,8 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)  # 0.2 if err is NaN
             rejected = True
         t_old, y_old, t, y, y_list = t, y, t_new, y_new, new_list
+        if split:  # an accepted step has err < 1, so its rest was measured
+            rest_max = new_rest_max
         if event is not None:
             g_old, g = g, event(t, y)
             if g_old >= 0 >= g:  # a terminal event of direction -1
@@ -451,9 +454,9 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         j = bisect_right(grid_times, t)
         if j > i:
             x = _dense_powers(grid_times[i:j], t_old, h)
-            out[i:j] = (h * np.dot(K.T.dot(_DP_P), x) + y_old[:, None]).T
+            out[i:j] = (h * K.T.dot(_DP_P).dot(x) + y_old[:, None]).T
             if split:
-                out[i:j, :d] = (h * np.dot(Kd.T.dot(_DP_P), x) + y_old[:d, None]).T
+                out[i:j, :d] = (h * Kd.T.dot(_DP_P).dot(x) + y_old[:d, None]).T
             i = j
         K[0] = K[6]
         if split:
@@ -474,7 +477,7 @@ def _solve(model: HamiltonianModel, init: ExtendedState, t_end: float,
     rides the flow's own steps, so the rows are those of the solve without J
     unless J's error estimate fails on one of them, from which step on J joins
     the error norm (see `_integrate_flat`); each right-hand side calls
-    `tangent_rhs` once, and it calls `field` once."""
+    `tangent_rhs` once, and it evaluates the field's entries once."""
     y0 = init.flat()
     if not tangent:
         return _integrate_flat(model.field, y0, init.t, t_end, opts, grid), None

@@ -125,8 +125,9 @@ class HamiltonianModel:
     the flow and its variational equations, A = d(field)/dy, which `integrate`
     solves for the volume checks; its first 2n+1 entries are ``field(t, y)``
     bit for bit.  The built-ins give ``field`` in closed form and
-    ``tangent_rhs`` in straight-line floats from their symbolic second
-    derivatives; `make_custom` builds the field from ``value`` and ``grad``,
+    ``tangent_rhs`` in straight-line floats from one jet per call, which
+    repeats the field's operations and adds the symbolic second derivatives;
+    `make_custom` builds the field from ``value`` and ``grad``,
     and A by `_contact_jacobian` from ``grad`` and a central-difference Hessian.
     All four are unvalidated: a non-finite field is left to the integrator,
     which rejects the step.  ``evaluate`` and ``partials`` validate.
@@ -195,7 +196,9 @@ def _contact_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np
 # float operations in the same order, so it agrees bit for bit (a test holds
 # it to that), including the -p dH/dS term when dH/dS is 0, which can flip the
 # sign of a zero.  H's terms come before dH's, so the first domain error is
-# the one `value` would raise.  dH/dt is not needed and not evaluated.
+# the one `value` would raise.  dH/dt is not needed and not evaluated.  Each
+# `jet` repeats its `field` and then takes the second derivatives, so the
+# tangent's first rows and first error are the field's.
 
 
 def _check_mass_and_damping(m: float, gamma: float):
@@ -205,17 +208,17 @@ def _check_mass_and_damping(m: float, gamma: float):
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
 
 
-def tangent(field, curvature):
+def tangent(jet):
     """The ``tangent_rhs`` of an n = 1 model H = T(p, t) + U(q, t) + c S from its
-    ``field`` and ``curvature(t, q)`` = (dH/dq, d2H/dq2, d2H/dp2, dH/dS).  Then
+    ``jet(t, q, p, S)`` = (the field's three entries, dH/dq, d2H/dq2, d2H/dp2,
+    dH/dS), the entries computed as ``field`` computes them.  Then
     A = [[0, H_pp, 0], [-H_qq, -H_S, 0], [-H_q, p H_pp, -H_S]], and A J is
-    written out in floats after the field's own three entries."""
+    written out in floats after the field's entries."""
     def tangent_rhs(t, z) -> list:
-        f = field(t, z[:3])  # first, so that the first error is the field's
-        q, p, _, j0, j1, j2, k0, k1, k2, l0, l1, l2 = z.tolist()
-        H_q, H_qq, H_pp, H_S = curvature(t, q)
+        q, p, S, j0, j1, j2, k0, k1, k2, l0, l1, l2 = z.tolist()
+        f0, f1, f2, H_q, H_qq, H_pp, H_S = jet(t, q, p, S)
         a = p * H_pp
-        return [*f,
+        return [f0, f1, f2,
                 H_pp * k0, H_pp * k1, H_pp * k2,
                 -H_qq * j0 - H_S * k0, -H_qq * j1 - H_S * k1, -H_qq * j2 - H_S * k2,
                 -H_q * j0 + a * k0 - H_S * l0, -H_q * j1 + a * k1 - H_S * l1,
@@ -242,11 +245,14 @@ def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
         dH_dp = p / m
         return [dH_dp, -Vfn.derivative(q) - p * gamma, p * dH_dp - h]
 
-    def curvature(t, q) -> tuple:
-        return Vfn.derivative(q), Vfn.second_derivative(q), 1.0 / m, gamma
+    def jet(t, q, p, S) -> tuple:
+        h = p * p / (2.0 * m) + Vfn(q) + gamma * S
+        dH_dp, H_q = p / m, Vfn.derivative(q)
+        return (dH_dp, -H_q - p * gamma, p * dH_dp - h,
+                H_q, Vfn.second_derivative(q), 1.0 / m, gamma)
 
     return HamiltonianModel(
-        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(field, curvature),
+        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(jet),
         name="linear_dissipation",
         params={"m": m, "gamma": gamma, "V": Vfn},
     )
@@ -280,12 +286,15 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
         dH_dp = p / m
         return [dH_dp, -(m * w * w * q) - p * gamma, p * dH_dp - h]
 
-    def curvature(t, q) -> tuple:
+    def jet(t, q, p, S) -> tuple:
         w = wfn(t)
-        return m * w * w * q, m * w * w, 1.0 / m, gamma
+        h = p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * S
+        dH_dp, H_qq = p / m, m * w * w
+        H_q = H_qq * q
+        return (dH_dp, -H_q - p * gamma, p * dH_dp - h, H_q, H_qq, 1.0 / m, gamma)
 
     return HamiltonianModel(
-        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(field, curvature),
+        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(jet),
         name="damped_parametric",
         params={"m": m, "gamma": gamma, "omega": wfn},
     )
@@ -327,12 +336,15 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
         dH_dp = em * p / m
         return [dH_dp, -(ep * Vfn.derivative(q)) - p * 0.0, p * dH_dp - h]
 
-    def curvature(t, q) -> tuple:
+    def jet(t, q, p, S) -> tuple:
         em, ep = factors(t)
-        return ep * Vfn.derivative(q), ep * Vfn.second_derivative(q), em / m, 0.0
+        h = em * p * p / (2.0 * m) + ep * Vfn(q)
+        dH_dp, H_q = em * p / m, ep * Vfn.derivative(q)
+        return (dH_dp, -H_q - p * 0.0, p * dH_dp - h,
+                H_q, ep * Vfn.second_derivative(q), em / m, 0.0)
 
     return HamiltonianModel(
-        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(field, curvature),
+        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(jet),
         name="caldirola_kanai",
         params={"m": m, "gamma": gamma, "V": Vfn},
     )

@@ -5,7 +5,8 @@ an initial state, integration options, a list of diagnostics and output
 paths.  `_GRAMMAR` is the grammar: one ordered row per key gives the field
 it fills, its type and its default, or that it is required, and both
 `parse_scenario` and `serialize_scenario` walk it.  Parsing is strict:
-unknown sections or keys, duplicates, values continued onto a second line and
+unknown sections (``[DEFAULT]`` included) or keys, duplicates, values continued
+onto a second line, output names other than one plain file name and
 constraint violations are rejected eagerly with their key path, so that
 scenario files double as regression fixtures.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional, Tuple
@@ -62,8 +64,11 @@ def _err(path: str, msg: str):
 
 # A type is a pair: it reads a raw value at its key path, and writes a value back.
 def _read_file_name(raw: str, path: str) -> str:
+    """One plain path component, so that the output stays inside --out."""
     if not raw:
         _err(path, "empty file name")
+    if raw in (".", "..") or any(c in raw for c in "/\\\0") or os.path.isabs(raw):
+        _err(path, f"must be a plain file name inside the output directory, got {raw!r}")
     return raw
 
 
@@ -134,7 +139,7 @@ _GRAMMAR = (
     ("diagnostics", "checks", "checks", _CHECKS, _OWN),
     ("output", "trajectory", "trajectory_file", _FILE_NAME, _OWN),
     ("output", "report", "report_file", _FILE_NAME, _OWN),
-    ("output", "plot_dir", "plot_dir", _TEXT, _OWN),
+    ("output", "plot_dir", "plot_dir", _FILE_NAME, _OWN),
 )
 _WALK = tuple((f"{row[0]}.{row[1]}",) + row for row in _GRAMMAR)  # each row with its key path
 _KEYS = {section: {key for s, key, *_ in _GRAMMAR if s == section} for section, *_ in _GRAMMAR}
@@ -143,7 +148,8 @@ _OPTIONS = frozenset(f.name for f in fields(IntegratorOptions))
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario from its file contents."""
-    cp = configparser.ConfigParser(strict=True, interpolation=None)
+    # no header can name a section "\n", so [DEFAULT] is an unknown section
+    cp = configparser.ConfigParser(strict=True, interpolation=None, default_section="\n")
     cp.optionxform = str
     try:
         cp.read_string(text)

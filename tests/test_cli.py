@@ -219,6 +219,32 @@ def test_values_the_outputs_cannot_honour_are_bad_scenarios(old, new, message, t
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, name", [
+    ("trajectory", "../escaped.tsv"), ("trajectory", "."), ("report", ".."),
+    ("report", "{tmp}/abs.txt"), ("plot_dir", "a\\b"), ("plot_dir", "sub/plots"),
+])
+def test_output_names_outside_out_are_bad_scenarios(key, name, tmp_path, capsys):
+    """An output name is one plain path component: a run that names `.`, `..`,
+    a path or an absolute path exits 2 with the key, and writes nothing."""
+    name = name.format(tmp=tmp_path)
+    path = tmp_path / "scenario" / "bad.ini"
+    path.parent.mkdir()
+    path.write_text(GOOD.replace("[diagnostics]", f"[output]\n{key} = {name}\n\n[diagnostics]"))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "scenario" / "o")]) == 2
+    assert capsys.readouterr().err == (f"error: output.{key}: must be a plain file name inside "
+                                       f"the output directory, got {name!r}\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.ini", "scenario"]
+
+
+@pytest.mark.parametrize("header", ["[DEFAULT]\n", "[DEFAULT]\nq = 1\n"])
+def test_a_default_section_is_a_bad_scenario(header, tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(header + GOOD)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: DEFAULT: unknown section\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("step", ["5e-324", "1e-300"])
 def test_a_fixed_step_too_small_for_max_steps_fails_at_once(step, tmp_path, capsys):
     """A subnormal step makes the substep count infinite, and 1e-300 makes it

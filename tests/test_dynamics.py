@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import contactmech as cm
@@ -518,6 +520,52 @@ def test_a_tangent_from_a_rest_point_is_held_to_the_tolerance(gamma):
         assert_allclose(traj.J[:, :2, :2], rotation.transpose(2, 0, 1), rtol=0, atol=1e-7)
     grid, dets = cm.jacobian_determinant_series(model, x0, 5.0, opts)
     assert_allclose(dets, np.exp(-2 * gamma * grid), rtol=1e-7, atol=0)
+
+
+_TRANSLATED = """\
+[model]
+kind = linear_dissipation
+m = {m!r}
+gamma = {gamma!r}
+V = {k!r}*q^2/2 + {a!r}*q^4
+
+[initial]
+q = {q!r}
+p = {p!r}
+S = {S!r}
+t = {t0!r}
+
+[integration]
+rel_tol = 1e-9
+abs_tol = 1e-12
+sample_interval = {dt!r}
+t_end = {t_end!r}
+"""
+
+
+@given(m=st.floats(0.5, 2.0), gamma=st.sampled_from([0.0]) | st.floats(0.0, 0.5),
+       k=st.floats(0.5, 2.0), a=st.floats(0.0, 0.1), q=st.floats(-1.5, 1.5),
+       p=st.floats(-1.0, 1.0), S=st.floats(-1.0, 1.0), span=st.floats(0.5, 4.0),
+       samples=st.integers(5, 40), shift=st.floats(-10.0, 10.0))
+@settings(max_examples=12, deadline=None)
+def test_an_autonomous_flow_is_invariant_under_time_translation(m, gamma, k, a, q, p, S, span,
+                                                                samples, shift):
+    """A linear-dissipation H has no explicit t, so the run from t0 = shift is
+    the run from t0 = 0 moved by shift: the same samples of q, p, S, H and J to
+    the scenario's tolerance (not bit for bit, since the rounding of t moves
+    the steps)."""
+    runs = []
+    for t0 in (0.0, shift):
+        config, model, x0 = _scenario(_TRANSLATED.format(
+            m=m, gamma=gamma, k=k, a=a, q=q, p=p, S=S, t0=t0, dt=span / samples,
+            t_end=t0 + span))
+        runs.append(cm.integrate(model, x0, config.t_end, config.options, tangent=True))
+    base, moved = runs
+    rtol, atol = config.options.rel_tol, config.options.abs_tol
+    assert len(moved) == len(base) == samples + 1
+    assert_allclose(moved.times - shift, base.times, rtol=0, atol=1e-13 * (1 + abs(shift)))
+    for got, want in ((moved.flat(), base.flat()), (moved.H, base.H), (moved.J, base.J)):
+        assert_allclose(got, want, rtol=rtol, atol=atol)
 
 
 def test_the_volume_checks_need_the_tangent(linear_model, linear_traj):

@@ -5,7 +5,7 @@ import operator
 import pickle
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import contactmech as cm
@@ -270,6 +270,10 @@ def _tree_walk(node, x):
 
 
 @given(_expressions, st.floats(min_value=-3.0, max_value=3.0))
+@example("-(2*3) + 2*3*q^(4/2)", 1.5)   # operations on constants alone are folded
+@example("q + 1/0", 1.5)                 # but not a division by zero,
+@example("q + (0-8)^(1/3)", 1.5)         # nor a call
+@example("1e308*10 - q*(1-1)/0", 0.5)
 @settings(max_examples=300, deadline=None)
 def test_compiled_code_matches_tree_walk(text, x):
     """Value and first and second derivatives equal a tree walk of their DAGs
@@ -287,6 +291,37 @@ def test_compiled_code_matches_tree_walk(text, x):
             assert type(err.value) is type(exc) and str(err.value) == str(exc)
         else:
             assert compiled(x).hex() == want.hex()
+
+
+def test_expressions_of_one_shape_share_one_compile(monkeypatch):
+    """Two expressions that differ only in their constants are compiled once:
+    their functions have one bytecode, each with its own constants, and each
+    keeps its own values, key and error offsets.  (Equal constants are one
+    node, so the two 2s of q^2/2 are one constant, and that is another shape.)"""
+    compiled = []
+    monkeypatch.setattr(expressions, "compile", lambda *args: compiled.append(args[0])
+                        or compile(*args), raising=False)
+    expressions._template.cache_clear()
+    a = cm.parse_expression("1.5*q^3/4 + log(q - 0.25)", "q", "model.V")
+    assert len(compiled) == 2   # the value and the derivative
+    b = cm.parse_expression("12.75 * q ^ 5 / 7  +  log(q - 2)", "q", "other.V")
+    assert a.second_derivative(1.0) == 1.5 * 3 * 2 * 1.0 / 4 - 1 / 0.75 ** 2
+    assert b.second_derivative(3.0) == 12.75 * 5 * 4 * 3.0 ** 3 / 7 - 1.0
+    assert len(compiled) == 3
+    for fn in ("_value", "_slope", "_curvature"):
+        code_a, code_b = getattr(a, fn).__code__, getattr(b, fn).__code__
+        assert code_a.co_code == code_b.co_code and code_a.co_consts != code_b.co_consts
+    assert a(1.0) == 1.5 * 1.0 ** 3 / 4 + math.log(0.75)
+    assert b(3.0) == 12.75 * 3.0 ** 5 / 7 + math.log(1.0)
+    with pytest.raises(ExpressionError) as ea:
+        a(0.25)
+    with pytest.raises(ExpressionError) as eb:
+        b.derivative(2.0)
+    assert (str(ea.value), ea.value.position) == \
+        ("model.V: log of non-positive value 0.0 (at offset 12)", 12)
+    assert (str(eb.value), eb.value.position) == ("other.V: division by zero (at offset 22)", 22)
+    cm.parse_expression("1.5*q^2/2", "q")
+    assert len(compiled) == 5
 
 
 def test_long_sums_compile():

@@ -188,13 +188,37 @@ def test_parametric_scenario():
      "integration.t_end: a value must be on one line"),
     (MINIMAL + "\n[output]\ntrajectory =\n", "output.trajectory: empty file name"),
     (MINIMAL + "\n[output]\nreport =\n", "output.report: empty file name"),
-], ids=["V-continued", "name-continued", "t_end-continued", "trajectory-empty", "report-empty"])
+    (MINIMAL + "\n[output]\nplot_dir =\n", "output.plot_dir: empty file name"),
+], ids=["V-continued", "name-continued", "t_end-continued", "trajectory-empty", "report-empty",
+        "plot_dir-empty"])
 def test_values_the_outputs_cannot_honour_are_refused(text, message):
     """A continued value would be serialized as a line that no longer parses,
     and an empty file name would be the output directory itself."""
     with pytest.raises(ScenarioError) as err:
         cm.parse_scenario(text)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("key", ["trajectory", "report", "plot_dir"])
+@pytest.mark.parametrize("name", ["..", ".", "../escaped.tsv", "a/b", "a\\b", "/abs/x.tsv",
+                                  "a\0b"])
+def test_output_names_stay_inside_the_output_directory(key, name):
+    """Each output name is one plain path component, so that the run writes
+    only inside --out (a NUL byte, which open() refuses, included)."""
+    with pytest.raises(ScenarioError) as err:
+        cm.parse_scenario(MINIMAL + f"\n[output]\n{key} = {name}\n")
+    assert str(err.value) == (f"output.{key}: must be a plain file name inside the output "
+                              f"directory, got {name!r}")
+    assert cm.parse_scenario(MINIMAL + f"\n[output]\n{key} = a b.x\n")
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\n" + MINIMAL, "[DEFAULT]\nq = 1\n" + MINIMAL,
+                                  MINIMAL + "\n[DEFAULT]\n"])
+def test_a_default_section_is_an_unknown_section(text):
+    """configparser would copy [DEFAULT]'s keys into every section; the
+    grammar has no such section."""
+    with pytest.raises(ScenarioError, match="^DEFAULT: unknown section$"):
+        cm.parse_scenario(text)
 
 
 @pytest.mark.parametrize("key,raw", [
@@ -266,7 +290,7 @@ def scenario_texts(draw):
             st.sampled_from(_allowed_checks(kind, gamma, expression)), min_size=1)))},
         "output": {"trajectory": draw(st.sampled_from(["trajectory.tsv", "t.tsv", "a b.tsv"])),
                    "report": draw(st.sampled_from(["report.txt", "r"])),
-                   "plot_dir": draw(st.sampled_from(["plots", "", "p/q"]))},
+                   "plot_dir": draw(st.sampled_from(["plots", "p", "a b"]))},
     }
     optional = {(section, k) for section, k, *_, default in scenario._GRAMMAR
                 if default is not scenario._REQUIRED and k != key}

@@ -36,8 +36,9 @@ for cmap in (cm.map_identity(1), cm.map_ck(m, gamma), cm.map_expanding(m, gamma)
     print(f"{cmap.name:<11} pass={rep.passed}  max residual={rep.max_residual:.2e}  "
           f"f at t={x0.t:.2f}: {f0:.6f}")
 
-# a map's closures act on the flat point y = [q, p, S] at time t
-planted = cm.ContactMap(n=1, forward=lambda t, y: np.array([y[0], y[1] ** 2, y[2]]),
+# a map's closures act on a block: rows Y = [q, p, S] of shape (k, 3) at times t (k,)
+planted = cm.ContactMap(n=1, forward=lambda t, Y: np.column_stack([Y[:, 0], Y[:, 1] ** 2,
+                                                                   Y[:, 2]]),
                         name="planted")
 rep = cm.verify(planted, points)
 print(f"{'planted':<11} pass={rep.passed}  max residual={rep.max_residual:.2e}  "

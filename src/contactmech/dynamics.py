@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                      UnsupportedModelError)
-from .model import ExtendedState, HamiltonianModel
+from .model import ExtendedState, HamiltonianModel, rowwise
 
 MEASURE_EPS = 1e-12      # |H| below this is treated as the singular level set
 _EPS = np.finfo(float).eps
@@ -508,10 +508,8 @@ def integrate(model: HamiltonianModel, init: ExtendedState, t_end: float,
     n = model.n
     grid = sample_grid(init.t, t_end, opts.sample_interval)
     ys, J = _solve(model, init, t_end, opts, grid, tangent)
-    times = grid.tolist()
-    H = np.array([model.value(t, y) for t, y in zip(times, ys)], dtype=float)
-    dv = np.array([-(n + 1) * model.grad(t, y)[2 * n] for t, y in zip(times, ys)],
-                  dtype=float)
+    H = rowwise(model.value, grid, ys)
+    dv = -(n + 1) * rowwise(model.grad, grid, ys)[:, 2 * n]
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(dv))):
         raise NonFiniteError("non-finite H or divergence at a sample point")
     return Trajectory(times=grid, q=ys[:, :n].copy(), p=ys[:, n:2 * n].copy(),

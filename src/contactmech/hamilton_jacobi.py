@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, UnsupportedModelError
-from .model import ExtendedState, HamiltonianModel, central_difference
+from .model import ExtendedState, HamiltonianModel, central_difference, rowwise
 from .dynamics import Trajectory
 from .oscillator import RiccatiSolution, riccati_sensitivity, solve_riccati
 
@@ -48,10 +48,14 @@ def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t: fl
     """H(q, dS/dq, S(q,t), t) + dS/dt; zero iff the field solves the equation at (q, t).
 
     ``q`` is one point of shape (n,), giving a float, or a batch of k points of
-    shape (n, k), giving a (k,) array.  The field is called once on the whole
-    batch, so its closures must broadcast over the last axis of q.
+    shape (n, k), giving a (k,) array.  The field and the model's ``value`` are
+    each called once on the whole batch, so the field's closures must broadcast
+    over the last axis of q.  A non-finite t is refused before the field is
+    called.
     """
     q, t = np.atleast_1d(np.asarray(q, dtype=float)), float(t)
+    if not math.isfinite(t):
+        raise NonFiniteError(f"non-finite time t={t}")
     if q.ndim > 2 or len(q) < 1:
         raise DimensionMismatchError(
             f"q must have shape (n,) or (n, k) with n >= 1, got {q.shape}")
@@ -66,13 +70,11 @@ def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t: fl
             f"q and p must have equal length, got {qs.shape} and {p.shape}")
     if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(p)) and np.all(np.isfinite(S))):
         raise NonFiniteError(f"non-finite contact state: q={qs}, p={p}, S={S}")
-    if not math.isfinite(t):
-        raise NonFiniteError(f"non-finite time t={t}")
     if n != model.n:
         raise DimensionMismatchError(
             f"model '{model.name}' has n={model.n} but state has n={n}")
     ys = np.concatenate([qs, np.broadcast_to(p, (n, k)), S[None, :]])
-    H = np.array([model.value(t, y) for y in ys.T], dtype=float)
+    H = rowwise(model.value, t, ys.T)
     if not np.all(np.isfinite(H)):
         raise NonFiniteError(f"model '{model.name}' is non-finite at q={qs}, t={t}")
     res = H + _per_point(field.dS_dt(qs, t), k, "dS/dt")
@@ -109,7 +111,7 @@ def verify_b_condition(model: HamiltonianModel, field: PrincipalFunctionField,
         raise DimensionMismatchError(f"model '{model.name}' has n={model.n} but the "
                                      f"trajectory has n={traj.n}")
     b = np.array([characteristic_b(field, c, q, t) for q, t in zip(traj.q, traj.times)])
-    dS = np.array([model.grad(t, y)[2 * model.n] for t, y in zip(traj.times, traj.flat())])
+    dS = rowwise(model.grad, traj.times, traj.flat())[:, 2 * model.n]
     dt2 = traj.times[2:] - traj.times[:-2]
     bdot = (b[2:] - b[:-2]) / dt2[:, None]
     return bdot + dS[1:-1, None] * b[1:-1]

@@ -37,6 +37,27 @@ def central_difference(f, z) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+def _per_element(f, x):
+    """f(x) for a float x, else f of each float of x in x's shape: libm, not SIMD."""
+    if isinstance(x, float):
+        return f(x)
+    return np.array([f(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def rowwise(fn, t, Y):
+    """fn(t, Y) on a block of rows as a loop over them would give it: inf and NaN
+    arise silently, as in floats, and a failing block raises the error of its
+    first row that fails alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return fn(t, Y)
+        except Exception:
+            ts = np.broadcast_to(t, (len(Y),)) if np.ndim(t) else None
+            for i in range(len(Y)):
+                fn(t if ts is None else ts[i:i + 1], Y[i:i + 1])
+            raise
+
+
 def _readonly(a) -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.ndim == 0:
@@ -117,25 +138,23 @@ def make_state(q, p, S=0.0, t=0.0) -> ExtendedState:
 class HamiltonianModel:
     """Descriptor of a contact Hamiltonian H(q, p, S, t).
 
-    At y = [q, p, S], ``value(t, y)`` is H, ``grad(t, y)`` is [dH/dq, dH/dp,
-    dH/dS, dH/dt] and ``field(t, y)`` is the (q, p, S) components of the
-    contact vector field as a float sequence, which is what the integrators
-    call.  At z = [y, J row-major], with J a (2n+1) x (2n+1) matrix,
-    ``tangent_rhs(t, z)`` is the flat float sequence [field(t, y), A J] of
-    the flow and its variational equations, A = d(field)/dy, which `integrate`
-    solves for the volume checks; its first 2n+1 entries are ``field(t, y)``
-    bit for bit.  The built-ins give ``field`` in closed form and
-    ``tangent_rhs`` in straight-line floats from one jet per call, which
-    repeats the field's operations and adds the symbolic second derivatives;
-    `make_custom` builds the field from ``value`` and ``grad``,
-    and A by `_contact_jacobian` from ``grad`` and a central-difference Hessian.
-    All four are unvalidated: a non-finite field is left to the integrator,
-    which rejects the step.  ``evaluate`` and ``partials`` validate.
+    On k rows Y = [q, p, S], shape (k, 2n+1), at t scalar or of shape (k,),
+    ``value(t, Y)`` is H, shape (k,), and ``grad(t, Y)`` [dH/dq, dH/dp, dH/dS,
+    dH/dt] per row.  At one point y, ``field(t, y)`` is the (q, p, S) contact
+    vector field as a float sequence, which the integrators call, and at z =
+    [y, J row-major], J (2n+1) x (2n+1), ``tangent_rhs(t, z)`` is [field(t, y),
+    A J], A = d(field)/dy, its first 2n+1 entries ``field(t, y)`` bit for bit.
+    The built-ins give ``field`` in closed form and ``tangent_rhs`` in floats
+    from one jet per call that repeats the field's operations and adds the
+    symbolic second derivatives; `make_custom` builds all four from per-point
+    callables, A by `_contact_jacobian` of the gradient and a central-difference
+    Hessian.  All four are unvalidated (a non-finite field is left to the
+    integrator); ``evaluate`` and ``partials`` call them on one row and validate.
     """
 
     n: int
-    value: Callable[[float, np.ndarray], float]
-    grad: Callable[[float, np.ndarray], np.ndarray]
+    value: Callable[[Any, np.ndarray], np.ndarray]
+    grad: Callable[[Any, np.ndarray], np.ndarray]
     field: Callable[[float, np.ndarray], Sequence[float]]
     tangent_rhs: Callable[[float, np.ndarray], Sequence[float]]
     name: str = "custom"
@@ -150,7 +169,7 @@ class HamiltonianModel:
     def evaluate(self, x: ExtendedState) -> float:
         """Value of the contact Hamiltonian at x; pure and side-effect free."""
         self.check_dimensions(x)
-        v = float(self.value(x.t, x.flat()))
+        v = float(rowwise(self.value, x.t, x.flat()[None])[0])
         if not math.isfinite(v):
             raise NonFiniteError(f"model '{self.name}' is non-finite at {x!r}")
         return v
@@ -159,7 +178,7 @@ class HamiltonianModel:
         """First partials [dH/dq, dH/dp, dH/dS, dH/dt] of the contact
         Hamiltonian at x, a fresh (2n+2,) array; all entries are finite."""
         self.check_dimensions(x)
-        g = np.array(self.grad(x.t, x.flat()), dtype=float)
+        g = np.array(rowwise(self.grad, x.t, x.flat()[None])[0], dtype=float)
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"model '{self.name}' has non-finite partials at {x!r}: {g}")
         return g
@@ -198,7 +217,16 @@ def _contact_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np
 # sign of a zero.  H's terms come before dH's, so the first domain error is
 # the one `value` would raise.  dH/dt is not needed and not evaluated.  Each
 # `jet` repeats its `field` and then takes the second derivatives, so the
-# tangent's first rows and first error are the field's.
+# tangent's first rows and first error are the field's.  `value` and `grad`
+# take the same operations on columns, with V, V', omega and exp per element.
+
+
+def _columns(k: int, *cols) -> np.ndarray:
+    """The (k, len(cols)) array with these columns; a scalar fills its column."""
+    out = np.empty((k, len(cols)))
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    return out
 
 
 def _check_mass_and_damping(m: float, gamma: float):
@@ -231,13 +259,13 @@ def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     _check_mass_and_damping(m, gamma)
     Vfn = as_expression(V, "q", "V")
 
-    def value(t, y) -> float:
-        q, p, S = y.tolist()
-        return p * p / (2.0 * m) + Vfn(q) + gamma * S
+    def value(t, Y) -> np.ndarray:
+        q, p, S = Y.T
+        return p * p / (2.0 * m) + _per_element(Vfn, q) + gamma * S
 
-    def grad(t, y) -> np.ndarray:
-        q, p, _ = y.tolist()
-        return np.array([Vfn.derivative(q), p / m, gamma, 0.0])
+    def grad(t, Y) -> np.ndarray:
+        q, p, _ = Y.T
+        return _columns(len(Y), _per_element(Vfn.derivative, q), p / m, gamma, 0.0)
 
     def field(t, y) -> list:
         q, p, S = y.tolist()
@@ -268,16 +296,16 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
     _check_mass_and_damping(m, gamma)
     wfn = as_expression(omega, "t", "omega")
 
-    def value(t, y) -> float:
-        q, p, S = y.tolist()
-        w = wfn(t)
+    def value(t, Y) -> np.ndarray:
+        q, p, S = Y.T
+        w = _per_element(wfn, t)
         return p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * S
 
-    def grad(t, y) -> np.ndarray:
-        q, p, _ = y.tolist()
-        w = wfn(t)
-        dt = m * w * wfn.derivative(t) * q * q
-        return np.array([m * w * w * q, p / m, gamma, dt])
+    def grad(t, Y) -> np.ndarray:
+        q, p, _ = Y.T
+        w = _per_element(wfn, t)
+        dt = m * w * _per_element(wfn.derivative, t) * q * q
+        return _columns(len(Y), m * w * w * q, p / m, gamma, dt)
 
     def field(t, y) -> list:
         q, p, S = y.tolist()
@@ -310,7 +338,7 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
     _check_mass_and_damping(m, gamma)
     Vfn = as_expression(V, "q", "V")
 
-    def factors(t):
+    def factor(t):
         """(e^{-gamma t}, e^{gamma t}); an overflow names the model, key and time."""
         try:
             return math.exp(-gamma * t), math.exp(gamma * t)
@@ -318,26 +346,32 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
             raise OverflowError(f"caldirola_kanai: e^(±gamma t) with model.gamma = {gamma!r} "
                                 f"overflows at t={t!r}: {exc}") from None
 
-    def value(t, y) -> float:
-        q, p, _ = y.tolist()
-        em, ep = factors(t)
-        return em * p * p / (2.0 * m) + ep * Vfn(q)
+    def factors(t):
+        """`factor` at a float t, or at each element of an array t as two arrays."""
+        if isinstance(t, float):
+            return factor(t)
+        return tuple(np.array([factor(x) for x in np.ravel(t).tolist()]).reshape(-1, 2).T)
 
-    def grad(t, y) -> np.ndarray:
-        q, p, _ = y.tolist()
+    def value(t, Y) -> np.ndarray:
+        q, p, _ = Y.T
         em, ep = factors(t)
-        dt = -gamma * em * p * p / (2.0 * m) + gamma * ep * Vfn(q)
-        return np.array([ep * Vfn.derivative(q), em * p / m, 0.0, dt])
+        return em * p * p / (2.0 * m) + ep * _per_element(Vfn, q)
+
+    def grad(t, Y) -> np.ndarray:
+        q, p, _ = Y.T
+        em, ep = factors(t)
+        dt = -gamma * em * p * p / (2.0 * m) + gamma * ep * _per_element(Vfn, q)
+        return _columns(len(Y), ep * _per_element(Vfn.derivative, q), em * p / m, 0.0, dt)
 
     def field(t, y) -> list:
         q, p, S = y.tolist()
-        em, ep = factors(t)
+        em, ep = factor(t)
         h = em * p * p / (2.0 * m) + ep * Vfn(q)
         dH_dp = em * p / m
         return [dH_dp, -(ep * Vfn.derivative(q)) - p * 0.0, p * dH_dp - h]
 
     def jet(t, q, p, S) -> tuple:
-        em, ep = factors(t)
+        em, ep = factor(t)
         h = em * p * p / (2.0 * m) + ep * Vfn(q)
         dH_dp, H_q = em * p / m, ep * Vfn.derivative(q)
         return (dH_dp, -H_q - p * 0.0, p * dH_dp - h,
@@ -352,11 +386,11 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
 
 def make_custom(n: int, value, grad=None, name: str = "custom",
                 params: Optional[Mapping[str, Any]] = None) -> HamiltonianModel:
-    """Wrap callables of (t, y), y = [q, p, S], as a model: ``value`` is H and
-    ``grad`` [dH/dq, dH/dp, dH/dS, dH/dt], central differences of ``value`` when
-    None.  The field is `_contact_field` of value and gradient; the tangent
-    right-hand side multiplies J by `_contact_jacobian` of the gradient and a
-    central-difference Hessian, in numpy."""
+    """Wrap per-point callables of (t, y), y = [q, p, S], as a model: ``value`` is
+    H and ``grad`` [dH/dq, dH/dp, dH/dS, dH/dt], central differences of ``value``
+    when None; the model's ``value`` and ``grad`` call them per row, t a float.
+    The field is `_contact_field` of value and gradient; the tangent multiplies
+    J by `_contact_jacobian` of the gradient and a central-difference Hessian."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     n = int(n)
@@ -383,7 +417,14 @@ def make_custom(n: int, value, grad=None, name: str = "custom",
                             central_difference(lambda w: gradient(t, w)[:d], y))
         return np.concatenate([field(t, y), (A @ z[d:].reshape(d, d)).ravel()])
 
+    def per_row(f, *shape):
+        def block(t, Y) -> np.ndarray:
+            ts = np.broadcast_to(t, (len(Y),)).tolist()
+            return np.array([f(s, y) for s, y in zip(ts, Y)], dtype=float).reshape(len(Y), *shape)
+        return block
+
     return HamiltonianModel(
-        n=n, value=value, grad=gradient, field=field, tangent_rhs=tangent_rhs,
+        n=n, value=per_row(value), grad=per_row(gradient, 2 * n + 2), field=field,
+        tangent_rhs=tangent_rhs,
         name=name, params=dict(params or {}),
     )

@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import IntegratorOptions, _integrate_flat
 from .errors import BranchError, DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
 from .expressions import as_expression
-from .model import FD_STEP, ExtendedState
+from .model import FD_STEP, ExtendedState, _per_element
 
 SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
@@ -39,14 +39,6 @@ def _solve(rhs, y0, grid, event, event_error) -> tuple:
     ys = _integrate_flat(rhs, np.asarray(y0, dtype=float), float(ts[0]), float(ts[-1]),
                          SOLVER_OPTIONS, ts, event=event, event_error=event_error)
     return ts, ys.T
-
-
-def _per_element(f, x):
-    """f(x) for a float x, else f of each element of x as a float, in the shape of x:
-    so powers and exponentials are the C library's, not numpy's SIMD-dependent ones."""
-    if isinstance(x, float):
-        return f(x)
-    return np.array([f(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 def _check_grid(grid) -> np.ndarray:

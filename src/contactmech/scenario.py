@@ -6,14 +6,14 @@ paths.  `_GRAMMAR` is the grammar: one ordered row per key gives the field
 it fills, its type and its default, or that it is required, and both
 `parse_scenario` and `serialize_scenario` walk it.  Parsing is strict:
 unknown sections (``[DEFAULT]`` included) or keys, duplicates, values continued
-onto a second line, output names other than one plain file name and
-constraint violations are rejected eagerly with their key path, so that
-scenario files double as regression fixtures.
+onto a second line, lines that are not ``[section]``, ``key = value``, blank or
+a comment, output names other than one plain file name and constraint
+violations are rejected eagerly with their key path, so that scenario files
+double as regression fixtures.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from dataclasses import dataclass, fields
@@ -146,24 +146,42 @@ _KEYS = {section: {key for s, key, *_ in _GRAMMAR if s == section} for section, 
 _OPTIONS = frozenset(f.name for f in fields(IntegratorOptions))
 
 
+def _read_lines(text: str) -> dict:
+    """{section: {key: raw value}} of text split at line feeds.  Stripped, a line
+    is blank, a comment (# or ;), ``[section]`` or ``key = value``, split at the
+    first "=".  A line indented deeper than the key line before it, blank and
+    comment lines aside, would continue that value onto a second line."""
+    sections, section, key, indent = {}, None, None, 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            _err(f"{section}.{key}", "a value must be on one line")
+        if len(stripped) > 2 and stripped[0] == "[" and stripped[-1] == "]":
+            section, key = stripped[1:-1], None
+            if section not in _KEYS or section in sections:
+                _err(section, "unknown section" if section not in _KEYS
+                     else f"duplicate section (line {lineno})")
+            sections[section] = {}
+            continue
+        name, eq, raw = stripped.partition("=")
+        name = name.rstrip()
+        if section is None:
+            _err(f"line {lineno}", f"expected a [section] header, got {stripped!r}")
+        if not (eq and name):
+            _err(section, f"line {lineno} is not 'key = value': {stripped!r}")
+        if name not in _KEYS[section] or name in sections[section]:
+            _err(f"{section}.{name}", "unknown key" if name not in _KEYS[section]
+                 else f"duplicate key (line {lineno})")
+        sections[section][name], key, indent = raw.strip(), name, depth
+    return sections
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario from its file contents."""
-    # no header can name a section "\n", so [DEFAULT] is an unknown section
-    cp = configparser.ConfigParser(strict=True, interpolation=None, default_section="\n")
-    cp.optionxform = str
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ScenarioError(f"malformed scenario file: {exc}") from exc
-    sections = {name: dict(cp.items(name, raw=True)) for name in cp.sections()}
-
-    for section, keys in sections.items():
-        if section not in _KEYS:
-            _err(section, "unknown section")
-        for key in keys:
-            if key not in _KEYS[section]:
-                _err(f"{section}.{key}", "unknown key")
-
+    sections = _read_lines(text)
     values = {}
     for path, section, key, field, (read, _), default in _WALK:
         raw = sections[section].get(key) if section in sections else None
@@ -174,8 +192,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 _err(path, "missing required key")
             if default is not _OWN:
                 values[field] = default
-        elif "\n" in raw:  # a continuation line would not survive serialize_scenario
-            _err(path, "a value must be on one line")
         else:
             values[field] = read(raw, path)
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, NonFiniteError, SingularChartError,
                      UnsupportedModelError)
-from .model import ExtendedState, HamiltonianModel, central_difference, make_custom
+from .model import (ExtendedState, HamiltonianModel, _columns, _per_element,
+                    central_difference, make_custom, rowwise)
 
 DEFAULT_VERIFY_TOL = 1e-8
 
@@ -34,18 +35,21 @@ DEFAULT_VERIFY_TOL = 1e-8
 class ContactMap:
     """A coordinate map of the extended contact phase space (t is preserved).
 
-    As a model's, its closures act unvalidated on the flat point y = [q, p, S] at
-    time t.  ``forward`` and ``inverse`` give the image [Q, P, S~] as an array;
-    ``jacobian`` gives ``(J, dT)``, J = d(Q, P, S~)/d(q, p, S) in that row/column
-    order and dT = d(Q, P, S~)/dt, or `fd_jacobian` when None.  ``probes`` are rows
-    (q, p, S, t).  ``apply``, ``apply_inverse``, ``jacobian_at`` check their state.
+    Its closures act unvalidated on k flat points Y = [q, p, S], shape (k, 2n+1),
+    at k times t.  ``forward`` and ``inverse`` give the images [Q, P, S~], like Y;
+    ``jacobian`` gives ``(J, dT)``, J = d(Q, P, S~)/d(q, p, S) of shape (k, 2n+1,
+    2n+1) and dT = d(Q, P, S~)/dt like Y, or `fd_jacobian` per point when None;
+    ``declared_f`` gives f, shape (k,).  ``probes`` are rows (q, p, S, t).
+    ``apply``, ``apply_inverse`` and ``jacobian_at`` call them on one row and
+    check their state.
     """
 
     n: int
-    forward: Callable[[float, np.ndarray], np.ndarray]
-    inverse: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    jacobian: Optional[Callable[[float, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
-    declared_f: Optional[Callable[[float, np.ndarray], float]] = None
+    forward: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    inverse: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    jacobian: Optional[Callable[[np.ndarray, np.ndarray],
+                                Tuple[np.ndarray, np.ndarray]]] = None
+    declared_f: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "map"
     probes: Optional[np.ndarray] = None
 
@@ -55,27 +59,33 @@ class ContactMap:
 
     def apply(self, x: ExtendedState) -> ExtendedState:
         self._check(x)
-        return ExtendedState.from_flat(self.forward(x.t, x.flat()), self.n, x.t)
+        return ExtendedState.from_flat(self.forward(np.array([x.t]), x.flat()[None])[0],
+                                       self.n, x.t)
 
     def apply_inverse(self, y: ExtendedState) -> ExtendedState:
         if self.inverse is None:
             raise UnsupportedModelError(f"map '{self.name}' has no inverse")
         self._check(y)
-        return ExtendedState.from_flat(self.inverse(y.t, y.flat()), self.n, y.t)
+        return ExtendedState.from_flat(self.inverse(np.array([y.t]), y.flat()[None])[0],
+                                       self.n, y.t)
 
     def jacobian_at(self, x: ExtendedState) -> Tuple[np.ndarray, np.ndarray]:
         self._check(x)
-        return _jacobian(self, x.t, x.flat())
+        J, dT = _jacobian(self, np.array([x.t]), x.flat()[None])
+        return J[0], dT[0]
 
 
-def _jacobian(cmap: ContactMap, t: float, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return cmap.jacobian(t, y) if cmap.jacobian is not None else fd_jacobian(cmap, t, y)
+def _jacobian(cmap: ContactMap, t: np.ndarray, Y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    if cmap.jacobian is not None:
+        return cmap.jacobian(t, Y)
+    J, dT = zip(*(fd_jacobian(cmap, s, y) for s, y in zip(t.tolist(), Y)))
+    return np.array(J), np.array(dT)
 
 
 def fd_jacobian(cmap: ContactMap, t: float, y) -> Tuple[np.ndarray, np.ndarray]:
-    """Central finite differences of the forward map over (q, p, S) and t."""
+    """Central finite differences of the forward map over (q, p, S) and t at y, t."""
     d = 2 * cmap.n + 1
-    J = central_difference(lambda z: cmap.forward(float(z[d]), z[:d]), np.append(y, t))
+    J = central_difference(lambda z: cmap.forward(z[d:], z[None, :d])[0], np.append(y, t))
     return J[:, :d], J[:, d]
 
 
@@ -116,7 +126,11 @@ def conformal_factor(cmap: ContactMap, x: ExtendedState) -> float:
     return float(_conditions(J[None], x.p[None], cmap.apply(x).p[None])[0][0])
 
 
-def _require_finite(cmap: ContactMap, what: str, values: np.ndarray, rows: np.ndarray):
+def _require_finite(cmap: ContactMap, what: str, values: np.ndarray, rows: np.ndarray,
+                    shape: Tuple[int, ...] = ()):
+    if shape and values.shape != shape:
+        raise DimensionMismatchError(f"map '{cmap.name}' gives its {what} block the shape "
+                                     f"{values.shape}, expected {shape}")
     bad = ~np.isfinite(values.reshape(len(rows), -1)).all(axis=1)
     if bad.any():
         raise NonFiniteError(f"map '{cmap.name}' has a non-finite {what} at "
@@ -126,10 +140,10 @@ def _require_finite(cmap: ContactMap, what: str, values: np.ndarray, rows: np.nd
 def verify(cmap: ContactMap, points, tol: float = DEFAULT_VERIFY_TOL) -> TransformReport:
     """Check the contact conditions at k points, a (k, 2n+2) array of rows (q, p, S, t).
 
-    The closures are called once per row; the conditions are one array pass.  A
-    non-finite row, image or Jacobian is a `NonFiniteError` naming the map.  Passes
-    iff every residual, and |f - declared_f| when declared, is below tol (a NaN
-    fails) and |f| > tol everywhere.
+    Each closure is called once on all the rows, by `rowwise`; the conditions are
+    one array pass.  A non-finite row, image or Jacobian is a `NonFiniteError`
+    naming the map and the first such row.  Passes iff every residual, and
+    |f - declared_f| when declared, is below tol (a NaN fails) and |f| > tol.
     """
     rows = np.asarray(points, dtype=float)
     if len(rows) == 0:
@@ -139,16 +153,17 @@ def verify(cmap: ContactMap, points, tol: float = DEFAULT_VERIFY_TOL) -> Transfo
         raise DimensionMismatchError(f"map '{cmap.name}' needs rows (q, p, S, t) of width "
                                      f"{2 * n + 2}, got shape {rows.shape}")
     _require_finite(cmap, "point", rows, rows)
-    at = list(zip(rows[:, -1].tolist(), rows[:, :-1]))
-    images = np.array([cmap.forward(t, y) for t, y in at], dtype=float)
-    _require_finite(cmap, "image", images, rows)
-    J = np.array([_jacobian(cmap, t, y)[0] for t, y in at], dtype=float)
-    _require_finite(cmap, "Jacobian", J, rows)
+    k, d = len(rows), 2 * n + 1
+    ts, Y = rows[:, -1], rows[:, :-1]
+    images = np.asarray(rowwise(cmap.forward, ts, Y), dtype=float)
+    _require_finite(cmap, "image", images, rows, (k, d))
+    J = np.asarray(rowwise(lambda t, Y: _jacobian(cmap, t, Y), ts, Y)[0], dtype=float)
+    _require_finite(cmap, "Jacobian", J, rows, (k, d, d))
     fs, rq, rp = _conditions(J, rows[:, n:2 * n], images[:, n:2 * n])
     residuals = [rq.ravel(), rp.ravel()]
     declared = None
     if cmap.declared_f is not None:
-        declared = np.abs(fs - np.array([cmap.declared_f(t, y) for t, y in at], dtype=float))
+        declared = np.abs(fs - rowwise(cmap.declared_f, ts, Y))
         residuals.append(declared)
     max_res = float(np.max(np.abs(np.concatenate(residuals))))
     passed = bool(max_res < tol and np.min(np.abs(fs)) > tol)
@@ -195,10 +210,12 @@ def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel) -> Hamilt
     n = cmap.n
 
     def value(t, Y) -> float:
-        y = cmap.inverse(t, Y)
-        J, dT = _jacobian(cmap, t, y)
-        f = _conditions(J[None], y[None, n:2 * n], cmap.forward(t, y)[None, n:2 * n])[0][0]
-        return f * model.value(t, y) - dT[2 * n] + float(np.dot(Y[n:2 * n], dT[:n]))
+        ts = np.array([t], dtype=float)
+        y = cmap.inverse(ts, Y[None])
+        J, dT = _jacobian(cmap, ts, y)
+        f = _conditions(J, y[:, n:2 * n], cmap.forward(ts, y)[:, n:2 * n])[0][0]
+        return (f * rowwise(model.value, t, y)[0] - dT[0, 2 * n]
+                + float(np.dot(Y[n:2 * n], dT[0, :n])))
 
     return make_custom(n, value, name=f"pushforward[{cmap.name}]({model.name})",
                        params={"map": cmap.name, "base": model.name})
@@ -209,25 +226,25 @@ def compose(outer: ContactMap, inner: ContactMap, name: Optional[str] = None) ->
     if outer.n != inner.n:
         raise DimensionMismatchError("composed maps must share n")
 
-    def forward(t, y):
-        return outer.forward(t, inner.forward(t, y))
+    def forward(t, Y):
+        return outer.forward(t, inner.forward(t, Y))
 
     inv = None
     if outer.inverse is not None and inner.inverse is not None:
-        def inv(t, y):
-            return inner.inverse(t, outer.inverse(t, y))
+        def inv(t, Y):
+            return inner.inverse(t, outer.inverse(t, Y))
 
     jac = None
     if outer.jacobian is not None and inner.jacobian is not None:
-        def jac(t, y):
-            J1, dT1 = inner.jacobian(t, y)
-            J2, dT2 = outer.jacobian(t, inner.forward(t, y))
-            return J2 @ J1, J2 @ dT1 + dT2
+        def jac(t, Y):
+            J1, dT1 = inner.jacobian(t, Y)
+            J2, dT2 = outer.jacobian(t, inner.forward(t, Y))
+            return J2 @ J1, (J2 @ dT1[..., None])[..., 0] + dT2
 
     decl = None
     if outer.declared_f is not None and inner.declared_f is not None:
-        def decl(t, y):
-            return outer.declared_f(t, inner.forward(t, y)) * inner.declared_f(t, y)
+        def decl(t, Y):
+            return outer.declared_f(t, inner.forward(t, Y)) * inner.declared_f(t, Y)
 
     return ContactMap(n=inner.n, forward=forward, inverse=inv, jacobian=jac,
                       declared_f=decl,
@@ -238,18 +255,28 @@ def compose(outer: ContactMap, inner: ContactMap, name: Optional[str] = None) ->
 # ---------------------------------------------------------------------------
 # Built-in maps
 # ---------------------------------------------------------------------------
+#
+# Each closure is the per-point formula on columns: +, -, * and / round alike
+# in numpy and in floats, and exp, atan, cos, sin and every power go through
+# `_per_element`, so each row is bit for bit the one-row call's.  A Jacobian is
+# its nine entries as columns, row by row, reshaped.
+
+
+def _exp(c: float, t) -> np.ndarray:
+    """e^{c t} per element of t."""
+    return _per_element(lambda x: math.exp(c * x), t)
+
 
 def map_identity(n: int = 1) -> ContactMap:
     """The identity map; conformal factor 1 (canonical case)."""
     d = 2 * n + 1
     eye = np.eye(d)
-    zero = np.zeros(d)
     return ContactMap(
         n=n,
-        forward=lambda t, y: y,
-        inverse=lambda t, y: y,
-        jacobian=lambda t, y: (eye.copy(), zero.copy()),
-        declared_f=lambda t, y: 1.0,
+        forward=lambda t, Y: Y,
+        inverse=lambda t, Y: Y,
+        jacobian=lambda t, Y: (np.tile(eye, (len(Y), 1, 1)), np.zeros((len(Y), d))),
+        declared_f=lambda t, Y: np.ones(len(Y)),
         name="identity",
     )
 
@@ -264,20 +291,21 @@ def map_ck(m: float, gamma: float) -> ContactMap:
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
 
-    def forward(t, y):
-        e = math.exp(gamma * t)
-        return y * [1.0, e, e]
+    def forward(t, Y):
+        e = _exp(gamma, t)
+        return Y * _columns(len(Y), 1.0, e, e)
 
-    def inverse(t, y):
-        e = math.exp(-gamma * t)
-        return y * [1.0, e, e]
+    def inverse(t, Y):
+        e = _exp(-gamma, t)
+        return Y * _columns(len(Y), 1.0, e, e)
 
-    def jacobian(t, y):
-        e = math.exp(gamma * t)
-        return np.diag([1.0, e, e]), np.array([0.0, gamma * e * y[1], gamma * e * y[2]])
+    def jacobian(t, Y):
+        e, k = _exp(gamma, t), len(Y)
+        return (_columns(k, 1.0, 0.0, 0.0, 0.0, e, 0.0, 0.0, 0.0, e).reshape(k, 3, 3),
+                _columns(k, 0.0, gamma * e * Y[:, 1], gamma * e * Y[:, 2]))
 
     return ContactMap(n=1, forward=forward, inverse=inverse, jacobian=jacobian,
-                      declared_f=lambda t, y: math.exp(gamma * t), name="ck")
+                      declared_f=lambda t, Y: _exp(gamma, t), name="ck")
 
 
 def map_expanding(m: float, gamma: float) -> ContactMap:
@@ -291,36 +319,34 @@ def map_expanding(m: float, gamma: float) -> ContactMap:
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
 
-    def forward(t, y):
-        q, p, S = y.tolist()
-        eh, e1 = math.exp(gamma * t / 2), math.exp(gamma * t)
-        return np.array([q * eh, (p + 0.5 * m * gamma * q) * eh,
-                         (S + 0.25 * m * gamma * q * q) * e1])
+    def halves(sign, t):
+        """(e^{sign gamma t / 2}, e^{sign gamma t}) per element of t."""
+        return _per_element(lambda x: math.exp(sign * gamma * x / 2), t), _exp(sign * gamma, t)
 
-    def inverse(t, y):
-        Q, P, St = y.tolist()
-        eh, e1 = math.exp(-gamma * t / 2), math.exp(-gamma * t)
+    def forward(t, Y):
+        q, p, S = Y.T
+        eh, e1 = halves(1.0, t)
+        return _columns(len(Y), q * eh, (p + 0.5 * m * gamma * q) * eh,
+                        (S + 0.25 * m * gamma * q * q) * e1)
+
+    def inverse(t, Y):
+        Q, P, St = Y.T
+        eh, e1 = halves(-1.0, t)
         q = Q * eh
-        return np.array([q, P * eh - 0.5 * m * gamma * q,
-                         St * e1 - 0.25 * m * gamma * q * q])
+        return _columns(len(Y), q, P * eh - 0.5 * m * gamma * q,
+                        St * e1 - 0.25 * m * gamma * q * q)
 
-    def jacobian(t, y):
-        q, p, S = y.tolist()
-        eh, e1 = math.exp(gamma * t / 2), math.exp(gamma * t)
-        J = np.array([
-            [eh, 0.0, 0.0],
-            [0.5 * m * gamma * eh, eh, 0.0],
-            [0.5 * m * gamma * q * e1, 0.0, e1],
-        ])
-        dT = np.array([
-            0.5 * gamma * q * eh,
-            0.5 * gamma * (p + 0.5 * m * gamma * q) * eh,
-            gamma * (S + 0.25 * m * gamma * q * q) * e1,
-        ])
-        return J, dT
+    def jacobian(t, Y):
+        (q, p, S), (eh, e1), k = Y.T, halves(1.0, t), len(Y)
+        J = _columns(k, eh, 0.0, 0.0,
+                     0.5 * m * gamma * eh, eh, 0.0,
+                     0.5 * m * gamma * q * e1, 0.0, e1)
+        dT = _columns(k, 0.5 * gamma * q * eh, 0.5 * gamma * (p + 0.5 * m * gamma * q) * eh,
+                      gamma * (S + 0.25 * m * gamma * q * q) * e1)
+        return J.reshape(k, 3, 3), dT
 
     return ContactMap(n=1, forward=forward, inverse=inverse, jacobian=jacobian,
-                      declared_f=lambda t, y: math.exp(gamma * t), name="expanding")
+                      declared_f=lambda t, Y: _exp(gamma, t), name="expanding")
 
 
 def map_invariants(m: float, gamma: float, erm) -> ContactMap:
@@ -341,32 +367,33 @@ def map_invariants(m: float, gamma: float, erm) -> ContactMap:
         a = erm.alpha(t)
         return a, erm.alpha_dot(t) - 0.5 * gamma * a
 
-    def forward(t, y):
-        q, p, S = y.tolist()
-        if q == 0.0:
+    def forward(t, Y):
+        q, p, S = Y.T
+        if (q == 0.0).any():
             raise SingularChartError("invariants chart is singular at q = 0")
         a, u = _au(t)
         w = a * u - a * a * p / (m * q)
         A = a * p / m - u * q
-        e = math.exp(gamma * t)
-        I = 0.5 * m * e * (A * A + (q / a) ** 2)
+        e = _exp(gamma, t)
+        I = 0.5 * m * e * (A * A + _per_element(lambda x: x ** 2, q / a))
         G = e * (S - 0.5 * q * p)
-        return np.array([math.atan(w), I, G])
+        return _columns(len(Y), _per_element(math.atan, w), I, G)
 
-    def inverse(t, y):
-        phi, I, G = y.tolist()
-        if I < 0:
+    def inverse(t, Y):
+        phi, I, G = Y.T
+        if (I < 0).any():
             raise ValueError("the quadratic invariant is non-negative")
         a, u = _au(t)
-        eh = math.exp(-gamma * t / 2)
-        amp = math.sqrt(2.0 * I / m) * eh
-        q = amp * a * math.cos(phi)
-        p = math.sqrt(2.0 * m * I) * eh * (u * math.cos(phi) - math.sin(phi) / a)
-        return np.array([q, p, math.exp(-gamma * t) * G + 0.5 * q * p])
+        eh = _per_element(lambda x: math.exp(-gamma * x / 2), t)
+        amp = np.sqrt(2.0 * I / m) * eh
+        cos = _per_element(math.cos, phi)
+        q = amp * a * cos
+        p = np.sqrt(2.0 * m * I) * eh * (u * cos - _per_element(math.sin, phi) / a)
+        return _columns(len(Y), q, p, _exp(-gamma, t) * G + 0.5 * q * p)
 
-    def jacobian(t, y):
-        q, p, S = y.tolist()
-        if q == 0.0:
+    def jacobian(t, Y):
+        q, p, S = Y.T
+        if (q == 0.0).any():
             raise SingularChartError("invariants chart is singular at q = 0")
         a = erm.alpha(t)
         ad = erm.alpha_dot(t)
@@ -376,22 +403,22 @@ def map_invariants(m: float, gamma: float, erm) -> ContactMap:
         w = a * u - a * a * p / (m * q)
         D = 1.0 + w * w
         A = a * p / m - u * q
-        e = math.exp(gamma * t)
-        J = np.array([
-            [(a * a * p / (m * q * q)) / D, (-a * a / (m * q)) / D, 0.0],
-            [m * e * (-A * u + q / (a * a)), e * a * A, 0.0],
-            [-0.5 * e * p, -0.5 * e * q, e],
-        ])
+        e = _exp(gamma, t)
+        k = len(Y)
+        J = _columns(k, (a * a * p / (m * q * q)) / D, (-a * a / (m * q)) / D, 0.0,
+                     m * e * (-A * u + q / (a * a)), e * a * A, 0.0,
+                     -0.5 * e * p, -0.5 * e * q, e)
         wdot = ad * u + a * ud - 2.0 * a * ad * p / (m * q)
-        Idot = (gamma * 0.5 * m * e * (A * A + (q / a) ** 2)
-                + m * e * (A * (ad * p / m - ud * q) - q * q * ad / a ** 3))
-        dT = np.array([wdot / D, Idot, gamma * e * (S - 0.5 * q * p)])
-        return J, dT
+        Idot = (gamma * 0.5 * m * e * (A * A + _per_element(lambda x: x ** 2, q / a))
+                + m * e * (A * (ad * p / m - ud * q)
+                           - q * q * ad / _per_element(lambda x: x ** 3, a)))
+        dT = _columns(k, wdot / D, Idot, gamma * e * (S - 0.5 * q * p))
+        return J.reshape(k, 3, 3), dT
 
     t_lo, t_hi = erm.t_range
     ts = np.linspace(t_lo + 0.05 * (t_hi - t_lo), t_lo + 0.75 * (t_hi - t_lo), 8)
     k = np.arange(8)
     probes = np.column_stack([0.6 + 0.1 * k, 0.3 - 0.08 * k, 0.2 * k - 0.5, ts])
     return ContactMap(n=1, forward=forward, inverse=inverse, jacobian=jacobian,
-                      declared_f=lambda t, y: math.exp(gamma * t),
+                      declared_f=lambda t, Y: _exp(gamma, t),
                       name="invariants", probes=probes)

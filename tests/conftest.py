@@ -51,6 +51,23 @@ def ermakov_const(parametric_traj):
     return cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, parametric_traj.times)
 
 
+def assert_bits_equal(a, b):
+    """a and b are equal element by element, down to the sign of a zero."""
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def builtin_points():
+    """(t, y) points for n = 1 built-ins, with zeros of both signs in q, p and S."""
+    rng = np.random.default_rng(37)
+    points = [(0.0, np.array([0.0, -0.7, 0.3])), (1.5, np.array([0.0, 0.7, -0.3])),
+              (2.0, np.zeros(3)), (3.0, np.array([-0.0, -1.2, 0.0]))]
+    points += [(rng.uniform(0.0, 5.0), rng.uniform(-2, 2, 3)) for _ in range(40)]
+    points += [(rng.uniform(0.0, 5.0), np.array([0.0, -rng.uniform(0.1, 2), rng.uniform(-2, 2)]))
+               for _ in range(10)]
+    return points
+
+
 def random_rows(n_points, seed=0, t_range=(0.0, 5.0), q_range=(0.5, 1.5)):
     """(n_points, 4) rows (q, p, S, t), the sample `cm.verify` takes."""
     return np.random.default_rng(seed).uniform(

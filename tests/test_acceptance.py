@@ -261,7 +261,7 @@ def test_criterion_09_transformations():
     ident = cm.verify(cm.map_identity(1), pts)
     ident_exact = bool(np.all(ident.f_values == 1.0)) and ident.max_residual == 0.0
     planted = cm.ContactMap(
-        n=1, forward=lambda t, y: np.array([y[0], y[1] ** 2, y[2]]),
+        n=1, forward=lambda t, Y: np.column_stack([Y[:, 0], Y[:, 1] ** 2, Y[:, 2]]),
         name="planted")
     planted_fails = not cm.verify(planted, pts, tol=1e-8).passed
     passed = worst_res < 1e-8 and worst_f < 1e-8 and ident_exact and planted_fails

@@ -553,9 +553,9 @@ def test_a_non_finite_map_jacobian_is_an_integration_failure(tmp_path, capsys, m
     """A transform check whose map gives a NaN Jacobian exits 3, naming the map."""
     ck = transforms.map_ck(1.0, 0.1)
 
-    def jacobian(t, y):
-        J, dT = ck.jacobian(t, y)
-        J[2, 1] = np.nan
+    def jacobian(t, Y):
+        J, dT = ck.jacobian(t, Y)
+        J[:, 2, 1] = np.nan
         return J, dT
 
     nan_ck = transforms.ContactMap(n=1, forward=ck.forward, jacobian=jacobian, name="ck")

@@ -20,6 +20,8 @@ from contactmech.scenario import build_model, parse_scenario
 from contactmech.errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                                 UnsupportedModelError)
 
+from conftest import assert_bits_equal, builtin_points
+
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(p.stem for p in (ROOT / "scenarios").glob("*.ini"))
 
@@ -197,27 +199,29 @@ _BUILTINS = pytest.mark.parametrize("model", list(_BUILTIN_MODELS.values()),
                                     ids=list(_BUILTIN_MODELS))
 
 
-def _builtin_points():
-    """(t, y) points for n = 1 built-ins, with zeros of both signs in q, p and S."""
-    rng = np.random.default_rng(37)
-    points = [(0.0, np.array([0.0, -0.7, 0.3])), (1.5, np.array([0.0, 0.7, -0.3])),
-              (2.0, np.zeros(3)), (3.0, np.array([-0.0, -1.2, 0.0]))]
-    points += [(rng.uniform(0.0, 5.0), rng.uniform(-2, 2, 3)) for _ in range(40)]
-    points += [(rng.uniform(0.0, 5.0), np.array([0.0, -rng.uniform(0.1, 2), rng.uniform(-2, 2)]))
-               for _ in range(10)]
-    return points
-
-
 @_BUILTINS
 def test_builtin_field_is_the_generic_construction_bit_for_bit(model):
     """Each built-in's closed-form field against `_contact_field` of its value
     and gradient, down to the sign of a zero: at q = 0 with p < 0 and dH/dS =
     0, -dH/dq - p dH/dS is +0.0 where -dH/dq alone is -0.0."""
-    for t, y in _builtin_points():
+    for t, y in builtin_points():
         f = np.array(model.field(t, y))
-        generic = _contact_field(1, y, model.value(t, y), model.grad(t, y))
+        generic = _contact_field(1, y, model.value(t, y[None])[0], model.grad(t, y[None])[0])
         assert_array_equal(f, generic)
         assert_array_equal(np.signbit(f), np.signbit(generic))
+
+
+@_BUILTINS
+def test_builtin_value_and_grad_over_a_block_are_the_one_row_calls_bit_for_bit(model):
+    """``value`` and ``grad`` on all of `builtin_points` at once, with one time
+    per row or one time for the block, equal their one-row calls row by row,
+    down to the sign of a zero."""
+    points = builtin_points()
+    ts = np.array([t for t, _ in points])
+    Y = np.array([y for _, y in points])
+    for f in (model.value, model.grad):
+        assert_bits_equal(f(ts, Y), np.concatenate([f(t, y[None]) for t, y in points]))
+        assert_bits_equal(f(1.5, Y), np.concatenate([f(1.5, y[None]) for y in Y]))
 
 
 def _builtin_hessian(model, t, y):
@@ -240,8 +244,9 @@ def test_builtin_field_jacobian_is_the_chain_rule(model):
     value for value.  The signs of zeros are not held: the tangent sums
     products with the zero entries of J and A, where the generic A leaves
     those out or takes them from a matrix product."""
-    for t, y in _builtin_points():
-        generic = _contact_jacobian(1, y, model.grad(t, y), _builtin_hessian(model, t, y))
+    for t, y in builtin_points():
+        generic = _contact_jacobian(1, y, model.grad(t, y[None])[0],
+                                    _builtin_hessian(model, t, y))
         assert_array_equal(_tangent_A(model, t, y), generic)
 
 
@@ -261,7 +266,7 @@ def test_the_tangent_rhs_starts_with_the_field_bit_for_bit(model):
     zero, whatever J is: so the tangent cannot move the flow's own stages."""
     d = 2 * model.n + 1
     rng = np.random.default_rng(41)
-    points = _builtin_points() if model.n == 1 else \
+    points = builtin_points() if model.n == 1 else \
         [(0.0, np.zeros(d)), (1.0, np.array([0.0, -0.0, -0.7, 0.0, 0.3]))] \
         + [(rng.uniform(0.0, 5.0), rng.uniform(-2, 2, d)) for _ in range(20)]
     for t, y in points:
@@ -393,7 +398,7 @@ def test_the_n_plus_1_law_beyond_one_degree_of_freedom(n):
     dets = cache["dets"]
     assert dets[-1] < 0.5  # the check is not vacuous
 
-    dH_dS = np.array([model.grad(t, y)[2 * n] for t, y in zip(traj.times, traj.flat())])
+    dH_dS = model.grad(traj.times, traj.flat())[:, 2 * n]
     f = np.exp(-np.concatenate([[0.0], np.cumsum(np.diff(traj.times)
                                                  * (dH_dS[1:] + dH_dS[:-1]) / 2)]))
     assert_allclose(dets, [cm.volume_factor(fi, n) for fi in f], rtol=1e-5)
@@ -810,20 +815,24 @@ def test_an_ermakov_start_whose_alpha_to_the_minus_3_overflows_is_a_non_finite_f
         cm.solve_ermakov(1.0, 0.1, 1e-200, 0.0, np.linspace(0.0, 1.0, 11))
 
 
-def test_integrate_hands_value_and_grad_float_times(linear_model):
-    """The sample loop that fills H and div passes each time as a float."""
-    times = []
+def test_integrate_calls_value_and_grad_once_on_the_samples(linear_model):
+    """H and div come from one ``value`` and one ``grad`` call on all the
+    samples, with the sample times as one array."""
+    calls = []
 
     def recording(f):
-        def g(t, y):
-            times.append(t)
-            return f(t, y)
+        def g(t, Y):
+            calls.append((f, t, Y.shape))
+            return f(t, Y)
         return g
 
     model = dataclasses.replace(linear_model, value=recording(linear_model.value),
                                 grad=recording(linear_model.grad))
     traj = cm.integrate(model, cm.make_state(1.0, 0.0), 1.0)
-    assert len(times) == 2 * len(traj) and {type(t) for t in times} == {float}
+    assert [f for f, _, _ in calls] == [linear_model.value, linear_model.grad]
+    for _, t, shape in calls:
+        assert_array_equal(t, traj.times)
+        assert shape == (len(traj), 3)
 
 
 def test_adaptive_driver_terminal_event():

@@ -1,5 +1,7 @@
 """Contact Hamilton-Jacobi: residuals, the level function, characteristic recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,37 @@ def test_hj_residual_batch_dimensions():
         cm.hj_residual(model, short, [[0.1, 0.2, 0.3]], 1.0)
 
 
+def _counting(model, name, calls):
+    """The model with its block closure `name` recording the shape of each call."""
+    f = getattr(model, name)
+
+    def counted(t, Y):
+        calls.append(Y.shape)
+        return f(t, Y)
+    return dataclasses.replace(model, **{name: counted})
+
+
+def test_one_hj_residual_call_calls_value_once_on_its_points():
+    calls = []
+    model = _counting(cm.make_damped_parametric(1.0, 0.1, 1.0), "value", calls)
+    field = cm.principal_field_from_riccati(
+        1.0, cm.solve_riccati(1.0, 0.1, 0.4, np.linspace(0.0, 1.0, 51)))
+    res = cm.hj_residual(model, field, np.linspace(-2.0, 2.0, 50)[None, :], 0.5)
+    assert calls == [(50, 3)]
+    assert np.max(np.abs(res)) < 1e-8
+
+
+def test_a_non_finite_time_is_refused_before_the_field_is_called():
+    """The Riccati lookup would refuse t = nan as outside its solved range; the
+    residual's own error comes first."""
+    field = cm.principal_field_from_riccati(
+        1.0, cm.solve_riccati(1.0, 0.1, 0.4, np.linspace(0.0, 1.0, 51)))
+    model = cm.make_damped_parametric(1.0, 0.1, 1.0)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteError, match=f"^non-finite time t={t}$"):
+            cm.hj_residual(model, field, [0.5], t)
+
+
 @pytest.mark.parametrize("m,C0,q,omega,gamma", [
     (2.0, 0.7, 1.5, 1.0, 0.1),
     (0.5, -0.4, -0.8, 0.0, 0.3),
@@ -166,6 +199,14 @@ def test_verify_b_condition_free_particle(free_particle_setup):
     b = np.array([cm.characteristic_b(fam, [C0], traj.q[i], traj.times[i])[0]
                   for i in range(len(traj))])
     assert np.max(np.abs(b / b[0] - np.exp(-gamma * traj.times))) < 1e-6
+
+
+def test_verify_b_condition_calls_grad_once_on_the_samples(free_particle_setup):
+    model, traj, fam, gamma, m, C0 = free_particle_setup
+    calls = []
+    res = cm.verify_b_condition(_counting(model, "grad", calls), fam, [C0], traj)
+    assert calls == [(len(traj), 3)]
+    assert np.array_equal(res, cm.verify_b_condition(model, fam, [C0], traj))
 
 
 def test_verify_b_condition_conservative_constant():

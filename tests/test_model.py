@@ -75,7 +75,7 @@ def test_flag_contract_S_independent():
 def test_closed_form_partials_match_fd(factory):
     """Backbone oracle: ship analytic partials, check them against central FD."""
     model = factory()
-    fd_model = cm.make_custom(model.n, model.value)
+    fd_model = cm.make_custom(model.n, lambda t, y: model.value(t, y[None])[0])
     rng = np.random.default_rng(11)
     for _ in range(100):
         x = cm.make_state(rng.uniform(0.3, 2.0), rng.uniform(-2, 2),
@@ -115,7 +115,7 @@ def test_make_custom_examples():
 def test_a_custom_grad_of_the_wrong_length_names_the_model(n, length):
     model = cm.make_custom(n, lambda t, y: 0.0, lambda t, y: np.zeros(length), name="short")
     d = 2 * n + 1
-    for call, y in ((model.grad, np.zeros(d)), (model.field, np.zeros(d)),
+    for call, y in ((model.grad, np.zeros((1, d))), (model.field, np.zeros(d)),
                     (model.tangent_rhs, np.zeros(d + d * d))):
         with pytest.raises(DimensionMismatchError, match=f"'short' needs a grad of length "
                                                          f"{2 * n + 2}"):

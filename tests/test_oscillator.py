@@ -141,20 +141,28 @@ def _scenario_run(name):
                                                     config.t0), config.t_end, config.options)
 
 
-def test_per_point_checks_never_take_the_interpolants_array_path(monkeypatch):
-    """The invariants chart's verification (100 rows) and the contact HJ
-    residual look up the dense solutions one float time at a time."""
+def test_the_invariants_chart_looks_up_its_block_once_and_hj_per_float_time(monkeypatch):
+    """The invariants chart's verification of 100 rows looks up the dense
+    solutions on all its times at once: alpha and alpha' in ``forward``, and
+    alpha, alpha' and alpha'' in ``jacobian``.  The contact HJ residual looks
+    them up one float time at a time."""
     model, traj = _scenario_run("parametric_oscillator")
     erm = diagnostics._ermakov_for(model, traj, {})
     cmap = cm.map_invariants(model.params["m"], model.params["gamma"], erm)
     free_model, free_traj = _scenario_run("damped_free_particle")
+    shapes = []
+    at_array = CubicHermite._at_array
 
-    def forbidden(self, t):
-        raise AssertionError("an array lookup")
+    def counted(self, t):
+        shapes.append(np.shape(t))
+        return at_array(self, t)
 
-    monkeypatch.setattr(CubicHermite, "_at_array", forbidden)
+    monkeypatch.setattr(CubicHermite, "_at_array", counted)
     assert cm.verify(cmap, random_rows(100, t_range=erm.t_range)).passed
+    assert shapes == [(100,)] * 5
+    del shapes[:]
     assert diagnostics.check_hj_residual(free_model, free_traj, {})["passed"]
+    assert shapes == []
 
 
 def test_lewis_invariant_examples(ermakov_const):

@@ -71,7 +71,7 @@ def test_duplicate_key_rejected_with_position():
     bad = MINIMAL.replace("[initial]\nq = 1", "[initial]\nq = 1\nq = 2")
     with pytest.raises(ScenarioError) as err:
         cm.parse_scenario(bad)
-    assert "line" in str(err.value)  # configparser reports the line number
+    assert "line" in str(err.value)  # the reader reports the line number
 
 
 def test_missing_requirements():
@@ -219,6 +219,31 @@ def test_a_default_section_is_an_unknown_section(text):
     grammar has no such section."""
     with pytest.raises(ScenarioError, match="^DEFAULT: unknown section$"):
         cm.parse_scenario(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("q = 1\n" + MINIMAL, "line 1: expected a [section] header, got 'q = 1'"),
+    (MINIMAL.replace("q = 1", "q: 1"), "initial: line 8 is not 'key = value': 'q: 1'"),
+    (MINIMAL.replace("q = 1", "= 1"), "initial: line 8 is not 'key = value': '= 1'"),
+    (MINIMAL.replace("[initial]", "[initial] x"), "model: line 7 is not 'key = value'"),
+    (MINIMAL + "\n[model]\n", "model: duplicate section (line 14)"),
+    (MINIMAL.replace("[initial]\nq = 1", "[initial]\nq = 1\nq = 2"),
+     "initial.q: duplicate key (line 9)"),
+    (MINIMAL.replace("q = 1\n", "q = 1\n# a comment\n\n  2\n"),
+     "initial.q: a value must be on one line"),
+], ids=["key-before-header", "colon", "no-key", "header-junk", "duplicate-section",
+        "duplicate-key", "continued-past-a-comment"])
+def test_lines_outside_the_format_are_refused_with_their_place(text, message):
+    with pytest.raises(ScenarioError) as err:
+        cm.parse_scenario(text)
+    assert str(err.value).startswith(message)
+
+
+def test_comments_blank_lines_and_crlf_endings_are_read():
+    text = "# a scenario\n" + MINIMAL.replace("[initial]\n", "[initial]\n; the start\n\n   \n") \
+        .replace("m = 1", "m  =  1   ")
+    assert cm.parse_scenario(text) == cm.parse_scenario(MINIMAL)
+    assert cm.parse_scenario(text.replace("\n", "\r\n")) == cm.parse_scenario(MINIMAL)
 
 
 @pytest.mark.parametrize("key,raw", [

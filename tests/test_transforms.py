@@ -10,9 +10,10 @@ from numpy.testing import assert_allclose
 import contactmech as cm
 from contactmech.errors import (DimensionMismatchError, NonFiniteError, SingularChartError,
                                 UnsupportedModelError)
+from contactmech.model import rowwise
 from contactmech.transforms import fd_jacobian
 
-from conftest import random_rows, random_states
+from conftest import assert_bits_equal, builtin_points, random_rows, random_states
 
 
 def test_identity_map_verifies():
@@ -73,7 +74,7 @@ def test_non_contact_map_fails():
     """(q, p, S) -> (q, p^2, S) breaks the -f p condition at generic points."""
     bad = cm.ContactMap(
         n=1,
-        forward=lambda t, y: np.array([y[0], y[1] ** 2, y[2]]),
+        forward=lambda t, Y: np.column_stack([Y[:, 0], Y[:, 1] ** 2, Y[:, 2]]),
         name="planted",
     )
     rep = cm.verify(bad, random_rows(50, seed=10))
@@ -172,8 +173,8 @@ def test_pushforward_requires_inverse_and_contact(linear_model):
         cm.pushforward_hamiltonian(no_inv, linear_model)
     bad = cm.ContactMap(
         n=1,
-        forward=lambda t, y: np.array([y[0], y[1] ** 2, y[2]]),
-        inverse=lambda t, y: np.array([y[0], math.sqrt(abs(y[1])), y[2]]),
+        forward=lambda t, Y: np.column_stack([Y[:, 0], Y[:, 1] ** 2, Y[:, 2]]),
+        inverse=lambda t, Y: np.column_stack([Y[:, 0], np.sqrt(np.abs(Y[:, 1])), Y[:, 2]]),
         name="planted")
     with pytest.raises(ValueError):
         cm.pushforward_hamiltonian(bad, linear_model)
@@ -202,13 +203,13 @@ def test_canonical_specialization_symplectic_rotation():
     theta = 0.7
     c, s = math.cos(theta), math.sin(theta)
 
-    def fwd(t, y):
-        q, p, S = y
+    def fwd(t, Y):
+        q, p, S = Y.T
         Q = c * q + s * p
         P = -s * q + c * p
         # S~ = S - F1 with F1 the type-1 generating function of the rotation
         F1 = (2 * q * Q - c * (q * q + Q * Q)) / (2 * s)
-        return np.array([Q, P, S - F1])
+        return np.column_stack([Q, P, S - F1])
 
     rot = cm.ContactMap(n=1, forward=fwd, name="rotation")
     rep = cm.verify(rot, random_rows(30, seed=20), tol=1e-6)
@@ -216,7 +217,7 @@ def test_canonical_specialization_symplectic_rotation():
     assert np.max(np.abs(rep.f_values - 1.0)) < 1e-6
     # non-symplectic (q, p) part with untouched S fails
     squash = cm.ContactMap(
-        n=1, forward=lambda t, y: np.array([2 * y[0], y[1], y[2]]),
+        n=1, forward=lambda t, Y: np.column_stack([2 * Y[:, 0], Y[:, 1], Y[:, 2]]),
         name="squash")
     assert not cm.verify(squash, random_rows(30, seed=21), tol=1e-6).passed
 
@@ -250,20 +251,21 @@ def test_verify_validation(linear_model):
 def test_a_non_finite_jacobian_is_a_non_finite_error_naming_the_map():
     ck = cm.map_ck(1.0, 0.1)
 
-    def jacobian(t, y):
-        J, dT = ck.jacobian(t, y)
-        J[2, 1] = np.nan
+    def jacobian(t, Y):
+        J, dT = ck.jacobian(t, Y)
+        J[:, 2, 1] = np.nan
         return J, dT
 
     with pytest.raises(NonFiniteError, match="map 'ck' has a non-finite Jacobian"):
         cm.verify(dataclasses.replace(ck, jacobian=jacobian), random_rows(20, seed=30))
     with pytest.raises(NonFiniteError, match="map 'ck' has a non-finite image"):
-        cm.verify(dataclasses.replace(ck, forward=lambda t, y: np.array([y[0], np.inf, y[2]])),
+        cm.verify(dataclasses.replace(ck, forward=lambda t, Y: Y * [1.0, np.inf, 1.0]),
                   random_rows(20, seed=30))
 
 
 def test_a_nan_declared_factor_fails_verification():
-    rep = cm.verify(dataclasses.replace(cm.map_ck(1.0, 0.1), declared_f=lambda t, y: math.nan),
+    rep = cm.verify(dataclasses.replace(cm.map_ck(1.0, 0.1),
+                                        declared_f=lambda t, Y: np.full(len(Y), math.nan)),
                     random_rows(20, seed=31))
     assert not rep.passed
     assert math.isnan(rep.max_residual)
@@ -292,15 +294,15 @@ def _scaled_rotation(lam, theta=0.7):
     J = np.zeros((5, 5))
     J[:2, :2], J[2:4, 2:4], J[4, 4] = R, lam * R, lam
 
-    def forward(t, y):
-        return np.concatenate([R @ y[:2], lam * (R @ y[2:4]), [lam * y[4]]])
+    def forward(t, Y):
+        return np.column_stack([Y[:, :2] @ R.T, lam * (Y[:, 2:4] @ R.T), lam * Y[:, 4]])
 
-    def inverse(t, y):
-        return np.concatenate([R.T @ y[:2], R.T @ y[2:4] / lam, [y[4] / lam]])
+    def inverse(t, Y):
+        return np.column_stack([Y[:, :2] @ R, Y[:, 2:4] @ R / lam, Y[:, 4] / lam])
 
     return cm.ContactMap(n=2, forward=forward, inverse=inverse,
-                         jacobian=lambda t, y: (J.copy(), np.zeros(5)),
-                         declared_f=lambda t, y: lam, name="scaled_rotation")
+                         jacobian=lambda t, Y: (np.tile(J, (len(Y), 1, 1)), np.zeros((len(Y), 5))),
+                         declared_f=lambda t, Y: np.full(len(Y), lam), name="scaled_rotation")
 
 
 def _rows_n2(k, seed):
@@ -337,7 +339,7 @@ def test_a_two_degree_of_freedom_map_verifies_with_its_conformal_factor():
 def test_a_two_degree_of_freedom_map_broken_in_its_second_column_fails():
     """(q, p1, 2 p2, S) breaks only the -f p_2 condition."""
     planted = cm.ContactMap(
-        n=2, forward=lambda t, y: np.array([y[0], y[1], y[2], 2 * y[3], y[4]]),
+        n=2, forward=lambda t, Y: Y * [1.0, 1.0, 1.0, 2.0, 1.0],
         name="planted2")
     rows = _rows_n2(40, seed=34)
     rep = cm.verify(planted, rows, tol=1e-6)
@@ -386,8 +388,91 @@ def test_custom_models_and_pushforwards_build_no_state(built_states, linear_mode
     del built_states[:]
     traj = cm.integrate(custom, x0, 2.0, cm.IntegratorOptions(sample_interval=0.1))
     assert len(traj) == 21
-    assert math.isfinite(K.value(1.5, y))
+    assert math.isfinite(K.value(1.5, y[None])[0])
     assert np.isfinite(K.field(1.5, y)).all()  # K's gradient by central differences
     assert built_states == []
     cm.make_state(1.0, 0.0)  # the counter itself works
     assert len(built_states) == 1
+
+
+def _maps(erm):
+    ck, ex = cm.map_ck(1.3, 0.27), cm.map_expanding(1.3, 0.27)
+    return {"identity": cm.map_identity(1), "ck": ck, "expanding": ex,
+            "invariants": cm.map_invariants(0.8, 0.1, erm), "ck*expanding": cm.compose(ck, ex)}
+
+
+def _block_sets(erm):
+    """(times, rows) blocks: `builtin_points` and the rows a transform_verify
+    check draws (seed 0), over the Ermakov solution's range."""
+    points = builtin_points()
+    check = np.random.default_rng([0, len("ck")]).uniform(
+        [0.5, -1.0, -1.0, erm.t_range[0]], [1.5, 1.0, 1.0, erm.t_range[1]], size=(100, 4))
+    return [(np.array([t for t, _ in points]), np.array([y for _, y in points])),
+            (check[:, 3], check[:, :3])]
+
+
+@pytest.mark.parametrize("name", ["identity", "ck", "expanding", "invariants", "ck*expanding"])
+def test_map_closures_over_a_block_are_the_one_row_calls_bit_for_bit(name, ermakov_const):
+    """Each closure on a whole block equals its one-row calls row by row, down
+    to the sign of a zero.  The invariants chart is left out at q = 0, where it
+    is singular."""
+    cmap = _maps(ermakov_const)[name]
+    for ts, Y in _block_sets(ermakov_const):
+        if name == "invariants":
+            ts, Y = ts[Y[:, 0] != 0], Y[Y[:, 0] != 0]
+        rows = list(zip(ts, Y))
+        images = cmap.forward(ts, Y)
+        assert_bits_equal(images, np.concatenate([cmap.forward(t[None], y[None])
+                                                   for t, y in rows]))
+        assert_bits_equal(cmap.inverse(ts, images),
+                           np.concatenate([cmap.inverse(t[None], y[None])
+                                           for t, y in zip(ts, images)]))
+        J, dT = cmap.jacobian(ts, Y)
+        one = [cmap.jacobian(t[None], y[None]) for t, y in rows]
+        assert_bits_equal(J, np.concatenate([j for j, _ in one]))
+        assert_bits_equal(dT, np.concatenate([d for _, d in one]))
+        assert_bits_equal(cmap.declared_f(ts, Y),
+                           np.concatenate([cmap.declared_f(t[None], y[None]) for t, y in rows]))
+
+
+def test_one_verify_calls_each_map_closure_once(ermakov_const):
+    rows = random_rows(100, seed=36, t_range=(0.0, 9.5))
+    for cmap in _maps(ermakov_const).values():
+        calls = []
+
+        def counted(name):
+            fn = getattr(cmap, name)
+
+            def wrapper(t, Y):
+                calls.append((name, Y.shape))
+                return fn(t, Y)
+            return wrapper
+
+        names = ("forward", "jacobian", "declared_f")
+        rep = cm.verify(dataclasses.replace(cmap, **{name: counted(name) for name in names}),
+                        rows)
+        assert rep.passed
+        assert calls == [(name, (100, 3)) for name in names]
+
+
+def test_a_failing_block_raises_what_its_first_failing_row_raises(ermakov_const):
+    """Row 1 is singular (q = 0) and row 0 lies outside the Ermakov solution's
+    range: the block raises row 0's error, as a loop over the rows would."""
+    inv = cm.map_invariants(1.0, 0.1, ermakov_const)
+    rows = np.array([[0.7, 0.2, 0.1, 12.5], [0.0, 0.3, 0.2, 1.0], [0.9, 0.1, 0.0, 2.0]])
+    with pytest.raises(ValueError, match=r"^t=12.5 is outside the solved range"):
+        cm.verify(inv, rows)
+    with pytest.raises(SingularChartError):
+        cm.verify(inv, rows[1:])
+    ck = cm.make_caldirola_kanai(1.0, 0.5, cm.parse_expression("q^2/2", "q"))
+    traj_rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(OverflowError, match=r"model.gamma = 0.5 overflows at t=2000.0: "):
+        rowwise(ck.value, np.array([1.0, 2000.0, 3000.0]), traj_rows)
+
+
+def test_a_per_row_closure_is_a_dimension_error_naming_the_map():
+    rowwise_map = cm.ContactMap(n=1, forward=lambda t, y: np.array([y[0], y[1], y[2]]),
+                                name="rowwise")
+    with pytest.raises(DimensionMismatchError, match="map 'rowwise' gives its image block "
+                                                     r"the shape \(3, 3\), expected \(20, 3\)"):
+        cm.verify(rowwise_map, random_rows(20, seed=37))

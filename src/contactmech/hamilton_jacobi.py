@@ -94,7 +94,7 @@ def characteristic_b(field: PrincipalFunctionField, c, q, t: float) -> np.ndarra
         return np.atleast_1d(np.asarray(field.dS_dc(q, c, t), dtype=float))
     if field.family is None:
         raise UnsupportedModelError("field has no parameter family")
-    return central_difference(lambda cc: field.family(q, cc, t), c)
+    return central_difference(lambda C: [field.family(q, cc, t) for cc in C], c)
 
 
 def verify_b_condition(model: HamiltonianModel, field: PrincipalFunctionField,

@@ -24,24 +24,25 @@ FD_STEP = 1e-6  # relative step for central finite differences
 
 
 def central_difference(f, z) -> np.ndarray:
-    """Gradient (scalar f) or Jacobian (array f, last axis over z) of f at z
-    by central differences with step FD_STEP * max(1, |z_j|)."""
+    """Gradient (f scalar per point) or Jacobian (f an array per point, last axis
+    over z) of f at z by central differences with step FD_STEP * max(1, |z_j|).
+    f takes the points z + h_j e_j and z - h_j e_j, j = 0, 1, ..., in that
+    order, as the rows of one block, and gives one value per row."""
     z = np.asarray(z, dtype=float)
-    cols = []
-    for j in range(z.size):
-        h = FD_STEP * max(1.0, abs(z[j]))
-        zp, zm = z.copy(), z.copy()
-        zp[j] += h
-        zm[j] -= h
-        cols.append((f(zp) - f(zm)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    h, j = FD_STEP * np.maximum(1.0, np.abs(z)), np.arange(z.size)
+    Z = np.repeat(z[None], 2 * z.size, axis=0)
+    Z[2 * j, j] += h
+    Z[2 * j + 1, j] -= h
+    F = np.asarray(f(Z), dtype=float)
+    return np.moveaxis((F[0::2] - F[1::2]) / (2.0 * h).reshape(-1, *[1] * (F.ndim - 1)), 0, -1)
 
 
 def _per_element(f, x):
     """f(x) for a float x, else f of each float of x in x's shape: libm, not SIMD."""
     if isinstance(x, float):
         return f(x)
-    return np.array([f(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+    x = np.asarray(x)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def rowwise(fn, t, Y):
@@ -388,43 +389,49 @@ def make_custom(n: int, value, grad=None, name: str = "custom",
                 params: Optional[Mapping[str, Any]] = None) -> HamiltonianModel:
     """Wrap per-point callables of (t, y), y = [q, p, S], as a model: ``value`` is
     H and ``grad`` [dH/dq, dH/dp, dH/dS, dH/dt], central differences of ``value``
-    when None; the model's ``value`` and ``grad`` call them per row, t a float.
-    The field is `_contact_field` of value and gradient; the tangent multiplies
-    J by `_contact_jacobian` of the gradient and a central-difference Hessian."""
+    when None; the model's ``value`` and ``grad`` call them per row, t a float."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     n = int(n)
-
-    if grad is None:
-        def gradient(t, y) -> np.ndarray:
-            return central_difference(lambda z: value(z[-1], z[:-1]), np.append(y, t))
-    else:
+    gradient = None
+    if grad is not None:
         def gradient(t, y) -> np.ndarray:
             g = np.asarray(grad(t, y), dtype=float)
             if g.shape != (2 * n + 2,):
                 raise DimensionMismatchError(f"model '{name}' needs a grad of length "
                                              f"{2 * n + 2}, got shape {g.shape}")
             return g
+    return _block_model(n, _per_row(value), gradient, name, params)
+
+
+def _per_row(f, *shape):
+    """The block form of a per-point callable f(t, y): one call per row, t a float."""
+    def block(t, Y) -> np.ndarray:
+        ts = t.tolist() if np.ndim(t) else [t] * len(Y)
+        return np.array([f(s, y) for s, y in zip(ts, Y)], dtype=float).reshape(len(Y), *shape)
+    return block
+
+
+def _block_model(n: int, values, gradient=None, name: str = "custom",
+                params: Optional[Mapping[str, Any]] = None) -> HamiltonianModel:
+    """A model from a block H ``values(t, Y)`` and a per-point ``gradient(t, y)``;
+    when None, central differences of ``values``, whose 2(2n+2) points are one
+    block.  The field is `_contact_field` of value and gradient; the tangent
+    multiplies J by `_contact_jacobian` of the gradient and a central-difference
+    Hessian."""
+    d = 2 * n + 1
+    if gradient is None:
+        def gradient(t, y) -> np.ndarray:
+            return central_difference(lambda Z: values(Z[:, -1], Z[:, :-1]), np.append(y, t))
 
     def field(t, y) -> np.ndarray:
-        return _contact_field(n, y, value(t, y), gradient(t, y))
-
-    d = 2 * n + 1
+        return _contact_field(n, y, values(t, y[None])[0], gradient(t, y))
 
     def tangent_rhs(t, z) -> np.ndarray:
         y = z[:d]
         A = _contact_jacobian(n, y, gradient(t, y),
-                            central_difference(lambda w: gradient(t, w)[:d], y))
+                              central_difference(lambda W: [gradient(t, w)[:d] for w in W], y))
         return np.concatenate([field(t, y), (A @ z[d:].reshape(d, d)).ravel()])
 
-    def per_row(f, *shape):
-        def block(t, Y) -> np.ndarray:
-            ts = np.broadcast_to(t, (len(Y),)).tolist()
-            return np.array([f(s, y) for s, y in zip(ts, Y)], dtype=float).reshape(len(Y), *shape)
-        return block
-
-    return HamiltonianModel(
-        n=n, value=per_row(value), grad=per_row(gradient, 2 * n + 2), field=field,
-        tangent_rhs=tangent_rhs,
-        name=name, params=dict(params or {}),
-    )
+    return HamiltonianModel(n=n, value=values, grad=_per_row(gradient, 2 * n + 2), field=field,
+                            tangent_rhs=tangent_rhs, name=name, params=dict(params or {}))

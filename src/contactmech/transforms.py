@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, NonFiniteError, SingularChartError,
                      UnsupportedModelError)
-from .model import (ExtendedState, HamiltonianModel, _columns, _per_element,
-                    central_difference, make_custom, rowwise)
+from .model import (ExtendedState, HamiltonianModel, _block_model, _columns, _per_element,
+                    central_difference, rowwise)
 
 DEFAULT_VERIFY_TOL = 1e-8
 
@@ -85,7 +85,7 @@ def _jacobian(cmap: ContactMap, t: np.ndarray, Y: np.ndarray) -> Tuple[np.ndarra
 def fd_jacobian(cmap: ContactMap, t: float, y) -> Tuple[np.ndarray, np.ndarray]:
     """Central finite differences of the forward map over (q, p, S) and t at y, t."""
     d = 2 * cmap.n + 1
-    J = central_difference(lambda z: cmap.forward(z[d:], z[None, :d])[0], np.append(y, t))
+    J = central_difference(lambda Z: cmap.forward(Z[:, d], Z[:, :d]), np.append(y, t))
     return J[:, :d], J[:, d]
 
 
@@ -190,10 +190,11 @@ def _default_probes(n: int) -> np.ndarray:
 def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel) -> HamiltonianModel:
     """New contact Hamiltonian K(Q, P, S~, t) = f H - dS~/dt + P_a dQ^a/dt.
 
-    The right-hand side is evaluated at the pre-image of (Q, P, S~, t), so the
-    map must carry an inverse; each evaluation calls ``inverse``, the
-    Jacobian and ``forward`` once.  Maps failing the contact conditions at
-    probe points (to 1e-6) are rejected.
+    The right-hand side is evaluated at the pre-images of a block of rows, so
+    the map must carry an inverse; each evaluation calls ``inverse``, the
+    Jacobian and ``forward`` once, and K's central differences evaluate their
+    points as one block.  Maps failing the contact conditions at probe points
+    (to 1e-6) are rejected.
     """
     if model.n != cmap.n:
         raise DimensionMismatchError("map and model dimensions differ")
@@ -209,15 +210,15 @@ def pushforward_hamiltonian(cmap: ContactMap, model: HamiltonianModel) -> Hamilt
 
     n = cmap.n
 
-    def value(t, Y) -> float:
-        ts = np.array([t], dtype=float)
-        y = cmap.inverse(ts, Y[None])
+    def values(t, Y) -> np.ndarray:
+        ts = np.broadcast_to(np.asarray(t, dtype=float), (len(Y),))
+        y = cmap.inverse(ts, Y)
         J, dT = _jacobian(cmap, ts, y)
-        f = _conditions(J, y[:, n:2 * n], cmap.forward(ts, y)[:, n:2 * n])[0][0]
-        return (f * rowwise(model.value, t, y)[0] - dT[0, 2 * n]
-                + float(np.dot(Y[n:2 * n], dT[0, :n])))
+        f = _conditions(J, y[:, n:2 * n], cmap.forward(ts, y)[:, n:2 * n])[0]
+        return (f * model.value(ts, y) - dT[:, 2 * n]
+                + (Y[:, None, n:2 * n] @ dT[:, :n, None])[:, 0, 0])
 
-    return make_custom(n, value, name=f"pushforward[{cmap.name}]({model.name})",
+    return _block_model(n, values, name=f"pushforward[{cmap.name}]({model.name})",
                        params={"map": cmap.name, "base": model.name})
 
 

@@ -407,13 +407,13 @@ def make_custom(n: int, value, grad=None, name: str = "custom",
 def _per_row(f, *shape):
     """The block form of a per-point callable f(t, y): one call per row, t a float."""
     def block(t, Y) -> np.ndarray:
-        ts = t.tolist() if np.ndim(t) else [t] * len(Y)
+        ts = t.tolist() if np.ndim(t) else [float(t)] * len(Y)
         return np.array([f(s, y) for s, y in zip(ts, Y)], dtype=float).reshape(len(Y), *shape)
     return block
 
 
 def _block_model(n: int, values, gradient=None, name: str = "custom",
-                params: Optional[Mapping[str, Any]] = None) -> HamiltonianModel:
+                 params: Optional[Mapping[str, Any]] = None) -> HamiltonianModel:
     """A model from a block H ``values(t, Y)`` and a per-point ``gradient(t, y)``;
     when None, central differences of ``values``, whose 2(2n+2) points are one
     block.  The field is `_contact_field` of value and gradient; the tangent

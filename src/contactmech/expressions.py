@@ -1,6 +1,5 @@
-"""A small arithmetic-expression grammar for potentials V(q) and frequencies w(t).
-
-Grammar (one free variable per context):
+"""A small arithmetic-expression grammar for potentials V(q), frequencies w(t)
+and the built-in Hamiltonians H(q, p, S, t).
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -8,16 +7,18 @@ Grammar (one free variable per context):
     power  := atom ('^' factor)?          # right-associative, binds above unary -
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-Identifiers are the declared variable, the constants pi and e, and the
-functions sin, cos, exp, sqrt, log.  The expression and its symbolic
-derivative are one DAG of hash-consed nodes, turned at parse time into
-straight-line functions; the second derivative is differentiated from the
-first on its first call.  The code is compiled once per shape per process,
-and each expression's constants are put into its own copy.  Each does a tree
-walk's float operations with its domain errors (sin or cos of an infinity,
-sqrt of a negative, log of a non-positive, division by zero, invalid power; an
-exp or ^ overflow stays an OverflowError) naming the offending operator's byte
-offset and, when given, the expression's key.
+Identifiers are the declared variables, the constants pi and e, and the
+functions sin, cos, exp, sqrt, log; a template (`parse_template`) also names
+parameters, bound with its code, and leaves, functions bound to an object's
+``__call__``, ``derivative`` and ``second_derivative``.  An expression and
+its symbolic derivatives are one DAG of hash-consed nodes, turned into
+straight-line functions; an `Expression`'s second derivative is
+differentiated from the first on its first call.  The code is compiled once
+per shape per process, and each expression's constants are put into its own
+copy.  Each does a tree walk's float operations with its domain errors (sin
+or cos of an infinity, sqrt of a negative, log of a non-positive, division by
+zero, invalid power; an exp or ^ overflow stays an OverflowError) naming the
+offending operator's byte offset and, when given, the expression's key.
 """
 
 from __future__ import annotations
@@ -73,14 +74,17 @@ def _tokenize(text: str) -> list:
 
 # the operators that can raise; their nodes key on their offset too
 _RAISING = {"/", "^", *_FUNCTIONS}
+_VAR, _PARAM = 1, 2   # the bits of `Node.free`
 
 
 class Node:
     """A node built by `_Dag.node`: `op` is 'num' or 'const' (`value` is the float),
-    'var' (`value` is its name), 'neg', one of + - * / ^, or a function name;
-    `pos` is the byte offset of an operator in `_RAISING`, else 0."""
+    'var' or 'param' (`value` is its name), 'neg', one of + - * / ^, a function
+    name, or 'leaf' (`value` is the leaf's name and the order of its derivative);
+    `pos` is the byte offset of an operator in `_RAISING`, else 0; `free` has
+    the bit _VAR when the node depends on a variable, _PARAM on a parameter."""
 
-    __slots__ = ("op", "args", "value", "pos", "has_var")
+    __slots__ = ("op", "args", "value", "pos", "free")
 
 
 def _is_num(n: Node, v: float) -> bool:
@@ -102,7 +106,9 @@ class _Dag:
         if found is None:
             found = self.nodes[key] = Node()  # no __init__, so no frame on the parser's stack
             found.op, found.args, found.value, found.pos = op, args, value, pos
-            found.has_var = op == "var" or any(map(operator.attrgetter("has_var"), args))
+            found.free = _VAR if op == "var" else _PARAM if op == "param" else 0
+            for a in args:
+                found.free |= a.free
         return found
 
     # Smart constructors keep derivatives small and avoid evaluating
@@ -147,10 +153,11 @@ class _Dag:
             return a
         return self.node("/", a, b, pos=pos)
 
-    def diff(self, root: Node) -> Node:
-        """d(root)/dx.  Each distinct node's derivative is built once, after its
-        arguments', by a loop: only the parser recurses."""
-        done = self.derivatives
+    def diff(self, root: Node, x: str = None) -> Node:
+        """d(root)/dx, x None in a DAG of one variable.  Each distinct node's
+        derivative is built once, after its arguments', by a loop: only the
+        parser recurses."""
+        done = self.derivatives.setdefault(x, {})
         stack = [root]
         while stack:
             node = stack[-1]
@@ -158,17 +165,20 @@ class _Dag:
             if pending:
                 stack.extend(pending)
             elif stack.pop() not in done:
-                done[node] = self._rule(node, *(done[a] for a in node.args))
+                done[node] = self._rule(node, x, *(done[a] for a in node.args))
         return done[root]
 
-    def _rule(self, node: Node, da: Node = None, db: Node = None) -> Node:
+    def _rule(self, node: Node, x: str, da: Node = None, db: Node = None) -> Node:
         """d(node)/dx from its arguments' derivatives `da` and `db`."""
         op, pos = node.op, node.pos
-        if op in ("num", "const", "var"):
-            return self.num(1.0 if op == "var" else 0.0)
+        if not node.args:
+            return self.num(1.0 if op == "var" and x in (None, node.value) else 0.0)
         a, b = node.args[0], node.args[-1]   # one argument is both
         if op == "neg":
             return self.sub(self.num(0.0), da)
+        if op == "leaf":
+            name, order = node.value
+            return self.mul(self.node("leaf", a, value=(name, order + 1)), da)
         if op in _FUNCTIONS:
             if op == "sin":
                 outer = self.node("cos", a, pos=pos)
@@ -188,11 +198,13 @@ class _Dag:
         if op == "*":
             return self.add(self.mul(da, b), self.mul(a, db))
         if op == "/":
+            if b.free == _PARAM:  # so (p + p)/(2*m) is p/m exactly
+                return self.div(da, b, pos)
             top = self.sub(self.mul(da, b), self.mul(a, db))
             return self.div(top, self.node("*", b, b), pos)
         # power: constant exponents get the plain rule (valid for negative
         # bases); variable exponents use a^b (b' log a + b a'/a), for a > 0.
-        if not b.has_var:
+        if not b.free & _VAR:
             return self.mul(self.mul(b, self.node("^", a, self.sub(b, self.num(1.0)), pos=pos)),
                             da)
         term1 = self.mul(db, self.node("log", a, pos=pos))
@@ -219,56 +231,76 @@ def _template(source: str) -> types.CodeType:
                 if isinstance(c, types.CodeType))
 
 
-def _compile(root: Node, variables: tuple, where: str) -> Callable[..., float]:
-    """`root` as a function of the `variables` (argument i is ``x{i}``): SSA
-    source with one line per distinct node, in the order a tree walk, left
-    operand first, first reaches it.  So it does the walk's float operations
-    and its first error is the walk's; `_error` rebuilds that error's text.
-    The source names constant i by the placeholder ``'ci'``, so expressions of
-    one shape share one `_template`, and each function is that code with its
-    own constants in place of the placeholders; an operation in `_FOLDS` on
-    constants alone, which cannot raise, is computed here, as compile() folds
-    literals."""
-    text, lines, body, consts = {}, {}, [], {}   # node -> its name; line -> node
-    value = {}   # node -> its float, for constants and the operations folded
-    stack = [(root, False)]
+def _walk(roots) -> list:
+    """The nodes under `roots` in the order a tree walk, left operand first and
+    root by root, first finishes them."""
+    order, seen, stack = [], set(), [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
-        if node in text:
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack += [(node, True), *((a, False) for a in reversed(node.args))]
+    return order
+
+
+def _emit(first, outputs, names: dict, head: str, ret: str) -> tuple:
+    """(code, lines, text, value) of the function whose source is `head`, one
+    SSA line per distinct node the `outputs` use, in `_walk` order of `first`
+    and then the outputs, and ``return`` `ret` filled with their names; `names`
+    names the variables and parameters, and leaf `name` of order k calls the
+    global ``_<name><k>``.  So it does a tree walk's float operations and its
+    first error is the walk's, which `_error` rebuilds from `lines` (line ->
+    node), `text` (node -> name) and `value` (node -> float).  Constant i is
+    the placeholder ``'ci'``, so sources of one shape share one `_template`,
+    whose copy holds the constants; an operation in `_FOLDS` on constants
+    alone, which cannot raise, is computed here, as compile() folds literals."""
+    used = set(_walk(outputs))
+    text, lines, body, consts, value = {}, {}, [], {}, {}
+    offset = head.count("\n") + 3   # the line of body[0]: after `head` and `try`
+    for node in _walk([first, *outputs]):
+        if node not in used:
             continue
         folds = node.op in _FOLDS and all(a in value for a in node.args) \
             and not (node.op == "/" and value[node.args[1]] == 0)
-        if node.op == "var":
-            text[node] = f"x{variables.index(node.value)}"
-        elif node.args and not expanded:
-            stack.append((node, True))
-            stack.extend((a, False) for a in reversed(node.args))
+        if node.op in ("var", "param"):
+            text[node] = names[node.value]
         elif node.args and not folds:
             text[node] = name = f"t{len(body)}"
-            form = _FORMS[node.op].format(*(text[a] for a in node.args))
-            body.append(f"        {name} = {form}")
-            lines[len(body) + 2] = node   # after the `def` and `try` lines
+            form = _FORMS.get(node.op) or "_{}{}({{}})".format(*node.value)  # a leaf
+            lines[offset + len(body)] = node
+            body.append(f"        {name} = {form.format(*(text[a] for a in node.args))}")
         else:  # a constant, or an operation on constants alone
             value[node] = _FOLDS[node.op](*map(value.get, node.args)) if folds else node.value
             placeholder = f"c{len(consts)}"
             text[node], consts[placeholder] = repr(placeholder), value[node]
-    params = ", ".join(f"x{i}" for i in range(len(variables)))
-    source = "\n".join([f"def f({params}):", "    try:", *body,
-                        f"        return {text[root]}",
+    source = "\n".join([head, "    try:", *body,
+                        f"        return {ret.format(*(text[x] for x in outputs))}",
                         "    except (ArithmeticError, ValueError) as exc:",
                         "        raise _error(exc) from None"])
     code = _template(source)
     code = code.replace(co_consts=tuple(consts.get(c, c) if type(c) is str else c
                                         for c in code.co_consts))
+    return code, lines, text, value
+
+
+def _compile(root: Node, variable: str, where: str) -> Callable[[float], float]:
+    """`root` as a function of its one `variable`; see `_emit`."""
+    code, *info = _emit(root, [root], {variable: "x0"}, "def f(x0):", "{}")
     return types.FunctionType(code, dict(_GLOBALS, _error=functools.partial(
-        _error, where, lines, text, value)))
+        _error, where, *info)))
 
 
 def _error(where: str, lines: dict, text: dict, value: dict, exc: Exception) -> Exception:
     """The error of the node on the line that raised `exc`, with the text,
-    operands and offset a tree walk gives it, after `where`."""
+    operands and offset a tree walk gives it, after `where`; a leaf's own
+    error is `exc` itself."""
     tb = exc.__traceback__
-    node, env = lines[tb.tb_lineno], tb.tb_frame.f_locals
+    node = lines.get(tb.tb_lineno)
+    if node is None or node.op == "leaf":
+        return exc
+    env = {**tb.tb_frame.f_globals, **tb.tb_frame.f_locals}
     values = [value[x] if x in value else env[text[x]] for x in node.args]
     a, b = values[0], values[-1]   # a function's one argument is both
     op, pos = node.op, node.pos
@@ -289,11 +321,11 @@ def _error(where: str, lines: dict, text: dict, value: dict, exc: Exception) -> 
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens, variable: str, dag: _Dag):
+    def __init__(self, tokens, dag: _Dag, variables, params=(), leaves=()):
         self.tokens = tokens
         self.i = 0
-        self.variable = variable
         self.dag = dag
+        self.variables, self.params, self.leaves = variables, params, leaves
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -354,14 +386,18 @@ class _Parser:
         if tok.kind == "ident":
             name = tok.text
             if self.peek().kind == "op" and self.peek().text == "(":
-                if name not in _FUNCTIONS:
+                if name not in _FUNCTIONS and name not in self.leaves:
                     raise ExpressionError(f"unknown function {name!r}", position=tok.pos)
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
+                if name in self.leaves:
+                    return self.dag.node("leaf", arg, value=(name, 0))
                 return self.dag.node(name, arg, pos=tok.pos)
-            if name == self.variable:
+            if name in self.variables:
                 return self.dag.node("var", value=name)
+            if name in self.params:
+                return self.dag.node("param", value=name)
             if name in _CONSTANTS:
                 return self.dag.node("const", value=_CONSTANTS[name])
             raise ExpressionError(f"unknown identifier {name!r}", position=tok.pos)
@@ -394,9 +430,9 @@ class Expression:
                                                  compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_value", _compile(self.ast, (self.variable,), self._where))
+        object.__setattr__(self, "_value", _compile(self.ast, self.variable, self._where))
         object.__setattr__(self, "_slope",
-                           _compile(self.derivative_ast, (self.variable,), self._where))
+                           _compile(self.derivative_ast, self.variable, self._where))
 
     @property
     def _where(self) -> str:
@@ -411,7 +447,7 @@ class Expression:
     def second_derivative(self, x: float) -> float:
         if self._curvature is None:
             object.__setattr__(self, "_curvature", _compile(
-                _Dag().diff(self.derivative_ast), (self.variable,), self._where))
+                _Dag().diff(self.derivative_ast), self.variable, self._where))
         return self._curvature(float(x))
 
     def __reduce__(self):  # compiled code does not pickle; the text re-parses to it
@@ -433,11 +469,19 @@ def parse_expression(text: str, variable: str, key: str = "") -> Expression:
         raise ExpressionError("empty expression", position=0)
     dag = _Dag()
     try:
-        ast = _Parser(_tokenize(text), variable, dag).parse()
+        ast = _Parser(_tokenize(text), dag, (variable,)).parse()
         return Expression(text=text, variable=variable, ast=ast,
                           derivative_ast=dag.diff(ast), key=key)
     except RecursionError:
         raise ExpressionError("expression nested too deeply", position=0) from None
+
+
+def parse_template(text: str, variables: tuple, params: tuple, leaves: tuple) -> tuple:
+    """(dag, root) of `text` in the `variables`, with the `params` bound only
+    when its code is and the `leaves` as functions of one argument, whose
+    derivatives are the leaves of the next order (see `_emit`)."""
+    dag = _Dag()
+    return dag, _Parser(_tokenize(text), dag, variables, params, leaves).parse()
 
 
 def as_expression(obj, variable: str, name: str):

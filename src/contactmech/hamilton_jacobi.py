@@ -37,11 +37,12 @@ class PrincipalFunctionField:
 
 
 def _per_point(values, k: int, what: str) -> np.ndarray:
-    try:
-        return np.broadcast_to(np.asarray(values, dtype=float), (k,))
-    except ValueError:
+    """values as one float per point: of shape (), (1,) or (k,)."""
+    a = np.asarray(values, dtype=float)
+    if a.shape not in ((), (1,), (k,)):
         raise DimensionMismatchError(
-            f"{what} has shape {np.shape(values)}, expected one value per point") from None
+            f"{what} has shape {np.shape(values)}, expected one value per point")
+    return a
 
 
 def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t: float):
@@ -53,29 +54,31 @@ def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t: fl
     over the last axis of q.  A non-finite t is refused before the field is
     called.
     """
-    q, t = np.atleast_1d(np.asarray(q, dtype=float)), float(t)
+    q, t = np.asarray(q, dtype=float), float(t)
     if not math.isfinite(t):
         raise NonFiniteError(f"non-finite time t={t}")
-    if q.ndim > 2 or len(q) < 1:
+    if q.ndim > 2 or q.ndim and len(q) < 1:
         raise DimensionMismatchError(
-            f"q must have shape (n,) or (n, k) with n >= 1, got {q.shape}")
-    qs = q.reshape(len(q), -1)
+            f"q must have shape (n,) or (n, k) with n >= 1, got {np.atleast_1d(q).shape}")
+    qs = q.reshape(len(q), -1) if q.ndim else q.reshape(1, 1)
     n, k = qs.shape
     p = np.asarray(field.dS_dq(qs, t), dtype=float)
     if p.ndim < 2:
         p = p.reshape(-1, 1)  # the same dS/dq at every point of the batch
     S = _per_point(field.S(qs, t), k, "S")
-    if p.shape[0] != n or p.shape[1] not in (1, k):
+    if p.ndim > 2 or p.shape[0] != n or p.shape[1] not in (1, k):
         raise DimensionMismatchError(
             f"q and p must have equal length, got {qs.shape} and {p.shape}")
-    if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(p)) and np.all(np.isfinite(S))):
-        raise NonFiniteError(f"non-finite contact state: q={qs}, p={p}, S={S}")
+    ys = np.empty((k, 2 * n + 1))
+    ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n] = qs.T, p.T, S
+    if not (np.isfinite(ys).all() and (k or np.isfinite(p).all())):  # p too, on no point
+        raise NonFiniteError(f"non-finite contact state: q={qs}, p={p}, "
+                             f"S={np.broadcast_to(S, (k,))}")
     if n != model.n:
         raise DimensionMismatchError(
             f"model '{model.name}' has n={model.n} but state has n={n}")
-    ys = np.concatenate([qs, np.broadcast_to(p, (n, k)), S[None, :]])
-    H = rowwise(model.value, t, ys.T)
-    if not np.all(np.isfinite(H)):
+    H = rowwise(model.value, t, ys)
+    if not np.isfinite(H).all():
         raise NonFiniteError(f"model '{model.name}' is non-finite at q={qs}, t={t}")
     res = H + _per_point(field.dS_dt(qs, t), k, "dS/dt")
     return res if q.ndim == 2 else float(res[0])

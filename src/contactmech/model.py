@@ -11,14 +11,17 @@ Caldirola-Kanai effective model.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .expressions import as_expression
+from .expressions import _FUNCTIONS, _GLOBALS, _emit, _error, _is_num, as_expression, \
+    parse_template
 
 FD_STEP = 1e-6  # relative step for central finite differences
 
@@ -145,9 +148,8 @@ class HamiltonianModel:
     vector field as a float sequence, which the integrators call, and at z =
     [y, J row-major], J (2n+1) x (2n+1), ``tangent_rhs(t, z)`` is [field(t, y),
     A J], A = d(field)/dy, its first 2n+1 entries ``field(t, y)`` bit for bit.
-    The built-ins give ``field`` in closed form and ``tangent_rhs`` in floats
-    from one jet per call that repeats the field's operations and adds the
-    symbolic second derivatives; `make_custom` builds all four from per-point
+    The built-ins compile all four from one parsed H (see `_TEMPLATES`), so
+    they agree by construction; `make_custom` builds them from per-point
     callables, A by `_contact_jacobian` of the gradient and a central-difference
     Hessian.  All four are unvalidated (a non-finite field is left to the
     integrator); ``evaluate`` and ``partials`` call them on one row and validate.
@@ -212,14 +214,82 @@ def _contact_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np
 # Built-in systems
 # ---------------------------------------------------------------------------
 #
-# Each built-in's `field` is `_contact_field` written out for n = 1: the same
-# float operations in the same order, so it agrees bit for bit (a test holds
-# it to that), including the -p dH/dS term when dH/dS is 0, which can flip the
-# sign of a zero.  H's terms come before dH's, so the first domain error is
-# the one `value` would raise.  dH/dt is not needed and not evaluated.  Each
-# `jet` repeats its `field` and then takes the second derivatives, so the
-# tangent's first rows and first error are the field's.  `value` and `grad`
-# take the same operations on columns, with V, V', omega and exp per element.
+# Each built-in is one template of H in q, p, S and t, with the parameters m
+# and gamma and a leaf, V(q) or omega(t).  `_kind_code` parses and
+# differentiates it once per process and emits from the one DAG H, its
+# gradient, the field (`_contact_field` over the gradient's nodes) and the
+# tangent [field, A J] (A by `_contact_jacobian`'s chain rule); a model binds
+# only m, gamma and its leaf.  So value, grad, field and tangent_rhs agree by
+# construction.  `value` and `grad` run on columns with every exp and leaf per
+# element, so a block gives its rows' bits.  H's nodes come first, so the first
+# error is the one `value` would raise.  The dH/dS terms are kept where dH/dS
+# is 0 (``- p * 0.0``): they can flip the sign of a zero.
+
+# kind -> (H, its leaf, the text after "<kind>: " of an overflow of H's exp)
+_TEMPLATES = {
+    "linear_dissipation": ("p*p/(2*m) + V(q) + gamma*S", "V", None),
+    "damped_parametric": ("p*p/(2*m) + 0.5*m*omega(t)*omega(t)*q*q + gamma*S", "omega", None),
+    "caldirola_kanai": ("exp(-gamma*t)*p*p/(2*m) + exp(gamma*t)*V(q)", "V",
+                        "e^(±gamma t) with model.gamma = {gamma!r} overflows at t={t!r}: {exc}"),
+}
+_Y = ("q", "p", "S")
+_J = tuple(f"J{k}{c}" for k in range(3) for c in range(3))  # the tangent's J, row-major
+_NAMES = {x: x for x in (*_Y, "t", "m", "gamma", *_J)}
+_BLOCK = {f"_{fn}": functools.partial(_per_element, f) for fn, f in _FUNCTIONS.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_code(kind: str) -> tuple:
+    """The emitted (code, lines, text, value) of `kind`'s value, grad, field and
+    tangent_rhs (see `expressions._emit`)."""
+    template, leaf, _ = _TEMPLATES[kind]
+    dag, H = parse_template(template, (*_Y, "t"), ("m", "gamma"), (leaf,))
+    p = dag.node("var", value="p")
+    g = [dag.diff(H, x) for x in (*_Y, "t")]
+    K = [[dag.diff(g[i], x) for x in _Y] for i in range(3)]
+    field = [g[1], dag.node("-", dag.node("neg", g[0]), dag.node("*", p, g[2])),
+             dag.node("-", dag.node("*", p, g[1]), H)]
+    A = [K[1], [dag.sub(dag.sub(dag.num(0.0), K[0][k]), dag.mul(p, K[2][k])) for k in range(3)],
+         [dag.mul(p, K[1][k]) for k in range(3)]]
+    for i, k, gi in ((2, 0, g[0]), (1, 1, g[2]), (2, 2, g[2])):  # A's gradient terms
+        A[i][k] = dag.node("neg", gi) if _is_num(A[i][k], 0.0) else dag.node("-", A[i][k], gi)
+    J = [[dag.node("var", value=_J[3 * k + c]) for c in range(3)] for k in range(3)]
+    AJ = [functools.reduce(dag.add, [dag.mul(A[i][k], J[k][c]) for k in range(3)
+                                     if not _is_num(A[i][k], 0.0)], dag.num(0.0))
+          for i in range(3) for c in range(3)]
+    blocks, floats = "def f(t, y):\n    q, p, S = y.T", "def f(t, y):\n    q, p, S = y.tolist()"
+    tangent = f"def f(t, y):\n    q, p, S, {', '.join(_J)} = y.tolist()"
+    return (_emit(H, [H], _NAMES, blocks, "{}"),
+            _emit(H, g, _NAMES, blocks, "_columns(len(y), {}, {}, {}, {})"),
+            _emit(H, field, _NAMES, floats, "[{}, {}, {}]"),
+            _emit(H, field + AJ, _NAMES, tangent, f"[{', '.join(['{}'] * 12)}]"))
+
+
+def _template_error(kind: str, gamma, info: tuple, exc: Exception) -> Exception:
+    """`expressions._error` after "<kind>: ", or the kind's text for an overflow
+    of its exp, at the float time of the row."""
+    err, overflow = _error(f"{kind}: ", *info, exc), _TEMPLATES[kind][2]
+    if overflow is None or err is exc or not isinstance(err, OverflowError):
+        return err
+    t = exc.__traceback__.tb_frame.f_locals["t"]
+    t = t if isinstance(t, float) else np.ravel(t)[0].item()
+    return OverflowError(f"{kind}: " + overflow.format(gamma=gamma, t=t, exc=exc))
+
+
+def _builtin(kind: str, m: float, gamma: float, fn) -> HamiltonianModel:
+    """The model of `kind` with these m and gamma and leaf `fn`, an object with
+    ``__call__``, ``derivative`` and ``second_derivative``."""
+    leaf = _TEMPLATES[kind][1]
+    calls = {f"_{leaf}{i}": f for i, f in enumerate((fn, fn.derivative, fn.second_derivative))}
+    floats = {**_GLOBALS, **calls, "m": m, "gamma": gamma}
+    blocks = {**_BLOCK, **{name: functools.partial(_per_element, f) for name, f in calls.items()},
+              "_columns": _columns, "m": m, "gamma": gamma}
+    value, grad, field, tangent_rhs = (
+        types.FunctionType(code, dict(env, _error=functools.partial(
+            _template_error, kind, gamma, info)))
+        for (code, *info), env in zip(_kind_code(kind), (blocks, blocks, floats, floats)))
+    return HamiltonianModel(n=1, value=value, grad=grad, field=field, tangent_rhs=tangent_rhs,
+                            name=kind, params={"m": m, "gamma": gamma, leaf: fn})
 
 
 def _columns(k: int, *cols) -> np.ndarray:
@@ -237,54 +307,10 @@ def _check_mass_and_damping(m: float, gamma: float):
         raise ValueError(f"damping rate must be non-negative, got gamma={gamma}")
 
 
-def tangent(jet):
-    """The ``tangent_rhs`` of an n = 1 model H = T(p, t) + U(q, t) + c S from its
-    ``jet(t, q, p, S)`` = (the field's three entries, dH/dq, d2H/dq2, d2H/dp2,
-    dH/dS), the entries computed as ``field`` computes them.  Then
-    A = [[0, H_pp, 0], [-H_qq, -H_S, 0], [-H_q, p H_pp, -H_S]], and A J is
-    written out in floats after the field's entries."""
-    def tangent_rhs(t, z) -> list:
-        q, p, S, j0, j1, j2, k0, k1, k2, l0, l1, l2 = z.tolist()
-        f0, f1, f2, H_q, H_qq, H_pp, H_S = jet(t, q, p, S)
-        a = p * H_pp
-        return [f0, f1, f2,
-                H_pp * k0, H_pp * k1, H_pp * k2,
-                -H_qq * j0 - H_S * k0, -H_qq * j1 - H_S * k1, -H_qq * j2 - H_S * k2,
-                -H_q * j0 + a * k0 - H_S * l0, -H_q * j1 + a * k1 - H_S * l1,
-                -H_q * j2 + a * k2 - H_S * l2]
-    return tangent_rhs
-
-
 def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     """H = p^2/2m + V(q) + gamma*S, the one-dimensional linear-friction system."""
     _check_mass_and_damping(m, gamma)
-    Vfn = as_expression(V, "q", "V")
-
-    def value(t, Y) -> np.ndarray:
-        q, p, S = Y.T
-        return p * p / (2.0 * m) + _per_element(Vfn, q) + gamma * S
-
-    def grad(t, Y) -> np.ndarray:
-        q, p, _ = Y.T
-        return _columns(len(Y), _per_element(Vfn.derivative, q), p / m, gamma, 0.0)
-
-    def field(t, y) -> list:
-        q, p, S = y.tolist()
-        h = p * p / (2.0 * m) + Vfn(q) + gamma * S
-        dH_dp = p / m
-        return [dH_dp, -Vfn.derivative(q) - p * gamma, p * dH_dp - h]
-
-    def jet(t, q, p, S) -> tuple:
-        h = p * p / (2.0 * m) + Vfn(q) + gamma * S
-        dH_dp, H_q = p / m, Vfn.derivative(q)
-        return (dH_dp, -H_q - p * gamma, p * dH_dp - h,
-                H_q, Vfn.second_derivative(q), 1.0 / m, gamma)
-
-    return HamiltonianModel(
-        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(jet),
-        name="linear_dissipation",
-        params={"m": m, "gamma": gamma, "V": Vfn},
-    )
+    return _builtin("linear_dissipation", m, gamma, as_expression(V, "q", "V"))
 
 
 def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
@@ -295,38 +321,7 @@ def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
     gives the damped harmonic oscillator, zero the damped free particle.
     """
     _check_mass_and_damping(m, gamma)
-    wfn = as_expression(omega, "t", "omega")
-
-    def value(t, Y) -> np.ndarray:
-        q, p, S = Y.T
-        w = _per_element(wfn, t)
-        return p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * S
-
-    def grad(t, Y) -> np.ndarray:
-        q, p, _ = Y.T
-        w = _per_element(wfn, t)
-        dt = m * w * _per_element(wfn.derivative, t) * q * q
-        return _columns(len(Y), m * w * w * q, p / m, gamma, dt)
-
-    def field(t, y) -> list:
-        q, p, S = y.tolist()
-        w = wfn(t)
-        h = p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * S
-        dH_dp = p / m
-        return [dH_dp, -(m * w * w * q) - p * gamma, p * dH_dp - h]
-
-    def jet(t, q, p, S) -> tuple:
-        w = wfn(t)
-        h = p * p / (2.0 * m) + 0.5 * m * w * w * q * q + gamma * S
-        dH_dp, H_qq = p / m, m * w * w
-        H_q = H_qq * q
-        return (dH_dp, -H_q - p * gamma, p * dH_dp - h, H_q, H_qq, 1.0 / m, gamma)
-
-    return HamiltonianModel(
-        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(jet),
-        name="damped_parametric",
-        params={"m": m, "gamma": gamma, "omega": wfn},
-    )
+    return _builtin("damped_parametric", m, gamma, as_expression(omega, "t", "omega"))
 
 
 def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
@@ -337,52 +332,7 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
     obeys the same damped Newton equation as the linear-dissipation model.
     """
     _check_mass_and_damping(m, gamma)
-    Vfn = as_expression(V, "q", "V")
-
-    def factor(t):
-        """(e^{-gamma t}, e^{gamma t}); an overflow names the model, key and time."""
-        try:
-            return math.exp(-gamma * t), math.exp(gamma * t)
-        except OverflowError as exc:
-            raise OverflowError(f"caldirola_kanai: e^(±gamma t) with model.gamma = {gamma!r} "
-                                f"overflows at t={t!r}: {exc}") from None
-
-    def factors(t):
-        """`factor` at a float t, or at each element of an array t as two arrays."""
-        if isinstance(t, float):
-            return factor(t)
-        return tuple(np.array([factor(x) for x in np.ravel(t).tolist()]).reshape(-1, 2).T)
-
-    def value(t, Y) -> np.ndarray:
-        q, p, _ = Y.T
-        em, ep = factors(t)
-        return em * p * p / (2.0 * m) + ep * _per_element(Vfn, q)
-
-    def grad(t, Y) -> np.ndarray:
-        q, p, _ = Y.T
-        em, ep = factors(t)
-        dt = -gamma * em * p * p / (2.0 * m) + gamma * ep * _per_element(Vfn, q)
-        return _columns(len(Y), ep * _per_element(Vfn.derivative, q), em * p / m, 0.0, dt)
-
-    def field(t, y) -> list:
-        q, p, S = y.tolist()
-        em, ep = factor(t)
-        h = em * p * p / (2.0 * m) + ep * Vfn(q)
-        dH_dp = em * p / m
-        return [dH_dp, -(ep * Vfn.derivative(q)) - p * 0.0, p * dH_dp - h]
-
-    def jet(t, q, p, S) -> tuple:
-        em, ep = factor(t)
-        h = em * p * p / (2.0 * m) + ep * Vfn(q)
-        dH_dp, H_q = em * p / m, ep * Vfn.derivative(q)
-        return (dH_dp, -H_q - p * 0.0, p * dH_dp - h,
-                H_q, ep * Vfn.second_derivative(q), em / m, 0.0)
-
-    return HamiltonianModel(
-        n=1, value=value, grad=grad, field=field, tangent_rhs=tangent(jet),
-        name="caldirola_kanai",
-        params={"m": m, "gamma": gamma, "V": Vfn},
-    )
+    return _builtin("caldirola_kanai", m, gamma, as_expression(V, "q", "V"))
 
 
 def make_custom(n: int, value, grad=None, name: str = "custom",

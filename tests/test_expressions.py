@@ -95,9 +95,11 @@ def test_second_derivative_errors_name_the_key_and_offset_of_the_first_derivativ
 
 
 def test_the_second_derivative_is_built_on_its_first_call_only(monkeypatch):
-    """Parsing, and building a model from a scenario, differentiate once; the
-    first second_derivative call differentiates again and compiles, the next
-    call neither."""
+    """Parsing, and building a model of a kind built before from a scenario,
+    differentiate once; the first second_derivative call differentiates again
+    and compiles, the next call neither.  (The kind's own template is
+    differentiated once per process, on its first build: see
+    test_model.py::test_a_kind_is_parsed_differentiated_and_compiled_once.)"""
     diffs = []
     diff = expressions._Dag.diff
 
@@ -105,9 +107,10 @@ def test_the_second_derivative_is_built_on_its_first_call_only(monkeypatch):
         diffs.append(root)
         return diff(self, root)
 
-    monkeypatch.setattr(expressions._Dag, "diff", counted)
     text = ("[model]\nkind = linear_dissipation\nm = 1\ngamma = 0.1\nV = q^2/2 + q^4\n"
             "[initial]\nq = 1\np = 0\n[integration]\nt_end = 1\n")
+    build_model(parse_scenario(text))
+    monkeypatch.setattr(expressions._Dag, "diff", counted)
     V = build_model(parse_scenario(text)).params["V"]
     assert len(diffs) == 1 and V._curvature is None
     assert V.second_derivative(0.5) == 4.0

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import contactmech as cm
+from contactmech import expressions, model
 from contactmech.errors import DimensionMismatchError, NonFiniteError
+from contactmech.scenario import KINDS, build_model, parse_scenario
 
 
 def test_linear_dissipation_eval_examples(linear_model):
@@ -252,3 +254,39 @@ def test_the_tangent_takes_V2_from_the_symbolic_second_derivative():
     for q in (-1.7, -0.3, 0.4, 2.0, 15.0):
         assert d2V(quartic, q) == quartic.second_derivative(q)
         assert d2V(quartic, q) == pytest.approx(12 * q * q, rel=1e-14)
+
+
+_H = {  # each built-in's H in the float operations of its template
+    "linear_dissipation": lambda m, g, f, q, p, S, t: p * p / (2 * m) + f(q) + g * S,
+    "damped_parametric": lambda m, g, f, q, p, S, t:
+        p * p / (2 * m) + 0.5 * m * f(t) * f(t) * q * q + g * S,
+    "caldirola_kanai": lambda m, g, f, q, p, S, t:
+        math.exp(-g * t) * p * p / (2 * m) + math.exp(g * t) * f(q),
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_a_kind_is_parsed_differentiated_and_compiled_once(kind, monkeypatch):
+    """24 models of one kind, each with its own m, gamma and V or omega: the
+    first build parses and differentiates the kind's template and compiles its
+    four functions, and the other 23 do neither; each binds its own values."""
+    _, key, var = KINDS[kind]
+    configs = [parse_scenario(f"[model]\nkind = {kind}\nm = {1 + i / 8}\ngamma = {i / 16}\n"
+                              f"{key} = {1 + i / 4}*{var}^2/2 + {i / 50}*{var}^4\n"
+                              "[initial]\nq = 1\np = 0\n[integration]\nt_end = 1\n")
+               for i in range(24)]
+    diffs, diff = [], expressions._Dag.diff
+    monkeypatch.setattr(expressions._Dag, "diff",
+                        lambda self, root, x=None: diffs.append(x) or diff(self, root, x))
+    model._kind_code.cache_clear()
+    expressions._template.cache_clear()
+    models = [build_model(configs[0])]
+    first = (len(diffs), expressions._template.cache_info().misses)
+    models += [build_model(config) for config in configs[1:]]
+    assert first[0] >= 4 and first[1] == 4   # the gradient's four, then the Hessian's
+    assert (len(diffs), expressions._template.cache_info().misses) == first
+    y = np.array([[0.7, -0.3, 0.2]])
+    for config, built in zip(configs, models):
+        f = getattr(config, key)
+        assert built.params == {"m": config.m, "gamma": config.gamma, key: f}
+        assert built.value(0.5, y)[0] == _H[kind](config.m, config.gamma, f, 0.7, -0.3, 0.2, 0.5)

@@ -1,7 +1,9 @@
-"""Golden outputs: a sha256 manifest of every file the reference runs write.
+"""Golden outputs: a sha256 manifest of every file the reference runs write,
+and a comparison of the reference runs of two revisions.
 
     python tools/golden.py --write [--manifest FILE]
     python tools/golden.py --check [--manifest FILE]
+    python tools/golden.py --compare OLD NEW
 
 The reference runs are 106 output directories:
 
@@ -10,24 +12,33 @@ The reference runs are 106 output directories:
   code recorded next to its outputs (``cli/<name>-seed<s>/``);
 * every ``volume`` and ``invariants`` entry of ``perfbench.generate`` at
   seeds 5 and 11, through ``cli.run_scenario`` with trajectory and plots, in
-  this process (``<workload>-seed<s>/<entry>/``); an exception's type and
+  one process (``<workload>-seed<s>/<entry>/``); an exception's type and
   message are recorded in place of an exit code.
 
-The runs use this checkout's ``src`` and ``perfbench`` and write to a
-temporary directory.  ``--write`` records one ``<sha256>  <path>`` line per
-file, sorted by path; ``--check`` runs again and lists every file that is
-missing, extra or different, exiting 1 if there is one.  The manifest's bits
-come from the host's libm, so a manifest is compared only with runs on the
-host that wrote it.  Standard library only.
+A tree's runs use its ``src`` and ``scenarios``, and this checkout's
+``perfbench.generate``; they run in a child process and write to a temporary
+directory.  ``--write`` records one ``<sha256>  <path>`` line per file of this
+checkout's runs, sorted by path; ``--check`` runs again and lists every file
+that is missing, extra or different, exiting 1 if there is one.
+``--compare`` unpacks the two git revisions with ``git archive``, runs each,
+and summarises what moved: each report line that differs with its old and new
+value, their relative change and any verdict that flipped; for each
+trajectory that moved, its largest change scaled by that column's largest
+magnitude; changed ``_exit``, ``_stderr`` and ``_stdout`` files verbatim.  The
+bits come from the host's libm, so a manifest is compared only with runs on
+the host that wrote it, and both sides of a comparison run on one host.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -39,12 +50,14 @@ CLI_SCENARIOS = ("caldirola_kanai", "conservative_oscillator", "damped_free_part
 CLI_SEEDS = (0, 3)
 WORKLOADS = ("volume", "invariants")
 WORKLOAD_SEEDS = (5, 11)
+VERBATIM = ("_exit", "_stderr", "_stdout")
+VERDICTS = ("pass", "status")  # report keys whose value is a verdict
 
 
-def run_cli(out: Path):
+def run_cli(tree: Path, out: Path):
     """The shipped scenarios through fresh `contactmech run` processes."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for name in CLI_SCENARIOS:
         for seed in CLI_SEEDS:
             d = out / "cli" / f"{name}-seed{seed}"
@@ -52,15 +65,15 @@ def run_cli(out: Path):
             proc = subprocess.run(
                 [sys.executable, "-m", "contactmech.cli", "run", f"scenarios/{name}.ini",
                  "--out", str(d), "--seed", str(seed)],
-                cwd=ROOT, env=env, capture_output=True)
+                cwd=tree, env=env, capture_output=True)
             (d / "_stdout").write_bytes(proc.stdout)
             (d / "_stderr").write_bytes(proc.stderr)
             (d / "_exit").write_text(f"{proc.returncode}\n")
 
 
-def run_workloads(out: Path):
+def run_workloads(tree: Path, out: Path):
     """Every generated volume and invariants entry through `cli.run_scenario`."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    sys.path[:0] = [str(tree / "src"), str(ROOT)]
     from contactmech import cli, scenario
     from perfbench import generate
     for workload in WORKLOADS:
@@ -75,6 +88,20 @@ def run_workloads(out: Path):
                     result = f"{type(exc).__name__}: {exc}\n"
                 d.mkdir(parents=True, exist_ok=True)
                 (d / "_exit").write_text(result)
+
+
+def run(tree: Path, out: Path):
+    """The reference runs of the package in tree/src, into out, in a child process."""
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--run", str(tree), str(out)],
+                   check=True)
+
+
+def unpack(rev: str, into: Path) -> Path:
+    """The files of git revision rev, as `git archive` gives them, under into."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return into
 
 
 def digest(out: Path) -> dict:
@@ -104,18 +131,118 @@ def compare(expected: dict, actual: dict) -> list:
     return lines
 
 
+def _report(path: Path) -> dict:
+    """{dotted key: value} of a report's ``key: value`` lines, keyed by their
+    nesting; the top-level ``diagnostics`` is left out of the key."""
+    keys, stack = {}, []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        key, _, value = line.strip().partition(":")
+        depth = len(line) - len(line.lstrip())
+        stack = [(d, k) for d, k in stack if d < depth] + [(depth, key)]
+        keys[".".join(k for _, k in stack if k != "diagnostics")] = value.strip()
+    return keys
+
+
+def _float(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _report_lines(name: str, old: Path, new: Path) -> list:
+    a, b = _report(old), _report(new)
+    lines = []
+    for key in list(a) + [k for k in b if k not in a]:
+        x, y = a.get(key), b.get(key)
+        if x == y:
+            continue
+        if x is None or y is None:
+            lines.append(f"{name}: {key}: {'added' if x is None else 'removed'} "
+                         f"({y if x is None else x})")
+            continue
+        u, v = _float(x), _float(y)
+        change = f" ({(v - u) / abs(u):+.2e})" if u and v is not None else ""
+        flipped = " (verdict flipped)" if key.rsplit(".", 1)[-1] in VERDICTS else ""
+        lines.append(f"{name}: {key}: {x} -> {y}{change}{flipped}")
+    return lines
+
+
+def _table(path: Path) -> tuple:
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return header.split("\t"), [[float(x) for x in row.split("\t")] for row in rows]
+
+
+def _trajectory_line(name: str, old: Path, new: Path) -> str:
+    """The largest change of one column, scaled by that column's largest magnitude."""
+    (ha, a), (hb, b) = _table(old), _table(new)
+    if ha != hb or len(a) != len(b):
+        return f"{name}: columns or rows changed: {len(ha)}x{len(a)} -> {len(hb)}x{len(b)}"
+    worst = (0.0, "", 0)
+    for j, col in enumerate(ha):
+        scale = max(abs(row[j]) for rows in (a, b) for row in rows) or 1.0
+        for i, (x, y) in enumerate(zip(a, b)):
+            moved = abs(y[j] - x[j]) / scale if x[j] != y[j] else 0.0
+            if moved != moved or moved > worst[0]:  # a NaN on one side is the worst
+                worst = (moved, col, i)
+    return f"{name}: moved, largest change {worst[0]:.3g} of column {worst[1]}'s " \
+           f"maximum (row {worst[2]})"
+
+
+def summarize(old: Path, new: Path) -> list:
+    """What differs between the output trees old and new, one line per moved
+    report line or trajectory, verbatim for `VERBATIM` files, and a count."""
+    a, b = digest(old), digest(new)
+    lines = []
+    for name in sorted(set(a) | set(b)):
+        if name not in b or name not in a:
+            lines.append(f"{'missing in NEW' if name not in b else 'only in NEW'}: {name}")
+        elif a[name] == b[name]:
+            continue
+        elif name.endswith(".txt"):
+            lines += _report_lines(name, old / name, new / name)
+        elif name.endswith(".tsv"):
+            lines.append(_trajectory_line(name, old / name, new / name))
+        elif name.rsplit("/", 1)[-1] in VERBATIM:
+            lines.append(f"{name}:")
+            for tag, tree in (("-", old), ("+", new)):
+                lines += [f"  {tag} {line}" for line in
+                          (tree / name).read_text(encoding="utf-8").splitlines()]
+        else:
+            lines.append(f"differs: {name}")
+    moved = sum(a.get(name) != b.get(name) for name in set(a) | set(b))
+    dirs = {"/".join(name.split("/")[:2]) for name in set(a) | set(b)}
+    lines.append(f"{len(set(a) | set(b))} files in {len(dirs)} directories: "
+                 f"{f'{moved} differ' if moved else 'identical'}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true", help="record the manifest")
     mode.add_argument("--check", action="store_true", help="compare a fresh run with it")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                      help="run two git revisions and summarise what moved")
+    mode.add_argument("--run", nargs=2, type=Path, help=argparse.SUPPRESS)  # TREE OUT
     parser.add_argument("--manifest", type=Path, default=DEFAULT_MANIFEST)
     args = parser.parse_args(argv)
+    if args.run:
+        run_cli(*args.run)
+        run_workloads(*args.run)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        run_cli(out)
-        run_workloads(out)
-        actual = digest(out)
+        tmp = Path(tmp)
+        if args.compare:
+            outs = []
+            for side, rev in zip(("old", "new"), args.compare):
+                run(unpack(rev, tmp / f"{side}-tree"), tmp / side)
+                outs.append(tmp / side)
+            print(f"tools/golden.py --compare {' '.join(args.compare)}")
+            print("\n".join(summarize(*outs)))
+            return 0
+        run(ROOT, tmp / "out")
+        actual = digest(tmp / "out")
     dirs = {"/".join(name.split("/")[:2]) for name in actual}
     if args.write:
         args.manifest.write_text("".join(f"{sha}  {name}\n" for name, sha in actual.items()),

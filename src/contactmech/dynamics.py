@@ -570,7 +570,7 @@ def recover_S_linear(model: HamiltonianModel, q: float, p: float, t: float,
                      H0: float) -> float:
     """Solve the decay law of the linear-dissipation system for S(q, p, t)."""
     params = model.params
-    if "gamma" not in params or "V" not in params or "m" not in params:
+    if model.name != "linear_dissipation" or not {"gamma", "V", "m"} <= params.keys():
         raise UnsupportedModelError("recover_S_linear needs a linear-dissipation model")
     gamma, m, V = params["gamma"], params["m"], params["V"]
     if gamma == 0:

@@ -9,9 +9,9 @@ and the built-in Hamiltonians H(q, p, S, t).
 
 Identifiers are the declared variables, the constants pi and e, and the
 functions sin, cos, exp, sqrt, log; a template (`parse_template`) also names
-parameters, bound with its code, and leaves, functions bound to an object's
-``__call__``, ``derivative`` and ``second_derivative``.  An expression and
-its symbolic derivatives are one DAG of hash-consed nodes, turned into
+parameters, bound with its code, leaves, functions whose derivatives are the
+leaves of the next order, and the subexpressions its earlier texts name.  An
+expression and its symbolic derivatives are one DAG of hash-consed nodes, turned into
 straight-line functions; an `Expression`'s second derivative is
 differentiated from the first on its first call.  The code is compiled once
 per shape per process, and each expression's constants are put into its own
@@ -29,7 +29,7 @@ import operator
 import re
 import types
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import ExpressionError
 
@@ -289,14 +289,18 @@ def _compile(root: Node, variable: str, where: str) -> Callable[[float], float]:
     """`root` as a function of its one `variable`; see `_emit`."""
     code, *info = _emit(root, [root], {variable: "x0"}, "def f(x0):", "{}")
     return types.FunctionType(code, dict(_GLOBALS, _error=functools.partial(
-        _error, where, *info)))
+        _error, where, {code: info}, None)))
 
 
-def _error(where: str, lines: dict, text: dict, value: dict, exc: Exception) -> Exception:
-    """The error of the node on the line that raised `exc`, with the text,
-    operands and offset a tree walk gives it, after `where`; a leaf's own
-    error is `exc` itself."""
+def _error(where: str, info: dict, overflow: Optional[str], exc: Exception) -> Exception:
+    """The error of the node on the line that raised `exc`, by the raising
+    function's code in `info` (code -> `_emit`'s lines, text and value), with
+    the text, operands and offset a tree walk gives it, after `where`; a
+    leaf's own error is `exc` itself.  An overflowing exp is, when `overflow`
+    is given, `where` and `overflow` formatted with the function's globals,
+    `exc` and t as the float time of the row."""
     tb = exc.__traceback__
+    lines, text, value = info[tb.tb_frame.f_code]
     node = lines.get(tb.tb_lineno)
     if node is None or node.op == "leaf":
         return exc
@@ -313,7 +317,10 @@ def _error(where: str, lines: dict, text: dict, value: dict, exc: Exception) -> 
     if isinstance(exc, ValueError):  # math's domain error
         return ExpressionError(f"{where}{op} of {_DOMAIN_ERRORS[op]} value {a!r}",
                                position=pos)
-    return OverflowError(f"{where}{op} of {a!r} overflows: {exc} (at offset {pos})")  # exp
+    if overflow is None:  # the rest is an exp's overflow
+        return OverflowError(f"{where}{op} of {a!r} overflows: {exc} (at offset {pos})")
+    t = env["t"] if isinstance(env["t"], (int, float)) else env["t"].flat[0].item()
+    return OverflowError(where + overflow.format(**tb.tb_frame.f_globals, t=t, exc=exc))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +328,12 @@ def _error(where: str, lines: dict, text: dict, value: dict, exc: Exception) -> 
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens, dag: _Dag, variables, params=(), leaves=()):
+    def __init__(self, tokens, dag: _Dag, variables, params=(), leaves=None, named=None):
         self.tokens = tokens
         self.i = 0
         self.dag = dag
-        self.variables, self.params, self.leaves = variables, params, leaves
+        self.variables, self.params = variables, params
+        self.leaves, self.named = leaves or {}, named or {}
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -392,8 +400,10 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 if name in self.leaves:
-                    return self.dag.node("leaf", arg, value=(name, 0))
+                    return self.dag.node("leaf", arg, value=self.leaves[name])
                 return self.dag.node(name, arg, pos=tok.pos)
+            if name in self.named:
+                return self.named[name]
             if name in self.variables:
                 return self.dag.node("var", value=name)
             if name in self.params:
@@ -476,12 +486,21 @@ def parse_expression(text: str, variable: str, key: str = "") -> Expression:
         raise ExpressionError("expression nested too deeply", position=0) from None
 
 
-def parse_template(text: str, variables: tuple, params: tuple, leaves: tuple) -> tuple:
-    """(dag, root) of `text` in the `variables`, with the `params` bound only
-    when its code is and the `leaves` as functions of one argument, whose
-    derivatives are the leaves of the next order (see `_emit`)."""
-    dag = _Dag()
-    return dag, _Parser(_tokenize(text), dag, variables, params, leaves).parse()
+def parse_template(texts: tuple, variables: tuple, params: tuple, leaves: dict) -> tuple:
+    """(dag, roots) of `texts`, in order, in the `variables`, with the `params`
+    bound only when its code is; `leaves` maps a function name of one argument
+    to (leaf, order), the leaf of the next order being its derivative (see
+    `_emit`).  A text ``name = expr`` is no root: it names expr's node for the
+    texts after it."""
+    dag, named, roots = _Dag(), {}, []
+    for text in texts:
+        name, is_named, expr = text.rpartition("=")
+        node = _Parser(_tokenize(expr), dag, variables, params, leaves, named).parse()
+        if is_named:
+            named[name.strip()] = node
+        else:
+            roots.append(node)
+    return dag, roots
 
 
 def as_expression(obj, variable: str, name: str):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import types
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -235,15 +236,40 @@ _TEMPLATES = {
 _Y = ("q", "p", "S")
 _J = tuple(f"J{k}{c}" for k in range(3) for c in range(3))  # the tangent's J, row-major
 _NAMES = {x: x for x in (*_Y, "t", "m", "gamma", *_J)}
-_BLOCK = {f"_{fn}": functools.partial(_per_element, f) for fn, f in _FUNCTIONS.items()}
+_BLOCKS = "def f(t, y):\n    q, p, S = y.T"  # the head of a function of (k, 3) rows
+_FLOATS = "def f(t, y):\n    q, p, S = y.tolist()"
+_POWER = np.frompyfunc(math.pow, 2, 1)  # math.pow per pair of broadcast elements
+_BLOCK = {"_pow": lambda a, b: np.asarray(_POWER(a, b), dtype=float),
+          **{f"_{fn}": functools.partial(_per_element, f) for fn, f in _FUNCTIONS.items()}}
+
+
+def _compile(where: str, first, parts, overflow: Optional[str] = None) -> tuple:
+    """([(code, of floats)], error) of `parts`, (outputs, head, ret) triples
+    emitted over `first` (see `expressions._emit`); a head other than `_BLOCKS`
+    makes a function of floats.  `error` is their `expressions._error`."""
+    info, codes = {}, []
+    for outputs, head, ret in parts:
+        code, *lines_text_value = _emit(first, outputs, _NAMES, head, ret)
+        info[code] = lines_text_value
+        codes.append((code, head != _BLOCKS))
+    return codes, functools.partial(_error, where, info, overflow)
+
+
+def _bind(compiled: tuple, params: dict, blocks: dict, floats: Optional[dict] = None) -> list:
+    """The functions of `compiled` (see `_compile`) over one globals dict per
+    flavour: the `params` and, as ``_<leaf><k>``, the leaf functions in
+    `blocks` for the functions of columns and in `floats` for those of floats."""
+    codes, error = compiled
+    columns = {**_BLOCK, **blocks, **params, "_columns": _columns, "_error": error}
+    points = floats is not None and {**_GLOBALS, **floats, **params, "_error": error}
+    return [types.FunctionType(code, points if flat else columns) for code, flat in codes]
 
 
 @functools.lru_cache(maxsize=None)
 def _kind_code(kind: str) -> tuple:
-    """The emitted (code, lines, text, value) of `kind`'s value, grad, field and
-    tangent_rhs (see `expressions._emit`)."""
-    template, leaf, _ = _TEMPLATES[kind]
-    dag, H = parse_template(template, (*_Y, "t"), ("m", "gamma"), (leaf,))
+    """`_compile` of `kind`'s value, grad, field and tangent_rhs."""
+    template, leaf, overflow = _TEMPLATES[kind]
+    dag, (H,) = parse_template((template,), (*_Y, "t"), ("m", "gamma"), {leaf: (leaf, 0)})
     p = dag.node("var", value="p")
     g = [dag.diff(H, x) for x in (*_Y, "t")]
     K = [[dag.diff(g[i], x) for x in _Y] for i in range(3)]
@@ -257,23 +283,12 @@ def _kind_code(kind: str) -> tuple:
     AJ = [functools.reduce(dag.add, [dag.mul(A[i][k], J[k][c]) for k in range(3)
                                      if not _is_num(A[i][k], 0.0)], dag.num(0.0))
           for i in range(3) for c in range(3)]
-    blocks, floats = "def f(t, y):\n    q, p, S = y.T", "def f(t, y):\n    q, p, S = y.tolist()"
     tangent = f"def f(t, y):\n    q, p, S, {', '.join(_J)} = y.tolist()"
-    return (_emit(H, [H], _NAMES, blocks, "{}"),
-            _emit(H, g, _NAMES, blocks, "_columns(len(y), {}, {}, {}, {})"),
-            _emit(H, field, _NAMES, floats, "[{}, {}, {}]"),
-            _emit(H, field + AJ, _NAMES, tangent, f"[{', '.join(['{}'] * 12)}]"))
-
-
-def _template_error(kind: str, gamma, info: tuple, exc: Exception) -> Exception:
-    """`expressions._error` after "<kind>: ", or the kind's text for an overflow
-    of its exp, at the float time of the row."""
-    err, overflow = _error(f"{kind}: ", *info, exc), _TEMPLATES[kind][2]
-    if overflow is None or err is exc or not isinstance(err, OverflowError):
-        return err
-    t = exc.__traceback__.tb_frame.f_locals["t"]
-    t = t if isinstance(t, float) else np.ravel(t)[0].item()
-    return OverflowError(f"{kind}: " + overflow.format(gamma=gamma, t=t, exc=exc))
+    return _compile(f"{kind}: ", H, [([H], _BLOCKS, "{}"),
+                                     (g, _BLOCKS, "_columns(len(y), {}, {}, {}, {})"),
+                                     (field, _FLOATS, "[{}, {}, {}]"),
+                                     (field + AJ, tangent, f"[{', '.join(['{}'] * 12)}]")],
+                    overflow)
 
 
 def _builtin(kind: str, m: float, gamma: float, fn) -> HamiltonianModel:
@@ -281,13 +296,9 @@ def _builtin(kind: str, m: float, gamma: float, fn) -> HamiltonianModel:
     ``__call__``, ``derivative`` and ``second_derivative``."""
     leaf = _TEMPLATES[kind][1]
     calls = {f"_{leaf}{i}": f for i, f in enumerate((fn, fn.derivative, fn.second_derivative))}
-    floats = {**_GLOBALS, **calls, "m": m, "gamma": gamma}
-    blocks = {**_BLOCK, **{name: functools.partial(_per_element, f) for name, f in calls.items()},
-              "_columns": _columns, "m": m, "gamma": gamma}
-    value, grad, field, tangent_rhs = (
-        types.FunctionType(code, dict(env, _error=functools.partial(
-            _template_error, kind, gamma, info)))
-        for (code, *info), env in zip(_kind_code(kind), (blocks, blocks, floats, floats)))
+    value, grad, field, tangent_rhs = _bind(
+        _kind_code(kind), {"m": m, "gamma": gamma},
+        {name: functools.partial(_per_element, f) for name, f in calls.items()}, calls)
     return HamiltonianModel(n=1, value=value, grad=grad, field=field, tangent_rhs=tangent_rhs,
                             name=kind, params={"m": m, "gamma": gamma, leaf: fn})
 
@@ -340,8 +351,8 @@ def make_custom(n: int, value, grad=None, name: str = "custom",
     """Wrap per-point callables of (t, y), y = [q, p, S], as a model: ``value`` is
     H and ``grad`` [dH/dq, dH/dp, dH/dS, dH/dt], central differences of ``value``
     when None; the model's ``value`` and ``grad`` call them per row, t a float."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     n = int(n)
     gradient = None
     if grad is not None:

@@ -8,21 +8,25 @@ transformation when, at every point,
     0     = dS~/dp_i - P_a dQ^a/dp_i
 
 with f nowhere zero.  Hamiltonians push forward through such maps via
-K = f H - dS~/dt + P_a dQ^a/dt, evaluated at pre-image points.
+K = f H - dS~/dt + P_a dQ^a/dt, evaluated at pre-image points.  The built-in
+maps but the identity are parsed templates (`_MAPS`), whose inverse, Jacobian
+and f are emitted with the forward map by the models' code generator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, NonFiniteError, SingularChartError,
                      UnsupportedModelError)
-from .model import (ExtendedState, HamiltonianModel, _block_model, _columns, _per_element,
-                    central_difference, rowwise)
+from .expressions import parse_template
+from .model import (_BLOCKS, _Y, ExtendedState, HamiltonianModel, _bind, _block_model,
+                    _check_mass_and_damping, _compile, _per_element, central_difference, rowwise)
 
 DEFAULT_VERIFY_TOL = 1e-8
 
@@ -257,15 +261,58 @@ def compose(outer: ContactMap, inner: ContactMap, name: Optional[str] = None) ->
 # Built-in maps
 # ---------------------------------------------------------------------------
 #
-# Each closure is the per-point formula on columns: +, -, * and / round alike
-# in numpy and in floats, and exp, atan, cos, sin and every power go through
-# `_per_element`, so each row is bit for bit the one-row call's.  A Jacobian is
-# its nine entries as columns, row by row, reshaped.
+# Each built-in map but the identity is one template: forward texts for Q, P
+# and S~ and inverse texts for q, p and S, in q, p, S and t with the
+# parameters m and gamma; a text ``x = ...`` names a subexpression for the
+# texts after it.  `_map_code` emits, once per process and through
+# `model._compile`, forward, inverse, the Jacobian and its time partials from
+# the forward DAG, and f = e^{gamma t}, all on columns with every exp, cos,
+# sin, sqrt, power and atan per element, so a block gives its rows' bits; a
+# map binds m, gamma and its leaves (`model._bind`).  alpha and alpha' are the
+# Ermakov solution's accessors, whose array path is bit-equal to its float path.
+
+_MAPS = {
+    "ck": (("e = exp(gamma*t)", "q", "p*e", "S*e"),
+           ("e = exp(-gamma*t)", "q", "p*e", "S*e")),
+    "expanding": (("e = exp(gamma*t/2)", "q*e", "(p + 0.5*m*gamma*q)*e",
+                   "(S + 0.25*m*gamma*q*q)*exp(gamma*t)"),
+                  ("e = exp(-gamma*t/2)", "x = q*e", "x", "p*e - 0.5*m*gamma*x",
+                   "S*exp(-gamma*t) - 0.25*m*gamma*x*x")),
+    "invariants": (("u = dalpha(t) - 0.5*gamma*alpha(t)", "A = alpha(t)*p/m - u*q",
+                    "e = exp(gamma*t)", "atan(alpha(t)*u - alpha(t)*alpha(t)*p/(m*q))",
+                    "0.5*m*e*(A*A + (q/alpha(t))^2)", "e*(S - 0.5*q*p)"),
+                   ("e = exp(-gamma*t/2)", "c = cos(q)", "x = sqrt(2*p/m)*e*alpha(t)*c",
+                    "y = sqrt(2*m*p)*e*((dalpha(t) - 0.5*gamma*alpha(t))*c - sin(q)/alpha(t))",
+                    "x", "y", "exp(-gamma*t)*S + 0.5*x*y")),
+}
+_LEAVES = {"alpha": ("alpha", 0), "dalpha": ("alpha", 1), "atan": ("atan", 0)}
+_OVERFLOW = "e^(±gamma t) with gamma = {gamma!r} overflows at t={t!r}: {exc}"
 
 
-def _exp(c: float, t) -> np.ndarray:
-    """e^{c t} per element of t."""
-    return _per_element(lambda x: math.exp(c * x), t)
+@functools.lru_cache(maxsize=None)
+def _map_code(name: str) -> tuple:
+    """`model._compile` of map `name`'s forward, inverse, jacobian and declared_f."""
+    forward, inverse = _MAPS[name]
+    names = ((*_Y, "t"), ("m", "gamma"), _LEAVES)
+    dag, roots = parse_template((*forward, "exp(gamma*t)"), *names)
+    images, f = roots[:3], roots[3]
+    J = [dag.diff(image, x) for image in images for x in _Y]
+    dT = [dag.diff(image, "t") for image in images]
+    _, back = parse_template(inverse, *names)
+    three = "_columns(len(y), {}, {}, {})"
+    return _compile(f"map '{name}': ", images[0], [
+        (images, _BLOCKS, three), (back, _BLOCKS, three),
+        (J + dT, _BLOCKS, f"(_columns(len(y), {', '.join(['{}'] * 9)}).reshape(-1, 3, 3), "
+                          f"{three})"),
+        ([f], _BLOCKS, "{}")], _OVERFLOW)
+
+
+def _builtin_map(name: str, m: float, gamma: float, leaves: Optional[dict] = None,
+                 probes: Optional[np.ndarray] = None) -> ContactMap:
+    """Map `name` with these m and gamma and leaf functions of columns."""
+    _check_mass_and_damping(m, gamma)
+    return ContactMap(1, *_bind(_map_code(name), {"m": m, "gamma": gamma}, leaves or {}),
+                      name=name, probes=probes)
 
 
 def map_identity(n: int = 1) -> ContactMap:
@@ -286,27 +333,10 @@ def map_ck(m: float, gamma: float) -> ContactMap:
     """Physical-to-Caldirola-Kanai coordinates: (q, e^{gt} p, e^{gt} S, t).
 
     A time-dependent contact transformation with f = e^{gamma t}; pushes the
-    linear-dissipation Hamiltonian onto the Caldirola-Kanai one.  The mass is
-    accepted for API uniformity but does not enter the map.
+    linear-dissipation Hamiltonian onto the Caldirola-Kanai one.  The mass
+    does not enter the map, but is checked like gamma, as for a model.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-
-    def forward(t, Y):
-        e = _exp(gamma, t)
-        return Y * _columns(len(Y), 1.0, e, e)
-
-    def inverse(t, Y):
-        e = _exp(-gamma, t)
-        return Y * _columns(len(Y), 1.0, e, e)
-
-    def jacobian(t, Y):
-        e, k = _exp(gamma, t), len(Y)
-        return (_columns(k, 1.0, 0.0, 0.0, 0.0, e, 0.0, 0.0, 0.0, e).reshape(k, 3, 3),
-                _columns(k, 0.0, gamma * e * Y[:, 1], gamma * e * Y[:, 2]))
-
-    return ContactMap(n=1, forward=forward, inverse=inverse, jacobian=jacobian,
-                      declared_f=lambda t, Y: _exp(gamma, t), name="ck")
+    return _builtin_map("ck", m, gamma)
 
 
 def map_expanding(m: float, gamma: float) -> ContactMap:
@@ -315,39 +345,7 @@ def map_expanding(m: float, gamma: float) -> ContactMap:
     (q, p, S, t) -> (q e^{gt/2}, [p + m g q / 2] e^{gt/2}, [S + m g q^2/4] e^{gt}, t),
     a time-dependent contact transformation with f = e^{gamma t}.
     """
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-
-    def halves(sign, t):
-        """(e^{sign gamma t / 2}, e^{sign gamma t}) per element of t."""
-        return _per_element(lambda x: math.exp(sign * gamma * x / 2), t), _exp(sign * gamma, t)
-
-    def forward(t, Y):
-        q, p, S = Y.T
-        eh, e1 = halves(1.0, t)
-        return _columns(len(Y), q * eh, (p + 0.5 * m * gamma * q) * eh,
-                        (S + 0.25 * m * gamma * q * q) * e1)
-
-    def inverse(t, Y):
-        Q, P, St = Y.T
-        eh, e1 = halves(-1.0, t)
-        q = Q * eh
-        return _columns(len(Y), q, P * eh - 0.5 * m * gamma * q,
-                        St * e1 - 0.25 * m * gamma * q * q)
-
-    def jacobian(t, Y):
-        (q, p, S), (eh, e1), k = Y.T, halves(1.0, t), len(Y)
-        J = _columns(k, eh, 0.0, 0.0,
-                     0.5 * m * gamma * eh, eh, 0.0,
-                     0.5 * m * gamma * q * e1, 0.0, e1)
-        dT = _columns(k, 0.5 * gamma * q * eh, 0.5 * gamma * (p + 0.5 * m * gamma * q) * eh,
-                      gamma * (S + 0.25 * m * gamma * q * q) * e1)
-        return J.reshape(k, 3, 3), dT
-
-    return ContactMap(n=1, forward=forward, inverse=inverse, jacobian=jacobian,
-                      declared_f=lambda t, Y: _exp(gamma, t), name="expanding")
+    return _builtin_map("expanding", m, gamma)
 
 
 def map_invariants(m: float, gamma: float, erm) -> ContactMap:
@@ -359,67 +357,26 @@ def map_invariants(m: float, gamma: float, erm) -> ContactMap:
     S-dependent invariant; f = e^{gamma t}.  Defined on the q != 0 chart; the
     inverse lands on the principal branch (q > 0).
     """
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-
-    def _au(t):
-        a = erm.alpha(t)
-        return a, erm.alpha_dot(t) - 0.5 * gamma * a
-
-    def forward(t, Y):
-        q, p, S = Y.T
-        if (q == 0.0).any():
-            raise SingularChartError("invariants chart is singular at q = 0")
-        a, u = _au(t)
-        w = a * u - a * a * p / (m * q)
-        A = a * p / m - u * q
-        e = _exp(gamma, t)
-        I = 0.5 * m * e * (A * A + _per_element(lambda x: x ** 2, q / a))
-        G = e * (S - 0.5 * q * p)
-        return _columns(len(Y), _per_element(math.atan, w), I, G)
-
-    def inverse(t, Y):
-        phi, I, G = Y.T
-        if (I < 0).any():
-            raise ValueError("the quadratic invariant is non-negative")
-        a, u = _au(t)
-        eh = _per_element(lambda x: math.exp(-gamma * x / 2), t)
-        amp = np.sqrt(2.0 * I / m) * eh
-        cos = _per_element(math.cos, phi)
-        q = amp * a * cos
-        p = np.sqrt(2.0 * m * I) * eh * (u * cos - _per_element(math.sin, phi) / a)
-        return _columns(len(Y), q, p, _exp(-gamma, t) * G + 0.5 * q * p)
-
-    def jacobian(t, Y):
-        q, p, S = Y.T
-        if (q == 0.0).any():
-            raise SingularChartError("invariants chart is singular at q = 0")
-        a = erm.alpha(t)
-        ad = erm.alpha_dot(t)
-        add = erm.alpha_ddot(t)
-        u = ad - 0.5 * gamma * a
-        ud = add - 0.5 * gamma * ad
-        w = a * u - a * a * p / (m * q)
-        D = 1.0 + w * w
-        A = a * p / m - u * q
-        e = _exp(gamma, t)
-        k = len(Y)
-        J = _columns(k, (a * a * p / (m * q * q)) / D, (-a * a / (m * q)) / D, 0.0,
-                     m * e * (-A * u + q / (a * a)), e * a * A, 0.0,
-                     -0.5 * e * p, -0.5 * e * q, e)
-        wdot = ad * u + a * ud - 2.0 * a * ad * p / (m * q)
-        Idot = (gamma * 0.5 * m * e * (A * A + _per_element(lambda x: x ** 2, q / a))
-                + m * e * (A * (ad * p / m - ud * q)
-                           - q * q * ad / _per_element(lambda x: x ** 3, a)))
-        dT = _columns(k, wdot / D, Idot, gamma * e * (S - 0.5 * q * p))
-        return J.reshape(k, 3, 3), dT
-
     t_lo, t_hi = erm.t_range
     ts = np.linspace(t_lo + 0.05 * (t_hi - t_lo), t_lo + 0.75 * (t_hi - t_lo), 8)
     k = np.arange(8)
     probes = np.column_stack([0.6 + 0.1 * k, 0.3 - 0.08 * k, 0.2 * k - 0.5, ts])
-    return ContactMap(n=1, forward=forward, inverse=inverse, jacobian=jacobian,
-                      declared_f=lambda t, Y: _exp(gamma, t),
-                      name="invariants", probes=probes)
+    cmap = _builtin_map("invariants", m, gamma, {
+        "_alpha0": erm.alpha, "_alpha1": erm.alpha_dot, "_alpha2": erm.alpha_ddot,
+        "_atan0": functools.partial(_per_element, math.atan),
+        "_atan1": lambda w: 1.0 / (1.0 + w * w)}, probes)
+
+    def on_chart(fn):
+        def checked(t, Y):
+            if (Y[:, 0] == 0.0).any():
+                raise SingularChartError("invariants chart is singular at q = 0")
+            return fn(t, Y)
+        return checked
+
+    def inverse(t, Y):
+        if (Y[:, 1] < 0).any():
+            raise ValueError("the quadratic invariant is non-negative")
+        return cmap.inverse(t, Y)
+
+    return replace(cmap, forward=on_chart(cmap.forward), inverse=inverse,
+                   jacobian=on_chart(cmap.jacobian))

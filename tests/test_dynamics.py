@@ -634,6 +634,10 @@ def test_recover_S_linear(linear_model, linear_traj):
         cm.recover_S_linear(cons, 1.0, 0.0, 0.0, 0.5)
     with pytest.raises(UnsupportedModelError):
         cm.recover_S_linear(cm.make_custom(1, lambda t, y: 0.0), 1.0, 0.0, 0.0, 0.5)
+    # Caldirola-Kanai's params also hold m, gamma and V
+    ck = cm.make_caldirola_kanai(1.0, 0.3, cm.parse_expression("q^2/2", "q"))
+    with pytest.raises(UnsupportedModelError):
+        cm.recover_S_linear(ck, 1.0, 0.5, 2.0, 1.3)
 
 
 def test_jacobian_determinant_at_t_end(linear_model, conservative_model):

@@ -57,3 +57,19 @@ def test_compare_summarises_moved_values_flipped_verdicts_and_changed_exits(gold
         "5 files in 2 directories: 3 differ",
     ]
     assert golden.summarize(old, old) == ["5 files in 2 directories: identical"]
+
+
+def test_compare_fails_only_on_a_verdict_or_exit_code_that_got_worse(golden, tmp_path):
+    """pass -> fail and an exit 0 -> 1 are regressions; fail -> pass and a
+    deliberate exit 2 -> 0 are not."""
+    old = _tree(tmp_path / "old", "2.5e-06", "true", "-0.5", "0\n")
+    new = _tree(tmp_path / "new", "2.0000000000000002e-05", "false", "-0.5", "1\n")
+    assert golden.regressions(old, new) == [
+        "volume-seed5/volume_00/_exit: 0 -> 1",
+        "volume-seed5/volume_00/report.txt: status: pass -> fail",
+        "volume-seed5/volume_00/report.txt: divergence.pass: true -> false",
+    ]
+    assert golden.regressions(new, old) == []
+    bad_scenario = _tree(tmp_path / "bad", "2.5e-06", "true", "-0.5", "2\n")
+    assert golden.regressions(bad_scenario, old) == []
+    assert golden.regressions(old, old) == []

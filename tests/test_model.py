@@ -137,6 +137,10 @@ def test_constructor_preconditions():
         cm.make_caldirola_kanai(-2.0, 0.1, cm.parse_expression("q^2/2", "q"))
     with pytest.raises(ValueError):
         cm.make_custom(0, lambda t, y: 0.0)
+    for n in (1.7, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            cm.make_custom(n, lambda t, y: 0.0)
+    assert cm.make_custom(np.int64(2), lambda t, y: 0.0).n == 2
     with pytest.raises(ValueError, match="mass must be positive"):
         cm.make_damped_parametric(math.nan, 0.1, 1.0)
     with pytest.raises(ValueError, match="damping rate must be non-negative"):

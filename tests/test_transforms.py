@@ -2,12 +2,17 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import contactmech as cm
+from contactmech import expressions, transforms
 from contactmech.errors import (DimensionMismatchError, NonFiniteError, SingularChartError,
                                 UnsupportedModelError)
 from contactmech.model import rowwise
@@ -246,6 +251,12 @@ def test_verify_validation(linear_model):
         cm.map_expanding(-1.0, 0.1)
     with pytest.raises(ValueError):
         cm.map_ck(1.0, -0.5)
+    for make in (cm.map_ck, cm.map_expanding):
+        for m, gamma, match in ((1.0, math.nan, "damping"), (math.nan, 0.1, "mass"),
+                                (1.0, math.inf, "damping"), (-1.0, 0.1, "mass"),
+                                (0.0, 0.1, "mass")):
+            with pytest.raises(ValueError, match=match):
+                make(m, gamma)
 
 
 def test_a_non_finite_jacobian_is_a_non_finite_error_naming_the_map():
@@ -476,3 +487,24 @@ def test_a_per_row_closure_is_a_dimension_error_naming_the_map():
     with pytest.raises(DimensionMismatchError, match="map 'rowwise' gives its image block "
                                                      r"the shape \(3, 3\), expected \(20, 3\)"):
         cm.verify(rowwise_map, random_rows(20, seed=37))
+
+
+def test_a_map_is_compiled_on_its_first_use_only():
+    """Importing the CLI compiles no map; the first map of a kind parses its
+    texts and compiles its four functions, and later ones of that kind only
+    bind their own m and gamma."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", "import contactmech.cli, contactmech.transforms "
+                           "as t; print(t._map_code.cache_info().currsize)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == "0\n", proc.stderr
+    transforms._map_code.cache_clear()
+    expressions._template.cache_clear()
+    maps = [cm.map_expanding(1 + i / 8, i / 16) for i in range(5)]
+    assert transforms._map_code.cache_info().misses == 1
+    assert expressions._template.cache_info().misses == 4
+    x = cm.make_state(0.7, -0.3, 0.2, 1.5)
+    for i, cmap in enumerate(maps):
+        assert cmap.apply(x).q[0] == 0.7 * math.exp(i / 16 * 1.5 / 2)

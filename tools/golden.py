@@ -24,7 +24,9 @@ that is missing, extra or different, exiting 1 if there is one.
 and summarises what moved: each report line that differs with its old and new
 value, their relative change and any verdict that flipped; for each
 trajectory that moved, its largest change scaled by that column's largest
-magnitude; changed ``_exit``, ``_stderr`` and ``_stdout`` files verbatim.  The
+magnitude; changed ``_exit``, ``_stderr`` and ``_stdout`` files verbatim.  It
+exits 1 when a verdict turned from pass to fail or an exit code from 0 to
+another (`regressions`); an exit code that turned to 0 passes.  The
 bits come from the host's libm, so a manifest is compared only with runs on
 the host that wrote it, and both sides of a comparison run on one host.
 Standard library only.
@@ -52,6 +54,7 @@ WORKLOADS = ("volume", "invariants")
 WORKLOAD_SEEDS = (5, 11)
 VERBATIM = ("_exit", "_stderr", "_stdout")
 VERDICTS = ("pass", "status")  # report keys whose value is a verdict
+PASSING = ("true", "pass")      # the values of a passing verdict
 
 
 def run_cli(tree: Path, out: Path):
@@ -217,6 +220,26 @@ def summarize(old: Path, new: Path) -> list:
     return lines
 
 
+def regressions(old: Path, new: Path) -> list:
+    """The verdicts that turned from pass to fail, and the ``_exit`` files that
+    turned from 0 to anything else, between the output trees old and new."""
+    lines = []
+    for path in sorted(old.rglob("*")):
+        name = path.relative_to(old).as_posix()
+        if not (new / name).is_file():
+            continue
+        if name.endswith(".txt"):
+            a, b = _report(old / name), _report(new / name)
+            lines += [f"{name}: {key}: {a[key]} -> {b[key]}" for key in a
+                      if key.rsplit(".", 1)[-1] in VERDICTS and a[key] in PASSING
+                      and b.get(key, a[key]) not in PASSING]
+        elif name.rsplit("/", 1)[-1] == "_exit":
+            a, b = ((tree / name).read_text(encoding="utf-8").strip() for tree in (old, new))
+            if a == "0" != b:
+                lines.append(f"{name}: 0 -> {b}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -240,7 +263,11 @@ def main(argv=None) -> int:
                 outs.append(tmp / side)
             print(f"tools/golden.py --compare {' '.join(args.compare)}")
             print("\n".join(summarize(*outs)))
-            return 0
+            worse = regressions(*outs)
+            if worse:
+                print(f"{len(worse)} passing verdicts or exit codes 0 now fail:")
+                print("\n".join(f"  {line}" for line in worse))
+            return 1 if worse else 0
         run(ROOT, tmp / "out")
         actual = digest(tmp / "out")
     dirs = {"/".join(name.split("/")[:2]) for name in actual}

@@ -80,9 +80,11 @@ def check_measure(model, traj: Trajectory, cache: Dict) -> Dict:
 
 
 def _ermakov_for(model, traj: Trajectory, cache: Dict):
+    """The Ermakov solution on traj's samples, started by `oscillator.ermakov_start`."""
     if "erm" not in cache:
-        cache["erm"] = oscillator.solve_ermakov(
-            model.params["omega"], model.params["gamma"], 1.0, 0.0, traj.times)
+        omega, gamma = model.params["omega"], model.params["gamma"]
+        start = oscillator.ermakov_start(omega, gamma, float(traj.times[0]))
+        cache["erm"] = oscillator.solve_ermakov(omega, gamma, *start, traj.times)
     return cache["erm"]
 
 

@@ -306,6 +306,8 @@ def _error(where: str, info: dict, overflow: Optional[str], exc: Exception) -> E
         return exc
     env = {**tb.tb_frame.f_globals, **tb.tb_frame.f_locals}
     values = [value[x] if x in value else env[text[x]] for x in node.args]
+    # a block's one row (`model.rowwise` reruns a failing block row by row) as its float
+    values = [v.item() if getattr(v, "size", 0) == 1 else v for v in values]
     a, b = values[0], values[-1]   # a function's one argument is both
     op, pos = node.op, node.pos
     if op == "/":

@@ -22,6 +22,7 @@ from .model import FD_STEP, ExtendedState, _per_element
 SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
 RICCATI_BLOWUP = 1e8     # |C| beyond this counts as a pole
+ADIABATIC_LIMIT = 1.0    # |Omega'|/Omega^2 at t0 below this starts alpha adiabatically
 
 
 def _internal_nodes(grid: np.ndarray) -> np.ndarray:
@@ -167,6 +168,27 @@ class ErmakovSolution(_Dense):
         return add + (w * w - 0.25 * self.gamma ** 2) * a - _per_element(lambda x: x ** -3.0, a)
 
 
+def ermakov_start(omega, gamma: float, t0: float) -> tuple:
+    """(alpha0, alpha_dot0) of the Ermakov solve from t0.
+
+    With Omega^2 = omega(t0)^2 - gamma^2/4 and Omega' = omega omega'/Omega, it
+    is the first-order adiabatic branch (Omega^(-1/2), -Omega^(-5/2) omega
+    omega'/2) when Omega^2 > 0 and |Omega'|/Omega^2 < ADIABATIC_LIMIT, else
+    (1, 0).  Any positive solution serves the invariants; the adiabatic one
+    varies slowly, without the 2 Omega oscillation of other starts, so the
+    solve takes longer steps, and for constant omega and gamma it is the
+    stationary solution.
+    """
+    wfn = as_expression(omega, "t", "omega")
+    w, dw = wfn(t0), wfn.derivative(t0)
+    big2 = w * w - 0.25 * gamma * gamma
+    if big2 > 0:
+        big = math.sqrt(big2)
+        if abs(w * dw / big) < ADIABATIC_LIMIT * big2:
+            return big ** -0.5, -0.5 * big ** -2.5 * w * dw
+    return 1.0, 0.0
+
+
 def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
                   grid) -> ErmakovSolution:
     """Integrate the auxiliary equation together with its phase integral.
@@ -285,11 +307,11 @@ def quadratic_invariant_coefficients(m: float, gamma: float, zeta0: float,
     into the two elementary invariants.
     """
     t = np.asarray(t, dtype=float)
-    e = np.exp(gamma * t)
+    e = _per_element(lambda x: math.exp(gamma * x), t)
     a = np.asarray(erm.alpha(t))
     u = np.asarray(erm.alpha_dot(t)) - 0.5 * gamma * a
     beta = e * a * a / (2.0 * m)
-    eta = e * 0.5 * m * (u * u + a ** -2.0)
+    eta = e * 0.5 * m * (u * u + _per_element(lambda x: x ** -2.0, a))
     xi = e * (0.5 * a * u + 0.25 * zeta0)
     zeta = zeta0 * e
     return beta[()], eta[()], xi[()], zeta[()]

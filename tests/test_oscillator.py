@@ -1,5 +1,6 @@
 """Oscillator oracles: Ermakov, invariants, closed-form motion, Riccati, HJ route."""
 
+import importlib
 import math
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import contactmech as cm
-from contactmech import diagnostics, oscillator, scenario
+from contactmech import cli, diagnostics, oscillator, scenario
 from contactmech.errors import DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
 from contactmech.oscillator import CubicHermite
 
@@ -163,6 +164,102 @@ def test_the_invariants_chart_looks_up_its_block_once_and_hj_per_float_time(monk
     del shapes[:]
     assert diagnostics.check_hj_residual(free_model, free_traj, {})["passed"]
     assert shapes == []
+
+
+@pytest.mark.parametrize("omega, gamma", [(1.0, 0.1), (2.0, 0.0), (1.3, 0.6)])
+def test_the_start_is_the_stationary_solution_for_constant_omega(omega, gamma):
+    """With omega and gamma constant the adiabatic start is the equation's
+    stationary solution alpha = (omega^2 - gamma^2/4)^(-1/4), which the
+    `invariants` check's solve then keeps, with alpha' at 0."""
+    model = cm.make_damped_parametric(1.0, gamma, omega)
+    traj = cm.integrate(model, cm.make_state(1.0, 0.0, 0.3, 0.0), 10.0,
+                        cm.IntegratorOptions(sample_interval=0.05))
+    erm = diagnostics._ermakov_for(model, traj, {})
+    ts = np.linspace(0.0, 10.0, 401)
+    a_star = (omega * omega - 0.25 * gamma * gamma) ** -0.25
+    alpha0, alpha_dot0 = oscillator.ermakov_start(omega, gamma, 0.0)
+    assert alpha0 == pytest.approx(a_star, rel=1e-15) and alpha_dot0 == 0.0
+    assert np.max(np.abs(erm.alpha(ts) - a_star)) < 1e-10
+    assert np.max(np.abs(erm.alpha_dot(ts))) < 1e-10
+
+
+def _unit_start_ermakov_for(model, traj, cache):
+    """`diagnostics._ermakov_for` with the start alpha(t0) = 1, alpha'(t0) = 0."""
+    if "erm" not in cache:
+        cache["erm"] = oscillator.solve_ermakov(
+            model.params["omega"], model.params["gamma"], 1.0, 0.0, traj.times)
+    return cache["erm"]
+
+
+@pytest.mark.parametrize("name, key, edit, ratio", [
+    ("damped_free_particle", "checks", "invariants", None),           # Omega^2 < 0
+    ("parametric_oscillator", "omega", "0.1 + 0.3*sin(t)", 46.188),   # |Omega'|/Omega^2
+])
+def test_the_fallback_start_writes_the_unit_start_report(name, key, edit, ratio, tmp_path,
+                                                         monkeypatch):
+    """Where the adiabatic branch does not apply the start stays (1, 0), and
+    the report is byte for byte the one of a solve started at alpha = 1, alpha' = 0."""
+    text = (ROOT / "scenarios" / f"{name}.ini").read_text()
+    lines = [f"{key} = {edit}" if line.startswith(f"{key} = ") else line
+             for line in text.splitlines()]
+    path = tmp_path / "edited.ini"
+    path.write_text("\n".join(lines) + "\n")
+    config = scenario.parse_scenario(path.read_text())
+    omega, gamma = scenario.build_model(config).params["omega"], config.gamma
+    w, dw = omega(0.0), omega.derivative(0.0)
+    big2 = w * w - 0.25 * gamma * gamma
+    if ratio is None:
+        assert big2 < 0
+    else:
+        assert abs(w * dw) / big2 ** 1.5 == pytest.approx(ratio, rel=1e-4)
+    assert oscillator.ermakov_start(omega, gamma, 0.0) == (1.0, 0.0)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(diagnostics, "_ermakov_for", _unit_start_ermakov_for)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "unit")]) == 0
+    assert (tmp_path / "new" / "report.txt").read_bytes() == \
+        (tmp_path / "unit" / "report.txt").read_bytes()
+
+
+def test_the_adiabatic_start_takes_fewer_right_hand_side_calls(monkeypatch):
+    """On `parametric_oscillator.ini` the started solve makes fewer right-hand-side
+    calls than one from alpha = 1, alpha' = 0 on the same omega and samples."""
+    model, traj = _scenario_run("parametric_oscillator")
+    calls = []
+    integrate_flat = oscillator._integrate_flat
+
+    def counted(rhs, *args, **kwargs):
+        calls.append(0)
+
+        def counting(t, y):
+            calls[-1] += 1
+            return rhs(t, y)
+        return integrate_flat(counting, *args, **kwargs)
+
+    monkeypatch.setattr(oscillator, "_integrate_flat", counted)
+    diagnostics._ermakov_for(model, traj, {})
+    _unit_start_ermakov_for(model, traj, {})
+    started, unit = calls
+    assert started < 0.8 * unit
+
+
+def test_every_invariants_entry_of_the_benchmark_has_a_small_ermakov_residual(monkeypatch):
+    """Each entry of the benchmark's `invariants` workload (seeds 5 and 11) that
+    runs the `invariants` check reads an Ermakov residual of at most 1e-8."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    generate = importlib.import_module("perfbench.generate")
+    residuals = []
+    for seed in (5, 11):
+        for entry in generate.invariants(seed):
+            if "invariants" not in entry.checks:
+                continue
+            config = scenario.parse_scenario(entry.text)
+            model = scenario.build_model(config)
+            traj = cm.integrate(model, cm.make_state(config.q0, config.p0, config.S0,
+                                                     config.t0), config.t_end, config.options)
+            [result] = diagnostics.run_checks(["invariants"], model, traj, entry.seed)
+            residuals.append(result["extra"]["ermakov_residual"])
+    assert len(residuals) == 24
+    assert max(residuals) <= 1e-8
 
 
 def test_lewis_invariant_examples(ermakov_const):
@@ -384,6 +481,23 @@ def test_quadratic_invariant_coefficients_t0():
     erm = cm.solve_ermakov(1.0, 0.0, 1.0, 0.0, GRID)
     beta, eta, xi, zeta = cm.quadratic_invariant_coefficients(1.0, 0.0, 1.0, erm, 0.0)
     assert_allclose([beta, eta, xi, zeta], [0.5, 0.5, 0.25, 1.0], atol=1e-12)
+
+
+def test_quadratic_invariant_coefficients_take_exp_and_powers_per_element():
+    """The array result is, bit for bit, the same coefficients with e^{gamma t}
+    by `math.exp` and alpha^-2 by the C library's pow, one time at a time."""
+    m, gamma, zeta0 = 1.3, 0.2, 0.7
+    erm = cm.solve_ermakov(cm.parse_expression("1 + 0.2*sin(0.7*t)", "t"), gamma, 1.0, 0.0,
+                           GRID)
+    ts = np.random.default_rng(3).uniform(0.0, 10.0, 5000)
+    got = cm.quadratic_invariant_coefficients(m, gamma, zeta0, erm, ts)
+    expected = []
+    for t, a, ad in zip(ts.tolist(), erm.alpha(ts).tolist(), erm.alpha_dot(ts).tolist()):
+        e, u = math.exp(gamma * t), ad - 0.5 * gamma * a
+        expected.append((e * a * a / (2.0 * m), e * 0.5 * m * (u * u + a ** -2.0),
+                         e * (0.5 * a * u + 0.25 * zeta0), zeta0 * e))
+    for column, want in zip(got, zip(*expected)):
+        assert column.tobytes() == np.array(want).tobytes()
 
 
 def test_quadratic_invariant_assembles_from_elementary(parametric_traj,

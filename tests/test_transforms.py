@@ -481,6 +481,20 @@ def test_a_failing_block_raises_what_its_first_failing_row_raises(ermakov_const)
         rowwise(ck.value, np.array([1.0, 2000.0, 3000.0]), traj_rows)
 
 
+def test_an_overflow_inside_a_map_names_the_rows_float(ermakov_const):
+    """A block function's error names its operand as the failing row's float,
+    not as the one-element array of that row's column."""
+    inv = cm.map_invariants(1.0, 0.1, ermakov_const)
+    rows = np.array([[1.0, 0.5, 0.1, 1.0], [1e200, 0.5, 0.1, 2.0]])
+    with pytest.raises(OverflowError) as err:
+        cm.verify(inv, rows)
+    message = str(err.value)
+    assert message.startswith("map 'invariants': power ") and "array(" not in message
+    base = float(message.split()[3].split("^")[0])
+    assert 1e199 < base < 1e201 and message.endswith("^2.0 overflows: math range error "
+                                                     "(at offset 27)")
+
+
 def test_a_per_row_closure_is_a_dimension_error_naming_the_map():
     rowwise_map = cm.ContactMap(n=1, forward=lambda t, y: np.array([y[0], y[1], y[2]]),
                                 name="rowwise")

@@ -14,6 +14,7 @@ invariant measure away from the H = 0 level set.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -119,23 +120,29 @@ def _floats(v) -> list:
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
-def _rk4(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of dy/dt = rhs(t, y), rhs
-    returning a list of floats or an ndarray.  The stages are Python floats
-    combined in the order of the array expression
+def _rk4(rhs, t: float, y, h: float) -> list:
+    """One classical 4th-order Runge-Kutta step of dy/dt = rhs(t, y) from the
+    float sequence y, rhs returning a list of floats or an ndarray.  The stages
+    are Python floats combined in the order of the array expression
     y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), with stage arguments y + (h/2) k,
-    so the step is bit for bit that expression's on every host.  rhs gets y
-    itself for the first stage and a fresh array for each other one, which it
-    may keep; no stage argument is written afterwards, and the result is a
-    fresh array."""
+    so the step is bit for bit that expression's on every host.  rhs gets a
+    fresh array for each stage, which it may keep; the result is a list."""
     h2, h6 = h / 2, h / 6.0
-    y0 = y.tolist()
-    k1 = _floats(rhs(t, y))
-    k2 = _floats(rhs(t + h2, np.array([a + h2 * k for a, k in zip(y0, k1)])))
-    k3 = _floats(rhs(t + h2, np.array([a + h2 * k for a, k in zip(y0, k2)])))
-    k4 = _floats(rhs(t + h, np.array([a + h * k for a, k in zip(y0, k3)])))
-    return np.array([a + h6 * (((b1 + 2 * b2) + 2 * b3) + b4)
-                     for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)])
+    k1 = _floats(rhs(t, np.array(y, dtype=float)))
+    k2 = _floats(rhs(t + h2, np.array([a + h2 * k for a, k in zip(y, k1)])))
+    k3 = _floats(rhs(t + h2, np.array([a + h2 * k for a, k in zip(y, k2)])))
+    k4 = _floats(rhs(t + h, np.array([a + h * k for a, k in zip(y, k3)])))
+    return [a + h6 * (((b1 + 2 * b2) + 2 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def _substep(rhs):
+    """The RK4 substep ``step(t, y, h)`` of dy/dt = rhs(t, y), y a float
+    sequence and the step's end a float sequence: the straight-line one a
+    built-in's field or tangent_rhs carries (see `model._kind_step`), bit for
+    bit `_rk4`'s, else `_rk4` over rhs."""
+    own = getattr(rhs, "rk4_step", None)
+    return own() if own is not None else functools.partial(_rk4, rhs)
 
 
 def step_rk4(model: HamiltonianModel, x: ExtendedState, h: float) -> ExtendedState:
@@ -143,7 +150,7 @@ def step_rk4(model: HamiltonianModel, x: ExtendedState, h: float) -> ExtendedSta
     if h == 0:
         raise ValueError("step size must be nonzero")
     model.check_dimensions(x)
-    y1 = _rk4(model.field, x.t, x.flat(), h)
+    y1 = np.array(_substep(model.field)(x.t, x.flat().tolist(), h))
     if not np.all(np.isfinite(y1)):
         raise NonFiniteError(f"non-finite RK4 state after step from t={x.t}")
     return ExtendedState.from_flat(y1, model.n, x.t + h)
@@ -296,7 +303,9 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     safety factor 0.9, step factors within [0.2, 10] and no growth right
     after a rejection; each step's grid points are sampled with one call of
     its quartic dense output.  Fixed mode takes equal substeps of size
-    <= opts.step between consecutive grid points.  In adaptive mode only, a
+    <= opts.step between consecutive grid points, each one call of
+    `_substep(rhs)`, on the state as a float sequence: a built-in's own
+    straight-line RK4 step, else `_rk4` over rhs.  In adaptive mode only, a
     downward zero crossing of event(t, y) over a step is located on that
     step's dense output by Brent's method, and event_error(t) is raised at the
     crossing time.
@@ -328,9 +337,10 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     overwrites: it is valid only during the call, and rhs must not keep it.
     The step's end state, which rhs gets for the last stage and the event
     sees, is a fresh array, as are the samples; no array the stepper hands
-    out shares the scratch array's memory.  Fixed mode hands rhs arrays that
-    are never written (see `_rk4`).  A fixed-mode interval whose substep count would pass
-    max_steps, an infinite count included, fails before its first substep.
+    out shares the scratch array's memory.  Fixed mode hands rhs, when it
+    calls it, arrays that are never written (see `_rk4`).  A fixed-mode
+    interval whose substep count would pass max_steps, an infinite count
+    included, fails before its first substep.
 
     rhs is not checked for finite values stage by stage.  In adaptive mode a
     non-finite stage makes the error estimate non-finite, so the step is
@@ -345,7 +355,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     out[0] = y0
     nsteps, grid_times = 0, grid.tolist()
     if opts.method == "fixed_rk4":
-        y, t = y0, t0
+        step, y, t = _substep(rhs), y0.tolist(), t0
         for i in range(1, len(grid)):
             span = grid_times[i] - t
             ratio = span / opts.step - 1e-12  # inf for a subnormal step
@@ -359,12 +369,12 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
             h = span / nsub
             nsteps += nsub
             for _ in range(nsub):
-                y = _rk4(rhs, t, y, h)
+                y = step(t, y, h)
                 t += h
             t = grid_times[i]  # land exactly, avoiding accumulated rounding
-            if not np.all(np.isfinite(y)):
-                raise NonFiniteError(f"non-finite state at t={t:.6g}, y={y[:d]}")
             out[i] = y
+            if not np.all(np.isfinite(out[i])):
+                raise NonFiniteError(f"non-finite state at t={t:.6g}, y={out[i, :d]}")
         return out
 
     if not np.all(np.isfinite(y0)):

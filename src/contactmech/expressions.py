@@ -103,6 +103,8 @@ class _Dag:
         pos = pos if op in _RAISING else 0
         key = (op, args, repr(value), pos)  # repr keeps -0.0 apart from 0.0
         found = self.nodes.get(key)
+        if found is None and op in ("+", "*"):  # commutative: b op a is a op b, first seen
+            found = self.nodes.get((op, args[::-1], key[2], pos))
         if found is None:
             found = self.nodes[key] = Node()  # no __init__, so no frame on the parser's stack
             found.op, found.args, found.value, found.pos = op, args, value, pos
@@ -231,9 +233,9 @@ def _template(source: str) -> types.CodeType:
                 if isinstance(c, types.CodeType))
 
 
-def _walk(roots) -> list:
+def _walk(roots, stop=()) -> list:
     """The nodes under `roots` in the order a tree walk, left operand first and
-    root by root, first finishes them."""
+    root by root, first finishes them; the walk does not enter the nodes in `stop`."""
     order, seen, stack = [], set(), [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
@@ -241,30 +243,36 @@ def _walk(roots) -> list:
             order.append(node)
         elif node not in seen:
             seen.add(node)
-            stack += [(node, True), *((a, False) for a in reversed(node.args))]
+            stack.append((node, True))
+            if node not in stop:
+                stack += [(a, False) for a in reversed(node.args)]
     return order
 
 
-def _emit(first, outputs, names: dict, head: str, ret: str) -> tuple:
+def _emit(lead, outputs, names: dict, head: str, ret: str) -> tuple:
     """(code, lines, text, value) of the function whose source is `head`, one
-    SSA line per distinct node the `outputs` use, in `_walk` order of `first`
-    and then the outputs, and ``return`` `ret` filled with their names; `names`
-    names the variables and parameters, and leaf `name` of order k calls the
-    global ``_<name><k>``.  So it does a tree walk's float operations and its
-    first error is the walk's, which `_error` rebuilds from `lines` (line ->
-    node), `text` (node -> name) and `value` (node -> float).  Constant i is
+    SSA line per distinct node the `outputs` use, in `_walk` order of the nodes
+    `lead` and then the outputs, and ``return`` `ret` filled with their names;
+    `names` names the variables and parameters by name, and by node the nodes
+    the function reads from its globals, whose arguments it does not use, and
+    leaf `name` of order k calls the global ``_<name><k>``.  So it does a tree
+    walk's float operations and its first error is the walk's, which `_error`
+    rebuilds from `lines` (line -> node), `text` (node -> name) and `value`
+    (node -> float).  Constant i is
     the placeholder ``'ci'``, so sources of one shape share one `_template`,
     whose copy holds the constants; an operation in `_FOLDS` on constants
     alone, which cannot raise, is computed here, as compile() folds literals."""
-    used = set(_walk(outputs))
+    used = set(_walk(outputs, names))
     text, lines, body, consts, value = {}, {}, [], {}, {}
     offset = head.count("\n") + 3   # the line of body[0]: after `head` and `try`
-    for node in _walk([first, *outputs]):
+    for node in _walk([*lead, *outputs], names):
         if node not in used:
             continue
         folds = node.op in _FOLDS and all(a in value for a in node.args) \
             and not (node.op == "/" and value[node.args[1]] == 0)
-        if node.op in ("var", "param"):
+        if node in names:
+            text[node] = names[node]
+        elif node.op in ("var", "param"):
             text[node] = names[node.value]
         elif node.args and not folds:
             text[node] = name = f"t{len(body)}"
@@ -287,18 +295,20 @@ def _emit(first, outputs, names: dict, head: str, ret: str) -> tuple:
 
 def _compile(root: Node, variable: str, where: str) -> Callable[[float], float]:
     """`root` as a function of its one `variable`; see `_emit`."""
-    code, *info = _emit(root, [root], {variable: "x0"}, "def f(x0):", "{}")
+    code, *info = _emit([root], [root], {variable: "x0"}, "def f(x0):", "{}")
     return types.FunctionType(code, dict(_GLOBALS, _error=functools.partial(
         _error, where, {code: info}, None)))
 
 
-def _error(where: str, info: dict, overflow: Optional[str], exc: Exception) -> Exception:
+def _error(where: str, info: dict, overflow: Optional[str], exc: Exception,
+           times=()) -> Exception:
     """The error of the node on the line that raised `exc`, by the raising
     function's code in `info` (code -> `_emit`'s lines, text and value), with
     the text, operands and offset a tree walk gives it, after `where`; a
     leaf's own error is `exc` itself.  An overflowing exp is, when `overflow`
     is given, `where` and `overflow` formatted with the function's globals,
-    `exc` and t as the float time of the row."""
+    `exc` and t as the float time of the row: the variable t, or the first
+    node of `times` that the exp's argument reads."""
     tb = exc.__traceback__
     lines, text, value = info[tb.tb_frame.f_code]
     node = lines.get(tb.tb_lineno)
@@ -321,7 +331,8 @@ def _error(where: str, info: dict, overflow: Optional[str], exc: Exception) -> E
                                position=pos)
     if overflow is None:  # the rest is an exp's overflow
         return OverflowError(f"{where}{op} of {a!r} overflows: {exc} (at offset {pos})")
-    t = env["t"] if isinstance(env["t"], (int, float)) else env["t"].flat[0].item()
+    t = env[next((text[x] for x in _walk([node]) if x in times), "t")]
+    t = t if isinstance(t, (int, float)) else t.flat[0].item()
     return OverflowError(where + overflow.format(**tb.tb_frame.f_globals, t=t, exc=exc))
 
 

@@ -21,8 +21,8 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .expressions import _FUNCTIONS, _GLOBALS, _emit, _error, _is_num, as_expression, \
-    parse_template
+from .expressions import _FOLDS, _FUNCTIONS, _GLOBALS, _PARAM, _VAR, _emit, _error, _is_num, \
+    _walk, as_expression, parse_template
 
 FD_STEP = 1e-6  # relative step for central finite differences
 
@@ -150,10 +150,12 @@ class HamiltonianModel:
     [y, J row-major], J (2n+1) x (2n+1), ``tangent_rhs(t, z)`` is [field(t, y),
     A J], A = d(field)/dy, its first 2n+1 entries ``field(t, y)`` bit for bit.
     The built-ins compile all four from one parsed H (see `_TEMPLATES`), so
-    they agree by construction; `make_custom` builds them from per-point
-    callables, A by `_contact_jacobian` of the gradient and a central-difference
-    Hessian.  All four are unvalidated (a non-finite field is left to the
-    integrator); ``evaluate`` and ``partials`` call them on one row and validate.
+    they agree by construction, and their field and tangent_rhs carry the
+    straight-line RK4 substep that fixed-step solves take; `make_custom`
+    builds them from per-point callables, A by `_contact_jacobian` of the
+    gradient and a central-difference Hessian.  All four are unvalidated (a
+    non-finite field is left to the integrator); ``evaluate`` and
+    ``partials`` call them on one row and validate.
     """
 
     n: int
@@ -216,15 +218,17 @@ def _contact_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 #
 # Each built-in is one template of H in q, p, S and t, with the parameters m
-# and gamma and a leaf, V(q) or omega(t).  `_kind_code` parses and
-# differentiates it once per process and emits from the one DAG H, its
-# gradient, the field (`_contact_field` over the gradient's nodes) and the
-# tangent [field, A J] (A by `_contact_jacobian`'s chain rule); a model binds
-# only m, gamma and its leaf.  So value, grad, field and tangent_rhs agree by
-# construction.  `value` and `grad` run on columns with every exp and leaf per
-# element, so a block gives its rows' bits.  H's nodes come first, so the first
-# error is the one `value` would raise.  The dH/dS terms are kept where dH/dS
-# is 0 (``- p * 0.0``): they can flip the sign of a zero.
+# and gamma and a leaf, V(q) or omega(t).  `_kind_dag` parses and
+# differentiates it once per process; `_kind_code` emits from the one DAG H,
+# its gradient, the field (`_contact_field` over the gradient's nodes) and the
+# tangent [field, A J] (A by `_contact_jacobian`'s chain rule), and
+# `_kind_step`, on a model's first fixed-step solve, one RK4 substep of the
+# field or of the tangent; a model binds only m, gamma and its leaf.  So
+# value, grad, field, tangent_rhs and the substeps agree by construction.
+# `value` and `grad` run on columns with every exp and leaf per element, so a
+# block gives its rows' bits.  H's nodes come first, so the first error is the
+# one `value` would raise.  The dH/dS terms are kept where dH/dS is 0
+# (``- p * 0.0``): they can flip the sign of a zero.
 
 # kind -> (H, its leaf, the text after "<kind>: " of an overflow of H's exp)
 _TEMPLATES = {
@@ -235,40 +239,59 @@ _TEMPLATES = {
 }
 _Y = ("q", "p", "S")
 _J = tuple(f"J{k}{c}" for k in range(3) for c in range(3))  # the tangent's J, row-major
-_NAMES = {x: x for x in (*_Y, "t", "m", "gamma", *_J)}
+_NAMES = {x: x for x in (*_Y, "t", "h", "m", "gamma", *_J)}
 _BLOCKS = "def f(t, y):\n    q, p, S = y.T"  # the head of a function of (k, 3) rows
 _FLOATS = "def f(t, y):\n    q, p, S = y.tolist()"
+_TANGENT = f"def f(t, y):\n    q, p, S, {', '.join(_J)} = y.tolist()"
 _POWER = np.frompyfunc(math.pow, 2, 1)  # math.pow per pair of broadcast elements
 _BLOCK = {"_pow": lambda a, b: np.asarray(_POWER(a, b), dtype=float),
           **{f"_{fn}": functools.partial(_per_element, f) for fn, f in _FUNCTIONS.items()}}
 
 
-def _compile(where: str, first, parts, overflow: Optional[str] = None) -> tuple:
-    """([(code, of floats)], error) of `parts`, (outputs, head, ret) triples
-    emitted over `first` (see `expressions._emit`); a head other than `_BLOCKS`
-    makes a function of floats.  `error` is their `expressions._error`."""
+def _compile(where: str, lead, parts, overflow: Optional[str] = None, times=()) -> tuple:
+    """(bound, [(code, of floats)], error) of `parts`, (outputs, head, ret)
+    triples emitted over the nodes `lead` (see `expressions._emit`); a head
+    other than `_BLOCKS` makes a function of floats.  `bound` names
+    ``_k0``, ``_k1``, ... the nodes of the parameters alone that `_FOLDS`
+    computes: `_bind` computes them once and the functions read them as
+    globals.  Their one possible error, a division by zero, names no row, and
+    m > 0 leaves none.  `error` is their `expressions._error` with the stage
+    `times`."""
+    folds = {}
+    for x in _walk([out for outputs, _, _ in parts for out in outputs]):
+        folds[x] = x.op in ("param", "num", "const") or \
+            x.op in _FOLDS and all(folds[a] for a in x.args)
+    bound = {x: f"_k{i}" for i, x in enumerate(x for x, ok in folds.items()
+                                                if ok and x.args and x.free == _PARAM)}
     info, codes = {}, []
     for outputs, head, ret in parts:
-        code, *lines_text_value = _emit(first, outputs, _NAMES, head, ret)
+        code, *lines_text_value = _emit(lead, outputs, {**_NAMES, **bound}, head, ret)
         info[code] = lines_text_value
         codes.append((code, head != _BLOCKS))
-    return codes, functools.partial(_error, where, info, overflow)
+    return bound, codes, functools.partial(_error, where, info, overflow, times=times)
 
 
 def _bind(compiled: tuple, params: dict, blocks: dict, floats: Optional[dict] = None) -> list:
     """The functions of `compiled` (see `_compile`) over one globals dict per
-    flavour: the `params` and, as ``_<leaf><k>``, the leaf functions in
-    `blocks` for the functions of columns and in `floats` for those of floats."""
-    codes, error = compiled
+    flavour: the `params`, the values of its bound nodes and, as
+    ``_<leaf><k>``, the leaf functions in `blocks` for the functions of
+    columns and in `floats` for those of floats."""
+    bound, codes, error = compiled
+    value = {}
+    for x in _walk(list(bound)):  # in the float operations of the emitted lines
+        value[x] = params[x.value] if x.op == "param" else \
+            _FOLDS[x.op](*map(value.get, x.args)) if x.args else x.value
+    params = {**params, **{name: value[x] for x, name in bound.items()}}
     columns = {**_BLOCK, **blocks, **params, "_columns": _columns, "_error": error}
     points = floats is not None and {**_GLOBALS, **floats, **params, "_error": error}
     return [types.FunctionType(code, points if flat else columns) for code, flat in codes]
 
 
-@functools.lru_cache(maxsize=None)
-def _kind_code(kind: str) -> tuple:
-    """`_compile` of `kind`'s value, grad, field and tangent_rhs."""
-    template, leaf, overflow = _TEMPLATES[kind]
+def _kind_dag(kind: str) -> tuple:
+    """(dag, H, gradient, field, A J) of `kind`'s template, parsed and
+    differentiated: the field and A J, row-major, as `_contact_field` and
+    `_contact_jacobian` form them."""
+    template, leaf, _ = _TEMPLATES[kind]
     dag, (H,) = parse_template((template,), (*_Y, "t"), ("m", "gamma"), {leaf: (leaf, 0)})
     p = dag.node("var", value="p")
     g = [dag.diff(H, x) for x in (*_Y, "t")]
@@ -283,24 +306,83 @@ def _kind_code(kind: str) -> tuple:
     AJ = [functools.reduce(dag.add, [dag.mul(A[i][k], J[k][c]) for k in range(3)
                                      if not _is_num(A[i][k], 0.0)], dag.num(0.0))
           for i in range(3) for c in range(3)]
-    tangent = f"def f(t, y):\n    q, p, S, {', '.join(_J)} = y.tolist()"
-    return _compile(f"{kind}: ", H, [([H], _BLOCKS, "{}"),
-                                     (g, _BLOCKS, "_columns(len(y), {}, {}, {}, {})"),
-                                     (field, _FLOATS, "[{}, {}, {}]"),
-                                     (field + AJ, tangent, f"[{', '.join(['{}'] * 12)}]")],
-                    overflow)
+    return dag, H, g, field, AJ
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_code(kind: str) -> tuple:
+    """`_compile` of `kind`'s value, grad, field and tangent_rhs."""
+    _, H, g, field, AJ = _kind_dag(kind)
+    return _compile(f"{kind}: ", [H], [([H], _BLOCKS, "{}"),
+                                       (g, _BLOCKS, "_columns(len(y), {}, {}, {}, {})"),
+                                       (field, _FLOATS, "[{}, {}, {}]"),
+                                       (field + AJ, _TANGENT, f"[{', '.join(['{}'] * 12)}]")],
+                    _TEMPLATES[kind][2])
+
+
+def _rk4_nodes(dag, lead: list, rhs: list, y: list) -> tuple:
+    """(stages, step, times): the nodes of one classical RK4 step of dy/dt =
+    rhs, from the variables y at the variable t by the variable h, in the
+    float operations of `dynamics._rk4`.  Each stage is a copy of the nodes
+    `lead` and `rhs` at its time and state, `stages` the four copies in
+    order; a node that reads neither y nor t is its own copy, and stages 2
+    and 3 share their time, so what reads only it and the parameters is one
+    node.  `times` are the stage times other than t.  The stage arithmetic
+    is `dag.node`'s, which drops no ``+ 0.0``: that turns a -0.0 into 0.0."""
+    t, h, two = dag.node("var", value="t"), dag.node("var", value="h"), dag.num(2.0)
+    h2, h6 = dag.node("/", h, two), dag.node("/", h, dag.num(6.0))
+    mid, end = dag.node("+", t, h2), dag.node("+", t, h)
+    stages, ks = [], []
+    for time, scale in ((t, None), (mid, h2), (mid, h2), (end, h)):
+        state = y if scale is None else \
+            [dag.node("+", a, dag.node("*", scale, k)) for a, k in zip(y, ks[-1])]
+        copy = dict(zip([t, *y], [time, *state]))
+        for x in _walk([*lead, *rhs]):
+            if x not in copy:
+                copy[x] = dag.node(x.op, *(copy[a] for a in x.args), value=x.value,
+                                   pos=x.pos) if x.free & _VAR else x
+        stages += [copy[x] for x in (*lead, *rhs)]
+        ks.append([copy[x] for x in rhs])
+    step = [dag.node("+", a, dag.node("*", h6, dag.node("+", dag.node("+", dag.node(
+        "+", k1, dag.node("*", two, k2)), dag.node("*", two, k3)), k4)))
+            for a, k1, k2, k3, k4 in zip(y, *ks)]
+    return stages, step, (mid, end)
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_step(kind: str, tangent: bool) -> tuple:
+    """`_compile` of one RK4 substep ``f(t, y, h)`` of `kind`'s field, or of its
+    tangent when `tangent`, y a float sequence: the end state as a tuple,
+    bit for bit `dynamics._rk4`'s over the model's field or tangent_rhs, and
+    its first error theirs, a stage's overflow naming the stage's time."""
+    dag, H, _, field, AJ = _kind_dag(kind)
+    names = (*_Y, *_J) if tangent else _Y
+    y = [dag.node("var", value=x) for x in names]
+    stages, step, times = _rk4_nodes(dag, [H], field + AJ if tangent else field, y)
+    head = f"def f(t, y, h):\n    {', '.join(names)} = y"
+    return _compile(f"{kind}: ", stages, [(step, head, f"({'{}, ' * len(y)})")],
+                    _TEMPLATES[kind][2], times)
+
+
+def _rk4_step(kind: str, tangent: bool, params: dict, calls: dict):
+    """`_kind_step` bound to a model's m and gamma and its leaf's `calls`."""
+    return _bind(_kind_step(kind, tangent), params, {}, calls)[0]
 
 
 def _builtin(kind: str, m: float, gamma: float, fn) -> HamiltonianModel:
     """The model of `kind` with these m and gamma and leaf `fn`, an object with
-    ``__call__``, ``derivative`` and ``second_derivative``."""
+    ``__call__``, ``derivative`` and ``second_derivative``.  Its field and
+    tangent_rhs carry ``rk4_step()``, their RK4 substep, bound on first use."""
     leaf = _TEMPLATES[kind][1]
     calls = {f"_{leaf}{i}": f for i, f in enumerate((fn, fn.derivative, fn.second_derivative))}
+    params = {"m": m, "gamma": gamma}
     value, grad, field, tangent_rhs = _bind(
-        _kind_code(kind), {"m": m, "gamma": gamma},
+        _kind_code(kind), params,
         {name: functools.partial(_per_element, f) for name, f in calls.items()}, calls)
+    for rhs, tangent in ((field, False), (tangent_rhs, True)):
+        rhs.rk4_step = functools.cache(functools.partial(_rk4_step, kind, tangent, params, calls))
     return HamiltonianModel(n=1, value=value, grad=grad, field=field, tangent_rhs=tangent_rhs,
-                            name=kind, params={"m": m, "gamma": gamma, leaf: fn})
+                            name=kind, params={**params, leaf: fn})
 
 
 def _columns(k: int, *cols) -> np.ndarray:

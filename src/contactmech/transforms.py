@@ -300,7 +300,7 @@ def _map_code(name: str) -> tuple:
     dT = [dag.diff(image, "t") for image in images]
     _, back = parse_template(inverse, *names)
     three = "_columns(len(y), {}, {}, {})"
-    return _compile(f"map '{name}': ", images[0], [
+    return _compile(f"map '{name}': ", images[:1], [
         (images, _BLOCKS, three), (back, _BLOCKS, three),
         (J + dT, _BLOCKS, f"(_columns(len(y), {', '.join(['{}'] * 9)}).reshape(-1, 3, 3), "
                           f"{three})"),

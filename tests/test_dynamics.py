@@ -1,6 +1,7 @@
 """Flow layer: vector field, integrators, decay laws, volume contraction."""
 
 import dataclasses
+import functools
 import importlib
 import math
 import re
@@ -15,7 +16,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 import contactmech as cm
 from contactmech import cli, diagnostics, dynamics
 from contactmech.dynamics import _integrate_flat
-from contactmech.model import _contact_field, _contact_jacobian, central_difference
+from contactmech.expressions import parse_template
+from contactmech.model import (_bind, _compile, _contact_field, _contact_jacobian, _rk4_nodes,
+                               central_difference)
 from contactmech.scenario import build_model, parse_scenario
 from contactmech.errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                                 UnsupportedModelError)
@@ -876,39 +879,87 @@ def _numpy_rk4(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _numpy_substep(rhs):
+    """`_numpy_rk4` over rhs as a substep of float sequences, the reference of
+    `dynamics._substep`."""
+    return lambda t, y, h: _numpy_rk4(rhs, t, np.array(y), h).tolist()
+
+
 _RK4_MODELS = {
-    "builtin-field": (_BUILTIN_MODELS["parametric-omega-t"], False),
-    "builtin-tangent": (_BUILTIN_MODELS["linear-quartic"], True),
-    "custom-n2": (_CUSTOM_MODELS["custom-n2"], False),
+    "builtin-field": (list(_BUILTIN_MODELS.values()), False),
+    "builtin-tangent": (list(_BUILTIN_MODELS.values()), True),
+    "custom-n2": ([_CUSTOM_MODELS["custom-n2"]], False),
 }
 
 
-@pytest.mark.parametrize("model, tangent", list(_RK4_MODELS.values()), ids=list(_RK4_MODELS))
-def test_fixed_rk4_is_the_numpy_expression_bit_for_bit(model, tangent, monkeypatch):
-    """`integrate` in fixed_rk4 mode and `step_rk4` give the bits of the array
-    expression, signs of zeros included: on a built-in field (n = 1) and a
-    built-in `tangent_rhs` (width 12), which return lists, and on a custom
-    n = 2 model, whose right-hand side returns an ndarray."""
-    d = 2 * model.n + 1
-    y = np.linspace(0.9, -0.4, d)
-    x0 = cm.make_state(y[:model.n], y[model.n:2 * model.n], y[-1], 0.3)
-    opts = cm.IntegratorOptions(method="fixed_rk4", step=0.01, sample_interval=0.05)
-    traj = cm.integrate(model, x0, 2.3, opts, tangent=tangent)
-    with monkeypatch.context() as m:
-        m.setattr(dynamics, "_rk4", _numpy_rk4)
-        ref = cm.integrate(model, x0, 2.3, opts, tangent=tangent)
-    assert traj.flat().tobytes() == ref.flat().tobytes()
-    assert tangent == (traj.J is not None)
-    if tangent:
-        assert traj.J.tobytes() == ref.J.tobytes()
+@pytest.mark.parametrize("models, tangent", list(_RK4_MODELS.values()), ids=list(_RK4_MODELS))
+def test_fixed_rk4_is_the_numpy_expression_bit_for_bit(models, tangent, monkeypatch):
+    """`integrate` in fixed_rk4 mode, `step_rk4` and the substep give the bits
+    of the array expression over the model's field or tangent_rhs, signs of
+    zeros included: on every built-in kind's field (n = 1) and tangent (width
+    12), which take their own straight-line substeps, and on a custom n = 2
+    model, which takes `_rk4` over its ndarray right-hand side; at steps of
+    either sign, down to 1e-7."""
+    for model in models:
+        d = 2 * model.n + 1
+        rhs = model.tangent_rhs if tangent else model.field
+        assert isinstance(dynamics._substep(rhs), functools.partial) == (model.name == "custom")
+        y = np.linspace(0.9, -0.4, d)
+        x0 = cm.make_state(y[:model.n], y[model.n:2 * model.n], y[-1], 0.3)
+        opts = cm.IntegratorOptions(method="fixed_rk4", step=0.01, sample_interval=0.05)
+        traj = cm.integrate(model, x0, 2.3, opts, tangent=tangent)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_substep", _numpy_substep)
+            ref = cm.integrate(model, x0, 2.3, opts, tangent=tangent)
+        assert traj.flat().tobytes() == ref.flat().tobytes()
+        assert tangent == (traj.J is not None)
+        if tangent:
+            assert traj.J.tobytes() == ref.J.tobytes()
+        zeros = np.array([-0.0, 0.0, -0.0, 0.0, -0.0][:d])
+        for y, J in ((y, np.eye(d)), (zeros, -np.eye(d)), (zeros[::-1], np.zeros((d, d)))):
+            z = np.concatenate([y, J.ravel()]) if tangent else y
+            for t, h in ((0.3, 0.01), (1.7, -0.25), (0.0, 1e-7), (0.0, -1e-7)):
+                expected = _numpy_rk4(rhs, t, z, h).tobytes()
+                assert np.array(dynamics._substep(rhs)(t, z.tolist(), h)).tobytes() == expected
+                assert np.array(dynamics._rk4(rhs, t, z.tolist(), h)).tobytes() == expected
+                if not tangent:
+                    x = cm.make_state(z[:model.n], z[model.n:2 * model.n], z[-1], t)
+                    assert cm.step_rk4(model, x, h).flat().tobytes() == expected
+
+
+@pytest.mark.parametrize("tangent", [False, True], ids=["field", "tangent"])
+def test_an_overflow_in_the_substep_is_rk4s_naming_the_stage_time(tangent):
+    """Caldirola-Kanai's e^(gamma t) overflows past t = 709.78: at the first
+    stage (t), the second (t + h/2) or the last (t + h) of a substep.  The
+    straight-line substep raises `_rk4`'s error, type and text, which names
+    that stage's time."""
+    model = cm.make_caldirola_kanai(1.0, 1.0, cm.parse_expression("q^2/2", "q"))
     rhs = model.tangent_rhs if tangent else model.field
-    z = np.concatenate([y, np.eye(d).ravel()]) if tangent else y
-    for t, h in ((0.3, 0.01), (1.7, -0.25), (0.0, 1e-7)):
-        assert dynamics._rk4(rhs, t, z, h).tobytes() == _numpy_rk4(rhs, t, z, h).tobytes()
-        if not tangent:
-            x = cm.make_state(z[:model.n], z[model.n:2 * model.n], z[-1], t)
-            assert cm.step_rk4(model, x, h).flat().tobytes() == \
-                _numpy_rk4(rhs, t, z, h).tobytes()
+    y = [0.5, -0.25, 0.1] + (np.eye(3).ravel().tolist() if tangent else [])
+    for t, h, stage_time in ((709.9, 0.1, 709.9), (709.6, 0.6, 709.6 + 0.6 / 2),
+                             (709.5, 0.5, 709.5 + 0.5)):
+        with pytest.raises(OverflowError) as want:
+            dynamics._rk4(rhs, t, y, h)
+        with pytest.raises(OverflowError) as got:
+            dynamics._substep(rhs)(t, y, h)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert f"overflows at t={stage_time!r}: math range error" in str(got.value)
+
+
+def test_the_stage_arithmetic_keeps_the_sign_of_a_zero():
+    """dy/dt = 0 from y = -0.0: each stage argument y + (h/2) 0.0 and the
+    step's end are +0.0 for h > 0, as `_rk4` has them; smart constructors
+    that drop the ``+ 0.0`` would keep -0.0."""
+    dag, (zero,) = parse_template(("0",), ("q", "t"), (), {})
+    q = dag.node("var", value="q")
+    stages, step, _ = _rk4_nodes(dag, [], [zero], [q])
+    (substep,) = _bind(_compile("", stages, [(step, "def f(t, y, h):\n    q, = y", "({}, )")]),
+                       {}, {}, {})
+    for h in (0.1, -0.1):
+        expected = dynamics._rk4(lambda t, y: [0.0], 0.0, [-0.0], h)
+        assert np.array(substep(0.0, [-0.0], h)).tobytes() == np.array(expected).tobytes()
+    assert math.copysign(1.0, substep(0.0, [-0.0], 0.1)[0]) == 1.0
 
 
 def test_the_float_error_norm_is_the_numpy_one_bit_for_bit():

@@ -294,3 +294,37 @@ def test_a_kind_is_parsed_differentiated_and_compiled_once(kind, monkeypatch):
         f = getattr(config, key)
         assert built.params == {"m": config.m, "gamma": config.gamma, key: f}
         assert built.value(0.5, y)[0] == _H[kind](config.m, config.gamma, f, 0.7, -0.3, 0.2, 0.5)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_a_substep_is_compiled_on_the_first_fixed_step_solve_of_its_kind(kind, monkeypatch):
+    """`build_model` compiles no RK4 substep.  The first fixed-step solve of a
+    kind compiles its field's substep and the first with the tangent the
+    tangent's; the other models of the kind compile nothing, and an adaptive
+    solve takes no substep."""
+    _, key, var = KINDS[kind]
+    configs = [parse_scenario(f"[model]\nkind = {kind}\nm = {1 + i / 8}\ngamma = {i / 16}\n"
+                              f"{key} = {1 + i / 4}*{var}^2/2\n"
+                              "[initial]\nq = 1\np = 0\n[integration]\nt_end = 1\n")
+               for i in range(3)]
+    compiled = []
+    monkeypatch.setattr(expressions, "compile", lambda *args: compiled.append(args[0])
+                        or compile(*args), raising=False)
+    model._kind_step.cache_clear()
+    expressions._template.cache_clear()
+
+    def substeps():
+        return [source for source in compiled if source.startswith("def f(t, y, h):")]
+
+    models = [build_model(config) for config in configs]
+    assert not substeps()
+    x0 = cm.make_state(1.0, 0.0, 0.0, 0.0)
+    for built_model in models:
+        cm.integrate(built_model, x0, 0.5)
+    assert not substeps()
+    fixed = cm.IntegratorOptions(method="fixed_rk4", step=0.01)
+    for tangent, names in ((False, "q, p, S = y\n"), (True, "q, p, S, J00, ")):
+        for built_model in models:
+            cm.integrate(built_model, x0, 0.5, fixed, tangent=tangent)
+        assert len(substeps()) == 1 + tangent
+        assert substeps()[-1].startswith(f"def f(t, y, h):\n    {names}")

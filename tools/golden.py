@@ -5,11 +5,15 @@ and a comparison of the reference runs of two revisions.
     python tools/golden.py --check [--manifest FILE]
     python tools/golden.py --compare OLD NEW
 
-The reference runs are 106 output directories:
+The reference runs are 111 output directories:
 
 * the 5 shipped ``scenarios/*.ini`` at seeds 0 and 3, each through a fresh
   ``python -m contactmech.cli run`` process, with its stdout, stderr and exit
   code recorded next to its outputs (``cli/<name>-seed<s>/``);
+* the same 5 at seed 0 with ``method = fixed_rk4`` and ``step = 0.002`` in
+  place of their method line, as CI's runtime-only job rewrites them, the
+  rewritten scenario recorded as ``_scenario.ini`` (``fixed/<name>-seed0/``):
+  every kind's fixed-step flow and the fixed-step tangent of the volume checks;
 * every ``volume`` and ``invariants`` entry of ``perfbench.generate`` at
   seeds 5 and 11, through ``cli.run_scenario`` with trajectory and plots, in
   one process (``<workload>-seed<s>/<entry>/``); an exception's type and
@@ -50,6 +54,7 @@ DEFAULT_MANIFEST = HERE / "golden.sha256"
 CLI_SCENARIOS = ("caldirola_kanai", "conservative_oscillator", "damped_free_particle",
                  "damped_oscillator", "parametric_oscillator")
 CLI_SEEDS = (0, 3)
+FIXED_STEP = "method = fixed_rk4\nstep = 0.002\n"  # in place of a scenario's method line
 WORKLOADS = ("volume", "invariants")
 WORKLOAD_SEEDS = (5, 11)
 VERBATIM = ("_exit", "_stderr", "_stdout")
@@ -57,21 +62,41 @@ VERDICTS = ("pass", "status")  # report keys whose value is a verdict
 PASSING = ("true", "pass")      # the values of a passing verdict
 
 
-def run_cli(tree: Path, out: Path):
-    """The shipped scenarios through fresh `contactmech run` processes."""
+def _cli_run(tree: Path, d: Path, scenario: str, seed: int, cwd: Path):
+    """One `contactmech run` of scenario, a path from cwd, into d, a fresh
+    process, with its stdout, stderr and exit code recorded next to its outputs."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "contactmech.cli", "run", scenario, "--out", str(d),
+         "--seed", str(seed)], cwd=cwd, env=env, capture_output=True)
+    (d / "_stdout").write_bytes(proc.stdout)
+    (d / "_stderr").write_bytes(proc.stderr)
+    (d / "_exit").write_text(f"{proc.returncode}\n")
+
+
+def run_cli(tree: Path, out: Path):
+    """The shipped scenarios through fresh `contactmech run` processes."""
     for name in CLI_SCENARIOS:
         for seed in CLI_SEEDS:
             d = out / "cli" / f"{name}-seed{seed}"
             d.mkdir(parents=True)
-            proc = subprocess.run(
-                [sys.executable, "-m", "contactmech.cli", "run", f"scenarios/{name}.ini",
-                 "--out", str(d), "--seed", str(seed)],
-                cwd=tree, env=env, capture_output=True)
-            (d / "_stdout").write_bytes(proc.stdout)
-            (d / "_stderr").write_bytes(proc.stderr)
-            (d / "_exit").write_text(f"{proc.returncode}\n")
+            _cli_run(tree, d, f"scenarios/{name}.ini", seed, tree)
+
+
+def run_fixed(tree: Path, out: Path):
+    """The shipped scenarios with fixed RK4 steps, at seed 0, through fresh
+    `contactmech run` processes."""
+    for name in CLI_SCENARIOS:
+        d = out / "fixed" / f"{name}-seed0"
+        d.mkdir(parents=True)
+        text = (tree / "scenarios" / f"{name}.ini").read_text(encoding="utf-8")
+        fixed = "".join(FIXED_STEP if line.startswith("method = ") else line
+                        for line in text.splitlines(keepends=True))
+        if fixed == text:
+            raise ValueError(f"scenarios/{name}.ini has no method line")
+        (d / "_scenario.ini").write_text(fixed, encoding="utf-8")
+        _cli_run(tree, d, "_scenario.ini", 0, d)
 
 
 def run_workloads(tree: Path, out: Path):
@@ -252,6 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.run:
         run_cli(*args.run)
+        run_fixed(*args.run)
         run_workloads(*args.run)
         return 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -23,6 +23,10 @@ SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
 RICCATI_BLOWUP = 1e8     # |C| beyond this counts as a pole
 ADIABATIC_LIMIT = 1.0    # |Omega'|/Omega^2 at t0 below this starts alpha adiabatically
+# The Ermakov residual's difference step: its truncation error, h^2 times the
+# alpha' cubic's leading coefficient, and its rounding, about eps |alpha'| / h,
+# both stay near 1e-10, two decades under the invariants check's 1e-7 gate
+RESIDUAL_STEP = 1e-5
 
 
 def _internal_nodes(grid: np.ndarray) -> np.ndarray:
@@ -160,9 +164,10 @@ class ErmakovSolution(_Dense):
 
     def residual(self, t):
         """alpha'' + (omega^2 - gamma^2/4) alpha - 1/alpha^3 with alpha'' by
-        central finite differences of the alpha' interpolant (step 1e-4)."""
+        central finite differences of the alpha' interpolant, step
+        RESIDUAL_STEP."""
         t = self._check_t(t)
-        h = 1e-4
+        h = RESIDUAL_STEP
         add = (self._alpha_dot(t + h) - self._alpha_dot(t - h)) / (2 * h)
         a, w = self._alpha(t), _per_element(self.omega, t)
         return add + (w * w - 0.25 * self.gamma ** 2) * a - _per_element(lambda x: x ** -3.0, a)

@@ -45,6 +45,19 @@ def test_ermakov_residual_time_dependent():
     assert np.all(np.diff(phases) > 0)
 
 
+@pytest.mark.parametrize("t_end", [6.0, 10.0])
+def test_the_ermakov_residual_of_a_fast_modulation_is_far_under_its_gate(t_end):
+    """omega = 1.947 + 0.31 sin(1.996 t + 2.909), gamma = 0.427, solved as the
+    invariants check solves it: the residual's central difference of the
+    alpha' interpolant keeps its truncation error, h^2 times the cubic's
+    leading coefficient, well under the 1e-7 gate (with h = 1e-4 it read
+    1.2e-7 on [0, 6] and 2.2e-7 on [0, 10])."""
+    omega, gamma = cm.parse_expression("1.947 + 0.31*sin(1.996*t + 2.909)", "t"), 0.427
+    grid = np.linspace(0.0, t_end, round(t_end / 0.1) + 1)
+    erm = cm.solve_ermakov(omega, gamma, *oscillator.ermakov_start(omega, gamma, 0.0), grid)
+    assert np.max(np.abs(erm.residual(grid[1:-1]))) < 1e-8
+
+
 def test_ermakov_preconditions():
     with pytest.raises(ValueError):
         cm.solve_ermakov(1.0, 0.1, -1.0, 0.0, GRID)

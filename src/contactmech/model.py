@@ -219,10 +219,10 @@ def _contact_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np
 #
 # Each built-in is one template of H in q, p, S and t, with the parameters m
 # and gamma and a leaf, V(q) or omega(t).  `_kind_dag` parses and
-# differentiates it once per process; `_kind_code` emits from the one DAG H,
+# differentiates it.  Once per process, `_kind_code` emits from its one DAG H,
 # its gradient, the field (`_contact_field` over the gradient's nodes) and the
 # tangent [field, A J] (A by `_contact_jacobian`'s chain rule), and
-# `_kind_step`, on a model's first fixed-step solve, one RK4 substep of the
+# `_kind_step`, on the kind's first fixed-step solve, one RK4 substep of the
 # field or of the tangent; a model binds only m, gamma and its leaf.  So
 # value, grad, field, tangent_rhs and the substeps agree by construction.
 # `value` and `grad` run on columns with every exp and leaf per element, so a
@@ -242,7 +242,6 @@ _J = tuple(f"J{k}{c}" for k in range(3) for c in range(3))  # the tangent's J, r
 _NAMES = {x: x for x in (*_Y, "t", "h", "m", "gamma", *_J)}
 _BLOCKS = "def f(t, y):\n    q, p, S = y.T"  # the head of a function of (k, 3) rows
 _FLOATS = "def f(t, y):\n    q, p, S = y.tolist()"
-_TANGENT = f"def f(t, y):\n    q, p, S, {', '.join(_J)} = y.tolist()"
 _POWER = np.frompyfunc(math.pow, 2, 1)  # math.pow per pair of broadcast elements
 _BLOCK = {"_pow": lambda a, b: np.asarray(_POWER(a, b), dtype=float),
           **{f"_{fn}": functools.partial(_per_element, f) for fn, f in _FUNCTIONS.items()}}
@@ -313,10 +312,11 @@ def _kind_dag(kind: str) -> tuple:
 def _kind_code(kind: str) -> tuple:
     """`_compile` of `kind`'s value, grad, field and tangent_rhs."""
     _, H, g, field, AJ = _kind_dag(kind)
+    tangent = f"def f(t, y):\n    q, p, S, {', '.join(_J)} = y.tolist()"
     return _compile(f"{kind}: ", [H], [([H], _BLOCKS, "{}"),
                                        (g, _BLOCKS, "_columns(len(y), {}, {}, {}, {})"),
                                        (field, _FLOATS, "[{}, {}, {}]"),
-                                       (field + AJ, _TANGENT, f"[{', '.join(['{}'] * 12)}]")],
+                                       (field + AJ, tangent, f"[{', '.join(['{}'] * 12)}]")],
                     _TEMPLATES[kind][2])
 
 
@@ -329,13 +329,13 @@ def _rk4_nodes(dag, lead: list, rhs: list, y: list) -> tuple:
     and 3 share their time, so what reads only it and the parameters is one
     node.  `times` are the stage times other than t.  The stage arithmetic
     is `dag.node`'s, which drops no ``+ 0.0``: that turns a -0.0 into 0.0."""
+    plus, prod = functools.partial(dag.node, "+"), functools.partial(dag.node, "*")
     t, h, two = dag.node("var", value="t"), dag.node("var", value="h"), dag.num(2.0)
     h2, h6 = dag.node("/", h, two), dag.node("/", h, dag.num(6.0))
-    mid, end = dag.node("+", t, h2), dag.node("+", t, h)
+    mid, end = plus(t, h2), plus(t, h)
     stages, ks = [], []
     for time, scale in ((t, None), (mid, h2), (mid, h2), (end, h)):
-        state = y if scale is None else \
-            [dag.node("+", a, dag.node("*", scale, k)) for a, k in zip(y, ks[-1])]
+        state = y if scale is None else [plus(a, prod(scale, k)) for a, k in zip(y, ks[-1])]
         copy = dict(zip([t, *y], [time, *state]))
         for x in _walk([*lead, *rhs]):
             if x not in copy:
@@ -343,8 +343,7 @@ def _rk4_nodes(dag, lead: list, rhs: list, y: list) -> tuple:
                                    pos=x.pos) if x.free & _VAR else x
         stages += [copy[x] for x in (*lead, *rhs)]
         ks.append([copy[x] for x in rhs])
-    step = [dag.node("+", a, dag.node("*", h6, dag.node("+", dag.node("+", dag.node(
-        "+", k1, dag.node("*", two, k2)), dag.node("*", two, k3)), k4)))
+    step = [plus(a, prod(h6, plus(plus(plus(k1, prod(two, k2)), prod(two, k3)), k4)))
             for a, k1, k2, k3, k4 in zip(y, *ks)]
     return stages, step, (mid, end)
 

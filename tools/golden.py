@@ -13,7 +13,8 @@ The reference runs are 111 output directories:
 * the same 5 at seed 0 with ``method = fixed_rk4`` and ``step = 0.002`` in
   place of their method line, as CI's runtime-only job rewrites them, the
   rewritten scenario recorded as ``_scenario.ini`` (``fixed/<name>-seed0/``):
-  every kind's fixed-step flow and the fixed-step tangent of the volume checks;
+  the fixed-step flow of ``damped_parametric`` and the fixed-step tangent,
+  which the volume checks carry, of the other two kinds;
 * every ``volume`` and ``invariants`` entry of ``perfbench.generate`` at
   seeds 5 and 11, through ``cli.run_scenario`` with trajectory and plots, in
   one process (``<workload>-seed<s>/<entry>/``); an exception's type and

@@ -10,15 +10,14 @@ and the built-in Hamiltonians H(q, p, S, t).
 Identifiers are the declared variables, the constants pi and e, and the
 functions sin, cos, exp, sqrt, log; a template (`parse_template`) also names
 parameters, bound with its code, leaves, functions whose derivatives are the
-leaves of the next order, and the subexpressions its earlier texts name.  An
-expression and its symbolic derivatives are one DAG of hash-consed nodes, turned into
-straight-line functions; an `Expression`'s second derivative is
-differentiated from the first on its first call.  The code is compiled once
-per shape per process, and each expression's constants are put into its own
-copy.  Each does a tree walk's float operations with its domain errors (sin
-or cos of an infinity, sqrt of a negative, log of a non-positive, division by
-zero, invalid power; an exp or ^ overflow stays an OverflowError) naming the
-offending operator's byte offset and, when given, the expression's key.
+leaves of the next order, the subexpressions its earlier texts name, and
+inlined texts.  An expression and its symbolic derivatives are one DAG of
+hash-consed nodes, turned into straight-line functions.  The code is
+compiled once per shape per process, and each expression's constants are put
+into its own copy.  Each does a tree walk's float operations with its domain
+errors (sin or cos of an infinity, sqrt of a negative, log of a non-positive,
+division by zero, invalid power; an exp or ^ overflow stays an OverflowError)
+naming the offending operator's byte offset and, when given, its text's key.
 """
 
 from __future__ import annotations
@@ -74,15 +73,17 @@ def _tokenize(text: str) -> list:
 
 # the operators that can raise; their nodes key on their offset too
 _RAISING = {"/", "^", *_FUNCTIONS}
-_VAR, _PARAM = 1, 2   # the bits of `Node.free`
+_VAR, _PARAM, _LITERAL = 1, 2, 4   # the bits of `Node.free`
+_FREE = {"var": _VAR, "param": _PARAM, "literal": _LITERAL}
 
 
 class Node:
     """A node built by `_Dag.node`: `op` is 'num' or 'const' (`value` is the float),
-    'var' or 'param' (`value` is its name), 'neg', one of + - * / ^, a function
-    name, or 'leaf' (`value` is the leaf's name and the order of its derivative);
-    `pos` is the byte offset of an operator in `_RAISING`, else 0; `free` has
-    the bit _VAR when the node depends on a variable, _PARAM on a parameter."""
+    'var', 'param' or 'literal' (`value` is its name), 'neg', one of + - * / ^,
+    a function name, 'leaf' (`value` is the leaf's name and the order of its
+    derivative) or 'inline' (`value` is its text's variable); `pos` is the byte
+    offset of an operator in `_RAISING`, paired with an inlined text's error
+    prefix, else 0; `free` has the bit of each kind of name it depends on."""
 
     __slots__ = ("op", "args", "value", "pos", "free")
 
@@ -93,11 +94,14 @@ def _is_num(n: Node, v: float) -> bool:
 
 class _Dag:
     """The intern table of one parse: a node equal to one built before is that
-    node, so equal subtrees are shared and `diff` runs once per distinct node."""
+    node, so equal subtrees are shared and `diff` runs once per distinct node.
+    `tested` holds the nodes of literals alone that a smart constructor tested
+    for 0, which it would have dropped had they been the number 0."""
 
     def __init__(self):
         self.nodes: dict = {}
         self.derivatives: dict = {}
+        self.tested: set = set()
 
     def node(self, op: str, *args: Node, value=None, pos: int = 0) -> Node:
         pos = pos if op in _RAISING else 0
@@ -108,7 +112,7 @@ class _Dag:
         if found is None:
             found = self.nodes[key] = Node()  # no __init__, so no frame on the parser's stack
             found.op, found.args, found.value, found.pos = op, args, value, pos
-            found.free = _VAR if op == "var" else _PARAM if op == "param" else 0
+            found.free = _FREE.get(op, 0)
             for a in args:
                 found.free |= a.free
         return found
@@ -119,26 +123,31 @@ class _Dag:
     def num(self, v) -> Node:
         return self.node("num", value=float(v))
 
+    def zero(self, n: Node) -> bool:
+        if n.free & _LITERAL and not n.free & _VAR:
+            self.tested.add(n)
+        return _is_num(n, 0.0)
+
     def add(self, a: Node, b: Node) -> Node:
-        if _is_num(a, 0.0):
+        if self.zero(a):
             return b
-        if _is_num(b, 0.0):
+        if self.zero(b):
             return a
         if a.op == "num" and b.op == "num":
             return self.num(a.value + b.value)
         return self.node("+", a, b)
 
     def sub(self, a: Node, b: Node) -> Node:
-        if _is_num(b, 0.0):
+        if self.zero(b):
             return a
         if a.op == "num" and b.op == "num":
             return self.num(a.value - b.value)
-        if _is_num(a, 0.0):
+        if self.zero(a):
             return self.node("neg", b)
         return self.node("-", a, b)
 
     def mul(self, a: Node, b: Node) -> Node:
-        if _is_num(a, 0.0) or _is_num(b, 0.0):
+        if self.zero(a) or self.zero(b):
             return self.num(0.0)
         if _is_num(a, 1.0):
             return b
@@ -149,7 +158,7 @@ class _Dag:
         return self.node("*", a, b)
 
     def div(self, a: Node, b: Node, pos: int) -> Node:
-        if _is_num(a, 0.0):
+        if self.zero(a):
             return self.num(0.0)
         if _is_num(b, 1.0):
             return a
@@ -181,6 +190,8 @@ class _Dag:
         if op == "leaf":
             name, order = node.value
             return self.mul(self.node("leaf", a, value=(name, order + 1)), da)
+        if op == "inline":  # as a leaf's: opaque, and 0 in any other variable than its own
+            return self.node(op, da, value=node.value) if x == node.value else self.num(0.0)
         if op in _FUNCTIONS:
             if op == "sin":
                 outer = self.node("cos", a, pos=pos)
@@ -220,7 +231,8 @@ class _Dag:
 
 _FORMS = {"neg": "-{}", "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}",
           "^": "_pow({}, {})", **{fn: f"_{fn}({{}})" for fn in _FUNCTIONS}}
-_GLOBALS = {"_pow": math.pow, **{f"_{fn}": f for fn, f in _FUNCTIONS.items()}}
+_GLOBALS = {"_pow": math.pow, "_div": operator.truediv,
+            **{f"_{fn}": f for fn, f in _FUNCTIONS.items()}}
 _FOLDS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv}
 
@@ -249,19 +261,22 @@ def _walk(roots, stop=()) -> list:
     return order
 
 
-def _emit(lead, outputs, names: dict, head: str, ret: str) -> tuple:
+def _emit(lead, outputs, names: dict, head: str, ret: str, label: str) -> tuple:
     """(code, lines, text, value) of the function whose source is `head`, one
     SSA line per distinct node the `outputs` use, in `_walk` order of the nodes
     `lead` and then the outputs, and ``return`` `ret` filled with their names;
-    `names` names the variables and parameters by name, and by node the nodes
-    the function reads from its globals, whose arguments it does not use, and
-    leaf `name` of order k calls the global ``_<name><k>``.  So it does a tree
-    walk's float operations and its first error is the walk's, which `_error`
-    rebuilds from `lines` (line -> node), `text` (node -> name) and `value`
-    (node -> float).  Constant i is
-    the placeholder ``'ci'``, so sources of one shape share one `_template`,
-    whose copy holds the constants; an operation in `_FOLDS` on constants
-    alone, which cannot raise, is computed here, as compile() folds literals."""
+    `names` names the variables by name, and by node the nodes the function
+    reads from its globals (refused at 0 by `model._bind`), whose arguments it
+    does not use; a parameter is the global of its name, leaf `name` of order
+    k calls the global ``_<name><k>``, and an inline node is its argument.  A
+    division by what may be 0 calls ``_div``, which raises on columns too.
+    So it does a tree walk's float operations and its first error is the
+    walk's, which `_error` rebuilds from `lines` (line -> node), `text` (node
+    -> name) and `value` (node -> float).  Constant i is the placeholder
+    ``'ci'``, so sources of one shape share one `_template`, whose copy holds
+    the constants and is named ``<label>``; an operation in `_FOLDS` on
+    constants alone, which cannot raise, is computed here, as compile() folds
+    literals."""
     used = set(_walk(outputs, names))
     text, lines, body, consts, value = {}, {}, [], {}, {}
     offset = head.count("\n") + 3   # the line of body[0]: after `head` and `try`
@@ -270,13 +285,22 @@ def _emit(lead, outputs, names: dict, head: str, ret: str) -> tuple:
             continue
         folds = node.op in _FOLDS and all(a in value for a in node.args) \
             and not (node.op == "/" and value[node.args[1]] == 0)
-        if node in names:
+        if node.op == "inline":
+            arg = node.args[0]
+            text[node] = text[arg]
+            if arg in value:
+                value[node] = value[arg]
+        elif node in names:
             text[node] = names[node]
-        elif node.op in ("var", "param"):
-            text[node] = names[node.value]
+        elif node.op in _FREE:
+            text[node] = names.get(node.value, node.value)
         elif node.args and not folds:
             text[node] = name = f"t{len(body)}"
             form = _FORMS.get(node.op) or "_{}{}({{}})".format(*node.value)  # a leaf
+            divisor = node.args[-1]
+            if node.op == "/" and value.get(divisor, 0) == 0 and divisor not in names \
+                    and divisor.op not in ("param", "literal"):
+                form = "_div({}, {})"
             lines[offset + len(body)] = node
             body.append(f"        {name} = {form.format(*(text[a] for a in node.args))}")
         else:  # a constant, or an operation on constants alone
@@ -289,13 +313,14 @@ def _emit(lead, outputs, names: dict, head: str, ret: str) -> tuple:
                         "        raise _error(exc) from None"])
     code = _template(source)
     code = code.replace(co_consts=tuple(consts.get(c, c) if type(c) is str else c
-                                        for c in code.co_consts))
+                                        for c in code.co_consts),
+                        co_filename=f"<{label}>", co_name=label)
     return code, lines, text, value
 
 
-def _compile(root: Node, variable: str, where: str) -> Callable[[float], float]:
+def _compile(root: Node, variable: str, where: str, label: str) -> Callable[[float], float]:
     """`root` as a function of its one `variable`; see `_emit`."""
-    code, *info = _emit([root], [root], {variable: "x0"}, "def f(x0):", "{}")
+    code, *info = _emit([root], [root], {variable: "x0"}, "def f(x0):", "{}", label)
     return types.FunctionType(code, dict(_GLOBALS, _error=functools.partial(
         _error, where, {code: info}, None)))
 
@@ -304,8 +329,9 @@ def _error(where: str, info: dict, overflow: Optional[str], exc: Exception,
            times=()) -> Exception:
     """The error of the node on the line that raised `exc`, by the raising
     function's code in `info` (code -> `_emit`'s lines, text and value), with
-    the text, operands and offset a tree walk gives it, after `where`; a
-    leaf's own error is `exc` itself.  An overflowing exp is, when `overflow`
+    the text, operands and offset a tree walk gives it, after `where`, or
+    after the prefix of the inlined text the node is in; a leaf's own error
+    is `exc` itself.  An overflowing exp of the template is, when `overflow`
     is given, `where` and `overflow` formatted with the function's globals,
     `exc` and t as the float time of the row: the variable t, or the first
     node of `times` that the exp's argument reads."""
@@ -320,6 +346,9 @@ def _error(where: str, info: dict, overflow: Optional[str], exc: Exception,
     values = [v.item() if getattr(v, "size", 0) == 1 else v for v in values]
     a, b = values[0], values[-1]   # a function's one argument is both
     op, pos = node.op, node.pos
+    if isinstance(pos, tuple):  # a node of an inlined text: its prefix, not the template's
+        pos, where = pos
+        overflow = None
     if op == "/":
         return ExpressionError(f"{where}division by zero", position=pos)
     if op == "^":
@@ -341,12 +370,21 @@ def _error(where: str, info: dict, overflow: Optional[str], exc: Exception,
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens, dag: _Dag, variables, params=(), leaves=None, named=None):
+    """Recursive descent over `tokens` into `dag`; with `literals` a count, the
+    numeric literals but 0 and 1 are the parameters ``_n0``, ``_n1``, ...,
+    and with `where` a position is (offset, `where`, the errors' prefix)."""
+
+    def __init__(self, tokens, dag: _Dag, variables, params=(), leaves=None, named=None,
+                 literals=None, where=None):
         self.tokens = tokens
         self.i = 0
         self.dag = dag
         self.variables, self.params = variables, params
         self.leaves, self.named = leaves or {}, named or {}
+        self.literals, self.where = literals, where
+
+    def at(self, tok: Token):
+        return tok.pos if self.where is None else (tok.pos, self.where)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -382,7 +420,7 @@ class _Parser:
         node = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             tok = self.advance()
-            node = self.dag.node(tok.text, node, self.factor(), pos=tok.pos)
+            node = self.dag.node(tok.text, node, self.factor(), pos=self.at(tok))
         return node
 
     def factor(self) -> Node:
@@ -397,13 +435,17 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            return self.dag.node("^", node, self.factor(), pos=tok.pos)
+            return self.dag.node("^", node, self.factor(), pos=self.at(tok))
         return node
 
     def atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "num":
-            return self.dag.node("num", value=float(tok.text))
+            value = float(tok.text)
+            if self.literals is None or value in (0.0, 1.0):
+                return self.dag.node("num", value=value)
+            self.literals += 1
+            return self.dag.node("literal", value=f"_n{self.literals - 1}")
         if tok.kind == "ident":
             name = tok.text
             if self.peek().kind == "op" and self.peek().text == "(":
@@ -414,7 +456,7 @@ class _Parser:
                 self.expect_op(")")
                 if name in self.leaves:
                     return self.dag.node("leaf", arg, value=self.leaves[name])
-                return self.dag.node(name, arg, pos=tok.pos)
+                return self.dag.node(name, arg, pos=self.at(tok))
             if name in self.named:
                 return self.named[name]
             if name in self.variables:
@@ -434,28 +476,26 @@ class _Parser:
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression in one variable with its symbolic derivatives.
+    """A parsed expression in one variable with its symbolic derivative.
 
-    The value and first-derivative DAGs become straight-line functions on
-    construction; the second derivative, the derivative of `derivative_ast`,
-    is built on the first `second_derivative` call (see `_compile`).  A `key`
-    such as ``model.V`` prefixes the errors of all three and takes no part in
-    equality."""
+    The value and derivative DAGs become straight-line functions on
+    construction (see `_compile`).  A `key` such as ``model.V`` prefixes the
+    errors of both and takes no part in equality."""
 
     text: str
     variable: str
-    ast: Node = field(repr=False)
-    derivative_ast: Node = field(repr=False)
+    ast: Node = field(repr=False, compare=False)
+    derivative_ast: Node = field(repr=False, compare=False)
     key: str = field(default="", compare=False)
     _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _slope: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    _curvature: Callable[[float], float] = field(default=None, init=False, repr=False,
-                                                 compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_value", _compile(self.ast, self.variable, self._where))
-        object.__setattr__(self, "_slope",
-                           _compile(self.derivative_ast, self.variable, self._where))
+        label = f"expression {self.key}".rstrip()
+        object.__setattr__(self, "_value",
+                           _compile(self.ast, self.variable, self._where, label))
+        object.__setattr__(self, "_slope", _compile(self.derivative_ast, self.variable,
+                                                    self._where, f"{label} derivative"))
 
     @property
     def _where(self) -> str:
@@ -467,21 +507,8 @@ class Expression:
     def derivative(self, x: float) -> float:
         return self._slope(float(x))
 
-    def second_derivative(self, x: float) -> float:
-        if self._curvature is None:
-            object.__setattr__(self, "_curvature", _compile(
-                _Dag().diff(self.derivative_ast), self.variable, self._where))
-        return self._curvature(float(x))
-
     def __reduce__(self):  # compiled code does not pickle; the text re-parses to it
         return parse_expression, (self.text, self.variable, self.key)
-
-    def __eq__(self, other):
-        return (isinstance(other, Expression) and other.text == self.text
-                and other.variable == self.variable)
-
-    def __hash__(self):
-        return hash((self.text, self.variable))
 
 
 def parse_expression(text: str, variable: str, key: str = "") -> Expression:
@@ -499,13 +526,24 @@ def parse_expression(text: str, variable: str, key: str = "") -> Expression:
         raise ExpressionError("expression nested too deeply", position=0) from None
 
 
-def parse_template(texts: tuple, variables: tuple, params: tuple, leaves: dict) -> tuple:
+def parse_template(texts: tuple, variables: tuple, params: tuple, leaves: dict,
+                   inline: Optional[dict] = None) -> tuple:
     """(dag, roots) of `texts`, in order, in the `variables`, with the `params`
     bound only when its code is; `leaves` maps a function name of one argument
     to (leaf, order), the leaf of the next order being its derivative (see
     `_emit`).  A text ``name = expr`` is no root: it names expr's node for the
-    texts after it."""
+    texts after it, as does `inline`, name -> (text, variable, where,
+    literals), with the 'inline' node over `text` parsed in `variable` alone
+    (see `_Parser`): only `_Dag.diff` in `variable` enters it, so the rules
+    of the texts around it see it as they would see a leaf."""
     dag, named, roots = _Dag(), {}, []
+    for name, (text, variable, where, literals) in (inline or {}).items():
+        try:
+            root = _Parser(_tokenize(text), dag, (variable,), literals=0 if literals else None,
+                           where=where).parse()
+        except RecursionError:
+            raise ExpressionError(f"{where}expression nested too deeply", position=0) from None
+        named[name] = dag.node("inline", root, value=variable)
     for text in texts:
         name, is_named, expr = text.rpartition("=")
         node = _Parser(_tokenize(expr), dag, variables, params, leaves, named).parse()
@@ -516,15 +554,16 @@ def parse_template(texts: tuple, variables: tuple, params: tuple, leaves: dict) 
     return dag, roots
 
 
-def as_expression(obj, variable: str, name: str):
-    """`obj` as a function of `variable` for the built-in models and solvers:
-    an object with ``__call__(x)``, ``derivative(x)`` and
-    ``second_derivative(x)``, such as an `Expression`, as it is, or a finite
-    number c as ``parse_expression(repr(float(c)), variable, name)``.  Anything
-    else (a bare callable, a string, a bool, a non-finite number) is an error
-    naming `name`."""
-    if callable(obj) and callable(getattr(obj, "derivative", None)) \
-            and callable(getattr(obj, "second_derivative", None)):
+def as_expression(obj, variable: str, name: str) -> Expression:
+    """`obj` as an `Expression` in `variable` for the built-in models and
+    solvers: an `Expression` in `variable` as it is, or a finite number c as
+    ``parse_expression(repr(float(c)), variable, name)``.  Anything else (an
+    expression in another variable, a callable, a string, a bool, a
+    non-finite number) is an error naming `name`."""
+    if isinstance(obj, Expression):
+        if obj.variable != variable:
+            raise ValueError(f"{name} must be an expression in {variable}, "
+                             f"got one in {obj.variable}")
         return obj
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise TypeError(f"{name} must be an expression in {variable} or a finite number, "

@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
+import re
 import types
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -21,8 +23,8 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .expressions import _FOLDS, _FUNCTIONS, _GLOBALS, _PARAM, _VAR, _emit, _error, _is_num, \
-    _walk, as_expression, parse_template
+from .expressions import _FOLDS, _FUNCTIONS, _GLOBALS, _VAR, _emit, _error, _is_num, _walk, \
+    as_expression, parse_template
 
 FD_STEP = 1e-6  # relative step for central finite differences
 
@@ -218,80 +220,105 @@ def _contact_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 #
 # Each built-in is one template of H in q, p, S and t, with the parameters m
-# and gamma and a leaf, V(q) or omega(t).  `_kind_dag` parses and
-# differentiates it.  Once per process, `_kind_code` emits from its one DAG H,
-# its gradient, the field (`_contact_field` over the gradient's nodes) and the
+# and gamma, into which a model inlines its V(q) or omega(t) text (see
+# `parse_template`).  The code is cached by the text's shape (`_shape`), whose
+# literals are the parameters _n0, _n1, ...: `_kind_code` parses and
+# differentiates the template with the text and emits from its one DAG H, its
+# gradient, the field (`_contact_field` over the gradient's nodes) and the
 # tangent [field, A J] (A by `_contact_jacobian`'s chain rule), and
-# `_kind_step`, on the kind's first fixed-step solve, one RK4 substep of the
-# field or of the tangent; a model binds only m, gamma and its leaf.  So
-# value, grad, field, tangent_rhs and the substeps agree by construction.
-# `value` and `grad` run on columns with every exp and leaf per element, so a
-# block gives its rows' bits.  H's nodes come first, so the first error is the
-# one `value` would raise.  The dH/dS terms are kept where dH/dS is 0
-# (``- p * 0.0``): they can flip the sign of a zero.
+# `_kind_step`, on the first fixed-step solve, one RK4 substep of the field or
+# of the tangent; a model binds only m, gamma and its literals.  So value,
+# grad, field, tangent_rhs and the substeps agree by construction.  Where
+# literals make a tested node 0 (see `_bind`), the model takes the code of its
+# own text instead.  `value` and `grad` run on columns with every function,
+# power and division by what may be 0 per element, so a block gives its rows'
+# bits.  H's nodes come first, so the first error is the one `value` would
+# raise.  The dH/dS terms are kept where dH/dS is 0 (``- p * 0.0``): they can
+# flip the sign of a zero.
 
-# kind -> (H, its leaf, the text after "<kind>: " of an overflow of H's exp)
+# kind -> (H, the name and variable of its inlined text, the text after
+# "<kind>: " of an overflow of H's exp)
 _TEMPLATES = {
-    "linear_dissipation": ("p*p/(2*m) + V(q) + gamma*S", "V", None),
-    "damped_parametric": ("p*p/(2*m) + 0.5*m*omega(t)*omega(t)*q*q + gamma*S", "omega", None),
-    "caldirola_kanai": ("exp(-gamma*t)*p*p/(2*m) + exp(gamma*t)*V(q)", "V",
+    "linear_dissipation": ("p*p/(2*m) + V + gamma*S", ("V", "q"), None),
+    "damped_parametric": ("p*p/(2*m) + 0.5*m*omega*omega*q*q + gamma*S", ("omega", "t"), None),
+    "caldirola_kanai": ("exp(-gamma*t)*p*p/(2*m) + exp(gamma*t)*V", ("V", "q"),
                         "e^(±gamma t) with model.gamma = {gamma!r} overflows at t={t!r}: {exc}"),
 }
 _Y = ("q", "p", "S")
 _J = tuple(f"J{k}{c}" for k in range(3) for c in range(3))  # the tangent's J, row-major
-_NAMES = {x: x for x in (*_Y, "t", "h", "m", "gamma", *_J)}
 _BLOCKS = "def f(t, y):\n    q, p, S = y.T"  # the head of a function of (k, 3) rows
 _FLOATS = "def f(t, y):\n    q, p, S = y.tolist()"
 _POWER = np.frompyfunc(math.pow, 2, 1)  # math.pow per pair of broadcast elements
+_DIVIDE = np.frompyfunc(operator.truediv, 2, 1)
 _BLOCK = {"_pow": lambda a, b: np.asarray(_POWER(a, b), dtype=float),
+          "_div": lambda a, b: np.asarray(_DIVIDE(a, b), dtype=float),
           **{f"_{fn}": functools.partial(_per_element, f) for fn, f in _FUNCTIONS.items()}}
+_NUMBER = re.compile(r"(?<![\w.])\d+(\.\d*)?([eE][+-]?\d+)?")  # a literal, not in a name
 
 
-def _compile(where: str, lead, parts, overflow: Optional[str] = None, times=()) -> tuple:
-    """(bound, [(code, of floats)], error) of `parts`, (outputs, head, ret)
-    triples emitted over the nodes `lead` (see `expressions._emit`); a head
-    other than `_BLOCKS` makes a function of floats.  `bound` names
-    ``_k0``, ``_k1``, ... the nodes of the parameters alone that `_FOLDS`
-    computes: `_bind` computes them once and the functions read them as
-    globals.  Their one possible error, a division by zero, names no row, and
-    m > 0 leaves none.  `error` is their `expressions._error` with the stage
-    `times`."""
+def _compile(where: str, lead, parts, overflow: Optional[str] = None, times=(),
+             tested=frozenset()) -> tuple:
+    """(bound, [(code, of floats)], error, tested) of `parts`, (outputs, head,
+    ret, label) tuples emitted over the nodes `lead` (see `expressions._emit`);
+    a head other than `_BLOCKS` makes a function of floats.  `bound` names
+    ``_k0``, ``_k1``, ... the nodes of the parameters and literals alone that
+    `_FOLDS` computes: `_bind` computes them once and the functions read them
+    as globals.  `error` is their `expressions._error` with the stage `times`;
+    `tested` adds the divisors to the `_Dag.tested` nodes given."""
     folds = {}
-    for x in _walk([out for outputs, _, _ in parts for out in outputs]):
-        folds[x] = x.op in ("param", "num", "const") or \
+    for x in _walk([out for outputs, *_ in parts for out in outputs]):
+        folds[x] = x.op in ("param", "literal", "num", "const") or \
             x.op in _FOLDS and all(folds[a] for a in x.args)
     bound = {x: f"_k{i}" for i, x in enumerate(x for x, ok in folds.items()
-                                                if ok and x.args and x.free == _PARAM)}
+                                                if ok and x.args and x.free
+                                                and not x.free & _VAR)}
     info, codes = {}, []
-    for outputs, head, ret in parts:
-        code, *lines_text_value = _emit(lead, outputs, {**_NAMES, **bound}, head, ret)
+    for outputs, head, ret, label in parts:
+        code, *lines_text_value = _emit(lead, outputs, bound, head, ret, label)
         info[code] = lines_text_value
         codes.append((code, head != _BLOCKS))
-    return bound, codes, functools.partial(_error, where, info, overflow, times=times)
+    return bound, codes, functools.partial(_error, where, info, overflow, times=times), \
+        {x.args[1] for x in folds if x.op == "/"}.union(tested)
 
 
-def _bind(compiled: tuple, params: dict, blocks: dict, floats: Optional[dict] = None) -> list:
+def _bind(compiled: tuple, params: dict, leaves: Optional[dict] = None) -> Optional[list]:
     """The functions of `compiled` (see `_compile`) over one globals dict per
     flavour: the `params`, the values of its bound nodes and, as
-    ``_<leaf><k>``, the leaf functions in `blocks` for the functions of
-    columns and in `floats` for those of floats."""
-    bound, codes, error = compiled
+    ``_<leaf><k>``, the `leaves`, functions of columns.  None where a bound
+    node divides by 0 or a tested one is 0: there the rules, had they seen
+    the literals as numbers, would have built other nodes."""
+    bound, codes, error, tested = compiled
     value = {}
     for x in _walk(list(bound)):  # in the float operations of the emitted lines
-        value[x] = params[x.value] if x.op == "param" else \
+        if x.op == "/" and value[x.args[1]] == 0:
+            return None
+        value[x] = params[x.value] if x.op in ("param", "literal") else \
             _FOLDS[x.op](*map(value.get, x.args)) if x.args else x.value
+        if x in tested and value[x] == 0:
+            return None
     params = {**params, **{name: value[x] for x, name in bound.items()}}
-    columns = {**_BLOCK, **blocks, **params, "_columns": _columns, "_error": error}
-    points = floats is not None and {**_GLOBALS, **floats, **params, "_error": error}
+    columns = {**_BLOCK, **(leaves or {}), **params, "_columns": _columns, "_error": error}
+    points = {**_GLOBALS, **params, "_error": error}
     return [types.FunctionType(code, points if flat else columns) for code, flat in codes]
 
 
-def _kind_dag(kind: str) -> tuple:
-    """(dag, H, gradient, field, A J) of `kind`'s template, parsed and
-    differentiated: the field and A J, row-major, as `_contact_field` and
-    `_contact_jacobian` form them."""
-    template, leaf, _ = _TEMPLATES[kind]
-    dag, (H,) = parse_template((template,), (*_Y, "t"), ("m", "gamma"), {leaf: (leaf, 0)})
+def _shape(text: str) -> tuple:
+    """(shape, literals): `text` with each numeric literal but 0 and 1 written
+    as as many 9s, so every offset holds, and those literals in order."""
+    literals = [float(x.group()) for x in _NUMBER.finditer(text)]
+    literals = [x for x in literals if x not in (0.0, 1.0)]
+    return _NUMBER.sub(lambda x: x.group() if float(x.group()) in (0.0, 1.0)
+                       else "9" * len(x.group()), text), literals
+
+
+def _kind_dag(kind: str, text: str, where: str, literals: bool) -> tuple:
+    """(dag, H, gradient, field, A J) of `kind`'s template with `text` inlined
+    (its literals parameters when `literals`), parsed and differentiated: the
+    field and A J, row-major, as `_contact_field` and `_contact_jacobian` form
+    them."""
+    template, (name, variable), _ = _TEMPLATES[kind]
+    dag, (H,) = parse_template((template,), (*_Y, "t"), ("m", "gamma"), {},
+                               {name: (text, variable, where, literals)})
     p = dag.node("var", value="p")
     g = [dag.diff(H, x) for x in (*_Y, "t")]
     K = [[dag.diff(g[i], x) for x in _Y] for i in range(3)]
@@ -308,16 +335,18 @@ def _kind_dag(kind: str) -> tuple:
     return dag, H, g, field, AJ
 
 
-@functools.lru_cache(maxsize=None)
-def _kind_code(kind: str) -> tuple:
-    """`_compile` of `kind`'s value, grad, field and tangent_rhs."""
-    _, H, g, field, AJ = _kind_dag(kind)
+@functools.lru_cache(maxsize=32)
+def _kind_code(kind: str, text: str, where: str, literals: bool) -> tuple:
+    """`_compile` of the value, grad, field and tangent_rhs of `_kind_dag`."""
+    dag, H, g, field, AJ = _kind_dag(kind, text, where, literals)
     tangent = f"def f(t, y):\n    q, p, S, {', '.join(_J)} = y.tolist()"
-    return _compile(f"{kind}: ", [H], [([H], _BLOCKS, "{}"),
-                                       (g, _BLOCKS, "_columns(len(y), {}, {}, {}, {})"),
-                                       (field, _FLOATS, "[{}, {}, {}]"),
-                                       (field + AJ, tangent, f"[{', '.join(['{}'] * 12)}]")],
-                    _TEMPLATES[kind][2])
+    return _compile(f"{kind}: ", [H], [([H], _BLOCKS, "{}", f"{kind}.value"),
+                                       (g, _BLOCKS, "_columns(len(y), {}, {}, {}, {})",
+                                        f"{kind}.grad"),
+                                       (field, _FLOATS, "[{}, {}, {}]", f"{kind}.field"),
+                                       (field + AJ, tangent, f"[{', '.join(['{}'] * 12)}]",
+                                        f"{kind}.tangent")],
+                    _TEMPLATES[kind][2], tested=dag.tested)
 
 
 def _rk4_nodes(dag, lead: list, rhs: list, y: list) -> tuple:
@@ -348,40 +377,44 @@ def _rk4_nodes(dag, lead: list, rhs: list, y: list) -> tuple:
     return stages, step, (mid, end)
 
 
-@functools.lru_cache(maxsize=None)
-def _kind_step(kind: str, tangent: bool) -> tuple:
-    """`_compile` of one RK4 substep ``f(t, y, h)`` of `kind`'s field, or of its
-    tangent when `tangent`, y a float sequence: the end state as a tuple,
-    bit for bit `dynamics._rk4`'s over the model's field or tangent_rhs, and
-    its first error theirs, a stage's overflow naming the stage's time."""
-    dag, H, _, field, AJ = _kind_dag(kind)
+@functools.lru_cache(maxsize=32)
+def _kind_step(kind: str, text: str, where: str, literals: bool, tangent: bool) -> tuple:
+    """`_compile` of one RK4 substep ``f(t, y, h)`` of the field of
+    `_kind_dag`, or of its tangent when `tangent`, y a float sequence: the end
+    state as a tuple, bit for bit `dynamics._rk4`'s over the model's field or
+    tangent_rhs, and its first error theirs, a stage's overflow naming the
+    stage's time."""
+    dag, H, _, field, AJ = _kind_dag(kind, text, where, literals)
     names = (*_Y, *_J) if tangent else _Y
     y = [dag.node("var", value=x) for x in names]
     stages, step, times = _rk4_nodes(dag, [H], field + AJ if tangent else field, y)
     head = f"def f(t, y, h):\n    {', '.join(names)} = y"
-    return _compile(f"{kind}: ", stages, [(step, head, f"({'{}, ' * len(y)})")],
-                    _TEMPLATES[kind][2], times)
+    label = f"rk4 {kind}.{'tangent' if tangent else 'field'}"
+    return _compile(f"{kind}: ", stages, [(step, head, f"({'{}, ' * len(y)})", label)],
+                    _TEMPLATES[kind][2], times, dag.tested)
 
 
-def _rk4_step(kind: str, tangent: bool, params: dict, calls: dict):
-    """`_kind_step` bound to a model's m and gamma and its leaf's `calls`."""
-    return _bind(_kind_step(kind, tangent), params, {}, calls)[0]
-
-
-def _builtin(kind: str, m: float, gamma: float, fn) -> HamiltonianModel:
-    """The model of `kind` with these m and gamma and leaf `fn`, an object with
-    ``__call__``, ``derivative`` and ``second_derivative``.  Its field and
-    tangent_rhs carry ``rk4_step()``, their RK4 substep, bound on first use."""
-    leaf = _TEMPLATES[kind][1]
-    calls = {f"_{leaf}{i}": f for i, f in enumerate((fn, fn.derivative, fn.second_derivative))}
-    params = {"m": m, "gamma": gamma}
-    value, grad, field, tangent_rhs = _bind(
-        _kind_code(kind), params,
-        {name: functools.partial(_per_element, f) for name, f in calls.items()}, calls)
+def _builtin(kind: str, m: float, gamma: float, text) -> HamiltonianModel:
+    """The model of `kind` with these m and gamma and V or omega `text` (see
+    `as_expression`), by the code of its shape, or of the text itself where
+    `_bind` refuses that.  Its field and tangent_rhs carry ``rk4_step()``,
+    their RK4 substep, bound on first use."""
+    _check_mass_and_damping(m, gamma)
+    name, variable = _TEMPLATES[kind][1]
+    fn = as_expression(text, variable, name)
+    shape, literals = _shape(fn.text)
+    params = {"m": m, "gamma": gamma, **{f"_n{i}": v for i, v in enumerate(literals)}}
+    key = (kind, shape, fn._where, True)
+    functions = _bind(_kind_code(*key), params)
+    if functions is None:
+        key = (kind, fn.text, fn._where, False)
+        functions = _bind(_kind_code(*key), params)
+    value, grad, field, tangent_rhs = functions
     for rhs, tangent in ((field, False), (tangent_rhs, True)):
-        rhs.rk4_step = functools.cache(functools.partial(_rk4_step, kind, tangent, params, calls))
+        rhs.rk4_step = functools.cache(
+            lambda tangent=tangent: _bind(_kind_step(*key, tangent), params)[0])
     return HamiltonianModel(n=1, value=value, grad=grad, field=field, tangent_rhs=tangent_rhs,
-                            name=kind, params={**params, leaf: fn})
+                            name=kind, params={"m": m, "gamma": gamma, name: fn})
 
 
 def _columns(k: int, *cols) -> np.ndarray:
@@ -401,19 +434,17 @@ def _check_mass_and_damping(m: float, gamma: float):
 
 def make_linear_dissipation(m: float, gamma: float, V) -> HamiltonianModel:
     """H = p^2/2m + V(q) + gamma*S, the one-dimensional linear-friction system."""
-    _check_mass_and_damping(m, gamma)
-    return _builtin("linear_dissipation", m, gamma, as_expression(V, "q", "V"))
+    return _builtin("linear_dissipation", m, gamma, V)
 
 
 def make_damped_parametric(m: float, gamma: float, omega) -> HamiltonianModel:
     """H = p^2/2m + m w(t)^2 q^2 / 2 + gamma*S, the damped parametric oscillator.
 
-    ``omega`` is an expression in t (an `Expression`, or any object that
-    `as_expression` takes as it is) or a finite number: a constant frequency
-    gives the damped harmonic oscillator, zero the damped free particle.
+    ``omega`` is an `Expression` in t or a finite number: a constant
+    frequency gives the damped harmonic oscillator, zero the damped free
+    particle.
     """
-    _check_mass_and_damping(m, gamma)
-    return _builtin("damped_parametric", m, gamma, as_expression(omega, "t", "omega"))
+    return _builtin("damped_parametric", m, gamma, omega)
 
 
 def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
@@ -423,8 +454,7 @@ def make_caldirola_kanai(m: float, gamma: float, V) -> HamiltonianModel:
     contact equations its (q, p) flow is the standard symplectic one, and q(t)
     obeys the same damped Newton equation as the linear-dissipation model.
     """
-    _check_mass_and_damping(m, gamma)
-    return _builtin("caldirola_kanai", m, gamma, as_expression(V, "q", "V"))
+    return _builtin("caldirola_kanai", m, gamma, V)
 
 
 def make_custom(n: int, value, grad=None, name: str = "custom",

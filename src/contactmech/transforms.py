@@ -267,9 +267,10 @@ def compose(outer: ContactMap, inner: ContactMap, name: Optional[str] = None) ->
 # texts after it.  `_map_code` emits, once per process and through
 # `model._compile`, forward, inverse, the Jacobian and its time partials from
 # the forward DAG, and f = e^{gamma t}, all on columns with every exp, cos,
-# sin, sqrt, power and atan per element, so a block gives its rows' bits; a
-# map binds m, gamma and its leaves (`model._bind`).  alpha and alpha' are the
-# Ermakov solution's accessors, whose array path is bit-equal to its float path.
+# sin, sqrt, power, atan and division by a variable per element, so a block
+# gives its rows' bits, and a zero divisor raises as in floats; a map binds
+# m, gamma and its leaves (`model._bind`).  alpha and alpha' are the Ermakov
+# solution's accessors, whose array path is bit-equal to its float path.
 
 _MAPS = {
     "ck": (("e = exp(gamma*t)", "q", "p*e", "S*e"),
@@ -301,10 +302,11 @@ def _map_code(name: str) -> tuple:
     _, back = parse_template(inverse, *names)
     three = "_columns(len(y), {}, {}, {})"
     return _compile(f"map '{name}': ", images[:1], [
-        (images, _BLOCKS, three), (back, _BLOCKS, three),
+        (images, _BLOCKS, three, f"map {name}.forward"),
+        (back, _BLOCKS, three, f"map {name}.inverse"),
         (J + dT, _BLOCKS, f"(_columns(len(y), {', '.join(['{}'] * 9)}).reshape(-1, 3, 3), "
-                          f"{three})"),
-        ([f], _BLOCKS, "{}")], _OVERFLOW)
+                          f"{three})", f"map {name}.jacobian"),
+        ([f], _BLOCKS, "{}", f"map {name}.declared_f")], _OVERFLOW)
 
 
 def _builtin_map(name: str, m: float, gamma: float, leaves: Optional[dict] = None,

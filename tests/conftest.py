@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import contactmech as cm
+from contactmech import expressions
 from contactmech.model import ExtendedState
 
 
@@ -66,6 +67,21 @@ def builtin_points():
     points += [(rng.uniform(0.0, 5.0), np.array([0.0, -rng.uniform(0.1, 2), rng.uniform(-2, 2)]))
                for _ in range(10)]
     return points
+
+
+def second_derivative(V):
+    """V'' as a function of floats, differentiated from V's own derivative DAG
+    and compiled apart from any model: the reference for a built-in's symbolic
+    Hessian, which differentiates V inlined into the model's template."""
+    return expressions._compile(expressions._Dag().diff(V.derivative_ast), V.variable,
+                                V._where, "reference V''")
+
+
+def minus_second_derivative(V, q):
+    """A[1, 0] = -V''(q) of a linear-dissipation model with m = 1 and gamma = 0,
+    the entry of its tangent right-hand side at p = S = t = 0 and J = I."""
+    model = cm.make_linear_dissipation(1.0, 0.0, V)
+    return model.tangent_rhs(0.0, np.array([q, 0.0, 0.0, *np.eye(3).ravel()]))[6]
 
 
 def random_rows(n_points, seed=0, t_range=(0.0, 5.0), q_range=(0.5, 1.5)):

@@ -23,7 +23,7 @@ from contactmech.scenario import build_model, parse_scenario
 from contactmech.errors import (IntegrationError, NonFiniteError, SingularMeasureError,
                                 UnsupportedModelError)
 
-from conftest import assert_bits_equal, builtin_points
+from conftest import assert_bits_equal, builtin_points, second_derivative
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(p.stem for p in (ROOT / "scenarios").glob("*.ini"))
@@ -228,13 +228,13 @@ def test_builtin_value_and_grad_over_a_block_are_the_one_row_calls_bit_for_bit(m
 
 
 def _builtin_hessian(model, t, y):
-    """The Hessian of a built-in's H in (q, p, S), written out by hand with the
-    symbolic V''."""
+    """The Hessian of a built-in's H in (q, p, S), written out by hand with V''
+    from V's own DAG."""
     m, gamma = model.params["m"], model.params["gamma"]
     if model.name == "damped_parametric":
         w = model.params["omega"](t)
         return np.diag([m * w * w, 1.0 / m, 0.0])
-    d2V = model.params["V"].second_derivative(y[0])
+    d2V = second_derivative(model.params["V"])(y[0])
     if model.name == "caldirola_kanai":
         return np.diag([math.exp(gamma * t) * d2V, math.exp(-gamma * t) / m, 0.0])
     return np.diag([d2V, 1.0 / m, 0.0])
@@ -302,41 +302,25 @@ def test_custom_field_jacobian_matches_exact(grad, atol):
                         _exact_quartic_s_coupled_jacobian(q, p, S), rtol=1e-6, atol=atol)
 
 
-class _Counted:
-    """A parsed V whose value and second derivative count their calls."""
-
-    def __init__(self, V):
-        self.V, self.calls = V, {"value": 0, "second_derivative": 0}
-
-    def __call__(self, q):
-        self.calls["value"] += 1
-        return self.V(q)
-
-    def derivative(self, q):
-        return self.V.derivative(q)
-
-    def second_derivative(self, q):
-        self.calls["second_derivative"] += 1
-        return self.V.second_derivative(q)
-
-
 @pytest.mark.parametrize("kind", ["builtin", "custom"])
 def test_det_series_calls_field_once_per_right_hand_side(kind, monkeypatch):
-    """Each right-hand side of the tangent solve is one `tangent_rhs` call,
-    which evaluates the field once: V (the built-in's) or H (make_custom's)
-    is evaluated only by the field, once per call.  The built-in's also takes
-    V'' once and needs neither `value` nor `grad`."""
+    """Each right-hand side of the tangent solve is one `tangent_rhs` call:
+    the built-in's, which needs neither `value` nor `grad`, or make_custom's,
+    which evaluates H only by the field, once per call."""
     calls = {"rhs": 0}
     if kind == "builtin":
-        V = _Counted(_QUARTIC)
+        counts = {"tangent_rhs": 0}
         base = cm.make_caldirola_kanai(1.2, 0.3, _QUARTIC)
 
         def forbidden(t, y):
             raise AssertionError("the det series evaluated H or its gradient")
 
-        model = dataclasses.replace(cm.make_caldirola_kanai(1.2, 0.3, V), value=forbidden,
-                                    grad=forbidden)
-        counts = V.calls
+        def tangent_rhs(t, z):
+            counts["tangent_rhs"] += 1
+            return base.tangent_rhs(t, z)
+
+        model = dataclasses.replace(base, value=forbidden, grad=forbidden,
+                                    tangent_rhs=tangent_rhs)
     else:
         counts = {"value": 0}
 
@@ -724,28 +708,11 @@ def test_integration_errors(linear_model):
         cm.IntegratorOptions(sample_interval=0.0)
 
 
-class _Pathological:
-    """A V or an omega outside the expression grammar, from its value and its
-    first and second derivatives as three callables."""
-
-    def __init__(self, f, df, d2f):
-        self.f, self.df, self.d2f = f, df, d2f
-
-    def __call__(self, x):
-        return self.f(x)
-
-    def derivative(self, x):
-        return self.df(x)
-
-    def second_derivative(self, x):
-        return self.d2f(x)
-
-
 def _wall_at_q_1_5():
-    """H = p^2/2 + q^2/2 + 0.1 S, except that V' is infinite from q = 1.5 on,
-    which the flow from (1, 2, 0) reaches at t ~ 0.26."""
-    V = _Pathological(lambda q: 0.5 * q * q, lambda q: q if q < 1.5 else math.inf,
-                      lambda q: 1.0)
+    """H = p^2/2 + q^2/2 + 0.1 S, except that V is NaN from q = 1.4978 on,
+    where q*1.2e308 overflows and inf*0 is NaN; the flow from (1, 2, 0) reaches
+    it at t ~ 0.26.  V' is q and V'' is 1 everywhere."""
+    V = cm.parse_expression("q^2/2 + (q*1.2e308)*0", "q")
     return cm.make_linear_dissipation(1.0, 0.1, V)
 
 
@@ -765,11 +732,11 @@ def test_a_non_finite_field_is_a_non_finite_error_naming_t_and_y(run):
 
 
 def _jacobian_wall_at_q_1_5():
-    """The harmonic model of `_wall_at_q_1_5` with a finite field everywhere,
-    but an infinite V'', and so a non-finite field Jacobian A, from q = 1.5 on,
-    as where V'' overflows while V' stays finite."""
-    V = _Pathological(lambda q: 0.5 * q * q, lambda q: q,
-                      lambda q: 1.0 if q < 1.5 else math.inf)
+    """H = p^2/2 + q^2/2 + 0.1 S with a finite field for q < 1.73, but V''
+    NaN, and so a non-finite field Jacobian A, from q = 1.5 on: the cubic term
+    and its copy cancel, and 2e307*(3*(2*q)) overflows there while
+    2e307*(3*q^2) and 2e307*q^3 stay finite."""
+    V = cm.parse_expression("q^2/2 + (2e307*q^3 - 2e307*q^3)", "q")
     return cm.make_linear_dissipation(1.0, 0.1, V)
 
 
@@ -800,15 +767,17 @@ def test_an_overflowing_trial_stage_of_an_ermakov_solve_is_rejected_and_recovere
     where a solve without the overflow ends."""
     overflowed = []
 
-    def omega(t):
-        if t > 1.0 and not overflowed:
-            overflowed.append(t)
-            return 1e200  # w * w is inf
-        return 1.3
+    class Overflowing(cm.Expression):
+        def __call__(self, t):
+            if t > 1.0 and not overflowed:
+                overflowed.append(t)
+                return 1e200  # w * w is inf
+            return super().__call__(t)
 
+    const = cm.parse_expression("1.3", "t")
     grid = np.linspace(0.0, 3.0, 31)
-    erm = cm.solve_ermakov(_Pathological(omega, lambda t: 0.0, lambda t: 0.0), 0.2, 0.9, 0.1,
-                           grid)
+    erm = cm.solve_ermakov(Overflowing(const.text, "t", const.ast, const.derivative_ast),
+                           0.2, 0.9, 0.1, grid)
     clean = cm.solve_ermakov(1.3, 0.2, 0.9, 0.1, grid)
     assert overflowed
     assert_allclose(erm.alpha(grid), clean.alpha(grid), rtol=1e-8)
@@ -954,8 +923,8 @@ def test_the_stage_arithmetic_keeps_the_sign_of_a_zero():
     dag, (zero,) = parse_template(("0",), ("q", "t"), (), {})
     q = dag.node("var", value="q")
     stages, step, _ = _rk4_nodes(dag, [], [zero], [q])
-    (substep,) = _bind(_compile("", stages, [(step, "def f(t, y, h):\n    q, = y", "({}, )")]),
-                       {}, {}, {})
+    (substep,) = _bind(_compile("", stages, [(step, "def f(t, y, h):\n    q, = y", "({}, )",
+                                               "rk4 zero")]), {})
     for h in (0.1, -0.1):
         expected = dynamics._rk4(lambda t, y: [0.0], 0.0, [-0.0], h)
         assert np.array(substep(0.0, [-0.0], h)).tobytes() == np.array(expected).tobytes()

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import contactmech as cm
 from contactmech import expressions
 from contactmech.errors import ExpressionError
-from contactmech.scenario import build_model, parse_scenario
+
+from conftest import minus_second_derivative
 
 
 def test_trivial_constant():
@@ -74,57 +75,42 @@ def test_symbolic_derivatives(text, x, deriv):
     ("2^q", 1.5, math.log(2.0) ** 2 * 2 ** 1.5),
 ])
 def test_symbolic_second_derivatives(text, x, second):
-    assert cm.parse_expression(text, "q").second_derivative(x) == pytest.approx(second,
-                                                                                 rel=1e-12)
+    """V'' is the tangent's A[1, 0] = -V''(q) of a model with V inlined."""
+    V = cm.parse_expression(text, "q")
+    assert -minus_second_derivative(V, x) == pytest.approx(second, rel=1e-12)
 
 
 def test_a_polynomial_second_derivative_is_exact_at_dyadic_points():
     """At these q every product and sum of 12 q^2 - 6 is a float, so no rounding."""
     V = cm.parse_expression("q^4 - 3*q^2 + 2*q", "q")
     for q in (-1.25, -0.0, 0.5, 2.0, 3.75):
-        assert V.second_derivative(q) == 12 * q * q - 6
+        assert -minus_second_derivative(V, q) == 12 * q * q - 6
 
 
 def test_second_derivative_errors_name_the_key_and_offset_of_the_first_derivative():
+    """The derivative's error, and the error the tangent meets first, name V's
+    key and offset: the tangent computes V, V' and V'' in that order."""
     V = cm.parse_expression("1/q", "q", "model.V")
-    for call in (V.derivative, V.second_derivative):
+    for call in (V.derivative, lambda q: minus_second_derivative(V, q)):
         with pytest.raises(ExpressionError) as err:
             call(0.0)
         assert str(err.value) == "model.V: division by zero (at offset 1)"
         assert err.value.position == 1
-
-
-def test_the_second_derivative_is_built_on_its_first_call_only(monkeypatch):
-    """Parsing, and building a model of a kind built before from a scenario,
-    differentiate once; the first second_derivative call differentiates again
-    and compiles, the next call neither.  (The kind's own template is
-    differentiated once per process, on its first build: see
-    test_model.py::test_a_kind_is_parsed_differentiated_and_compiled_once.)"""
-    diffs = []
-    diff = expressions._Dag.diff
-
-    def counted(self, root):
-        diffs.append(root)
-        return diff(self, root)
-
-    text = ("[model]\nkind = linear_dissipation\nm = 1\ngamma = 0.1\nV = q^2/2 + q^4\n"
-            "[initial]\nq = 1\np = 0\n[integration]\nt_end = 1\n")
-    build_model(parse_scenario(text))
-    monkeypatch.setattr(expressions._Dag, "diff", counted)
-    V = build_model(parse_scenario(text)).params["V"]
-    assert len(diffs) == 1 and V._curvature is None
-    assert V.second_derivative(0.5) == 4.0
-    assert len(diffs) == 2 and diffs[1] is V.derivative_ast
-    assert V.second_derivative(1.0) == 13.0
-    assert len(diffs) == 2
+    V = cm.parse_expression("q^1.5", "q", "model.V")   # only V'' = 0.75 q^-0.5 raises at 0
+    assert V(0.0) == V.derivative(0.0) == 0.0
+    with pytest.raises(ExpressionError) as err:
+        minus_second_derivative(V, 0.0)
+    assert str(err.value) == "model.V: invalid power 0.0^-0.5: math domain error (at offset 1)"
 
 
 def test_a_second_derivative_survives_pickling():
+    """A model built from an unpickled V has the tangent of one built from V."""
     e = cm.parse_expression("sqrt(q) + q^3/2", "q", "model.V")
-    assert e.second_derivative(2.0) == pytest.approx(-0.25 * 2.0 ** -1.5 + 6.0, rel=1e-12)
+    assert -minus_second_derivative(e, 2.0) == pytest.approx(-0.25 * 2.0 ** -1.5 + 6.0,
+                                                             rel=1e-12)
     back = pickle.loads(pickle.dumps(e))
-    assert back == e and back.key == "model.V" and back._curvature is None
-    assert back.second_derivative(2.0) == e.second_derivative(2.0)
+    assert back == e and back.key == "model.V"
+    assert minus_second_derivative(back, 2.0) == minus_second_derivative(e, 2.0)
 
 
 @given(st.floats(min_value=0.2, max_value=3.0))
@@ -279,19 +265,25 @@ def _tree_walk(node, x):
 @example("1e308*10 - q*(1-1)/0", 0.5)
 @settings(max_examples=300, deadline=None)
 def test_compiled_code_matches_tree_walk(text, x):
-    """Value and first and second derivatives equal a tree walk of their DAGs
-    bit for bit (any NaN matches any NaN), or raise its exception with the same
-    message."""
+    """Value and first derivative equal a tree walk of their DAGs bit for bit
+    (any NaN matches any NaN), or raise its exception with the same message.
+    So does the tangent's A[1, 0] = -V'' of a model with V inlined, against a
+    walk of V's own second-derivative DAG: its first error is the first of V,
+    V' and V'' in that order, which it computes in turn."""
     e = cm.parse_expression(text, "q")
-    second_ast = expressions._Dag().diff(e.derivative_ast)
-    for root, compiled in ((e.ast, e), (e.derivative_ast, e.derivative),
-                           (second_ast, e.second_derivative)):
+    walks = []
+    for root in (e.ast, e.derivative_ast, expressions._Dag().diff(e.derivative_ast)):
         try:
-            want = _tree_walk(root, x)
+            walks.append(_tree_walk(root, x))
         except (ExpressionError, OverflowError) as exc:
-            with pytest.raises(type(exc)) as err:
+            walks.append(exc)
+    first_error = next((w for w in walks if isinstance(w, Exception)), walks[2])
+    for want, compiled in ((walks[0], e), (walks[1], e.derivative),
+                           (first_error, lambda x: -minus_second_derivative(e, x))):
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as err:
                 compiled(x)
-            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            assert type(err.value) is type(want) and str(err.value) == str(want)
         else:
             assert compiled(x).hex() == want.hex()
 
@@ -300,7 +292,9 @@ def test_expressions_of_one_shape_share_one_compile(monkeypatch):
     """Two expressions that differ only in their constants are compiled once:
     their functions have one bytecode, each with its own constants, and each
     keeps its own values, key and error offsets.  (Equal constants are one
-    node, so the two 2s of q^2/2 are one constant, and that is another shape.)"""
+    node, so the two 2s of q^2/2 are one constant, and that is another shape.)
+    Built-in models cache their code by a shape of their own: see
+    test_model.py::test_a_kind_is_parsed_differentiated_and_compiled_once."""
     compiled = []
     monkeypatch.setattr(expressions, "compile", lambda *args: compiled.append(args[0])
                         or compile(*args), raising=False)
@@ -308,10 +302,8 @@ def test_expressions_of_one_shape_share_one_compile(monkeypatch):
     a = cm.parse_expression("1.5*q^3/4 + log(q - 0.25)", "q", "model.V")
     assert len(compiled) == 2   # the value and the derivative
     b = cm.parse_expression("12.75 * q ^ 5 / 7  +  log(q - 2)", "q", "other.V")
-    assert a.second_derivative(1.0) == 1.5 * 3 * 2 * 1.0 / 4 - 1 / 0.75 ** 2
-    assert b.second_derivative(3.0) == 12.75 * 5 * 4 * 3.0 ** 3 / 7 - 1.0
-    assert len(compiled) == 3
-    for fn in ("_value", "_slope", "_curvature"):
+    assert len(compiled) == 2
+    for fn in ("_value", "_slope"):
         code_a, code_b = getattr(a, fn).__code__, getattr(b, fn).__code__
         assert code_a.co_code == code_b.co_code and code_a.co_consts != code_b.co_consts
     assert a(1.0) == 1.5 * 1.0 ** 3 / 4 + math.log(0.75)
@@ -324,7 +316,7 @@ def test_expressions_of_one_shape_share_one_compile(monkeypatch):
         ("model.V: log of non-positive value 0.0 (at offset 12)", 12)
     assert (str(eb.value), eb.value.position) == ("other.V: division by zero (at offset 22)", 22)
     cm.parse_expression("1.5*q^2/2", "q")
-    assert len(compiled) == 5
+    assert len(compiled) == 4
 
 
 def test_long_sums_compile():

@@ -10,8 +10,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import contactmech as cm
 from contactmech import expressions, model
-from contactmech.errors import DimensionMismatchError, NonFiniteError
+from contactmech.errors import DimensionMismatchError, ExpressionError, NonFiniteError
+from contactmech.model import rowwise
 from contactmech.scenario import KINDS, build_model, parse_scenario
+
+from conftest import builtin_points, second_derivative
 
 
 def test_linear_dissipation_eval_examples(linear_model):
@@ -248,7 +251,7 @@ def test_the_solvers_reject_a_bare_callable_or_a_non_finite_omega_by_name():
 
 def test_the_tangent_takes_V2_from_the_symbolic_second_derivative():
     """A[1, 0] = -V''(q) at p = 0, the entry of the tangent right-hand side at
-    J = I, with V'' the expression's symbolic second derivative."""
+    J = I, with V'' the symbolic second derivative of V's own DAG."""
     def d2V(V, q):
         model = cm.make_linear_dissipation(1.0, 0.0, V)
         return -model.tangent_rhs(0.0, np.array([q, 0.0, 0.0, *np.eye(3).ravel()]))[6]
@@ -256,7 +259,7 @@ def test_the_tangent_takes_V2_from_the_symbolic_second_derivative():
     assert d2V(2.5, 10.0) == 0.0
     quartic = cm.parse_expression("q^4", "q")
     for q in (-1.7, -0.3, 0.4, 2.0, 15.0):
-        assert d2V(quartic, q) == quartic.second_derivative(q)
+        assert d2V(quartic, q) == second_derivative(quartic)(q)
         assert d2V(quartic, q) == pytest.approx(12 * q * q, rel=1e-14)
 
 
@@ -271,12 +274,13 @@ _H = {  # each built-in's H in the float operations of its template
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_a_kind_is_parsed_differentiated_and_compiled_once(kind, monkeypatch):
-    """24 models of one kind, each with its own m, gamma and V or omega: the
-    first build parses and differentiates the kind's template and compiles its
-    four functions, and the other 23 do neither; each binds its own values."""
+    """24 models of one kind and one shape, each with its own m, gamma and
+    literals of V or omega: the first build parses and differentiates the
+    kind's template with the text and compiles its four functions, and the
+    other 23 do neither; each binds its own values."""
     _, key, var = KINDS[kind]
     configs = [parse_scenario(f"[model]\nkind = {kind}\nm = {1 + i / 8}\ngamma = {i / 16}\n"
-                              f"{key} = {1 + i / 4}*{var}^2/2 + {i / 50}*{var}^4\n"
+                              f"{key} = {1.1 + i / 4:.4f}*{var}^2/2 + {0.01 + i / 50:.4f}*{var}^4\n"
                               "[initial]\nq = 1\np = 0\n[integration]\nt_end = 1\n")
                for i in range(24)]
     diffs, diff = [], expressions._Dag.diff
@@ -299,12 +303,12 @@ def test_a_kind_is_parsed_differentiated_and_compiled_once(kind, monkeypatch):
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_a_substep_is_compiled_on_the_first_fixed_step_solve_of_its_kind(kind, monkeypatch):
     """`build_model` compiles no RK4 substep.  The first fixed-step solve of a
-    kind compiles its field's substep and the first with the tangent the
-    tangent's; the other models of the kind compile nothing, and an adaptive
-    solve takes no substep."""
+    kind and shape compiles its field's substep and the first with the tangent
+    the tangent's; the other models of the kind and shape compile nothing, and
+    an adaptive solve takes no substep."""
     _, key, var = KINDS[kind]
     configs = [parse_scenario(f"[model]\nkind = {kind}\nm = {1 + i / 8}\ngamma = {i / 16}\n"
-                              f"{key} = {1 + i / 4}*{var}^2/2\n"
+                              f"{key} = {1.25 + i / 4:.2f}*{var}^2/2\n"
                               "[initial]\nq = 1\np = 0\n[integration]\nt_end = 1\n")
                for i in range(3)]
     compiled = []
@@ -328,3 +332,197 @@ def test_a_substep_is_compiled_on_the_first_fixed_step_solve_of_its_kind(kind, m
             cm.integrate(built_model, x0, 0.5, fixed, tangent=tangent)
         assert len(substeps()) == 1 + tangent
         assert substeps()[-1].startswith(f"def f(t, y, h):\n    {names}")
+
+
+_SHAPES = [  # (kind, two texts of one shape); numbers become the parsed repr(float(c))
+    ("linear_dissipation", "1.2*q^2/2 + 0.3*q^4", "0.7*q^3/5 + 0.9*q^2"),
+    ("caldirola_kanai", "1.2*q^2/2 + 0.3*q^4", "0.7*q^3/5 + 0.9*q^2"),
+    ("linear_dissipation", "1 - cos(q)", "1 - cos(q)"),
+    ("caldirola_kanai", "2 - cos(3*q)", "5 - cos(7*q)"),
+    ("linear_dissipation", "q^2/3", "q^5/7"),   # 3 and 7 are variable-free divisors
+    ("caldirola_kanai", 2.5, 7.5),
+    ("damped_parametric", 0, 0.0),
+    ("damped_parametric", "1 + 0.1*sin(0.3*t)", "1 + 0.7*sin(0.2*t)"),
+]
+
+
+def _shape_rows():
+    """(t, z, h) rows with zeros of both signs, q < 0, and p = 0 or gamma = 0 in
+    the models below, so that p * dH/dS can be a signed zero."""
+    rng = np.random.default_rng(53)
+    rows = []
+    for t, y in builtin_points():
+        for J in (np.eye(3), rng.uniform(-2, 2, (3, 3)), -np.eye(3)):
+            rows.append((t, np.concatenate([y, J.ravel()]), rng.choice([0.01, -0.25])))
+    return rows
+
+
+def _own_text(kind, m, gamma, expr):
+    """value, grad, field, tangent_rhs and both substeps of `expr`'s own text,
+    its literals in the code: the code a shape stands for."""
+    key = (kind, expr.text, expr._where, False)
+    params = {"m": m, "gamma": gamma}
+    return (*model._bind(model._kind_code(*key), params),
+            *(model._bind(model._kind_step(*key, tangent), params)[0]
+              for tangent in (False, True)))
+
+
+def _outputs(functions, rows):
+    """Each function's output bytes, or its error, on each row."""
+    value, grad, field, tangent, step, tangent_step = functions
+    out = []
+    for t, z, h in rows:
+        for f, args in ((value, (t, z[None, :3])), (grad, (t, z[None, :3])),
+                        (field, (t, z[:3])), (tangent, (t, z)),
+                        (step, (t, z[:3].tolist(), h)), (tangent_step, (t, z.tolist(), h))):
+            try:
+                out.append(np.asarray(f(*args), dtype=float).tobytes())
+            except (ArithmeticError, ValueError) as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@pytest.mark.parametrize("kind, first, second", _SHAPES)
+def test_texts_of_one_shape_give_the_bits_of_their_own_text(kind, first, second):
+    """Two texts of one shape, built in either order, so that each is once a
+    miss of the shape cache and once a hit: value, grad, field, tangent_rhs and
+    both RK4 substeps are those of the code with the text's own literals, bit
+    for bit and signs of zeros included."""
+    factory, name, var = KINDS[kind]
+    texts = [t if not isinstance(t, str) else cm.parse_expression(t, var, f"model.{name}")
+             for t in (first, second)]
+    rows = _shape_rows()
+    for order in (texts, texts[::-1]):
+        model._kind_code.cache_clear()
+        model._kind_step.cache_clear()
+        built = [factory(1.3, gamma, text) for gamma in (0.0, 0.3) for text in order]
+        steps = [(b.field.rk4_step(), b.tangent_rhs.rk4_step()) for b in built]
+        assert model._kind_code.cache_info()[:2] == (3, 1)
+        assert model._kind_step.cache_info()[:2] == (6, 2)
+        exprs = [b.params[name] for b in built]
+        assert len({model._shape(e.text)[0] for e in exprs}) == 1
+        for b, expr, step in zip(built, exprs, steps):
+            functions = (b.value, b.grad, b.field, b.tangent_rhs, *step)
+            assert _outputs(functions, rows) == \
+                _outputs(_own_text(kind, 1.3, b.params["gamma"], expr), rows)
+
+
+def test_a_literal_node_tested_for_zero_takes_the_code_of_the_text():
+    """d/dq of (2q - 2q) exp(-q) has the node 2 - 2, which the rules drop as
+    the number 0 in the code of the text itself but keep in its shape's code,
+    where it is a node of literals: there V' would be 0 exp(-q) + (2q - 2q)
+    (-exp(-q)) = +0.0, not -0.0, and the field's dp/dt -0.0.  The model takes
+    the code of its text, as does one whose literals divide by 0."""
+    rows = _shape_rows()
+    for text in ("(2*q - 2*q)*exp(-q)", "(5*q - 5*q)*exp(-q)", "q + 3/(2-2)"):
+        expr = cm.parse_expression(text, "q", "model.V")
+        built = cm.make_linear_dissipation(1.3, 0.0, expr)
+        functions = (built.value, built.grad, built.field, built.tangent_rhs,
+                     built.field.rk4_step(), built.tangent_rhs.rk4_step())
+        assert _outputs(functions, rows) == \
+            _outputs(_own_text("linear_dissipation", 1.3, 0.0, expr), rows)
+    built = cm.make_linear_dissipation(1.3, 0.0, cm.parse_expression("(2*q - 2*q)*exp(-q)", "q"))
+    assert_array_equal(np.signbit(built.field(0.0, np.array([0.5, 0.3, 0.0]))), [0, 0, 0])
+
+
+@pytest.mark.parametrize("kind, texts, build, evaluate, message", [
+    ("caldirola_kanai", ("exp(q)", "exp(q)"), 1, (0.0, [800.0, 0.0, 0.0]),
+     "model.V: exp of 800.0 overflows: math range error (at offset 0)"),
+    ("caldirola_kanai", ("exp(2*q)", "exp(4*q)"), 1, (0.0, None),
+     "model.V: exp of 800.0 overflows: math range error (at offset 0)"),
+    ("caldirola_kanai", ("2*q^2/2", "3*q^2/2"), 0.1, (100000.0, [1.0, 0.0, 0.0]),
+     "caldirola_kanai: e^(±gamma t) with model.gamma = 0.1 overflows at t=100000.0: "
+     "math range error"),
+    ("linear_dissipation", ("q/(2-2)", "q/(3-3)"), 0.1, (0.0, [1.0, 0.0, 0.0]),
+     "model.V: division by zero (at offset 1)"),
+])
+def test_error_texts_hold_for_texts_of_one_shape(kind, texts, build, evaluate, message):
+    """Each built-in function raises the error text of the text itself on
+    every text of a shape: an exp of V is V's own overflow, not the template's
+    e^(±gamma t); a division by zero in V raises when V is evaluated, not when
+    the model is built."""
+    factory, name, var = KINDS[kind]
+    t, y = evaluate
+    for text in texts:
+        built = factory(1.3, build, cm.parse_expression(text, var, f"model.{name}"))
+        q = y if y is not None else [800.0 / float(text[4]), 0.0, 0.0]
+        z = np.array([*q, *np.eye(3).ravel()])
+        calls = [lambda: rowwise(built.value, t, np.array([q])),
+                 lambda: rowwise(built.grad, t, np.array([q])),
+                 lambda: built.field(t, np.array(q)), lambda: built.tangent_rhs(t, z),
+                 lambda: built.field.rk4_step()(t, q, 0.01),
+                 lambda: built.tangent_rhs.rk4_step()(t, z.tolist(), 0.01),
+                 lambda: built.evaluate(cm.make_state(*q, t))]
+        for call in calls:
+            with pytest.raises((ArithmeticError, ValueError)) as err:
+                call()
+            assert str(err.value) == message
+
+
+@pytest.mark.parametrize("factory, name, var", FACTORIES)
+def test_an_expression_in_another_variable_is_refused_by_name(factory, name, var):
+    """V must be in q and omega in t: an expression in p, S, t or q is never
+    read as the template's variable of that name."""
+    for other in ("p", "S", "q" if var == "t" else "t", "x"):
+        with pytest.raises(ValueError, match=f"^{name} must be an expression in {var}, "
+                                             f"got one in {other}$"):
+            factory(1.3, 0.2, cm.parse_expression(f"{other}^2/2", other))
+
+
+def test_the_shape_caches_are_bounded():
+    """40 shapes keep at most the caches' fixed sizes of compiled code."""
+    for i in range(40):
+        built = cm.make_linear_dissipation(1.0, 0.1, cm.parse_expression(f"q^2/2{' + q' * i}",
+                                                                         "q"))
+        built.field.rk4_step()
+    for cache in (model._kind_code, model._kind_step):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < 40
+
+
+def test_a_profile_names_each_kind_s_tangent():
+    """cProfile keeps one entry per (file, line, function): each emitted code
+    object is named by what it computes, so the tangents of two kinds, and
+    the field's RK4 substep, are entries of their own."""
+    import cProfile
+    import pstats
+    profile = cProfile.Profile()
+    x0 = cm.make_state(0.8, -0.2, 0.1, 0.0)
+    V = cm.parse_expression("0.9*q^2/2 + 0.05*q^4", "q", "model.V")
+    models = [cm.make_linear_dissipation(1.2, 0.2, V), cm.make_caldirola_kanai(1.2, 0.2, V)]
+    profile.enable()
+    for built in models:
+        cm.jacobian_determinant_series(built, x0, 1.0)
+        cm.integrate(built, x0, 0.5, cm.IntegratorOptions(method="fixed_rk4", step=0.01))
+    profile.disable()
+    entries = {(file, name): stats[1]
+               for (file, _, name), stats in pstats.Stats(profile).stats.items()}
+    for kind in ("linear_dissipation", "caldirola_kanai"):
+        assert entries[(f"<{kind}.tangent>", f"{kind}.tangent")] > 50
+        assert entries[(f"<rk4 {kind}.field>", f"rk4 {kind}.field")] == 50
+    assert not any(file == "<expression>" for file, _ in entries)
+
+
+def test_a_text_too_deep_to_inline_again_is_a_bad_expression():
+    """A model parses V's text again, deeper in the stack than V's own parse:
+    nesting that only the first parse fits is V's bad expression, as it would
+    have been at its own parse, not a RecursionError."""
+    def nested(n):
+        return cm.parse_expression("(" * n + "q" + ")" * n, "q", "model.V")
+
+    lo, hi = 1, 2000   # the deepest nesting that parses here
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            nested(mid)
+            lo = mid
+        except ExpressionError:
+            hi = mid - 1
+    V = nested(lo)
+
+    def deeper(k):
+        return cm.make_linear_dissipation(1.0, 0.1, V) if k == 0 else deeper(k - 1)
+
+    with pytest.raises(ExpressionError) as err:
+        deeper(30)
+    assert str(err.value) == "model.V: expression nested too deeply (at offset 0)"

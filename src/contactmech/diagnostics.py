@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dynamics, oscillator, transforms
 from .dynamics import Trajectory
-from .errors import ScenarioError
+from .errors import NonFiniteError, ScenarioError
 from .hamilton_jacobi import hj_residual, principal_field_from_riccati
 from .model import HamiltonianModel
 
@@ -113,6 +113,9 @@ def check_hj_residual(model, traj: Trajectory, cache: Dict) -> Dict:
     m, gamma = model.params["m"], model.params["gamma"]
     q0, p0 = float(traj.q[0, 0]), float(traj.p[0, 0])
     C0 = p0 / (m * q0) if q0 != 0 else 1.0
+    if not np.isfinite(C0):  # a subnormal m q overflows the slope
+        raise NonFiniteError(f"hj_residual: the Riccati start p/(m q) = {C0!r} is non-finite "
+                             f"at t={float(traj.times[0])!r}, y={traj.flat()[0]}")
     grid = np.linspace(traj.times[0], traj.times[-1], 201)
     ric = oscillator.solve_riccati(model.params["omega"], gamma, C0, grid)
     field = principal_field_from_riccati(m, ric)

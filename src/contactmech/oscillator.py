@@ -15,7 +15,8 @@ from bisect import bisect_right
 import numpy as np
 
 from .dynamics import IntegratorOptions, _integrate_flat
-from .errors import BranchError, DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
+from .errors import (BranchError, DimensionMismatchError, ErmakovCollapseError, NonFiniteError,
+                     RiccatiPoleError)
 from .expressions import as_expression
 from .model import FD_STEP, ExtendedState, _per_element
 
@@ -251,9 +252,16 @@ def lewis_invariant(m: float, gamma: float, erm: ErmakovSolution, t, y):
     t, e, q, p, _ = _unpack(gamma, t, y)
     a = erm.alpha(t)
     u = erm.alpha_dot(t) - 0.5 * gamma * a
-    A = a * p / m - u * q
-    r = q / a
-    return (0.5 * m * e * (A * A + r * r))[()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = a * p / m - u * q
+        r = q / a
+        I = 0.5 * m * e * (A * A + r * r)
+    bad = ~np.isfinite(I)
+    if bad.any():  # such as p/m or its square past the float range
+        i = np.flatnonzero(bad)[0]
+        raise NonFiniteError(f"the Lewis invariant is non-finite at t={t.flat[i].item()!r}, "
+                             f"y={np.reshape(y, (-1, 3))[i]}: {I.flat[i].item()!r}")
+    return I[()]
 
 
 def g_invariant(gamma: float, t, y):

@@ -362,6 +362,69 @@ def test_runtime_expression_errors_name_their_key(replace, code, message, tmp_pa
     assert message in capsys.readouterr().err
 
 
+SUBNORMAL_Q_HJ = """\
+[model]
+kind = damped_parametric
+m = 2.526
+gamma = 0
+omega = 1 + 0.5*sin(t)
+
+[initial]
+q = 5e-324
+p = -2.942
+
+[integration]
+t_end = 2
+
+[diagnostics]
+checks = hj_residual
+"""
+
+TINY_MASS_INVARIANTS = """\
+[model]
+kind = damped_parametric
+m = 1e-300
+gamma = 0
+omega = 1
+
+[initial]
+q = 0.5
+p = 0.3
+
+[integration]
+method = fixed_rk4
+step = 0.01
+t_end = 2
+
+[diagnostics]
+checks = invariants
+"""
+
+
+def test_a_non_finite_riccati_start_is_an_integration_failure(tmp_path, capsys):
+    """p/(m q) overflows to -inf for the subnormal q: exit 3 naming t and y,
+    where the Riccati solve's refusal of its start was an internal error."""
+    path = tmp_path / "hj.ini"
+    path.write_text(SUBNORMAL_Q_HJ)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: hj_residual: the Riccati start p/\(m q\) = -inf is non-finite "
+                        r"at t=0\.0, y=\[.*\]\n", err), err
+
+
+def test_an_overflowing_lewis_invariant_is_an_integration_failure(tmp_path, capsys):
+    """p/m = 3e299 squares past the float range: exit 3 naming t and y, and no
+    numpy warning on the way, where the NaN drift was a failed check (exit 1)."""
+    path = tmp_path / "lewis.ini"
+    path.write_text(TINY_MASS_INVARIANTS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the Lewis invariant is non-finite at t=0\.0, "
+                        r"y=\[0\.5 0\.3 0\. *\]: inf\n", err), err
+
+
 def test_seed_changes_verification_points(tmp_path):
     text = GOOD.replace("checks = hamiltonian_decay, divergence",
                         "checks = transform_verify:ck")

@@ -121,7 +121,7 @@ def check_hj_residual(model, traj: Trajectory, cache: Dict) -> Dict:
     field = principal_field_from_riccati(m, ric)
     qs = np.linspace(-2.0, 2.0, 50)
     ts = np.linspace(traj.times[0], traj.times[-1], 50)
-    res = np.array([hj_residual(model, field, qs[None, :], float(t)) for t in ts])
+    res = hj_residual(model, field, qs[None, :], ts)
     observed = float(np.max(np.abs(res)))
     return {"name": "hj_residual", "threshold": 1e-8,
             "observed": observed, "passed": observed < 1e-8,

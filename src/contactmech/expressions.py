@@ -30,6 +30,8 @@ import types
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import ExpressionError
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -474,34 +476,52 @@ class _Parser:
                               position=tok.pos)
 
 
+def _per_element(f, x):
+    """f(x) for a float x, else f of each float of x in x's shape: libm, not SIMD."""
+    if isinstance(x, float):
+        return f(x)
+    x = np.asarray(x)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class Expression:
     """A parsed expression in one variable with its symbolic derivative.
 
-    The value and derivative DAGs become straight-line functions on
-    construction (see `_compile`).  A `key` such as ``model.V`` prefixes the
-    errors of both and takes no part in equality."""
+    The value and derivative DAGs become straight-line functions (see
+    `_compile`), each on its first use: a built-in model inlines the text
+    instead, so most expressions are never called.  Called on a number, an
+    expression gives a float; on a numpy array, an array of its shape, each
+    element through the float function, so it has the float's bits and a
+    failing element raises the float's error.  A `key` such as ``model.V``
+    prefixes the errors of both and takes no part in equality."""
 
     text: str
     variable: str
     ast: Node = field(repr=False, compare=False)
     derivative_ast: Node = field(repr=False, compare=False)
     key: str = field(default="", compare=False)
-    _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    _slope: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        label = f"expression {self.key}".rstrip()
-        object.__setattr__(self, "_value",
-                           _compile(self.ast, self.variable, self._where, label))
-        object.__setattr__(self, "_slope", _compile(self.derivative_ast, self.variable,
-                                                    self._where, f"{label} derivative"))
+    @functools.cached_property
+    def _value(self) -> Callable[[float], float]:
+        return _compile(self.ast, self.variable, self._where, self._label)
+
+    @functools.cached_property
+    def _slope(self) -> Callable[[float], float]:
+        return _compile(self.derivative_ast, self.variable, self._where,
+                        f"{self._label} derivative")
+
+    @property
+    def _label(self) -> str:
+        return f"expression {self.key}".rstrip()
 
     @property
     def _where(self) -> str:
         return f"{self.key}: " if self.key else ""
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return _per_element(self._value, x.astype(float, copy=False))
         return self._value(float(x))
 
     def derivative(self, x: float) -> float:

@@ -10,7 +10,6 @@ flow (the classical constancy of the b_i is the S-independent special case).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,52 +35,74 @@ class PrincipalFunctionField:
     dS_dc: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
 
 
-def _per_point(values, k: int, what: str) -> np.ndarray:
-    """values as one float per point: of shape (), (1,) or (k,)."""
-    a = np.asarray(values, dtype=float)
-    if a.shape not in ((), (1,), (k,)):
-        raise DimensionMismatchError(
-            f"{what} has shape {np.shape(values)}, expected one value per point")
-    return a
+def _per_point(values, shape: tuple, what: str) -> np.ndarray:
+    """values as one float per point and time: broadcast to `shape`."""
+    try:
+        return np.broadcast_to(np.asarray(values, dtype=float), shape)
+    except ValueError:
+        raise DimensionMismatchError(f"{what} has shape {np.shape(values)}, expected one "
+                                     f"value per point") from None
 
 
-def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t: float):
+def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t):
     """H(q, dS/dq, S(q,t), t) + dS/dt; zero iff the field solves the equation at (q, t).
 
     ``q`` is one point of shape (n,), giving a float, or a batch of k points of
-    shape (n, k), giving a (k,) array.  The field and the model's ``value`` are
-    each called once on the whole batch, so the field's closures must broadcast
-    over the last axis of q.  A non-finite t is refused before the field is
-    called.
+    shape (n, k), giving a (k,) array.  ``t`` is one time, or j times of shape
+    (j,), which give a row per time: a (j,) array for one point and a (j, k)
+    grid for a batch.  The field's closures and the model's ``value`` are each
+    called once, on every point and time: the closures get the (n, k) batch
+    and t, a float or the (j, 1) column of the times, so they must broadcast
+    over the last axis of q and against t.  A non-finite t is refused before
+    the field is called, naming the first such time.  A non-finite state or
+    H is the error a call at that time alone would raise, at the first time
+    at which either occurs.
     """
-    q, t = np.asarray(q, dtype=float), float(t)
-    if not math.isfinite(t):
-        raise NonFiniteError(f"non-finite time t={t}")
+    q, times = np.asarray(q, dtype=float), np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise DimensionMismatchError(
+            f"t must be a time or a 1-d array of times, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise NonFiniteError(f"non-finite time t={times[~np.isfinite(times)][0].item()}")
     if q.ndim > 2 or q.ndim and len(q) < 1:
         raise DimensionMismatchError(
             f"q must have shape (n,) or (n, k) with n >= 1, got {np.atleast_1d(q).shape}")
     qs = q.reshape(len(q), -1) if q.ndim else q.reshape(1, 1)
     n, k = qs.shape
+    j = times.size
+    shape = (*times.shape, k)  # (k,) or (j, k)
+    t = times[:, None] if times.ndim else float(times)
     p = np.asarray(field.dS_dq(qs, t), dtype=float)
     if p.ndim < 2:
         p = p.reshape(-1, 1)  # the same dS/dq at every point of the batch
-    S = _per_point(field.S(qs, t), k, "S")
-    if p.ndim > 2 or p.shape[0] != n or p.shape[1] not in (1, k):
+    S = _per_point(field.S(qs, t), shape, "S").reshape(j, k)
+    if p.ndim > len(shape) + 1 or p.shape[0] != n or \
+            any(a not in (1, b) for a, b in zip(p.shape[1:][::-1], shape[::-1])):
         raise DimensionMismatchError(
             f"q and p must have equal length, got {qs.shape} and {p.shape}")
-    ys = np.empty((k, 2 * n + 1))
-    ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n] = qs.T, p.T, S
-    if not (np.isfinite(ys).all() and (k or np.isfinite(p).all())):  # p too, on no point
-        raise NonFiniteError(f"non-finite contact state: q={qs}, p={p}, "
-                             f"S={np.broadcast_to(S, (k,))}")
-    if n != model.n:
-        raise DimensionMismatchError(
-            f"model '{model.name}' has n={model.n} but state has n={n}")
-    H = rowwise(model.value, t, ys)
-    if not np.isfinite(H).all():
-        raise NonFiniteError(f"model '{model.name}' is non-finite at q={qs}, t={t}")
-    res = H + _per_point(field.dS_dt(qs, t), k, "dS/dt")
-    return res if q.ndim == 2 else float(res[0])
+    p = p.reshape(n, p.shape[1] if p.ndim == 3 else 1, p.shape[-1])  # (n, 1 or j, 1 or k)
+    ys = np.empty((j, k, 2 * n + 1))
+    ys[..., :n], ys[..., n:2 * n], ys[..., 2 * n] = qs.T, np.moveaxis(p, 0, -1), S
+    bad = ~np.isfinite(ys).all(axis=(1, 2))
+    if not k:  # p too, on no point
+        bad |= ~np.isfinite(p).all(axis=(0, 2))
+    first = int(bad.argmax()) if bad.any() else j  # the first time with a non-finite state
+    H = np.empty((first, k))
+    if first:  # H at the times before it
+        if n != model.n:
+            raise DimensionMismatchError(
+                f"model '{model.name}' has n={model.n} but state has n={n}")
+        H = rowwise(model.value, np.repeat(times[:first], k) if times.ndim else t,
+                    ys[:first].reshape(-1, 2 * n + 1)).reshape(first, k)
+        bad_H = ~np.isfinite(H).all(axis=1)
+        if bad_H.any():
+            raise NonFiniteError(f"model '{model.name}' is non-finite at q={qs}, "
+                                 f"t={times.reshape(-1)[bad_H.argmax()].item()}")
+    if first < j:
+        raise NonFiniteError(f"non-finite contact state: q={qs}, "
+                             f"p={p[:, min(first, p.shape[1] - 1)]}, S={S[first]}")
+    res = H.reshape(shape) + _per_point(field.dS_dt(qs, t), shape, "dS/dt")
+    return res if q.ndim == 2 else res[..., 0] if times.ndim else float(res[0])
 
 
 def extended_F(model: HamiltonianModel, q, p, S: float, t: float, E: float) -> float:
@@ -131,7 +152,9 @@ def principal_field_from_riccati(m: float, ric: RiccatiSolution) -> PrincipalFun
 
     dS/dt is evaluated through the defining equations of C and lambda, so the
     residual of the contact Hamilton-Jacobi equation vanishes identically up
-    to the accuracy of the dense solution.
+    to the accuracy of the dense solution.  omega^2 there is w * w, as in
+    `RiccatiSolution.C_dot`, so a float t and an array of times give the same
+    bits (numpy squares an array, where a float's ``** 2`` is libm's pow).
     """
     gamma = ric.gamma
 
@@ -145,7 +168,8 @@ def principal_field_from_riccati(m: float, ric: RiccatiSolution) -> PrincipalFun
 
     def dS_dt(q, t):
         lam, ld, C = ric.lam(t), ric.lam_dot(t), ric.C(t)
-        w2 = ric.omega(t) ** 2
+        w = ric.omega(t)
+        w2 = w * w
         ldd = -gamma * ld - w2 * lam
         Cd = -C * C - gamma * C - w2
         r = q[0] - lam

@@ -23,8 +23,8 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .expressions import _FOLDS, _FUNCTIONS, _GLOBALS, _VAR, _emit, _error, _is_num, _walk, \
-    as_expression, parse_template
+from .expressions import _FOLDS, _FUNCTIONS, _GLOBALS, _VAR, _emit, _error, _is_num, \
+    _per_element, _walk, as_expression, parse_template
 
 FD_STEP = 1e-6  # relative step for central finite differences
 
@@ -41,14 +41,6 @@ def central_difference(f, z) -> np.ndarray:
     Z[2 * j + 1, j] -= h
     F = np.asarray(f(Z), dtype=float)
     return np.moveaxis((F[0::2] - F[1::2]) / (2.0 * h).reshape(-1, *[1] * (F.ndim - 1)), 0, -1)
-
-
-def _per_element(f, x):
-    """f(x) for a float x, else f of each float of x in x's shape: libm, not SIMD."""
-    if isinstance(x, float):
-        return f(x)
-    x = np.asarray(x)
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def rowwise(fn, t, Y):

@@ -141,7 +141,7 @@ class ErmakovSolution(_Dense):
 
     def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega, grid):
         super().__init__(ts, gamma, omega, grid)
-        w = _per_element(self.omega, ts)
+        w = self.omega(ts)
         add = -(w * w - 0.25 * gamma * gamma) * alpha + _per_element(lambda a: a ** -3.0, alpha)
         self._alpha = CubicHermite(ts, alpha, alpha_dot)
         self._alpha_dot = CubicHermite(ts, alpha_dot, add)
@@ -156,7 +156,7 @@ class ErmakovSolution(_Dense):
     def alpha_ddot(self, t):
         """Second derivative through the defining equation (exact given alpha)."""
         t = self._check_t(t)
-        a, w = self._alpha(t), _per_element(self.omega, t)
+        a, w = self._alpha(t), self.omega(t)
         return -(w * w - 0.25 * self.gamma ** 2) * a + _per_element(lambda x: x ** -3.0, a)
 
     def phase(self, t):
@@ -170,7 +170,7 @@ class ErmakovSolution(_Dense):
         t = self._check_t(t)
         h = RESIDUAL_STEP
         add = (self._alpha_dot(t + h) - self._alpha_dot(t - h)) / (2 * h)
-        a, w = self._alpha(t), _per_element(self.omega, t)
+        a, w = self._alpha(t), self.omega(t)
         return add + (w * w - 0.25 * self.gamma ** 2) * a - _per_element(lambda x: x ** -3.0, a)
 
 
@@ -206,11 +206,11 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     wfn = as_expression(omega, "t", "omega")
-    g2 = 0.25 * gamma * gamma
+    g2, w_at = 0.25 * gamma * gamma, wfn._value
 
     def rhs(t, y):
         a, ad, _phi = y.tolist()
-        w = wfn(t)
+        w = w_at(float(t))
         try:
             return [ad, -(w * w - g2) * a + a ** -3.0, a ** -2.0]
         except (ZeroDivisionError, OverflowError):  # alpha = 0 or tiny: the stage is rejected
@@ -342,7 +342,7 @@ class RiccatiSolution(_Dense):
     def __init__(self, ts, C, lam, lam_dot, gamma, omega, C0, grid):
         super().__init__(ts, gamma, omega, grid)
         self.C0 = float(C0)
-        w = _per_element(self.omega, ts)
+        w = self.omega(ts)
         self._C = CubicHermite(ts, C, -C * C - gamma * C - w * w)
         self._lam = CubicHermite(ts, lam, lam_dot)
         self._lam_dot = CubicHermite(ts, lam_dot, -gamma * lam_dot - w * w * lam)
@@ -359,14 +359,16 @@ class RiccatiSolution(_Dense):
     def C_dot(self, t):
         """C' through the defining equation (exact given C)."""
         t = self._check_t(t)
-        c, w = self._C(t), _per_element(self.omega, t)
+        c, w = self._C(t), self.omega(t)
         return -c * c - self.gamma * c - w * w
 
 
 def _riccati_rhs(wfn, gamma):
+    w_at = wfn._value
+
     def rhs(t, y):
         C, lam, lam_dot = y.tolist()
-        w2 = wfn(t) ** 2
+        w2 = w_at(float(t)) ** 2
         return [-C * C - gamma * C - w2, lam_dot, -gamma * lam_dot - w2 * lam]
     return rhs
 
@@ -418,10 +420,10 @@ def riccati_sensitivity(omega, gamma: float, C0: float, grid):
     """
     grid = _check_grid(grid)
     wfn = as_expression(omega, "t", "omega")
-    delta = FD_STEP * max(1.0, abs(C0))
+    delta, w_at = FD_STEP * max(1.0, abs(C0)), wfn._value
 
     def rhs(t, y):
-        w2 = wfn(t) ** 2
+        w2 = w_at(float(t)) ** 2
         return -y * y - gamma * y - w2
 
     def pole(tp):
@@ -432,7 +434,7 @@ def riccati_sensitivity(omega, gamma: float, C0: float, grid):
     ts, (hi, lo) = _solve(rhs, [C0 + delta, C0 - delta], grid,
                           lambda t, y: RICCATI_BLOWUP - float(np.max(np.abs(y))), pole)
     sens = (hi - lo) / (2.0 * delta)
-    w2 = np.array([wfn(float(t)) ** 2 for t in ts])
+    w2 = np.array([w_at(t) ** 2 for t in ts.tolist()])
     dsens = ((-hi ** 2 - gamma * hi - w2)
              - (-lo ** 2 - gamma * lo - w2)) / (2.0 * delta)
     return CubicHermite(ts, sens, dsens)

@@ -412,6 +412,55 @@ def test_a_non_finite_riccati_start_is_an_integration_failure(tmp_path, capsys):
                         r"at t=0\.0, y=\[.*\]\n", err), err
 
 
+def _hj_scenario(tmp_path, name, t_end=None, q=None):
+    """The shipped scenario `name` with checks = hj_residual, and t_end or q replaced."""
+    text = (ROOT / "scenarios" / f"{name}.ini").read_text()
+    text = re.sub(r"(?m)^checks = .*$", "checks = hj_residual", text)
+    if t_end is not None:
+        text = re.sub(r"(?m)^t_end = .*$", f"t_end = {t_end}", text)
+    if q is not None:
+        text = re.sub(r"(?m)^q = .*$", f"q = {q}", text)
+    path = tmp_path / f"{name}_hj.ini"
+    path.write_text(text)
+    return path
+
+
+def test_hj_residual_on_a_time_dependent_omega_is_one_grid_of_the_per_time_rows(
+        tmp_path, capsys, monkeypatch):
+    """parametric_oscillator's omega = 1 + 0.1 sin(0.3 t) through the HJ check:
+    to t_end = 10 its Riccati solve meets a pole (exit 4); to t_end = 1.2 it
+    passes, and its one grid call equals the calls at each time alone bit for
+    bit."""
+    assert cli.main(["verify", str(_hj_scenario(tmp_path, "parametric_oscillator")),
+                     "--out", str(tmp_path / "pole")]) == 4
+    assert capsys.readouterr().err == \
+        "error: Riccati solution blew up (|C| > 1e+08) at t=1.5991\n"
+    grids = []
+    real = diagnostics.hj_residual
+
+    def recorded(*args):
+        grids.append((args, real(*args)))
+        return grids[-1][1]
+    monkeypatch.setattr(diagnostics, "hj_residual", recorded)
+    path = _hj_scenario(tmp_path, "parametric_oscillator", t_end=1.2)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    [((model, field, qs, ts), grid)] = grids
+    assert grid.shape == (50, 50) and ts.tolist() == np.linspace(0.0, 1.2, 50).tolist()
+    rows = np.array([real(model, field, qs, float(t)) for t in ts])
+    assert grid.tobytes() == rows.tobytes()
+    assert np.max(np.abs(grid)) < 1e-8
+
+
+def test_a_riccati_start_at_q0_0_is_1(tmp_path, capsys):
+    """At q0 = 0 the slope p/(m q) has no value, so the HJ check starts its
+    Riccati solve at C0 = 1, and says so in the report."""
+    path = _hj_scenario(tmp_path, "damped_free_particle", q=0)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    assert "    riccati_C0: 1\n" in (tmp_path / "o" / "report.txt").read_text()
+
+
 def test_an_overflowing_lewis_invariant_is_an_integration_failure(tmp_path, capsys):
     """p/m = 3e299 squares past the float range: exit 3 naming t and y, and no
     numpy warning on the way, where the NaN drift was a failed check (exit 1)."""

@@ -767,14 +767,18 @@ def test_an_overflowing_trial_stage_of_an_ermakov_solve_is_rejected_and_recovere
     where a solve without the overflow ends."""
     overflowed = []
 
-    class Overflowing(cm.Expression):
-        def __call__(self, t):
-            if t > 1.0 and not overflowed:
-                overflowed.append(t)
-                return 1e200  # w * w is inf
-            return super().__call__(t)
-
     const = cm.parse_expression("1.3", "t")
+
+    class Overflowing(cm.Expression):
+        @property
+        def _value(self):  # the float function the solve's right-hand side calls
+            def value(t):
+                if t > 1.0 and not overflowed:
+                    overflowed.append(t)
+                    return 1e200  # w * w is inf
+                return const(t)
+            return value
+
     grid = np.linspace(0.0, 3.0, 31)
     erm = cm.solve_ermakov(Overflowing(const.text, "t", const.ast, const.derivative_ast),
                            0.2, 0.9, 0.1, grid)

@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -291,23 +292,27 @@ def test_compiled_code_matches_tree_walk(text, x):
 def test_expressions_of_one_shape_share_one_compile(monkeypatch):
     """Two expressions that differ only in their constants are compiled once:
     their functions have one bytecode, each with its own constants, and each
-    keeps its own values, key and error offsets.  (Equal constants are one
-    node, so the two 2s of q^2/2 are one constant, and that is another shape.)
-    Built-in models cache their code by a shape of their own: see
+    keeps its own values, key and error offsets.  Parsing compiles nothing:
+    the value and the derivative are each compiled on their first use.
+    (Equal constants are one node, so the two 2s of q^2/2 are one constant,
+    and that is another shape.)  Built-in models cache their code by a shape
+    of their own: see
     test_model.py::test_a_kind_is_parsed_differentiated_and_compiled_once."""
     compiled = []
     monkeypatch.setattr(expressions, "compile", lambda *args: compiled.append(args[0])
                         or compile(*args), raising=False)
     expressions._template.cache_clear()
     a = cm.parse_expression("1.5*q^3/4 + log(q - 0.25)", "q", "model.V")
-    assert len(compiled) == 2   # the value and the derivative
     b = cm.parse_expression("12.75 * q ^ 5 / 7  +  log(q - 2)", "q", "other.V")
-    assert len(compiled) == 2
+    assert len(compiled) == 0
+    assert a(1.0) == 1.5 * 1.0 ** 3 / 4 + math.log(0.75)
+    assert len(compiled) == 1   # a's value
+    assert b(3.0) == 12.75 * 3.0 ** 5 / 7 + math.log(1.0)
+    assert len(compiled) == 1
     for fn in ("_value", "_slope"):
         code_a, code_b = getattr(a, fn).__code__, getattr(b, fn).__code__
         assert code_a.co_code == code_b.co_code and code_a.co_consts != code_b.co_consts
-    assert a(1.0) == 1.5 * 1.0 ** 3 / 4 + math.log(0.75)
-    assert b(3.0) == 12.75 * 3.0 ** 5 / 7 + math.log(1.0)
+    assert len(compiled) == 2   # and the derivative
     with pytest.raises(ExpressionError) as ea:
         a(0.25)
     with pytest.raises(ExpressionError) as eb:
@@ -315,8 +320,29 @@ def test_expressions_of_one_shape_share_one_compile(monkeypatch):
     assert (str(ea.value), ea.value.position) == \
         ("model.V: log of non-positive value 0.0 (at offset 12)", 12)
     assert (str(eb.value), eb.value.position) == ("other.V: division by zero (at offset 22)", 22)
-    cm.parse_expression("1.5*q^2/2", "q")
+    c = cm.parse_expression("1.5*q^2/2", "q")
+    assert len(compiled) == 2
+    assert (c(2.0), c.derivative(2.0)) == (3.0, 3.0)
     assert len(compiled) == 4
+
+
+def test_an_expression_on_an_array_is_its_float_function_per_element():
+    """On a numpy array an expression gives an array of its shape whose
+    elements are its float calls' bits, libm's and not numpy's SIMD; a failing
+    element raises that element's float error."""
+    w = cm.parse_expression("1 + 0.1*sin(0.3*t) + exp(t)/3 - t^2.5", "t", "model.omega")
+    ts = np.linspace(0.0, 40.0, 3000).reshape(3, 1000, 1)
+    got = w(ts)
+    assert got.shape == ts.shape and got.dtype == float
+    assert got.tobytes() == np.array([w(t) for t in ts.ravel().tolist()]).tobytes()
+    assert w(np.array(0.5)).shape == () and w(np.array([2, 3])).tolist() == [w(2.0), w(3.0)]
+    log = cm.parse_expression("1 + log(t)", "t", "model.omega")
+    with pytest.raises(ExpressionError) as alone:
+        log(0.0)
+    with pytest.raises(ExpressionError) as element:
+        log(np.array([1.0, 2.0, 0.0, -1.0]))
+    assert str(element.value) == str(alone.value) == \
+        "model.omega: log of non-positive value 0.0 (at offset 4)"
 
 
 def test_long_sums_compile():

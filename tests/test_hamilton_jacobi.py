@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import contactmech as cm
+from contactmech import diagnostics
 from contactmech.errors import DimensionMismatchError, NonFiniteError, UnsupportedModelError
 
 
@@ -116,6 +117,79 @@ def test_a_non_finite_time_is_refused_before_the_field_is_called():
     for t in (float("nan"), float("inf")):
         with pytest.raises(NonFiniteError, match=f"^non-finite time t={t}$"):
             cm.hj_residual(model, field, [0.5], t)
+
+
+PARAMETRIC = "1 + 0.1*sin(0.3*t)"  # the omega of scenarios/parametric_oscillator.ini
+
+
+@pytest.mark.parametrize("omega", [0.0, PARAMETRIC])
+@pytest.mark.parametrize("family", [False, True])
+def test_a_grid_call_equals_its_rows_at_each_time_bit_for_bit(omega, family):
+    """t as j times gives the (j, k) grid whose row i is the call at t[i]
+    alone, bit for bit, for both fields and for a constant and a
+    time-dependent omega; one point q of shape (n,) gives the (j,) column.
+    For the parametric omega, 30 values of the grid move where dS/dt takes
+    omega^2 as libm's pow(w, 2) on floats, which numpy's square of an array
+    does not match."""
+    omega = cm.parse_expression(omega, "t", "omega") if isinstance(omega, str) else omega
+    m, gamma, grid = 1.3, 0.1, np.linspace(0.0, 1.2, 201)
+    model = cm.make_damped_parametric(m, gamma, omega)
+    field = cm.quadratic_principal_family(m, omega, gamma, grid, 0.4) if family else \
+        cm.principal_field_from_riccati(m, cm.solve_riccati(omega, gamma, 0.4, grid))
+    qs, ts = np.linspace(-2.0, 2.0, 50), np.linspace(0.0, 1.2, 500)
+    res = cm.hj_residual(model, field, qs[None, :], ts)
+    rows = np.array([cm.hj_residual(model, field, qs[None, :], float(t)) for t in ts])
+    assert res.shape == (500, 50) and res.tobytes() == rows.tobytes()
+    column = cm.hj_residual(model, field, [0.7], ts)
+    points = np.array([cm.hj_residual(model, field, [0.7], float(t)) for t in ts])
+    assert column.shape == (500,) and column.tobytes() == points.tobytes()
+    assert np.max(np.abs(res)) < 1e-8
+
+
+def test_check_hj_residual_calls_value_once_on_its_grid():
+    """The diagnostic's 50 x 50 grid is one call of the model's value, on
+    2500 rows of (q, p, S)."""
+    m, gamma = 1.0, 0.1
+    model = cm.make_damped_parametric(m, gamma, cm.parse_expression(PARAMETRIC, "t"))
+    opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-13, sample_interval=0.01)
+    traj = cm.integrate(model, cm.make_state(1.0, 0.0, 0.3, 0.0), 1.2, opts)
+    calls = []
+    result = diagnostics.check_hj_residual(_counting(model, "value", calls), traj, {})
+    assert calls == [(2500, 3)]
+    assert result["passed"] and result["observed"] < 1e-8
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_time_in_a_grid_is_refused_before_the_field_is_called(bad):
+    """The first non-finite time of t is named, and no closure is called."""
+    calls = []
+
+    def recorded(name):
+        return lambda q, t: calls.append(name)
+    field = cm.PrincipalFunctionField(n=1, S=recorded("S"), dS_dq=recorded("dS_dq"),
+                                      dS_dt=recorded("dS_dt"))
+    model = cm.make_damped_parametric(1.0, 0.1, 1.0)
+    with pytest.raises(NonFiniteError, match=f"^non-finite time t={bad}$"):
+        cm.hj_residual(model, field, [[0.5, 1.0]], np.array([0.0, 0.5, bad, float("nan")]))
+    assert calls == []
+
+
+def test_a_grid_raises_the_error_of_its_first_failing_time():
+    """A non-finite state or H on the grid is the error of the call at the
+    first time at which either occurs."""
+    def S(q, t):
+        return np.where(np.asarray(t) >= 2.0, np.nan, 0.0 * q[0])
+    field = cm.PrincipalFunctionField(n=1, S=S, dS_dq=lambda q, t: np.array([1e200 * t + 0.0 * q[0]]),
+                                      dS_dt=lambda q, t: 0.0)
+    model = cm.make_damped_parametric(1.0, 0.1, 1.0)
+    qs = [[0.5, 1.0]]
+    for ts in ([0.0, 1.0, 2.0], [0.0, 2.0, 3.0]):  # p*p overflows from t = 1; S is NaN from 2
+        with pytest.raises(NonFiniteError) as grid:
+            cm.hj_residual(model, field, qs, np.array(ts))
+        first = next(t for t in ts if t)
+        with pytest.raises(NonFiniteError) as alone:
+            cm.hj_residual(model, field, qs, first)
+        assert str(grid.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("m,C0,q,omega,gamma", [

@@ -155,11 +155,12 @@ def _scenario_run(name):
                                                     config.t0), config.t_end, config.options)
 
 
-def test_the_invariants_chart_looks_up_its_block_once_and_hj_per_float_time(monkeypatch):
+def test_the_invariants_chart_and_the_hj_grid_look_up_their_blocks_once(monkeypatch):
     """The invariants chart's verification of 100 rows looks up the dense
     solutions on all its times at once: alpha and alpha' in ``forward``, and
-    alpha, alpha' and alpha'' in ``jacobian``.  The contact HJ residual looks
-    them up one float time at a time."""
+    alpha, alpha' and alpha'' in ``jacobian``.  The contact HJ residual's grid
+    looks them up on the (50, 1) column of its times: 4 lookups in S, 3 in
+    dS/dq and 3 in dS/dt."""
     model, traj = _scenario_run("parametric_oscillator")
     erm = diagnostics._ermakov_for(model, traj, {})
     cmap = cm.map_invariants(model.params["m"], model.params["gamma"], erm)
@@ -176,7 +177,7 @@ def test_the_invariants_chart_looks_up_its_block_once_and_hj_per_float_time(monk
     assert shapes == [(100,)] * 5
     del shapes[:]
     assert diagnostics.check_hj_residual(free_model, free_traj, {})["passed"]
-    assert shapes == []
+    assert shapes == [(50, 1)] * 10
 
 
 @pytest.mark.parametrize("omega, gamma", [(1.0, 0.1), (2.0, 0.0), (1.3, 0.6)])

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError, UnsupportedModelError
 from .model import ExtendedState, HamiltonianModel, central_difference, rowwise
 from .dynamics import Trajectory
-from .oscillator import RiccatiSolution, riccati_sensitivity, solve_riccati
+from .oscillator import (RiccatiSolution, newton_ddot, riccati_dot, riccati_sensitivity,
+                         solve_riccati)
 
 FAMILY_CACHE_SIZE = 8  # per-c Riccati solves kept by quadratic_principal_family
 
@@ -150,11 +151,10 @@ def principal_field_from_riccati(m: float, ric: RiccatiSolution) -> PrincipalFun
 
         S(q, t) = (m/2) C (q - lam)^2 + m lam' (q - lam) + (m/2) lam lam'.
 
-    dS/dt is evaluated through the defining equations of C and lambda, so the
-    residual of the contact Hamilton-Jacobi equation vanishes identically up
-    to the accuracy of the dense solution.  omega^2 there is w * w, as in
-    `RiccatiSolution.C_dot`, so a float t and an array of times give the same
-    bits (numpy squares an array, where a float's ``** 2`` is libm's pow).
+    dS/dt is evaluated through the defining equations of C and lambda
+    (`oscillator.riccati_dot` and `oscillator.newton_ddot`, the ones the
+    Riccati solve integrates), so the residual of the contact Hamilton-Jacobi
+    equation vanishes identically up to the accuracy of the dense solution.
     """
     gamma = ric.gamma
 
@@ -167,11 +167,8 @@ def principal_field_from_riccati(m: float, ric: RiccatiSolution) -> PrincipalFun
         return np.array([m * ric.C(t) * (q[0] - ric.lam(t)) + m * ric.lam_dot(t)])
 
     def dS_dt(q, t):
-        lam, ld, C = ric.lam(t), ric.lam_dot(t), ric.C(t)
-        w = ric.omega(t)
-        w2 = w * w
-        ldd = -gamma * ld - w2 * lam
-        Cd = -C * C - gamma * C - w2
+        lam, ld, C, w = ric.lam(t), ric.lam_dot(t), ric.C(t), ric.omega(t)
+        ldd, Cd = newton_ddot(lam, ld, w, gamma), riccati_dot(C, w, gamma)
         r = q[0] - lam
         return (0.5 * m * Cd * r * r - m * C * ld * r + m * ldd * r
                 - 0.5 * m * ld * ld + 0.5 * m * lam * ldd)

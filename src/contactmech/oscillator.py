@@ -10,7 +10,6 @@ general quadratic invariant.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -39,21 +38,45 @@ def _internal_nodes(grid: np.ndarray) -> np.ndarray:
     return np.union1d(np.asarray(grid, dtype=float), fine)
 
 
-def _solve(rhs, y0, grid, event, event_error) -> tuple:
-    """(nodes, samples) of an adaptive solve over `_internal_nodes(grid)`."""
-    ts = _internal_nodes(grid)
-    ys = _integrate_flat(rhs, np.asarray(y0, dtype=float), float(ts[0]), float(ts[-1]),
-                         SOLVER_OPTIONS, ts, event=event, event_error=event_error)
-    return ts, ys.T
-
-
-def _check_grid(grid) -> np.ndarray:
+def _solve(rhs, y0, grid, event, event_error, **starts) -> tuple:
+    """(grid, nodes, samples) of the adaptive solve of y' = rhs(t, y) from y0
+    over `_internal_nodes(grid)`; each of the named `starts` must be finite."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least two nodes")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"grid must be finite: got {float(grid[~np.isfinite(grid)][0])!r}")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    return grid
+    for name, value in starts.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: got {float(value)!r}")
+    ts = _internal_nodes(grid)
+    ys = _integrate_flat(rhs, np.asarray(y0, dtype=float), float(ts[0]), float(ts[-1]),
+                         SOLVER_OPTIONS, ts, event=event, event_error=event_error)
+    return grid, ts, ys.T
+
+
+def _inverse_cube(a: float) -> float:
+    return a ** -3.0
+
+
+# The auxiliary equations, each on floats or on arrays (alpha^-3 by libm's pow
+# per element, never numpy's SIMD power, whose last bit depends on the host)
+
+def ermakov_ddot(a, w, gamma: float):
+    """alpha'' = -(w^2 - gamma^2/4) alpha + alpha^-3."""
+    return -(w * w - 0.25 * gamma * gamma) * a + _per_element(_inverse_cube, a)
+
+
+def riccati_dot(C, w, gamma: float):
+    """C' = -C^2 - gamma C - w^2."""
+    return -C * C - gamma * C - w * w
+
+
+def newton_ddot(lam, lam_dot, w, gamma: float):
+    """lambda'' = -gamma lambda' - w^2 lambda."""
+    return -gamma * lam_dot - w * w * lam
 
 
 class CubicHermite:
@@ -61,13 +84,8 @@ class CubicHermite:
 
     Interval i holds c0 s^3 + c1 s^2 + c2 s + c3 in s = t - x_i, evaluated
     left to right as 0 + c3 + c2 s + c1 s^2 + c0 s^3; the end cubics
-    extrapolate.  Calling it on an array returns an array of the same shape,
-    through numpy.  A float (np.float64 included) takes a float path instead:
-    the interval by `bisect` on the nodes, which is the index `searchsorted`
-    gives, and the cubic in the same float operations in the same order, so
-    the value is bit for bit the array path's at that t.  It reads the nodes
-    and coefficient rows through memoryviews, which index to Python floats
-    without a copy, made on the first float call.
+    extrapolate.  A call goes through numpy: an array gives an array of its
+    shape, a number an np.float64.
     """
 
     def __init__(self, x, y, dydx):
@@ -79,20 +97,8 @@ class CubicHermite:
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
         self.x, self._inner = x, x[1:-1]
         self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
-        self._tables = None  # views of (x, c0, c1, c2, c3) for the float path
 
     def __call__(self, t):
-        if not isinstance(t, float):
-            return self._at_array(t)
-        if self._tables is None:
-            self._tables = tuple(memoryview(row) for row in (self.x, *self.c))
-        x, c0, c1, c2, c3 = self._tables
-        i = bisect_right(x, t, 1, len(x) - 1) - 1  # x[i] <= t < x[i+1] inside
-        s = t - x[i]
-        s2 = s * s
-        return 0.0 + c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
-
-    def _at_array(self, t):
         t = np.asarray(t, dtype=float)
         i = self._inner.searchsorted(t, side="right")
         s, c = t - self.x[i], self.c
@@ -104,11 +110,10 @@ class _Dense:
     """Bundle of the package's own `CubicHermite` interpolants over a common
     node set.
 
-    Each lookup takes t in the solved range, widened by 1e-12 at both ends.  A
-    float t (np.float64 included) is looked up in floats and gives a float,
-    bit for bit the array path's value at that t; any other t goes through
-    numpy and gives an array of its shape.  A NaN or out-of-range time raises
-    ValueError naming the first such time and the solved range.
+    Each lookup takes t in the solved range, widened by 1e-12 at both ends,
+    through numpy: an array gives an array of its shape, a number an
+    np.float64.  A NaN or out-of-range time raises ValueError naming the first
+    such time and the solved range.
     """
 
     def __init__(self, ts: np.ndarray, gamma: float, omega, grid):
@@ -118,10 +123,7 @@ class _Dense:
         self.omega = omega
         self.grid = grid
 
-    def _check_t(self, t):
-        """t itself if it is a float in range, else t as a checked float array."""
-        if isinstance(t, float) and self._lo <= t <= self._hi:
-            return t
+    def _check_t(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if t.size and not (self._lo <= t.min() and t.max() <= self._hi):
             flat = t.ravel()
@@ -141,10 +143,8 @@ class ErmakovSolution(_Dense):
 
     def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega, grid):
         super().__init__(ts, gamma, omega, grid)
-        w = self.omega(ts)
-        add = -(w * w - 0.25 * gamma * gamma) * alpha + _per_element(lambda a: a ** -3.0, alpha)
         self._alpha = CubicHermite(ts, alpha, alpha_dot)
-        self._alpha_dot = CubicHermite(ts, alpha_dot, add)
+        self._alpha_dot = CubicHermite(ts, alpha_dot, ermakov_ddot(alpha, self.omega(ts), gamma))
         self._phase = CubicHermite(ts, phase, _per_element(lambda a: a ** -2.0, alpha))
 
     def alpha(self, t):
@@ -156,8 +156,7 @@ class ErmakovSolution(_Dense):
     def alpha_ddot(self, t):
         """Second derivative through the defining equation (exact given alpha)."""
         t = self._check_t(t)
-        a, w = self._alpha(t), self.omega(t)
-        return -(w * w - 0.25 * self.gamma ** 2) * a + _per_element(lambda x: x ** -3.0, a)
+        return ermakov_ddot(self._alpha(t), self.omega(t), self.gamma)
 
     def phase(self, t):
         """phi(t), measured from the grid origin; strictly increasing."""
@@ -171,7 +170,7 @@ class ErmakovSolution(_Dense):
         h = RESIDUAL_STEP
         add = (self._alpha_dot(t + h) - self._alpha_dot(t - h)) / (2 * h)
         a, w = self._alpha(t), self.omega(t)
-        return add + (w * w - 0.25 * self.gamma ** 2) * a - _per_element(lambda x: x ** -3.0, a)
+        return add + (w * w - 0.25 * self.gamma ** 2) * a - _per_element(_inverse_cube, a)
 
 
 def ermakov_start(omega, gamma: float, t0: float) -> tuple:
@@ -202,17 +201,16 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
     Aborts with the collapse time if alpha(t) approaches zero (the 1/alpha^3
     term makes the equation stiff there).
     """
-    grid = _check_grid(grid)
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     wfn = as_expression(omega, "t", "omega")
-    g2, w_at = 0.25 * gamma * gamma, wfn._value
+    w_at = wfn._value
 
     def rhs(t, y):
         a, ad, _phi = y.tolist()
         w = w_at(float(t))
         try:
-            return [ad, -(w * w - g2) * a + a ** -3.0, a ** -2.0]
+            return [ad, ermakov_ddot(a, w, gamma), a ** -2.0]
         except (ZeroDivisionError, OverflowError):  # alpha = 0 or tiny: the stage is rejected
             return [ad, math.inf, math.inf]
 
@@ -221,9 +219,9 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
             f"Ermakov amplitude collapsed below {COLLAPSE_EPS:g} at t={tc:.6g}",
             last_time=tc)
 
-    ts, (alpha, alpha_dot, phase) = _solve(
-        rhs, [alpha0, alpha_dot0, 0.0], grid,
-        lambda t, y: y[0] - COLLAPSE_EPS, collapsed)
+    grid, ts, (alpha, alpha_dot, phase) = _solve(
+        rhs, [alpha0, alpha_dot0, 0.0], grid, lambda t, y: y[0] - COLLAPSE_EPS, collapsed,
+        alpha0=alpha0, alpha_dot0=alpha_dot0)
     return ErmakovSolution(ts, alpha, alpha_dot, phase, gamma, wfn, grid)
 
 
@@ -343,9 +341,9 @@ class RiccatiSolution(_Dense):
         super().__init__(ts, gamma, omega, grid)
         self.C0 = float(C0)
         w = self.omega(ts)
-        self._C = CubicHermite(ts, C, -C * C - gamma * C - w * w)
+        self._C = CubicHermite(ts, C, riccati_dot(C, w, gamma))
         self._lam = CubicHermite(ts, lam, lam_dot)
-        self._lam_dot = CubicHermite(ts, lam_dot, -gamma * lam_dot - w * w * lam)
+        self._lam_dot = CubicHermite(ts, lam_dot, newton_ddot(lam, lam_dot, w, gamma))
 
     def C(self, t):
         return self._C(self._check_t(t))
@@ -359,18 +357,7 @@ class RiccatiSolution(_Dense):
     def C_dot(self, t):
         """C' through the defining equation (exact given C)."""
         t = self._check_t(t)
-        c, w = self._C(t), self.omega(t)
-        return -c * c - self.gamma * c - w * w
-
-
-def _riccati_rhs(wfn, gamma):
-    w_at = wfn._value
-
-    def rhs(t, y):
-        C, lam, lam_dot = y.tolist()
-        w2 = w_at(float(t)) ** 2
-        return [-C * C - gamma * C - w2, lam_dot, -gamma * lam_dot - w2 * lam]
-    return rhs
+        return riccati_dot(self._C(t), self.omega(t), self.gamma)
 
 
 def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
@@ -380,16 +367,21 @@ def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
     vanishes); crossing one raises with the escape time rather than silently
     continuing on the far branch.
     """
-    grid = _check_grid(grid)
     wfn = as_expression(omega, "t", "omega")
+    w_at = wfn._value
+
+    def rhs(t, y):
+        C, lam, lam_dot = y.tolist()
+        w = w_at(float(t))
+        return [riccati_dot(C, w, gamma), lam_dot, newton_ddot(lam, lam_dot, w, gamma)]
 
     def pole(tp):
         return RiccatiPoleError(
             f"Riccati solution blew up (|C| > {RICCATI_BLOWUP:g}) at t={tp:.6g}",
             last_time=tp)
 
-    ts, (C, lam, lam_dot) = _solve(_riccati_rhs(wfn, gamma), [C0, 1.0, C0], grid,
-                                   lambda t, y: RICCATI_BLOWUP - abs(y[0]), pole)
+    grid, ts, (C, lam, lam_dot) = _solve(
+        rhs, [C0, 1.0, C0], grid, lambda t, y: RICCATI_BLOWUP - abs(y[0]), pole, C0=C0)
     return RiccatiSolution(ts, C, lam, lam_dot, gamma, wfn, C0, grid)
 
 
@@ -418,26 +410,24 @@ def riccati_sensitivity(omega, gamma: float, C0: float, grid):
     share the adaptive step sequence; the centered difference then cancels the
     common local error instead of amplifying it by 1/delta.
     """
-    grid = _check_grid(grid)
     wfn = as_expression(omega, "t", "omega")
     delta, w_at = FD_STEP * max(1.0, abs(C0)), wfn._value
 
     def rhs(t, y):
-        w2 = w_at(float(t)) ** 2
-        return -y * y - gamma * y - w2
+        hi, lo = y.tolist()
+        w = w_at(float(t))
+        return [riccati_dot(hi, w, gamma), riccati_dot(lo, w, gamma)]
 
     def pole(tp):
         return RiccatiPoleError(
             f"Riccati pair blew up at t={tp:.6g} during sensitivity solve",
             last_time=tp)
 
-    ts, (hi, lo) = _solve(rhs, [C0 + delta, C0 - delta], grid,
-                          lambda t, y: RICCATI_BLOWUP - float(np.max(np.abs(y))), pole)
-    sens = (hi - lo) / (2.0 * delta)
-    w2 = np.array([w_at(t) ** 2 for t in ts.tolist()])
-    dsens = ((-hi ** 2 - gamma * hi - w2)
-             - (-lo ** 2 - gamma * lo - w2)) / (2.0 * delta)
-    return CubicHermite(ts, sens, dsens)
+    _, ts, (hi, lo) = _solve(rhs, [C0 + delta, C0 - delta], grid,
+                             lambda t, y: RICCATI_BLOWUP - float(np.max(np.abs(y))), pole, C0=C0)
+    w = wfn(ts)
+    dsens = (riccati_dot(hi, w, gamma) - riccati_dot(lo, w, gamma)) / (2.0 * delta)
+    return CubicHermite(ts, (hi - lo) / (2.0 * delta), dsens)
 
 
 # ---------------------------------------------------------------------------

@@ -269,8 +269,8 @@ def compose(outer: ContactMap, inner: ContactMap, name: Optional[str] = None) ->
 # the forward DAG, and f = e^{gamma t}, all on columns with every exp, cos,
 # sin, sqrt, power, atan and division by a variable per element, so a block
 # gives its rows' bits, and a zero divisor raises as in floats; a map binds
-# m, gamma and its leaves (`model._bind`).  alpha and alpha' are the Ermakov
-# solution's accessors, whose array path is bit-equal to its float path.
+# m, gamma and its leaves (`model._bind`).  alpha, alpha' and alpha'' are the
+# Ermakov solution's accessors, each called once on a block's column of times.
 
 _MAPS = {
     "ck": (("e = exp(gamma*t)", "q", "p*e", "S*e"),

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from numpy.testing import assert_allclose
 import contactmech as cm
 from contactmech import cli, diagnostics, oscillator, scenario
 from contactmech.errors import DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
+from contactmech.dynamics import _integrate_flat
+from contactmech.model import FD_STEP
 from contactmech.oscillator import CubicHermite
 
 from conftest import random_rows
@@ -70,6 +73,61 @@ def test_ermakov_preconditions():
         erm.alpha(11.0)
 
 
+@pytest.mark.parametrize("solve, message", [
+    pytest.param(lambda: cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, [0.0, math.nan, 1.0]),
+                 "grid must be finite: got nan", id="ermakov-grid-nan"),
+    pytest.param(lambda: cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, [0.0, 1.0, math.inf]),
+                 "grid must be finite: got inf", id="ermakov-grid-inf"),
+    pytest.param(lambda: cm.solve_riccati(1.0, 0.1, 0.2, [-math.inf, 1.0]),
+                 "grid must be finite: got -inf", id="riccati-grid"),
+    pytest.param(lambda: cm.riccati_sensitivity(1.0, 0.1, 0.2, [0.0, math.nan]),
+                 "grid must be finite: got nan", id="sensitivity-grid"),
+    pytest.param(lambda: cm.solve_ermakov(1.0, 0.1, math.nan, 0.0, GRID),
+                 "alpha0 must be finite: got nan", id="alpha0-nan"),
+    pytest.param(lambda: cm.solve_ermakov(1.0, 0.1, math.inf, 0.0, GRID),
+                 "alpha0 must be finite: got inf", id="alpha0-inf"),
+    pytest.param(lambda: cm.solve_ermakov(1.0, 0.1, 1.0, np.float64(math.nan), GRID),
+                 "alpha_dot0 must be finite: got nan", id="alpha_dot0"),
+    pytest.param(lambda: cm.solve_riccati(1.0, 0.1, math.nan, GRID),
+                 "C0 must be finite: got nan", id="riccati-C0"),
+    pytest.param(lambda: cm.riccati_sensitivity(1.0, 0.1, -math.inf, GRID),
+                 "C0 must be finite: got -inf", id="sensitivity-C0"),
+])
+def test_the_solvers_refuse_non_finite_input_by_name(solve, message):
+    """A NaN or infinite grid node or start is a ValueError naming the
+    argument, not the integrator's error at the first step or an
+    OverflowError from the node count."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve()
+
+
+def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monkeypatch):
+    """At every node but the last, each interpolant's slope is the right-hand
+    side its solve integrated, at that node's sample, bit for bit: alpha',
+    alpha'' and phi' of the Ermakov solve, C', lambda' and lambda'' of the
+    Riccati solve, and the sensitivity's slope, the difference of its pair's
+    C' over 2 delta.  For omega = 1.4437, w ** 2 (libm's pow) is not w * w."""
+    solves = []
+
+    def spy(rhs, *args, **kwargs):
+        ys = _integrate_flat(rhs, *args, **kwargs)
+        solves.append(np.array([rhs(t, y) for t, y in zip(nodes[:-1], ys[:-1])], dtype=float))
+        return ys
+
+    monkeypatch.setattr(oscillator, "_integrate_flat", spy)
+    grid = np.linspace(0.0, 1.0, 5)
+    nodes = oscillator._internal_nodes(grid)
+    erm = cm.solve_ermakov(1.4437, 0.2, 1.0, 0.0, grid)
+    ric = cm.solve_riccati(1.4437, 0.2, 0.3, grid)
+    sens = cm.riccati_sensitivity(1.4437, 0.2, 0.3, grid)
+    for solved, interpolants in zip(solves, [(erm._alpha, erm._alpha_dot, erm._phase),
+                                             (ric._C, ric._lam, ric._lam_dot)]):
+        for k, interpolant in enumerate(interpolants):
+            assert interpolant.c[2].tobytes() == solved[:, k].tobytes()
+    delta = FD_STEP * 1.0
+    assert sens.c[2].tobytes() == ((solves[2][:, 0] - solves[2][:, 1]) / (2.0 * delta)).tobytes()
+
+
 def test_dense_lookups_reject_nan_times():
     """NaN and out-of-range times, floats, np.float64 or in arrays, are refused
     by every lookup with one message naming the first of them."""
@@ -92,8 +150,8 @@ def _bits(x) -> bytes:
 def test_interpolant_float_path_is_the_array_path_at_every_t():
     """Every t of the array path's oracle sample (random interior points, the
     nodes, the ends `_check_t` admits) and the extrapolated tails: a float, and
-    an np.float64, give the array path's element bit for bit, and a NaN gives
-    its NaN."""
+    an np.float64, give the array path's element bit for bit as an np.float64,
+    and a NaN gives its NaN."""
     rng = np.random.default_rng(7)
     x = np.cumsum(rng.uniform(0.01, 1.0, 40))
     ours = CubicHermite(x, rng.normal(size=40) * 10.0, rng.normal(size=40) * 10.0)
@@ -101,7 +159,7 @@ def test_interpolant_float_path_is_the_array_path_at_every_t():
                         [x[0] - 1e-12, x[-1] + 1e-12, x[0] - 0.5, x[-1] + 0.5]])
     for s, expected in zip(t.tolist(), ours(t).tolist()):
         value, value64 = ours(s), ours(np.float64(s))
-        assert type(value) is float and isinstance(value64, np.float64)
+        assert isinstance(value, np.float64) and isinstance(value64, np.float64)
         assert _bits(value) == _bits(expected) == _bits(value64)
     assert math.isnan(ours(math.nan)) and np.isnan(ours(np.array([math.nan]))[0])
     one_interval = CubicHermite([0.0, 1.0], [1.0, 2.0], [0.0, 0.0])
@@ -110,9 +168,9 @@ def test_interpolant_float_path_is_the_array_path_at_every_t():
 
 @pytest.mark.parametrize("omega", ["1", "1 + 0.2*sin(0.7*t)"])
 def test_dense_float_lookups_are_the_array_lookups_bit_for_bit(omega):
-    """Every accessor of both dense solutions answers a float t with the
-    element the array path gives at t, at the nodes, inside the intervals and
-    at both widened ends, for floats and np.float64 alike.  alpha_ddot and the
+    """Every accessor of both dense solutions answers a float t with an
+    np.float64, the element the array path gives at t, at the nodes, inside
+    the intervals and at both widened ends, for floats and np.float64 alike.  alpha_ddot and the
     residual take alpha^-3 by the C library's pow on both paths, never by
     numpy's vectorised power, whose rounding depends on the host's SIMD; so
     alpha_ddot is also its defining equation in floats, bit for bit."""
@@ -128,7 +186,7 @@ def test_dense_float_lookups_are_the_array_lookups_bit_for_bit(omega):
     for lookup in lookups:
         for t, expected in zip(ts.tolist(), lookup(ts).tolist()):
             value = lookup(t)
-            assert type(value) is float
+            assert isinstance(value, np.float64)
             assert _bits(value) == _bits(expected) == _bits(lookup(np.float64(t)))
     for t, expected in zip(ts.tolist(), erm.residual(ts).tolist()):
         assert _bits(erm.residual(t)) == _bits(expected) == _bits(erm.residual(np.float64(t)))
@@ -166,13 +224,13 @@ def test_the_invariants_chart_and_the_hj_grid_look_up_their_blocks_once(monkeypa
     cmap = cm.map_invariants(model.params["m"], model.params["gamma"], erm)
     free_model, free_traj = _scenario_run("damped_free_particle")
     shapes = []
-    at_array = CubicHermite._at_array
+    lookup = CubicHermite.__call__
 
     def counted(self, t):
         shapes.append(np.shape(t))
-        return at_array(self, t)
+        return lookup(self, t)
 
-    monkeypatch.setattr(CubicHermite, "_at_array", counted)
+    monkeypatch.setattr(CubicHermite, "__call__", counted)
     assert cm.verify(cmap, random_rows(100, t_range=erm.t_range)).passed
     assert shapes == [(100,)] * 5
     del shapes[:]

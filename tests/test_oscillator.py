@@ -124,7 +124,7 @@ def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monke
                                              (ric._C, ric._lam, ric._lam_dot)]):
         for k, interpolant in enumerate(interpolants):
             assert interpolant.c[2].tobytes() == solved[:, k].tobytes()
-    delta = FD_STEP * 1.0
+    delta = FD_STEP  # FD_STEP * max(1, |C0|)
     assert sens.c[2].tobytes() == ((solves[2][:, 0] - solves[2][:, 1]) / (2.0 * delta)).tobytes()
 
 

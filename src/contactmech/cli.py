@@ -51,10 +51,11 @@ def write_trajectory(path: str, traj, columns: Dict[str, np.ndarray]):
     header = (["t"] + [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
               + ["S", "H", "divergence"] + list(columns))
     table = np.column_stack([traj.times, traj.flat(), traj.H, traj.div, *columns.values()])
+    row_format = "\t".join(["%.17g"] * table.shape[1]) + "\n"  # each value as _fmt writes it
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
-        for row in table:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
+        for row in table.tolist():
+            fh.write(row_format % tuple(row))
 
 
 def write_report(path: str, config: ScenarioConfig, results: List[Dict]):

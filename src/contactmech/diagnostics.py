@@ -175,10 +175,12 @@ MAPS = ("identity", "ck", "expanding", "invariants")  # of "transform_verify:<ma
 TOKENS = (*(kind for kind in CHECKS if kind != "transform_verify"),
           *(f"transform_verify:{name}" for name in MAPS))
 # What a check needs: the flow's tangent Trajectory.J (integrate with
-# tangent=True), an H without explicit t, a conservative H (gamma = 0 and no
-# explicit t), or entries of model.params, where the damped parametric
+# tangent=True), an Ermakov or Riccati solve on the oscillator's interpolation
+# nodes over the whole span, an H without explicit t, a conservative H (gamma =
+# 0 and no explicit t), or entries of model.params, where the damped parametric
 # oscillator keeps its omega(t).
 TANGENT_CHECKS = frozenset({"divergence", "measure"})
+NODE_CHECKS = frozenset({"invariants", "transform_verify:invariants", "hj_residual"})
 AUTONOMOUS_CHECKS = frozenset({"hamiltonian_decay"})
 CONSERVATIVE_CHECKS = frozenset({"energy_conservation"})
 PARAMS = {  # token -> the model.params entries its check reads

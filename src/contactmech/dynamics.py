@@ -206,11 +206,16 @@ def _abs_max(v: list) -> float:
 def _dense_powers(ts: list, t_old: float, h: float) -> np.ndarray:
     """The (4, k) rows x, x^2, x^3, x^4 of x = (t - t_old) / h at the k times
     ts, each power the previous one times x, as np.multiply.accumulate forms
-    them."""
-    x1 = [(t - t_old) / h for t in ts]
-    x2 = [x * x for x in x1]
-    x3 = [a * x for a, x in zip(x2, x1)]
-    return np.array([x1, x2, x3, [a * x for a, x in zip(x3, x1)]])
+    them.  It builds one row of powers per time and returns their transpose as
+    a C-contiguous copy: the dense output's BLAS product rounds by operand
+    layout, and the bits are those of a C-ordered (4, k) operand."""
+    rows = []
+    for t in ts:
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        rows.append((x, x2, x3, x3 * x))
+    return np.array(rows).T.copy()
 
 
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
@@ -337,18 +342,24 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     overwrites: it is valid only during the call, and rhs must not keep it.
     The step's end state, which rhs gets for the last stage and the event
     sees, is a fresh array, as are the samples; no array the stepper hands
-    out shares the scratch array's memory.  Fixed mode hands rhs, when it
-    calls it, arrays that are never written (see `_rk4`).  A fixed-mode
-    interval whose substep count would pass max_steps, an infinite count
-    included, fails before its first substep.
+    out shares the scratch array's memory.  The bookkeeping around the BLAS
+    calls is set up once per solve: the stage views and their transposes,
+    the rest's error rows and the norms' square roots of size.  Each trial
+    step puts h once into a 0-d array, which scales the stage sums, the step
+    and the dense output in place (numpy takes it faster than a float, and
+    the products are the same).  Fixed mode hands rhs, when it calls it,
+    arrays that are never written (see `_rk4`).  A fixed-mode interval whose
+    substep count would pass max_steps, an infinite count included, fails
+    before its first substep.
 
     rhs is not checked for finite values stage by stage.  In adaptive mode a
     non-finite stage makes the error estimate non-finite, so the step is
     rejected and h shrinks by the minimum factor; if h falls below the
     smallest step at t after such a rejection, NonFiniteError names t and y.
-    The field at the start is checked once, and fixed mode checks the state at
-    each grid point.  numpy's overflow and invalid-value warnings are silenced
-    here, since these checks report them.
+    The field at the start is checked once, and fixed mode checks the state's
+    floats at each grid point, as the substep returns them.  numpy's overflow
+    and invalid-value warnings are silenced here, since these checks report
+    them.
     """
     d = len(y0) if d is None else d
     out = np.empty((len(grid), len(y0)))
@@ -373,7 +384,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                 t += h
             t = grid_times[i]  # land exactly, avoiding accumulated rounding
             out[i] = y
-            if not np.all(np.isfinite(out[i])):
+            if not all(map(math.isfinite, y)):
                 raise NonFiniteError(f"non-finite state at t={t:.6g}, y={out[i, :d]}")
         return out
 
@@ -381,19 +392,27 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         raise ValueError("all components of the initial state must be finite")
     rtol, atol = max(opts.rel_tol, 100 * _EPS), opts.abs_tol
     K = np.empty((7, len(y0)))  # stages; row 6 is the field at the step's end
-    KT = [K[:s].T for s in range(8)]  # the first s stages, as columns
+    KT, K0, K6 = K.T, K[0], K[6]
     split = d < len(y0)
     joint = False  # whether the rest has joined the first d in the error norm
     Kd = np.empty((7, d)) if split else K  # the first d columns of K, contiguous
-    KdT = [Kd[:s].T for s in range(8)]
+    KdT, Kd0, Kd6, K6d = Kd.T, Kd[0], Kd[6], K[6, :d]
+    rest_T = KT[d:]  # the rest's stages, as rows
+    root_d, root_rest = d ** 0.5, (len(y0) - d) ** 0.5  # the RMS norms' sqrt(size)
+    # stage s: its row of K, the first s stages of K and of Kd as columns, its
+    # row of A, its node, and its row of Kd with the first d entries of K's
+    stages = [(K[s], K[:s].T, Kd[:s].T, _DP_A[s], _DP_C[s], Kd[s], K[s, :d])
+              for s in range(1, 6)]
+    KT6, KdT6 = K[:6].T, Kd[:6].T
     dy = np.empty(len(y0))  # each stage's sum, then its argument y + h sum
     dy_d = dy[:d]
-    K[0] = rhs(t0, y0)
-    if not np.all(np.isfinite(K[0])):
+    hh = np.empty(())  # the trial step's h, as numpy takes a scalar operand fastest
+    K0[...] = rhs(t0, y0)
+    if not np.all(np.isfinite(K0)):
         raise NonFiniteError(f"non-finite vector field at t={t0:.6g}, y={y0[:d]}")
     if split:
-        Kd[0] = K[0, :d]
-    h_abs = _initial_step(rhs, t0, y0, K[0], t_end, rtol, atol, d)
+        Kd0[...] = K[0, :d]
+    h_abs = _initial_step(rhs, t0, y0, K0, t_end, rtol, atol, d)
     t, y, y_list = t0, y0, y0.tolist()
     rest_max = _abs_max(y_list[d:]) if split else None  # the rest's largest |entry| at t
     g = event(t0, y0) if event is not None else None
@@ -416,30 +435,31 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                                        last_time=t)
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            for s in range(1, 6):
-                KT[s].dot(_DP_A[s], out=dy)
+            hh[()] = h
+            for Ks, KTs, KdTs, a, c, Kds, Ksd in stages:
+                KTs.dot(a, out=dy)
                 if split:
-                    KdT[s].dot(_DP_A[s], out=dy_d)
-                np.multiply(dy, h, out=dy)
+                    KdTs.dot(a, out=dy_d)
+                dy *= hh
                 dy += y
-                K[s] = rhs(t + _DP_C[s] * h, dy)
+                Ks[...] = rhs(t + c * h, dy)
                 if split:
-                    Kd[s] = K[s, :d]
-            KT[6].dot(_DP_B, out=dy)
+                    Kds[...] = Ksd
+            KT6.dot(_DP_B, out=dy)
             if split:
-                KdT[6].dot(_DP_B, out=dy_d)
-            np.multiply(dy, h, out=dy)
+                KdT6.dot(_DP_B, out=dy_d)
+            dy *= hh
             y_new = y + dy
-            K[6] = rhs(t + h, y_new)
+            K6[...] = rhs(t + h, y_new)
             if split:
-                Kd[6] = K[6, :d]
+                Kd6[...] = K6d
             new_list = y_new.tolist()
-            err = _rms(_scaled_error(KdT[7].dot(_DP_E).tolist(), h, y_list, new_list,
-                                     atol, rtol))
+            e = _scaled_error(KdT.dot(_DP_E).tolist(), h, y_list, new_list, atol, rtol)
+            err = math.sqrt(e.dot(e)) / root_d
             if split and (joint or err < 1):
                 new_rest_max = _abs_max(new_list[d:])
-                hs = h / (atol + max(rest_max, new_rest_max) * rtol)
-                err_rest = _rms(np.array([x * hs for x in KT[7][d:].dot(_DP_E).tolist()]))
+                e = rest_T.dot(_DP_E) * (h / (atol + max(rest_max, new_rest_max) * rtol))
+                err_rest = math.sqrt(e.dot(e)) / root_rest
                 joint = joint or not err_rest < 1
                 if joint and (err_rest > err or math.isnan(err_rest)):
                     err = err_rest
@@ -456,7 +476,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         if event is not None:
             g_old, g = g, event(t, y)
             if g_old >= 0 >= g:  # a terminal event of direction -1
-                Q = K.T.dot(_DP_P)
+                Q = KT.dot(_DP_P)
                 raise event_error(_brent(
                     lambda s: event(s, h * np.dot(Q, _dense_powers([s], t_old, h).ravel())
                                     + y_old),
@@ -464,13 +484,17 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         j = bisect_right(grid_times, t)
         if j > i:
             x = _dense_powers(grid_times[i:j], t_old, h)
-            out[i:j] = (h * K.T.dot(_DP_P).dot(x) + y_old[:, None]).T
+            z = KT.dot(_DP_P).dot(x)
+            z *= hh
+            np.add(z.T, y_old, out=out[i:j])
             if split:
-                out[i:j, :d] = (h * Kd.T.dot(_DP_P).dot(x) + y_old[:d, None]).T
+                z = KdT.dot(_DP_P).dot(x)
+                z *= hh
+                np.add(z.T, y_old[:d], out=out[i:j, :d])
             i = j
-        K[0] = K[6]
+        K0[...] = K6
         if split:
-            Kd[0] = Kd[6]
+            Kd0[...] = Kd6
     if i < len(grid):
         raise IntegrationError(f"integration stopped at t={t:.6g} before t_end",
                                last_time=t)

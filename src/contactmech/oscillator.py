@@ -27,15 +27,24 @@ ADIABATIC_LIMIT = 1.0    # |Omega'|/Omega^2 at t0 below this starts alpha adiaba
 # alpha' cubic's leading coefficient, and its rounding, about eps |alpha'| / h,
 # both stay near 1e-10, two decades under the invariants check's 1e-7 gate
 RESIDUAL_STEP = 1e-5
+NODE_SPACING = 0.01      # the interpolation nodes' uniform refinement is this fine
+MAX_NODES = 10 ** 7      # a span needing more refinement nodes than this is refused
 
 
 def _internal_nodes(grid: np.ndarray) -> np.ndarray:
-    """Union of the requested grid with a uniform refinement for interpolation."""
+    """Union of the requested grid with a uniform refinement for interpolation,
+    sorted, each time once; a ValueError, before anything is allocated, for a
+    span that needs more than MAX_NODES refinement nodes."""
     t0, t1 = float(grid[0]), float(grid[-1])
     span = t1 - t0
-    m = max(64, int(math.ceil(span / 0.01)))
-    fine = np.linspace(t0, t1, m + 1)
-    return np.union1d(np.asarray(grid, dtype=float), fine)
+    if not span / NODE_SPACING <= MAX_NODES:
+        raise ValueError(f"the span [{t0!r}, {t1!r}] needs more than {MAX_NODES} "
+                         f"interpolation nodes {NODE_SPACING} apart")
+    m = max(64, int(math.ceil(span / NODE_SPACING)))
+    # sorted, without adjacent repeats: np.union1d's array, without its np.unique,
+    # which imports numpy.ma
+    ts = np.sort(np.concatenate([np.asarray(grid, dtype=float), np.linspace(t0, t1, m + 1)]))
+    return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
 
 
 def _solve(rhs, y0, grid, event, event_error, **starts) -> tuple:

@@ -20,12 +20,13 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional, Tuple
 
-from .diagnostics import AUTONOMOUS_CHECKS, CONSERVATIVE_CHECKS, validate_checks
+from .diagnostics import AUTONOMOUS_CHECKS, CONSERVATIVE_CHECKS, NODE_CHECKS, validate_checks
 from .dynamics import IntegratorOptions
 from .errors import ScenarioError
 from .expressions import Expression, parse_expression
 from .model import HamiltonianModel, make_caldirola_kanai, make_damped_parametric, \
     make_linear_dissipation
+from .oscillator import NODE_SPACING
 
 # model.kind -> (factory(m, gamma, expression), the expression's key, its variable)
 KINDS = {
@@ -33,7 +34,10 @@ KINDS = {
     "damped_parametric": (make_damped_parametric, "omega", "t"),
     "caldirola_kanai": (make_caldirola_kanai, "V", "q"),
 }
-MAX_SAMPLES = 10 ** 7  # (t_end - t0) / sample_interval above this is refused
+# (t_end - t0) / sample_interval above this is refused, and so is (t_end - t0) /
+# oscillator.NODE_SPACING for a check on the oscillator's interpolation nodes
+# (not above oscillator.MAX_NODES, so such a check never meets that limit)
+MAX_SAMPLES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -228,6 +232,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         explicit_t = gamma > 0 if kind == "caldirola_kanai" else \
             var == "t" and not (d.op == "num" and d.value == 0.0)
         for tok in tokens:
+            if tok in NODE_CHECKS and (t_end - t0) / NODE_SPACING > MAX_SAMPLES:
+                _err("integration.t_end", f"{tok!r} interpolates on nodes {NODE_SPACING} "
+                                          f"apart, and (t_end - t0) / {NODE_SPACING} exceeds "
+                                          f"{MAX_SAMPLES} nodes, got t_end={t_end}")
             if tok in AUTONOMOUS_CHECKS and explicit_t:
                 _err("diagnostics.checks", f"{tok!r} holds only for an H without explicit "
                                            f"t, and this {kind} model depends on t")

@@ -99,8 +99,8 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str,
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         color = COLORS[k % len(COLORS)]
-        pts = " ".join(f"{sx(float(xi)):.2f},{sy(float(yi)):.2f}"
-                       for xi, yi in zip(x, y) if math.isfinite(xi) and math.isfinite(yi))
+        pts = " ".join(f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x.tolist(), y.tolist())
+                       if math.isfinite(xi) and math.isfinite(yi))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>\n')
         ly = MARGIN_T + 16 + 16 * k

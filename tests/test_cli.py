@@ -679,17 +679,56 @@ def test_a_non_finite_map_jacobian_is_an_integration_failure(tmp_path, capsys, m
     assert capsys.readouterr().err.startswith("error: map 'ck' has a non-finite Jacobian at ")
 
 
-def test_run_imports_no_scipy(tmp_path):
-    """A `run` in a fresh interpreter needs numpy only: scipy is a test dependency."""
+def _fresh_modules(command: str, scenario: str, prefix: str, out) -> list:
+    """The modules named `prefix` or below it that a fresh interpreter has
+    loaded after `contactmech <command>` of the shipped scenario, which must
+    exit 0."""
     code = ("import sys\n"
             "from contactmech import cli\n"
-            "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "code = cli.main([sys.argv[1], sys.argv[2], '--out', sys.argv[3]])\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m == sys.argv[4] or m.startswith(sys.argv[4] + '.'))))\n"
             "sys.exit(code)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code,
-                           str(ROOT / "scenarios" / "damped_oscillator.ini"), str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", code, command,
+                           str(ROOT / "scenarios" / f"{scenario}.ini"), str(out), prefix],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_run_imports_no_scipy(tmp_path):
+    """A `run` in a fresh interpreter needs numpy only: scipy is a test dependency."""
+    assert _fresh_modules("run", "damped_oscillator", "scipy", tmp_path) == []
+
+
+def test_the_oscillator_solves_import_no_numpy_ma(tmp_path):
+    """The Riccati solve behind hj_residual merges its nodes without np.unique,
+    whose lazy import of numpy.ma costs each fresh process about 12 ms."""
+    assert _fresh_modules("verify", "damped_free_particle", "numpy.ma", tmp_path) == []
+
+
+@pytest.mark.parametrize("check", ["hj_residual", "invariants", "transform_verify:invariants"])
+def test_a_span_with_too_many_interpolation_nodes_is_a_bad_scenario(check, tmp_path, capsys,
+                                                                     monkeypatch):
+    """1e6 time units at sample_interval 1 are few samples, but 1e8 nodes 0.01
+    apart for the Ermakov or Riccati solve: refused at parse time, exit 2."""
+    monkeypatch.setattr(cli, "integrate",
+                        lambda *args, **kwargs: pytest.fail("the span was integrated"))
+    text = (ROOT / "scenarios" / "parametric_oscillator.ini").read_text()
+    for line in ("checks = invariants, transform_verify:invariants\n", "t_end = 10\n",
+                 "sample_interval = 0.01\n"):
+        assert line in text
+    text = text.replace("checks = invariants, transform_verify:invariants\n",
+                        f"checks = {check}\n").replace("sample_interval = 0.01\n",
+                                                        "sample_interval = 1\n")
+    path = tmp_path / "long.ini"
+    path.write_text(text.replace("t_end = 10\n", "t_end = 1e6\n"))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: integration.t_end: {check!r} ") and err.count("\n") == 1
+    assert f"{MAX_SAMPLES} nodes" in err
+    assert parse_scenario(text.replace("t_end = 10\n", "t_end = 1e5\n")).t_end == 1e5
+    with pytest.raises(ScenarioError, match="integration.t_end"):
+        parse_scenario(text.replace("t_end = 10\n", "t_end = 100000.01\n"))

@@ -731,6 +731,19 @@ def test_a_non_finite_field_is_a_non_finite_error_naming_t_and_y(run):
     assert cli._classify(err.value) == cli.EXIT_INTEGRATION
 
 
+@pytest.mark.parametrize("tangent", [False, True])
+def test_a_fixed_step_state_gone_non_finite_names_its_sample(tangent):
+    """H = -S^2 gives S' = S^2 and p' = 2 p S, which blow up at t = 1: the
+    state at the sample t = 1.1 is the first one not finite, and the error
+    names that t and the (q, p, S) block of the sample."""
+    model = cm.make_custom(1, lambda t, y: -y[2] * y[2],
+                           lambda t, y: [0.0, 0.0, -2 * y[2], 0.0])
+    opts = cm.IntegratorOptions(method="fixed_rk4", step=0.01, sample_interval=0.1)
+    with pytest.raises(NonFiniteError) as err:
+        cm.integrate(model, cm.make_state(0.5, 1.0, 1.0, 0.0), 2.0, opts, tangent=tangent)
+    assert str(err.value) == "non-finite state at t=1.1, y=[0.5 nan nan]"
+
+
 def _jacobian_wall_at_q_1_5():
     """H = p^2/2 + q^2/2 + 0.1 S with a finite field for q < 1.73, but V''
     NaN, and so a non-finite field Jacobian A, from q = 1.5 on: the cubic term

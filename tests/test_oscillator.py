@@ -101,6 +101,19 @@ def test_the_solvers_refuse_non_finite_input_by_name(solve, message):
         solve()
 
 
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda grid: cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, grid), id="ermakov"),
+    pytest.param(lambda grid: cm.solve_riccati(1.0, 0.1, 0.2, grid), id="riccati"),
+])
+def test_the_solvers_refuse_a_span_with_too_many_nodes_by_name(solve):
+    """A span needing more than MAX_NODES interpolation nodes is a ValueError
+    naming it, raised before the nodes are allocated (numpy's own error for
+    [0, 1e300] was a bare 'Maximum allowed size exceeded')."""
+    with pytest.raises(ValueError, match=re.escape("the span [0.0, 1e+300] needs more than "
+                                                   f"{oscillator.MAX_NODES} interpolation")):
+        solve([0.0, 1e300])
+
+
 def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monkeypatch):
     """At every node but the last, each interpolant's slope is the right-hand
     side its solve integrated, at that node's sample, bit for bit: alpha',

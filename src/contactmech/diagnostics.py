@@ -9,6 +9,7 @@ flow and reports threshold / observed / pass.  A check reads only the model
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -20,11 +21,15 @@ from .hamilton_jacobi import hj_residual, principal_field_from_riccati
 from .model import HamiltonianModel
 
 EPS_DEN = 1e-30
+# G's drift is relative to at least this fraction of |I0|: the Lewis invariant
+# I has G's units and is positive off the origin, where G0 = 0 is a regular state
+G_FLOOR_OF_I = 1e-2
 
 
-def _rel_drift(x: np.ndarray) -> float:
-    ref = x[0]
-    return float(np.max(np.abs(x - ref)) / max(abs(ref), 1e-12))
+def _rel_drift(x: np.ndarray, floor: float = 0.0) -> float:
+    """The largest |x - x[0]| relative to |x[0]|, or to `floor` where that is larger."""
+    ref = float(x[0])
+    return float(np.max(np.abs(x - ref))) / max(abs(ref), floor, 1e-12)
 
 
 def check_energy_conservation(model, traj: Trajectory, cache: Dict) -> Dict:
@@ -97,7 +102,7 @@ def check_invariants(model, traj: Trajectory, cache: Dict) -> Dict:
     G = oscillator.g_invariant(gamma, traj.times, rows)
     interior = traj.times[1:-1]
     res = float(np.max(np.abs(erm.residual(interior)))) if len(interior) else 0.0
-    observed = max(_rel_drift(I), _rel_drift(G))
+    observed = max(_rel_drift(I), _rel_drift(G, G_FLOOR_OF_I * abs(float(I[0]))))
     return {"name": "invariants", "threshold": 1e-6,
             "observed": observed,
             "passed": observed < 1e-6 and res < 1e-7,
@@ -112,7 +117,10 @@ def check_hj_residual(model, traj: Trajectory, cache: Dict) -> Dict:
     with slope p/(m q) at the first sample, on a 50 x 50 grid of q and t."""
     m, gamma = model.params["m"], model.params["gamma"]
     q0, p0 = float(traj.q[0, 0]), float(traj.p[0, 0])
-    C0 = p0 / (m * q0) if q0 != 0 else 1.0
+    if m * q0 != 0:
+        C0 = p0 / (m * q0)
+    else:  # q = 0, or m q underflowing to 0 below a slope past any float
+        C0 = 1.0 if q0 == 0 else math.copysign(math.inf, p0 * q0) if p0 else 0.0
     if not np.isfinite(C0):  # a subnormal m q overflows the slope
         raise NonFiniteError(f"hj_residual: the Riccati start p/(m q) = {C0!r} is non-finite "
                              f"at t={float(traj.times[0])!r}, y={traj.flat()[0]}")

@@ -1,11 +1,14 @@
 """A small arithmetic-expression grammar for potentials V(q), frequencies w(t)
-and the built-in Hamiltonians H(q, p, S, t).
+and the built-in Hamiltonians H(q, p, S, t),
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | power
     power  := atom ('^' factor)?          # right-associative, binds above unary -
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
+
+is parsed in one loop by operator precedence over an operand stack and an
+operator stack (`_parse`), so no depth of nesting recurses.
 
 Identifiers are the declared variables, the constants pi and e, and the
 functions sin, cos, exp, sqrt, log; a template (`parse_template`) also names
@@ -49,23 +52,18 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str   # 'num' | 'ident' | 'op' | 'end'
-    text: str
-    pos: int
-
-
 def _tokenize(text: str) -> list:
+    """The (kind, text, offset) tokens of `text`, kind 'num', 'ident', 'op'
+    or, last, 'end' with the text ""."""
     tokens, i = [], 0
     while i < len(text):
         m = _TOKEN_RE.match(text, i)
         if m is None:
             raise ExpressionError(f"unexpected character {text[i]!r}", position=i)
         if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, m.group(), i))
+            tokens.append((m.lastgroup, m.group(), i))
         i = m.end()
-    tokens.append(Token("end", "", len(text)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -112,7 +110,7 @@ class _Dag:
         if found is None and op in ("+", "*"):  # commutative: b op a is a op b, first seen
             found = self.nodes.get((op, args[::-1], key[2], pos))
         if found is None:
-            found = self.nodes[key] = Node()  # no __init__, so no frame on the parser's stack
+            found = self.nodes[key] = Node()  # no __init__: one call fewer per node
             found.op, found.args, found.value, found.pos = op, args, value, pos
             found.free = _FREE.get(op, 0)
             for a in args:
@@ -168,8 +166,8 @@ class _Dag:
 
     def diff(self, root: Node, x: str = None) -> Node:
         """d(root)/dx, x None in a DAG of one variable.  Each distinct node's
-        derivative is built once, after its arguments', by a loop: only the
-        parser recurses."""
+        derivative is built once, after its arguments', by a loop, so no
+        depth of nesting recurses."""
         done = self.derivatives.setdefault(x, {})
         stack = [root]
         while stack:
@@ -371,109 +369,82 @@ def _error(where: str, info: dict, overflow: Optional[str], exc: Exception,
 # Parser
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    """Recursive descent over `tokens` into `dag`; with `literals` a count, the
-    numeric literals but 0 and 1 are the parameters ``_n0``, ``_n1``, ...,
-    and with `where` a position is (offset, `where`, the errors' prefix)."""
+# the power of each operator; a bracket or a call sits on the stack with 0
+_POWERS = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
-    def __init__(self, tokens, dag: _Dag, variables, params=(), leaves=None, named=None,
-                 literals=None, where=None):
-        self.tokens = tokens
-        self.i = 0
-        self.dag = dag
-        self.variables, self.params = variables, params
-        self.leaves, self.named = leaves or {}, named or {}
-        self.literals, self.where = literals, where
 
-    def at(self, tok: Token):
-        return tok.pos if self.where is None else (tok.pos, self.where)
+def _parse(text: str, dag: _Dag, variables, params=(), leaves=None, named=None,
+           literals: bool = False, where: Optional[str] = None) -> Node:
+    """The root of `text` in `dag`, parsed by operator precedence over an
+    operand stack and an operator stack: an arriving binary operator first
+    applies the stacked ones of at least its power (of more, for the
+    right-associative ^), so the nodes come in the order the grammar's
+    recursive descent would build them, and nesting costs no frames.  With
+    `literals`, the numeric literals but 0 and 1 are the parameters ``_n0``,
+    ``_n1``, ..., and with `where` a position is (offset, `where`, the
+    errors' prefix)."""
+    leaves, named = leaves or {}, named or {}
+    tokens, values, ops, count, i, operand = _tokenize(text), [], [], 0, 0, True
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def reduce(power: int):
+        while ops and ops[-1][1] >= power:
+            op, _, at = ops.pop()
+            b = values.pop()
+            values.append(dag.node("neg", b) if op == "neg" else
+                          dag.node(op, values.pop(), b, pos=at))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExpressionError(f"expected {op!r}, found {tok.text or 'end of input'!r}",
-                                  position=tok.pos)
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"unexpected trailing input {tok.text!r}",
-                                  position=tok.pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            tok = self.advance()
-            node = self.dag.node(tok.text, node, self.term(), pos=tok.pos)
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            tok = self.advance()
-            node = self.dag.node(tok.text, node, self.factor(), pos=self.at(tok))
-        return node
-
-    def factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return self.dag.node("neg", self.factor())
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            return self.dag.node("^", node, self.factor(), pos=self.at(tok))
-        return node
-
-    def atom(self) -> Node:
-        tok = self.advance()
-        if tok.kind == "num":
-            value = float(tok.text)
-            if self.literals is None or value in (0.0, 1.0):
-                return self.dag.node("num", value=value)
-            self.literals += 1
-            return self.dag.node("literal", value=f"_n{self.literals - 1}")
-        if tok.kind == "ident":
-            name = tok.text
-            if self.peek().kind == "op" and self.peek().text == "(":
-                if name not in _FUNCTIONS and name not in self.leaves:
-                    raise ExpressionError(f"unknown function {name!r}", position=tok.pos)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                if name in self.leaves:
-                    return self.dag.node("leaf", arg, value=self.leaves[name])
-                return self.dag.node(name, arg, pos=self.at(tok))
-            if name in self.named:
-                return self.named[name]
-            if name in self.variables:
-                return self.dag.node("var", value=name)
-            if name in self.params:
-                return self.dag.node("param", value=name)
-            if name in _CONSTANTS:
-                return self.dag.node("const", value=_CONSTANTS[name])
-            raise ExpressionError(f"unknown identifier {name!r}", position=tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"expected a value, found {tok.text or 'end of input'!r}",
-                              position=tok.pos)
+    while True:
+        kind, tok, pos = tokens[i]
+        at = pos if where is None else (pos, where)
+        i += 1
+        if not operand and kind == "op" and tok in _POWERS:
+            reduce(_POWERS[tok] + (tok == "^"))
+            ops.append((tok, _POWERS[tok], at))
+            operand = True
+        elif not operand:
+            reduce(1)
+            if not ops:
+                if kind == "end":
+                    return values[0]
+                raise ExpressionError(f"unexpected trailing input {tok!r}", position=pos)
+            if (kind, tok) != ("op", ")"):
+                raise ExpressionError(f"expected ')', found {tok or 'end of input'!r}",
+                                      position=pos)
+            name, _, at = ops.pop()
+            if name in leaves:
+                values.append(dag.node("leaf", values.pop(), value=leaves[name]))
+            elif name != "(":
+                values.append(dag.node(name, values.pop(), pos=at))
+        elif kind == "op" and tok in "-(":  # by kind: the end token's "" is in any text
+            ops.append(("neg", _POWERS["neg"], None) if tok == "-" else ("(", 0, None))
+        elif kind == "ident" and tokens[i][:2] == ("op", "("):
+            if tok not in _FUNCTIONS and tok not in leaves:
+                raise ExpressionError(f"unknown function {tok!r}", position=pos)
+            ops.append((tok, 0, at))
+            i += 1
+        elif kind == "num":
+            value = float(tok)
+            if literals and value not in (0.0, 1.0):
+                values.append(dag.node("literal", value=f"_n{count}"))
+                count += 1
+            else:
+                values.append(dag.node("num", value=value))
+            operand = False
+        elif kind == "ident":
+            if tok in named:
+                values.append(named[tok])
+            elif tok in variables:
+                values.append(dag.node("var", value=tok))
+            elif tok in params:
+                values.append(dag.node("param", value=tok))
+            elif tok in _CONSTANTS:
+                values.append(dag.node("const", value=_CONSTANTS[tok]))
+            else:
+                raise ExpressionError(f"unknown identifier {tok!r}", position=pos)
+            operand = False
+        else:
+            raise ExpressionError(f"expected a value, found {tok or 'end of input'!r}",
+                                  position=pos)
 
 
 def _per_element(f, x):
@@ -533,17 +504,13 @@ class Expression:
 
 def parse_expression(text: str, variable: str, key: str = "") -> Expression:
     """Parse `text` in the single free `variable`; `key` names it in evaluation
-    errors.  Nesting too deep for the recursion limit is an error at offset 0:
-    the depth reached depends on the caller's stack, so no other offset is stable."""
+    errors."""
     if not text or not text.strip():
         raise ExpressionError("empty expression", position=0)
     dag = _Dag()
-    try:
-        ast = _Parser(_tokenize(text), dag, (variable,)).parse()
-        return Expression(text=text, variable=variable, ast=ast,
-                          derivative_ast=dag.diff(ast), key=key)
-    except RecursionError:
-        raise ExpressionError("expression nested too deeply", position=0) from None
+    ast = _parse(text, dag, (variable,))
+    return Expression(text=text, variable=variable, ast=ast, derivative_ast=dag.diff(ast),
+                      key=key)
 
 
 def parse_template(texts: tuple, variables: tuple, params: tuple, leaves: dict,
@@ -554,19 +521,15 @@ def parse_template(texts: tuple, variables: tuple, params: tuple, leaves: dict,
     `_emit`).  A text ``name = expr`` is no root: it names expr's node for the
     texts after it, as does `inline`, name -> (text, variable, where,
     literals), with the 'inline' node over `text` parsed in `variable` alone
-    (see `_Parser`): only `_Dag.diff` in `variable` enters it, so the rules
+    (see `_parse`): only `_Dag.diff` in `variable` enters it, so the rules
     of the texts around it see it as they would see a leaf."""
     dag, named, roots = _Dag(), {}, []
     for name, (text, variable, where, literals) in (inline or {}).items():
-        try:
-            root = _Parser(_tokenize(text), dag, (variable,), literals=0 if literals else None,
-                           where=where).parse()
-        except RecursionError:
-            raise ExpressionError(f"{where}expression nested too deeply", position=0) from None
+        root = _parse(text, dag, (variable,), literals=literals, where=where)
         named[name] = dag.node("inline", root, value=variable)
     for text in texts:
         name, is_named, expr = text.rpartition("=")
-        node = _Parser(_tokenize(expr), dag, variables, params, leaves, named).parse()
+        node = _parse(expr, dag, variables, params, leaves, named)
         if is_named:
             named[name.strip()] = node
         else:

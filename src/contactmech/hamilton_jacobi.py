@@ -95,13 +95,16 @@ def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t):
                 f"model '{model.name}' has n={model.n} but state has n={n}")
         H = rowwise(model.value, np.repeat(times[:first], k) if times.ndim else t,
                     ys[:first].reshape(-1, 2 * n + 1)).reshape(first, k)
-        bad_H = ~np.isfinite(H).all(axis=1)
-        if bad_H.any():
-            raise NonFiniteError(f"model '{model.name}' is non-finite at q={qs}, "
-                                 f"t={times.reshape(-1)[bad_H.argmax()].item()}")
-    if first < j:
-        raise NonFiniteError(f"non-finite contact state: q={qs}, "
-                             f"p={p[:, min(first, p.shape[1] - 1)]}, S={S[first]}")
+        bad_H = ~np.isfinite(H)
+        if bad_H.any():  # named at its first time's first point, on one line
+            i, c = np.unravel_index(bad_H.argmax(), H.shape)
+            raise NonFiniteError(f"model '{model.name}' is non-finite at q={qs[:, c]}, "
+                                 f"t={times.reshape(-1)[i].item()}")
+    if first < j:  # at the first point with a non-finite state, if there are points
+        c = int(np.isfinite(ys[first]).all(axis=-1).argmin()) if k else slice(None)
+        raise NonFiniteError(f"non-finite contact state: q={qs[:, c]}, "
+                             f"p={p[:, min(first, p.shape[1] - 1), c if p.shape[2] > 1 else 0]}, "
+                             f"S={S[first, c]}")
     res = H.reshape(shape) + _per_point(field.dS_dt(qs, t), shape, "dS/dt")
     return res if q.ndim == 2 else res[..., 0] if times.ndim else float(res[0])
 

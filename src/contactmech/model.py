@@ -15,7 +15,6 @@ import functools
 import math
 import numbers
 import operator
-import re
 import types
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
 from .expressions import _FOLDS, _FUNCTIONS, _GLOBALS, _VAR, _emit, _error, _is_num, \
-    _per_element, _walk, as_expression, parse_template
+    _per_element, _tokenize, _walk, as_expression, parse_template
 
 FD_STEP = 1e-6  # relative step for central finite differences
 
@@ -245,7 +244,6 @@ _DIVIDE = np.frompyfunc(operator.truediv, 2, 1)
 _BLOCK = {"_pow": lambda a, b: np.asarray(_POWER(a, b), dtype=float),
           "_div": lambda a, b: np.asarray(_DIVIDE(a, b), dtype=float),
           **{f"_{fn}": functools.partial(_per_element, f) for fn, f in _FUNCTIONS.items()}}
-_NUMBER = re.compile(r"(?<![\w.])\d+(\.\d*)?([eE][+-]?\d+)?")  # a literal, not in a name
 
 
 def _compile(where: str, lead, parts, overflow: Optional[str] = None, times=(),
@@ -295,12 +293,15 @@ def _bind(compiled: tuple, params: dict, leaves: Optional[dict] = None) -> Optio
 
 
 def _shape(text: str) -> tuple:
-    """(shape, literals): `text` with each numeric literal but 0 and 1 written
-    as as many 9s, so every offset holds, and those literals in order."""
-    literals = [float(x.group()) for x in _NUMBER.finditer(text)]
-    literals = [x for x in literals if x not in (0.0, 1.0)]
-    return _NUMBER.sub(lambda x: x.group() if float(x.group()) in (0.0, 1.0)
-                       else "9" * len(x.group()), text), literals
+    """(shape, literals): `text` with each numeric literal (`_tokenize`'s
+    'num' token) but 0 and 1 written as as many 9s, so every offset holds,
+    and those literals in order."""
+    shape, literals = list(text), []
+    for kind, tok, pos in _tokenize(text):
+        if kind == "num" and float(tok) not in (0.0, 1.0):
+            literals.append(float(tok))
+            shape[pos:pos + len(tok)] = "9" * len(tok)
+    return "".join(shape), literals
 
 
 def _kind_dag(kind: str, text: str, where: str, literals: bool) -> tuple:

@@ -381,13 +381,16 @@ def test_shared_subtrees_keep_derivatives_small():
     assert chain.derivative(-1.0) == pytest.approx(slope, rel=1e-12)
 
 
-def test_deep_nesting_is_an_expression_error():
-    """Nesting deeper than the recursion limit is a syntax-level error, not a
-    RecursionError; shallower nesting still parses."""
-    assert cm.parse_expression("(" * 150 + "q" + ")" * 150, "q")(2.0) == 2.0
-    with pytest.raises(ExpressionError) as err:
-        cm.parse_expression("(" * 300 + "q" + ")" * 300, "q")
-    assert str(err.value) == "expression nested too deeply (at offset 0)"
+def test_deep_nesting_parses_from_any_caller_depth():
+    """A text 5,000 parentheses deep parses, from a plain call and from a
+    caller 500 frames deep: nesting costs the parser no frames."""
+    deep = "(" * 5000 + "q" + ")" * 5000
+
+    def nested(k):
+        return cm.parse_expression(deep, "q")(2.0) if k == 0 else nested(k - 1)
+
+    assert cm.parse_expression(deep, "q")(2.0) == 2.0
+    assert nested(500) == 2.0
 
 
 def test_expressions_pickle_by_text():

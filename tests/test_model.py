@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import contactmech as cm
 from contactmech import expressions, model
-from contactmech.errors import DimensionMismatchError, ExpressionError, NonFiniteError
+from contactmech.errors import DimensionMismatchError, NonFiniteError
 from contactmech.model import rowwise
 from contactmech.scenario import KINDS, build_model, parse_scenario
 
@@ -503,26 +503,17 @@ def test_a_profile_names_each_kind_s_tangent():
     assert not any(file == "<expression>" for file, _ in entries)
 
 
-def test_a_text_too_deep_to_inline_again_is_a_bad_expression():
+def test_a_deep_text_builds_the_same_model_at_any_caller_depth():
     """A model parses V's text again, deeper in the stack than V's own parse:
-    nesting that only the first parse fits is V's bad expression, as it would
-    have been at its own parse, not a RecursionError."""
-    def nested(n):
-        return cm.parse_expression("(" * n + "q" + ")" * n, "q", "model.V")
-
-    lo, hi = 1, 2000   # the deepest nesting that parses here
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        try:
-            nested(mid)
-            lo = mid
-        except ExpressionError:
-            hi = mid - 1
-    V = nested(lo)
+    built 30 frames deeper, first, a model of a text 5,000 parentheses deep
+    gives the bits of one built at the top."""
+    V = cm.parse_expression("(" * 5000 + "q^2/2 + 0.1*q^4" + ")" * 5000, "q", "model.V")
 
     def deeper(k):
         return cm.make_linear_dissipation(1.0, 0.1, V) if k == 0 else deeper(k - 1)
 
-    with pytest.raises(ExpressionError) as err:
-        deeper(30)
-    assert str(err.value) == "model.V: expression nested too deeply (at offset 0)"
+    deep, top = deeper(30), cm.make_linear_dissipation(1.0, 0.1, V)
+    y = np.array([[0.5, -0.3, 0.2], [-1.5, 0.7, 0.0]])
+    for f in ("value", "grad"):
+        assert_array_equal(getattr(deep, f)(0.5, y), getattr(top, f)(0.5, y))
+    assert_array_equal(deep.field(0.5, y[0]), top.field(0.5, y[0]))

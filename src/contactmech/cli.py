@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .diagnostics import TANGENT_CHECKS, run_checks
+from .diagnostics import CHECKS, run_checks
 from .dynamics import integrate
 from .errors import (BranchError, ContactMechError, ErmakovCollapseError,
                      ExpressionError, IntegrationError, NonFiniteError,
@@ -91,7 +91,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".", seed: int = 0,
     model = build_model(config)
     init = make_state(config.q0, config.p0, config.S0, config.t0)
     traj = integrate(model, init, config.t_end, config.options,
-                     tangent=not TANGENT_CHECKS.isdisjoint(config.checks))
+                     tangent=any(CHECKS[token].tangent for token in config.checks))
     results = run_checks(config.checks, model, traj, seed=seed)
 
     os.makedirs(out_dir, exist_ok=True)

@@ -4,13 +4,17 @@ Each diagnostic compares a structural prediction of the contact formalism
 (decay law, volume contraction, invariant measure, invariants, contact
 Hamilton-Jacobi residual, transformation conditions) against the integrated
 flow and reports threshold / observed / pass.  A check reads only the model
-(its params) and the trajectory, and this module owns the check vocabulary.
+(its params) and the trajectory.  This module owns the check vocabulary, one
+`CHECKS` row per token, and the one rule, `validate_checks`, that refuses a
+check that does not apply, for scenario files and library callers alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Sequence
+from collections import namedtuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -18,12 +22,17 @@ from . import dynamics, oscillator, transforms
 from .dynamics import Trajectory
 from .errors import NonFiniteError, ScenarioError
 from .hamilton_jacobi import hj_residual, principal_field_from_riccati
-from .model import HamiltonianModel
+from .model import HamiltonianModel, explicit_t
 
 EPS_DEN = 1e-30
 # G's drift is relative to at least this fraction of |I0|: the Lewis invariant
 # I has G's units and is positive off the origin, where G0 = 0 is a regular state
 G_FLOOR_OF_I = 1e-2
+# With model.params' m, H's drift is relative to at least this fraction of
+# max |T| + max |H - T| along the run, T = p.p/2m, so H0 = 0 is a regular state.
+# It is at most 1/2: for T >= 0, V = H - T >= 0 and H conserved, each max is at
+# most |H0|, so the floor never exceeds |H0|
+H_FLOOR_OF_TERMS = 0.1
 
 
 def _rel_drift(x: np.ndarray, floor: float = 0.0) -> float:
@@ -33,7 +42,11 @@ def _rel_drift(x: np.ndarray, floor: float = 0.0) -> float:
 
 
 def check_energy_conservation(model, traj: Trajectory, cache: Dict) -> Dict:
-    observed = _rel_drift(traj.H)
+    floor = 0.0
+    if "m" in model.params:
+        T = np.sum(traj.p * traj.p, axis=1) / (2 * model.params["m"])
+        floor = H_FLOOR_OF_TERMS * (np.max(np.abs(T)) + np.max(np.abs(traj.H - T)))
+    observed = _rel_drift(traj.H, floor)
     return {"name": "energy_conservation", "threshold": 1e-8,
             "observed": observed, "passed": observed < 1e-8,
             "series": [("H", traj.times, traj.H)]}
@@ -102,13 +115,14 @@ def check_invariants(model, traj: Trajectory, cache: Dict) -> Dict:
     G = oscillator.g_invariant(gamma, traj.times, rows)
     interior = traj.times[1:-1]
     res = float(np.max(np.abs(erm.residual(interior)))) if len(interior) else 0.0
-    observed = max(_rel_drift(I), _rel_drift(G, G_FLOOR_OF_I * abs(float(I[0]))))
+    g_den = max(abs(float(G[0])), G_FLOOR_OF_I * abs(float(I[0])), EPS_DEN)
+    observed = max(_rel_drift(I), _rel_drift(G, g_den))
     return {"name": "invariants", "threshold": 1e-6,
             "observed": observed,
             "passed": observed < 1e-6 and res < 1e-7,
             "extra": {"ermakov_residual": res},
             "series": [("I/I0", traj.times, I / max(abs(I[0]), EPS_DEN)),
-                       ("G/G0", traj.times, G / max(abs(G[0]), EPS_DEN))],
+                       ("G/G0", traj.times, G / g_den)],
             "columns": {"I": I, "G": G}}
 
 
@@ -168,63 +182,65 @@ def check_transform_verify(name: str, model, traj: Trajectory, cache: Dict) -> D
                        ("exp(gamma t)", ts[order], f_expected[order])]}
 
 
-# token -> check(model, traj, cache), with the map name first for
-# "transform_verify:<map>"; the cache holds the seed and the checks' shared work.
-CHECKS = {
-    "energy_conservation": check_energy_conservation,
-    "hamiltonian_decay": check_hamiltonian_decay,
-    "divergence": check_divergence,
-    "measure": check_measure,
-    "invariants": check_invariants,
-    "hj_residual": check_hj_residual,
-    "transform_verify": check_transform_verify,
+# A check token's row: its check(model, traj, cache), the model.params entries
+# the check reads, and whether it needs the flow's tangent Trajectory.J
+# (integrate with tangent=True), an Ermakov or Riccati solve on the oscillator's
+# interpolation nodes over the whole span, an autonomous H or a conservative H.
+Check = namedtuple("Check", "check params tangent nodes autonomous conservative",
+                   defaults=((), False, False, False, False))
+_OSCILLATOR = ("m", "gamma", "omega")  # the damped parametric oscillator keeps its omega(t)
+CHECKS = {  # token -> its Check; the checks of a run share a cache that holds the seed
+    "energy_conservation": Check(check_energy_conservation, conservative=True),
+    "hamiltonian_decay": Check(check_hamiltonian_decay, autonomous=True),
+    "divergence": Check(check_divergence, tangent=True),
+    "measure": Check(check_measure, tangent=True, autonomous=True),
+    "invariants": Check(check_invariants, _OSCILLATOR, nodes=True),
+    "hj_residual": Check(check_hj_residual, _OSCILLATOR, nodes=True),
+    **{f"transform_verify:{name}": Check(functools.partial(check_transform_verify, name),
+                                         params, nodes=name == "invariants")
+       for name, params in (("identity", ()), ("ck", ("m", "gamma")),
+                            ("expanding", ("m", "gamma")), ("invariants", _OSCILLATOR))},
 }
-MAPS = ("identity", "ck", "expanding", "invariants")  # of "transform_verify:<map>"
-TOKENS = (*(kind for kind in CHECKS if kind != "transform_verify"),
-          *(f"transform_verify:{name}" for name in MAPS))
-# What a check needs: the flow's tangent Trajectory.J (integrate with
-# tangent=True), an Ermakov or Riccati solve on the oscillator's interpolation
-# nodes over the whole span, an H without explicit t, a conservative H (gamma =
-# 0 and no explicit t), or entries of model.params, where the damped parametric
-# oscillator keeps its omega(t).
-TANGENT_CHECKS = frozenset({"divergence", "measure"})
-NODE_CHECKS = frozenset({"invariants", "transform_verify:invariants", "hj_residual"})
-AUTONOMOUS_CHECKS = frozenset({"hamiltonian_decay"})
-CONSERVATIVE_CHECKS = frozenset({"energy_conservation"})
-PARAMS = {  # token -> the model.params entries its check reads
-    "invariants": ("m", "gamma", "omega"),
-    "hj_residual": ("m", "gamma", "omega"),
-    "transform_verify:ck": ("m", "gamma"),
-    "transform_verify:expanding": ("m", "gamma"),
-    "transform_verify:invariants": ("m", "gamma", "omega"),
-}
+TOKENS = tuple(CHECKS)
 
 
-def validate_checks(checks: Sequence[str], params, owner: str) -> None:
-    """ScenarioError at diagnostics.checks for the first token of `checks` that
-    is not in TOKENS, or whose check reads model.params entries that `params`
-    lacks; `owner` names the model, as in "kind=linear_dissipation"."""
+def validate_checks(checks: Sequence[str], kind: str, params: Mapping, t0: float,
+                    t_end: float, owner: str) -> None:
+    """ScenarioError for the first of `checks` that does not apply to a model of
+    `kind` with `params` on [t0, t_end], `owner` naming it: an unknown token or
+    missing params, of any token; then, per token, a node span past MAX_NODES,
+    or explicit t or a non-conservative H for a built-in kind (`model.explicit_t`)."""
     for token in checks:
-        if token not in TOKENS:
+        if token not in CHECKS:
             raise ScenarioError(f"diagnostics.checks: unknown check {token!r}; "
                                 f"expected one of {TOKENS}")
-        missing = [key for key in PARAMS.get(token, ()) if key not in params]
-        if missing:
-            raise ScenarioError(f"diagnostics.checks: {token!r} needs "
-                                f"{', '.join('model.' + key for key in missing)}, "
+        needs = ", ".join(f"model.{key}" for key in CHECKS[token].params if key not in params)
+        if needs:
+            raise ScenarioError(f"diagnostics.checks: {token!r} needs {needs}, "
                                 f"which {owner} does not have")
+    depends_on_t = explicit_t(kind, params)
+    damped = depends_on_t is not None and params["gamma"] > 0
+    for token in checks:
+        row, spacing = CHECKS[token], oscillator.NODE_SPACING
+        if row.nodes and (t_end - t0) / spacing > oscillator.MAX_NODES:
+            raise ScenarioError(f"integration.t_end: {token!r} interpolates on nodes {spacing} "
+                                f"apart, and (t_end - t0) / {spacing} exceeds "
+                                f"{oscillator.MAX_NODES} nodes, got t_end={t_end}")
+        if row.autonomous and depends_on_t:
+            raise ScenarioError(f"diagnostics.checks: {token!r} holds only for an H without "
+                                f"explicit t, and this {kind} model depends on t")
+        if row.conservative and (damped or depends_on_t):
+            why = f"has gamma = {params['gamma']!r}" if damped else "depends on t"
+            raise ScenarioError(f"diagnostics.checks: {token!r} holds only for a conservative "
+                                f"H (gamma = 0, no explicit t), and this {kind} model {why}")
 
 
 def run_checks(checks: Sequence[str], model: HamiltonianModel, traj: Trajectory,
                seed: int = 0) -> List[Dict]:
     """Run the checks named by `checks`, tokens of TOKENS, in order on the model
-    and its trajectory; `seed` draws the transform checks' points.  The tokens
-    and the model.params they read are validated before any check runs."""
-    validate_checks(checks, model.params, f"model {model.name!r}")
+    and its trajectory; `seed` draws the transform checks' points.  What does not
+    apply is refused before any check runs, as for a scenario file."""
+    validate_checks(checks, model.name, model.params, float(traj.times[0]),
+                    float(traj.times[-1]), f"model {model.name!r}")
     cache: Dict = {"seed": seed}
-    results = []
-    for token in checks:
-        kind, _, arg = token.partition(":")
-        args = (arg,) if arg else ()
-        results.append(CHECKS[kind](*args, model, traj, cache))
-    return results
+    return [CHECKS[token].check(model, traj, cache) for token in checks]

@@ -246,6 +246,18 @@ _BLOCK = {"_pow": lambda a, b: np.asarray(_POWER(a, b), dtype=float),
           **{f"_{fn}": functools.partial(_per_element, f) for fn, f in _FUNCTIONS.items()}}
 
 
+def explicit_t(kind: str, params: Mapping[str, Any]) -> Optional[bool]:
+    """Whether the built-in H of `kind` with `params` has explicit t: e^{+-gamma t}
+    at gamma > 0, or an omega whose parsed derivative is not the literal 0.  None
+    for another kind, or for params without gamma and the kind's V or omega."""
+    name, variable = _TEMPLATES[kind][1] if kind in _TEMPLATES else (None, None)
+    if not {"gamma", name} <= params.keys():
+        return None
+    d = params[name].derivative_ast
+    return params["gamma"] > 0 if kind == "caldirola_kanai" else \
+        variable == "t" and not (d.op == "num" and d.value == 0.0)
+
+
 def _compile(where: str, lead, parts, overflow: Optional[str] = None, times=(),
              tested=frozenset()) -> tuple:
     """(bound, [(code, of floats)], error, tested) of `parts`, (outputs, head,

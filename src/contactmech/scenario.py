@@ -20,23 +20,18 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional, Tuple
 
-from .diagnostics import AUTONOMOUS_CHECKS, CONSERVATIVE_CHECKS, NODE_CHECKS, validate_checks
+from .diagnostics import validate_checks
 from .dynamics import IntegratorOptions
 from .errors import ScenarioError
 from .expressions import Expression, parse_expression
-from .model import HamiltonianModel, make_caldirola_kanai, make_damped_parametric, \
+from .model import _TEMPLATES, HamiltonianModel, make_caldirola_kanai, make_damped_parametric, \
     make_linear_dissipation
-from .oscillator import NODE_SPACING
 
 # model.kind -> (factory(m, gamma, expression), the expression's key, its variable)
-KINDS = {
-    "linear_dissipation": (make_linear_dissipation, "V", "q"),
-    "damped_parametric": (make_damped_parametric, "omega", "t"),
-    "caldirola_kanai": (make_caldirola_kanai, "V", "q"),
-}
-# (t_end - t0) / sample_interval above this is refused, and so is (t_end - t0) /
-# oscillator.NODE_SPACING for a check on the oscillator's interpolation nodes
-# (not above oscillator.MAX_NODES, so such a check never meets that limit)
+KINDS = {kind: (factory, *_TEMPLATES[kind][1]) for kind, factory in (
+    ("linear_dissipation", make_linear_dissipation),
+    ("damped_parametric", make_damped_parametric), ("caldirola_kanai", make_caldirola_kanai))}
+# (t_end - t0) / sample_interval above this is refused
 MAX_SAMPLES = 10 ** 7
 
 
@@ -207,7 +202,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _err("model.m", f"must be > 0, got {m}")
     if gamma < 0:
         _err("model.gamma", f"must be >= 0, got {gamma}")
-    _, key, var = KINDS[kind]
+    _, key, _ = KINDS[kind]
     if values[key] is None:
         _err(f"model.{key}", f"required for kind={kind}")
     for other in _EXPRESSION:
@@ -225,25 +220,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _err("integration.t_end", f"(t_end - t0) / sample_interval exceeds "
                                   f"{MAX_SAMPLES} samples, got t_end={t_end}")
 
-    if "checks" in values:
-        tokens = values["checks"]
-        validate_checks(tokens, ("m", "gamma", key), f"kind={kind}")
-        d = values[key].derivative_ast  # H has explicit t through e^{+-gamma t} or omega(t)
-        explicit_t = gamma > 0 if kind == "caldirola_kanai" else \
-            var == "t" and not (d.op == "num" and d.value == 0.0)
-        for tok in tokens:
-            if tok in NODE_CHECKS and (t_end - t0) / NODE_SPACING > MAX_SAMPLES:
-                _err("integration.t_end", f"{tok!r} interpolates on nodes {NODE_SPACING} "
-                                          f"apart, and (t_end - t0) / {NODE_SPACING} exceeds "
-                                          f"{MAX_SAMPLES} nodes, got t_end={t_end}")
-            if tok in AUTONOMOUS_CHECKS and explicit_t:
-                _err("diagnostics.checks", f"{tok!r} holds only for an H without explicit "
-                                           f"t, and this {kind} model depends on t")
-            if tok in CONSERVATIVE_CHECKS and (gamma > 0 or explicit_t):
-                why = f"has gamma = {gamma!r}" if gamma > 0 else "depends on t"
-                _err("diagnostics.checks", f"{tok!r} holds only for a conservative H "
-                                           f"(gamma = 0, no explicit t), and this {kind} "
-                                           f"model {why}")
+    validate_checks(values.get("checks", ()), kind, {"m": m, "gamma": gamma, key: values[key]},
+                    t0, t_end, f"kind={kind}")
     return ScenarioConfig(options=options, **values)
 
 

@@ -59,10 +59,10 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str,
     pw = WIDTH - MARGIN_L - MARGIN_R
     ph = HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(x: float) -> float:
+    def sx(x):  # a float, or an array elementwise in the same operations
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * pw
 
-    def sy(y: float) -> float:
+    def sy(y):
         return MARGIN_T + ph - (y - y_lo) / (y_hi - y_lo) * ph
 
     parts = []
@@ -99,8 +99,10 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str,
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         color = COLORS[k % len(COLORS)]
-        pts = " ".join(f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x.tolist(), y.tolist())
-                       if math.isfinite(xi) and math.isfinite(yi))
+        keep = np.isfinite(x) & np.isfinite(y)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as in floats
+            xy = np.column_stack([sx(x[keep]), sy(y[keep])])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>\n')
         ly = MARGIN_T + 16 + 16 * k

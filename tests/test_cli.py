@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactmech import cli, diagnostics, dynamics, transforms
+from contactmech import cli, diagnostics, dynamics, oscillator, transforms
 from contactmech.dynamics import integrate
 from contactmech.errors import ScenarioError
-from contactmech.model import make_custom, make_state
+from contactmech.expressions import parse_expression
+from contactmech.model import make_caldirola_kanai, make_custom, make_state
 from contactmech.scenario import KINDS, MAX_SAMPLES, build_model, parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -527,13 +528,38 @@ checks = hj_residual
 
 def test_the_invariants_check_passes_a_run_that_starts_at_g_zero(tmp_path, capsys):
     """parametric_oscillator.ini with S = 0 starts at q = 1, p = 0, so G0 = 0:
-    G's drift, about 5e-11, is relative to a fraction of |I0|, not to 1e-12."""
+    G's drift, about 5e-11, is relative to a fraction of |I0|, not to 1e-12,
+    and so is the G/G0 plot, not to 1e-30: its y ticks stay within [-2, 2]."""
     text = (ROOT / "scenarios" / "parametric_oscillator.ini").read_text()
     assert "\nS = 0.3\n" in text
     path = tmp_path / "g0.ini"
     path.write_text(text.replace("\nS = 0.3\n", "\nS = 0\n"))
-    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
+    svg = (tmp_path / "o" / "plots" / "invariants.svg").read_text()
+    ticks = [float(v) for v in re.findall(r'text-anchor="end">([^<]*)<', svg)]
+    assert ticks and max(abs(v) for v in ticks) <= 2
+    config = parse_scenario(path.read_text())
+    model = build_model(config)
+    traj = integrate(model, make_state(config.q0, config.p0, config.S0, config.t0),
+                     config.t_end, config.options)
+    (result,) = diagnostics.run_checks(("invariants",), model, traj)
+    (G,) = [y for label, _, y in result["series"] if label == "G/G0"]
+    assert np.all(np.isfinite(G)) and np.max(np.abs(G)) < 2
+
+
+def test_energy_conservation_passes_a_run_that_starts_at_h_zero(tmp_path):
+    """conservative_oscillator.ini with V = q^2/2 - 0.5 has the shipped motion
+    but H0 = 0: H's drift is relative to a fraction of its terms' sizes along
+    the run, not to 1e-12, so the correct run passes."""
+    text = (ROOT / "scenarios" / "conservative_oscillator.ini").read_text()
+    assert "\nV = q^2/2\n" in text
+    path = tmp_path / "h0.ini"
+    path.write_text(text.replace("\nV = q^2/2\n", "\nV = q^2/2 - 0.5\n"))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 0
+    report = (tmp_path / "o" / "report.txt").read_text()
+    observed = float(re.search(r"energy_conservation:\n.*\n    observed: (\S+)", report).group(1))
+    assert observed < 1e-8
 
 
 def test_seed_changes_verification_points(tmp_path):
@@ -568,14 +594,13 @@ def test_every_check_token_parses_for_the_kinds_it_allows(token):
     exits 2 naming diagnostics.checks for every other kind.  Here omega = 1,
     so only the Caldirola-Kanai H has explicit t, and only at gamma > 0; at
     gamma = 0.1 no H is conservative, at gamma = 0 every one is."""
-    assert token.partition(":")[0] in diagnostics.CHECKS
+    row = diagnostics.CHECKS[token]
     for gamma in (0.1, 0):
         for kind, (_, key, _) in KINDS.items():
             text = _scenario_of(kind, token, gamma)
             explicit_t = kind == "caldirola_kanai" and gamma > 0
-            refused = ("omega" in diagnostics.PARAMS.get(token, ()) and key != "omega") or \
-                (token in diagnostics.AUTONOMOUS_CHECKS and explicit_t) or \
-                (token in diagnostics.CONSERVATIVE_CHECKS and gamma > 0)
+            refused = ("omega" in row.params and key != "omega") or \
+                (row.autonomous and explicit_t) or (row.conservative and gamma > 0)
             if refused:
                 with pytest.raises(ScenarioError,
                                    match=f"^diagnostics.checks: '{token}' ") as err:
@@ -586,13 +611,12 @@ def test_every_check_token_parses_for_the_kinds_it_allows(token):
 
 
 def test_every_map_builds_from_the_model():
-    assert diagnostics.TANGENT_CHECKS | diagnostics.AUTONOMOUS_CHECKS \
-        | diagnostics.PARAMS.keys() <= set(diagnostics.TOKENS)
     config = parse_scenario((ROOT / "scenarios" / "parametric_oscillator.ini").read_text())
     model = build_model(config)
     traj = integrate(model, make_state(config.q0, config.p0, config.S0, config.t0),
                      config.t_end, config.options)
-    for name in diagnostics.MAPS:
+    for name in (token.partition(":")[2] for token in diagnostics.TOKENS
+                 if token.startswith("transform_verify:")):
         cmap, _gamma = diagnostics._build_map(name, model, traj, {})
         assert cmap.name == name
 
@@ -620,7 +644,8 @@ def test_run_checks_refuses_what_the_model_cannot_give_before_any_check_runs(
     def forbidden(*args):
         raise AssertionError("a check ran")
 
-    monkeypatch.setitem(diagnostics.CHECKS, "energy_conservation", forbidden)
+    monkeypatch.setitem(diagnostics.CHECKS, "energy_conservation",
+                        diagnostics.CHECKS["energy_conservation"]._replace(check=forbidden))
     with pytest.raises(ScenarioError) as err:
         diagnostics.run_checks(checks, model, traj)
     assert str(err.value).startswith(f"diagnostics.checks: {message}")
@@ -630,6 +655,16 @@ def test_run_checks_refuses_what_the_model_cannot_give_before_any_check_runs(
 def test_run_checks_runs_a_parameterised_check_on_a_custom_model_that_has_the_params():
     model, traj = _custom_oscillator_run({"m": 1.0, "gamma": 0.0})
     (result,) = diagnostics.run_checks(("transform_verify:ck",), model, traj)
+    assert result["passed"]
+
+
+def test_run_checks_runs_the_energy_check_on_a_custom_model_named_like_a_kind():
+    """A make_custom model that takes a built-in kind's name, but not its
+    params, is not refused as that kind would be: its check runs."""
+    model = make_custom(1, lambda t, y: y[1] ** 2 / 2 + y[0] ** 2 / 2,
+                        name="caldirola_kanai", params={"gamma": 0.1})
+    traj = integrate(model, make_state(1.0, 0.0, 0.0, 0.0), 1.0)
+    (result,) = diagnostics.run_checks(("energy_conservation",), model, traj)
     assert result["passed"]
 
 
@@ -645,6 +680,95 @@ def test_the_decay_check_on_a_time_dependent_hamiltonian_is_a_bad_scenario(name,
     assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(
         "error: diagnostics.checks: 'hamiltonian_decay' holds only for an H without explicit t")
+
+
+@pytest.mark.parametrize("name, kind, start", [("caldirola_kanai", "caldirola_kanai", "p = 0.3"),
+                                               ("parametric_oscillator", "damped_parametric", None)])
+def test_the_measure_check_on_a_time_dependent_hamiltonian_is_a_bad_scenario(
+        name, kind, start, tmp_path, capsys):
+    """The invariant measure |H|^-(n+1) holds for an H without explicit t:
+    correct runs of these files read 0.145 and 0.169 against 1e-4.  The check
+    is refused with exit 2, from a scenario file and from the library."""
+    text = re.sub(r"(?m)^checks = .*$", "checks = measure", (ROOT / "scenarios" /
+                                                            f"{name}.ini").read_text())
+    if start:
+        text = re.sub(r"(?m)^p = .*$", start, text)
+    path = tmp_path / f"{name}.ini"
+    path.write_text(text)
+    message = (f"diagnostics.checks: 'measure' holds only for an H without explicit t, "
+               f"and this {kind} model depends on t")
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    config = parse_scenario(text.replace("checks = measure", "checks = divergence"))
+    model = build_model(config)
+    traj = integrate(model, make_state(config.q0, config.p0, config.S0, config.t0),
+                     config.t0 + 0.5, config.options, tangent=True)
+    with pytest.raises(ScenarioError) as err:
+        diagnostics.run_checks(("measure",), model, traj)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("token", ["hamiltonian_decay", "energy_conservation", "measure"])
+def test_run_checks_refuses_what_the_caldirola_kanai_h_breaks_before_any_check_runs(
+        token, monkeypatch):
+    """At gamma = 0.1 the Caldirola-Kanai H has explicit t and is dissipated, so
+    a library run of these checks raises the scenario file's own ScenarioError,
+    rather than reporting a correct run as failed, and no check runs."""
+    model = make_caldirola_kanai(1.0, 0.1, parse_expression("q^2/2", "q"))
+    traj = integrate(model, make_state(1.0, 0.3), 10.0, tangent=True)
+
+    def forbidden(*args):
+        raise AssertionError("a check ran")
+
+    for name, row in diagnostics.CHECKS.items():
+        monkeypatch.setitem(diagnostics.CHECKS, name, row._replace(check=forbidden))
+    with pytest.raises(ScenarioError, match=f"^diagnostics.checks: '{token}' holds only for ") \
+            as err:
+        diagnostics.run_checks(("divergence", token), model, traj)
+    assert str(err.value).endswith("this caldirola_kanai model has gamma = 0.1"
+                                   if token == "energy_conservation" else
+                                   "this caldirola_kanai model depends on t")
+
+
+@pytest.mark.parametrize("token", diagnostics.TOKENS)
+def test_a_library_caller_is_refused_exactly_what_a_scenario_file_is(token):
+    """For every kind at gamma = 0 and 0.1, run_checks on a short trajectory of
+    the built model refuses a token iff parse_scenario does, with the same
+    text but for the name of the model."""
+    for gamma in (0.1, 0):
+        for kind, (factory, key, variable) in KINDS.items():
+            try:
+                parse_scenario(_scenario_of(kind, token, gamma))
+                file_refusal = None
+            except ScenarioError as exc:
+                file_refusal = str(exc).replace(f"kind={kind}", f"model {kind!r}")
+            model = factory(1.0, gamma, parse_expression(_EXPRESSIONS[key], variable))
+            traj = integrate(model, make_state(1.0, 0.0), 0.5,
+                             tangent=diagnostics.CHECKS[token].tangent)
+            try:
+                results = diagnostics.run_checks((token,), model, traj)
+                library_refusal = None
+            except ScenarioError as exc:
+                library_refusal = str(exc)
+            assert library_refusal == file_refusal, (kind, gamma)
+            if file_refusal is None:
+                assert [r["name"] for r in results] == [token]
+
+
+def test_a_span_past_the_interpolation_nodes_is_refused_from_the_library_too(monkeypatch):
+    """With oscillator.MAX_NODES at 400, t_end = 5 needs 500 nodes 0.01 apart:
+    run_checks refuses the node checks with the scenario file's own text."""
+    monkeypatch.setattr(oscillator, "MAX_NODES", 400)
+    model = build_model(parse_scenario(_scenario_of("damped_parametric", "divergence")))
+    traj = integrate(model, make_state(1.0, 0.0), 5.0)
+    for token in ("invariants", "hj_residual", "transform_verify:invariants"):
+        with pytest.raises(ScenarioError) as from_file:
+            parse_scenario(_scenario_of("damped_parametric", token))
+        with pytest.raises(ScenarioError) as from_library:
+            diagnostics.run_checks(("transform_verify:identity", token), model, traj)
+        assert str(from_library.value) == str(from_file.value) == (
+            f"integration.t_end: {token!r} interpolates on nodes 0.01 apart, and "
+            f"(t_end - t0) / 0.01 exceeds 400 nodes, got t_end=5.0")
 
 
 def test_energy_conservation_on_a_dissipative_hamiltonian_is_a_bad_scenario(tmp_path, capsys):
@@ -814,7 +938,7 @@ def _run_scenarios(draw):
     _, key, variable = KINDS[kind]
     method = draw(st.sampled_from(["adaptive_rk45", "fixed_rk4\nstep = 0.01"]))
     tokens = [token for token in diagnostics.TOKENS  # those this kind's params allow
-              if {"m", "gamma", key}.issuperset(diagnostics.PARAMS.get(token, ()))]
+              if {"m", "gamma", key}.issuperset(diagnostics.CHECKS[token].params)]
     checks = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=3, unique=True))
     return f"""\
 [model]

@@ -281,10 +281,10 @@ def _allowed_checks(kind, gamma, expression):
     key = scenario.KINDS[kind][1]
     explicit_t = gamma > 0 if kind == "caldirola_kanai" else \
         key == "omega" and expression not in _EXPRESSIONS["omega"][1]
-    return [token for token in diagnostics.TOKENS
-            if set(diagnostics.PARAMS.get(token, ())) <= {"m", "gamma", key}
-            and not (token in diagnostics.AUTONOMOUS_CHECKS and explicit_t)
-            and not (token in diagnostics.CONSERVATIVE_CHECKS and (gamma > 0 or explicit_t))]
+    return [token for token, row in diagnostics.CHECKS.items()
+            if set(row.params) <= {"m", "gamma", key}
+            and not (row.autonomous and explicit_t)
+            and not (row.conservative and (gamma > 0 or explicit_t))]
 
 
 @st.composite

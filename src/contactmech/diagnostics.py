@@ -4,9 +4,10 @@ Each diagnostic compares a structural prediction of the contact formalism
 (decay law, volume contraction, invariant measure, invariants, contact
 Hamilton-Jacobi residual, transformation conditions) against the integrated
 flow and reports threshold / observed / pass.  A check reads only the model
-(its params) and the trajectory.  This module owns the check vocabulary, one
-`CHECKS` row per token, and the one rule, `validate_checks`, that refuses a
-check that does not apply, for scenario files and library callers alike.
+(its params) and the trajectory, and only measures; `run_checks` judges it by
+the threshold and gates of its token's `CHECKS` row.  The rows also hold what
+each check needs, from which one rule, `validate_checks`, refuses a check that
+does not apply, for scenario files and library callers alike.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ G_FLOOR_OF_I = 1e-2
 # It is at most 1/2: for T >= 0, V = H - T >= 0 and H conserved, each max is at
 # most |H0|, so the floor never exceeds |H0|
 H_FLOOR_OF_TERMS = 0.1
+F_THRESHOLD = 1e-9  # a transform check's gate on |f - e^{gamma t}|, which its report prints
 
 
 def _rel_drift(x: np.ndarray, floor: float = 0.0) -> float:
@@ -46,27 +48,19 @@ def check_energy_conservation(model, traj: Trajectory, cache: Dict) -> Dict:
     if "m" in model.params:
         T = np.sum(traj.p * traj.p, axis=1) / (2 * model.params["m"])
         floor = H_FLOOR_OF_TERMS * (np.max(np.abs(T)) + np.max(np.abs(traj.H - T)))
-    observed = _rel_drift(traj.H, floor)
-    return {"name": "energy_conservation", "threshold": 1e-8,
-            "observed": observed, "passed": observed < 1e-8,
-            "series": [("H", traj.times, traj.H)]}
+    return {"observed": _rel_drift(traj.H, floor), "series": [("H", traj.times, traj.H)]}
 
 
 def check_hamiltonian_decay(model, traj: Trajectory, cache: Dict) -> Dict:
     """H against the decay law dH/dt = -H dH/dS, which needs an H without explicit t."""
     pred = dynamics.predicted_hamiltonian(traj)
     den = np.maximum(np.abs(pred), EPS_DEN)
-    observed = float(np.max(np.abs(traj.H - pred) / den))
-    return {"name": "hamiltonian_decay", "threshold": 1e-6,
-            "observed": observed, "passed": observed < 1e-6,
+    return {"observed": float(np.max(np.abs(traj.H - pred) / den)),
             "series": [("H", traj.times, traj.H), ("predicted", traj.times, pred)]}
 
 
 def _det_series(traj: Trajectory, cache: Dict) -> np.ndarray:
     """det dPhi at the samples, from the tangent `integrate` carried."""
-    if traj.J is None:
-        raise ValueError("the divergence and measure checks need the flow's tangent: "
-                         "integrate with tangent=True")
     if "dets" not in cache:
         cache["dets"] = np.linalg.det(traj.J)
     return cache["dets"]
@@ -75,9 +69,7 @@ def _det_series(traj: Trajectory, cache: Dict) -> np.ndarray:
 def check_divergence(model, traj: Trajectory, cache: Dict) -> Dict:
     dets = _det_series(traj, cache)
     expected = np.exp(dynamics._cumulative_trapezoid(traj.times, traj.div))
-    observed = float(np.max(np.abs(dets - expected) / np.abs(expected)))
-    return {"name": "divergence", "threshold": 1e-5,
-            "observed": observed, "passed": observed < 1e-5,
+    return {"observed": float(np.max(np.abs(dets - expected) / np.abs(expected))),
             "extra": {"max_abs_divergence": float(np.max(np.abs(traj.div)))},
             "series": [("det", traj.times, dets),
                        ("exp(int div)", traj.times, expected)]}
@@ -90,10 +82,7 @@ def check_measure(model, traj: Trajectory, cache: Dict) -> Dict:
         raise ScenarioError("measure: |H| <= 1e-3 along the whole trajectory")
     weight = np.abs(traj.H[mask]) ** (-(traj.n + 1))
     product = weight * dets[mask]
-    observed = _rel_drift(product)
-    return {"name": "measure", "threshold": 1e-4,
-            "observed": observed, "passed": observed < 1e-4,
-            "extra": {"samples_used": float(mask.sum())},
+    return {"observed": _rel_drift(product), "extra": {"samples_used": float(mask.sum())},
             "series": [("weight*det", traj.times[mask], product)]}
 
 
@@ -111,15 +100,11 @@ def check_invariants(model, traj: Trajectory, cache: Dict) -> Dict:
     erm = _ermakov_for(model, traj, cache)
     m, gamma = model.params["m"], model.params["gamma"]
     rows = traj.flat()
-    I = oscillator.lewis_invariant(m, gamma, erm, traj.times, rows)
-    G = oscillator.g_invariant(gamma, traj.times, rows)
+    I, G = oscillator.invariants(m, gamma, erm, traj.times, rows)
     interior = traj.times[1:-1]
     res = float(np.max(np.abs(erm.residual(interior)))) if len(interior) else 0.0
     g_den = max(abs(float(G[0])), G_FLOOR_OF_I * abs(float(I[0])), EPS_DEN)
-    observed = max(_rel_drift(I), _rel_drift(G, g_den))
-    return {"name": "invariants", "threshold": 1e-6,
-            "observed": observed,
-            "passed": observed < 1e-6 and res < 1e-7,
+    return {"observed": max(_rel_drift(I), _rel_drift(G, g_den)),
             "extra": {"ermakov_residual": res},
             "series": [("I/I0", traj.times, I / max(abs(I[0]), EPS_DEN)),
                        ("G/G0", traj.times, G / g_den)],
@@ -144,10 +129,7 @@ def check_hj_residual(model, traj: Trajectory, cache: Dict) -> Dict:
     qs = np.linspace(-2.0, 2.0, 50)
     ts = np.linspace(traj.times[0], traj.times[-1], 50)
     res = hj_residual(model, field, qs[None, :], ts)
-    observed = float(np.max(np.abs(res)))
-    return {"name": "hj_residual", "threshold": 1e-8,
-            "observed": observed, "passed": observed < 1e-8,
-            "extra": {"riccati_C0": C0},
+    return {"observed": float(np.max(np.abs(res))), "extra": {"riccati_C0": C0},
             "series": [("max_q |residual|", ts, np.max(np.abs(res), axis=1))]}
 
 
@@ -169,35 +151,36 @@ def check_transform_verify(name: str, model, traj: Trajectory, cache: Dict) -> D
     rng = np.random.default_rng([cache["seed"], len(name)])
     rows = rng.uniform([0.5, -1.0, -1.0, traj.times[0]], [1.5, 1.0, 1.0, traj.times[-1]],
                        size=(100, 4))
-    report = transforms.verify(cmap, rows, tol=1e-8)
+    report = transforms.verify(cmap, rows)
     ts = rows[:, 3]
     order = np.argsort(ts)
     f_expected = np.exp(gmap * ts)
     f_dev = float(np.max(np.abs(report.f_values - f_expected)))
-    passed = report.max_residual < 1e-8 and f_dev < 1e-9
-    return {"name": f"transform_verify:{name}", "threshold": 1e-8,
-            "observed": report.max_residual, "passed": passed,
-            "extra": {"f_deviation": f_dev, "f_threshold": 1e-9},
+    return {"observed": report.max_residual,
+            "extra": {"f_deviation": f_dev, "f_threshold": F_THRESHOLD},
             "series": [("f", ts[order], report.f_values[order]),
                        ("exp(gamma t)", ts[order], f_expected[order])]}
 
 
-# A check token's row: its check(model, traj, cache), the model.params entries
-# the check reads, and whether it needs the flow's tangent Trajectory.J
-# (integrate with tangent=True), an Ermakov or Riccati solve on the oscillator's
+# A check token's row: its check(model, traj, cache), which measures; the threshold
+# of its observed value and its (extra key, bound) gates; the model.params entries
+# the check reads; and whether it needs the flow's tangent Trajectory.J (integrate
+# with tangent=True), an Ermakov or Riccati solve on the oscillator's
 # interpolation nodes over the whole span, an autonomous H or a conservative H.
-Check = namedtuple("Check", "check params tangent nodes autonomous conservative",
-                   defaults=((), False, False, False, False))
+Check = namedtuple("Check", "check threshold gates params tangent nodes autonomous conservative",
+                   defaults=((), (), False, False, False, False))
 _OSCILLATOR = ("m", "gamma", "omega")  # the damped parametric oscillator keeps its omega(t)
 CHECKS = {  # token -> its Check; the checks of a run share a cache that holds the seed
-    "energy_conservation": Check(check_energy_conservation, conservative=True),
-    "hamiltonian_decay": Check(check_hamiltonian_decay, autonomous=True),
-    "divergence": Check(check_divergence, tangent=True),
-    "measure": Check(check_measure, tangent=True, autonomous=True),
-    "invariants": Check(check_invariants, _OSCILLATOR, nodes=True),
-    "hj_residual": Check(check_hj_residual, _OSCILLATOR, nodes=True),
-    **{f"transform_verify:{name}": Check(functools.partial(check_transform_verify, name),
-                                         params, nodes=name == "invariants")
+    "energy_conservation": Check(check_energy_conservation, 1e-8, conservative=True),
+    "hamiltonian_decay": Check(check_hamiltonian_decay, 1e-6, autonomous=True),
+    "divergence": Check(check_divergence, 1e-5, tangent=True),
+    "measure": Check(check_measure, 1e-4, tangent=True, autonomous=True),
+    "invariants": Check(check_invariants, 1e-6, gates=(("ermakov_residual", 1e-7),),
+                        params=_OSCILLATOR, nodes=True),
+    "hj_residual": Check(check_hj_residual, 1e-8, params=_OSCILLATOR, nodes=True),
+    **{f"transform_verify:{name}": Check(functools.partial(check_transform_verify, name), 1e-8,
+                                         gates=(("f_deviation", F_THRESHOLD),), params=params,
+                                         nodes=name == "invariants")
        for name, params in (("identity", ()), ("ck", ("m", "gamma")),
                             ("expanding", ("m", "gamma")), ("invariants", _OSCILLATOR))},
 }
@@ -239,8 +222,22 @@ def run_checks(checks: Sequence[str], model: HamiltonianModel, traj: Trajectory,
                seed: int = 0) -> List[Dict]:
     """Run the checks named by `checks`, tokens of TOKENS, in order on the model
     and its trajectory; `seed` draws the transform checks' points.  What does not
-    apply is refused before any check runs, as for a scenario file."""
+    apply is refused before any check runs, as for a scenario file, and so is a
+    check that needs the tangent of a trajectory integrated without it.  Each
+    result is named by its token and passes iff its observed value is below the
+    row's threshold and every gate's extra value below its bound (a NaN fails)."""
     validate_checks(checks, model.name, model.params, float(traj.times[0]),
                     float(traj.times[-1]), f"model {model.name!r}")
+    tangent = [token for token in checks if CHECKS[token].tangent]
+    if tangent and traj.J is None:
+        raise ScenarioError(f"diagnostics.checks: {tangent[0]!r} needs the flow's tangent, "
+                            f"and this trajectory has none: integrate with tangent=True")
     cache: Dict = {"seed": seed}
-    return [CHECKS[token].check(model, traj, cache) for token in checks]
+    results = []
+    for token in checks:
+        row = CHECKS[token]
+        result = row.check(model, traj, cache)
+        gates = (result["extra"][key] < bound for key, bound in row.gates)
+        results.append({"name": token, "threshold": row.threshold,
+                        "passed": result["observed"] < row.threshold and all(gates), **result})
+    return results

@@ -26,6 +26,9 @@ from .expressions import _FOLDS, _FUNCTIONS, _GLOBALS, _VAR, _emit, _error, _is_
     _per_element, _tokenize, _walk, as_expression, parse_template
 
 FD_STEP = 1e-6  # relative step for central finite differences
+# relative step for second differences: eps^(1/4) balances their O(h^2)
+# truncation with their O(eps / h^2) rounding
+HESSIAN_STEP = np.finfo(float).eps ** 0.25
 
 
 def central_difference(f, z) -> np.ndarray:
@@ -40,6 +43,23 @@ def central_difference(f, z) -> np.ndarray:
     Z[2 * j + 1, j] -= h
     F = np.asarray(f(Z), dtype=float)
     return np.moveaxis((F[0::2] - F[1::2]) / (2.0 * h).reshape(-1, *[1] * (F.ndim - 1)), 0, -1)
+
+
+def second_difference(f, z) -> np.ndarray:
+    """Hessian of f (scalar per point) at z by second differences with step
+    h_i = HESSIAN_STEP * max(1, |z_i|), about 1.2e-4 relative.  f takes z, then
+    z + h_i e_i and z - h_i e_i for each i, then z + a h_i e_i + b h_j e_j for
+    (a, b) = (1, 1), (1, -1), (-1, 1), (-1, -1) and each i < j, as the rows of
+    one block, and gives one value per row."""
+    z = np.asarray(z, dtype=float)
+    d, E = z.size, np.diag(HESSIAN_STEP * np.maximum(1.0, np.abs(z)))
+    i, j = np.triu_indices(d, 1)
+    steps = [np.zeros((1, d)), E, -E] + [a * E[i] + b * E[j] for a in (1, -1) for b in (1, -1)]
+    F = np.asarray(f(z + np.concatenate(steps)), dtype=float)
+    h, pp, pm, mp, mm = np.diag(E), *F[2 * d + 1:].reshape(4, -1)
+    K = np.diag((F[1:d + 1] - 2.0 * F[0] + F[d + 1:2 * d + 1]) / (h * h))
+    K[i, j] = K[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
+    return K
 
 
 def rowwise(fn, t, Y):
@@ -494,20 +514,27 @@ def _block_model(n: int, values, gradient=None, name: str = "custom",
     """A model from a block H ``values(t, Y)`` and a per-point ``gradient(t, y)``;
     when None, central differences of ``values``, whose 2(2n+2) points are one
     block.  The field is `_contact_field` of value and gradient; the tangent
-    multiplies J by `_contact_jacobian` of the gradient and a central-difference
-    Hessian."""
+    multiplies J by `_contact_jacobian` of the gradient and a Hessian: central
+    differences of a given gradient, else `second_difference` of ``values``, one
+    block of points about 1.2e-4 max(1, |y_i|) from y, where H must be defined
+    (a difference of the differenced gradient would lose half its digits)."""
     d = 2 * n + 1
     if gradient is None:
         def gradient(t, y) -> np.ndarray:
             return central_difference(lambda Z: values(Z[:, -1], Z[:, :-1]), np.append(y, t))
+
+        def hessian(t, y) -> np.ndarray:
+            return second_difference(lambda Y: values(t, Y), y)
+    else:
+        def hessian(t, y) -> np.ndarray:
+            return central_difference(lambda W: [gradient(t, w)[:d] for w in W], y)
 
     def field(t, y) -> np.ndarray:
         return _contact_field(n, y, values(t, y[None])[0], gradient(t, y))
 
     def tangent_rhs(t, z) -> np.ndarray:
         y = z[:d]
-        A = _contact_jacobian(n, y, gradient(t, y),
-                              central_difference(lambda W: [gradient(t, w)[:d] for w in W], y))
+        A = _contact_jacobian(n, y, gradient(t, y), hessian(t, y))
         return np.concatenate([field(t, y), (A @ z[d:].reshape(d, d)).ravel()])
 
     return HamiltonianModel(n=n, value=values, grad=_per_row(gradient, 2 * n + 2), field=field,

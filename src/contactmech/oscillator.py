@@ -256,7 +256,11 @@ def lewis_invariant(m: float, gamma: float, erm: ErmakovSolution, t, y):
     I = (m e^{gt}/2) [ (alpha p/m - [alpha' - g alpha/2] q)^2 + (q/alpha)^2 ];
     reduces to the classic parametric-oscillator invariant at gamma = 0.
     """
-    t, e, q, p, _ = _unpack(gamma, t, y)
+    return _lewis(m, gamma, erm, y, *_unpack(gamma, t, y)[:4])
+
+
+def _lewis(m: float, gamma: float, erm: ErmakovSolution, y, t, e, q, p):
+    """`lewis_invariant` from the (t, e^{gamma t}, q, p) of `_unpack`."""
     a = erm.alpha(t)
     u = erm.alpha_dot(t) - 0.5 * gamma * a
     with np.errstate(over="ignore", invalid="ignore"):
@@ -274,15 +278,24 @@ def lewis_invariant(m: float, gamma: float, erm: ErmakovSolution, t, y):
 def g_invariant(gamma: float, t, y):
     """The S-dependent invariant G = e^{gt} (S - q p / 2) at time t and point
     y = (q, p, S), or at k times t and rows y of shape (k, 3)."""
-    _, e, q, p, S = _unpack(gamma, t, y)
+    return _g(*_unpack(gamma, t, y)[1:])
+
+
+def _g(e, q, p, S):
     return (e * (S - 0.5 * q * p))[()]
+
+
+def invariants(m: float, gamma: float, erm: ErmakovSolution, t, y) -> tuple:
+    """(`lewis_invariant`, `g_invariant`) at t and y, bit for bit, from one
+    e^{gamma t} per time."""
+    t, e, q, p, S = _unpack(gamma, t, y)
+    return _lewis(m, gamma, erm, y, t, e, q, p), _g(e, q, p, S)
 
 
 def invariants_from_state(m: float, gamma: float, erm: ErmakovSolution,
                           x: ExtendedState):
     """(I, G, phi0) reproducing x through `analytic_state` at time x.t."""
-    I = lewis_invariant(m, gamma, erm, x.t, x.flat())
-    G = g_invariant(gamma, x.t, x.flat())
+    I, G = invariants(m, gamma, erm, x.t, x.flat())
     q, p, t = x.q[0], x.p[0], x.t
     a = erm.alpha(t)
     u = erm.alpha_dot(t) - 0.5 * gamma * a

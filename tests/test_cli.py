@@ -658,6 +658,52 @@ def test_run_checks_runs_a_parameterised_check_on_a_custom_model_that_has_the_pa
     assert result["passed"]
 
 
+@pytest.mark.parametrize("observed, f_deviation, passed", [
+    (0.0, 0.0, True), (9.9e-9, 9.9e-10, True), (1e-8, 0.0, False), (float("nan"), 0.0, False),
+    (0.0, 1e-9, False), (0.0, float("nan"), False),
+], ids=["clean", "under", "at-threshold", "nan", "gate-only", "nan-gate"])
+def test_run_checks_passes_a_check_below_its_threshold_and_every_gate(
+        observed, f_deviation, passed, monkeypatch):
+    """run_checks names each result by its token and judges it by the row: its
+    observed value under the threshold and each gate's extra value under its
+    bound.  A NaN fails, and so does a failing gate alone."""
+    model, traj = _custom_oscillator_run({})
+    token = "transform_verify:identity"
+
+    def measured(*args):
+        return {"observed": observed, "extra": {"f_deviation": f_deviation}}
+
+    row = diagnostics.CHECKS[token]
+    monkeypatch.setitem(diagnostics.CHECKS, token, row._replace(check=measured))
+    (result,) = diagnostics.run_checks((token,), model, traj)
+    assert row.threshold == 1e-8 and row.gates == (("f_deviation", 1e-9),)
+    assert result["name"] == token and result["threshold"] == row.threshold
+    assert result["passed"] is passed
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "scenarios").glob("*.ini")))
+def test_every_shipped_report_prints_the_thresholds_of_the_rows(name, tmp_path):
+    """Each check of a shipped scenario's report prints its row's threshold, and
+    a transform check's f_threshold is the bound of its row's gate."""
+    config = parse_scenario((ROOT / "scenarios" / f"{name}.ini").read_text())
+    cli.run_scenario(config, str(tmp_path), with_trajectory=False, with_plots=False)
+    report = (tmp_path / config.report_file).read_text().split("diagnostics:\n")[1]
+    printed = {}
+    for line in report.splitlines():
+        key, _, value = line.strip().partition(": ")
+        if not line.startswith("    "):
+            token = key.rstrip(":")
+        elif key in ("threshold", "f_threshold"):
+            printed[token, key] = float(value)
+    expected = {}
+    for token in config.checks:
+        row = diagnostics.CHECKS[token]
+        expected[token, "threshold"] = row.threshold
+        if token.startswith("transform_verify:"):
+            expected[token, "f_threshold"] = dict(row.gates)["f_deviation"]
+    assert printed == expected and config.checks
+
+
 def test_run_checks_runs_the_energy_check_on_a_custom_model_named_like_a_kind():
     """A make_custom model that takes a built-in kind's name, but not its
     params, is not refused as that kind would be: its check runs."""

@@ -21,18 +21,20 @@ model: linear_dissipation
 status: {status}
 diagnostics:
   divergence:
-    threshold: 1.0000000000000001e-05
+    threshold: {threshold}
     observed: {observed}
     pass: {passed}
 """
 TRAJECTORY = "t\tq1\tp1\n0\t1\t0\n0.5\t0.75\t{p}\n1\t0.25\t-1\n"
 
 
-def _tree(root: Path, observed: str, passed: str, p: str, code: str) -> Path:
+def _tree(root: Path, observed: str, passed: str, p: str, code: str,
+          threshold: str = "1.0000000000000001e-05") -> Path:
     d = root / "volume-seed5" / "volume_00"
     (d / "plots").mkdir(parents=True)
     (d / "report.txt").write_text(REPORT.format(status="pass" if passed == "true" else "fail",
-                                                observed=observed, passed=passed))
+                                                threshold=threshold, observed=observed,
+                                                passed=passed))
     (d / "trajectory.tsv").write_text(TRAJECTORY.format(p=p))
     (d / "plots" / "divergence.svg").write_text("<svg/>\n")
     (d / "_exit").write_text(code)
@@ -73,3 +75,21 @@ def test_compare_fails_only_on_a_verdict_or_exit_code_that_got_worse(golden, tmp
     bad_scenario = _tree(tmp_path / "bad", "2.5e-06", "true", "-0.5", "2\n")
     assert golden.regressions(bad_scenario, old) == []
     assert golden.regressions(old, old) == []
+
+
+def test_compare_fails_a_threshold_that_grew(golden, tmp_path):
+    """A threshold that grew is a loosened gate: a regression, marked in the
+    summary.  One that shrank, or a new f_threshold line, is not."""
+    old = _tree(tmp_path / "old", "2.5e-06", "true", "-0.5", "0\n")
+    loose = _tree(tmp_path / "loose", "2.5e-06", "true", "-0.5", "0\n", threshold="0.0001")
+    moved = "volume-seed5/volume_00/report.txt: divergence.threshold: 1.0000000000000001e-05 -> "
+    assert golden.regressions(old, loose) == [moved + "0.0001"]
+    assert golden.summarize(old, loose) == [
+        moved + "0.0001 (+9.00e+00) (gate loosened)",
+        "5 files in 2 directories: 1 differ",
+    ]
+    assert golden.regressions(loose, old) == []
+    added = _tree(tmp_path / "added", "2.5e-06", "true", "-0.5", "0\n")
+    with open(added / "volume-seed5" / "volume_00" / "report.txt", "a") as fh:
+        fh.write("    f_threshold: 1.0000000000000001e-09\n")
+    assert golden.regressions(old, added) == []

@@ -247,7 +247,8 @@ def test_the_invariants_chart_and_the_hj_grid_look_up_their_blocks_once(monkeypa
     assert cm.verify(cmap, random_rows(100, t_range=erm.t_range)).passed
     assert shapes == [(100,)] * 5
     del shapes[:]
-    assert diagnostics.check_hj_residual(free_model, free_traj, {})["passed"]
+    observed = diagnostics.check_hj_residual(free_model, free_traj, {})["observed"]
+    assert observed < diagnostics.CHECKS["hj_residual"].threshold
     assert shapes == [(50, 1)] * 10
 
 
@@ -377,6 +378,8 @@ def test_invariants_over_rows_equal_the_per_row_calls(parametric_traj, ermakov_c
     assert (I == [cm.lewis_invariant(1.0, 0.1, ermakov_const, t, y)
                   for t, y in zip(times, rows)]).all()
     assert (G == [cm.g_invariant(0.1, t, y) for t, y in zip(times, rows)]).all()
+    both = oscillator.invariants(1.0, 0.1, ermakov_const, times, rows)
+    assert [x.tobytes() for x in both] == [I.tobytes(), G.tobytes()]
 
 
 @pytest.mark.parametrize("t, y", [
@@ -393,7 +396,9 @@ def test_invariants_need_n_equal_one_points_one_per_time(ermakov_const, t, y):
         cm.g_invariant(0.1, t, y)
 
 
-def test_check_invariants_builds_no_state(built_states):
+def test_check_invariants_builds_no_state(built_states, monkeypatch):
+    """check_invariants builds no state object, and takes e^{gamma t} at each
+    sample once, for I and G together."""
     config = scenario.parse_scenario(
         "[model]\nkind = damped_parametric\nm = 1\ngamma = 0.1\n"
         "omega = 1 + 0.1*sin(0.3*t)\n[initial]\nq = 1\np = 0\nS = 0.3\n"
@@ -403,8 +408,19 @@ def test_check_invariants_builds_no_state(built_states):
     traj = cm.integrate(model, cm.make_state(config.q0, config.p0, config.S0, config.t0),
                         config.t_end, config.options)
     del built_states[:]
+    unpack, unpacked = oscillator._unpack, []
+
+    def counted(gamma, t, y):
+        unpacked.append(np.shape(t))
+        return unpack(gamma, t, y)
+
+    monkeypatch.setattr(oscillator, "_unpack", counted)
     result = diagnostics.check_invariants(model, traj, {})
-    assert result["passed"] and len(result["columns"]["I"]) == len(traj) == 251
+    assert unpacked == [(251,)]
+    row = diagnostics.CHECKS["invariants"]
+    assert result["observed"] < row.threshold
+    assert all(result["extra"][key] < bound for key, bound in row.gates)
+    assert len(result["columns"]["I"]) == len(traj) == 251
     assert built_states == []
 
 

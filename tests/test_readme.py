@@ -51,3 +51,28 @@ def test_the_scenario_example_shows_every_key_and_its_default():
         if default is not scenario._REQUIRED and key not in ("V", "omega", "checks"):
             dropped = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
             assert dropped != text and scenario.parse_scenario(dropped) == config, key
+
+
+def test_the_checks_table_is_the_rows_of_diagnostics_checks():
+    """The table under "Available checks" has one row per token of
+    `diagnostics.CHECKS`, and each shows that row's threshold, gates and needs."""
+    from contactmech import diagnostics
+
+    section = README.read_text().split("Available checks: ", 1)[1]
+    table = [[cell.strip() for cell in line.split("|")[1:-1]]
+             for line in section.split("\n\n")[1].splitlines()[2:]]
+    shown = {token.strip("`"): (float(threshold),
+                                tuple((key, float(bound)) for key, bound
+                                      in re.findall(r"`(\w+)` < (\S+)", gates)),
+                                needs)
+             for token, threshold, gates, needs in table}
+    expected = {}
+    for token, row in diagnostics.CHECKS.items():
+        needs = [f"`model.{key}`" for key in row.params]
+        needs += [text for flag, text in ((row.tangent, "the tangent"),
+                                          (row.nodes, "the nodes"),
+                                          (row.autonomous, "an autonomous H"),
+                                          (row.conservative, "a conservative H")) if flag]
+        expected[token] = (row.threshold, row.gates, ", ".join(needs))
+    assert len(table) == len(shown)
+    assert shown == expected

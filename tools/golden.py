@@ -27,14 +27,15 @@ checkout's runs, sorted by path; ``--check`` runs again and lists every file
 that is missing, extra or different, exiting 1 if there is one.
 ``--compare`` unpacks the two git revisions with ``git archive``, runs each,
 and summarises what moved: each report line that differs with its old and new
-value, their relative change and any verdict that flipped; for each
-trajectory that moved, its largest change scaled by that column's largest
-magnitude; changed ``_exit``, ``_stderr`` and ``_stdout`` files verbatim.  It
-exits 1 when a verdict turned from pass to fail or an exit code from 0 to
-another (`regressions`); an exit code that turned to 0 passes.  The
-bits come from the host's libm, so a manifest is compared only with runs on
-the host that wrote it, and both sides of a comparison run on one host.
-Standard library only.
+value, their relative change, any verdict that flipped and any threshold that
+grew (a gate loosened); for each trajectory that moved, its largest change
+scaled by that column's largest magnitude; changed ``_exit``, ``_stderr`` and
+``_stdout`` files verbatim.  It exits 1 when a verdict turned from pass to
+fail, a ``threshold`` or ``f_threshold`` grew, or an exit code turned from 0
+to another (`regressions`); an exit code that turned to 0, or a threshold that
+shrank or is new, passes.  The bits come from the host's libm, so a manifest
+is compared only with runs on the host that wrote it, and both sides of a
+comparison run on one host.  Standard library only.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ WORKLOAD_SEEDS = (5, 11)
 VERBATIM = ("_exit", "_stderr", "_stdout")
 VERDICTS = ("pass", "status")  # report keys whose value is a verdict
 PASSING = ("true", "pass")      # the values of a passing verdict
+THRESHOLDS = ("threshold", "f_threshold")  # report keys whose value bounds a verdict
 
 
 def _cli_run(tree: Path, d: Path, scenario: str, seed: int, cwd: Path):
@@ -193,8 +195,15 @@ def _report_lines(name: str, old: Path, new: Path) -> list:
         u, v = _float(x), _float(y)
         change = f" ({(v - u) / abs(u):+.2e})" if u and v is not None else ""
         flipped = " (verdict flipped)" if key.rsplit(".", 1)[-1] in VERDICTS else ""
-        lines.append(f"{name}: {key}: {x} -> {y}{change}{flipped}")
+        loosened = " (gate loosened)" if _loosened(key, x, y) else ""
+        lines.append(f"{name}: {key}: {x} -> {y}{change}{flipped}{loosened}")
     return lines
+
+
+def _loosened(key: str, old: str, new: str) -> bool:
+    """Whether a threshold line grew from old to new."""
+    u, v = _float(old), _float(new)
+    return key.rsplit(".", 1)[-1] in THRESHOLDS and u is not None and v is not None and v > u
 
 
 def _table(path: Path) -> tuple:
@@ -247,8 +256,9 @@ def summarize(old: Path, new: Path) -> list:
 
 
 def regressions(old: Path, new: Path) -> list:
-    """The verdicts that turned from pass to fail, and the ``_exit`` files that
-    turned from 0 to anything else, between the output trees old and new."""
+    """The verdicts that turned from pass to fail, the thresholds that grew, and
+    the ``_exit`` files that turned from 0 to anything else, between the output
+    trees old and new."""
     lines = []
     for path in sorted(old.rglob("*")):
         name = path.relative_to(old).as_posix()
@@ -256,9 +266,9 @@ def regressions(old: Path, new: Path) -> list:
             continue
         if name.endswith(".txt"):
             a, b = _report(old / name), _report(new / name)
-            lines += [f"{name}: {key}: {a[key]} -> {b[key]}" for key in a
-                      if key.rsplit(".", 1)[-1] in VERDICTS and a[key] in PASSING
-                      and b.get(key, a[key]) not in PASSING]
+            lines += [f"{name}: {key}: {a[key]} -> {b[key]}" for key in a if key in b and (
+                (key.rsplit(".", 1)[-1] in VERDICTS and a[key] in PASSING
+                 and b[key] not in PASSING) or _loosened(key, a[key], b[key]))]
         elif name.rsplit("/", 1)[-1] == "_exit":
             a, b = ((tree / name).read_text(encoding="utf-8").strip() for tree in (old, new))
             if a == "0" != b:
@@ -292,7 +302,8 @@ def main(argv=None) -> int:
             print("\n".join(summarize(*outs)))
             worse = regressions(*outs)
             if worse:
-                print(f"{len(worse)} passing verdicts or exit codes 0 now fail:")
+                print(f"{len(worse)} passing verdicts or exit codes 0 now fail, "
+                      f"or thresholds grew:")
                 print("\n".join(f"  {line}" for line in worse))
             return 1 if worse else 0
         run(ROOT, tmp / "out")

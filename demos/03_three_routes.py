@@ -8,9 +8,11 @@ The damped parametric oscillator is solved four ways:
   route 2  -- the closed form built from the two invariants and the Ermakov
               amplitude/phase;
   route 3  -- Hamilton-Jacobi: recover q(t) from the Riccati sensitivity
-              dC/dC0 (free particle here; for true oscillators the Riccati
-              function hits a pole at the first zero of q and the route only
-              covers the pole-free interval).
+              dC/dC0, which Abel's formula gives as e^{-gamma t}/lambda^2
+              from the same solve's Newton companion lambda (free particle
+              here; for true oscillators the Riccati function hits a pole at
+              the first zero of q and the route only covers the pole-free
+              interval).
 
 The script also demonstrates that flipping the closed form's damping prefactor
 to e^{+gamma t} (`growing_exponent=True`) destroys the agreement, which is why

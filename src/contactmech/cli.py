@@ -23,7 +23,7 @@ import numpy as np
 
 from .diagnostics import CHECKS, run_checks
 from .dynamics import integrate
-from .errors import (BranchError, ContactMechError, ErmakovCollapseError,
+from .errors import (ContactMechError, ErmakovCollapseError,
                      ExpressionError, IntegrationError, NonFiniteError,
                      RiccatiPoleError, ScenarioError, SingularChartError,
                      SingularMeasureError)
@@ -107,8 +107,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".", seed: int = 0,
 
 
 def _classify(exc: Exception) -> int:
-    if isinstance(exc, (SingularMeasureError, SingularChartError, BranchError,
-                        ErmakovCollapseError, RiccatiPoleError)):
+    if isinstance(exc, (SingularMeasureError, SingularChartError, ErmakovCollapseError,
+                        RiccatiPoleError)):
         return EXIT_SINGULARITY
     if isinstance(exc, (IntegrationError, NonFiniteError, OverflowError)):
         return EXIT_INTEGRATION

@@ -37,10 +37,6 @@ class RiccatiPoleError(IntegrationError):
     """The Riccati solution blew up (hit a pole) before the end of the grid."""
 
 
-class BranchError(ContactMechError, ValueError):
-    """A square-root/branch inversion was requested outside its valid branch."""
-
-
 class UnsupportedModelError(ContactMechError, TypeError):
     """The operation needs structure (model kind, inverse map, family) the object lacks."""
 

@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError, UnsupportedModelError
 from .model import ExtendedState, HamiltonianModel, central_difference, rowwise
 from .dynamics import Trajectory
-from .oscillator import (RiccatiSolution, newton_ddot, riccati_dot, riccati_sensitivity,
-                         solve_riccati)
+from .oscillator import RiccatiSolution, newton_ddot, riccati_dot, solve_riccati
 
 FAMILY_CACHE_SIZE = 8  # per-c Riccati solves kept by quadratic_principal_family
 
@@ -184,7 +183,8 @@ def quadratic_principal_family(m: float, omega, gamma: float, grid,
     """The one-parameter family S(q, c, t) = (m/2) C(t; c) q^2 over the
     Riccati initial value c, instantiated at c = C0.
 
-    dS/dc uses the paired-solve Riccati sensitivity; the solutions of the
+    dS/dc = (m/2) (dC/dc) q^2 reads dC/dc = e^{-g (t - t0)} / lambda^2 (Abel's
+    formula) from the Riccati solve at c; the solutions of the
     FAMILY_CACHE_SIZE most recent c values are kept, so family evaluations stay
     cheap along trajectories without growing with the number of c probed.
     """
@@ -193,10 +193,6 @@ def quadratic_principal_family(m: float, omega, gamma: float, grid,
     @functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
     def _ric(c: float) -> RiccatiSolution:
         return base if c == float(C0) else solve_riccati(base.omega, gamma, c, grid)
-
-    @functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
-    def _sens(c: float):
-        return riccati_sensitivity(base.omega, gamma, c, grid)
 
     def S(q, t):
         return 0.5 * m * base.C(t) * q[0] * q[0]
@@ -211,7 +207,7 @@ def quadratic_principal_family(m: float, omega, gamma: float, grid,
         return float(0.5 * m * _ric(float(c[0])).C(t) * q[0] * q[0])
 
     def dS_dc(q, c, t):
-        return np.array([0.5 * m * float(_sens(float(c[0]))(t)) * q[0] * q[0]])
+        return np.array([0.5 * m * float(_ric(float(c[0])).dC_dC0(t)) * q[0] * q[0]])
 
     return PrincipalFunctionField(n=1, S=S, dS_dq=dS_dq, dS_dt=dS_dt,
                                   family=family, dS_dc=dS_dc)

@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from .dynamics import IntegratorOptions, _integrate_flat
-from .errors import (BranchError, DimensionMismatchError, ErmakovCollapseError, NonFiniteError,
+from .errors import (DimensionMismatchError, ErmakovCollapseError, NonFiniteError,
                      RiccatiPoleError)
 from .expressions import as_expression
-from .model import FD_STEP, ExtendedState, _per_element
+from .model import ExtendedState, _per_element
 
 SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
@@ -125,12 +125,11 @@ class _Dense:
     such time and the solved range.
     """
 
-    def __init__(self, ts: np.ndarray, gamma: float, omega, grid):
+    def __init__(self, ts: np.ndarray, gamma: float, omega):
         self.t_range = (float(ts[0]), float(ts[-1]))
         self._lo, self._hi = self.t_range[0] - 1e-12, self.t_range[1] + 1e-12
         self.gamma = float(gamma)
         self.omega = omega
-        self.grid = grid
 
     def _check_t(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -150,8 +149,8 @@ class ErmakovSolution(_Dense):
     with the accumulated phase phi(t) = int_{t0}^{t} dtau / alpha(tau)^2.
     """
 
-    def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega, grid):
-        super().__init__(ts, gamma, omega, grid)
+    def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega):
+        super().__init__(ts, gamma, omega)
         self._alpha = CubicHermite(ts, alpha, alpha_dot)
         self._alpha_dot = CubicHermite(ts, alpha_dot, ermakov_ddot(alpha, self.omega(ts), gamma))
         self._phase = CubicHermite(ts, phase, _per_element(lambda a: a ** -2.0, alpha))
@@ -231,7 +230,7 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
     grid, ts, (alpha, alpha_dot, phase) = _solve(
         rhs, [alpha0, alpha_dot0, 0.0], grid, lambda t, y: y[0] - COLLAPSE_EPS, collapsed,
         alpha0=alpha0, alpha_dot0=alpha_dot0)
-    return ErmakovSolution(ts, alpha, alpha_dot, phase, gamma, wfn, grid)
+    return ErmakovSolution(ts, alpha, alpha_dot, phase, gamma, wfn)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +358,8 @@ class RiccatiSolution(_Dense):
     companion damped Newton solution lambda (lambda(t0)=1, lambda'(t0)=C0),
     linked by C = lambda'/lambda wherever lambda != 0."""
 
-    def __init__(self, ts, C, lam, lam_dot, gamma, omega, C0, grid):
-        super().__init__(ts, gamma, omega, grid)
+    def __init__(self, ts, C, lam, lam_dot, gamma, omega, C0):
+        super().__init__(ts, gamma, omega)
         self.C0 = float(C0)
         w = self.omega(ts)
         self._C = CubicHermite(ts, C, riccati_dot(C, w, gamma))
@@ -380,6 +379,14 @@ class RiccatiSolution(_Dense):
         """C' through the defining equation (exact given C)."""
         t = self._check_t(t)
         return riccati_dot(self._C(t), self.omega(t), self.gamma)
+
+    def dC_dC0(self, t):
+        """dC/dC0 = e^{-gamma (t - t0)} / lambda(t)^2 by Abel's formula: the
+        variation d of C0 obeys d' = -(2C + gamma) d with d(t0) = 1, and
+        2C = 2 lambda'/lambda; e^{-gamma (t - t0)} is `math.exp` per element."""
+        t = self._check_t(t)
+        t0, lam = self.t_range[0], self._lam(t)
+        return _per_element(lambda x: math.exp(-self.gamma * (x - t0)), t) / (lam * lam)
 
 
 def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
@@ -404,7 +411,7 @@ def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
 
     grid, ts, (C, lam, lam_dot) = _solve(
         rhs, [C0, 1.0, C0], grid, lambda t, y: RICCATI_BLOWUP - abs(y[0]), pole, C0=C0)
-    return RiccatiSolution(ts, C, lam, lam_dot, gamma, wfn, C0, grid)
+    return RiccatiSolution(ts, C, lam, lam_dot, gamma, wfn, C0)
 
 
 def riccati_free_particle(gamma: float, C0: float, t):
@@ -425,31 +432,9 @@ def riccati_free_particle(gamma: float, C0: float, t):
 
 
 def riccati_sensitivity(omega, gamma: float, C0: float, grid):
-    """dC/dC0 as a dense `CubicHermite` callable, by paired solves at C0 +/- delta,
-    delta = FD_STEP * max(1, |C0|).
-
-    The two initial conditions are advanced as one stacked system so that they
-    share the adaptive step sequence; the centered difference then cancels the
-    common local error instead of amplifying it by 1/delta.
-    """
-    wfn = as_expression(omega, "t", "omega")
-    delta, w_at = FD_STEP * max(1.0, abs(C0)), wfn._value
-
-    def rhs(t, y):
-        hi, lo = y.tolist()
-        w = w_at(float(t))
-        return [riccati_dot(hi, w, gamma), riccati_dot(lo, w, gamma)]
-
-    def pole(tp):
-        return RiccatiPoleError(
-            f"Riccati pair blew up at t={tp:.6g} during sensitivity solve",
-            last_time=tp)
-
-    _, ts, (hi, lo) = _solve(rhs, [C0 + delta, C0 - delta], grid,
-                             lambda t, y: RICCATI_BLOWUP - float(np.max(np.abs(y))), pole, C0=C0)
-    w = wfn(ts)
-    dsens = (riccati_dot(hi, w, gamma) - riccati_dot(lo, w, gamma)) / (2.0 * delta)
-    return CubicHermite(ts, (hi - lo) / (2.0 * delta), dsens)
+    """dC/dC0 as the range-checked callable `RiccatiSolution.dC_dC0` of the one
+    Riccati solve from C0, exact by Abel's formula e^{-g (t - t0)} / lambda^2."""
+    return solve_riccati(omega, gamma, C0, grid).dC_dC0
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +445,13 @@ def trajectory_from_hj(m: float, gamma: float, b0: float, C0: float,
                        ric: RiccatiSolution, t):
     """Recover q(t) from the principal-function family via the constant b0:
 
-        q(t) = sqrt( (2 b0 e^{-g (t - t0)} / m) / (dC/dC0)(t) ).
+        q(t) = sqrt( (2 b0 e^{-g (t - t0)} / m) / (dC/dC0)(t) ) = sqrt(2 b0 / m) |lambda(t)|,
 
-    The sensitivity dC/dC0 comes from paired Riccati solves; it must stay
-    positive on the requested times (it does wherever C itself is finite).
+    since dC/dC0 = e^{-g (t - t0)} / lambda^2 by Abel's formula; no solve is
+    started, and a time outside the solved range is refused.
     """
     if b0 <= 0:
         raise ValueError("b0 must be positive")
     if abs(ric.gamma - gamma) > 1e-12 or abs(ric.C0 - C0) > 1e-12:
         raise ValueError("gamma/C0 disagree with the supplied Riccati solution")
-    t = np.asarray(t, dtype=float)
-    sens = riccati_sensitivity(ric.omega, gamma, C0, ric.grid)(t)
-    if np.any(sens <= 0):
-        raise BranchError("dC/dC0 is not positive at the requested times")
-    elapsed = t - ric.t_range[0]
-    return np.sqrt(2.0 * b0 * np.exp(-gamma * elapsed) / (m * sens))[()]
+    return (math.sqrt(2.0 * b0 / m) * np.abs(ric.lam(t)))[()]

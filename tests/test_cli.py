@@ -251,6 +251,19 @@ def test_a_default_section_is_a_bad_scenario(header, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "scenarios").glob("*.ini")))
+def test_fixed_rk4_passes_every_shipped_scenario(name, tmp_path, capsys):
+    """The float stepper, and for the volume checks its width-12 fixed-step
+    tangent, pass each shipped scenario at step 0.002 with nothing on stderr."""
+    text = (ROOT / "scenarios" / f"{name}.ini").read_text()
+    assert "method = adaptive_rk45\n" in text
+    path = tmp_path / "fixed.ini"
+    path.write_text(text.replace("method = adaptive_rk45\n",
+                                 "method = fixed_rk4\nstep = 0.002\n"))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr() == (f"{name}: pass\n", "")
+
+
 @pytest.mark.parametrize("step", ["5e-324", "1e-300"])
 def test_a_fixed_step_too_small_for_max_steps_fails_at_once(step, tmp_path, capsys):
     """A subnormal step makes the substep count infinite, and 1e-300 makes it
@@ -337,7 +350,8 @@ def test_deep_nesting_runs_as_the_flat_text(tmp_path, capsys):
         path = tmp_path / f"{name}.ini"
         path.write_text(GOOD.replace("V = q^2/2", f"V = {V}"))
         codes.append(cli.main(["verify", str(path), "--out", str(tmp_path / name)]))
-    assert codes[0] == codes[1]
+    assert codes == [0, 0]
+    assert capsys.readouterr().err == ""
 
 
 def test_trig_of_infinity_is_a_bad_scenario(tmp_path, capsys):
@@ -724,8 +738,10 @@ def test_the_decay_check_on_a_time_dependent_hamiltonian_is_a_bad_scenario(name,
     path = tmp_path / f"{name}.ini"
     path.write_text(text)
     assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith(
+    err = capsys.readouterr().err
+    assert err.startswith(
         "error: diagnostics.checks: 'hamiltonian_decay' holds only for an H without explicit t")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, kind, start", [("caldirola_kanai", "caldirola_kanai", "p = 0.3"),
@@ -825,9 +841,11 @@ def test_energy_conservation_on_a_dissipative_hamiltonian_is_a_bad_scenario(tmp_
     path = tmp_path / "damped.ini"
     path.write_text(re.sub(r"(?m)^checks = .*$", "checks = energy_conservation", text))
     assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith(
+    err = capsys.readouterr().err
+    assert err.startswith(
         "error: diagnostics.checks: 'energy_conservation' holds only for a conservative H "
         "(gamma = 0, no explicit t), and this linear_dissipation model has gamma = 0.1")
+    assert err.count("\n") == 1
     explicit_t = _scenario_of("damped_parametric", "energy_conservation", 0, "1 + 0.1*sin(t)")
     with pytest.raises(ScenarioError, match="damped_parametric model depends on t$"):
         parse_scenario(explicit_t)

@@ -13,7 +13,6 @@ import contactmech as cm
 from contactmech import cli, diagnostics, oscillator, scenario
 from contactmech.errors import DimensionMismatchError, ErmakovCollapseError, RiccatiPoleError
 from contactmech.dynamics import _integrate_flat
-from contactmech.model import FD_STEP
 from contactmech.oscillator import CubicHermite
 
 from conftest import random_rows
@@ -117,9 +116,10 @@ def test_the_solvers_refuse_a_span_with_too_many_nodes_by_name(solve):
 def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monkeypatch):
     """At every node but the last, each interpolant's slope is the right-hand
     side its solve integrated, at that node's sample, bit for bit: alpha',
-    alpha'' and phi' of the Ermakov solve, C', lambda' and lambda'' of the
-    Riccati solve, and the sensitivity's slope, the difference of its pair's
-    C' over 2 delta.  For omega = 1.4437, w ** 2 (libm's pow) is not w * w."""
+    alpha'' and phi' of the Ermakov solve, and C', lambda' and lambda'' of the
+    Riccati solve.  dC/dC0 at those nodes is e^{-gamma t} / (lambda lambda) of
+    the solved lambda, with e^{-gamma t} by `math.exp`.  For omega = 1.4437,
+    w ** 2 (libm's pow) is not w * w."""
     solves = []
 
     def spy(rhs, *args, **kwargs):
@@ -132,13 +132,13 @@ def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monke
     nodes = oscillator._internal_nodes(grid)
     erm = cm.solve_ermakov(1.4437, 0.2, 1.0, 0.0, grid)
     ric = cm.solve_riccati(1.4437, 0.2, 0.3, grid)
-    sens = cm.riccati_sensitivity(1.4437, 0.2, 0.3, grid)
     for solved, interpolants in zip(solves, [(erm._alpha, erm._alpha_dot, erm._phase),
                                              (ric._C, ric._lam, ric._lam_dot)]):
         for k, interpolant in enumerate(interpolants):
             assert interpolant.c[2].tobytes() == solved[:, k].tobytes()
-    delta = FD_STEP  # FD_STEP * max(1, |C0|)
-    assert sens.c[2].tobytes() == ((solves[2][:, 0] - solves[2][:, 1]) / (2.0 * delta)).tobytes()
+    lam = ric._lam.c[3]  # the solved lambda at nodes[:-1]
+    e = np.array([math.exp(-0.2 * t) for t in nodes[:-1].tolist()])
+    assert ric.dC_dC0(nodes[:-1]).tobytes() == (e / (lam * lam)).tobytes()
 
 
 def test_dense_lookups_reject_nan_times():
@@ -147,7 +147,7 @@ def test_dense_lookups_reject_nan_times():
     erm = cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, GRID)
     ric = cm.solve_riccati(0.0, 0.1, 0.2, GRID)
     for lookup in (erm.alpha, erm.alpha_dot, erm.alpha_ddot, erm.phase, erm.residual,
-                   ric.C, ric.lam, ric.lam_dot, ric.C_dot):
+                   ric.C, ric.lam, ric.lam_dot, ric.C_dot, ric.dC_dC0):
         for t in (math.nan, -1e-9, 10.0 + 1e-9, np.float64(math.nan), np.float64(11.0),
                   np.array([1.0, math.nan])):
             with pytest.raises(ValueError, match=r"^t=.* is outside the solved range "
@@ -282,7 +282,7 @@ def _unit_start_ermakov_for(model, traj, cache):
     ("parametric_oscillator", "omega", "0.1 + 0.3*sin(t)", 46.188),   # |Omega'|/Omega^2
 ])
 def test_the_fallback_start_writes_the_unit_start_report(name, key, edit, ratio, tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch, capsys):
     """Where the adiabatic branch does not apply the start stays (1, 0), and
     the report is byte for byte the one of a solve started at alpha = 1, alpha' = 0."""
     text = (ROOT / "scenarios" / f"{name}.ini").read_text()
@@ -300,6 +300,7 @@ def test_the_fallback_start_writes_the_unit_start_report(name, key, edit, ratio,
         assert abs(w * dw) / big2 ** 1.5 == pytest.approx(ratio, rel=1e-4)
     assert oscillator.ermakov_start(omega, gamma, 0.0) == (1.0, 0.0)
     assert cli.main(["verify", str(path), "--out", str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().err == ""
     monkeypatch.setattr(diagnostics, "_ermakov_for", _unit_start_ermakov_for)
     assert cli.main(["verify", str(path), "--out", str(tmp_path / "unit")]) == 0
     assert (tmp_path / "new" / "report.txt").read_bytes() == \
@@ -516,12 +517,23 @@ def test_riccati_pole_detection():
 
 
 def test_riccati_sensitivity_pole_detection():
-    """The paired solves at C0 +/- delta hit the same pole as the base solve."""
+    """The sensitivity is the base solve's, so it stops at that solve's pole."""
     with pytest.raises(RiccatiPoleError) as base:
         cm.solve_riccati(1.0, 0.1, 0.0, GRID)
     with pytest.raises(RiccatiPoleError) as err:
         cm.riccati_sensitivity(1.0, 0.1, 0.0, GRID)
-    assert err.value.last_time == pytest.approx(base.value.last_time, abs=1e-5)
+    assert err.value.last_time == base.value.last_time
+
+
+def test_riccati_sensitivity_free_particle_closed_form():
+    """dC/dC0 of the damped free particle is E / (C0^2 D^2), the C0-derivative
+    of C = E / D with E = e^{-gamma t} and D = 1/C0 + (1 - E)/gamma."""
+    gamma, C0 = 0.1, 0.2
+    ts = np.linspace(0.0, 10.0, 401)
+    got = cm.riccati_sensitivity(0.0, gamma, C0, GRID)(ts)
+    E = np.exp(-gamma * ts)
+    D = 1.0 / C0 + (1.0 - E) / gamma
+    assert_allclose(got, E / (C0 ** 2 * D ** 2), rtol=1e-11, atol=0.0)
 
 
 def test_ermakov_collapse_detection():
@@ -555,15 +567,34 @@ def test_trajectory_from_hj_initial_point():
         cm.trajectory_from_hj(1.0, 0.2, 0.5, 0.2, ric, 1.0)  # gamma mismatch
 
 
-def test_trajectory_from_hj_free_particle_closed_form():
+def test_trajectory_from_hj_free_particle_closed_form(monkeypatch):
+    """q(t) from the solve it is handed, which it does not repeat."""
     gamma, m, b0, C0 = 0.1, 1.0, 0.5, 0.2
     grid = np.linspace(0.0, 10.0, 101)
     ric = cm.solve_riccati(0.0, gamma, C0, grid)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("trajectory_from_hj started a solve")
+
+    monkeypatch.setattr(oscillator, "_integrate_flat", solve)
     ts = np.linspace(0.0, 10.0, 41)
     got = cm.trajectory_from_hj(m, gamma, b0, C0, ric, ts)
     q0 = math.sqrt(2 * b0 / m)
     closed = q0 * (1.0 + (C0 / gamma) * (1.0 - np.exp(-gamma * ts)))
-    assert np.max(np.abs(got - closed)) < 1e-6
+    assert np.max(np.abs(got - closed)) < 1e-10
+
+
+@pytest.mark.parametrize("t", [2.5, 50.0])
+def test_the_hj_route_refuses_a_time_outside_the_solved_range(t):
+    """Past the end of a solve over [0, 2], dC/dC0 and the recovered q are
+    refused with the message of C's own lookup, not extrapolated."""
+    grid = np.linspace(0.0, 2.0, 21)
+    ric = cm.solve_riccati(0.0, 0.1, 0.2, grid)
+    message = "^" + re.escape(f"t={t!r} is outside the solved range [0.0, 2.0]") + "$"
+    for lookup in (cm.riccati_sensitivity(0.0, 0.1, 0.2, grid),
+                   lambda t: cm.trajectory_from_hj(1.0, 0.1, 0.5, 0.2, ric, t)):
+        with pytest.raises(ValueError, match=message):
+            lookup(t)
 
 
 def test_trajectory_from_hj_matches_integration(tight_opts):

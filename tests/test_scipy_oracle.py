@@ -2,7 +2,9 @@
 
 The Dormand-Prince stepper, the Brent root finder and the cubic Hermite
 interpolant reproduce scipy's `RK45`, `brentq` and `CubicHermiteSpline`
-operation for operation, so every comparison here is bit-for-bit.
+operation for operation, so those comparisons are bit-for-bit.  scipy's
+DOP853 also solves the variational equation of the Riccati function, the
+oracle of its C0-derivative.
 """
 
 import math
@@ -10,7 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45
+
+pytest.importorskip("scipy", exc_type=ImportError)
+
+from scipy.integrate import RK45, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
@@ -199,3 +204,19 @@ def test_interpolant_matches_cubic_hermite_spline():
     for s in t[-45:]:
         assert ours(s)[()] == ref(s)[()]
     assert ours(t.reshape(2, -1)).shape == (2, len(t) // 2)
+
+
+def test_riccati_sensitivity_matches_the_variational_equation():
+    """dC/dC0 against scipy's DOP853 solve of C' = -C^2 - gamma C - omega^2
+    with its variation d' = -(2C + gamma) d, d(0) = 1, at rtol 1e-13."""
+    omega, gamma, C0 = 1.4437, 0.2, 0.3
+    ts = np.linspace(0.0, 1.0, 201)
+
+    def rhs(t, y):
+        C, d = y
+        return [-C * C - gamma * C - omega * omega, -(2.0 * C + gamma) * d]
+
+    ref = solve_ivp(rhs, (0.0, 1.0), [C0, 1.0], method="DOP853", rtol=1e-13, atol=1e-15,
+                    t_eval=ts)
+    got = cm.riccati_sensitivity(omega, gamma, C0, np.linspace(0.0, 1.0, 5))(ts)
+    np.testing.assert_allclose(got, ref.y[1], rtol=1e-8, atol=0.0)

@@ -11,8 +11,9 @@ The reference runs are 111 output directories:
   ``python -m contactmech.cli run`` process, with its stdout, stderr and exit
   code recorded next to its outputs (``cli/<name>-seed<s>/``);
 * the same 5 at seed 0 with ``method = fixed_rk4`` and ``step = 0.002`` in
-  place of their method line, as CI's runtime-only job rewrites them, the
-  rewritten scenario recorded as ``_scenario.ini`` (``fixed/<name>-seed0/``):
+  place of their method line, as ``test_fixed_rk4_passes_every_shipped_scenario``
+  rewrites them, the rewritten scenario recorded as ``_scenario.ini``
+  (``fixed/<name>-seed0/``):
   the fixed-step flow of ``damped_parametric`` and the fixed-step tangent,
   which the volume checks carry, of the other two kinds;
 * every ``volume`` and ``invariants`` entry of ``perfbench.generate`` at

@@ -34,7 +34,7 @@ class ErmakovCollapseError(IntegrationError):
 
 
 class RiccatiPoleError(IntegrationError):
-    """The Riccati solution blew up (hit a pole) before the end of the grid."""
+    """The Riccati solution has a pole (lambda = 0) before the end of the grid."""
 
 
 class UnsupportedModelError(ContactMechError, TypeError):

@@ -10,7 +10,7 @@ flow (the classical constancy of the b_i is the S-independent special case).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError, UnsupportedModelError
 from .model import ExtendedState, HamiltonianModel, central_difference, rowwise
 from .dynamics import Trajectory
-from .oscillator import RiccatiSolution, newton_ddot, riccati_dot, solve_riccati
+from .oscillator import RiccatiSolution, solve_riccati
 
 FAMILY_CACHE_SIZE = 8  # per-c Riccati solves kept by quadratic_principal_family
 
@@ -44,6 +44,7 @@ def _per_point(values, shape: tuple, what: str) -> np.ndarray:
                                      f"value per point") from None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the field's non-finite values are reported below
 def hj_residual(model: HamiltonianModel, field: PrincipalFunctionField, q, t):
     """H(q, dS/dq, S(q,t), t) + dS/dt; zero iff the field solves the equation at (q, t).
 
@@ -149,39 +150,31 @@ def verify_b_condition(model: HamiltonianModel, field: PrincipalFunctionField,
 # ---------------------------------------------------------------------------
 
 def principal_field_from_riccati(m: float, ric: RiccatiSolution) -> PrincipalFunctionField:
-    """The quadratic-ansatz solution built from a Riccati solution:
+    """The quadratic-ansatz solution S(q, t) = (m/2) C q^2 of a Riccati solution,
+    C = lambda'/lambda, with dS/dq = m C q and dS/dt = (m/2) C' q^2.
 
-        S(q, t) = (m/2) C (q - lam)^2 + m lam' (q - lam) + (m/2) lam lam'.
-
-    dS/dt is evaluated through the defining equations of C and lambda
-    (`oscillator.riccati_dot` and `oscillator.newton_ddot`, the ones the
-    Riccati solve integrates), so the residual of the contact Hamilton-Jacobi
-    equation vanishes identically up to the accuracy of the dense solution.
+    C' is `C_dot`, C's defining equation, so the residual of the contact
+    Hamilton-Jacobi equation vanishes identically up to the accuracy of the
+    dense solution.
     """
-    gamma = ric.gamma
 
     def S(q, t):
-        r = q[0] - ric.lam(t)
-        ld = ric.lam_dot(t)
-        return 0.5 * m * ric.C(t) * r * r + m * ld * r + 0.5 * m * ric.lam(t) * ld
+        return 0.5 * m * ric.C(t) * q[0] * q[0]
 
     def dS_dq(q, t):
-        return np.array([m * ric.C(t) * (q[0] - ric.lam(t)) + m * ric.lam_dot(t)])
+        return np.array([m * ric.C(t) * q[0]])
 
     def dS_dt(q, t):
-        lam, ld, C, w = ric.lam(t), ric.lam_dot(t), ric.C(t), ric.omega(t)
-        ldd, Cd = newton_ddot(lam, ld, w, gamma), riccati_dot(C, w, gamma)
-        r = q[0] - lam
-        return (0.5 * m * Cd * r * r - m * C * ld * r + m * ldd * r
-                - 0.5 * m * ld * ld + 0.5 * m * lam * ldd)
+        return 0.5 * m * ric.C_dot(t) * q[0] * q[0]
 
     return PrincipalFunctionField(n=1, S=S, dS_dq=dS_dq, dS_dt=dS_dt)
 
 
 def quadratic_principal_family(m: float, omega, gamma: float, grid,
                                C0: float) -> PrincipalFunctionField:
-    """The one-parameter family S(q, c, t) = (m/2) C(t; c) q^2 over the
-    Riccati initial value c, instantiated at c = C0.
+    """`principal_field_from_riccati` of the Riccati solve from C0, inside the
+    one-parameter family S(q, c, t) = (m/2) C(t; c) q^2 over the Riccati
+    initial value c.
 
     dS/dc = (m/2) (dC/dc) q^2 reads dC/dc = e^{-g (t - t0)} / lambda^2 (Abel's
     formula) from the Riccati solve at c; the solutions of the
@@ -194,20 +187,10 @@ def quadratic_principal_family(m: float, omega, gamma: float, grid,
     def _ric(c: float) -> RiccatiSolution:
         return base if c == float(C0) else solve_riccati(base.omega, gamma, c, grid)
 
-    def S(q, t):
-        return 0.5 * m * base.C(t) * q[0] * q[0]
-
-    def dS_dq(q, t):
-        return np.array([m * base.C(t) * q[0]])
-
-    def dS_dt(q, t):
-        return 0.5 * m * base.C_dot(t) * q[0] * q[0]
-
     def family(q, c, t):
         return float(0.5 * m * _ric(float(c[0])).C(t) * q[0] * q[0])
 
     def dS_dc(q, c, t):
         return np.array([0.5 * m * float(_ric(float(c[0])).dC_dC0(t)) * q[0] * q[0]])
 
-    return PrincipalFunctionField(n=1, S=S, dS_dq=dS_dq, dS_dt=dS_dt,
-                                  family=family, dS_dc=dS_dc)
+    return replace(principal_field_from_riccati(m, base), family=family, dS_dc=dS_dc)

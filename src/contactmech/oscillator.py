@@ -20,8 +20,10 @@ from .expressions import as_expression
 from .model import ExtendedState, _per_element
 
 SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
+# The Riccati route's (lambda, lambda') solve: at SOLVER_OPTIONS its longer
+# steps leave dC/dC0 = e^{-gamma t} / lambda^2 about 6e-11 off
+RICCATI_OPTIONS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
 COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
-RICCATI_BLOWUP = 1e8     # |C| beyond this counts as a pole
 ADIABATIC_LIMIT = 1.0    # |Omega'|/Omega^2 at t0 below this starts alpha adiabatically
 # The Ermakov residual's difference step: its truncation error, h^2 times the
 # alpha' cubic's leading coefficient, and its rounding, about eps |alpha'| / h,
@@ -47,9 +49,9 @@ def _internal_nodes(grid: np.ndarray) -> np.ndarray:
     return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
 
 
-def _solve(rhs, y0, grid, event, event_error, **starts) -> tuple:
-    """(grid, nodes, samples) of the adaptive solve of y' = rhs(t, y) from y0
-    over `_internal_nodes(grid)`; each of the named `starts` must be finite."""
+def _solve(rhs, y0, grid, opts, event, event_error, **starts) -> tuple:
+    """(grid, nodes, samples) of the adaptive solve of y' = rhs(t, y) from y0 at
+    opts over `_internal_nodes(grid)`; each of the named `starts` must be finite."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least two nodes")
@@ -62,7 +64,7 @@ def _solve(rhs, y0, grid, event, event_error, **starts) -> tuple:
             raise ValueError(f"{name} must be finite: got {float(value)!r}")
     ts = _internal_nodes(grid)
     ys = _integrate_flat(rhs, np.asarray(y0, dtype=float), float(ts[0]), float(ts[-1]),
-                         SOLVER_OPTIONS, ts, event=event, event_error=event_error)
+                         opts, ts, event=event, event_error=event_error)
     return grid, ts, ys.T
 
 
@@ -228,8 +230,8 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
             last_time=tc)
 
     grid, ts, (alpha, alpha_dot, phase) = _solve(
-        rhs, [alpha0, alpha_dot0, 0.0], grid, lambda t, y: y[0] - COLLAPSE_EPS, collapsed,
-        alpha0=alpha0, alpha_dot0=alpha_dot0)
+        rhs, [alpha0, alpha_dot0, 0.0], grid, SOLVER_OPTIONS, lambda t, y: y[0] - COLLAPSE_EPS,
+        collapsed, alpha0=alpha0, alpha_dot0=alpha_dot0)
     return ErmakovSolution(ts, alpha, alpha_dot, phase, gamma, wfn)
 
 
@@ -354,20 +356,20 @@ def quadratic_invariant_coefficients(m: float, gamma: float, zeta0: float,
 # ---------------------------------------------------------------------------
 
 class RiccatiSolution(_Dense):
-    """Dense solution of C' = -C^2 - gamma C - omega(t)^2 together with the
-    companion damped Newton solution lambda (lambda(t0)=1, lambda'(t0)=C0),
-    linked by C = lambda'/lambda wherever lambda != 0."""
+    """Dense solution of C' = -C^2 - gamma C - omega(t)^2 as C = lambda'/lambda,
+    from the damped Newton solution lambda (lambda(t0) = 1, lambda'(t0) = C0)
+    on a range where lambda > 0: cubic Hermite interpolants of lambda and
+    lambda', and of no C of its own."""
 
-    def __init__(self, ts, C, lam, lam_dot, gamma, omega, C0):
+    def __init__(self, ts, lam, lam_dot, gamma, omega, C0):
         super().__init__(ts, gamma, omega)
         self.C0 = float(C0)
-        w = self.omega(ts)
-        self._C = CubicHermite(ts, C, riccati_dot(C, w, gamma))
         self._lam = CubicHermite(ts, lam, lam_dot)
-        self._lam_dot = CubicHermite(ts, lam_dot, newton_ddot(lam, lam_dot, w, gamma))
+        self._lam_dot = CubicHermite(ts, lam_dot, newton_ddot(lam, lam_dot, self.omega(ts), gamma))
 
     def C(self, t):
-        return self._C(self._check_t(t))
+        t = self._check_t(t)
+        return self._lam_dot(t) / self._lam(t)
 
     def lam(self, t):
         return self._lam(self._check_t(t))
@@ -378,7 +380,7 @@ class RiccatiSolution(_Dense):
     def C_dot(self, t):
         """C' through the defining equation (exact given C)."""
         t = self._check_t(t)
-        return riccati_dot(self._C(t), self.omega(t), self.gamma)
+        return riccati_dot(self.C(t), self.omega(t), self.gamma)
 
     def dC_dC0(self, t):
         """dC/dC0 = e^{-gamma (t - t0)} / lambda(t)^2 by Abel's formula: the
@@ -390,28 +392,28 @@ class RiccatiSolution(_Dense):
 
 
 def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
-    """Integrate the Riccati equation, detecting finite-time blow-up.
+    """Solve the Riccati equation through its linearisation C = lambda'/lambda:
+    one solve of the damped Newton equation lambda'' = -gamma lambda' -
+    omega^2 lambda from (1, C0), at RICCATI_OPTIONS.
 
-    Riccati solutions generically have poles (where the companion lambda
-    vanishes); crossing one raises with the escape time rather than silently
-    continuing on the far branch.
+    Riccati solutions generically have poles, at the zeros of lambda; the
+    first one raises with its time, located on the step that crosses it,
+    rather than continuing on the far branch.
     """
     wfn = as_expression(omega, "t", "omega")
     w_at = wfn._value
 
     def rhs(t, y):
-        C, lam, lam_dot = y.tolist()
-        w = w_at(float(t))
-        return [riccati_dot(C, w, gamma), lam_dot, newton_ddot(lam, lam_dot, w, gamma)]
+        lam, lam_dot = y.tolist()
+        return [lam_dot, newton_ddot(lam, lam_dot, w_at(float(t)), gamma)]
 
     def pole(tp):
-        return RiccatiPoleError(
-            f"Riccati solution blew up (|C| > {RICCATI_BLOWUP:g}) at t={tp:.6g}",
-            last_time=tp)
+        return RiccatiPoleError(f"Riccati solution has a pole at t={tp:.6g}, where lambda = 0",
+                                last_time=tp)
 
-    grid, ts, (C, lam, lam_dot) = _solve(
-        rhs, [C0, 1.0, C0], grid, lambda t, y: RICCATI_BLOWUP - abs(y[0]), pole, C0=C0)
-    return RiccatiSolution(ts, C, lam, lam_dot, gamma, wfn, C0)
+    grid, ts, (lam, lam_dot) = _solve(rhs, [1.0, C0], grid, RICCATI_OPTIONS,
+                                      lambda t, y: y[0], pole, C0=C0)
+    return RiccatiSolution(ts, lam, lam_dot, gamma, wfn, C0)
 
 
 def riccati_free_particle(gamma: float, C0: float, t):

@@ -218,8 +218,8 @@ def test_criterion_07_riccati_closed_form():
     err = float(np.max(np.abs(ric.C(grid) - closed)))
     lam, lam_dot = ric.lam(grid), ric.lam_dot(grid)
     link = float(np.max(np.abs(ric.C(grid) - lam_dot / lam)))
-    report(7, "riccati-closed-form", err < 1e-8 and link < 1e-7,
-           f"|C-closed|={err:.3g} (tol 1e-8), |C-lam'/lam|={link:.3g} (tol 1e-7)")
+    report(7, "riccati-closed-form", err < 1e-11 and link < 1e-7,
+           f"|C-closed|={err:.3g} (tol 1e-11), |C-lam'/lam|={link:.3g} (tol 1e-7)")
 
 
 def test_criterion_08_contact_hj(free_particle_routes):

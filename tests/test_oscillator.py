@@ -1,5 +1,6 @@
 """Oscillator oracles: Ermakov, invariants, closed-form motion, Riccati, HJ route."""
 
+import contextlib
 import importlib
 import math
 import re
@@ -116,10 +117,10 @@ def test_the_solvers_refuse_a_span_with_too_many_nodes_by_name(solve):
 def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monkeypatch):
     """At every node but the last, each interpolant's slope is the right-hand
     side its solve integrated, at that node's sample, bit for bit: alpha',
-    alpha'' and phi' of the Ermakov solve, and C', lambda' and lambda'' of the
-    Riccati solve.  dC/dC0 at those nodes is e^{-gamma t} / (lambda lambda) of
-    the solved lambda, with e^{-gamma t} by `math.exp`.  For omega = 1.4437,
-    w ** 2 (libm's pow) is not w * w."""
+    alpha'' and phi' of the Ermakov solve, and lambda' and lambda'' of the
+    Riccati solve.  At those nodes C is lambda'/lambda of the solved lambda and
+    lambda', and dC/dC0 is e^{-gamma t} / (lambda lambda), with e^{-gamma t} by
+    `math.exp`.  For omega = 1.4437, w ** 2 (libm's pow) is not w * w."""
     solves = []
 
     def spy(rhs, *args, **kwargs):
@@ -133,10 +134,11 @@ def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monke
     erm = cm.solve_ermakov(1.4437, 0.2, 1.0, 0.0, grid)
     ric = cm.solve_riccati(1.4437, 0.2, 0.3, grid)
     for solved, interpolants in zip(solves, [(erm._alpha, erm._alpha_dot, erm._phase),
-                                             (ric._C, ric._lam, ric._lam_dot)]):
+                                             (ric._lam, ric._lam_dot)]):
         for k, interpolant in enumerate(interpolants):
             assert interpolant.c[2].tobytes() == solved[:, k].tobytes()
-    lam = ric._lam.c[3]  # the solved lambda at nodes[:-1]
+    lam, lam_dot = ric._lam.c[3], ric._lam_dot.c[3]  # the solved lambda, lambda' at nodes[:-1]
+    assert ric.C(nodes[:-1]).tobytes() == (lam_dot / lam).tobytes()
     e = np.array([math.exp(-0.2 * t) for t in nodes[:-1].tolist()])
     assert ric.dC_dC0(nodes[:-1]).tobytes() == (e / (lam * lam)).tobytes()
 
@@ -230,8 +232,8 @@ def test_the_invariants_chart_and_the_hj_grid_look_up_their_blocks_once(monkeypa
     """The invariants chart's verification of 100 rows looks up the dense
     solutions on all its times at once: alpha and alpha' in ``forward``, and
     alpha, alpha' and alpha'' in ``jacobian``.  The contact HJ residual's grid
-    looks them up on the (50, 1) column of its times: 4 lookups in S, 3 in
-    dS/dq and 3 in dS/dt."""
+    looks them up on the (50, 1) column of its times: lambda' and lambda, for
+    C = lambda'/lambda, once each in S, dS/dq and dS/dt."""
     model, traj = _scenario_run("parametric_oscillator")
     erm = diagnostics._ermakov_for(model, traj, {})
     cmap = cm.map_invariants(model.params["m"], model.params["gamma"], erm)
@@ -249,7 +251,7 @@ def test_the_invariants_chart_and_the_hj_grid_look_up_their_blocks_once(monkeypa
     del shapes[:]
     observed = diagnostics.check_hj_residual(free_model, free_traj, {})["observed"]
     assert observed < diagnostics.CHECKS["hj_residual"].threshold
-    assert shapes == [(50, 1)] * 10
+    assert shapes == [(50, 1)] * 6
 
 
 @pytest.mark.parametrize("omega, gamma", [(1.0, 0.1), (2.0, 0.0), (1.3, 0.6)])
@@ -509,11 +511,45 @@ def test_riccati_newton_link():
 
 
 def test_riccati_pole_detection():
-    """The harmonic oscillator drives lambda through zero: C must blow up."""
-    with pytest.raises(RiccatiPoleError) as err:
-        cm.solve_riccati(1.0, 0.1, 0.0, GRID)
-    # lambda(t) = e^{-gt/2}[cos wd t + ((g/2)/wd) sin wd t] vanishes near 1.62
-    assert err.value.last_time == pytest.approx(1.62, abs=0.05)
+    """A pole is the first zero of lambda, located to 1e-9 of its closed form,
+    and the error names it: on the oscillator, lambda = e^{-gt/2} [cos wd t +
+    (g/2 wd) sin wd t] first vanishes at wd t = pi - atan(2 wd/g); on the free
+    particle, lambda = 1 + C0 (1 - e^{-g t}) / g where e^{-g t} = 1 + g/C0."""
+    wd = math.sqrt(1.0 - 0.1 ** 2 / 4)
+    for omega, C0, pole in [(1.0, 0.0, (math.pi - math.atan(2 * wd / 0.1)) / wd),
+                            (0.0, -0.5, -math.log(1.0 + 0.1 / -0.5) / 0.1)]:
+        with pytest.raises(RiccatiPoleError) as err:
+            cm.solve_riccati(omega, 0.1, C0, GRID)
+        assert abs(err.value.last_time - pole) < 1e-9
+        assert str(err.value) == \
+            f"Riccati solution has a pole at t={pole:.6g}, where lambda = 0"
+
+
+@pytest.mark.parametrize("C0", [0.05, 0.2, 1.0, 10.0, 1e4, 1e8])
+def test_riccati_matches_closed_form_relative_to_2e_11(C0):
+    """C = lambda'/lambda of the linear solve tracks the damped free particle's
+    closed form to 2e-11 relative however steep C is at the start."""
+    ric = cm.solve_riccati(0.0, 0.1, C0, GRID)
+    ts = np.linspace(0.0, 10.0, 401)
+    assert_allclose(ric.C(ts), cm.riccati_free_particle(0.1, C0, ts), rtol=2e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("C0", [1e4, -0.5])
+def test_a_steep_riccati_start_or_a_pole_takes_few_steps(monkeypatch, C0):
+    """The solve's steps follow lambda, which is smooth where C is steep or
+    runs into a pole: fewer than 500 right-hand-side calls each."""
+    calls = []
+
+    def spy(rhs, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+        return _integrate_flat(counted, *args, **kwargs)
+
+    monkeypatch.setattr(oscillator, "_integrate_flat", spy)
+    with pytest.raises(RiccatiPoleError) if C0 < 0 else contextlib.nullcontext():
+        cm.solve_riccati(0.0, 0.1, C0, np.linspace(0.0, 5.0, 51))
+    assert 0 < len(calls) < 500
 
 
 def test_riccati_sensitivity_pole_detection():

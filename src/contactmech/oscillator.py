@@ -50,8 +50,8 @@ def _internal_nodes(grid: np.ndarray) -> np.ndarray:
 
 
 def _solve(rhs, y0, grid, opts, event, event_error, **starts) -> tuple:
-    """(grid, nodes, samples) of the adaptive solve of y' = rhs(t, y) from y0 at
-    opts over `_internal_nodes(grid)`; each of the named `starts` must be finite."""
+    """(nodes, samples) of the adaptive solve of y' = rhs(t, y) from y0 at opts
+    over `_internal_nodes(grid)`; each of the named `starts` must be finite."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least two nodes")
@@ -65,7 +65,7 @@ def _solve(rhs, y0, grid, opts, event, event_error, **starts) -> tuple:
     ts = _internal_nodes(grid)
     ys = _integrate_flat(rhs, np.asarray(y0, dtype=float), float(ts[0]), float(ts[-1]),
                          opts, ts, event=event, event_error=event_error)
-    return grid, ts, ys.T
+    return ts, ys.T
 
 
 def _inverse_cube(a: float) -> float:
@@ -229,7 +229,7 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
             f"Ermakov amplitude collapsed below {COLLAPSE_EPS:g} at t={tc:.6g}",
             last_time=tc)
 
-    grid, ts, (alpha, alpha_dot, phase) = _solve(
+    ts, (alpha, alpha_dot, phase) = _solve(
         rhs, [alpha0, alpha_dot0, 0.0], grid, SOLVER_OPTIONS, lambda t, y: y[0] - COLLAPSE_EPS,
         collapsed, alpha0=alpha0, alpha_dot0=alpha_dot0)
     return ErmakovSolution(ts, alpha, alpha_dot, phase, gamma, wfn)
@@ -359,23 +359,28 @@ class RiccatiSolution(_Dense):
     """Dense solution of C' = -C^2 - gamma C - omega(t)^2 as C = lambda'/lambda,
     from the damped Newton solution lambda (lambda(t0) = 1, lambda'(t0) = C0)
     on a range where lambda > 0: cubic Hermite interpolants of lambda and
-    lambda', and of no C of its own."""
+    lambda' times e^{-sigma}, and of sigma, and of no C of its own."""
 
-    def __init__(self, ts, lam, lam_dot, gamma, omega, C0):
+    def __init__(self, ts, lam, lam_dot, sigma, gamma, omega, C0):
         super().__init__(ts, gamma, omega)
         self.C0 = float(C0)
-        self._lam = CubicHermite(ts, lam, lam_dot)
-        self._lam_dot = CubicHermite(ts, lam_dot, newton_ddot(lam, lam_dot, self.omega(ts), gamma))
+        w = self.omega(ts)
+        rate = _newton_rate(w, gamma)
+        self._lam = CubicHermite(ts, lam, lam_dot - rate * lam)
+        self._lam_dot = CubicHermite(ts, lam_dot, newton_ddot(lam, lam_dot, w, gamma) - rate * lam_dot)
+        self._sigma = CubicHermite(ts, sigma, rate)
 
     def C(self, t):
         t = self._check_t(t)
         return self._lam_dot(t) / self._lam(t)
 
     def lam(self, t):
-        return self._lam(self._check_t(t))
+        t = self._check_t(t)
+        return _per_element(math.exp, self._sigma(t)) * self._lam(t)
 
     def lam_dot(self, t):
-        return self._lam_dot(self._check_t(t))
+        t = self._check_t(t)
+        return _per_element(math.exp, self._sigma(t)) * self._lam_dot(t)
 
     def C_dot(self, t):
         """C' through the defining equation (exact given C)."""
@@ -383,18 +388,31 @@ class RiccatiSolution(_Dense):
         return riccati_dot(self.C(t), self.omega(t), self.gamma)
 
     def dC_dC0(self, t):
-        """dC/dC0 = e^{-gamma (t - t0)} / lambda(t)^2 by Abel's formula: the
-        variation d of C0 obeys d' = -(2C + gamma) d with d(t0) = 1, and
-        2C = 2 lambda'/lambda; e^{-gamma (t - t0)} is `math.exp` per element."""
+        """dC/dC0 = e^{-gamma (t - t0)} / lambda(t)^2 by Abel's formula (the
+        variation d of C0 obeys d' = -(2C + gamma) d, d(t0) = 1), taken as
+        e^{-gamma (t - t0) - 2 sigma} over the scaled lambda squared."""
         t = self._check_t(t)
-        t0, lam = self.t_range[0], self._lam(t)
-        return _per_element(lambda x: math.exp(-self.gamma * (x - t0)), t) / (lam * lam)
+        lam, x = self._lam(t), -self.gamma * (t - self.t_range[0]) - 2.0 * self._sigma(t)
+        return _per_element(math.exp, x) / (lam * lam)
+
+
+def _newton_rate(w, gamma: float):
+    """The real part of the larger root of r^2 + gamma r + w^2, the rate at
+    which lambda grows or decays for constant omega = w (0 at w = 0 <= gamma);
+    of a float w by `math.sqrt`, else per element by numpy's, rounding alike."""
+    h = 0.5 * gamma
+    if isinstance(w, np.ndarray):
+        return np.sqrt(np.maximum(h * h - w * w, 0.0)) - h
+    return math.sqrt(max(h * h - w * w, 0.0)) - h
 
 
 def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
     """Solve the Riccati equation through its linearisation C = lambda'/lambda:
     one solve of the damped Newton equation lambda'' = -gamma lambda' -
-    omega^2 lambda from (1, C0), at RICCATI_OPTIONS.
+    omega^2 lambda from (1, C0), at RICCATI_OPTIONS, for (lambda, lambda')
+    times e^{-sigma}, with sigma' = `_newton_rate` at omega(t): that pair obeys
+    the same equation less sigma' times itself and stays near its start as
+    lambda decays, so the error stays relative where lambda underflows.
 
     Riccati solutions generically have poles, at the zeros of lambda; the
     first one raises with its time, located on the step that crosses it,
@@ -404,16 +422,18 @@ def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
     w_at = wfn._value
 
     def rhs(t, y):
-        lam, lam_dot = y.tolist()
-        return [lam_dot, newton_ddot(lam, lam_dot, w_at(float(t)), gamma)]
+        lam, lam_dot, _sigma = y.tolist()
+        w = w_at(float(t))
+        rate = _newton_rate(w, gamma)
+        return [lam_dot - rate * lam, newton_ddot(lam, lam_dot, w, gamma) - rate * lam_dot, rate]
 
     def pole(tp):
         return RiccatiPoleError(f"Riccati solution has a pole at t={tp:.6g}, where lambda = 0",
                                 last_time=tp)
 
-    grid, ts, (lam, lam_dot) = _solve(rhs, [1.0, C0], grid, RICCATI_OPTIONS,
-                                      lambda t, y: y[0], pole, C0=C0)
-    return RiccatiSolution(ts, lam, lam_dot, gamma, wfn, C0)
+    ts, (lam, lam_dot, sigma) = _solve(rhs, [1.0, C0, 0.0], grid, RICCATI_OPTIONS,
+                                       lambda t, y: y[0], pole, C0=C0)
+    return RiccatiSolution(ts, lam, lam_dot, sigma, gamma, wfn, C0)
 
 
 def riccati_free_particle(gamma: float, C0: float, t):

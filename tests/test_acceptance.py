@@ -216,10 +216,16 @@ def test_criterion_07_riccati_closed_form():
     ric = cm.solve_riccati(0.0, 0.1, 1.0, grid)
     closed = cm.riccati_free_particle(0.1, 1.0, grid)
     err = float(np.max(np.abs(ric.C(grid) - closed)))
-    lam, lam_dot = ric.lam(grid), ric.lam_dot(grid)
-    link = float(np.max(np.abs(ric.C(grid) - lam_dot / lam)))
-    report(7, "riccati-closed-form", err < 1e-11 and link < 1e-7,
-           f"|C-closed|={err:.3g} (tol 1e-11), |C-lam'/lam|={link:.3g} (tol 1e-7)")
+    # the damped oscillator (omega = 1, C0 = 0) up to t = 1.5, short of its pole
+    # at 1.62: lambda = e^{-g t/2} [cos wd t + (g/2wd) sin wd t], C = lambda'/lambda
+    wd, ts = math.sqrt(1.0 - 0.1 ** 2 / 4), np.linspace(0.0, 1.5, 151)
+    c, s = np.cos(wd * ts), np.sin(wd * ts)
+    osc_closed = -0.05 + wd * (0.05 / wd * c - s) / (c + 0.05 / wd * s)
+    osc = cm.solve_riccati(1.0, 0.1, 0.0, np.linspace(0.0, 1.5, 31)).C(ts)
+    osc_err = float(np.max(np.abs(osc - osc_closed) / np.maximum(np.abs(osc_closed), 1.0)))
+    report(7, "riccati-closed-form", err < 1e-11 and osc_err < 2e-11,
+           f"|C-closed|={err:.3g} (tol 1e-11), oscillator |C-closed|/max(|C|,1)="
+           f"{osc_err:.3g} (tol 2e-11)")
 
 
 def test_criterion_08_contact_hj(free_particle_routes):

@@ -507,6 +507,33 @@ checks = hj_residual
 """
 
 
+OVERDAMPED_HJ = """\
+[model]
+kind = damped_parametric
+m = 1
+gamma = 3
+omega = 1
+[initial]
+q = 1
+p = -0.2
+S = 0
+[integration]
+t_end = 100
+[diagnostics]
+checks = hj_residual
+"""
+
+
+def test_an_overdamped_hj_residual_run_passes(tmp_path, capsys):
+    """At gamma = 3, omega = 1, lambda decays like e^{-0.38 t}; solved unscaled,
+    its fast mode held at the absolute tolerance crossed zero near t = 81, a
+    false Riccati pole (exit 4).  The run passes, with nothing on stderr."""
+    path = tmp_path / "overdamped.ini"
+    path.write_text(OVERDAMPED_HJ)
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr() == ("scenario: pass\n", "")
+
+
 def test_an_overflowing_hj_field_is_one_line_without_a_warning(tmp_path, capsys):
     """At m = 1e300 the HJ field's m C q^2 overflows on the q grid: the residual
     names the non-finite state (exit 3) on one line, where numpy's overflow

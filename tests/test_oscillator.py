@@ -117,10 +117,12 @@ def test_the_solvers_refuse_a_span_with_too_many_nodes_by_name(solve):
 def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monkeypatch):
     """At every node but the last, each interpolant's slope is the right-hand
     side its solve integrated, at that node's sample, bit for bit: alpha',
-    alpha'' and phi' of the Ermakov solve, and lambda' and lambda'' of the
-    Riccati solve.  At those nodes C is lambda'/lambda of the solved lambda and
-    lambda', and dC/dC0 is e^{-gamma t} / (lambda lambda), with e^{-gamma t} by
-    `math.exp`.  For omega = 1.4437, w ** 2 (libm's pow) is not w * w."""
+    alpha'' and phi' of the Ermakov solve, and of the Riccati solve lambda'
+    and lambda'' less sigma' times lambda and lambda', all scaled by
+    e^{-sigma}, and sigma'.  At those nodes C is lambda'/lambda of the solved
+    pair, and dC/dC0 is e^{-gamma t - 2 sigma} / (lambda lambda), with the
+    exponential by `math.exp`.  For omega = 1.4437, w ** 2 (libm's pow) is
+    not w * w."""
     solves = []
 
     def spy(rhs, *args, **kwargs):
@@ -134,12 +136,13 @@ def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monke
     erm = cm.solve_ermakov(1.4437, 0.2, 1.0, 0.0, grid)
     ric = cm.solve_riccati(1.4437, 0.2, 0.3, grid)
     for solved, interpolants in zip(solves, [(erm._alpha, erm._alpha_dot, erm._phase),
-                                             (ric._lam, ric._lam_dot)]):
+                                             (ric._lam, ric._lam_dot, ric._sigma)]):
         for k, interpolant in enumerate(interpolants):
             assert interpolant.c[2].tobytes() == solved[:, k].tobytes()
-    lam, lam_dot = ric._lam.c[3], ric._lam_dot.c[3]  # the solved lambda, lambda' at nodes[:-1]
+    lam, lam_dot = ric._lam.c[3], ric._lam_dot.c[3]  # the solved pair at nodes[:-1]
     assert ric.C(nodes[:-1]).tobytes() == (lam_dot / lam).tobytes()
-    e = np.array([math.exp(-0.2 * t) for t in nodes[:-1].tolist()])
+    sigma = ric._sigma.c[3].tolist()
+    e = np.array([math.exp(-0.2 * t - 2.0 * x) for t, x in zip(nodes[:-1].tolist(), sigma)])
     assert ric.dC_dC0(nodes[:-1]).tobytes() == (e / (lam * lam)).tobytes()
 
 
@@ -500,14 +503,52 @@ def test_riccati_matches_closed_form():
         math.exp(-0.5) / (1.0 + (1.0 - math.exp(-0.5)) / 0.1), abs=1e-8)
 
 
+def _underdamped_closed_form(omega, gamma, C0, ts):
+    """(C, lambda) of the constant-omega underdamped oscillator: lambda =
+    e^{-g t/2} [cos wd t + ((C0 + g/2)/wd) sin wd t] and C = lambda'/lambda."""
+    wd = math.sqrt(omega ** 2 - gamma ** 2 / 4)
+    k = (C0 + gamma / 2) / wd
+    c, s = np.cos(wd * ts), np.sin(wd * ts)
+    return -gamma / 2 + wd * (k * c - s) / (c + k * s), np.exp(-gamma * ts / 2) * (c + k * s)
+
+
+def _overdamped_closed_form(omega, gamma, C0, ts):
+    """C = lambda'/lambda for lambda = A e^{r1 t} + B e^{r2 t}, r1 > r2 the roots
+    of r^2 + gamma r + omega^2, as (r1 + r2 x) / (1 + x) with x = (B/A) e^{(r2 - r1) t},
+    which neither underflows nor overflows."""
+    d = math.sqrt(gamma ** 2 / 4 - omega ** 2)
+    r1, r2 = -gamma / 2 + d, -gamma / 2 - d
+    A = (C0 - r2) / (r1 - r2)
+    x = (1.0 - A) / A * np.exp((r2 - r1) * ts)
+    return (r1 + r2 * x) / (1.0 + x)
+
+
 def test_riccati_newton_link():
-    # lambda first vanishes near t = 8.6 for these parameters; stay clear of it
-    omega = cm.parse_expression("0.4*cos(0.2*t)", "t")
-    ric = cm.solve_riccati(omega, 0.1, 0.5, np.linspace(0.0, 7.0, 71))
-    ts = np.linspace(0, 7, 71)
-    lam, lam_dot = ric.lam(ts), ric.lam_dot(ts)
-    mask = np.abs(lam) > 0.1
-    assert np.max(np.abs(ric.C(ts)[mask] - lam_dot[mask] / lam[mask])) < 1e-7
+    """C and lambda match the closed form of the damped Newton equation for
+    constant omega, which does not share the solve's C = lambda'/lambda: C to
+    2e-11 of max(|C|, 1) and lambda to 1e-9 relative, the cubic interpolant's
+    error at 0.01 node spacing, where |lambda| > 0.1 keeps clear of the pole."""
+    for omega, gamma, C0, t_end in [(1.0, 0.1, 0.0, 1.5), (2.0, 0.3, 0.7, 0.95),
+                                    (3.0, 0.5, -1.0, 0.4)]:
+        ts = np.linspace(0.0, t_end, 301)
+        C, lam = _underdamped_closed_form(omega, gamma, C0, ts)
+        ric = cm.solve_riccati(omega, gamma, C0, np.linspace(0.0, t_end, 31))
+        mask = np.abs(lam) > 0.1
+        assert np.max(np.abs(ric.C(ts) - C)[mask] / np.maximum(np.abs(C[mask]), 1.0)) < 2e-11
+        assert_allclose(ric.lam(ts)[mask], lam[mask], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("C0, t_end", [(0.0, 100.0), (-0.2, 100.0), (0.0, 2000.0)])
+def test_an_overdamped_riccati_solution_settles_on_its_slow_root(C0, t_end):
+    """At gamma = 3, omega = 1, lambda decays like e^{-0.38 t} and underflows
+    near t = 2000, but C = lambda'/lambda settles on the slower root r1 of
+    r^2 + 3 r + 1: no pole is reported, and C keeps to the closed form at
+    5e-11 relative.  Solving lambda unscaled, the fast mode held at the
+    absolute tolerance sent C to the faster root or to a false pole."""
+    ts = np.linspace(0.0, t_end, 1001)
+    ric = cm.solve_riccati(1.0, 3.0, C0, np.linspace(0.0, t_end, 101))
+    assert_allclose(ric.C(ts), _overdamped_closed_form(1.0, 3.0, C0, ts), rtol=5e-11, atol=1e-15)
+    assert np.all(ric.dC_dC0(ts) >= 0.0)
 
 
 def test_riccati_pole_detection():

@@ -3,8 +3,8 @@
 The Dormand-Prince stepper, the Brent root finder and the cubic Hermite
 interpolant reproduce scipy's `RK45`, `brentq` and `CubicHermiteSpline`
 operation for operation, so those comparisons are bit-for-bit.  scipy's
-DOP853 also solves the variational equation of the Riccati function, the
-oracle of its C0-derivative.
+DOP853 also solves the Riccati equation for a time-dependent omega, the
+oracle of C, and its variational equation, the oracle of its C0-derivative.
 """
 
 import math
@@ -220,3 +220,20 @@ def test_riccati_sensitivity_matches_the_variational_equation():
                     t_eval=ts)
     got = cm.riccati_sensitivity(omega, gamma, C0, np.linspace(0.0, 1.0, 5))(ts)
     np.testing.assert_allclose(got, ref.y[1], rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("omega, gamma, C0, t_end", [
+    pytest.param("0.4*cos(0.2*t)", 0.1, 0.5, 7.0, id="underdamped"),
+    pytest.param("1.5 + 0.5*sin(0.3*t)", 5.0, 0.0, 400.0, id="overdamped"),
+])
+def test_riccati_solution_matches_dop853_on_a_time_dependent_omega(omega, gamma, C0, t_end):
+    """C against scipy's DOP853 solve of C' = -C^2 - gamma C - omega(t)^2
+    itself at rtol 1e-13, to 3e-11 of max(|C|, 1): on [0, 7], short of the
+    first pole near t = 8.6, and on [0, 400], where lambda decays by about e^{-220},
+    at a rate that moves with omega(t)."""
+    w = cm.parse_expression(omega, "t")
+    ts = np.linspace(0.0, t_end, 201)
+    ref = solve_ivp(lambda t, y: [-y[0] * y[0] - gamma * y[0] - w(t) ** 2], (0.0, t_end), [C0],
+                    method="DOP853", rtol=1e-13, atol=1e-15, t_eval=ts).y[0]
+    got = cm.solve_riccati(w, gamma, C0, np.linspace(0.0, t_end, 11)).C(ts)
+    assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 3e-11

@@ -23,10 +23,9 @@ import numpy as np
 
 from .diagnostics import CHECKS, run_checks
 from .dynamics import integrate
-from .errors import (ContactMechError, ErmakovCollapseError,
-                     ExpressionError, IntegrationError, NonFiniteError,
-                     RiccatiPoleError, ScenarioError, SingularChartError,
-                     SingularMeasureError)
+from .errors import (ContactMechError, ExpressionError, IntegrationError,
+                     NonFiniteError, RiccatiPoleError, ScenarioError,
+                     SingularChartError, SingularMeasureError)
 from .expressions import parse_expression
 from .model import make_state
 from .scenario import ScenarioConfig, build_model, parse_scenario
@@ -107,8 +106,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".", seed: int = 0,
 
 
 def _classify(exc: Exception) -> int:
-    if isinstance(exc, (SingularMeasureError, SingularChartError, ErmakovCollapseError,
-                        RiccatiPoleError)):
+    if isinstance(exc, (SingularMeasureError, SingularChartError, RiccatiPoleError)):
         return EXIT_SINGULARITY
     if isinstance(exc, (IntegrationError, NonFiniteError, OverflowError)):
         return EXIT_INTEGRATION

@@ -29,10 +29,6 @@ class SingularChartError(ContactMechError, ValueError):
     """Coordinate chart is singular at the requested point (e.g. q = 0)."""
 
 
-class ErmakovCollapseError(IntegrationError):
-    """The Ermakov amplitude collapsed towards zero before the end of the grid."""
-
-
 class RiccatiPoleError(IntegrationError):
     """The Riccati solution has a pole (lambda = 0) before the end of the grid."""
 

@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from .dynamics import IntegratorOptions, _integrate_flat
-from .errors import (DimensionMismatchError, ErmakovCollapseError, NonFiniteError,
-                     RiccatiPoleError)
+from .errors import DimensionMismatchError, NonFiniteError, RiccatiPoleError
 from .expressions import as_expression
 from .model import ExtendedState, _per_element
 
@@ -23,12 +22,13 @@ SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 # The Riccati route's (lambda, lambda') solve: at SOLVER_OPTIONS its longer
 # steps leave dC/dC0 = e^{-gamma t} / lambda^2 about 6e-11 off
 RICCATI_OPTIONS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
-COLLAPSE_EPS = 1e-6      # Ermakov amplitude below this aborts (1/alpha^3 stiffness)
 ADIABATIC_LIMIT = 1.0    # |Omega'|/Omega^2 at t0 below this starts alpha adiabatically
-# The Ermakov residual's difference step: its truncation error, h^2 times the
-# alpha' cubic's leading coefficient, and its rounding, about eps |alpha'| / h,
-# both stay near 1e-10, two decades under the invariants check's 1e-7 gate
+# The Ermakov residual's five-point step: its truncation, h^4 alpha^(6) / 30, and rounding,
+# 1.5 eps |alpha'| / h over spans as represented (t + h rounds by ulp(t)), are near 1e-10 at
+# RESIDUAL_STEP.  Near a dip alpha's time scale is alpha^2, alpha^(6) ~ alpha^-11 and alpha''s
+# rounding ~ eps / alpha, which balance near DIP_STEP alpha^2: h is the smaller of the two
 RESIDUAL_STEP = 1e-5
+DIP_STEP = 1e-3
 NODE_SPACING = 0.01      # the interpolation nodes' uniform refinement is this fine
 MAX_NODES = 10 ** 7      # a span needing more refinement nodes than this is refused
 
@@ -49,7 +49,7 @@ def _internal_nodes(grid: np.ndarray) -> np.ndarray:
     return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
 
 
-def _solve(rhs, y0, grid, opts, event, event_error, **starts) -> tuple:
+def _solve(rhs, y0, grid, opts, event=None, event_error=None, **starts) -> tuple:
     """(nodes, samples) of the adaptive solve of y' = rhs(t, y) from y0 at opts
     over `_internal_nodes(grid)`; each of the named `starts` must be finite."""
     grid = np.asarray(grid, dtype=float)
@@ -68,16 +68,18 @@ def _solve(rhs, y0, grid, opts, event, event_error, **starts) -> tuple:
     return ts, ys.T
 
 
-def _inverse_cube(a: float) -> float:
-    return a ** -3.0
-
-
 # The auxiliary equations, each on floats or on arrays (alpha^-3 by libm's pow
 # per element, never numpy's SIMD power, whose last bit depends on the host)
 
 def ermakov_ddot(a, w, gamma: float):
     """alpha'' = -(w^2 - gamma^2/4) alpha + alpha^-3."""
-    return -(w * w - 0.25 * gamma * gamma) * a + _per_element(_inverse_cube, a)
+    return -(w * w - 0.25 * gamma * gamma) * a + _per_element(lambda x: x ** -3.0, a)
+
+
+def pinney_dot(y, w, gamma: float) -> list:
+    """(u1', u1'', u2', u2'') of the pair y = (u1, u1', u2, u2'), u'' = -(w^2 - gamma^2/4) u."""
+    big2 = w * w - 0.25 * gamma * gamma
+    return [y[1], -big2 * y[0], y[3], -big2 * y[2]]
 
 
 def riccati_dot(C, w, gamma: float):
@@ -148,39 +150,54 @@ class ErmakovSolution(_Dense):
 
         alpha'' + (omega(t)^2 - gamma^2/4) alpha = 1 / alpha^3,  alpha > 0,
 
-    with the accumulated phase phi(t) = int_{t0}^{t} dtau / alpha(tau)^2.
+    and its phase phi(t) = int_{t0}^{t} dtau / alpha^2, by Pinney from the pair u of
+    `solve_ermakov`: alpha = |u| / sqrt(W), alpha' = u . u' / (|u| sqrt(W)) and phi
+    the angle of u, with the solved Wronskian W = u1 u2' - u2 u1' (1 exactly), which
+    removes the solve's drift in amplitude; each u_k and u_k' is a cubic Hermite
+    interpolant with the solved right-hand side as slopes, and phi one of slope 1/alpha^2.
     """
 
-    def __init__(self, ts, alpha, alpha_dot, phase, gamma, omega):
+    def __init__(self, ts, pair, gamma, omega):
         super().__init__(ts, gamma, omega)
-        self._alpha = CubicHermite(ts, alpha, alpha_dot)
-        self._alpha_dot = CubicHermite(ts, alpha_dot, ermakov_ddot(alpha, self.omega(ts), gamma))
-        self._phase = CubicHermite(ts, phase, _per_element(lambda a: a ** -2.0, alpha))
+        self._pair = [CubicHermite(ts, y, dy)
+                      for y, dy in zip(pair, pinney_dot(pair, self.omega(ts), gamma))]
+        u1, u1_dot, u2, u2_dot = pair
+        # np.unwrap holds: between nodes closer than pi / Omega u turns by < pi (Sturm)
+        angle = np.fromiter(map(math.atan2, u2.tolist(), u1.tolist()), float, len(ts))
+        self._phase = CubicHermite(ts, np.unwrap(angle),
+                                   (u1 * u2_dot - u2 * u1_dot) / (u1 * u1 + u2 * u2))
+
+    def _alphas(self, t) -> tuple:
+        """(alpha, alpha') at times t already checked."""
+        u1, v1, u2, v2 = (f(t) for f in self._pair)
+        r2, wronskian = u1 * u1 + u2 * u2, u1 * v2 - u2 * v1
+        return np.sqrt(r2 / wronskian), (u1 * v1 + u2 * v2) / np.sqrt(r2 * wronskian)
 
     def alpha(self, t):
-        return self._alpha(self._check_t(t))
+        return self._alphas(self._check_t(t))[0]
 
     def alpha_dot(self, t):
-        return self._alpha_dot(self._check_t(t))
+        return self._alphas(self._check_t(t))[1]
 
     def alpha_ddot(self, t):
         """Second derivative through the defining equation (exact given alpha)."""
         t = self._check_t(t)
-        return ermakov_ddot(self._alpha(t), self.omega(t), self.gamma)
+        return ermakov_ddot(self._alphas(t)[0], self.omega(t), self.gamma)
 
     def phase(self, t):
         """phi(t), measured from the grid origin; strictly increasing."""
         return self._phase(self._check_t(t))
 
     def residual(self, t):
-        """alpha'' + (omega^2 - gamma^2/4) alpha - 1/alpha^3 with alpha'' by
-        central finite differences of the alpha' interpolant, step
-        RESIDUAL_STEP."""
+        """alpha'' + (omega^2 - gamma^2/4) alpha - 1/alpha^3 with alpha'' by the
+        five-point central difference (4 D(h) - D(2h)) / 3 of alpha', D(k) =
+        [alpha'(t+k) - alpha'(t-k)] / 2k, h = min(RESIDUAL_STEP, DIP_STEP alpha^2)."""
         t = self._check_t(t)
-        h = RESIDUAL_STEP
-        add = (self._alpha_dot(t + h) - self._alpha_dot(t - h)) / (2 * h)
-        a, w = self._alpha(t), self.omega(t)
-        return add + (w * w - 0.25 * self.gamma ** 2) * a - _per_element(_inverse_cube, a)
+        a = self._alphas(t)[0]
+        h = np.minimum(RESIDUAL_STEP, DIP_STEP * a * a)
+        near, far = ((self._alphas(t + k)[1] - self._alphas(t - k)[1]) / ((t + k) - (t - k))
+                     for k in (h, 2 * h))
+        return (4.0 * near - far) / 3.0 - ermakov_ddot(a, self.omega(t), self.gamma)
 
 
 def ermakov_start(omega, gamma: float, t0: float) -> tuple:
@@ -190,9 +207,9 @@ def ermakov_start(omega, gamma: float, t0: float) -> tuple:
     is the first-order adiabatic branch (Omega^(-1/2), -Omega^(-5/2) omega
     omega'/2) when Omega^2 > 0 and |Omega'|/Omega^2 < ADIABATIC_LIMIT, else
     (1, 0).  Any positive solution serves the invariants; the adiabatic one
-    varies slowly, without the 2 Omega oscillation of other starts, so the
-    solve takes longer steps, and for constant omega and gamma it is the
-    stationary solution.
+    varies slowly, without the 2 Omega oscillation of other starts, so alpha
+    dips less far toward 0, where the residual is largest; for constant omega
+    and gamma it is the stationary solution.
     """
     wfn = as_expression(omega, "t", "omega")
     w, dw = wfn(t0), wfn.derivative(t0)
@@ -206,33 +223,21 @@ def ermakov_start(omega, gamma: float, t0: float) -> tuple:
 
 def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
                   grid) -> ErmakovSolution:
-    """Integrate the auxiliary equation together with its phase integral.
-
-    Aborts with the collapse time if alpha(t) approaches zero (the 1/alpha^3
-    term makes the equation stiff there).
-    """
+    """Solve the auxiliary equation as one linear solve (Pinney): the pair
+    (u1, u1', u2, u2') of u'' = -(omega^2 - gamma^2/4) u from (alpha0,
+    alpha_dot0, 0, 1/alpha0), whose Wronskian is 1, at SOLVER_OPTIONS; alpha =
+    |u| cannot reach zero, so no event is watched."""
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     wfn = as_expression(omega, "t", "omega")
     w_at = wfn._value
 
     def rhs(t, y):
-        a, ad, _phi = y.tolist()
-        w = w_at(float(t))
-        try:
-            return [ad, ermakov_ddot(a, w, gamma), a ** -2.0]
-        except (ZeroDivisionError, OverflowError):  # alpha = 0 or tiny: the stage is rejected
-            return [ad, math.inf, math.inf]
+        return pinney_dot(y.tolist(), w_at(float(t)), gamma)
 
-    def collapsed(tc):
-        return ErmakovCollapseError(
-            f"Ermakov amplitude collapsed below {COLLAPSE_EPS:g} at t={tc:.6g}",
-            last_time=tc)
-
-    ts, (alpha, alpha_dot, phase) = _solve(
-        rhs, [alpha0, alpha_dot0, 0.0], grid, SOLVER_OPTIONS, lambda t, y: y[0] - COLLAPSE_EPS,
-        collapsed, alpha0=alpha0, alpha_dot0=alpha_dot0)
-    return ErmakovSolution(ts, alpha, alpha_dot, phase, gamma, wfn)
+    ts, pair = _solve(rhs, [alpha0, alpha_dot0, 0.0, 1.0 / alpha0], grid, SOLVER_OPTIONS,
+                      alpha0=alpha0, alpha_dot0=alpha_dot0)
+    return ErmakovSolution(ts, pair, gamma, wfn)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import contactmech as cm
 from contactmech import expressions
 from contactmech.model import ExtendedState
 
-# Every property but test_cli.py's run-level one pins its own example count;
-# that one runs 25 by default and 2,000 under --hypothesis-profile=fuzz
+# Every property but test_cli.py's run-level one and test_oscillator.py's
+# oscillator-verdict one pins its own example count; those two run 25 by
+# default and 2,000 under --hypothesis-profile=fuzz
 settings.register_profile("default", max_examples=25)
 settings.register_profile("fuzz", max_examples=2000, deadline=None, database=None)
 

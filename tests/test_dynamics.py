@@ -871,10 +871,12 @@ def test_an_overflowing_trial_stage_of_an_ermakov_solve_is_rejected_and_recovere
     assert_allclose(erm.phase(grid), clean.phase(grid), rtol=1e-8, atol=1e-12)
 
 
-def test_an_ermakov_start_whose_alpha_to_the_minus_3_overflows_is_a_non_finite_field():
-    """alpha0 = 1e-200 puts alpha^-3 beyond the float range: the field at the
-    start is non-finite, as numpy's inf made it, not an OverflowError."""
-    with pytest.raises(NonFiniteError, match="^non-finite vector field at t=0"):
+def test_an_ermakov_start_of_alpha0_1e_minus_200_is_an_integration_failure():
+    """alpha0 = 1e-200 starts the linear pair at u2' = 1/alpha0 = 1e200: no
+    initial step fits the error norm, an IntegrationError (exit 3), not an
+    OverflowError."""
+    with pytest.raises(IntegrationError, match=r"^no initial step at t=0, .* is too large "
+                                               r"for the error norm$"):
         cm.solve_ermakov(1.0, 0.1, 1e-200, 0.0, np.linspace(0.0, 1.0, 11))
 
 

@@ -23,10 +23,9 @@ SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 # steps leave dC/dC0 = e^{-gamma t} / lambda^2 about 6e-11 off
 RICCATI_OPTIONS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
 ADIABATIC_LIMIT = 1.0    # |Omega'|/Omega^2 at t0 below this starts alpha adiabatically
-# The Ermakov residual's five-point step: its truncation, h^4 alpha^(6) / 30, and rounding,
-# 1.5 eps |alpha'| / h over spans as represented (t + h rounds by ulp(t)), are near 1e-10 at
-# RESIDUAL_STEP.  Near a dip alpha's time scale is alpha^2, alpha^(6) ~ alpha^-11 and alpha''s
-# rounding ~ eps / alpha, which balance near DIP_STEP alpha^2: h is the smaller of the two
+# The Ermakov residual's five-point step h: truncation h^4 alpha^(6) / 30 and rounding
+# 1.5 eps |alpha'| / h, over the spans t + h rounds to, are near 1e-10 at RESIDUAL_STEP.  Near
+# a dip, alpha^(6) ~ alpha^-11 and alpha''s rounding ~ eps / alpha balance at DIP_STEP alpha^2
 RESIDUAL_STEP = 1e-5
 DIP_STEP = 1e-3
 NODE_SPACING = 0.01      # the interpolation nodes' uniform refinement is this fine
@@ -195,8 +194,9 @@ class ErmakovSolution(_Dense):
         t = self._check_t(t)
         a = self._alphas(t)[0]
         h = np.minimum(RESIDUAL_STEP, DIP_STEP * a * a)
-        near, far = ((self._alphas(t + k)[1] - self._alphas(t - k)[1]) / ((t + k) - (t - k))
-                     for k in (h, 2 * h))
+        ts = np.stack([t + h, t - h, t + 2 * h, t - 2 * h])
+        up, down, up2, down2 = self._alphas(ts)[1]
+        near, far = (up - down) / (ts[0] - ts[1]), (up2 - down2) / (ts[2] - ts[3])
         return (4.0 * near - far) / 3.0 - ermakov_ddot(a, self.omega(t), self.gamma)
 
 

@@ -92,7 +92,8 @@ def newton_ddot(lam, lam_dot, w, gamma: float):
 
 
 class CubicHermite:
-    """Piecewise cubic through values y and slopes dydx at increasing nodes x.
+    """Piecewise cubic through values y and slopes dydx at increasing nodes x,
+    or several such stacked on leading axes of y and dydx, which a call keeps.
 
     Interval i holds c0 s^3 + c1 s^2 + c2 s + c3 in s = t - x_i, evaluated
     left to right as 0 + c3 + c2 s + c1 s^2 + c0 s^3; the end cubics
@@ -106,16 +107,16 @@ class CubicHermite:
             raise ValueError("interpolated values and slopes must be finite")
         dx = np.diff(x)
         slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        t = (dydx[..., :-1] + dydx[..., 1:] - 2 * slope) / dx
         self.x, self._inner = x, x[1:-1]
-        self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+        self.c = np.stack((t / dx, (slope - dydx[..., :-1]) / dx - t, dydx[..., :-1], y[..., :-1]))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         i = self._inner.searchsorted(t, side="right")
-        s, c = t - self.x[i], self.c
+        s, c = t - self.x[i], self.c[..., i]
         s2 = s * s
-        return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * s2 + c[0, i] * (s2 * s)
+        return 0.0 + c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
 
 
 class _Dense:
@@ -152,14 +153,13 @@ class ErmakovSolution(_Dense):
     and its phase phi(t) = int_{t0}^{t} dtau / alpha^2, by Pinney from the pair u of
     `solve_ermakov`: alpha = |u| / sqrt(W), alpha' = u . u' / (|u| sqrt(W)) and phi
     the angle of u, with the solved Wronskian W = u1 u2' - u2 u1' (1 exactly), which
-    removes the solve's drift in amplitude; each u_k and u_k' is a cubic Hermite
+    removes the solve's drift in amplitude; the four are one stacked cubic Hermite
     interpolant with the solved right-hand side as slopes, and phi one of slope 1/alpha^2.
     """
 
     def __init__(self, ts, pair, gamma, omega):
         super().__init__(ts, gamma, omega)
-        self._pair = [CubicHermite(ts, y, dy)
-                      for y, dy in zip(pair, pinney_dot(pair, self.omega(ts), gamma))]
+        self._pair = CubicHermite(ts, pair, pinney_dot(pair, self.omega(ts), gamma))
         u1, u1_dot, u2, u2_dot = pair
         # np.unwrap holds: between nodes closer than pi / Omega u turns by < pi (Sturm)
         angle = np.fromiter(map(math.atan2, u2.tolist(), u1.tolist()), float, len(ts))
@@ -168,7 +168,7 @@ class ErmakovSolution(_Dense):
 
     def _alphas(self, t) -> tuple:
         """(alpha, alpha') at times t already checked."""
-        u1, v1, u2, v2 = (f(t) for f in self._pair)
+        u1, v1, u2, v2 = self._pair(t)
         r2, wronskian = u1 * u1 + u2 * u2, u1 * v2 - u2 * v1
         return np.sqrt(r2 / wronskian), (u1 * v1 + u2 * v2) / np.sqrt(r2 * wronskian)
 

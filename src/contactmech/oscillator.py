@@ -152,7 +152,7 @@ class ErmakovSolution(_Dense):
 
     and its phase phi(t) = int_{t0}^{t} dtau / alpha^2, by Pinney from the pair u of
     `solve_ermakov`: alpha = |u| / sqrt(W), alpha' = u . u' / (|u| sqrt(W)) and phi
-    the angle of u, with the solved Wronskian W = u1 u2' - u2 u1' (1 exactly), which
+    the angle of u, with the solved Wronskian W = u1 u2' - u2 u1' (1 if exact), which
     removes the solve's drift in amplitude; the four are one stacked cubic Hermite
     interpolant with the solved right-hand side as slopes, and phi one of slope 1/alpha^2.
     """
@@ -188,9 +188,9 @@ class ErmakovSolution(_Dense):
         return self._phase(self._check_t(t))
 
     def residual(self, t):
-        """alpha'' + (omega^2 - gamma^2/4) alpha - 1/alpha^3 with alpha'' by the
-        five-point central difference (4 D(h) - D(2h)) / 3 of alpha', D(k) =
-        [alpha'(t+k) - alpha'(t-k)] / 2k, h = min(RESIDUAL_STEP, DIP_STEP alpha^2)."""
+        """alpha'' + (omega^2 - gamma^2/4) alpha - 1/alpha^3 with alpha'' by the five-point
+        central difference (4 D(h) - D(2h)) / 3, D(k) = alpha'(t+k) - alpha'(t-k) over the
+        span (t+k) - (t-k) as rounded, and h = min(RESIDUAL_STEP, DIP_STEP alpha^2)."""
         t = self._check_t(t)
         a = self._alphas(t)[0]
         h = np.minimum(RESIDUAL_STEP, DIP_STEP * a * a)

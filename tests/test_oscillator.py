@@ -186,6 +186,21 @@ def test_interpolant_float_path_is_the_array_path_at_every_t():
     assert one_interval(0.25) == one_interval(np.array([0.25]))[0]
 
 
+def test_a_stacked_interpolant_is_its_rows_bit_for_bit():
+    """Values and slopes stacked on a leading axis give, row by row, the bits
+    of one interpolant per row, for an array of times and for one time."""
+    rng = np.random.default_rng(11)
+    x = np.cumsum(rng.uniform(0.01, 1.0, 30))
+    y, dydx = rng.normal(size=(4, 30)) * 10.0, rng.normal(size=(4, 30)) * 10.0
+    stacked = CubicHermite(x, y, dydx)
+    t = np.concatenate([rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200), x]).reshape(23, 10)
+    for k in range(4):
+        row = CubicHermite(x, y[k], dydx[k])
+        assert stacked(t)[k].tobytes() == row(t).tobytes()
+        assert stacked(t[3, 4])[k] == row(t[3, 4])
+    assert stacked(t).shape == (4, 23, 10) and stacked(1.5).shape == (4,)
+
+
 @pytest.mark.parametrize("omega", ["1", "1 + 0.2*sin(0.7*t)"])
 def test_dense_float_lookups_are_the_array_lookups_bit_for_bit(omega):
     """Every accessor of both dense solutions answers a float t with an

@@ -84,7 +84,8 @@ class Trajectory:
     div: np.ndarray              # (m,) flow divergence per sample
     # (m, 2n+1, 2n+1) fundamental matrix dPhi of the flow from the first
     # sample, carried on the flow's steps and held to the same tolerance;
-    # only with integrate(..., tangent=True)
+    # only with integrate(..., tangent=True), whose other fields then agree
+    # with those of the solve without J to roundoff
     J: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -323,14 +324,12 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     matrix.  At the first step on which it is 1 or more (or NaN) the rest join
     the error norm, as the larger of the two, for the remainder of the solve:
     so the rest are held to the same tolerance, and a non-finite stage among
-    them is rejected like any other.  Adaptive mode
-    keeps a contiguous copy of the first d stage columns and forms those
-    components' stage values, steps and samples from it alone, because BLAS
-    rounds a matrix-vector product differently for different widths.  So when
-    the first d components' rhs reads only them, their values are bit for bit
-    those of a solve of them alone up to the step at which the rest join the
-    norm, if they do.  Fixed mode is elementwise and needs no copy.  Errors
-    name the first d components.
+    them is rejected like any other.  Both norms read the one error estimate
+    of all the components, and each stage sum, step and dense output is one
+    product over all of them.  BLAS rounds a matrix-vector product
+    differently for different widths, so the first d components' values
+    agree with those of a solve of them alone to roundoff, not bit for bit.
+    Errors name the first d components.
 
     The sums over stages (the stage arguments, the step, the error estimates
     and the dense output) are BLAS products on the stored stages, the same
@@ -343,8 +342,8 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     The step's end state, which rhs gets for the last stage and the event
     sees, is a fresh array, as are the samples; no array the stepper hands
     out shares the scratch array's memory.  The bookkeeping around the BLAS
-    calls is set up once per solve: the stage views and their transposes,
-    the rest's error rows and the norms' square roots of size.  Each trial
+    calls is set up once per solve: the stage views and their transposes and
+    the norms' square roots of size.  Each trial
     step puts h once into a 0-d array, which scales the stage sums, the step
     and the dense output in place (numpy takes it faster than a float, and
     the products are the same).  Fixed mode hands rhs, when it calls it,
@@ -395,23 +394,15 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     KT, K0, K6 = K.T, K[0], K[6]
     split = d < len(y0)
     joint = False  # whether the rest has joined the first d in the error norm
-    Kd = np.empty((7, d)) if split else K  # the first d columns of K, contiguous
-    KdT, Kd0, Kd6, K6d = Kd.T, Kd[0], Kd[6], K[6, :d]
-    rest_T = KT[d:]  # the rest's stages, as rows
     root_d, root_rest = d ** 0.5, (len(y0) - d) ** 0.5  # the RMS norms' sqrt(size)
-    # stage s: its row of K, the first s stages of K and of Kd as columns, its
-    # row of A, its node, and its row of Kd with the first d entries of K's
-    stages = [(K[s], K[:s].T, Kd[:s].T, _DP_A[s], _DP_C[s], Kd[s], K[s, :d])
-              for s in range(1, 6)]
-    KT6, KdT6 = K[:6].T, Kd[:6].T
+    # stage s: its row of K, the first s stages as columns, its row of A, its node
+    stages = [(K[s], K[:s].T, _DP_A[s], _DP_C[s]) for s in range(1, 6)]
+    KT6 = K[:6].T
     dy = np.empty(len(y0))  # each stage's sum, then its argument y + h sum
-    dy_d = dy[:d]
     hh = np.empty(())  # the trial step's h, as numpy takes a scalar operand fastest
     K0[...] = rhs(t0, y0)
     if not np.all(np.isfinite(K0)):
         raise NonFiniteError(f"non-finite vector field at t={t0:.6g}, y={y0[:d]}")
-    if split:
-        Kd0[...] = K[0, :d]
     h_abs = _initial_step(rhs, t0, y0, K0, t_end, rtol, atol, d)
     t, y, y_list = t0, y0, y0.tolist()
     rest_max = _abs_max(y_list[d:]) if split else None  # the rest's largest |entry| at t
@@ -436,29 +427,22 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
             hh[()] = h
-            for Ks, KTs, KdTs, a, c, Kds, Ksd in stages:
+            for Ks, KTs, a, c in stages:
                 KTs.dot(a, out=dy)
-                if split:
-                    KdTs.dot(a, out=dy_d)
                 dy *= hh
                 dy += y
                 Ks[...] = rhs(t + c * h, dy)
-                if split:
-                    Kds[...] = Ksd
             KT6.dot(_DP_B, out=dy)
-            if split:
-                KdT6.dot(_DP_B, out=dy_d)
             dy *= hh
             y_new = y + dy
             K6[...] = rhs(t + h, y_new)
-            if split:
-                Kd6[...] = K6d
             new_list = y_new.tolist()
-            e = _scaled_error(KdT.dot(_DP_E).tolist(), h, y_list, new_list, atol, rtol)
+            est = KT.dot(_DP_E)  # the error estimate of every component
+            e = _scaled_error(est[:d].tolist(), h, y_list, new_list, atol, rtol)
             err = math.sqrt(e.dot(e)) / root_d
             if split and (joint or err < 1):
                 new_rest_max = _abs_max(new_list[d:])
-                e = rest_T.dot(_DP_E) * (h / (atol + max(rest_max, new_rest_max) * rtol))
+                e = est[d:] * (h / (atol + max(rest_max, new_rest_max) * rtol))
                 err_rest = math.sqrt(e.dot(e)) / root_rest
                 joint = joint or not err_rest < 1
                 if joint and (err_rest > err or math.isnan(err_rest)):
@@ -487,14 +471,8 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
             z = KT.dot(_DP_P).dot(x)
             z *= hh
             np.add(z.T, y_old, out=out[i:j])
-            if split:
-                z = KdT.dot(_DP_P).dot(x)
-                z *= hh
-                np.add(z.T, y_old[:d], out=out[i:j, :d])
             i = j
         K0[...] = K6
-        if split:
-            Kd0[...] = Kd6
     if i < len(grid):
         raise IntegrationError(f"integration stopped at t={t:.6g} before t_end",
                                last_time=t)
@@ -508,10 +486,11 @@ def _solve(model: HamiltonianModel, init: ExtendedState, t_end: float,
     """(rows [q, p, S] of the flow at the grid times, J or None).  With
     `tangent`, J = dPhi solves dJ/dt = A J, J(t0) = I, where A = d(field)/dy,
     by the model's `tangent_rhs`, whose first rows are `field` itself.  J
-    rides the flow's own steps, so the rows are those of the solve without J
-    unless J's error estimate fails on one of them, from which step on J joins
-    the error norm (see `_integrate_flat`); each right-hand side calls
-    `tangent_rhs` once, and it evaluates the field's entries once."""
+    rides the flow's own steps, so the rows agree with those of the solve
+    without J to roundoff (the stage sums span J's columns too) unless J's
+    error estimate fails on one of them, from which step on J joins the error
+    norm (see `_integrate_flat`); each right-hand side calls `tangent_rhs`
+    once, and it evaluates the field's entries once."""
     y0 = init.flat()
     if not tangent:
         return _integrate_flat(model.field, y0, init.t, t_end, opts, grid), None
@@ -529,12 +508,14 @@ def integrate(model: HamiltonianModel, init: ExtendedState, t_end: float,
     With `tangent`, the fundamental matrix J = dPhi of the variational
     equations dJ/dt = A J is integrated on the same steps, by the model's
     `tangent_rhs`, and returned as `Trajectory.J`.  The steps are chosen for
-    (q, p, S) alone, so times, q, p, S, H and div are bit for bit those of the
-    solve without J, as long as J's own error estimate (RMS over its entries,
-    relative to rel_tol times its largest entry) stays under 1 on them.  Where
-    it does not, as from a rest point, where the flow's steps are long and J
-    still turns, J joins the error norm from that step on and the flow is
-    sampled on the shorter steps that follow."""
+    (q, p, S) alone, so times, q, p, S, H and div agree with those of the
+    solve without J to roundoff, as long as J's own error estimate (RMS over
+    its entries, relative to rel_tol times its largest entry) stays under 1 on
+    them.  They are not bit for bit the same: each stage sum is one product
+    over J's columns too, and BLAS rounds it by its width.  Where J's estimate
+    does not stay under 1, as from a rest point, where the flow's steps are
+    long and J still turns, J joins the error norm from that step on and the
+    flow is sampled on the shorter steps that follow."""
     opts = opts or IntegratorOptions()
     model.check_dimensions(init)
     if t_end <= init.t:

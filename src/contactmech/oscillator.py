@@ -363,29 +363,29 @@ def quadratic_invariant_coefficients(m: float, gamma: float, zeta0: float,
 class RiccatiSolution(_Dense):
     """Dense solution of C' = -C^2 - gamma C - omega(t)^2 as C = lambda'/lambda,
     from the damped Newton solution lambda (lambda(t0) = 1, lambda'(t0) = C0)
-    on a range where lambda > 0: cubic Hermite interpolants of lambda and
-    lambda' times e^{-sigma}, and of sigma, and of no C of its own."""
+    on a range where lambda > 0: one stacked cubic Hermite interpolant of
+    lambda and lambda' times e^{-sigma}, and of sigma, with the solved
+    right-hand side as slopes, and of no C of its own."""
 
     def __init__(self, ts, lam, lam_dot, sigma, gamma, omega, C0):
         super().__init__(ts, gamma, omega)
         self.C0 = float(C0)
         w = self.omega(ts)
         rate = _newton_rate(w, gamma)
-        self._lam = CubicHermite(ts, lam, lam_dot - rate * lam)
-        self._lam_dot = CubicHermite(ts, lam_dot, newton_ddot(lam, lam_dot, w, gamma) - rate * lam_dot)
-        self._sigma = CubicHermite(ts, sigma, rate)
+        self._curve = CubicHermite(ts, np.stack([lam, lam_dot, sigma]), np.stack(
+            [lam_dot - rate * lam, newton_ddot(lam, lam_dot, w, gamma) - rate * lam_dot, rate]))
 
     def C(self, t):
-        t = self._check_t(t)
-        return self._lam_dot(t) / self._lam(t)
+        lam, lam_dot, _ = self._curve(self._check_t(t))
+        return lam_dot / lam
 
     def lam(self, t):
-        t = self._check_t(t)
-        return _per_element(math.exp, self._sigma(t)) * self._lam(t)
+        lam, _, sigma = self._curve(self._check_t(t))
+        return _per_element(math.exp, sigma) * lam
 
     def lam_dot(self, t):
-        t = self._check_t(t)
-        return _per_element(math.exp, self._sigma(t)) * self._lam_dot(t)
+        _, lam_dot, sigma = self._curve(self._check_t(t))
+        return _per_element(math.exp, sigma) * lam_dot
 
     def C_dot(self, t):
         """C' through the defining equation (exact given C)."""
@@ -397,7 +397,8 @@ class RiccatiSolution(_Dense):
         variation d of C0 obeys d' = -(2C + gamma) d, d(t0) = 1), taken as
         e^{-gamma (t - t0) - 2 sigma} over the scaled lambda squared."""
         t = self._check_t(t)
-        lam, x = self._lam(t), -self.gamma * (t - self.t_range[0]) - 2.0 * self._sigma(t)
+        lam, _, sigma = self._curve(t)
+        x = -self.gamma * (t - self.t_range[0]) - 2.0 * sigma
         return _per_element(math.exp, x) / (lam * lam)
 
 

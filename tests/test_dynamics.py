@@ -510,7 +510,8 @@ def test_the_tangent_leaves_the_flow_alone(case, monkeypatch):
     """J rides the flow's steps, and on these cases its own error estimate
     stays under 1 on every step the flow accepts, so it never joins the error
     norm: the flow's samples and their H and div are those of the solve
-    without J, bit for bit."""
+    without J to roundoff, 1e-13 of each column's largest magnitude.  The
+    stage sums span J's columns too, so the bits may differ."""
     model, x0, t_end, opts = _flow_case(case, monkeypatch)
     plain = cm.integrate(model, x0, t_end, opts)
     carried = cm.integrate(model, x0, t_end, opts, tangent=True)
@@ -518,10 +519,11 @@ def test_the_tangent_leaves_the_flow_alone(case, monkeypatch):
     assert plain.J is None
     assert carried.J.shape == (len(plain), d, d)
     assert_array_equal(carried.J[0], np.eye(d))
-    for name in ("times", "q", "p", "S", "H", "div"):
+    assert_array_equal(carried.times, plain.times)
+    for name in ("q", "p", "S", "H", "div"):
         a, b = getattr(carried, name), getattr(plain, name)
-        assert_array_equal(a, b, err_msg=name)
-        assert a.tobytes() == b.tobytes(), name  # down to the sign of a zero
+        scale = np.max(np.abs(b), axis=0)
+        assert np.all(np.max(np.abs(a - b), axis=0) <= 1e-13 * scale), name
 
 
 def test_the_tangent_matches_differences_of_the_flow_map():

@@ -58,7 +58,12 @@ def test_compare_summarises_moved_values_flipped_verdicts_and_changed_exits(gold
         "maximum (row 1)",
         "5 files in 2 directories: 3 differ",
     ]
+    assert golden.magnitudes(old, new) == (
+        "largest change: trajectory 0.25 of its column's maximum "
+        "(volume-seed5/volume_00/trajectory.tsv, column p1); report value +7.00e+00 "
+        "relative (volume-seed5/volume_00/report.txt: divergence.observed)")
     assert golden.summarize(old, old) == ["5 files in 2 directories: identical"]
+    assert golden.magnitudes(old, old) == "largest change: trajectory none; report value none"
 
 
 def test_compare_fails_only_on_a_verdict_or_exit_code_that_got_worse(golden, tmp_path):

@@ -137,13 +137,12 @@ def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monke
     nodes = oscillator._internal_nodes(grid)
     erm = cm.solve_ermakov(1.4437, 0.2, 1.0, 0.0, grid)
     ric = cm.solve_riccati(1.4437, 0.2, 0.3, grid)
-    for solved, slopes in zip(solves, [erm._pair.c[2],
-                                       [f.c[2] for f in (ric._lam, ric._lam_dot, ric._sigma)]]):
+    for solved, slopes in zip(solves, [erm._pair.c[2], ric._curve.c[2]]):
         for k, slope in enumerate(slopes):
             assert slope.tobytes() == solved[:, k].tobytes()
-    lam, lam_dot = ric._lam.c[3], ric._lam_dot.c[3]  # the solved pair at nodes[:-1]
+    lam, lam_dot, sigma = ric._curve.c[3]  # the solved values at nodes[:-1]
     assert ric.C(nodes[:-1]).tobytes() == (lam_dot / lam).tobytes()
-    sigma = ric._sigma.c[3].tolist()
+    sigma = sigma.tolist()
     e = np.array([math.exp(-0.2 * t - 2.0 * x) for t, x in zip(nodes[:-1].tolist(), sigma)])
     assert ric.dC_dC0(nodes[:-1]).tobytes() == (e / (lam * lam)).tobytes()
 
@@ -284,8 +283,9 @@ def test_the_invariants_chart_and_the_hj_grid_look_up_their_blocks_once(monkeypa
     solutions on all its times at once: alpha and alpha' in ``forward``, and
     alpha, alpha' and alpha'' in ``jacobian``, each from one lookup of the
     stacked u1, u1', u2 and u2'.  The contact HJ residual's grid
-    looks them up on the (50, 1) column of its times: lambda' and lambda, for
-    C = lambda'/lambda, once each in S, dS/dq and dS/dt."""
+    looks them up on the (50, 1) column of its times: the stacked lambda,
+    lambda' and sigma, for C = lambda'/lambda, once each in S, dS/dq and
+    dS/dt."""
     model, traj = _scenario_run("parametric_oscillator")
     erm = diagnostics._ermakov_for(model, traj, {})
     cmap = cm.map_invariants(model.params["m"], model.params["gamma"], erm)
@@ -303,7 +303,7 @@ def test_the_invariants_chart_and_the_hj_grid_look_up_their_blocks_once(monkeypa
     del shapes[:]
     observed = diagnostics.check_hj_residual(free_model, free_traj, {})["observed"]
     assert observed < diagnostics.CHECKS["hj_residual"].threshold
-    assert shapes == [(50, 1)] * 6
+    assert shapes == [(50, 1)] * 3
 
 
 @pytest.mark.parametrize("omega, gamma", [(1.0, 0.1), (2.0, 0.0), (1.3, 0.6)])

@@ -125,9 +125,12 @@ def test_stepper_matches_rk45_on_the_contact_field_with_an_event():
 
 
 def test_stepper_matches_rk45_on_the_det_series_system(monkeypatch):
-    """The 3 + 9 dimensional tangent solve of the volume checks: its accepted
-    steps and the (q, p, S) block of its steps and samples are scipy's RK45 on
-    the 3-dimensional field alone, bit for bit."""
+    """The 3 + 9 dimensional tangent solve of the volume checks.  With every
+    component in the error norm it is scipy's RK45 on the same 12-dimensional
+    system, bit for bit, so the 12-wide stage sums are scipy's.  With only
+    (q, p, S) in the norm, its (q, p, S) samples are those of scipy's RK45 on
+    the 3-dimensional field alone to roundoff: the stage sums span J's
+    columns too, and BLAS rounds a product by its width."""
     V = cm.parse_expression("q^2/2 + 0.05*q^4", "q")
     model = cm.make_linear_dissipation(1.0, 0.3, V)
     captured = []
@@ -143,15 +146,12 @@ def test_stepper_matches_rk45_on_the_det_series_system(monkeypatch):
     [(rhs, y0, kwargs)] = captured
     assert len(y0) == 12 and kwargs == {"d": 3}
     grid = traj.times
-    ref_steps, ref_out, _, _ = _scipy_run(model.field, x0.flat(), 0.0, 4.0, opts.rel_tol,
-                                          opts.abs_tol, grid)
-    steps, out, _ = _own_run(rhs, y0, 0.0, 4.0, opts.rel_tol, opts.abs_tol, grid, d=3)
-    assert [t for t, _ in steps] == [t for t, _ in ref_steps]
-    assert np.array_equal(np.array([y[:3] for _, y in steps]),
-                          np.array([y for _, y in ref_steps]))
-    assert np.array_equal(out[:, :3], ref_out)
-    assert np.array_equal(traj.flat(), ref_out)
-    assert len(steps) > 20
+    accepted, rejected = _assert_same_run(rhs, y0, 0.0, 4.0, opts.rel_tol, opts.abs_tol, grid)
+    assert accepted > 20 and rejected > 0
+    _, ref_out, _, _ = _scipy_run(model.field, x0.flat(), 0.0, 4.0, opts.rel_tol,
+                                  opts.abs_tol, grid)
+    scale = np.max(np.abs(ref_out), axis=0)
+    assert np.all(np.max(np.abs(traj.flat() - ref_out), axis=0) <= 1e-13 * scale)
 
 
 def test_stepper_matches_rk45_on_the_ermakov_list_rhs(monkeypatch):

@@ -31,7 +31,9 @@ and summarises what moved: each report line that differs with its old and new
 value, their relative change, any verdict that flipped and any threshold that
 grew (a gate loosened); for each trajectory that moved, its largest change
 scaled by that column's largest magnitude; changed ``_exit``, ``_stderr`` and
-``_stdout`` files verbatim.  It exits 1 when a verdict turned from pass to
+``_stdout`` files verbatim; then the count of files that differ, and one line
+with the largest trajectory change and the largest relative change of a
+report value, each with its path.  It exits 1 when a verdict turned from pass to
 fail, a ``threshold`` or ``f_threshold`` grew, or an exit code turned from 0
 to another (`regressions`); an exit code that turned to 0, or a threshold that
 shrank or is new, passes.  The bits come from the host's libm, so a manifest
@@ -193,12 +195,19 @@ def _report_lines(name: str, old: Path, new: Path) -> list:
             lines.append(f"{name}: {key}: {'added' if x is None else 'removed'} "
                          f"({y if x is None else x})")
             continue
-        u, v = _float(x), _float(y)
-        change = f" ({(v - u) / abs(u):+.2e})" if u and v is not None else ""
+        change = _relative(x, y)
+        change = "" if change is None else f" ({change:+.2e})"
         flipped = " (verdict flipped)" if key.rsplit(".", 1)[-1] in VERDICTS else ""
         loosened = " (gate loosened)" if _loosened(key, x, y) else ""
         lines.append(f"{name}: {key}: {x} -> {y}{change}{flipped}{loosened}")
     return lines
+
+
+def _relative(old: str, new: str):
+    """(new - old) / |old| of two numeric report values, None if either is not
+    a number or old is 0."""
+    u, v = _float(old), _float(new)
+    return (v - u) / abs(u) if u and v is not None else None
 
 
 def _loosened(key: str, old: str, new: str) -> bool:
@@ -212,11 +221,12 @@ def _table(path: Path) -> tuple:
     return header.split("\t"), [[float(x) for x in row.split("\t")] for row in rows]
 
 
-def _trajectory_line(name: str, old: Path, new: Path) -> str:
-    """The largest change of one column, scaled by that column's largest magnitude."""
+def _worst_change(old: Path, new: Path):
+    """(change, column, row) of the largest change between two trajectories,
+    scaled by that column's largest magnitude, or None if their shapes differ."""
     (ha, a), (hb, b) = _table(old), _table(new)
     if ha != hb or len(a) != len(b):
-        return f"{name}: columns or rows changed: {len(ha)}x{len(a)} -> {len(hb)}x{len(b)}"
+        return None
     worst = (0.0, "", 0)
     for j, col in enumerate(ha):
         scale = max(abs(row[j]) for rows in (a, b) for row in rows) or 1.0
@@ -224,6 +234,15 @@ def _trajectory_line(name: str, old: Path, new: Path) -> str:
             moved = abs(y[j] - x[j]) / scale if x[j] != y[j] else 0.0
             if moved != moved or moved > worst[0]:  # a NaN on one side is the worst
                 worst = (moved, col, i)
+    return worst
+
+
+def _trajectory_line(name: str, old: Path, new: Path) -> str:
+    """The largest change of one column, scaled by that column's largest magnitude."""
+    worst = _worst_change(old, new)
+    if worst is None:
+        (ha, a), (hb, b) = _table(old), _table(new)
+        return f"{name}: columns or rows changed: {len(ha)}x{len(a)} -> {len(hb)}x{len(b)}"
     return f"{name}: moved, largest change {worst[0]:.3g} of column {worst[1]}'s " \
            f"maximum (row {worst[2]})"
 
@@ -254,6 +273,35 @@ def summarize(old: Path, new: Path) -> list:
     lines.append(f"{len(set(a) | set(b))} files in {len(dirs)} directories: "
                  f"{f'{moved} differ' if moved else 'identical'}")
     return lines
+
+
+def magnitudes(old: Path, new: Path) -> str:
+    """One line: the largest trajectory change between the output trees old
+    and new, scaled by its column's maximum, and the largest relative change
+    of a numeric report value, each with its path ("none" if nothing moved)."""
+    trajectory = report = None
+    for path in sorted(old.rglob("*")):
+        name = path.relative_to(old).as_posix()
+        other = new / name
+        if not other.is_file() or path.read_bytes() == other.read_bytes():
+            continue
+        if name.endswith(".tsv"):
+            worst = _worst_change(path, other)
+            if worst is not None and (trajectory is None or worst[0] != worst[0]
+                                      or worst[0] > trajectory[0]):
+                trajectory = (worst[0], f"{name}, column {worst[1]}")
+        elif name.endswith(".txt"):
+            a, b = _report(path), _report(other)
+            for key in a:
+                change = _relative(a[key], b.get(key, ""))
+                if change is not None and (report is None or change != change
+                                           or abs(change) > abs(report[0])):
+                    report = (change, f"{name}: {key}")
+    return ("largest change: trajectory "
+            + (f"{trajectory[0]:.3g} of its column's maximum ({trajectory[1]})"
+               if trajectory else "none")
+            + "; report value " + (f"{report[0]:+.2e} relative ({report[1]})"
+                                   if report else "none"))
 
 
 def regressions(old: Path, new: Path) -> list:
@@ -301,6 +349,7 @@ def main(argv=None) -> int:
                 outs.append(tmp / side)
             print(f"tools/golden.py --compare {' '.join(args.compare)}")
             print("\n".join(summarize(*outs)))
+            print(magnitudes(*outs))
             worse = regressions(*outs)
             if worse:
                 print(f"{len(worse)} passing verdicts or exit codes 0 now fail, "

@@ -331,7 +331,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     agree with those of a solve of them alone to roundoff, not bit for bit.
     Errors name the first d components.
 
-    The sums over stages (the stage arguments, the step, the error estimates
+    The sums over stages (the stage arguments, the step, the error estimate
     and the dense output) are BLAS products on the stored stages, the same
     calls on the same operands as scipy's RK45 makes, and the error norm's
     sum of squares is a BLAS dot; everything elementwise around them is done
@@ -343,10 +343,10 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     sees, is a fresh array, as are the samples; no array the stepper hands
     out shares the scratch array's memory.  The bookkeeping around the BLAS
     calls is set up once per solve: the stage views and their transposes and
-    the norms' square roots of size.  Each trial
-    step puts h once into a 0-d array, which scales the stage sums, the step
-    and the dense output in place (numpy takes it faster than a float, and
-    the products are the same).  Fixed mode hands rhs, when it calls it,
+    the norms' square roots of size.  Each trial step puts h once into a 0-d
+    array, which scales the stage sums, the step and the dense output in
+    place (numpy takes it faster than a float, and the products are the
+    same).  Fixed mode hands rhs, when it calls it,
     arrays that are never written (see `_rk4`).  A fixed-mode interval whose
     substep count would pass max_steps, an infinite count included, fails
     before its first substep.
@@ -508,9 +508,9 @@ def integrate(model: HamiltonianModel, init: ExtendedState, t_end: float,
     With `tangent`, the fundamental matrix J = dPhi of the variational
     equations dJ/dt = A J is integrated on the same steps, by the model's
     `tangent_rhs`, and returned as `Trajectory.J`.  The steps are chosen for
-    (q, p, S) alone, so times, q, p, S, H and div agree with those of the
-    solve without J to roundoff, as long as J's own error estimate (RMS over
-    its entries, relative to rel_tol times its largest entry) stays under 1 on
+    (q, p, S) alone, so q, p, S, H and div agree with those of the solve
+    without J to roundoff, as long as J's own error estimate (RMS over its
+    entries, relative to rel_tol times its largest entry) stays under 1 on
     them.  They are not bit for bit the same: each stage sum is one product
     over J's columns too, and BLAS rounds it by its width.  Where J's estimate
     does not stay under 1, as from a rest point, where the flow's steps are

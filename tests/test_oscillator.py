@@ -142,8 +142,8 @@ def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monke
             assert slope.tobytes() == solved[:, k].tobytes()
     lam, lam_dot, sigma = ric._curve.c[3]  # the solved values at nodes[:-1]
     assert ric.C(nodes[:-1]).tobytes() == (lam_dot / lam).tobytes()
-    sigma = sigma.tolist()
-    e = np.array([math.exp(-0.2 * t - 2.0 * x) for t, x in zip(nodes[:-1].tolist(), sigma)])
+    e = np.array([math.exp(-0.2 * t - 2.0 * x)
+                  for t, x in zip(nodes[:-1].tolist(), sigma.tolist())])
     assert ric.dC_dC0(nodes[:-1]).tobytes() == (e / (lam * lam)).tobytes()
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dynamics, oscillator, transforms
 from .dynamics import Trajectory
-from .errors import NonFiniteError, ScenarioError
+from .errors import NonFiniteError, ScenarioError, SingularMeasureError
 from .hamilton_jacobi import hj_residual, principal_field_from_riccati
 from .model import HamiltonianModel, explicit_t
 
@@ -79,7 +79,8 @@ def check_measure(model, traj: Trajectory, cache: Dict) -> Dict:
     dets = _det_series(traj, cache)
     mask = np.abs(traj.H) > 1e-3
     if mask.sum() < 2:
-        raise ScenarioError("measure: |H| <= 1e-3 along the whole trajectory")
+        raise SingularMeasureError("measure: |H| <= 1e-3 along the whole trajectory: the "
+                                   "invariant measure is singular on H=0")
     weight = np.abs(traj.H[mask]) ** (-(traj.n + 1))
     product = weight * dets[mask]
     return {"observed": _rel_drift(product), "extra": {"samples_used": float(mask.sum())},

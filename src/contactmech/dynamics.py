@@ -243,58 +243,17 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
     return min(100 * h0, h1, span)
 
 
-def _brent(f, a: float, b: float) -> float:
-    """A zero of f in [a, b], f(a) and f(b) of opposite sign, to within
-    _ROOT_TOL (1 + |x|), by Brent's method (Brent 1973, ch. 4): inverse
-    quadratic interpolation or secant steps while they shrink the bracket fast
-    enough, bisection otherwise."""
-    def fval(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = fval(xpre), fval(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the best estimate in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # an infinite step, which bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _bisect(f, a: float, b: float) -> float:
+    """A zero of f between a and b, f(a) >= 0 >= f(b), to within _ROOT_TOL (1 + |x|):
+    the midpoint of the bracket, halved on the sign of f until it is that narrow."""
+    x = (a + b) / 2
+    while abs(b - a) > _ROOT_TOL * (1 + abs(x)):
+        if f(x) >= 0:
+            a = x
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fval(xcur)
-    raise RuntimeError(f"root finder failed to converge after 100 iterations, "
-                       f"value is {xcur}")
+            b = x
+        x = (a + b) / 2
+    return x
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are handled below
@@ -313,7 +272,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     `_substep(rhs)`, on the state as a float sequence: a built-in's own
     straight-line RK4 step, else `_rk4` over rhs.  In adaptive mode only, a
     downward zero crossing of event(t, y) over a step is located on that
-    step's dense output by Brent's method, and event_error(t) is raised at the
+    step's dense output by bisection, and event_error(t) is raised at the
     crossing time.
 
     Only the first d components of y (all by default) enter the initial-step
@@ -461,7 +420,7 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
             g_old, g = g, event(t, y)
             if g_old >= 0 >= g:  # a terminal event of direction -1
                 Q = KT.dot(_DP_P)
-                raise event_error(_brent(
+                raise event_error(_bisect(
                     lambda s: event(s, h * np.dot(Q, _dense_powers([s], t_old, h).ravel())
                                     + y_old),
                     t_old, t))

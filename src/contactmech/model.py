@@ -534,8 +534,10 @@ def _block_model(n: int, values, gradient=None, name: str = "custom",
 
     def tangent_rhs(t, z) -> np.ndarray:
         y = z[:d]
-        A = _contact_jacobian(n, y, gradient(t, y), hessian(t, y))
-        return np.concatenate([field(t, y), (A @ z[d:].reshape(d, d)).ravel()])
+        g = gradient(t, y)
+        A = _contact_jacobian(n, y, g, hessian(t, y))
+        return np.concatenate([_contact_field(n, y, values(t, y[None])[0], g),
+                               (A @ z[d:].reshape(d, d)).ravel()])
 
     return HamiltonianModel(n=n, value=values, grad=_per_row(gradient, 2 * n + 2), field=field,
                             tangent_rhs=tangent_rhs, name=name, params=dict(params or {}))

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import contactmech as cm
 from contactmech import expressions
 from contactmech.model import ExtendedState
 
-# Every property but test_cli.py's run-level one and test_oscillator.py's
-# oscillator-verdict one pins its own example count; those two run 25 by
-# default and 2,000 under --hypothesis-profile=fuzz
+# Every property but test_cli.py's run-level and dissipation-verdict ones and
+# test_oscillator.py's oscillator-verdict one pins its own example count; those
+# three run 25 by default and 2,000 under --hypothesis-profile=fuzz
 settings.register_profile("default", max_examples=25)
 settings.register_profile("fuzz", max_examples=2000, deadline=None, database=None)
 
@@ -57,6 +58,11 @@ def parametric_traj(parametric_model, tight_opts):
 def ermakov_const(parametric_traj):
     """Ermakov solution for gamma = 0.1, omega = 1 on the trajectory grid."""
     return cm.solve_ermakov(1.0, 0.1, 1.0, 0.0, parametric_traj.times)
+
+
+def four_places(lo, hi):
+    """A float of [lo, hi] rounded to 4 places, as a drawn scenario prints it."""
+    return st.floats(lo, hi).map(lambda x: round(x, 4))
 
 
 def assert_bits_equal(a, b):

@@ -14,15 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactmech import cli, diagnostics, dynamics, oscillator, transforms
 from contactmech.dynamics import integrate
-from contactmech.errors import ScenarioError
+from contactmech.errors import ScenarioError, SingularMeasureError
 from contactmech.expressions import parse_expression
 from contactmech.model import make_caldirola_kanai, make_custom, make_state
 from contactmech.scenario import KINDS, MAX_SAMPLES, build_model, parse_scenario
+from conftest import four_places
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -319,6 +320,18 @@ def test_singularity_exit_code(tmp_path, capsys):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err == \
         "error: Riccati solution has a pole at t=1.62285, where lambda = 0\n"
+
+
+def test_measure_on_the_zero_level_set_is_a_singularity(tmp_path, capsys):
+    """From q = 0.01, p = S = 0, |H| stays below measure's 1e-3 mask on the
+    whole run: the measure is singular there, exit 4, not a scenario error."""
+    text = GOOD.replace("q = 1", "q = 0.01\nS = 0").replace("t_end = 5", "t_end = 1") \
+               .replace("checks = hamiltonian_decay, divergence", "checks = measure")
+    path = tmp_path / "zero_level.ini"
+    path.write_text(text)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == ("error: measure: |H| <= 1e-3 along the whole "
+                                       "trajectory: the invariant measure is singular on H=0\n")
 
 
 def test_expr_subcommand(capsys):
@@ -1107,3 +1120,82 @@ def test_every_drawn_run_ends_in_a_documented_exit(text):
     assert 0 <= code <= 4, (code, err, text)
     assert err.count("\n") == (code > 1) and err.endswith("\n" if code > 1 else ""), (err, text)
     assert not caught, [str(w.message) for w in caught]
+
+
+_DISSIPATION_CHECKS = ("divergence", "measure", "hamiltonian_decay", "energy_conservation",
+                       "transform_verify:identity", "transform_verify:ck",
+                       "transform_verify:expanding")
+
+
+@st.composite
+def _dissipations(draw):
+    """A linear_dissipation or caldirola_kanai scenario text at rel_tol 1e-10:
+    m in [0.5, 2], gamma = 0 a quarter of the time, else in [0.02, 0.6], V one
+    of q^2/2, k q^2/2 + a q^4, 1 - cos q and k q^2/2 + a q^3 (k in [0.5, 2], a
+    in [0, 0.1]), |q| in [0.4, 1.5], p in [-0.8, 0.8], S in [-0.5, 0.5] and
+    t_end in [1, 10], each number to 4 places.  Both kinds obey m q'' = -V'(q)
+    - gamma m q', under which p^2/2m + V(q) at t = 0 bounds the energy; a cubic
+    V is drawn only below its barrier k^3/(54 a^2) at q = -k/(3a), as over it
+    q runs off to -infinity in finite time."""
+    k, a = draw(four_places(0.5, 2.0)), draw(four_places(0.0, 0.1))
+    V = draw(st.sampled_from(["q^2/2", f"{k}*q^2/2 + {a}*q^4", "1 - cos(q)",
+                              f"{k}*q^2/2 + {a}*q^3"]))
+    gamma = draw(four_places(0.02, 0.6)) if draw(st.integers(0, 3)) else 0
+    m = draw(four_places(0.5, 2.0))
+    q = draw(st.sampled_from([-1, 1])) * draw(four_places(0.4, 1.5))
+    p = draw(four_places(-0.8, 0.8))
+    if V.endswith("q^3") and a > 0:
+        assume(p * p / (2 * m) + k * q * q / 2 + a * q ** 3 < k ** 3 / (54 * a * a))
+    return f"""\
+[model]
+kind = {draw(st.sampled_from(["linear_dissipation", "caldirola_kanai"]))}
+m = {m}
+gamma = {gamma}
+V = {V}
+
+[initial]
+q = {q}
+p = {p}
+S = {draw(four_places(-0.5, 0.5))}
+
+[integration]
+rel_tol = 1e-10
+abs_tol = 1e-13
+sample_interval = {draw(st.sampled_from([0.01, 0.02, 0.05]))}
+t_end = {draw(four_places(1.0, 10.0))}
+
+[diagnostics]
+checks = divergence
+"""
+
+
+@given(_dissipations())
+@settings(deadline=None)
+def test_every_drawn_dissipation_verdict_is_a_pass(text):
+    """Drawn linear-dissipation and Caldirola-Kanai runs: every check of
+    `divergence`, `measure`, `hamiltonian_decay`, `energy_conservation` and
+    `transform_verify:identity`, `:ck` and `:expanding` that `validate_checks`
+    admits for the model passes, run together on the one trajectory.  The one
+    other end is `measure`'s declared singularity, where |H| stays within its
+    1e-3 mask.  The example count is the hypothesis profile's
+    (tests/conftest.py): 25 by default, 2,000 under `fuzz`."""
+    config = parse_scenario(text)
+    model = build_model(config)
+    checks = []
+    for token in _DISSIPATION_CHECKS:
+        try:
+            diagnostics.validate_checks([token], model.name, model.params, config.t0,
+                                        config.t_end, "the drawn model")
+        except ScenarioError:
+            continue
+        checks.append(token)
+    traj = integrate(model, make_state(config.q0, config.p0, config.S0, config.t0),
+                     config.t_end, config.options, tangent=True)
+    try:
+        results = diagnostics.run_checks(checks, model, traj, 0)
+    except SingularMeasureError:
+        assert np.count_nonzero(np.abs(traj.H) > 1e-3) < 2, text
+        checks.remove("measure")
+        results = diagnostics.run_checks(checks, model, traj, 0)
+    assert len(checks) >= 4, (checks, text)
+    assert all(r["passed"] for r in results), (text, results)

@@ -46,7 +46,7 @@ def _tree(root: Path, observed: str, passed: str, p: str, code: str,
 def test_compare_summarises_moved_values_flipped_verdicts_and_changed_exits(golden, tmp_path):
     old = _tree(tmp_path / "old", "2.5e-06", "true", "-0.5", "0\n")
     new = _tree(tmp_path / "new", "2.0000000000000002e-05", "false", "-0.25", "1\n")
-    assert golden.summarize(old, new) == [
+    assert golden.compare_trees(old, new).summary == [
         "volume-seed5/volume_00/_exit:",
         "  - 0",
         "  + 1",
@@ -58,12 +58,13 @@ def test_compare_summarises_moved_values_flipped_verdicts_and_changed_exits(gold
         "maximum (row 1)",
         "5 files in 2 directories: 3 differ",
     ]
-    assert golden.magnitudes(old, new) == (
+    assert golden.compare_trees(old, new).magnitudes == (
         "largest change: trajectory 0.25 of its column's maximum "
         "(volume-seed5/volume_00/trajectory.tsv, column p1); report value +7.00e+00 "
         "relative (volume-seed5/volume_00/report.txt: divergence.observed)")
-    assert golden.summarize(old, old) == ["5 files in 2 directories: identical"]
-    assert golden.magnitudes(old, old) == "largest change: trajectory none; report value none"
+    assert golden.compare_trees(old, old).summary == ["5 files in 2 directories: identical"]
+    assert golden.compare_trees(old, old).magnitudes == \
+        "largest change: trajectory none; report value none"
 
 
 def test_compare_fails_only_on_a_verdict_or_exit_code_that_got_worse(golden, tmp_path):
@@ -71,15 +72,15 @@ def test_compare_fails_only_on_a_verdict_or_exit_code_that_got_worse(golden, tmp
     deliberate exit 2 -> 0 are not."""
     old = _tree(tmp_path / "old", "2.5e-06", "true", "-0.5", "0\n")
     new = _tree(tmp_path / "new", "2.0000000000000002e-05", "false", "-0.5", "1\n")
-    assert golden.regressions(old, new) == [
+    assert golden.compare_trees(old, new).regressions == [
         "volume-seed5/volume_00/_exit: 0 -> 1",
         "volume-seed5/volume_00/report.txt: status: pass -> fail",
         "volume-seed5/volume_00/report.txt: divergence.pass: true -> false",
     ]
-    assert golden.regressions(new, old) == []
+    assert golden.compare_trees(new, old).regressions == []
     bad_scenario = _tree(tmp_path / "bad", "2.5e-06", "true", "-0.5", "2\n")
-    assert golden.regressions(bad_scenario, old) == []
-    assert golden.regressions(old, old) == []
+    assert golden.compare_trees(bad_scenario, old).regressions == []
+    assert golden.compare_trees(old, old).regressions == []
 
 
 def test_compare_fails_a_threshold_that_grew(golden, tmp_path):
@@ -88,13 +89,13 @@ def test_compare_fails_a_threshold_that_grew(golden, tmp_path):
     old = _tree(tmp_path / "old", "2.5e-06", "true", "-0.5", "0\n")
     loose = _tree(tmp_path / "loose", "2.5e-06", "true", "-0.5", "0\n", threshold="0.0001")
     moved = "volume-seed5/volume_00/report.txt: divergence.threshold: 1.0000000000000001e-05 -> "
-    assert golden.regressions(old, loose) == [moved + "0.0001"]
-    assert golden.summarize(old, loose) == [
+    assert golden.compare_trees(old, loose).regressions == [moved + "0.0001"]
+    assert golden.compare_trees(old, loose).summary == [
         moved + "0.0001 (+9.00e+00) (gate loosened)",
         "5 files in 2 directories: 1 differ",
     ]
-    assert golden.regressions(loose, old) == []
+    assert golden.compare_trees(loose, old).regressions == []
     added = _tree(tmp_path / "added", "2.5e-06", "true", "-0.5", "0\n")
     with open(added / "volume-seed5" / "volume_00" / "report.txt", "a") as fh:
         fh.write("    f_threshold: 1.0000000000000001e-09\n")
-    assert golden.regressions(old, added) == []
+    assert golden.compare_trees(old, added).regressions == []

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import contactmech as cm
 from contactmech import expressions, model
 from contactmech.errors import DimensionMismatchError, NonFiniteError
-from contactmech.model import rowwise
+from contactmech.model import _block_model, rowwise
 from contactmech.scenario import KINDS, build_model, parse_scenario
 
 from conftest import builtin_points, second_derivative
@@ -114,6 +114,28 @@ def test_make_custom_examples():
 
     contraction = cm.make_custom(1, lambda t, y: 0.3 * y[2])
     assert contraction.partials(cm.make_state(0.0, 0.0, 2.0, 0.0))[2] == pytest.approx(0.3, rel=1e-9)
+
+
+def test_a_custom_tangent_takes_one_gradient_per_call():
+    """The field's and A's gradient are one: per `tangent_rhs` call a value-only
+    model evaluates H on 28 rows in 3 blocks (the 8-point gradient, the 19-point
+    Hessian and the value), and a model with its gradient makes 7 gradient calls
+    (one, then 6 for the Hessian's central differences)."""
+    blocks, grads = [], []
+
+    def values(t, Y):
+        blocks.append(len(Y))
+        return Y[:, 1] ** 2 / 2 + Y[:, 0] ** 4 / 4 + 0.3 * Y[:, 2]
+
+    def grad(t, y):
+        grads.append(1)
+        return np.array([y[0] ** 3, y[1], 0.3, 0.0])
+
+    z = np.concatenate([[0.7, -0.2, 0.1], np.eye(3).ravel()])
+    _block_model(1, values).tangent_rhs(0.5, z)
+    assert blocks == [8, 19, 1]
+    cm.make_custom(1, lambda t, y: values(t, y[None])[0], grad).tangent_rhs(0.5, z)
+    assert len(grads) == 7
 
 
 @pytest.mark.parametrize("n, length", [(1, 3), (1, 5), (2, 4), (2, 7)])

@@ -18,7 +18,7 @@ from contactmech.errors import DimensionMismatchError, RiccatiPoleError
 from contactmech.dynamics import _integrate_flat
 from contactmech.oscillator import CubicHermite
 
-from conftest import random_rows
+from conftest import four_places, random_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -387,20 +387,16 @@ def test_the_resonance_example_passes_invariants():
     assert result["passed"] and result["extra"]["ermakov_residual"] < 1e-8, result
 
 
-def _four_places(lo, hi):
-    return st.floats(lo, hi).map(lambda x: round(x, 4))
-
-
 @st.composite
 def _oscillators(draw):
     """The arguments of `_oscillator_text`, each number to 4 places."""
-    w, b, c = draw(_four_places(0.5, 2.0)), draw(_four_places(0.0, 0.3)), \
-        draw(_four_places(0.1, 2.5))
+    w, b, c = draw(four_places(0.5, 2.0)), draw(four_places(0.0, 0.3)), \
+        draw(four_places(0.1, 2.5))
     omega = draw(st.sampled_from([f"{w}", f"{w} + {b}*sin({c}*t)", f"{w}*(1 + {b}*cos({c}*t))^2"]))
-    return (draw(_four_places(0.5, 2.0)), draw(st.just(0) | _four_places(0.02, 0.6)), omega,
-            draw(st.sampled_from([-1, 1])) * draw(_four_places(0.4, 1.5)),
-            draw(_four_places(-0.8, 0.8)), draw(_four_places(-0.5, 0.5)),
-            draw(st.sampled_from([0.01, 0.02, 0.05])), draw(_four_places(1.0, 10.0)))
+    return (draw(four_places(0.5, 2.0)), draw(st.just(0) | four_places(0.02, 0.6)), omega,
+            draw(st.sampled_from([-1, 1])) * draw(four_places(0.4, 1.5)),
+            draw(four_places(-0.8, 0.8)), draw(four_places(-0.5, 0.5)),
+            draw(st.sampled_from([0.01, 0.02, 0.05])), draw(four_places(1.0, 10.0)))
 
 
 # With alpha from the nonlinear Ermakov solve the examples after RESONANCE read

@@ -1,8 +1,9 @@
 """The package's own numerics against scipy, which is a test dependency only.
 
-The Dormand-Prince stepper, the Brent root finder and the cubic Hermite
-interpolant reproduce scipy's `RK45`, `brentq` and `CubicHermiteSpline`
-operation for operation, so those comparisons are bit-for-bit.  scipy's
+The Dormand-Prince stepper and the cubic Hermite interpolant reproduce
+scipy's `RK45` and `CubicHermiteSpline` operation for operation, so those
+comparisons are bit-for-bit; the event root, bisected on the step's dense
+output, is then bit-for-bit the one bisected on scipy's.  scipy's
 DOP853 also solves the Riccati equation for a time-dependent omega, the
 oracle of C, and its variational equation, the oracle of its C0-derivative.
 """
@@ -21,7 +22,7 @@ from scipy.optimize import brentq
 
 import contactmech as cm
 from contactmech import dynamics, oscillator
-from contactmech.dynamics import _brent, _integrate_flat
+from contactmech.dynamics import _bisect, _integrate_flat
 from contactmech.oscillator import CubicHermite
 from contactmech.scenario import build_model, parse_scenario
 
@@ -37,7 +38,8 @@ class _Stop(Exception):
 
 def _scipy_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None):
     """(accepted (t, y), grid samples, event time, rejected steps) of scipy's RK45
-    driven as `_integrate_flat` drives its stepper."""
+    driven as `_integrate_flat` drives its stepper, the event time bisected on
+    scipy's dense output."""
     solver = RK45(rhs, t0, y0, t_bound=t_end, rtol=rtol, atol=atol)
     steps, out, i = [], np.empty((len(grid), len(y0))), 1
     out[0] = y0
@@ -50,8 +52,7 @@ def _scipy_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None):
             g_old, g = g, event(solver.t, solver.y)
             if g_old >= 0 >= g:
                 dense = solver.dense_output()
-                root = brentq(lambda t: event(t, dense(t)), solver.t_old, solver.t,
-                              xtol=ROOT_TOL, rtol=ROOT_TOL)
+                root = _bisect(lambda t: event(t, dense(t)), solver.t_old, solver.t)
                 return steps, None, root, (solver.nfev - 2) // 6 - len(steps)
         j = np.searchsorted(grid, solver.t, side="right")
         if j > i:
@@ -170,23 +171,19 @@ def test_stepper_matches_rk45_on_the_ermakov_list_rhs(monkeypatch):
 
 @pytest.mark.parametrize("f, a, b", [
     (math.cos, 0.0, 2.0),
-    (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+    (lambda x: x ** 3 - 2 * x - 5, 3.0, 2.0),
     (lambda x: math.exp(-x) - x, -1.0, 1.0),
-    (lambda x: 1e-200 * (math.exp(x) - 2), 0.0, 2.0),  # a step divides by an underflow
+    (lambda x: 1e-200 * (math.exp(x) - 2), 2.0, 0.0),  # only the sign is read
 ], ids=["cos", "cubic", "exp", "tiny"])
 def test_root_finder_matches_brentq(f, a, b):
-    """The same root from the same sequence of evaluation points."""
-    for lo, hi in ((a, b), (b, a)):
-        ours, ref = [], []
-        root = _brent(lambda x: ours.append(x) or f(x), lo, hi)
-        assert root == brentq(lambda x: ref.append(x) or f(x), lo, hi,
-                              xtol=ROOT_TOL, rtol=ROOT_TOL)
-        assert ours == ref and len(ours) > 5
-
-
-def test_root_finder_rejects_a_bracket_without_a_sign_change():
-    with pytest.raises(ValueError, match="different signs"):
-        _brent(math.cos, 2.0, 3.0)
+    """The bisection of a downward bracket, f(a) >= 0 >= f(b), lands within
+    the event's tolerance of brentq's root, reading f only inside the bracket."""
+    assert f(a) >= 0 >= f(b)
+    seen = []
+    root = _bisect(lambda x: seen.append(x) or f(x), a, b)
+    ref = brentq(f, min(a, b), max(a, b), xtol=ROOT_TOL, rtol=ROOT_TOL)
+    assert abs(root - ref) <= ROOT_TOL * (1 + abs(ref))
+    assert all(min(a, b) < x < max(a, b) for x in seen) and len(seen) > 40
 
 
 def test_interpolant_matches_cubic_hermite_spline():

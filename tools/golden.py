@@ -35,10 +35,10 @@ scaled by that column's largest magnitude; changed ``_exit``, ``_stderr`` and
 with the largest trajectory change and the largest relative change of a
 report value, each with its path.  It exits 1 when a verdict turned from pass to
 fail, a ``threshold`` or ``f_threshold`` grew, or an exit code turned from 0
-to another (`regressions`); an exit code that turned to 0, or a threshold that
-shrank or is new, passes.  The bits come from the host's libm, so a manifest
-is compared only with runs on the host that wrote it, and both sides of a
-comparison run on one host.  Standard library only.
+to another (the ``regressions`` of `compare_trees`); an exit code that turned
+to 0, or a threshold that shrank or is new, passes.  The bits come from the
+host's libm, so a manifest is compared only with runs on the host that wrote
+it, and both sides of a comparison run on one host.  Standard library only.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -184,8 +185,9 @@ def _float(text: str):
         return None
 
 
-def _report_lines(name: str, old: Path, new: Path) -> list:
-    a, b = _report(old), _report(new)
+def _report_lines(name: str, a: dict, b: dict, changes: dict) -> list:
+    """One line per key whose value differs between the reports a and b, with
+    the relative change `changes` holds for it."""
     lines = []
     for key in list(a) + [k for k in b if k not in a]:
         x, y = a.get(key), b.get(key)
@@ -195,8 +197,7 @@ def _report_lines(name: str, old: Path, new: Path) -> list:
             lines.append(f"{name}: {key}: {'added' if x is None else 'removed'} "
                          f"({y if x is None else x})")
             continue
-        change = _relative(x, y)
-        change = "" if change is None else f" ({change:+.2e})"
+        change = "" if changes[key] is None else f" ({changes[key]:+.2e})"
         flipped = " (verdict flipped)" if key.rsplit(".", 1)[-1] in VERDICTS else ""
         loosened = " (gate loosened)" if _loosened(key, x, y) else ""
         lines.append(f"{name}: {key}: {x} -> {y}{change}{flipped}{loosened}")
@@ -221,14 +222,11 @@ def _table(path: Path) -> tuple:
     return header.split("\t"), [[float(x) for x in row.split("\t")] for row in rows]
 
 
-def _worst_change(old: Path, new: Path):
-    """(change, column, row) of the largest change between two trajectories,
-    scaled by that column's largest magnitude, or None if their shapes differ."""
-    (ha, a), (hb, b) = _table(old), _table(new)
-    if ha != hb or len(a) != len(b):
-        return None
+def _worst_change(header: list, a: list, b: list) -> tuple:
+    """(change, column, row) of the largest change between the rows a and b of
+    one table, scaled by that column's largest magnitude."""
     worst = (0.0, "", 0)
-    for j, col in enumerate(ha):
+    for j, col in enumerate(header):
         scale = max(abs(row[j]) for rows in (a, b) for row in rows) or 1.0
         for i, (x, y) in enumerate(zip(a, b)):
             moved = abs(y[j] - x[j]) / scale if x[j] != y[j] else 0.0
@@ -237,92 +235,72 @@ def _worst_change(old: Path, new: Path):
     return worst
 
 
-def _trajectory_line(name: str, old: Path, new: Path) -> str:
-    """The largest change of one column, scaled by that column's largest magnitude."""
-    worst = _worst_change(old, new)
-    if worst is None:
-        (ha, a), (hb, b) = _table(old), _table(new)
-        return f"{name}: columns or rows changed: {len(ha)}x{len(a)} -> {len(hb)}x{len(b)}"
-    return f"{name}: moved, largest change {worst[0]:.3g} of column {worst[1]}'s " \
-           f"maximum (row {worst[2]})"
+def _larger(best, change: float) -> bool:
+    """Whether change replaces best, a (change, where) pair or None: it is larger
+    in magnitude, or NaN, which is the worst."""
+    return best is None or change != change or abs(change) > abs(best[0])
 
 
-def summarize(old: Path, new: Path) -> list:
-    """What differs between the output trees old and new, one line per moved
-    report line or trajectory, verbatim for `VERBATIM` files, and a count."""
+Comparison = namedtuple("Comparison", "summary magnitudes regressions")
+
+
+def compare_trees(old: Path, new: Path) -> Comparison:
+    """What moved between the output trees old and new, from one walk of the
+    files that differ.  ``summary``: one line per moved report line or
+    trajectory, verbatim for `VERBATIM` files, and a count.  ``magnitudes``: one
+    line, the largest trajectory change scaled by its column's maximum and the
+    largest relative change of a numeric report value, each with its path
+    ("none" if nothing moved).  ``regressions``: the verdicts that turned from
+    pass to fail, the thresholds that grew, and the ``_exit`` files that turned
+    from 0 to anything else."""
     a, b = digest(old), digest(new)
-    lines = []
+    lines, worse = [], []
+    trajectory = report = None
     for name in sorted(set(a) | set(b)):
         if name not in b or name not in a:
             lines.append(f"{'missing in NEW' if name not in b else 'only in NEW'}: {name}")
         elif a[name] == b[name]:
             continue
         elif name.endswith(".txt"):
-            lines += _report_lines(name, old / name, new / name)
+            x, y = _report(old / name), _report(new / name)
+            changes = {key: _relative(x[key], y.get(key, "")) for key in x}
+            lines += _report_lines(name, x, y, changes)
+            for key, change in changes.items():
+                if change is not None and _larger(report, change):
+                    report = (change, f"{name}: {key}")
+            worse += [f"{name}: {key}: {x[key]} -> {y[key]}" for key in x if key in y and (
+                (key.rsplit(".", 1)[-1] in VERDICTS and x[key] in PASSING
+                 and y[key] not in PASSING) or _loosened(key, x[key], y[key]))]
         elif name.endswith(".tsv"):
-            lines.append(_trajectory_line(name, old / name, new / name))
+            (ha, x), (hb, y) = _table(old / name), _table(new / name)
+            if ha != hb or len(x) != len(y):
+                lines.append(f"{name}: columns or rows changed: {len(ha)}x{len(x)} -> "
+                             f"{len(hb)}x{len(y)}")
+                continue
+            worst = _worst_change(ha, x, y)
+            lines.append(f"{name}: moved, largest change {worst[0]:.3g} of column "
+                         f"{worst[1]}'s maximum (row {worst[2]})")
+            if _larger(trajectory, worst[0]):
+                trajectory = (worst[0], f"{name}, column {worst[1]}")
         elif name.rsplit("/", 1)[-1] in VERBATIM:
+            x, y = ((tree / name).read_text(encoding="utf-8") for tree in (old, new))
             lines.append(f"{name}:")
-            for tag, tree in (("-", old), ("+", new)):
-                lines += [f"  {tag} {line}" for line in
-                          (tree / name).read_text(encoding="utf-8").splitlines()]
+            lines += [f"  {tag} {line}" for tag, text in (("-", x), ("+", y))
+                      for line in text.splitlines()]
+            if name.rsplit("/", 1)[-1] == "_exit" and x.strip() == "0" != y.strip():
+                worse.append(f"{name}: 0 -> {y.strip()}")
         else:
             lines.append(f"differs: {name}")
     moved = sum(a.get(name) != b.get(name) for name in set(a) | set(b))
     dirs = {"/".join(name.split("/")[:2]) for name in set(a) | set(b)}
     lines.append(f"{len(set(a) | set(b))} files in {len(dirs)} directories: "
                  f"{f'{moved} differ' if moved else 'identical'}")
-    return lines
-
-
-def magnitudes(old: Path, new: Path) -> str:
-    """One line: the largest trajectory change between the output trees old
-    and new, scaled by its column's maximum, and the largest relative change
-    of a numeric report value, each with its path ("none" if nothing moved)."""
-    trajectory = report = None
-    for path in sorted(old.rglob("*")):
-        name = path.relative_to(old).as_posix()
-        other = new / name
-        if not other.is_file() or path.read_bytes() == other.read_bytes():
-            continue
-        if name.endswith(".tsv"):
-            worst = _worst_change(path, other)
-            if worst is not None and (trajectory is None or worst[0] != worst[0]
-                                      or worst[0] > trajectory[0]):
-                trajectory = (worst[0], f"{name}, column {worst[1]}")
-        elif name.endswith(".txt"):
-            a, b = _report(path), _report(other)
-            for key in a:
-                change = _relative(a[key], b.get(key, ""))
-                if change is not None and (report is None or change != change
-                                           or abs(change) > abs(report[0])):
-                    report = (change, f"{name}: {key}")
-    return ("largest change: trajectory "
-            + (f"{trajectory[0]:.3g} of its column's maximum ({trajectory[1]})"
-               if trajectory else "none")
-            + "; report value " + (f"{report[0]:+.2e} relative ({report[1]})"
-                                   if report else "none"))
-
-
-def regressions(old: Path, new: Path) -> list:
-    """The verdicts that turned from pass to fail, the thresholds that grew, and
-    the ``_exit`` files that turned from 0 to anything else, between the output
-    trees old and new."""
-    lines = []
-    for path in sorted(old.rglob("*")):
-        name = path.relative_to(old).as_posix()
-        if not (new / name).is_file():
-            continue
-        if name.endswith(".txt"):
-            a, b = _report(old / name), _report(new / name)
-            lines += [f"{name}: {key}: {a[key]} -> {b[key]}" for key in a if key in b and (
-                (key.rsplit(".", 1)[-1] in VERDICTS and a[key] in PASSING
-                 and b[key] not in PASSING) or _loosened(key, a[key], b[key]))]
-        elif name.rsplit("/", 1)[-1] == "_exit":
-            a, b = ((tree / name).read_text(encoding="utf-8").strip() for tree in (old, new))
-            if a == "0" != b:
-                lines.append(f"{name}: 0 -> {b}")
-    return lines
+    magnitudes = ("largest change: trajectory "
+                  + (f"{trajectory[0]:.3g} of its column's maximum ({trajectory[1]})"
+                     if trajectory else "none")
+                  + "; report value " + (f"{report[0]:+.2e} relative ({report[1]})"
+                                         if report else "none"))
+    return Comparison(lines, magnitudes, worse)
 
 
 def main(argv=None) -> int:
@@ -348,9 +326,9 @@ def main(argv=None) -> int:
                 run(unpack(rev, tmp / f"{side}-tree"), tmp / side)
                 outs.append(tmp / side)
             print(f"tools/golden.py --compare {' '.join(args.compare)}")
-            print("\n".join(summarize(*outs)))
-            print(magnitudes(*outs))
-            worse = regressions(*outs)
+            summary, magnitudes, worse = compare_trees(*outs)
+            print("\n".join(summary))
+            print(magnitudes)
             if worse:
                 print(f"{len(worse)} passing verdicts or exit codes 0 now fail, "
                       f"or thresholds grew:")

@@ -32,7 +32,7 @@ G_FLOOR_OF_I = 1e-2
 # With model.params' m, H's drift is relative to at least this fraction of
 # max |T| + max |H - T| along the run, T = p.p/2m, so H0 = 0 is a regular state.
 # It is at most 1/2: for T >= 0, V = H - T >= 0 and H conserved, each max is at
-# most |H0|, so the floor never exceeds |H0|
+# most |H0|, so the floor never exceeds |H0|.  hamiltonian_decay's scale is this one times D
 H_FLOOR_OF_TERMS = 0.1
 F_THRESHOLD = 1e-9  # a transform check's gate on |f - e^{gamma t}|, which its report prints
 
@@ -43,18 +43,27 @@ def _rel_drift(x: np.ndarray, floor: float = 0.0) -> float:
     return float(np.max(np.abs(x - ref))) / max(abs(ref), floor, 1e-12)
 
 
+def _h_scale(model, traj: Trajectory, cache: Dict) -> float:
+    """The scale of H's drift: max(|H0|, H_FLOOR_OF_TERMS (max |T| + max |H - T|),
+    1e-12), T = p.p/2m, the floor only for a model whose params have m."""
+    if "h_scale" not in cache:
+        floor = 0.0
+        if "m" in model.params:
+            T = np.sum(traj.p * traj.p, axis=1) / (2 * model.params["m"])
+            floor = H_FLOOR_OF_TERMS * (np.max(np.abs(T)) + np.max(np.abs(traj.H - T)))
+        cache["h_scale"] = max(abs(float(traj.H[0])), floor, 1e-12)
+    return cache["h_scale"]
+
+
 def check_energy_conservation(model, traj: Trajectory, cache: Dict) -> Dict:
-    floor = 0.0
-    if "m" in model.params:
-        T = np.sum(traj.p * traj.p, axis=1) / (2 * model.params["m"])
-        floor = H_FLOOR_OF_TERMS * (np.max(np.abs(T)) + np.max(np.abs(traj.H - T)))
-    return {"observed": _rel_drift(traj.H, floor), "series": [("H", traj.times, traj.H)]}
+    return {"observed": _rel_drift(traj.H, _h_scale(model, traj, cache)),
+            "series": [("H", traj.times, traj.H)]}
 
 
 def check_hamiltonian_decay(model, traj: Trajectory, cache: Dict) -> Dict:
-    """H against the decay law dH/dt = -H dH/dS, which needs an H without explicit t."""
-    pred = dynamics.predicted_hamiltonian(traj)
-    den = np.maximum(np.abs(pred), EPS_DEN)
+    """H against the decay law dH/dt = -H dH/dS of an autonomous H, on `_h_scale` D."""
+    D = dynamics._decay_factor(traj)
+    pred, den = traj.H[0] * D, np.maximum(_h_scale(model, traj, cache) * D, EPS_DEN)
     return {"observed": float(np.max(np.abs(traj.H - pred) / den)),
             "series": [("H", traj.times, traj.H), ("predicted", traj.times, pred)]}
 

@@ -140,8 +140,8 @@ def _rk4(rhs, t: float, y, h: float) -> list:
 def _substep(rhs):
     """The RK4 substep ``step(t, y, h)`` of dy/dt = rhs(t, y), y a float
     sequence and the step's end a float sequence: the straight-line one a
-    built-in's field or tangent_rhs carries (see `model._kind_step`), bit for
-    bit `_rk4`'s, else `_rk4` over rhs."""
+    built-in's field carries (see `model._kind_step`), bit for bit `_rk4`'s,
+    else `_rk4` over rhs, as for every tangent_rhs."""
     own = getattr(rhs, "rk4_step", None)
     return own() if own is not None else functools.partial(_rk4, rhs)
 
@@ -267,13 +267,14 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     RMS error norm on atol + max(|y|, |y_new|) rtol (rtol at least 100 eps),
     safety factor 0.9, step factors within [0.2, 10] and no growth right
     after a rejection; each step's grid points are sampled with one call of
-    its quartic dense output.  Fixed mode takes equal substeps of size
-    <= opts.step between consecutive grid points, each one call of
-    `_substep(rhs)`, on the state as a float sequence: a built-in's own
-    straight-line RK4 step, else `_rk4` over rhs.  In adaptive mode only, a
-    downward zero crossing of event(t, y) over a step is located on that
-    step's dense output by bisection, and event_error(t) is raised at the
-    crossing time.
+    its quartic dense output, and a downward zero crossing of event(t, y)
+    over a step is located on that dense output by bisection, and
+    event_error(t) raised at the crossing time.  Fixed mode takes equal
+    substeps of size <= opts.step between consecutive grid points, each one
+    call of `_substep(rhs)` on the state as a float sequence, which hands rhs
+    arrays that are never written (see `_rk4`); an interval whose substep
+    count would pass max_steps, an infinite count included, fails before its
+    first substep.
 
     Only the first d components of y (all by default) enter the initial-step
     rule, and at first the error norm; the rest ride along on the steps these
@@ -297,18 +298,8 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     in place or in Python floats, in the order of the array expressions, so
     the bits are those of scipy's RK45.  In adaptive mode rhs gets each
     trial stage's argument in one scratch array that the next stage
-    overwrites: it is valid only during the call, and rhs must not keep it.
-    The step's end state, which rhs gets for the last stage and the event
-    sees, is a fresh array, as are the samples; no array the stepper hands
-    out shares the scratch array's memory.  The bookkeeping around the BLAS
-    calls is set up once per solve: the stage views and their transposes and
-    the norms' square roots of size.  Each trial step puts h once into a 0-d
-    array, which scales the stage sums, the step and the dense output in
-    place (numpy takes it faster than a float, and the products are the
-    same).  Fixed mode hands rhs, when it calls it,
-    arrays that are never written (see `_rk4`).  A fixed-mode interval whose
-    substep count would pass max_steps, an infinite count included, fails
-    before its first substep.
+    overwrites, so rhs must not keep it; the step's end state, which rhs gets
+    for the last stage and the event sees, and the samples are fresh arrays.
 
     rhs is not checked for finite values stage by stage.  In adaptive mode a
     non-finite stage makes the error estimate non-finite, so the step is
@@ -444,12 +435,8 @@ def _solve(model: HamiltonianModel, init: ExtendedState, t_end: float,
            opts: IntegratorOptions, grid: np.ndarray, tangent: bool) -> tuple:
     """(rows [q, p, S] of the flow at the grid times, J or None).  With
     `tangent`, J = dPhi solves dJ/dt = A J, J(t0) = I, where A = d(field)/dy,
-    by the model's `tangent_rhs`, whose first rows are `field` itself.  J
-    rides the flow's own steps, so the rows agree with those of the solve
-    without J to roundoff (the stage sums span J's columns too) unless J's
-    error estimate fails on one of them, from which step on J joins the error
-    norm (see `_integrate_flat`); each right-hand side calls `tangent_rhs`
-    once, and it evaluates the field's entries once."""
+    on the flow's own steps (see `integrate`), by the model's `tangent_rhs`,
+    whose first rows are `field` itself, called once per right-hand side."""
     y0 = init.flat()
     if not tangent:
         return _integrate_flat(model.field, y0, init.t, t_end, opts, grid), None
@@ -530,14 +517,17 @@ def _cumulative_trapezoid(times: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(0.5 * dt * (x[1:] + x[:-1]))])
 
 
+def _decay_factor(traj: Trajectory) -> np.ndarray:
+    """D = exp(-int dH/dS dtau), dH/dS = -div/(n+1), by the trapezoid rule on the samples."""
+    return np.exp(-_cumulative_trapezoid(traj.times, -traj.div / (traj.n + 1)))
+
+
 def predicted_hamiltonian(traj: Trajectory) -> np.ndarray:
-    """H(t) predicted from the decay law dH/dt = -H dH/dS of an autonomous H:
-    H_0 exp(-int dH/dS dtau), with dH/dS = -div/(n+1) from the trajectory's
-    samples and the trapezoid rule on the sample grid.  A time-dependent H adds
-    dH/dt to the law, which this prediction leaves out."""
+    """H(t) = H_0 D (see `_decay_factor`) by the decay law dH/dt = -H dH/dS of an
+    autonomous H; a time-dependent H adds dH/dt to the law, which this leaves out."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    return traj.H[0] * np.exp(-_cumulative_trapezoid(traj.times, -traj.div / (traj.n + 1)))
+    return traj.H[0] * _decay_factor(traj)
 
 
 def recover_S_linear(model: HamiltonianModel, q: float, p: float, t: float,

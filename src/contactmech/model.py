@@ -163,8 +163,8 @@ class HamiltonianModel:
     [y, J row-major], J (2n+1) x (2n+1), ``tangent_rhs(t, z)`` is [field(t, y),
     A J], A = d(field)/dy, its first 2n+1 entries ``field(t, y)`` bit for bit.
     The built-ins compile all four from one parsed H (see `_TEMPLATES`), so
-    they agree by construction, and their field and tangent_rhs carry the
-    straight-line RK4 substep that fixed-step solves take; `make_custom`
+    they agree by construction, and their field carries the straight-line
+    RK4 substep that fixed-step solves of the flow take; `make_custom`
     builds them from per-point callables, A by `_contact_jacobian` of the
     gradient and a central-difference Hessian.  All four are unvalidated (a
     non-finite field is left to the integrator); ``evaluate`` and
@@ -237,9 +237,9 @@ def _contact_jacobian(n: int, y: np.ndarray, g: np.ndarray, K: np.ndarray) -> np
 # differentiates the template with the text and emits from its one DAG H, its
 # gradient, the field (`_contact_field` over the gradient's nodes) and the
 # tangent [field, A J] (A by `_contact_jacobian`'s chain rule), and
-# `_kind_step`, on the first fixed-step solve, one RK4 substep of the field or
-# of the tangent; a model binds only m, gamma and its literals.  So value,
-# grad, field, tangent_rhs and the substeps agree by construction.  Where
+# `_kind_step`, on the first fixed-step solve of the flow, one RK4 substep of
+# the field (the tangent's is `dynamics._rk4`); a model binds only m, gamma and
+# its literals.  So value, grad, field, tangent_rhs and the substep agree.  Where
 # literals make a tested node 0 (see `_bind`), the model takes the code of its
 # own text instead.  `value` and `grad` run on columns with every function,
 # power and division by what may be 0 per element, so a block gives its rows'
@@ -403,27 +403,24 @@ def _rk4_nodes(dag, lead: list, rhs: list, y: list) -> tuple:
 
 
 @functools.lru_cache(maxsize=32)
-def _kind_step(kind: str, text: str, where: str, literals: bool, tangent: bool) -> tuple:
+def _kind_step(kind: str, text: str, where: str, literals: bool) -> tuple:
     """`_compile` of one RK4 substep ``f(t, y, h)`` of the field of
-    `_kind_dag`, or of its tangent when `tangent`, y a float sequence: the end
-    state as a tuple, bit for bit `dynamics._rk4`'s over the model's field or
-    tangent_rhs, and its first error theirs, a stage's overflow naming the
-    stage's time."""
-    dag, H, _, field, AJ = _kind_dag(kind, text, where, literals)
-    names = (*_Y, *_J) if tangent else _Y
-    y = [dag.node("var", value=x) for x in names]
-    stages, step, times = _rk4_nodes(dag, [H], field + AJ if tangent else field, y)
-    head = f"def f(t, y, h):\n    {', '.join(names)} = y"
-    label = f"rk4 {kind}.{'tangent' if tangent else 'field'}"
-    return _compile(f"{kind}: ", stages, [(step, head, f"({'{}, ' * len(y)})", label)],
+    `_kind_dag`, y a float sequence: the end state as a tuple, bit for bit
+    `dynamics._rk4`'s over the model's field, and its first error `_rk4`'s,
+    a stage's overflow naming the stage's time."""
+    dag, H, _, field, _ = _kind_dag(kind, text, where, literals)
+    y = [dag.node("var", value=x) for x in _Y]
+    stages, step, times = _rk4_nodes(dag, [H], field, y)
+    return _compile(f"{kind}: ", stages, [(step, "def f(t, y, h):\n    q, p, S = y",
+                                           "({}, {}, {}, )", f"rk4 {kind}.field")],
                     _TEMPLATES[kind][2], times, dag.tested)
 
 
 def _builtin(kind: str, m: float, gamma: float, text) -> HamiltonianModel:
     """The model of `kind` with these m and gamma and V or omega `text` (see
     `as_expression`), by the code of its shape, or of the text itself where
-    `_bind` refuses that.  Its field and tangent_rhs carry ``rk4_step()``,
-    their RK4 substep, bound on first use."""
+    `_bind` refuses that.  Its field carries ``rk4_step()``, the field's RK4
+    substep, bound on first use."""
     _check_mass_and_damping(m, gamma)
     name, variable = _TEMPLATES[kind][1]
     fn = as_expression(text, variable, name)
@@ -435,9 +432,7 @@ def _builtin(kind: str, m: float, gamma: float, text) -> HamiltonianModel:
         key = (kind, fn.text, fn._where, False)
         functions = _bind(_kind_code(*key), params)
     value, grad, field, tangent_rhs = functions
-    for rhs, tangent in ((field, False), (tangent_rhs, True)):
-        rhs.rk4_step = functools.cache(
-            lambda tangent=tangent: _bind(_kind_step(*key, tangent), params)[0])
+    field.rk4_step = functools.cache(lambda: _bind(_kind_step(*key), params)[0])
     return HamiltonianModel(n=1, value=value, grad=grad, field=field, tangent_rhs=tangent_rhs,
                             name=kind, params={"m": m, "gamma": gamma, name: fn})
 

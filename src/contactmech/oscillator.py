@@ -98,9 +98,11 @@ class CubicHermite:
     Interval i holds c0 s^3 + c1 s^2 + c2 s + c3 in s = t - x_i, evaluated
     left to right as 0 + c3 + c2 s + c1 s^2 + c0 s^3; the end cubics
     extrapolate.  A call goes through numpy: an array gives an array of its
-    shape, a number an np.float64.
+    shape, a number an np.float64.  Coefficients that overflow, as on nodes
+    1e-182 apart, raise NonFiniteError naming the smallest node spacing.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow raises below
     def __init__(self, x, y, dydx):
         x, y, dydx = (np.asarray(v, dtype=float) for v in (x, y, dydx))
         if not (np.isfinite(y).all() and np.isfinite(dydx).all()):
@@ -110,6 +112,9 @@ class CubicHermite:
         t = (dydx[..., :-1] + dydx[..., 1:] - 2 * slope) / dx
         self.x, self._inner = x, x[1:-1]
         self.c = np.stack((t / dx, (slope - dydx[..., :-1]) / dx - t, dydx[..., :-1], y[..., :-1]))
+        if not np.isfinite(self.c).all():
+            raise NonFiniteError(f"the cubic Hermite coefficients overflow on nodes "
+                                 f"{dx.min():.3g} apart")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

@@ -22,7 +22,7 @@ from contactmech.dynamics import integrate
 from contactmech.errors import ScenarioError, SingularMeasureError
 from contactmech.expressions import parse_expression
 from contactmech.model import make_caldirola_kanai, make_custom, make_state
-from contactmech.scenario import KINDS, MAX_SAMPLES, build_model, parse_scenario
+from contactmech.scenario import _GRAMMAR, KINDS, MAX_SAMPLES, build_model, parse_scenario
 from conftest import four_places
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -520,6 +520,24 @@ checks = hj_residual
 """
 
 
+# the Ermakov solve's interpolation nodes are 1.6e-182 apart, over which its
+# cubic Hermite coefficients overflow
+SHORT_SPAN_INVARIANTS = """\
+[model]
+kind = damped_parametric
+m = 1
+gamma = 0.1
+omega = 1
+[initial]
+q = 1
+p = 0
+[integration]
+t_end = 1e-180
+[diagnostics]
+checks = invariants
+"""
+
+
 OVERDAMPED_HJ = """\
 [model]
 kind = damped_parametric
@@ -560,6 +578,24 @@ def test_an_overflowing_hj_field_is_one_line_without_a_warning(tmp_path, capsys)
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: non-finite contact state: q=\[-2\.\], p=\[[^\]\n]*\], "
                         r"S=[^\n]*\n", err), err
+
+
+@pytest.mark.parametrize("text, spacing", [
+    (SHORT_SPAN_INVARIANTS, "1.56e-182"),
+    (SHORT_SPAN_INVARIANTS.replace("omega = 1", "omega = 0").replace("p = 0", "p = 0.3")
+     .replace("invariants", "hj_residual"), "6.25e-184")], ids=["invariants", "hj_residual"])
+def test_an_interpolant_over_a_tiny_span_is_one_error_line(text, spacing, tmp_path, capsys):
+    """At t_end = 1e-180 the cubic Hermite coefficients of the Ermakov or
+    Riccati solve overflow: exit 3 naming the smallest node spacing, on one
+    line and without a numpy warning, where the NaN they made blamed the
+    Lewis invariant or the contact state."""
+    path = tmp_path / "short.ini"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == ("error: the cubic Hermite coefficients overflow on "
+                                       f"nodes {spacing} apart\n")
 
 
 def test_a_riccati_start_at_q0_0_is_1(tmp_path, capsys):
@@ -648,6 +684,52 @@ def test_energy_conservation_passes_a_run_that_starts_at_h_zero(tmp_path):
     report = (tmp_path / "o" / "report.txt").read_text()
     observed = float(re.search(r"energy_conservation:\n.*\n    observed: (\S+)", report).group(1))
     assert observed < 1e-8
+
+
+# linear_dissipation runs on H = 0 in the text `_dissipations` draws: at gamma = 0 with
+# V = q^2/2 - 0.5 from (1, 0, 0), and at gamma = 0.2 with V = q^2/2 from (1, 0, -2.5)
+_ON_H_ZERO = """\
+[model]
+kind = linear_dissipation
+m = 1
+gamma = {gamma}
+V = {V}
+
+[initial]
+q = 1
+p = 0
+S = {S}
+
+[integration]
+rel_tol = 1e-10
+abs_tol = 1e-13
+sample_interval = 0.05
+t_end = 5
+
+[diagnostics]
+checks = divergence
+"""
+CONSERVED_ON_H_ZERO = _ON_H_ZERO.format(gamma=0, V="q^2/2 - 0.5", S=0)
+DECAYING_ON_H_ZERO = _ON_H_ZERO.format(gamma=0.2, V="q^2/2", S=-2.5)
+
+
+@pytest.mark.parametrize("text", [CONSERVED_ON_H_ZERO, DECAYING_ON_H_ZERO],
+                         ids=["conserved", "decaying"])
+def test_the_decay_check_passes_a_run_that_stays_on_h_zero(text):
+    """`hamiltonian_decay` takes `energy_conservation`'s scale, decayed by the
+    prediction's factor D: on H = 0, where |H| stays below 1e-10, it read
+    6.9e19 and 3.2e19 against |predicted H| alone, and it now reads below 1e-9.
+    At gamma = 0, D = 1 and its reading is energy's bit for bit."""
+    config = parse_scenario(text)
+    model = build_model(config)
+    traj = integrate(model, make_state(config.q0, config.p0, config.S0, config.t0),
+                     config.t_end, config.options)
+    assert np.max(np.abs(traj.H)) < 1e-10
+    checks = ["hamiltonian_decay"] + ["energy_conservation"] * (config.gamma == 0)
+    results = diagnostics.run_checks(checks, model, traj)
+    assert all(r["passed"] for r in results), results
+    observed = {r["observed"] for r in results}
+    assert len(observed) == 1 and max(observed) < 1e-9, observed
 
 
 def test_seed_changes_verification_points(tmp_path):
@@ -1078,6 +1160,7 @@ def _run_scenarios(draw):
     tokens = [token for token in diagnostics.TOKENS  # those this kind's params allow
               if {"m", "gamma", key}.issuperset(diagnostics.CHECKS[token].params)]
     checks = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=3, unique=True))
+    t0 = draw(_drawn(-3.0, 3.0))
     return f"""\
 [model]
 kind = {kind}
@@ -1089,25 +1172,35 @@ gamma = {draw(_drawn(0.0, 1.0))!r}
 q = {draw(_drawn(-3.0, 3.0))!r}
 p = {draw(_drawn(-3.0, 3.0))!r}
 S = {draw(_drawn(-3.0, 3.0))!r}
+t = {t0!r}
 
 [integration]
 method = {method}
+rel_tol = {draw(_drawn(1e-12, 1e-3))!r}
+abs_tol = {draw(_drawn(1e-15, 1e-6))!r}
 max_steps = {draw(st.integers(1, 2000))}
-t_end = {draw(st.floats(0.1, 2.0))!r}
+sample_interval = {draw(_drawn(1e-3, 0.5))!r}
+t_end = {t0 + draw(st.floats(0.1, 2.0))!r}
 
 [diagnostics]
 checks = {", ".join(checks)}
 """
 
 
+_KEY_PATHS = {f"{section}.{key}" for section, key, *_ in _GRAMMAR}
+
+
 @given(_run_scenarios())
 @example(OVERFLOWING_HJ_FIELD)
+@example(SHORT_SPAN_INVARIANTS)
 @settings(deadline=None)
 def test_every_drawn_run_ends_in_a_documented_exit(text):
-    """Drawn kinds, values with extremes, texts with poles, domain edges and
-    1,000 levels of nesting, both methods and one to three checks: `verify`
-    exits 0-4, stderr is empty on 0 and 1 and one line otherwise, and no
-    Python warning is raised.  The example count is the hypothesis profile's
+    """Drawn kinds, values with extremes (tolerances, sample interval and
+    initial time included), texts with poles, domain edges and 1,000 levels
+    of nesting, both methods and one to three checks: `verify` exits 0-4,
+    stderr is empty on 0 and 1 and one line otherwise, which on 2 begins
+    ``error: <section>.<key>: `` with a key of the grammar, and no Python
+    warning is raised.  The example count is the hypothesis profile's
     (tests/conftest.py): 25 by default, 2,000 under `fuzz`."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught, \
@@ -1119,6 +1212,8 @@ def test_every_drawn_run_ends_in_a_documented_exit(text):
     err = err.getvalue()
     assert 0 <= code <= 4, (code, err, text)
     assert err.count("\n") == (code > 1) and err.endswith("\n" if code > 1 else ""), (err, text)
+    if code == 2:
+        assert err.startswith("error: ") and err[7:].split(": ")[0] in _KEY_PATHS, (err, text)
     assert not caught, [str(w.message) for w in caught]
 
 
@@ -1170,6 +1265,7 @@ checks = divergence
 
 
 @given(_dissipations())
+@example(CONSERVED_ON_H_ZERO)
 @settings(deadline=None)
 def test_every_drawn_dissipation_verdict_is_a_pass(text):
     """Drawn linear-dissipation and Caldirola-Kanai runs: every check of

@@ -956,14 +956,15 @@ _RK4_MODELS = {
 def test_fixed_rk4_is_the_numpy_expression_bit_for_bit(models, tangent, monkeypatch):
     """`integrate` in fixed_rk4 mode, `step_rk4` and the substep give the bits
     of the array expression over the model's field or tangent_rhs, signs of
-    zeros included: on every built-in kind's field (n = 1) and tangent (width
-    12), which take their own straight-line substeps, and on a custom n = 2
-    model, which takes `_rk4` over its ndarray right-hand side; at steps of
-    either sign, down to 1e-7."""
+    zeros included: on every built-in kind's field (n = 1), which takes its
+    own straight-line substep, on its tangent (width 12), which takes `_rk4`
+    over tangent_rhs, and on a custom n = 2 model, which takes `_rk4` over its
+    ndarray right-hand side; at steps of either sign, down to 1e-7."""
     for model in models:
         d = 2 * model.n + 1
         rhs = model.tangent_rhs if tangent else model.field
-        assert isinstance(dynamics._substep(rhs), functools.partial) == (model.name == "custom")
+        assert isinstance(dynamics._substep(rhs), functools.partial) == \
+            (tangent or model.name == "custom")
         y = np.linspace(0.9, -0.4, d)
         x0 = cm.make_state(y[:model.n], y[model.n:2 * model.n], y[-1], 0.3)
         opts = cm.IntegratorOptions(method="fixed_rk4", step=0.01, sample_interval=0.05)

@@ -1,5 +1,6 @@
 """Model layer: states, built-in Hamiltonians, closed-form vs FD partials."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import contactmech as cm
-from contactmech import expressions, model
+from contactmech import dynamics, expressions, model
 from contactmech.errors import DimensionMismatchError, NonFiniteError
 from contactmech.model import _block_model, rowwise
 from contactmech.scenario import KINDS, build_model, parse_scenario
@@ -325,9 +326,10 @@ def test_a_kind_is_parsed_differentiated_and_compiled_once(kind, monkeypatch):
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_a_substep_is_compiled_on_the_first_fixed_step_solve_of_its_kind(kind, monkeypatch):
     """`build_model` compiles no RK4 substep.  The first fixed-step solve of a
-    kind and shape compiles its field's substep and the first with the tangent
-    the tangent's; the other models of the kind and shape compile nothing, and
-    an adaptive solve takes no substep."""
+    kind and shape compiles its field's substep; the other models of the kind
+    and shape compile nothing, an adaptive solve takes no substep, and a
+    fixed-step tangent solve takes `dynamics._rk4` over tangent_rhs, which
+    carries no substep of its own."""
     _, key, var = KINDS[kind]
     configs = [parse_scenario(f"[model]\nkind = {kind}\nm = {1 + i / 8}\ngamma = {i / 16}\n"
                               f"{key} = {1.25 + i / 4:.2f}*{var}^2/2\n"
@@ -349,11 +351,12 @@ def test_a_substep_is_compiled_on_the_first_fixed_step_solve_of_its_kind(kind, m
         cm.integrate(built_model, x0, 0.5)
     assert not substeps()
     fixed = cm.IntegratorOptions(method="fixed_rk4", step=0.01)
-    for tangent, names in ((False, "q, p, S = y\n"), (True, "q, p, S, J00, ")):
+    for tangent in (False, True):
         for built_model in models:
             cm.integrate(built_model, x0, 0.5, fixed, tangent=tangent)
-        assert len(substeps()) == 1 + tangent
-        assert substeps()[-1].startswith(f"def f(t, y, h):\n    {names}")
+            assert not hasattr(built_model.tangent_rhs, "rk4_step")
+        assert len(substeps()) == 1
+        assert substeps()[-1].startswith("def f(t, y, h):\n    q, p, S = y\n")
 
 
 _SHAPES = [  # (kind, two texts of one shape); numbers become the parsed repr(float(c))
@@ -380,13 +383,14 @@ def _shape_rows():
 
 
 def _own_text(kind, m, gamma, expr):
-    """value, grad, field, tangent_rhs and both substeps of `expr`'s own text,
-    its literals in the code: the code a shape stands for."""
+    """value, grad, field, tangent_rhs, the field's substep and `dynamics._rk4`
+    over tangent_rhs of `expr`'s own text, its literals in the code: the code
+    a shape stands for."""
     key = (kind, expr.text, expr._where, False)
     params = {"m": m, "gamma": gamma}
-    return (*model._bind(model._kind_code(*key), params),
-            *(model._bind(model._kind_step(*key, tangent), params)[0]
-              for tangent in (False, True)))
+    value, grad, field, tangent_rhs = model._bind(model._kind_code(*key), params)
+    return (value, grad, field, tangent_rhs, model._bind(model._kind_step(*key), params)[0],
+            functools.partial(dynamics._rk4, tangent_rhs))
 
 
 def _outputs(functions, rows):
@@ -407,9 +411,10 @@ def _outputs(functions, rows):
 @pytest.mark.parametrize("kind, first, second", _SHAPES)
 def test_texts_of_one_shape_give_the_bits_of_their_own_text(kind, first, second):
     """Two texts of one shape, built in either order, so that each is once a
-    miss of the shape cache and once a hit: value, grad, field, tangent_rhs and
-    both RK4 substeps are those of the code with the text's own literals, bit
-    for bit and signs of zeros included."""
+    miss of the shape cache and once a hit: value, grad, field, tangent_rhs,
+    the field's RK4 substep and the tangent's, `dynamics._rk4` over
+    tangent_rhs, are those of the code with the text's own literals, bit for
+    bit and signs of zeros included."""
     factory, name, var = KINDS[kind]
     texts = [t if not isinstance(t, str) else cm.parse_expression(t, var, f"model.{name}")
              for t in (first, second)]
@@ -418,9 +423,9 @@ def test_texts_of_one_shape_give_the_bits_of_their_own_text(kind, first, second)
         model._kind_code.cache_clear()
         model._kind_step.cache_clear()
         built = [factory(1.3, gamma, text) for gamma in (0.0, 0.3) for text in order]
-        steps = [(b.field.rk4_step(), b.tangent_rhs.rk4_step()) for b in built]
+        steps = [(b.field.rk4_step(), dynamics._substep(b.tangent_rhs)) for b in built]
         assert model._kind_code.cache_info()[:2] == (3, 1)
-        assert model._kind_step.cache_info()[:2] == (6, 2)
+        assert model._kind_step.cache_info()[:2] == (3, 1)
         exprs = [b.params[name] for b in built]
         assert len({model._shape(e.text)[0] for e in exprs}) == 1
         for b, expr, step in zip(built, exprs, steps):
@@ -440,7 +445,7 @@ def test_a_literal_node_tested_for_zero_takes_the_code_of_the_text():
         expr = cm.parse_expression(text, "q", "model.V")
         built = cm.make_linear_dissipation(1.3, 0.0, expr)
         functions = (built.value, built.grad, built.field, built.tangent_rhs,
-                     built.field.rk4_step(), built.tangent_rhs.rk4_step())
+                     built.field.rk4_step(), dynamics._substep(built.tangent_rhs))
         assert _outputs(functions, rows) == \
             _outputs(_own_text("linear_dissipation", 1.3, 0.0, expr), rows)
     built = cm.make_linear_dissipation(1.3, 0.0, cm.parse_expression("(2*q - 2*q)*exp(-q)", "q"))
@@ -473,7 +478,7 @@ def test_error_texts_hold_for_texts_of_one_shape(kind, texts, build, evaluate, m
                  lambda: rowwise(built.grad, t, np.array([q])),
                  lambda: built.field(t, np.array(q)), lambda: built.tangent_rhs(t, z),
                  lambda: built.field.rk4_step()(t, q, 0.01),
-                 lambda: built.tangent_rhs.rk4_step()(t, z.tolist(), 0.01),
+                 lambda: dynamics._substep(built.tangent_rhs)(t, z.tolist(), 0.01),
                  lambda: built.evaluate(cm.make_state(*q, t))]
         for call in calls:
             with pytest.raises((ArithmeticError, ValueError)) as err:

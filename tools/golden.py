@@ -14,8 +14,9 @@ The reference runs are 111 output directories:
   place of their method line, as ``test_fixed_rk4_passes_every_shipped_scenario``
   rewrites them, the rewritten scenario recorded as ``_scenario.ini``
   (``fixed/<name>-seed0/``):
-  the fixed-step flow of ``damped_parametric`` and the fixed-step tangent,
-  which the volume checks carry, of the other two kinds;
+  the fixed-step flow of ``damped_parametric``, by its field's emitted
+  substep, and the fixed-step tangent, which the volume checks carry, of the
+  other two kinds, by the generic ``_rk4`` over ``tangent_rhs``;
 * every ``volume`` and ``invariants`` entry of ``perfbench.generate`` at
   seeds 5 and 11, through ``cli.run_scenario`` with trajectory and plots, in
   one process (``<workload>-seed<s>/<entry>/``); an exception's type and

@@ -32,7 +32,7 @@ G_FLOOR_OF_I = 1e-2
 # With model.params' m, H's drift is relative to at least this fraction of
 # max |T| + max |H - T| along the run, T = p.p/2m, so H0 = 0 is a regular state.
 # It is at most 1/2: for T >= 0, V = H - T >= 0 and H conserved, each max is at
-# most |H0|, so the floor never exceeds |H0|.  hamiltonian_decay's scale is this one times D
+# most |H0|, so the floor never exceeds |H0|.  hamiltonian_decay takes the scale times D
 H_FLOOR_OF_TERMS = 0.1
 F_THRESHOLD = 1e-9  # a transform check's gate on |f - e^{gamma t}|, which its report prints
 
@@ -61,7 +61,7 @@ def check_energy_conservation(model, traj: Trajectory, cache: Dict) -> Dict:
 
 
 def check_hamiltonian_decay(model, traj: Trajectory, cache: Dict) -> Dict:
-    """H against the decay law dH/dt = -H dH/dS of an autonomous H, on `_h_scale` D."""
+    """H against the decay law dH/dt = -H dH/dS of an autonomous H, relative to `_h_scale` D."""
     D = dynamics._decay_factor(traj)
     pred, den = traj.H[0] * D, np.maximum(_h_scale(model, traj, cache) * D, EPS_DEN)
     return {"observed": float(np.max(np.abs(traj.H - pred) / den)),

@@ -113,7 +113,7 @@ class CubicHermite:
         self.x, self._inner = x, x[1:-1]
         self.c = np.stack((t / dx, (slope - dydx[..., :-1]) / dx - t, dydx[..., :-1], y[..., :-1]))
         if not np.isfinite(self.c).all():
-            raise NonFiniteError(f"the cubic Hermite coefficients overflow on nodes "
+            raise NonFiniteError("the cubic Hermite coefficients overflow on nodes "
                                  f"{dx.min():.3g} apart")
 
     def __call__(self, t):

@@ -18,7 +18,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -181,8 +181,77 @@ _DP_P = np.array([
      701980252875 / 199316789632],
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10; the
+# coefficients of Hairer's DOP853, to the double): 12 stages, the field at the
+# step's end as stage 12, and stages 13-15 for the dense output alone.  Row s
+# of A holds stage s's weights over stages 0 .. s-1, by column; row 12's first
+# 12 are the 8th-order weights B.  E5 is B less the 5th-order weights and E3
+# B less the 3rd-order ones, over stages 0-12.  Rows 3-6 of the 7-term dense
+# output weight all 16 stages by D.
+_D8_C = [0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+         0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+         0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+         0.7777777777777778]
+_D8_A = np.zeros((16, 16))
+for _s, _row in enumerate([
+        {0: 0.05260015195876773},
+        {0: 0.0197250569845379, 1: 0.0591751709536137},
+        {0: 0.02958758547680685, 2: 0.08876275643042054},
+        {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+        {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+        {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+        {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+         5: -0.015319437748624402, 6: 0.008273789163814023},
+        {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+         5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+        {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+         5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+         8: -0.020331201708508627},
+        {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+         5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+         8: 2.4936055526796523, 9: -3.0467644718982196},
+        {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+         5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+         8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+        {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+         10: 0.20136540080403034, 11: 0.04471061572777259},
+        {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+         8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+         11: 0.007567897660545699, 12: -0.008298},
+        {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+         7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+         12: -0.00034046500868740456, 13: 0.1413124436746325},
+        {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+         7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+         13: 2.9475147891527724, 14: -9.15095847217987}], start=1):
+    _D8_A[_s, list(_row)] = list(_row.values())
+_D8_B = _D8_A[12, :12]
+_D8_E5 = np.zeros(13)
+_D8_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294]
+_D8_E3 = np.zeros(13)
+_D8_E3[:12] = _D8_B
+_D8_E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+_D8_D = np.zeros((4, 16))
+_D8_D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
+    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564]]
+# the dense output's stages 13-15: (s, row s of A over stages 0 .. s-1, node)
+_D8_EXTRA = [(s, _D8_A[s, :s], _D8_C[s]) for s in (13, 14, 15)]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10  # step-size controller
-_ERR_EXPONENT = -1 / 5   # the error estimate is of order 4
 
 
 def _rms(x: np.ndarray) -> float:
@@ -219,12 +288,102 @@ def _dense_powers(ts: list, t_old: float, h: float) -> np.ndarray:
     return np.array(rows).T.copy()
 
 
+def _rk45_error(KT: np.ndarray, h: float, y: list, y_new: list, atol: float, rtol: float,
+                d: int) -> tuple:
+    """(error norm of the first d components, the error estimate of all) of a
+    Dormand-Prince 5(4) step, K its 7 stages: the RMS of E.K h scaled by
+    `_scaled_error`, as scipy's RK45 takes it."""
+    est = KT.dot(_DP_E)
+    e = _scaled_error(est[:d].tolist(), h, y, y_new, atol, rtol)
+    return math.sqrt(e.dot(e)) / d ** 0.5, est
+
+
+def _dop853_error(KT: np.ndarray, h: float, y: list, y_new: list, atol: float, rtol: float,
+                  d: int) -> tuple:
+    """(error norm, None) of a Dormand-Prince 8(5,3) step, K its 13 stages, as
+    scipy's DOP853 takes it: with e5 = E5.K and e3 = E3.K over the scale of
+    `_scaled_error` (h = 1 there, so each is e / scale), |h| |e5|^2 / sqrt((|e5|^2
+    + 0.01 |e3|^2) d), 0 where both vanish; each |e|^2 is sqrt(e.e) ** 2, as
+    np.linalg.norm(e) ** 2 rounds."""
+    e5 = _scaled_error(KT.dot(_D8_E5).tolist(), 1.0, y, y_new, atol, rtol)
+    e3 = _scaled_error(KT.dot(_D8_E3).tolist(), 1.0, y, y_new, atol, rtol)
+    n5, n3 = math.sqrt(e5.dot(e5)) ** 2, math.sqrt(e3.dot(e3)) ** 2
+    if n5 == 0 and n3 == 0:
+        return 0.0, None
+    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * d), None
+
+
+def _rk45_dense(rhs, K: np.ndarray, t_old: float, y_old: np.ndarray, y: np.ndarray,
+                h: float):
+    """Shampine's quartic of the step from (t_old, y_old) by h, K its 7 stages, as
+    scipy's RkDenseOutput evaluates it: sample(t) is the state at one time t, and
+    sample(ts, out) writes the states at the times ts as the rows of out."""
+    Q = K.T.dot(_DP_P)
+
+    def sample(ts, out=None):
+        if out is None:
+            return h * np.dot(Q, _dense_powers([ts], t_old, h).ravel()) + y_old
+        z = Q.dot(_dense_powers(ts, t_old, h))
+        z *= h
+        np.add(z.T, y_old, out=out)
+
+    return sample
+
+
+def _dop853_dense(rhs, K: np.ndarray, t_old: float, y_old: np.ndarray, y: np.ndarray,
+                  h: float):
+    """The 7-term interpolant of a Dormand-Prince 8(5,3) step from (t_old,
+    y_old) by h to y, K its 16 stages, of which this takes stages 13-15 first,
+    as scipy's DOP853 forms and Dop853DenseOutput evaluates it; sample as in
+    `_rk45_dense`."""
+    for s, a, c in _D8_EXTRA:
+        K[s] = rhs(t_old + c * h, y_old + K[:s].T.dot(a) * h)
+    delta = y - y_old
+    F = np.empty((7, len(y)))
+    F[0] = delta
+    F[1] = h * K[0] - delta
+    F[2] = 2 * delta - h * (K[12] + K[0])
+    F[3:] = h * np.dot(_D8_D, K)
+    F = F[::-1]
+
+    def sample(ts, out=None):
+        x = ((np.array([ts] if out is None else ts) - t_old) / h)[:, None]
+        z = np.zeros((len(x), len(y)))
+        for i, f in enumerate(F):  # from the last term, times x and 1 - x in turn
+            z += f
+            z *= 1 - x if i % 2 else x
+        z += y_old
+        if out is None:
+            return z[0]
+        out[...] = z
+
+    return sample
+
+
+class _Tableau(NamedTuple):
+    """An explicit Runge-Kutta pair whose stage len(B), the field at the step's
+    end, is the next step's stage 0 (first same as last)."""
+
+    C: list           # the nodes of stages 1 .. len(B) - 1
+    A: list           # their rows, each over the stages before it
+    B: np.ndarray     # the step's weights over stages 0 .. len(B) - 1
+    rows: int         # the stages stored, the dense output's own included
+    error: Callable   # (K[:len(B) + 1].T, h, y, y_new, atol, rtol, d) -> (norm, estimate)
+    dense: Callable   # (rhs, K, t_old, y_old, y, h) -> the step's sample(t[, out])
+    exponent: float   # of the error norm in the step-size controller, -1 / (its order + 1)
+
+
+_RK45 = _Tableau(_DP_C[1:], _DP_A[1:], _DP_B, 7, _rk45_error, _rk45_dense, -1 / 5)
+_DOP853 = _Tableau(_D8_C[1:12], [_D8_A[s, :s] for s in range(1, 12)], _D8_B, 16,
+                   _dop853_error, _dop853_dense, -1 / 8)
+
+
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
-                  rtol: float, atol: float, d: int) -> float:
+                  rtol: float, atol: float, d: int, exponent: float) -> float:
     """First step size by the rule of Hairer, Norsett & Wanner (II.4) on the
-    first d components, never longer than the interval; IntegrationError if the
-    rule's first estimate is 0, which happens when the scaled RMS of f0
-    overflows."""
+    first d components, for a method whose error norm has the controller's
+    `exponent`, never longer than the interval; IntegrationError if the rule's
+    first estimate is 0, which happens when the scaled RMS of f0 overflows."""
     span = abs(t_end - t0)
     scale = atol + np.abs(y0[:d]) * rtol
     d0, d1 = _rms(y0[:d] / scale), _rms(f0[:d] / scale)
@@ -239,7 +398,7 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** -exponent
     return min(100 * h0, h1, span)
 
 
@@ -259,17 +418,20 @@ def _bisect(f, a: float, b: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are handled below
 def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                     opts: IntegratorOptions, grid: np.ndarray,
-                    event=None, event_error=None, d: Optional[int] = None) -> np.ndarray:
+                    event=None, event_error=None, d: Optional[int] = None,
+                    tableau: _Tableau = _RK45) -> np.ndarray:
     """Integrate dy/dt = rhs(t, y) and return samples at grid points.
 
     `grid` must start at t0 and end at t_end, and rhs may return any float
-    sequence.  Adaptive mode is a Dormand-Prince 5(4) stepper of its own: an
-    RMS error norm on atol + max(|y|, |y_new|) rtol (rtol at least 100 eps),
-    safety factor 0.9, step factors within [0.2, 10] and no growth right
-    after a rejection; each step's grid points are sampled with one call of
-    its quartic dense output, and a downward zero crossing of event(t, y)
-    over a step is located on that dense output by bisection, and
-    event_error(t) raised at the crossing time.  Fixed mode takes equal
+    sequence.  Adaptive mode is an embedded Runge-Kutta stepper of its own
+    over `tableau`: `_RK45`, Dormand-Prince 5(4), or `_DOP853`, Dormand-Prince
+    8(5,3).  Its error norm is the tableau's on atol + max(|y|, |y_new|) rtol
+    (rtol at least 100 eps), with safety factor 0.9, step factors within
+    [0.2, 10] and no growth right after a rejection.  Each step's grid points
+    are sampled with one call of its dense output, which DOP853 forms only on
+    such a step, taking three more stages; a downward zero crossing of
+    event(t, y) over a step is located on that dense output by bisection,
+    and event_error(t) raised at the crossing time.  Fixed mode takes equal
     substeps of size <= opts.step between consecutive grid points, each one
     call of `_substep(rhs)` on the state as a float sequence, which hands rhs
     arrays that are never written (see `_rk4`); an interval whose substep
@@ -289,17 +451,18 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
     product over all of them.  BLAS rounds a matrix-vector product
     differently for different widths, so the first d components' values
     agree with those of a solve of them alone to roundoff, not bit for bit.
-    Errors name the first d components.
+    Errors name the first d components.  Only `_RK45` splits the norm.
 
-    The sums over stages (the stage arguments, the step, the error estimate
+    The sums over stages (the stage arguments, the step, the error estimates
     and the dense output) are BLAS products on the stored stages, the same
-    calls on the same operands as scipy's RK45 makes, and the error norm's
-    sum of squares is a BLAS dot; everything elementwise around them is done
-    in place or in Python floats, in the order of the array expressions, so
-    the bits are those of scipy's RK45.  In adaptive mode rhs gets each
-    trial stage's argument in one scratch array that the next stage
-    overwrites, so rhs must not keep it; the step's end state, which rhs gets
-    for the last stage and the event sees, and the samples are fresh arrays.
+    calls on the same operands as scipy's RK45 or DOP853 makes, and each of
+    the error norm's sums of squares is a BLAS dot; everything elementwise
+    around them is done in place or in Python floats, in the order of the
+    array expressions, so the bits are those of scipy's RK45 or DOP853.  In
+    adaptive mode rhs gets each trial stage's argument in one scratch array
+    that the next stage overwrites, so rhs must not keep it; the step's end
+    state, which rhs gets for the last stage and the event sees, the dense
+    output's stage arguments and the samples are fresh arrays.
 
     rhs is not checked for finite values stage by stage.  In adaptive mode a
     non-finite stage makes the error estimate non-finite, so the step is
@@ -339,21 +502,25 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
 
     if not np.all(np.isfinite(y0)):
         raise ValueError("all components of the initial state must be finite")
-    rtol, atol = max(opts.rel_tol, 100 * _EPS), opts.abs_tol
-    K = np.empty((7, len(y0)))  # stages; row 6 is the field at the step's end
-    KT, K0, K6 = K.T, K[0], K[6]
     split = d < len(y0)
+    if split and tableau is not _RK45:
+        raise ValueError("only the RK45 tableau splits the error norm")
+    rtol, atol = max(opts.rel_tol, 100 * _EPS), opts.abs_tol
+    error, dense, exponent = tableau.error, tableau.dense, tableau.exponent
+    fsal = len(tableau.B)
+    K = np.empty((tableau.rows, len(y0)))  # stages; row fsal is the field at the step's end
+    KT, KB, K0, Kf = K[:fsal + 1].T, K[:fsal].T, K[0], K[fsal]
     joint = False  # whether the rest has joined the first d in the error norm
-    root_d, root_rest = d ** 0.5, (len(y0) - d) ** 0.5  # the RMS norms' sqrt(size)
+    root_rest = (len(y0) - d) ** 0.5  # the rest's RMS norm's sqrt(size)
     # stage s: its row of K, the first s stages as columns, its row of A, its node
-    stages = [(K[s], K[:s].T, _DP_A[s], _DP_C[s]) for s in range(1, 6)]
-    KT6 = K[:6].T
+    stages = [(K[s], K[:s].T, a, c)
+              for s, (a, c) in enumerate(zip(tableau.A, tableau.C), start=1)]
     dy = np.empty(len(y0))  # each stage's sum, then its argument y + h sum
     hh = np.empty(())  # the trial step's h, as numpy takes a scalar operand fastest
     K0[...] = rhs(t0, y0)
     if not np.all(np.isfinite(K0)):
         raise NonFiniteError(f"non-finite vector field at t={t0:.6g}, y={y0[:d]}")
-    h_abs = _initial_step(rhs, t0, y0, K0, t_end, rtol, atol, d)
+    h_abs = _initial_step(rhs, t0, y0, K0, t_end, rtol, atol, d, exponent)
     t, y, y_list = t0, y0, y0.tolist()
     rest_max = _abs_max(y_list[d:]) if split else None  # the rest's largest |entry| at t
     g = event(t0, y0) if event is not None else None
@@ -382,14 +549,12 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                 dy *= hh
                 dy += y
                 Ks[...] = rhs(t + c * h, dy)
-            KT6.dot(_DP_B, out=dy)
+            KB.dot(tableau.B, out=dy)
             dy *= hh
             y_new = y + dy
-            K6[...] = rhs(t + h, y_new)
+            Kf[...] = rhs(t + h, y_new)
             new_list = y_new.tolist()
-            est = KT.dot(_DP_E)  # the error estimate of every component
-            e = _scaled_error(est[:d].tolist(), h, y_list, new_list, atol, rtol)
-            err = math.sqrt(e.dot(e)) / root_d
+            err, est = error(KT, h, y_list, new_list, atol, rtol, d)
             if split and (joint or err < 1):
                 new_rest_max = _abs_max(new_list[d:])
                 e = est[d:] * (h / (atol + max(rest_max, new_rest_max) * rtol))
@@ -399,10 +564,10 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
                     err = err_rest
             if err < 1:
                 factor = (_MAX_FACTOR if err == 0
-                          else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
+                          else min(_MAX_FACTOR, _SAFETY * err ** exponent))
                 h_abs *= min(1, factor) if rejected else factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)  # 0.2 if err is NaN
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** exponent)  # 0.2 if err is NaN
             rejected = True
         t_old, y_old, t, y, y_list = t, y, t_new, y_new, new_list
         if split:  # an accepted step has err < 1, so its rest was measured
@@ -410,19 +575,13 @@ def _integrate_flat(rhs, y0: np.ndarray, t0: float, t_end: float,
         if event is not None:
             g_old, g = g, event(t, y)
             if g_old >= 0 >= g:  # a terminal event of direction -1
-                Q = KT.dot(_DP_P)
-                raise event_error(_bisect(
-                    lambda s: event(s, h * np.dot(Q, _dense_powers([s], t_old, h).ravel())
-                                    + y_old),
-                    t_old, t))
+                sample = dense(rhs, K, t_old, y_old, y, h)
+                raise event_error(_bisect(lambda s: event(s, sample(s)), t_old, t))
         j = bisect_right(grid_times, t)
         if j > i:
-            x = _dense_powers(grid_times[i:j], t_old, h)
-            z = KT.dot(_DP_P).dot(x)
-            z *= hh
-            np.add(z.T, y_old, out=out[i:j])
+            dense(rhs, K, t_old, y_old, y, h)(grid_times[i:j], out[i:j])
             i = j
-        K0[...] = K6
+        K0[...] = Kf
     if i < len(grid):
         raise IntegrationError(f"integration stopped at t={t:.6g} before t_end",
                                last_time=t)

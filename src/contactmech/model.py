@@ -336,19 +336,26 @@ def _shape(text: str) -> tuple:
     return "".join(shape), literals
 
 
-def _kind_dag(kind: str, text: str, where: str, literals: bool) -> tuple:
-    """(dag, H, gradient, field, A J) of `kind`'s template with `text` inlined
-    (its literals parameters when `literals`), parsed and differentiated: the
-    field and A J, row-major, as `_contact_field` and `_contact_jacobian` form
-    them."""
+def _field_dag(kind: str, text: str, where: str, literals: bool) -> tuple:
+    """(dag, H, gradient, field) of `kind`'s template with `text` inlined (its
+    literals parameters when `literals`), parsed and differentiated once: the
+    field as `_contact_field` forms it."""
     template, (name, variable), _ = _TEMPLATES[kind]
     dag, (H,) = parse_template((template,), (*_Y, "t"), ("m", "gamma"), {},
                                {name: (text, variable, where, literals)})
     p = dag.node("var", value="p")
     g = [dag.diff(H, x) for x in (*_Y, "t")]
-    K = [[dag.diff(g[i], x) for x in _Y] for i in range(3)]
     field = [g[1], dag.node("-", dag.node("neg", g[0]), dag.node("*", p, g[2])),
              dag.node("-", dag.node("*", p, g[1]), H)]
+    return dag, H, g, field
+
+
+def _kind_dag(kind: str, text: str, where: str, literals: bool) -> tuple:
+    """`_field_dag` and A J, row-major, as `_contact_jacobian` forms them, from
+    the gradient differentiated again."""
+    dag, H, g, field = _field_dag(kind, text, where, literals)
+    p = dag.node("var", value="p")
+    K = [[dag.diff(g[i], x) for x in _Y] for i in range(3)]
     A = [K[1], [dag.sub(dag.sub(dag.num(0.0), K[0][k]), dag.mul(p, K[2][k])) for k in range(3)],
          [dag.mul(p, K[1][k]) for k in range(3)]]
     for i, k, gi in ((2, 0, g[0]), (1, 1, g[2]), (2, 2, g[2])):  # A's gradient terms
@@ -405,10 +412,10 @@ def _rk4_nodes(dag, lead: list, rhs: list, y: list) -> tuple:
 @functools.lru_cache(maxsize=32)
 def _kind_step(kind: str, text: str, where: str, literals: bool) -> tuple:
     """`_compile` of one RK4 substep ``f(t, y, h)`` of the field of
-    `_kind_dag`, y a float sequence: the end state as a tuple, bit for bit
+    `_field_dag`, y a float sequence: the end state as a tuple, bit for bit
     `dynamics._rk4`'s over the model's field, and its first error `_rk4`'s,
     a stage's overflow naming the stage's time."""
-    dag, H, _, field, _ = _kind_dag(kind, text, where, literals)
+    dag, H, _, field = _field_dag(kind, text, where, literals)
     y = [dag.node("var", value=x) for x in _Y]
     stages, step, times = _rk4_nodes(dag, [H], field, y)
     return _compile(f"{kind}: ", stages, [(step, "def f(t, y, h):\n    q, p, S = y",

@@ -13,14 +13,20 @@ import math
 
 import numpy as np
 
-from .dynamics import IntegratorOptions, _integrate_flat
+from .dynamics import _DOP853, _RK45, IntegratorOptions, _integrate_flat
 from .errors import DimensionMismatchError, NonFiniteError, RiccatiPoleError
 from .expressions import as_expression
 from .model import ExtendedState, _per_element
 
+# The Ermakov pair's solve, by Dormand-Prince 8(5,3), whose longer steps at this
+# tolerance take about a third of RK45's right-hand-side calls
 SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
-# The Riccati route's (lambda, lambda') solve: at SOLVER_OPTIONS its longer
-# steps leave dC/dC0 = e^{-gamma t} / lambda^2 about 6e-11 off
+# The Riccati route's (lambda, lambda') solve, by RK45: at SOLVER_OPTIONS its longer
+# steps leave dC/dC0 = e^{-gamma t} / lambda^2 about 6e-11 off.  It stays on RK45
+# because DOP853 at these options misses the closed-form and slow-root bounds of
+# its tests (the overdamped slow root by 6.0e-10 against 5e-11), and meets them
+# only near rtol 1e-13, the tolerance of scipy's DOP853 that is the oracle of
+# omega(t): the oracle would then be the method checked against itself
 RICCATI_OPTIONS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
 ADIABATIC_LIMIT = 1.0    # |Omega'|/Omega^2 at t0 below this starts alpha adiabatically
 # The Ermakov residual's five-point step h: truncation h^4 alpha^(6) / 30 and rounding
@@ -48,9 +54,11 @@ def _internal_nodes(grid: np.ndarray) -> np.ndarray:
     return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
 
 
-def _solve(rhs, y0, grid, opts, event=None, event_error=None, **starts) -> tuple:
+def _solve(rhs, y0, grid, opts, event=None, event_error=None, tableau=_RK45,
+           **starts) -> tuple:
     """(nodes, samples) of the adaptive solve of y' = rhs(t, y) from y0 at opts
-    over `_internal_nodes(grid)`; each of the named `starts` must be finite."""
+    by `tableau` over `_internal_nodes(grid)`; each of the named `starts` must
+    be finite."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least two nodes")
@@ -63,7 +71,7 @@ def _solve(rhs, y0, grid, opts, event=None, event_error=None, **starts) -> tuple
             raise ValueError(f"{name} must be finite: got {float(value)!r}")
     ts = _internal_nodes(grid)
     ys = _integrate_flat(rhs, np.asarray(y0, dtype=float), float(ts[0]), float(ts[-1]),
-                         opts, ts, event=event, event_error=event_error)
+                         opts, ts, event=event, event_error=event_error, tableau=tableau)
     return ts, ys.T
 
 
@@ -230,8 +238,8 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
                   grid) -> ErmakovSolution:
     """Solve the auxiliary equation as one linear solve (Pinney): the pair
     (u1, u1', u2, u2') of u'' = -(omega^2 - gamma^2/4) u from (alpha0,
-    alpha_dot0, 0, 1/alpha0), whose Wronskian is 1, at SOLVER_OPTIONS; alpha =
-    |u| cannot reach zero, so no event is watched."""
+    alpha_dot0, 0, 1/alpha0), whose Wronskian is 1, by Dormand-Prince 8(5,3)
+    at SOLVER_OPTIONS; alpha = |u| cannot reach zero, so no event is watched."""
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     wfn = as_expression(omega, "t", "omega")
@@ -241,7 +249,7 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
         return pinney_dot(y.tolist(), w_at(float(t)), gamma)
 
     ts, pair = _solve(rhs, [alpha0, alpha_dot0, 0.0, 1.0 / alpha0], grid, SOLVER_OPTIONS,
-                      alpha0=alpha0, alpha_dot0=alpha_dot0)
+                      tableau=_DOP853, alpha0=alpha0, alpha_dot0=alpha_dot0)
     return ErmakovSolution(ts, pair, gamma, wfn)
 
 

@@ -918,6 +918,45 @@ def test_adaptive_driver_terminal_event():
     assert_allclose(solve(lambda t, y: 0.5 - y[0])[:, 0], np.exp(-grid), rtol=1e-8)
 
 
+def test_the_dop853_tableau_stops_at_a_terminal_event_on_its_dense_output():
+    """Under `_DOP853` too, a downward zero of the event stops y' = -y at
+    ln 2, located on the crossing step's 7-term dense output, and the grid
+    samples of the whole span are e^-t."""
+    grid = np.linspace(0.0, 2.0, 21)
+    opts = cm.IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
+    with pytest.raises(IntegrationError) as err:
+        _integrate_flat(lambda t, y: -y, np.array([1.0]), 0.0, 2.0, opts, grid,
+                        event=lambda t, y: y[0] - 0.5, tableau=dynamics._DOP853,
+                        event_error=lambda t: IntegrationError("hit", last_time=t))
+    assert err.value.last_time == pytest.approx(math.log(2.0), rel=1e-8)
+    out = _integrate_flat(lambda t, y: -y, np.array([1.0]), 0.0, 2.0, opts, grid,
+                          tableau=dynamics._DOP853)
+    assert_allclose(out[:, 0], np.exp(-grid), rtol=1e-9)
+
+
+def test_the_dop853_tableau_is_consistent():
+    """Dormand-Prince 8(5,3) as built at import: each row of A, the dense
+    output's three stages included, sums exactly to its node to 1e-15, or,
+    in a row of coefficients up to 43, to the half-ulps they are rounded to
+    (row 9 is 1.8e-15 off 0.6); B sums to 1, and E3 and E5, each the
+    8th-order weights less a lower order's, sum to 0, to 1e-15.  The split
+    error norm is refused, since only RK45 has one."""
+    A, C = dynamics._D8_A, dynamics._D8_C
+    assert A.shape == (16, 16) and not np.triu(A).any()
+    for s in range(16):
+        rounding = math.fsum(np.spacing(np.abs(A[s]))) / 2
+        assert abs(math.fsum(A[s]) - C[s]) <= max(1e-15, rounding)
+    assert abs(math.fsum(dynamics._D8_B) - 1.0) <= 1e-15
+    for E in (dynamics._D8_E3, dynamics._D8_E5):
+        assert abs(math.fsum(E)) <= 1e-15
+    tab = dynamics._DOP853
+    assert len(tab.B) == 12 and tab.rows == 16 and tab.exponent == -1 / 8
+    assert [a.tolist() for a in tab.A] == [A[s, :s].tolist() for s in range(1, 12)]
+    with pytest.raises(ValueError, match="only the RK45 tableau splits the error norm"):
+        _integrate_flat(lambda t, y: -y, np.ones(2), 0.0, 1.0, cm.IntegratorOptions(),
+                        np.linspace(0.0, 1.0, 3), d=1, tableau=tab)
+
+
 def test_trajectory_invariants(linear_traj):
     assert np.all(np.diff(linear_traj.times) > 0)
     assert len(linear_traj) == len(linear_traj.times)

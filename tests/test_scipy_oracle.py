@@ -1,13 +1,14 @@
 """The package's own numerics against scipy, which is a test dependency only.
 
-The Dormand-Prince stepper and the cubic Hermite interpolant reproduce
-scipy's `RK45` and `CubicHermiteSpline` operation for operation, so those
-comparisons are bit-for-bit; the event root, bisected on the step's dense
-output, is then bit-for-bit the one bisected on scipy's.  scipy's
+The Dormand-Prince steppers and the cubic Hermite interpolant reproduce
+scipy's `RK45`, `DOP853` and `CubicHermiteSpline` operation for operation, so
+those comparisons are bit-for-bit; the event root, bisected on the step's
+dense output, is then bit-for-bit the one bisected on scipy's.  scipy's
 DOP853 also solves the Riccati equation for a time-dependent omega, the
 oracle of C, and its variational equation, the oracle of its C0-derivative.
 """
 
+import contextlib
 import math
 from pathlib import Path
 
@@ -16,13 +17,14 @@ import pytest
 
 pytest.importorskip("scipy", exc_type=ImportError)
 
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import DOP853, RK45, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 import contactmech as cm
 from contactmech import dynamics, oscillator
-from contactmech.dynamics import _bisect, _integrate_flat
+from contactmech.dynamics import _DOP853, _bisect, _integrate_flat
+from contactmech.errors import RiccatiPoleError
 from contactmech.oscillator import CubicHermite
 from contactmech.scenario import build_model, parse_scenario
 
@@ -61,11 +63,46 @@ def _scipy_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None):
     return steps, out, None, (solver.nfev - 2) // 6 - len(steps)
 
 
-def _own_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None, d=None):
+def _scipy_dop853_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None):
+    """(accepted (t, y), grid samples, event time, rejected steps, right-hand-side
+    calls) of scipy's DOP853 driven as `_integrate_flat` drives its stepper: the
+    dense output, with its three stages of its own, is formed only on a step
+    that holds grid points or the event's crossing, and the event time is
+    bisected on it.  The calls are 2 to start, 12 per trial step and 3 per
+    dense output."""
+    solver = DOP853(rhs, t0, y0, t_bound=t_end, rtol=rtol, atol=atol)
+    steps, out, i, dense_steps = [], np.empty((len(grid), len(y0))), 1, 0
+    out[0] = y0
+
+    def result(out, root):
+        rejected = (solver.nfev - 2 - 3 * dense_steps) // 12 - len(steps)
+        return steps, out, root, rejected, solver.nfev
+
+    g = event(t0, y0) if event is not None else None
+    while solver.status == "running":
+        solver.step()
+        assert solver.status != "failed"
+        steps.append((solver.t, solver.y.copy()))
+        if event is not None:
+            g_old, g = g, event(solver.t, solver.y)
+            if g_old >= 0 >= g:
+                dense = solver.dense_output()
+                dense_steps += 1
+                return result(None, _bisect(lambda t: event(t, dense(t)), solver.t_old,
+                                            solver.t))
+        j = np.searchsorted(grid, solver.t, side="right")
+        if j > i:
+            out[i:j] = solver.dense_output()(grid[i:j]).T
+            dense_steps += 1
+            i = j
+    return result(out, None)
+
+
+def _own_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None, d=None, **kwargs):
     """(accepted (t, y), grid samples, event time) of `_integrate_flat`, with
-    the first d components in the error norm; the event function sees every
-    accepted step, so it records them up to the crossing (the root finder's
-    calls come after)."""
+    the first d components in the error norm and the other `kwargs` passed
+    on; the event function sees every accepted step, so it records them up
+    to the crossing (the root finder's calls come after)."""
     steps, gs = [], []
 
     def record(t, y):
@@ -78,7 +115,7 @@ def _own_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None, d=None):
     opts = cm.IntegratorOptions(rel_tol=rtol, abs_tol=atol)
     try:
         out = _integrate_flat(rhs, y0, t0, t_end, opts, grid, event=record, event_error=_Stop,
-                              d=d)
+                              d=d, **kwargs)
     except _Stop as stop:
         return steps[1:], None, stop.t
     return steps[1:], out, None
@@ -95,6 +132,30 @@ def _assert_same_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None):
         assert out is None
     else:
         assert np.array_equal(out, ref_out)
+    return len(steps), rejected
+
+
+def _assert_same_dop853_run(rhs, y0, t0, t_end, rtol, atol, grid, event=None):
+    """`_assert_same_run` of the `_DOP853` tableau against scipy's DOP853, with
+    as many right-hand-side calls, so as many rejected steps."""
+    ref_steps, ref_out, ref_root, rejected, nfev = _scipy_dop853_run(rhs, y0, t0, t_end, rtol,
+                                                                     atol, grid, event)
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    steps, out, root = _own_run(counted, y0, t0, t_end, rtol, atol, grid, event,
+                                tableau=_DOP853)
+    assert [t for t, _ in steps] == [t for t, _ in ref_steps]
+    assert np.array_equal(np.array([y for _, y in steps]), np.array([y for _, y in ref_steps]))
+    assert root == ref_root
+    if ref_out is None:
+        assert out is None
+    else:
+        assert np.array_equal(out, ref_out)
+    assert len(calls) == nfev
     return len(steps), rejected
 
 
@@ -122,6 +183,30 @@ def test_stepper_matches_rk45_on_the_contact_field_with_an_event():
     _assert_same_run(*args, config.options.rel_tol, config.options.abs_tol, grid,
                      event=lambda t, y: y[0])
     _, rejected = _assert_same_run(*args, 1e-4, 1e-7, grid)
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("rtol, atol", [(1e-9, 1e-12), (1e-3, 1e-6)])
+def test_stepper_matches_dop853_on_exponential_decay_with_and_without_an_event(rtol, atol):
+    """y' = -y through scipy's DOP853, over the whole span and up to the
+    downward zero of y - 0.5 at ln 2, located on the crossing step's dense
+    output, which that step alone forms beside the steps that hold grid points."""
+    grid = np.linspace(0.0, 5.0, 51)
+    args = (lambda t, y: -y, np.array([1.0]), 0.0, 5.0, rtol, atol, grid)
+    accepted, _ = _assert_same_dop853_run(*args)
+    assert accepted > 3
+    _assert_same_dop853_run(*args, event=lambda t, y: y[0] - 0.5)
+
+
+def test_stepper_matches_dop853_on_the_contact_field_with_an_event():
+    """The damped oscillator's contact field up to q's first downward zero, and
+    over the whole span, where its loose tolerance makes the stepper reject."""
+    config, model, init = _scenario_model("damped_oscillator")
+    grid = dynamics.sample_grid(init.t, config.t_end, config.options.sample_interval)
+    args = (model.field, init.flat(), init.t, config.t_end)
+    _assert_same_dop853_run(*args, config.options.rel_tol, config.options.abs_tol, grid,
+                            event=lambda t, y: y[0])
+    _, rejected = _assert_same_dop853_run(*args, 1e-4, 1e-7, grid)
     assert rejected > 0
 
 
@@ -155,18 +240,56 @@ def test_stepper_matches_rk45_on_the_det_series_system(monkeypatch):
     assert np.all(np.max(np.abs(traj.flat() - ref_out), axis=0) <= 1e-13 * scale)
 
 
-def test_stepper_matches_rk45_on_the_ermakov_list_rhs(monkeypatch):
-    """The Ermakov pair's right-hand side returns a list."""
+def _captured_solves(monkeypatch, solve):
+    """The (rhs, y0, t0, t_end, opts, grid, kwargs) of each `_integrate_flat`
+    call of the oscillator module in `solve()`."""
     captured = []
 
-    def capture(rhs, y0, t0, t_end, opts, grid, event=None, event_error=None):
-        captured.append((rhs, y0, t0, t_end, opts, grid, event))
-        return _integrate_flat(rhs, y0, t0, t_end, opts, grid, event, event_error)
+    def capture(rhs, y0, t0, t_end, opts, grid, **kwargs):
+        captured.append((rhs, y0, t0, t_end, opts, grid, kwargs))
+        return _integrate_flat(rhs, y0, t0, t_end, opts, grid, **kwargs)
 
     monkeypatch.setattr(oscillator, "_integrate_flat", capture)
-    oscillator.solve_ermakov(1.3, 0.2, 0.9, 0.1, np.linspace(0.0, 3.0, 31))
-    for rhs, y0, t0, t_end, opts, grid, event in captured:
-        _assert_same_run(rhs, y0, t0, t_end, opts.rel_tol, opts.abs_tol, grid, event)
+    solve()
+    return captured
+
+
+@pytest.mark.parametrize("omega, gamma, start, grid, rejects", [
+    pytest.param(1.3, 0.2, (0.9, 0.1), np.linspace(0.0, 3.0, 31), False, id="constant"),
+    pytest.param(1.0, 0.1, None, np.linspace(0.0, 5.0, 501), False, id="stationary"),
+    pytest.param("1.2345 + 0.2345*sin(0.5678*t)", 0.1, None, np.linspace(0.0, 5.0, 501), True,
+                 id="omega(t)"),
+])
+def test_stepper_matches_dop853_on_the_ermakov_list_rhs(monkeypatch, omega, gamma, start, grid,
+                                                        rejects):
+    """The Ermakov pair's solve, whose right-hand side returns a list, is
+    scipy's DOP853 bit for bit: accepted steps, node samples and rejected
+    steps, for constant omega and for omega(t), from an arbitrary start or
+    from `ermakov_start`; only omega(t) rejects a step."""
+    w = cm.parse_expression(omega, "t") if isinstance(omega, str) else omega
+    alpha0, alpha_dot0 = start or oscillator.ermakov_start(w, gamma, 0.0)
+    [(rhs, y0, t0, t1, opts, nodes, kwargs)] = _captured_solves(
+        monkeypatch, lambda: oscillator.solve_ermakov(w, gamma, alpha0, alpha_dot0, grid))
+    assert kwargs == {"event": None, "event_error": None, "tableau": _DOP853}
+    accepted, rejected = _assert_same_dop853_run(rhs, y0, t0, t1, opts.rel_tol, opts.abs_tol,
+                                                 nodes)
+    assert accepted > 10 and (rejected > 0) == rejects
+
+
+@pytest.mark.parametrize("omega, C0", [pytest.param(1.0, 0.0, id="pole"),
+                                       pytest.param(0.0, 0.2, id="no-pole")])
+def test_stepper_matches_rk45_on_the_riccati_list_rhs(monkeypatch, omega, C0):
+    """The Riccati route's solve, whose right-hand side returns a list, is
+    scipy's RK45 bit for bit, up to its pole event where lambda crosses 0."""
+    grid = np.linspace(0.0, 5.0, 51)
+
+    def solve():
+        with pytest.raises(RiccatiPoleError) if omega else contextlib.nullcontext():
+            cm.solve_riccati(omega, 0.1, C0, grid)
+
+    [(rhs, y0, t0, t_end, opts, nodes, kwargs)] = _captured_solves(monkeypatch, solve)
+    assert kwargs["tableau"] is dynamics._RK45
+    _assert_same_run(rhs, y0, t0, t_end, opts.rel_tol, opts.abs_tol, nodes, kwargs["event"])
 
 
 @pytest.mark.parametrize("f, a, b", [

@@ -13,21 +13,16 @@ import math
 
 import numpy as np
 
-from .dynamics import _DOP853, _RK45, IntegratorOptions, _integrate_flat
+from .dynamics import _DOP853, IntegratorOptions, _integrate_flat
 from .errors import DimensionMismatchError, NonFiniteError, RiccatiPoleError
 from .expressions import as_expression
 from .model import ExtendedState, _per_element
 
-# The Ermakov pair's solve, by Dormand-Prince 8(5,3), whose longer steps at this
+# The Ermakov pair's solve, whose longer Dormand-Prince 8(5,3) steps at this
 # tolerance take about a third of RK45's right-hand-side calls
 SOLVER_OPTIONS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
-# The Riccati route's (lambda, lambda') solve, by RK45: at SOLVER_OPTIONS its longer
-# steps leave dC/dC0 = e^{-gamma t} / lambda^2 about 6e-11 off.  It stays on RK45
-# because DOP853 at these options misses the closed-form and slow-root bounds of
-# its tests (the overdamped slow root by 6.0e-10 against 5e-11), and meets them
-# only near rtol 1e-13, the tolerance of scipy's DOP853 that is the oracle of
-# omega(t): the oracle would then be the method checked against itself
-RICCATI_OPTIONS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
+# The Riccati solve's, tighter: at rel_tol 1e-12 C misses its slow-root bound of 5e-11
+RICCATI_OPTIONS = IntegratorOptions(rel_tol=1e-13, abs_tol=1e-15)
 ADIABATIC_LIMIT = 1.0    # |Omega'|/Omega^2 at t0 below this starts alpha adiabatically
 # The Ermakov residual's five-point step h: truncation h^4 alpha^(6) / 30 and rounding
 # 1.5 eps |alpha'| / h, over the spans t + h rounds to, are near 1e-10 at RESIDUAL_STEP.  Near
@@ -54,11 +49,11 @@ def _internal_nodes(grid: np.ndarray) -> np.ndarray:
     return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
 
 
-def _solve(rhs, y0, grid, opts, event=None, event_error=None, tableau=_RK45,
+def _solve(dot, omega, gamma: float, y0, grid, opts, event=None, event_error=None,
            **starts) -> tuple:
-    """(nodes, samples) of the adaptive solve of y' = rhs(t, y) from y0 at opts
-    by `tableau` over `_internal_nodes(grid)`; each of the named `starts` must
-    be finite."""
+    """(nodes, samples) of the Dormand-Prince 8(5,3) solve of y' = dot(y, omega(t),
+    gamma), on the state's floats, from y0 at opts over `_internal_nodes(grid)`;
+    each of the named `starts` must be finite."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least two nodes")
@@ -69,9 +64,14 @@ def _solve(rhs, y0, grid, opts, event=None, event_error=None, tableau=_RK45,
     for name, value in starts.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite: got {float(value)!r}")
+    w_at = omega._value
+
+    def rhs(t, y):
+        return dot(y.tolist(), w_at(float(t)), gamma)
+
     ts = _internal_nodes(grid)
     ys = _integrate_flat(rhs, np.asarray(y0, dtype=float), float(ts[0]), float(ts[-1]),
-                         opts, ts, event=event, event_error=event_error, tableau=tableau)
+                         opts, ts, event=event, event_error=event_error, tableau=_DOP853)
     return ts, ys.T
 
 
@@ -94,9 +94,23 @@ def riccati_dot(C, w, gamma: float):
     return -C * C - gamma * C - w * w
 
 
-def newton_ddot(lam, lam_dot, w, gamma: float):
-    """lambda'' = -gamma lambda' - w^2 lambda."""
-    return -gamma * lam_dot - w * w * lam
+def newton_dot(y, w, gamma: float) -> list:
+    """The derivative of y = (lambda e^{-sigma}, lambda' e^{-sigma}, sigma) for the
+    damped Newton equation lambda'' = -gamma lambda' - w^2 lambda, with sigma' =
+    `_newton_rate`: each scaled component's own derivative less sigma' times it."""
+    lam, lam_dot = y[0], y[1]
+    rate = _newton_rate(w, gamma)
+    return [lam_dot - rate * lam, -gamma * lam_dot - w * w * lam - rate * lam_dot, rate]
+
+
+def _newton_rate(w, gamma: float):
+    """The real part of the larger root of r^2 + gamma r + w^2, the rate at
+    which lambda grows or decays for constant omega = w (0 at w = 0 <= gamma);
+    of a float w by `math.sqrt`, else per element by numpy's, rounding alike."""
+    h = 0.5 * gamma
+    if isinstance(w, np.ndarray):
+        return np.sqrt(np.maximum(h * h - w * w, 0.0)) - h
+    return math.sqrt(max(h * h - w * w, 0.0)) - h
 
 
 class CubicHermite:
@@ -133,8 +147,8 @@ class CubicHermite:
 
 
 class _Dense:
-    """Bundle of the package's own `CubicHermite` interpolants over a common
-    node set.
+    """A solve's samples ys at nodes ts as one stacked `CubicHermite`, `_curve`,
+    whose slopes are the solved right-hand side dot(ys, omega(ts), gamma).
 
     Each lookup takes t in the solved range, widened by 1e-12 at both ends,
     through numpy: an array gives an array of its shape, a number an
@@ -142,11 +156,12 @@ class _Dense:
     such time and the solved range.
     """
 
-    def __init__(self, ts: np.ndarray, gamma: float, omega):
+    def __init__(self, ts: np.ndarray, ys, dot, gamma: float, omega):
         self.t_range = (float(ts[0]), float(ts[-1]))
         self._lo, self._hi = self.t_range[0] - 1e-12, self.t_range[1] + 1e-12
         self.gamma = float(gamma)
         self.omega = omega
+        self._curve = CubicHermite(ts, ys, dot(ys, omega(ts), gamma))
 
     def _check_t(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -166,22 +181,33 @@ class ErmakovSolution(_Dense):
     and its phase phi(t) = int_{t0}^{t} dtau / alpha^2, by Pinney from the pair u of
     `solve_ermakov`: alpha = |u| / sqrt(W), alpha' = u . u' / (|u| sqrt(W)) and phi
     the angle of u, with the solved Wronskian W = u1 u2' - u2 u1' (1 if exact), which
-    removes the solve's drift in amplitude; the four are one stacked cubic Hermite
-    interpolant with the solved right-hand side as slopes, and phi one of slope 1/alpha^2.
+    removes the solve's drift in amplitude; the four are the `_Dense` curve of
+    `pinney_dot`, and phi one cubic Hermite of slope W / |u|^2 = 1/alpha^2.
+
+    Where omega^2 < gamma^2/4 both u1 and u2 turn toward the growing mode, and
+    the solved W, a difference of nearly equal products, loses its digits: the
+    first node where it is not positive and finite raises NonFiniteError with
+    its time.
     """
 
     def __init__(self, ts, pair, gamma, omega):
-        super().__init__(ts, gamma, omega)
-        self._pair = CubicHermite(ts, pair, pinney_dot(pair, self.omega(ts), gamma))
         u1, u1_dot, u2, u2_dot = pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            wronskian = u1 * u2_dot - u2 * u1_dot
+        lost = ~((wronskian > 0) & (wronskian < math.inf))
+        if lost.any():
+            i = int(np.argmax(lost))
+            raise NonFiniteError(f"the Ermakov solve's Wronskian u1 u2' - u2 u1' is "
+                                 f"{wronskian[i].item()!r} at t={ts[i]:.6g}, where alpha = "
+                                 f"|u| / sqrt(W) needs it positive")
+        super().__init__(ts, pair, pinney_dot, gamma, omega)
         # np.unwrap holds: between nodes closer than pi / Omega u turns by < pi (Sturm)
         angle = np.fromiter(map(math.atan2, u2.tolist(), u1.tolist()), float, len(ts))
-        self._phase = CubicHermite(ts, np.unwrap(angle),
-                                   (u1 * u2_dot - u2 * u1_dot) / (u1 * u1 + u2 * u2))
+        self._phase = CubicHermite(ts, np.unwrap(angle), wronskian / (u1 * u1 + u2 * u2))
 
     def _alphas(self, t) -> tuple:
         """(alpha, alpha') at times t already checked."""
-        u1, v1, u2, v2 = self._pair(t)
+        u1, v1, u2, v2 = self._curve(t)
         r2, wronskian = u1 * u1 + u2 * u2, u1 * v2 - u2 * v1
         return np.sqrt(r2 / wronskian), (u1 * v1 + u2 * v2) / np.sqrt(r2 * wronskian)
 
@@ -239,17 +265,16 @@ def solve_ermakov(omega, gamma: float, alpha0: float, alpha_dot0: float,
     """Solve the auxiliary equation as one linear solve (Pinney): the pair
     (u1, u1', u2, u2') of u'' = -(omega^2 - gamma^2/4) u from (alpha0,
     alpha_dot0, 0, 1/alpha0), whose Wronskian is 1, by Dormand-Prince 8(5,3)
-    at SOLVER_OPTIONS; alpha = |u| cannot reach zero, so no event is watched."""
+    at SOLVER_OPTIONS; alpha = |u| cannot reach zero, so no event is watched.
+    A stepper failure, as where the pair overflows, names the solve."""
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     wfn = as_expression(omega, "t", "omega")
-    w_at = wfn._value
-
-    def rhs(t, y):
-        return pinney_dot(y.tolist(), w_at(float(t)), gamma)
-
-    ts, pair = _solve(rhs, [alpha0, alpha_dot0, 0.0, 1.0 / alpha0], grid, SOLVER_OPTIONS,
-                      tableau=_DOP853, alpha0=alpha0, alpha_dot0=alpha_dot0)
+    try:
+        ts, pair = _solve(pinney_dot, wfn, gamma, [alpha0, alpha_dot0, 0.0, 1.0 / alpha0],
+                          grid, SOLVER_OPTIONS, alpha0=alpha0, alpha_dot0=alpha_dot0)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"the Ermakov solve: {exc}") from None
     return ErmakovSolution(ts, pair, gamma, wfn)
 
 
@@ -376,17 +401,12 @@ def quadratic_invariant_coefficients(m: float, gamma: float, zeta0: float,
 class RiccatiSolution(_Dense):
     """Dense solution of C' = -C^2 - gamma C - omega(t)^2 as C = lambda'/lambda,
     from the damped Newton solution lambda (lambda(t0) = 1, lambda'(t0) = C0)
-    on a range where lambda > 0: one stacked cubic Hermite interpolant of
-    lambda and lambda' times e^{-sigma}, and of sigma, with the solved
-    right-hand side as slopes, and of no C of its own."""
+    on a range where lambda > 0: the `_Dense` curve of `newton_dot`, over
+    lambda and lambda' times e^{-sigma} and sigma, and of no C of its own."""
 
     def __init__(self, ts, lam, lam_dot, sigma, gamma, omega, C0):
-        super().__init__(ts, gamma, omega)
+        super().__init__(ts, np.stack([lam, lam_dot, sigma]), newton_dot, gamma, omega)
         self.C0 = float(C0)
-        w = self.omega(ts)
-        rate = _newton_rate(w, gamma)
-        self._curve = CubicHermite(ts, np.stack([lam, lam_dot, sigma]), np.stack(
-            [lam_dot - rate * lam, newton_ddot(lam, lam_dot, w, gamma) - rate * lam_dot, rate]))
 
     def C(self, t):
         lam, lam_dot, _ = self._curve(self._check_t(t))
@@ -415,43 +435,27 @@ class RiccatiSolution(_Dense):
         return _per_element(math.exp, x) / (lam * lam)
 
 
-def _newton_rate(w, gamma: float):
-    """The real part of the larger root of r^2 + gamma r + w^2, the rate at
-    which lambda grows or decays for constant omega = w (0 at w = 0 <= gamma);
-    of a float w by `math.sqrt`, else per element by numpy's, rounding alike."""
-    h = 0.5 * gamma
-    if isinstance(w, np.ndarray):
-        return np.sqrt(np.maximum(h * h - w * w, 0.0)) - h
-    return math.sqrt(max(h * h - w * w, 0.0)) - h
-
-
 def solve_riccati(omega, gamma: float, C0: float, grid) -> RiccatiSolution:
     """Solve the Riccati equation through its linearisation C = lambda'/lambda:
-    one solve of the damped Newton equation lambda'' = -gamma lambda' -
-    omega^2 lambda from (1, C0), at RICCATI_OPTIONS, for (lambda, lambda')
-    times e^{-sigma}, with sigma' = `_newton_rate` at omega(t): that pair obeys
-    the same equation less sigma' times itself and stays near its start as
-    lambda decays, so the error stays relative where lambda underflows.
+    one Dormand-Prince 8(5,3) solve of the damped Newton equation lambda'' =
+    -gamma lambda' - omega^2 lambda from (1, C0), at RICCATI_OPTIONS, for
+    (lambda, lambda') times e^{-sigma}, with sigma' = `_newton_rate` at omega(t)
+    (`newton_dot`): that pair obeys the same equation less sigma' times itself
+    and stays near its start as lambda decays, so the error stays relative
+    where lambda underflows.
 
     Riccati solutions generically have poles, at the zeros of lambda; the
     first one raises with its time, located on the step that crosses it,
     rather than continuing on the far branch.
     """
     wfn = as_expression(omega, "t", "omega")
-    w_at = wfn._value
-
-    def rhs(t, y):
-        lam, lam_dot, _sigma = y.tolist()
-        w = w_at(float(t))
-        rate = _newton_rate(w, gamma)
-        return [lam_dot - rate * lam, newton_ddot(lam, lam_dot, w, gamma) - rate * lam_dot, rate]
 
     def pole(tp):
         return RiccatiPoleError(f"Riccati solution has a pole at t={tp:.6g}, where lambda = 0",
                                 last_time=tp)
 
-    ts, (lam, lam_dot, sigma) = _solve(rhs, [1.0, C0, 0.0], grid, RICCATI_OPTIONS,
-                                       lambda t, y: y[0], pole, C0=C0)
+    ts, (lam, lam_dot, sigma) = _solve(newton_dot, wfn, gamma, [1.0, C0, 0.0], grid,
+                                       RICCATI_OPTIONS, lambda t, y: y[0], pole, C0=C0)
     return RiccatiSolution(ts, lam, lam_dot, sigma, gamma, wfn, C0)
 
 

@@ -598,6 +598,68 @@ def test_an_interpolant_over_a_tiny_span_is_one_error_line(text, spacing, tmp_pa
                                        f"nodes {spacing} apart\n")
 
 
+def _overdamped(gamma, t_end, check):
+    """A damped_parametric run at omega = 1 from (q, p, S) = (1, 0, 0.5), rel_tol
+    1e-10, abs_tol 1e-13 and sample_interval 0.5."""
+    return f"""\
+[model]
+kind = damped_parametric
+m = 1
+gamma = {gamma}
+omega = 1
+[initial]
+q = 1
+p = 0
+S = 0.5
+[integration]
+rel_tol = 1e-10
+abs_tol = 1e-13
+sample_interval = 0.5
+t_end = {t_end}
+[diagnostics]
+checks = {check}
+"""
+
+
+_LOST_WRONSKIAN = (r"error: the Ermakov solve's Wronskian u1 u2' - u2 u1' is (\S+) at t=(\S+), "
+                   r"where alpha = \|u\| / sqrt\(W\) needs it positive")
+_OVERDAMPED_RUNS = [  # gamma, t_end, check, the error line, the range of its time
+    (3, 20, "invariants", _LOST_WRONSKIAN, (14.0, 19.0)),
+    (3, 250, "invariants", _LOST_WRONSKIAN, (14.0, 19.0)),
+    (3, 330, "invariants", _LOST_WRONSKIAN, (14.0, 19.0)),
+    (3, 700, "invariants", r"error: the Ermakov solve: non-finite vector field: the steps "
+                           r"from t=(\S+), y=\[[^\]\n]*\] down to h=\S+ all met a "
+                           r"non-finite stage", (600.0, 700.0)),
+    (2.5, 50, "invariants", _LOST_WRONSKIAN, (20.0, 27.0)),
+    (3, 50, "transform_verify:invariants", _LOST_WRONSKIAN, (14.0, 19.0)),
+    (3, 330, "transform_verify:invariants", _LOST_WRONSKIAN, (14.0, 19.0)),
+]
+
+
+@pytest.mark.parametrize("gamma, t_end, check, pattern, times", _OVERDAMPED_RUNS,
+                         ids=[f"{c}-gamma{g}-t{t}" for g, t, c, *_ in _OVERDAMPED_RUNS])
+def test_an_overdamped_ermakov_solve_is_one_named_error_line(gamma, t_end, check, pattern,
+                                                             times, tmp_path, capsys):
+    """Where omega^2 < gamma^2/4 both Ermakov solutions turn toward the growing
+    mode, and the solved Wronskian, a difference of nearly equal products,
+    loses its digits: it reaches 0 near t = 16.2 at gamma = 3 and t = 24.1 at
+    gamma = 2.5, and past t = 632 the pair overflows and its stepper fails.
+    Each run exits 3 with one line naming the Ermakov solve, the quantity and
+    its time, and no warning; these runs printed numpy warnings from alpha or
+    the phase slope, a bare 'math range error', or an internal error (exit 6)."""
+    path = tmp_path / "overdamped.ini"
+    path.write_text(_overdamped(gamma, t_end, check))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    match = re.fullmatch(pattern + "\n", err)
+    assert match, err
+    if pattern == _LOST_WRONSKIAN:
+        assert not float(match.group(1)) > 0
+    assert times[0] < float(match.group(match.lastindex)) < times[1]
+
+
 def test_a_riccati_start_at_q0_0_is_1(tmp_path, capsys):
     """At q0 = 0 the slope p/(m q) has no value, so the HJ check starts its
     Riccati solve at C0 = 1, and says so in the report."""
@@ -1193,6 +1255,13 @@ _KEY_PATHS = {f"{section}.{key}" for section, key, *_ in _GRAMMAR}
 @given(_run_scenarios())
 @example(OVERFLOWING_HJ_FIELD)
 @example(SHORT_SPAN_INVARIANTS)
+@example(_overdamped(3, 20, "invariants"))
+@example(_overdamped(3, 250, "invariants"))
+@example(_overdamped(3, 330, "invariants"))
+@example(_overdamped(3, 700, "invariants"))
+@example(_overdamped(2.5, 50, "invariants"))
+@example(_overdamped(3, 50, "transform_verify:invariants"))
+@example(_overdamped(3, 330, "transform_verify:invariants"))
 @settings(deadline=None)
 def test_every_drawn_run_ends_in_a_documented_exit(text):
     """Drawn kinds, values with extremes (tolerances, sample interval and

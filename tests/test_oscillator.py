@@ -137,7 +137,7 @@ def test_the_interpolant_slopes_are_the_solved_right_hand_side_bit_for_bit(monke
     nodes = oscillator._internal_nodes(grid)
     erm = cm.solve_ermakov(1.4437, 0.2, 1.0, 0.0, grid)
     ric = cm.solve_riccati(1.4437, 0.2, 0.3, grid)
-    for solved, slopes in zip(solves, [erm._pair.c[2], ric._curve.c[2]]):
+    for solved, slopes in zip(solves, [erm._curve.c[2], ric._curve.c[2]]):
         for k, slope in enumerate(slopes):
             assert slope.tobytes() == solved[:, k].tobytes()
     lam, lam_dot, sigma = ric._curve.c[3]  # the solved values at nodes[:-1]
@@ -730,6 +730,23 @@ def test_an_ermakov_solve_takes_few_steps(monkeypatch, omega):
     w = cm.parse_expression(omega, "t") if isinstance(omega, str) else omega
     cm.solve_ermakov(w, 0.1, *oscillator.ermakov_start(w, 0.1, 0.0), np.linspace(0.0, 5.0, 501))
     assert 0 < len(calls) < 600
+
+
+def test_a_riccati_solve_takes_few_steps(monkeypatch):
+    """The Riccati solve's Dormand-Prince 8(5,3) steps at RICCATI_OPTIONS from
+    C0 = 0.2 at omega = 0, gamma = 0.1 over [0, 10]: fewer than 200
+    right-hand-side calls (152, where 5(4) at rel_tol 1e-11 took 254)."""
+    calls = []
+
+    def spy(rhs, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+        return _integrate_flat(counted, *args, **kwargs)
+
+    monkeypatch.setattr(oscillator, "_integrate_flat", spy)
+    cm.solve_riccati(0.0, 0.1, 0.2, GRID)
+    assert 0 < len(calls) < 200
 
 
 def test_riccati_sensitivity_pole_detection():
